@@ -103,7 +103,7 @@ def execute_run(cfg: RunConfig) -> dict:
 
     result = integrate(buffer, cfg.kernel, h=cfg.step, t_end=cfg.t_end,
                        output_every=cfg.output_every,
-                       detj_tolerance=cfg.detj_tolerance)
+                       detj_tolerance=cfg.detj_tolerance, prehistory=pre)
 
     blowup = None
     if result.blowup is not None:

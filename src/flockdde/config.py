@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import DETJ_TOLERANCE
 from .kernel import kernel_from_config
 from .state import (
     BoxDomain,
@@ -145,7 +146,7 @@ class RunConfig:
     interpolation: str = "cubic-hermite"
     seed: int = 0
     n_history_slices: int | None = None
-    detj_tolerance: float = 1e-6
+    detj_tolerance: float = DETJ_TOLERANCE
     snapshot_csv: bool = False
     raw: dict = field(default_factory=dict)
 
@@ -177,6 +178,11 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError("tau: must be a positive integer multiple of step")
     if not _is_multiple(output_every, step):
         raise ConfigError("output_every: must be a positive multiple of step")
+    if tau > 0 and round(output_every / step) > round(tau / step):
+        # the Lyapunov functional integrates over the last delay window and
+        # needs a frame at each end of it
+        raise ConfigError(
+            f"output_every: must not exceed tau ({tau}), got {output_every}")
     if t_end > 0 and not _is_multiple(t_end, step):
         raise ConfigError("t_end: must be a multiple of step")
     interpolation = doc.get("interpolation", "cubic-hermite")
@@ -191,8 +197,8 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         kernel=kernel, datum=datum, tau=tau, step=step, t_end=t_end,
         output_every=output_every, interpolation=interpolation, seed=seed,
         n_history_slices=n_hist,
-        detj_tolerance=_real(doc.get("detj_tolerance", 1e-6), "detj_tolerance",
-                             minimum=0.0),
+        detj_tolerance=_real(doc.get("detj_tolerance", DETJ_TOLERANCE),
+                             "detj_tolerance", minimum=0.0),
         snapshot_csv=bool(doc.get("snapshot_csv", False)),
         raw=json.loads(json.dumps(doc)),
     )

@@ -56,13 +56,47 @@ class DiagnosticsFrame:
     status: str = "ok"
 
 
+# Pairs per block of the pairwise layers (here and in the force): a block
+# holds max(1, _BLOCK_PAIRS // N) rows against all N columns, so each of its
+# temporaries holds at most 128 KB (for N <= _BLOCK_PAIRS) and stays in
+# cache, instead of the O(N^2 d) arrays of a whole-matrix evaluation.  The
+# partition depends on N alone, never on the machine, the worker count or
+# BLAS threads.
+_BLOCK_PAIRS = 16384
+
+
+def _row_blocks(n_rows, n_cols):
+    """Row slices of at most max(1, _BLOCK_PAIRS // n_cols) rows each."""
+    rows = max(1, _BLOCK_PAIRS // max(1, n_cols))
+    return [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
+
+
+def _differences(a, b):
+    """Per-coordinate differences ``a_i - b_j`` and their squared norms.
+
+    Returns a list of d arrays of shape (len(a), len(b)) and the sum of their
+    squares, added coordinate by coordinate.
+    """
+    diff = [a[:, k, None] - b[:, k] for k in range(a.shape[1])]
+    q = diff[0] * diff[0]
+    for diff_k in diff[1:]:
+        q += diff_k * diff_k
+    return diff, q
+
+
 def _pairwise_diameter(arr: np.ndarray) -> float:
     # exact max over all pairs; diameters feed certified inequalities, so no
     # bounding-box shortcut (non-finite slices appear in terminal blow-up
-    # frames, hence the silenced FP state)
+    # frames, hence the silenced FP state).  Each row block meets the columns
+    # from its first row on, which covers every unordered pair and the
+    # diagonal.  sqrt is monotone and correctly rounded, so sqrt of the
+    # largest square is the largest distance bit for bit; the squares add the
+    # coordinates left to right, as numpy's sum does below 8 terms.  np.max
+    # keeps NaN, as the blow-up frames need.
     with np.errstate(invalid="ignore", over="ignore"):
-        diff = arr[:, None, :] - arr[None, :, :]
-        return float(np.sqrt((diff**2).sum(axis=2)).max())
+        block_max = [_differences(arr[rows], arr[rows.start:])[1].max()
+                     for rows in _row_blocks(len(arr), len(arr))]
+        return float(np.sqrt(np.max(block_max)))
 
 
 def diameters(ensemble) -> tuple[float, float]:
@@ -252,7 +286,14 @@ class FlockingCertificate:
 
 
 def _solve_tail_budget(kernel, a, budget):
-    """Smallest d with integral of the profile over [a, d] equal to budget."""
+    """Smallest d with integral of the profile over [a, d] equal to budget.
+
+    The bracket stops growing where the profile is 0: beyond that point
+    nothing representable accumulates, so the bracket end is the answer.
+    Its width doubles from at least 1 (tracked apart from ``a``, because
+    ``a + 1 == a`` for a large ``a``), so the end reaches inf, where every
+    profile is 0, within 1024 doublings.
+    """
     if budget <= 0.0:
         return a
 
@@ -260,11 +301,12 @@ def _solve_tail_budget(kernel, a, budget):
         val, _ = quad(kernel.eval, a, d, epsabs=1e-13, epsrel=1e-12, limit=400)
         return val
 
-    hi = a + max(budget, 1.0)
-    for _ in range(200):
-        if accumulated(hi) >= budget:
+    width = max(budget, 1.0)
+    for _ in range(1100):
+        hi = a + width
+        if accumulated(hi) >= budget or kernel.eval(hi) == 0.0:
             break
-        hi = a + 2.0 * (hi - a)
+        width *= 2.0
     else:
         raise RuntimeError("failed to bracket the tail budget")
     lo = a
@@ -301,6 +343,8 @@ def certify_flocking(frames, kernel) -> FlockingCertificate:
     psi_star = float(kernel.eval(d_star))
     if psi_star >= 1.0:
         rate = 1.0  # flat-kernel / point-support limit of the Gronwall root
+    elif psi_star == 0.0:
+        rate = 0.0  # profile underflowed at d_star: the root's a -> 0 limit
     else:
         rate = gronwall_rate(psi_star, tau)
     return FlockingCertificate(r_v=r_v, lhs=lhs, rhs=rhs, satisfied=True,

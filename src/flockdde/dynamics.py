@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import DiagnosticsFrame, FlockingMonitor, diameters
+from .diagnostics import (
+    DiagnosticsFrame,
+    FlockingMonitor,
+    _differences,
+    _row_blocks,
+    diameters,
+    prehistory_frames,
+)
 from .state import HistoryBuffer, HistoryView, LagrangianEnsemble, discretize
 
 __all__ = [
@@ -36,7 +43,8 @@ __all__ = [
     "simulate",
 ]
 
-DEFAULT_DETJ_TOLERANCE = 1e-6
+# Minimal Jacobian determinant at which a run counts as blown up.
+DETJ_TOLERANCE = 1e-6
 
 
 class SingularNormalizerError(Exception):
@@ -77,20 +85,46 @@ class ForceEvaluation:
 
 
 def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
-    """Core force kernel, O(N^2) pairwise, fixed reduction order.
+    """Core force kernel: O(N^2) pairwise in fixed row blocks, fixed order.
 
-    Returns (accelerations, label-space force gradient, normalizers,
-    position-space force gradient).  Coincident pairs use profile value 1 and
-    contribute nothing to the gradient (radial symmetry).
+    Returns (accelerations, label-space force gradient, normalizers).  Pairs
+    are visited one row block at a time (see ``_row_blocks``) on squared
+    distances, so the temporaries hold O(_BLOCK_PAIRS d) values.  The
+    kernel's ``eval_with_deriv_sq`` gives ``psi`` and ``psi'(r) / r``, whose
+    product with the coordinate difference is ``psi'(r)`` times the unit
+    vector; coincident pairs have profile value 1 and contribute nothing to
+    the gradient (radial symmetry).  The gradient is contracted as d row sums
+    and d matrix products.  A flat kernel skips the pairs: every row then
+    weighs all delayed nodes by their mass.
     """
+    n, d = pos.shape
     # transient non-finite values are caught by the stepper's isfinite check
     # and turned into a blow-up signal, so FP warnings here are only noise
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        diff = pos[:, None, :] - d_pos[None, :, :]
-        r = np.sqrt((diff**2).sum(axis=2))
-        psi = kernel.eval(r)
-        w = psi * masses[None, :]
-        s0 = w.sum(axis=1)
+        if kernel.is_flat:
+            s0 = np.full(n, masses.sum())
+            s1 = np.broadcast_to(masses @ d_vel, (n, d))
+            grad_pos = np.zeros((n, d, d))
+        else:
+            s0 = np.empty(n)
+            s1 = np.empty((n, d))
+            g0 = np.empty((n, d))
+            g1 = np.empty((n, d, d))
+            for rows in _row_blocks(n, len(d_pos)):
+                diff, q = _differences(pos[rows], d_pos)
+                # the kernel's outputs and the differences are fresh arrays
+                # of this block, so they are weighted in place
+                w, wd = kernel.eval_with_deriv_sq(q)
+                w *= masses
+                s0[rows] = w.sum(axis=1)
+                s1[rows] = w @ d_vel
+                wd *= masses
+                for b, wd_b in enumerate(diff):
+                    wd_b *= wd
+                    g0[rows, b] = wd_b.sum(axis=1)
+                    g1[rows, :, b] = wd_b @ d_vel
+            grad_pos = (g1 * s0[:, None, None] - s1[:, :, None] * g0[:, None, :]) \
+                / (s0**2)[:, None, None]
         # NaN compares False here on purpose: a poisoned state must flow on to
         # the stepper's isfinite check, not masquerade as an underflow
         if s0.min() < 1e-300:
@@ -98,21 +132,8 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
                 "kernel-weighted mass underflowed below 1e-300; nodes are "
                 "separated beyond the representable range of the kernel"
             )
-        s1 = w @ d_vel
         acc = s1 / s0[:, None] - vel
-        dpsi = kernel.eval_deriv(r)
-        n, d = pos.shape
-        if np.any(dpsi):
-            safe_r = np.where(r > 0, r, 1.0)
-            unit = np.where(r[..., None] > 0, diff / safe_r[..., None], 0.0)
-            wd = dpsi * masses[None, :]
-            g0 = np.einsum("ij,ijb->ib", wd, unit)
-            g1 = np.einsum("ij,ja,ijb->iab", wd, d_vel, unit)
-            grad_pos = (g1 * s0[:, None, None] - s1[:, :, None] * g0[:, None, :]) \
-                / (s0**2)[:, None, None]
-        else:
-            grad_pos = np.zeros((n, d, d))
-    return acc, grad_pos @ jac, s0, grad_pos
+    return acc, grad_pos @ jac, s0
 
 
 def alignment_rhs(current: LagrangianEnsemble, delayed: HistoryView,
@@ -124,9 +145,9 @@ def alignment_rhs(current: LagrangianEnsemble, delayed: HistoryView,
     """
     if delayed.positions.shape != current.positions.shape:
         raise ValueError("delayed view must match the ensemble shape")
-    acc, fg, s0, _ = _force(kernel, current.masses, current.positions,
-                            current.velocities, current.jacobians,
-                            delayed.positions, delayed.velocities)
+    acc, fg, s0 = _force(kernel, current.masses, current.positions,
+                         current.velocities, current.jacobians,
+                         delayed.positions, delayed.velocities)
     return ForceEvaluation(accelerations=acc, force_gradients=fg, normalizers=s0)
 
 
@@ -154,7 +175,7 @@ def step(buffer: HistoryBuffer, kernel, h: float) -> LagrangianEnsemble:
         else:
             view = buffer.query(t_stage - tau)
             d_pos, d_vel = view.positions, view.velocities
-        acc, fg, _, _ = _force(kernel, masses, pos, vel, jac, d_pos, d_vel)
+        acc, fg, _ = _force(kernel, masses, pos, vel, jac, d_pos, d_vel)
         return vel, acc, vgrad, fg - vgrad
 
     y0 = (cur.positions, cur.velocities, cur.jacobians, cur.vel_gradients)
@@ -226,7 +247,8 @@ def _frame(ens, monitor, at_start=False, status="ok"):
 
 def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
               output_every: float | None = None,
-              detj_tolerance: float = DEFAULT_DETJ_TOLERANCE) -> SimulationResult:
+              detj_tolerance: float = DETJ_TOLERANCE,
+              prehistory: list | None = None) -> SimulationResult:
     """Drive the stepper from t = 0 to t_end, emitting diagnostics frames.
 
     Emits one frame per output step (the initial diagnostics count as the
@@ -235,6 +257,10 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
     ``detj_tolerance`` or the state leaves the finite range; frames up to the
     last finite time are retained and the terminal frame carries status
     "blowup".  Deterministic given its inputs.
+
+    ``prehistory`` takes the ``prehistory_frames(buffer)`` records when the
+    caller already has them (the buffer drops its prehistory once stepping
+    starts); they seed the monitor and R_V and are computed here otherwise.
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -247,15 +273,13 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
     if abs(n_steps * h - t_end) > 1e-9 * max(1.0, t_end):
         raise ValueError("t_end must be a multiple of the step")
 
-    pre = buffer.prehistory()
-    pre_t, pre_dx, pre_dv = [], [], []
-    for s in pre:
-        d_x, d_v = diameters(s)
-        pre_t.append(s.time)
-        pre_dx.append(d_x)
-        pre_dv.append(d_v)
-    r_v = max(s.max_speed() for s in pre)
-    monitor = FlockingMonitor(kernel, buffer.tau, pre_t, pre_dx, pre_dv, r_v)
+    if prehistory is None:
+        prehistory = prehistory_frames(buffer)
+    r_v = max(f.max_speed for f in prehistory)
+    monitor = FlockingMonitor(kernel, buffer.tau,
+                              [f.t for f in prehistory],
+                              [f.d_X for f in prehistory],
+                              [f.d_V for f in prehistory], r_v)
 
     frames = [_frame(buffer.latest, monitor, at_start=True)]
     if frames[0].min_detJ <= detj_tolerance:
@@ -305,5 +329,5 @@ def simulate(config) -> SimulationResult:
     return integrate(
         buffer, config.kernel, h=h, t_end=config.t_end,
         output_every=getattr(config, "output_every", None),
-        detj_tolerance=getattr(config, "detj_tolerance", DEFAULT_DETJ_TOLERANCE),
+        detj_tolerance=getattr(config, "detj_tolerance", DETJ_TOLERANCE),
     )

@@ -25,6 +25,10 @@ __all__ = [
 
 # Relative size of the analytic remainder at which the tail quadrature stops.
 _TAIL_REMAINDER_REL = 1e-10
+# Panels double from a width of at least 1, so the upper end overflows to inf
+# (where the profile is 0 and the loop stops) within 1024 doublings; the cap
+# only bounds the loop.
+_TAIL_MAX_PANELS = 1100
 
 
 class UnsupportedKernelError(Exception):
@@ -84,6 +88,25 @@ class CuckerSmaleKernel:
             out = -2.0 * self.beta * r * (1.0 + r * r) ** (-self.beta - 1.0)
         return _as_input_shape(out, r)
 
+    @property
+    def is_flat(self) -> bool:
+        """True when the profile is identically 1 (``beta = 0``)."""
+        return self.beta == 0.0
+
+    def eval_with_deriv_sq(self, q):
+        """Profile ``psi`` and ``psi'(r) / r`` at squared radii ``q = r^2``.
+
+        Both come from one power: ``psi = (1 + q)^-beta`` and
+        ``psi'/r = -2 beta psi / (1 + q)``, finite at ``q = 0``.  ``q`` is an
+        array of nonnegative values (or NaN, which propagates); both results
+        are new arrays that the caller may overwrite.
+        """
+        base = 1.0 + q
+        psi = base ** (-self.beta)
+        dpsi_r = np.divide(psi, base, out=base)
+        dpsi_r *= -2.0 * self.beta
+        return psi, dpsi_r
+
     def tail_integral(self, R: float) -> float:
         """Integral of the profile from ``R`` to infinity.
 
@@ -92,10 +115,12 @@ class CuckerSmaleKernel:
         geometrically growing panels ``[a, 2a]`` until the analytic remainder
         bound ``a^(1-2 beta) / (2 beta - 1)`` drops below 1e-10 of the partial
         sum, then adds that bound (the true remainder is just below it, so
-        adding it keeps the relative error under 1e-10).
+        adding it keeps the relative error under 1e-10).  A bound that
+        underflows to 0, or a profile that is 0 at the panel end (the partial
+        sum can no longer grow), also ends the loop.
         """
         R = float(R)
-        if R < 0:
+        if not R >= 0:
             raise ValueError(f"tail integral lower limit must be nonnegative, got {R}")
         if self.beta <= 0.5:
             return math.inf
@@ -109,12 +134,14 @@ class CuckerSmaleKernel:
         total = 0.0
         lo = R
         hi = max(2.0 * R, R + 1.0)
-        while True:
+        for _ in range(_TAIL_MAX_PANELS):
             piece, _ = quad(profile, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
             total += piece
-            if remainder_bound(hi) < _TAIL_REMAINDER_REL * total:
-                return total + remainder_bound(hi)
+            bound = remainder_bound(hi)
+            if bound <= _TAIL_REMAINDER_REL * total or profile(hi) == 0.0:
+                return total + bound
             lo, hi = hi, 2.0 * hi
+        raise RuntimeError(f"tail integral from {R} did not converge")
 
     def to_config(self) -> dict:
         return {"family": "cucker-smale", "beta": self.beta}
@@ -170,6 +197,23 @@ class TabulatedKernel:
         out = np.asarray(self._interp_deriv(inside), dtype=float)
         out = np.where(r >= self.radii[-1], 0.0, out)
         return _as_input_shape(out, r)
+
+    @property
+    def is_flat(self) -> bool:
+        """True when every tabulated value is 1 (the profile is constant)."""
+        return bool(np.all(self.values == 1.0))
+
+    def eval_with_deriv_sq(self, q):
+        """Profile and ``psi'(r) / r`` at squared radii ``q``; 0 at ``r = 0``.
+
+        The generic path: takes ``r = sqrt(q)`` and divides the derivative by
+        it.  At ``r = 0`` the quotient is set to 0, the radially symmetric
+        value of ``psi'(r) * unit`` there.  Both results are new arrays.
+        """
+        r = np.sqrt(q)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            dpsi_r = np.where(r > 0.0, self.eval_deriv(r) / r, 0.0)
+        return self.eval(r), dpsi_r
 
     def tail_integral(self, R: float) -> float:
         raise UnsupportedKernelError(

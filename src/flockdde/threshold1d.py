@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .dynamics import BlowupSignal, step
+from .dynamics import DETJ_TOLERANCE, BlowupSignal, step
 from .kernel import UnsupportedKernelError
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "evolve_w",
     "reconstruct_density",
 ]
-
-DETJ_TOLERANCE = 1e-6
 
 # Two constant conventions exist for this classification; the conservative
 # one is used (C_psi = 2*beta, 4*C_bar under both radicals) and the verdict's

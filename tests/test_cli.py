@@ -7,6 +7,7 @@ import pytest
 
 from flockdde.cli import main
 from flockdde.config import preset_dict
+from flockdde.diagnostics import _BLOCK_PAIRS
 
 
 def run_cli(*argv):
@@ -85,6 +86,19 @@ class TestRun:
         assert code == 1
         assert "tau" in capsys.readouterr().err
 
+    def test_output_every_above_tau_is_config_error(self, tmp_path, quick_run_doc,
+                                                    capsys):
+        # the Lyapunov window [t - tau, t] would hold a single frame
+        doc = json.loads(json.dumps(quick_run_doc))
+        doc["tau"] = 0.04
+        doc["output_every"] = 0.05
+        code = run_cli("run", "--config", write_json(tmp_path / "c.json", doc),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: output_every")
+        assert err.count("\n") == 1
+
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"schema_version": 1,\n  "kernel": }')
@@ -109,6 +123,19 @@ class TestCertify:
         assert code == 3
         cert = json.loads(capsys.readouterr().out)
         assert cert["satisfied"] is False and cert["d_star"] is None
+
+    def test_far_separated_steep_kernel_returns(self, tmp_path, quick_run_doc,
+                                               capsys, time_limit):
+        # the kernel tail from 1e9 underflows; certifying once hung there
+        doc = json.loads(json.dumps(quick_run_doc))
+        doc["kernel"]["beta"] = 40.0
+        doc["datum"]["domain"]["box"] = [[0.0, 1e9]]
+        with time_limit(10):
+            code = run_cli("certify", "--config",
+                           write_json(tmp_path / "c.json", doc))
+        assert code == 3
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["satisfied"] is False and cert["rhs"] == 0.0
 
     def test_tabulated_kernel_exit_4(self, tmp_path, quick_run_doc, capsys):
         doc = json.loads(json.dumps(quick_run_doc))
@@ -161,6 +188,30 @@ class TestSweep:
             (tmp_path / "solo" / "frames.csv").read_bytes()
         assert (cell / "summary.json").read_bytes() == \
             (tmp_path / "solo" / "summary.json").read_bytes()
+
+    def test_two_worker_cells_match_standalone_runs_above_block(self, tmp_path,
+                                                                quick_run_doc):
+        # N^2 > _BLOCK_PAIRS, so the force and diameters take several row
+        # blocks, in forked workers and in this process alike
+        doc = json.loads(json.dumps(quick_run_doc))
+        doc["datum"]["domain"]["counts"] = [math.isqrt(_BLOCK_PAIRS) + 5]
+        doc["t_end"] = 0.02
+        betas = [0.0, 1.0]
+        sweep_doc = {"schema_version": 1, "base": doc,
+                     "axes": [{"path": "kernel.beta", "values": betas}],
+                     "max_workers": 2}
+        assert run_cli("sweep", "--config",
+                       write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid")) == 0
+        for i, beta in enumerate(betas):
+            doc["kernel"]["beta"] = beta
+            solo = tmp_path / f"solo{i}"
+            assert run_cli("run", "--config",
+                           write_json(tmp_path / f"run{i}.json", doc),
+                           "--out", str(solo)) == 0
+            cell = tmp_path / "grid" / f"cell_{i:04d}"
+            for name in ("frames.csv", "summary.json"):
+                assert (cell / name).read_bytes() == (solo / name).read_bytes()
 
     def test_tau_axis_flips_certificate(self, tmp_path, quick_run_doc):
         # thin tail: growing the delay eventually defeats the condition

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from flockdde.diagnostics import (
+    _BLOCK_PAIRS,
     DiagnosticsFrame,
     FlockingMonitor,
     NotReadyError,
@@ -16,6 +17,7 @@ from flockdde.diagnostics import (
     gronwall_rate,
     lyapunov,
     prehistory_frames,
+    _row_blocks,
 )
 from flockdde.dynamics import simulate
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKernelError
@@ -267,3 +269,74 @@ class TestFitDecayRate:
         frames = [frame_stub(0.0, 1.0), frame_stub(1.0, 0.5)]
         with pytest.raises(NotReadyError):
             fit_decay_rate(frames, 0.0, 1.0)
+
+
+def _naive_diameter(arr):
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = arr[:, None, :] - arr[None, :, :]
+        return float(np.sqrt((diff**2).sum(axis=2)).max())
+
+
+def _same_float(a, b):
+    return (math.isnan(a) and math.isnan(b)) or a == b
+
+
+# the largest N whose N x N pairs fit one block of the pairwise layers
+SIDE = math.isqrt(_BLOCK_PAIRS)
+
+
+class TestBlockedDiameters:
+    @pytest.mark.parametrize("n", [1, SIDE - 1, SIDE, SIDE + 1, 2 * SIDE + 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_naive_max(self, n, d):
+        rng = np.random.default_rng(10 * n + d)
+        # wide dynamic range, so rounding differences would show
+        arr = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, (n, d))
+        got = diameters(SimpleNamespace(positions=arr, velocities=arr[::-1]))
+        assert got[0] == _naive_diameter(arr)
+        assert got[1] == _naive_diameter(arr[::-1])
+
+    @pytest.mark.parametrize("n", [1, SIDE + 1, 2 * SIDE + 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
+    def test_non_finite_and_overflow_match_naive(self, n, bad):
+        rng = np.random.default_rng(n)
+        for row in sorted({0, n // 2, n - 1}):
+            arr = rng.normal(size=(n, 2))
+            arr[row, 1] = bad
+            d_x, _ = diameters(SimpleNamespace(positions=arr, velocities=arr))
+            assert _same_float(d_x, _naive_diameter(arr)), (row, d_x)
+
+    @pytest.mark.parametrize("n", [1, SIDE, SIDE + 1, 2 * SIDE + 3, _BLOCK_PAIRS + 1])
+    def test_row_blocks_partition_rows_by_shape_alone(self, n):
+        blocks = _row_blocks(n, n)
+        assert blocks[0].start == 0 and blocks[-1].stop >= n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        rows = blocks[0].stop - blocks[0].start
+        assert rows * n <= max(_BLOCK_PAIRS, n)
+        assert (n <= SIDE) == (len(blocks) == 1)
+
+
+class TestTailBudgetBracket:
+    @staticmethod
+    def far_frames(d_x, d_v):
+        return [frame_stub(-0.1, d_v, d_x=d_x, max_speed=0.0),
+                frame_stub(0.0, d_v, d_x=d_x, max_speed=0.0)]
+
+    def test_large_lower_limit_brackets(self, time_limit):
+        # a + 1 == a at a = 1e17: a bracket grown as a + 2 (hi - a) stays at
+        # width 0 and once ran out of doublings
+        with time_limit(10):
+            cert = certify_flocking(self.far_frames(1e17, 1e-4),
+                                    CuckerSmaleKernel(0.6))
+        assert cert.satisfied
+        assert 1e17 < cert.d_star < math.inf
+        assert 0.0 < cert.predicted_rate < 1.0
+
+    def test_underflowed_profile_gives_zero_rate(self, time_limit):
+        # (1 + 1e340)^-1 is 0 in floating point, while the tail model still
+        # supplies 5e-171 > lhs: d_star stays at the limit with psi_star 0
+        with time_limit(10):
+            cert = certify_flocking(self.far_frames(1e170, 1e-171),
+                                    CuckerSmaleKernel(1.0))
+        assert cert.satisfied
+        assert cert.psi_star == 0.0 and cert.predicted_rate == 0.0

@@ -6,15 +6,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from flockdde.diagnostics import _BLOCK_PAIRS
 from flockdde.dynamics import (
     BlowupSignal,
     SingularNormalizerError,
+    _force,
     alignment_rhs,
     integrate,
     simulate,
     step,
 )
-from flockdde.kernel import CuckerSmaleKernel
+from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
 from flockdde.state import (
     BoxDomain,
     ConstantVelocity,
@@ -310,3 +312,88 @@ class TestSimulate:
         res = integrate(buf, cfg.kernel, h=cfg.step, t_end=1.0, output_every=0.01)
         assert res.blowup is not None
         assert res.frames[-1].status == "blowup"
+
+
+def _force_reference(kernel, masses, pos, vel, jac, d_pos, d_vel):
+    """Naive O(N^2) force on full N x N (x d) arrays, radius-based.
+
+    The formulation the blocked kernel replaced: profile and derivative on
+    the radii, unit vectors with the r = 0 case set to 0, 3-operand einsum.
+    """
+    diff = pos[:, None, :] - d_pos[None, :, :]
+    r = np.sqrt((diff**2).sum(axis=2))
+    w = kernel.eval(r) * masses[None, :]
+    s0 = w.sum(axis=1)
+    s1 = w @ d_vel
+    acc = s1 / s0[:, None] - vel
+    safe_r = np.where(r > 0, r, 1.0)
+    unit = np.where(r[..., None] > 0, diff / safe_r[..., None], 0.0)
+    wd = kernel.eval_deriv(r) * masses[None, :]
+    g0 = np.einsum("ij,ijb->ib", wd, unit)
+    g1 = np.einsum("ij,ja,ijb->iab", wd, d_vel, unit)
+    grad_pos = (g1 * s0[:, None, None] - s1[:, :, None] * g0[:, None, :]) \
+        / (s0**2)[:, None, None]
+    return acc, grad_pos @ jac, s0
+
+
+def _assert_normwise_close(got, want, rtol=1e-12):
+    assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+
+# the largest N whose N x N pairs fit one block of the pairwise layers
+SIDE = math.isqrt(_BLOCK_PAIRS)
+FORCE_KERNELS = [CuckerSmaleKernel(0.0), CuckerSmaleKernel(0.25),
+                 CuckerSmaleKernel(1.0), CuckerSmaleKernel(2.5),
+                 TabulatedKernel([0.0, 0.3, 0.8, 1.5], [1.0, 0.9, 0.5, 0.2])]
+
+
+class TestBlockedForce:
+    @pytest.mark.parametrize("n", [1, SIDE - 1, SIDE, SIDE + 1, 2 * SIDE + 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("kernel", FORCE_KERNELS, ids=repr)
+    def test_matches_naive_reference(self, n, d, kernel):
+        rng = np.random.default_rng(1000 * n + d)
+        masses = rng.uniform(0.5, 1.5, n)
+        masses /= masses.sum()
+        pos = rng.uniform(0.0, 2.0, (n, d))
+        d_pos = pos + 0.1 * rng.normal(size=(n, d))
+        # coincident nodes: a repeated node, and nodes equal to delayed ones
+        if n > 1:
+            pos[1] = pos[0]
+        d_pos[::3] = pos[::3]
+        vel = rng.normal(size=(n, d))
+        d_vel = vel + 0.1 * rng.normal(size=(n, d))
+        jac = np.eye(d) + 0.1 * rng.normal(size=(n, d, d))
+        got = _force(kernel, masses, pos, vel, jac, d_pos, d_vel)
+        want = _force_reference(kernel, masses, pos, vel, jac, d_pos, d_vel)
+        assert len(got) == 3
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            _assert_normwise_close(g, w)
+
+    def test_far_separated_steep_datum_raises_singular_normalizer(self):
+        # each node's delayed self lies 1e5 away: (1 + 1e10)^-40 underflows
+        n = SIDE + 1
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [n]), ConstantVelocity([1e6]))
+        with pytest.raises(SingularNormalizerError):
+            simulate(make_config(kernel=CuckerSmaleKernel(40.0), datum=datum,
+                                 tau=0.1, step=0.05, t_end=0.1, output_every=0.05))
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 40.0])
+    def test_nan_state_reaches_blowup_signal(self, beta):
+        # with beta = 40 the far node's normalizer underflows as well; the
+        # NaN row still wins, so the stepper reports a blow-up
+        side = math.isqrt(SIDE) + 1  # side^2 > SIDE: two row blocks
+        datum = InitialDatum(BoxDomain([0.0, 0.0], [1.0, 1.0], [side, side]),
+                             ConstantVelocity([0.1, 0.0]))
+        buf = discretize(datum, 0.1, 11)
+        step(buf, CuckerSmaleKernel(beta), h=0.01)
+        last_good = buf.current_time
+        buf.latest.positions[-1] = 1e6
+        if beta == 40.0:
+            with pytest.raises(SingularNormalizerError):
+                step(buf, CuckerSmaleKernel(beta), h=0.01)
+        buf.latest.positions[0, 0] = math.nan
+        with pytest.raises(BlowupSignal) as info:
+            step(buf, CuckerSmaleKernel(beta), h=0.01)
+        assert info.value.time == last_good

@@ -1,6 +1,7 @@
 """Kernel profile, derivative and tail-integral checks against closed forms."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -156,3 +157,49 @@ def test_config_round_trip():
     assert kernel_from_config(k.to_config()).beta == k.beta
     with pytest.raises(ValueError):
         kernel_from_config({"family": "morse"})
+
+
+def test_tail_integral_underflowed_profile_returns_quickly(time_limit):
+    # (1 + 1e18)^-40 underflows: the partial sum stays 0 and so does the
+    # remainder bound, which once left the panel loop spinning forever
+    with time_limit(5):
+        start = time.perf_counter()
+        value = CuckerSmaleKernel(40.0).tail_integral(1e9)
+        elapsed = time.perf_counter() - start
+    assert value == 0.0
+    assert elapsed < 0.5
+
+
+def test_tail_integral_near_critical_beta_terminates(time_limit):
+    # beta just above 1/2: the remainder bound never falls below 1e-10 of the
+    # partial sum; the loop ends where the profile is 0, with the analytic
+    # tail (1/(2 beta - 1) to leading order) still accounted for
+    beta = 0.5 + 1e-7
+    with time_limit(5):
+        value = CuckerSmaleKernel(beta).tail_integral(1.0)
+    assert value == pytest.approx(1.0 / (2.0 * beta - 1.0), rel=1e-3)
+
+
+def test_tail_integral_rejects_nan_limit():
+    with pytest.raises(ValueError):
+        CuckerSmaleKernel(2.0).tail_integral(math.nan)
+
+
+@pytest.mark.parametrize("kernel", [CuckerSmaleKernel(0.0), CuckerSmaleKernel(1.5),
+                                    TabulatedKernel([0.0, 1.0, 2.0], [1.0, 0.6, 0.3])],
+                         ids=repr)
+def test_eval_with_deriv_sq_matches_radius_methods(kernel):
+    r = np.array([0.0, 1e-8, 0.3, 1.0, 1.7, 2.0, 5.0])
+    psi, dpsi_r = kernel.eval_with_deriv_sq(r * r)
+    assert np.allclose(psi, kernel.eval(r), rtol=1e-14, atol=0.0)
+    # at r = 0: the Cucker-Smale limit -2 beta; the generic path returns 0
+    assert dpsi_r[0] == (-2.0 * kernel.beta if hasattr(kernel, "beta") else 0.0)
+    assert np.allclose(dpsi_r[1:] * r[1:], kernel.eval_deriv(r[1:]),
+                       rtol=1e-12, atol=1e-300)
+
+
+def test_is_flat():
+    assert CuckerSmaleKernel(0.0).is_flat
+    assert not CuckerSmaleKernel(0.25).is_flat
+    assert TabulatedKernel([0.0, 1.0], [1.0, 1.0]).is_flat
+    assert not TabulatedKernel([0.0, 1.0], [1.0, 0.5]).is_flat
