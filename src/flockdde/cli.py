@@ -3,9 +3,9 @@
 Outputs are deterministic: CSV floats use a 17-significant-digit round-trip
 format with fixed column order, JSON is emitted with sorted keys, and files
 are written atomically.  Exit codes: run 0 (completed) / 2 (blow-up) / 1
-(config error); certify 0 (satisfied) / 3 (not satisfied) / 4 (unsupported
-kernel); threshold 0 (global existence) / 2 (blow-up) / 5 (indeterminate);
-sweep 0 when every cell ran.
+(config error, or the kernel normalizer underflowed); certify 0 (satisfied)
+/ 3 (not satisfied) / 4 (unsupported kernel); threshold 0 (global
+existence) / 2 (blow-up) / 5 (indeterminate); sweep 0 when every cell ran.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .diagnostics import (
     fit_decay_rate,
     prehistory_frames,
 )
-from .dynamics import integrate
+from .dynamics import SingularNormalizerError, integrate
 from .kernel import CuckerSmaleKernel, UnsupportedKernelError
 from .state import discretize, write_snapshot_csv
 from .threshold1d import classify, detect_blowup
@@ -166,6 +166,9 @@ def cmd_run(args) -> int:
         artifacts = execute_run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except SingularNormalizerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     _write_run_outputs(cfg, artifacts, args.out)
     print(f"wrote {os.path.join(args.out, 'frames.csv')} and summary.json")

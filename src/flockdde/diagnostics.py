@@ -121,13 +121,15 @@ def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
     return out
 
 
-def _window_trapezoid(times, values, a, b):
+def _window_trapezoid(ts, vs, a, b):
     """Trapezoid of the piecewise-linear series between arbitrary endpoints."""
-    ts = np.asarray(times)
-    vs = np.asarray(values)
     inner = ts[(ts > a) & (ts < b)]
     pts = np.concatenate([[a], inner, [b]])
     return float(np.trapezoid(np.interp(pts, ts, vs), pts))
+
+
+# Rows of the monitor's frame record.
+_T, _D_V, _X, _V = range(4)
 
 
 class FlockingMonitor:
@@ -138,9 +140,17 @@ class FlockingMonitor:
     by the exact exponential-decay recurrence
 
         V(t+dt) = V(t) e^{-dt} + trapezoid of (1 - psi(X(s-tau) + R_V tau))
-                                 d_V(s-tau) e^{s-(t+dt)} over [t, t+dt],
+                                 d_V(s-tau) e^{s-(t+dt)} over [t, t+dt].
 
-    so each frame costs O(1) plus one kernel-profile quadrature.
+    Once the frame at time t is recorded, nothing reads a time before
+    t - tau - 1e-12 (the lower end of the Lyapunov window), so the monitor
+    keeps only the frames from the last one at or before that time up to t.
+    Interpolation reads only the two frames around its argument and the
+    Lyapunov trapezoid only the frames inside its window, so the pruned
+    record gives the same bits as the full one.  The record is one array,
+    compacted or doubled in place, so each frame costs O(1) amortized plus
+    one kernel-profile quadrature and a trapezoid over the window, whose
+    length depends on tau and the frame cadence, not on the run length.
     """
 
     def __init__(self, kernel, tau, pre_times, pre_d_x, pre_d_v, r_v):
@@ -152,52 +162,78 @@ class FlockingMonitor:
         self.kernel = kernel
         self.tau = float(tau)
         self.r_v = float(r_v)
-        self._times = list(pre_times)
-        self._d_v = [float(v) for v in pre_d_v]
-        self._x = [float(v) for v in pre_d_x]
-        self._v = [float(v) for v in pre_d_v]
-        self._x_base = self._x[0] + self.r_v * self.tau  # X(-tau) + R_V tau
+        n = len(pre_times)
+        self._rows = np.empty((4, 2 * n + 16))
+        self._rows[:, :n] = (pre_times, pre_d_v, pre_d_x, pre_d_v)
+        self._lo, self._hi = 0, n  # the window is self._rows[:, lo:hi]
+        # X(-tau) + R_V tau
+        self._x_base = float(self._rows[_X, 0]) + self.r_v * self.tau
+
+    def _series(self, row):
+        return self._rows[row, self._lo:self._hi]
+
+    def _latest(self, row):
+        return float(self._rows[row, self._hi - 1])
+
+    def _append(self, t, d_v, x):
+        """Record a frame (its V is set by the caller), making room first."""
+        capacity = self._rows.shape[1]
+        if self._hi == capacity:
+            n = self._hi - self._lo
+            if 2 * n > capacity:
+                grown = np.empty((4, 2 * capacity))
+                grown[:, :n] = self._rows[:, self._lo:self._hi]
+                self._rows = grown
+            else:
+                self._rows[:, :n] = self._rows[:, self._lo:self._hi]
+            self._lo, self._hi = 0, n
+        self._rows[:, self._hi] = (t, d_v, x, math.nan)
+        self._hi += 1
 
     def _x_at(self, s):
-        return float(np.interp(s, self._times, self._x))
+        return float(np.interp(s, self._series(_T), self._series(_X)))
 
     def _d_v_at(self, s):
-        return float(np.interp(s, self._times, self._d_v))
+        return float(np.interp(s, self._series(_T), self._series(_D_V)))
 
     def _g(self, s):
         arg = self._x_at(s - self.tau) + self.r_v * self.tau
-        return (1.0 - self.kernel.eval(arg)) * self._d_v_at(s - self.tau)
+        return (1.0 - self.kernel.profile(arg)) * self._d_v_at(s - self.tau)
 
     def _lyapunov(self, t):
         if self.tau == 0.0:
-            return self._v[-1]
-        in_window = sum(1 for s in self._times if t - self.tau - 1e-12 <= s <= t + 1e-12)
+            return self._latest(_V)
+        times = self._series(_T)
+        in_window = (np.searchsorted(times, t + 1e-12, "right")
+                     - np.searchsorted(times, t - self.tau - 1e-12, "left"))
         if in_window < 2:
             raise NotReadyError(f"fewer than 2 recorded frames in [{t - self.tau}, {t}]")
         upper = self._x_at(t - self.tau) + self.r_v * self.tau
-        middle, _ = quad(self.kernel.eval, self._x_base, upper,
+        middle, _ = quad(self.kernel.profile, self._x_base, upper,
                          epsabs=1e-13, epsrel=1e-11, limit=200)
-        tail = _window_trapezoid(self._times, self._v, t - self.tau, t)
-        return self._v[-1] + middle + tail
+        tail = _window_trapezoid(times, self._series(_V), t - self.tau, t)
+        return self._latest(_V) + middle + tail
 
     def start(self):
         """(X, V, Lyapunov) at t = 0, before any dynamics frame."""
-        return self._x[-1], self._v[-1], self._lyapunov(0.0)
+        return self._latest(_X), self._latest(_V), self._lyapunov(0.0)
 
     def observe(self, t, d_x, d_v):
         """Advance to the emitted frame at time ``t`` and return (X, V, L)."""
-        t_prev = self._times[-1]
+        t_prev = self._latest(_T)
         dt = t - t_prev
         if dt <= 0:
             raise ValueError("frames must advance in time")
         g_prev = self._g(t_prev)
-        x_new = self._x[-1] + 0.5 * dt * (self._d_v[-1] + d_v)
-        self._times.append(float(t))
-        self._d_v.append(float(d_v))
-        self._x.append(float(x_new))
+        v_prev = self._latest(_V)
+        x_new = self._latest(_X) + 0.5 * dt * (self._latest(_D_V) + d_v)
+        self._append(t, d_v, x_new)
+        # drop the frames before the last one at or before t - tau - 1e-12
+        times = self._series(_T)
+        self._lo += max(0, int(np.searchsorted(times, t - self.tau - 1e-12, "right")) - 1)
         decay = math.exp(-dt)
-        v_new = self._v[-1] * decay + 0.5 * dt * (decay * g_prev + self._g(t))
-        self._v.append(float(v_new))
+        v_new = v_prev * decay + 0.5 * dt * (decay * g_prev + self._g(t))
+        self._rows[_V, self._hi - 1] = v_new
         return x_new, v_new, self._lyapunov(t)
 
 
@@ -298,13 +334,13 @@ def _solve_tail_budget(kernel, a, budget):
         return a
 
     def accumulated(d):
-        val, _ = quad(kernel.eval, a, d, epsabs=1e-13, epsrel=1e-12, limit=400)
+        val, _ = quad(kernel.profile, a, d, epsabs=1e-13, epsrel=1e-12, limit=400)
         return val
 
     width = max(budget, 1.0)
     for _ in range(1100):
         hi = a + width
-        if accumulated(hi) >= budget or kernel.eval(hi) == 0.0:
+        if accumulated(hi) >= budget or kernel.profile(hi) == 0.0:
             break
         width *= 2.0
     else:

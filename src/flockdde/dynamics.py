@@ -229,12 +229,15 @@ class SimulationResult:
         return self.blowup is not None
 
 
-def _frame(ens, monitor, at_start=False, status="ok"):
-    d_x, d_v = diameters(ens)
-    if at_start:
-        x, v, lyap = monitor.start()
-    else:
+def _frame(ens, monitor, start=None, status="ok"):
+    """Diagnostics record of ``ens``; ``start`` is its prehistory record at
+    t = 0 for the first frame, whose diameters are reused."""
+    if start is None:
+        d_x, d_v = diameters(ens)
         x, v, lyap = monitor.observe(ens.time, d_x, d_v)
+    else:
+        d_x, d_v = start.d_X, start.d_V
+        x, v, lyap = monitor.start()
     dets = ens.det_jacobians()
     vg = np.sqrt((ens.vel_gradients**2).sum(axis=(1, 2)))
     return DiagnosticsFrame(
@@ -281,7 +284,7 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
                               [f.d_X for f in prehistory],
                               [f.d_V for f in prehistory], r_v)
 
-    frames = [_frame(buffer.latest, monitor, at_start=True)]
+    frames = [_frame(buffer.latest, monitor, start=prehistory[-1])]
     if frames[0].min_detJ <= detj_tolerance:
         frames[0].status = "blowup"
         event = BlowupEvent(time=frames[0].t, node=frames[0].worst_node)

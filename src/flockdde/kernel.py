@@ -76,8 +76,21 @@ class CuckerSmaleKernel:
         if self.beta == 0.0:
             out = np.ones_like(r)
         else:
-            out = (1.0 + r * r) ** (-self.beta)
+            # r * r overflows to inf above about 1.3e154, where 0 is right
+            with np.errstate(over="ignore"):
+                out = (1.0 + r * r) ** (-self.beta)
         return _as_input_shape(out, r)
+
+    def profile(self, r: float) -> float:
+        """Profile value at one radius ``r >= 0``, in plain floats.
+
+        Equal to ``eval(r)`` bit for bit (the same IEEE operations and libm
+        ``pow``) without the array round trip, for scalar quadratures.
+        """
+        if self.beta == 0.0:
+            return 1.0
+        r = float(r)
+        return (1.0 + r * r) ** -self.beta
 
     def eval_deriv(self, r):
         """Radial derivative of the profile; nonpositive everywhere."""
@@ -85,7 +98,8 @@ class CuckerSmaleKernel:
         if self.beta == 0.0:
             out = np.zeros_like(r)
         else:
-            out = -2.0 * self.beta * r * (1.0 + r * r) ** (-self.beta - 1.0)
+            with np.errstate(over="ignore"):
+                out = -2.0 * self.beta * r * (1.0 + r * r) ** (-self.beta - 1.0)
         return _as_input_shape(out, r)
 
     @property
@@ -125,9 +139,6 @@ class CuckerSmaleKernel:
         if self.beta <= 0.5:
             return math.inf
 
-        def profile(s):
-            return (1.0 + s * s) ** (-self.beta)
-
         def remainder_bound(a):
             return a ** (1.0 - 2.0 * self.beta) / (2.0 * self.beta - 1.0)
 
@@ -135,10 +146,10 @@ class CuckerSmaleKernel:
         lo = R
         hi = max(2.0 * R, R + 1.0)
         for _ in range(_TAIL_MAX_PANELS):
-            piece, _ = quad(profile, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
+            piece, _ = quad(self.profile, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=200)
             total += piece
             bound = remainder_bound(hi)
-            if bound <= _TAIL_REMAINDER_REL * total or profile(hi) == 0.0:
+            if bound <= _TAIL_REMAINDER_REL * total or self.profile(hi) == 0.0:
                 return total + bound
             lo, hi = hi, 2.0 * hi
         raise RuntimeError(f"tail integral from {R} did not converge")
@@ -190,6 +201,10 @@ class TabulatedKernel:
         inside = np.minimum(r, self.radii[-1])
         out = self._interp(inside)
         return _as_input_shape(np.asarray(out, dtype=float), r)
+
+    def profile(self, r: float) -> float:
+        """Profile value at one radius ``r >= 0`` as a plain float."""
+        return float(self.eval(r))
 
     def eval_deriv(self, r):
         r = _check_radii(r)

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -61,6 +64,28 @@ class TestRun:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["certificate"]["satisfied"] is True
         assert summary["certificate"]["rhs"] == "inf"
+
+    def test_normalizer_underflow_is_one_error_line(self, tmp_path):
+        # nodes outrun their delayed selves by ~1e5 under beta 40, so every
+        # kernel weight underflows in the first step
+        doc = {"schema_version": 1,
+               "kernel": {"family": "cucker-smale", "beta": 40},
+               "datum": {"domain": {"box": [[0.0, 1.0]], "counts": [8]},
+                         "density": {"family": "uniform"},
+                         "velocity": {"family": "linear", "matrix": [[1e6]],
+                                      "offset": [0.0]}},
+               "tau": 0.1, "step": 0.01, "t_end": 0.1, "output_every": 0.01}
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flockdde.cli", "run", "--config",
+             write_json(tmp_path / "c.json", doc), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: kernel-weighted mass underflowed")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_byte_identical_reruns(self, tmp_path, quick_run_doc):
         cfg = write_json(tmp_path / "c.json", quick_run_doc)

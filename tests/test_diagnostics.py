@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from flockdde.diagnostics import (
     _BLOCK_PAIRS,
@@ -340,3 +341,141 @@ class TestTailBudgetBracket:
                                     CuckerSmaleKernel(1.0))
         assert cert.satisfied
         assert cert.psi_star == 0.0 and cert.predicted_rate == 0.0
+
+
+def _naive_window_trapezoid(times, values, a, b):
+    ts = np.asarray(times)
+    vs = np.asarray(values)
+    inner = ts[(ts > a) & (ts < b)]
+    pts = np.concatenate([[a], inner, [b]])
+    return float(np.trapezoid(np.interp(pts, ts, vs), pts))
+
+
+class _NaiveMonitor:
+    """Reference: the monitor that keeps every frame and rescans them all."""
+
+    def __init__(self, kernel, tau, pre_times, pre_d_x, pre_d_v, r_v):
+        self.kernel = kernel
+        self.tau = float(tau)
+        self.r_v = float(r_v)
+        self._times = [float(t) for t in pre_times]
+        self._d_v = [float(v) for v in pre_d_v]
+        self._x = [float(v) for v in pre_d_x]
+        self._v = [float(v) for v in pre_d_v]
+        self._x_base = self._x[0] + self.r_v * self.tau
+
+    def _x_at(self, s):
+        return float(np.interp(s, self._times, self._x))
+
+    def _d_v_at(self, s):
+        return float(np.interp(s, self._times, self._d_v))
+
+    def _g(self, s):
+        arg = self._x_at(s - self.tau) + self.r_v * self.tau
+        return (1.0 - self.kernel.eval(arg)) * self._d_v_at(s - self.tau)
+
+    def _lyapunov(self, t):
+        if self.tau == 0.0:
+            return self._v[-1]
+        in_window = sum(1 for s in self._times if t - self.tau - 1e-12 <= s <= t + 1e-12)
+        if in_window < 2:
+            raise NotReadyError("sparse window")
+        upper = self._x_at(t - self.tau) + self.r_v * self.tau
+        middle, _ = quad(self.kernel.eval, self._x_base, upper,
+                         epsabs=1e-13, epsrel=1e-11, limit=200)
+        tail = _naive_window_trapezoid(self._times, self._v, t - self.tau, t)
+        return self._v[-1] + middle + tail
+
+    def start(self):
+        return self._x[-1], self._v[-1], self._lyapunov(0.0)
+
+    def observe(self, t, d_x, d_v):
+        t_prev = self._times[-1]
+        dt = t - t_prev
+        g_prev = self._g(t_prev)
+        x_new = self._x[-1] + 0.5 * dt * (self._d_v[-1] + d_v)
+        self._times.append(float(t))
+        self._d_v.append(float(d_v))
+        self._x.append(float(x_new))
+        decay = math.exp(-dt)
+        v_new = self._v[-1] * decay + 0.5 * dt * (decay * g_prev + self._g(t))
+        self._v.append(float(v_new))
+        return x_new, v_new, self._lyapunov(t)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _outcome(call):
+    try:
+        return _bits(call())
+    except NotReadyError:
+        return "not-ready"
+
+
+def _monitor_case(name):
+    """(kernel, tau, prehistory (t, d_X, d_V), r_v, frames (t, d_V))."""
+    rng = np.random.default_rng(7)
+    if name == "uneven-cadence":
+        tau = 0.3
+        pre_t = np.linspace(-tau, 0.0, 7)
+        # steps above tau leave windows with one frame (not ready)
+        times = np.cumsum(rng.uniform(0.004, 0.4, 300))
+    elif name == "off-cadence-blowup":
+        tau = 0.05
+        pre_t = np.linspace(-tau, 0.0, 11)
+        times = np.append(np.arange(1, 201) * 0.01, 2.0037)
+    elif name == "coarse-prehistory":
+        tau = 0.2
+        pre_t = np.linspace(-tau, 0.0, 3)
+        times = np.arange(1, 301) * 0.01
+    elif name == "zero-delay":
+        tau = 0.0
+        pre_t = np.array([0.0])
+        times = np.cumsum(rng.uniform(0.001, 0.05, 300))
+    elif name == "flat-kernel":
+        tau = 0.1
+        pre_t = np.linspace(-tau, 0.0, 21)
+        times = np.arange(1, 301) * 0.005
+    elif name == "sparse-window":
+        tau = 1.0
+        pre_t = np.array([-1.0, 0.0])
+        times = np.array([2.5, 2.6, 3.9, 4.0])
+    beta = 0.0 if name == "flat-kernel" else 1.5
+    pre_dx = rng.uniform(0.5, 2.0, len(pre_t))
+    pre_dv = rng.uniform(0.2, 1.0, len(pre_t))
+    d_v = rng.uniform(0.0, 1.0, len(times)) * np.exp(-times)
+    if name == "off-cadence-blowup":
+        d_v[-1] = 1e6
+    return (CuckerSmaleKernel(beta), tau, (pre_t, pre_dx, pre_dv), 0.8,
+            list(zip(times, d_v)))
+
+
+class TestWindowedMonitor:
+    @pytest.mark.parametrize("name", ["uneven-cadence", "off-cadence-blowup",
+                                      "coarse-prehistory", "zero-delay",
+                                      "flat-kernel", "sparse-window"])
+    def test_bit_identical_to_naive_monitor(self, name):
+        kernel, tau, pre, r_v, frames = _monitor_case(name)
+        mon = FlockingMonitor(kernel, tau, *pre, r_v)
+        ref = _NaiveMonitor(kernel, tau, *pre, r_v)
+        assert _outcome(mon.start) == _outcome(ref.start)
+        outcomes = []
+        for t, d_v in frames:
+            got = _outcome(lambda: mon.observe(t, math.nan, d_v))
+            assert got == _outcome(lambda: ref.observe(t, math.nan, d_v)), t
+            outcomes.append(got)
+        assert ("not-ready" in outcomes) == (name in ("uneven-cadence", "sparse-window"))
+
+    def test_stored_window_stays_bounded(self):
+        tau, dt = 0.1, 0.005
+        pre_t = np.linspace(-tau, 0.0, 21)
+        mon = FlockingMonitor(CuckerSmaleKernel(1.0), tau, pre_t,
+                              np.ones(21), np.full(21, 0.5), 0.5)
+        for k in range(1, 20001):
+            mon.observe(k * dt, math.nan, 0.5 * math.exp(-k * dt))
+        # frames in [t - tau, t], plus the one bracketing t - tau
+        window = round(tau / dt) + 2
+        assert mon._hi - mon._lo <= window + 1
+        assert mon._rows.shape[1] <= 2 * 21 + 16

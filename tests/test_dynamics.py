@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from flockdde.diagnostics import _BLOCK_PAIRS
+from flockdde import dynamics
+from flockdde.diagnostics import _BLOCK_PAIRS, diameters, prehistory_frames
 from flockdde.dynamics import (
     BlowupSignal,
     SingularNormalizerError,
@@ -238,6 +239,23 @@ class TestSimulate:
         assert len(res.frames) == 1
         assert res.frames[0].t == 0.0
         assert res.blowup is None
+
+    def test_start_frame_reuses_prehistory_diameters(self, monkeypatch):
+        cfg = make_config(t_end=0.05)
+        buffer = discretize(cfg.datum, cfg.tau, 21)
+        pre = prehistory_frames(buffer)
+        calls = []
+
+        def counted(ens):
+            calls.append(ens.time)
+            return diameters(ens)
+
+        monkeypatch.setattr(dynamics, "diameters", counted)
+        res = integrate(buffer, cfg.kernel, h=cfg.step, t_end=cfg.t_end,
+                        output_every=cfg.output_every, prehistory=pre)
+        assert 0.0 not in calls and len(calls) == len(res.frames) - 1
+        assert (res.frames[0].d_X, res.frames[0].d_V) == (pre[-1].d_X, pre[-1].d_V)
+        assert res.frames == simulate(cfg).frames
 
     def test_deterministic_frames(self):
         a = simulate(make_config())

@@ -2,9 +2,12 @@
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from flockdde.kernel import (
@@ -203,3 +206,31 @@ def test_is_flat():
     assert not CuckerSmaleKernel(0.25).is_flat
     assert TabulatedKernel([0.0, 1.0], [1.0, 1.0]).is_flat
     assert not TabulatedKernel([0.0, 1.0], [1.0, 0.5]).is_flat
+
+
+def test_huge_radius_gives_zero_without_fp_warnings():
+    # r * r overflows to inf above about 1.3e154; the profile there is 0
+    k = CuckerSmaleKernel(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert k.eval(1e200) == 0.0
+        assert k.eval_deriv(1e200) == 0.0
+        assert k.profile(1e200) == 0.0
+        assert np.all(k.eval(np.array([1.0, 1e200])) == [0.5, 0.0])
+
+
+@given(r=st.floats(min_value=0.0, max_value=1e308, allow_nan=False,
+                   allow_infinity=False),
+       beta=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.7, 40.0]))
+def test_profile_is_eval_bit_for_bit(r, beta):
+    k = CuckerSmaleKernel(beta)
+    value = k.profile(r)
+    assert type(value) is float
+    assert np.float64(value).tobytes() == np.float64(k.eval(r)).tobytes()
+
+
+def test_tabulated_profile_is_eval():
+    k = TabulatedKernel([0.0, 1.0, 2.0], [1.0, 0.6, 0.3])
+    for r in (0.0, 0.4, 1.0, 1.9, 2.0, 7.5):
+        value = k.profile(r)
+        assert type(value) is float and value == k.eval(r)
