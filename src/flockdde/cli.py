@@ -4,8 +4,9 @@ Outputs are deterministic: CSV floats use a 17-significant-digit round-trip
 format with fixed column order, JSON is emitted with sorted keys, and files
 are written atomically.  Exit codes: run 0 (completed) / 2 (blow-up) / 1
 (config error, or the kernel normalizer underflowed); certify 0 (satisfied)
-/ 3 (not satisfied) / 4 (unsupported kernel); threshold 0 (global
-existence) / 2 (blow-up) / 5 (indeterminate); sweep 0 when every cell ran.
+/ 3 (not satisfied) / 4 (unsupported kernel) / 1 (config error); threshold
+0 (global existence) / 2 (blow-up) / 5 (indeterminate); sweep 0 when every
+cell ran / 1 (config error).  An invalid datum counts as a config error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .config import (
     ConfigError,
     RunConfig,
+    _integer,
     load_run_config,
     load_sweep_config,
     preset_dict,
@@ -34,9 +36,9 @@ from .diagnostics import (
     fit_decay_rate,
     prehistory_frames,
 )
-from .dynamics import SingularNormalizerError, integrate
+from .dynamics import SingularNormalizerError, _history_slices, integrate
 from .kernel import CuckerSmaleKernel, UnsupportedKernelError
-from .state import discretize, write_snapshot_csv
+from .state import InvalidDatumError, discretize, write_snapshot_csv
 from .threshold1d import classify, detect_blowup
 
 FRAMES_SCHEMA_COMMENT = "# flockdde frames schema v1"
@@ -79,31 +81,32 @@ def _num_or_inf(x):
     return float(x)
 
 
-def execute_run(cfg: RunConfig) -> dict:
-    """Run one scenario and assemble its artifacts (frames, summary, codes)."""
-    n_hist = cfg.n_history_slices
-    if n_hist is None:
-        n_hist = int(round(cfg.tau / cfg.step)) + 1 if cfg.tau > 0 else 1
-    buffer = discretize(cfg.datum, cfg.tau, n_hist, cfg.interpolation)
-    pre = prehistory_frames(buffer)
+def _prepare(cfg: RunConfig):
+    """The discretized datum of ``cfg`` and its prehistory frames."""
+    buffer = discretize(cfg.datum, cfg.tau, _history_slices(cfg), cfg.interpolation)
+    return buffer, prehistory_frames(buffer)
 
+
+def execute_run(cfg: RunConfig) -> dict:
+    """Run one scenario and assemble its artifacts (result, summary, code)."""
+    buffer, pre = _prepare(cfg)
     try:
         certificate = certify_flocking(pre, cfg.kernel)
     except UnsupportedKernelError:
         certificate = None
 
-    verdict = None
     start = buffer.latest
-    if start.dim == 1:
-        w0_min = float((start.vel_gradients[:, 0, 0] / start.jacobians[:, 0, 0]).min())
-        try:
-            verdict = classify(w0_min, cfg.kernel, max(f.max_speed for f in pre))
-        except UnsupportedKernelError:
-            verdict = None
-
     result = integrate(buffer, cfg.kernel, h=cfg.step, t_end=cfg.t_end,
                        output_every=cfg.output_every,
                        detj_tolerance=cfg.detj_tolerance, prehistory=pre)
+
+    verdict = None
+    if start.dim == 1:
+        w0_min = float((start.vel_gradients[:, 0, 0] / start.jacobians[:, 0, 0]).min())
+        try:
+            verdict = classify(w0_min, cfg.kernel, result.r_v)
+        except UnsupportedKernelError:
+            verdict = None
 
     blowup = None
     if result.blowup is not None:
@@ -134,9 +137,7 @@ def execute_run(cfg: RunConfig) -> dict:
         "blowup": blowup,
     }
     return {
-        "frames": result.frames,
         "result": result,
-        "buffer": buffer,
         "summary": summary,
         "exit_code": 2 if result.blowup is not None else 0,
     }
@@ -144,11 +145,11 @@ def execute_run(cfg: RunConfig) -> dict:
 
 def _write_run_outputs(cfg, artifacts, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    write_frames_csv(artifacts["frames"], os.path.join(out_dir, "frames.csv"))
+    write_frames_csv(artifacts["result"].frames, os.path.join(out_dir, "frames.csv"))
     _atomic_write(os.path.join(out_dir, "summary.json"),
                   _json_text(artifacts["summary"]))
     if cfg.snapshot_csv:
-        write_snapshot_csv(artifacts["buffer"].latest,
+        write_snapshot_csv(artifacts["result"].buffer.latest,
                            os.path.join(out_dir, "snapshot.csv"))
 
 
@@ -161,12 +162,9 @@ def _load_cfg(args) -> RunConfig:
 
 
 def cmd_run(args) -> int:
+    cfg = _load_cfg(args)
     try:
-        cfg = _load_cfg(args)
         artifacts = execute_run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except SingularNormalizerError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -176,17 +174,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    cfg = _load_cfg(args)
+    _, pre = _prepare(cfg)
     try:
-        cfg = _load_cfg(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    n_hist = cfg.n_history_slices
-    if n_hist is None:
-        n_hist = int(round(cfg.tau / cfg.step)) + 1 if cfg.tau > 0 else 1
-    buffer = discretize(cfg.datum, cfg.tau, n_hist, cfg.interpolation)
-    try:
-        cert = certify_flocking(prehistory_frames(buffer), cfg.kernel)
+        cert = certify_flocking(pre, cfg.kernel)
     except UnsupportedKernelError as exc:
         print(_json_text({"error": "unsupported-kernel", "detail": str(exc)}), end="")
         return 4
@@ -235,18 +226,14 @@ def _run_cell(payload):
 
 
 def cmd_sweep(args) -> int:
-    try:
-        sweep = load_sweep_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    os.makedirs(args.out, exist_ok=True)
-    cells = sweep.grid()
-    payloads = [(i, coords, doc, args.out) for i, (coords, doc) in enumerate(cells)]
+    sweep = load_sweep_config(args.config)
     workers = sweep.max_workers
     env_cap = os.environ.get(THREADS_ENV)
     if env_cap:
-        workers = min(workers, max(1, int(env_cap)))
+        workers = min(workers, max(1, _integer(env_cap, THREADS_ENV)))
+    os.makedirs(args.out, exist_ok=True)
+    cells = sweep.grid()
+    payloads = [(i, coords, doc, args.out) for i, (coords, doc) in enumerate(cells)]
     workers = min(workers, len(payloads))
     if workers <= 1:
         rows = [_run_cell(p) for p in payloads]
@@ -322,7 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, InvalidDatumError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

@@ -58,6 +58,16 @@ def _real(value, path, minimum=None):
     return out
 
 
+def _integer(value, path):
+    """``value`` as an int; a fractional number is an error, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}") from None
+
+
 def _build_density(spec, path):
     if spec is None:
         return None
@@ -172,7 +182,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError("step: must be positive")
     t_end = _real(_need(doc, "t_end", "config"), "t_end", minimum=0.0)
     output_every = _real(doc.get("output_every", step), "output_every")
-    seed = int(doc.get("seed", 0))
+    seed = _integer(doc.get("seed", 0), "seed")
     datum = _build_datum(_need(doc, "datum", "config"), "datum", seed)
     if tau > 0 and not _is_multiple(tau, step):
         raise ConfigError("tau: must be a positive integer multiple of step")
@@ -190,7 +200,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"interpolation: unknown mode {interpolation!r}")
     n_hist = doc.get("n_history_slices")
     if n_hist is not None:
-        n_hist = int(n_hist)
+        n_hist = _integer(n_hist, "n_history_slices")
         if tau > 0 and n_hist < 2:
             raise ConfigError("n_history_slices: need at least 2 when tau > 0")
     return RunConfig(
@@ -262,11 +272,11 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
         if not isinstance(values, list) or not values:
             raise ConfigError(f"axes[{i}].values: must be a non-empty list")
         axes.append((path, values))
-    max_cells = int(doc.get("max_cells", DEFAULT_MAX_CELLS))
+    max_cells = _integer(doc.get("max_cells", DEFAULT_MAX_CELLS), "max_cells")
     total = math.prod(len(v) for _, v in axes)
     if total > max_cells:
         raise ConfigError(f"axes: grid size {total} exceeds max_cells {max_cells}")
-    max_workers = int(doc.get("max_workers", 1))
+    max_workers = _integer(doc.get("max_workers", 1), "max_workers")
     if max_workers < 1:
         raise ConfigError("max_workers: must be >= 1")
     sweep = SweepConfig(base=base, axes=axes, max_workers=max_workers,

@@ -105,19 +105,24 @@ def diameters(ensemble) -> tuple[float, float]:
             _pairwise_diameter(ensemble.velocities))
 
 
+def _record(ens, d_x, d_v, x, v, lyap, status="ok") -> DiagnosticsFrame:
+    """Diagnostics record of ``ens`` from its diameters and (X, V, L)."""
+    dets = ens.det_jacobians()
+    vg = np.sqrt((ens.vel_gradients**2).sum(axis=(1, 2)))
+    return DiagnosticsFrame(
+        t=ens.time, d_X=d_x, d_V=d_v, max_speed=ens.max_speed(), lyapunov=lyap,
+        X_of_t=x, V_of_t=v, min_detJ=float(dets.min()),
+        max_velgrad_norm=float(vg.max()), worst_node=int(dets.argmin()),
+        status=status,
+    )
+
+
 def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
     """Diagnostics records for the prescribed slices at times <= 0."""
     out = []
     for s in buffer.prehistory():
         d_x, d_v = diameters(s)
-        dets = s.det_jacobians()
-        vg = np.sqrt((s.vel_gradients**2).sum(axis=(1, 2)))
-        out.append(DiagnosticsFrame(
-            t=s.time, d_X=d_x, d_V=d_v, max_speed=s.max_speed(),
-            lyapunov=math.nan, X_of_t=d_x, V_of_t=d_v,
-            min_detJ=float(dets.min()), max_velgrad_norm=float(vg.max()),
-            worst_node=int(dets.argmin()),
-        ))
+        out.append(_record(s, d_x, d_v, d_x, d_v, math.nan))
     return out
 
 

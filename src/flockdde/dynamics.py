@@ -17,14 +17,14 @@ stage state, which turns the system into the undelayed one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .diagnostics import (
-    DiagnosticsFrame,
     FlockingMonitor,
     _differences,
+    _record,
     _row_blocks,
     diameters,
     prehistory_frames,
@@ -203,20 +203,6 @@ def step(buffer: HistoryBuffer, kernel, h: float) -> LagrangianEnsemble:
     return ens
 
 
-def _fill_latest_accel(buffer: HistoryBuffer, kernel) -> None:
-    """Cache the RHS slope on the newest slice so its interval is queryable."""
-    cur = buffer.latest
-    if cur.accel_fwd is not None:
-        return
-    if buffer.tau == 0.0:
-        view = HistoryView(cur.time, cur.positions, cur.velocities)
-    else:
-        view = buffer.query(cur.time - buffer.tau)
-    cur.accel_fwd = alignment_rhs(cur, view, kernel).accelerations
-    if cur.accel_bwd is None:
-        cur.accel_bwd = cur.accel_fwd
-
-
 @dataclass
 class SimulationResult:
     frames: list
@@ -229,23 +215,11 @@ class SimulationResult:
         return self.blowup is not None
 
 
-def _frame(ens, monitor, start=None, status="ok"):
-    """Diagnostics record of ``ens``; ``start`` is its prehistory record at
-    t = 0 for the first frame, whose diameters are reused."""
-    if start is None:
-        d_x, d_v = diameters(ens)
-        x, v, lyap = monitor.observe(ens.time, d_x, d_v)
-    else:
-        d_x, d_v = start.d_X, start.d_V
-        x, v, lyap = monitor.start()
-    dets = ens.det_jacobians()
-    vg = np.sqrt((ens.vel_gradients**2).sum(axis=(1, 2)))
-    return DiagnosticsFrame(
-        t=ens.time, d_X=d_x, d_V=d_v, max_speed=ens.max_speed(), lyapunov=lyap,
-        X_of_t=x, V_of_t=v, min_detJ=float(dets.min()),
-        max_velgrad_norm=float(vg.max()), worst_node=int(dets.argmin()),
-        status=status,
-    )
+def _frame(ens, monitor, status="ok"):
+    """Diagnostics record of the dynamics slice ``ens`` (time > 0)."""
+    d_x, d_v = diameters(ens)
+    return _record(ens, d_x, d_v, *monitor.observe(ens.time, d_x, d_v),
+                   status=status)
 
 
 def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
@@ -261,9 +235,9 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
     last finite time are retained and the terminal frame carries status
     "blowup".  Deterministic given its inputs.
 
-    ``prehistory`` takes the ``prehistory_frames(buffer)`` records when the
-    caller already has them (the buffer drops its prehistory once stepping
-    starts); they seed the monitor and R_V and are computed here otherwise.
+    ``prehistory`` must be ``prehistory_frames(buffer)`` of this buffer; it
+    seeds the monitor, R_V and the start frame, and is computed here when
+    omitted (the buffer drops its prehistory once stepping starts).
     """
     if t_end < 0:
         raise ValueError("t_end must be nonnegative")
@@ -284,7 +258,8 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
                               [f.d_X for f in prehistory],
                               [f.d_V for f in prehistory], r_v)
 
-    frames = [_frame(buffer.latest, monitor, start=prehistory[-1])]
+    # X = d_X and V = d_V at t = 0: the last prehistory record, plus L
+    frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
     if frames[0].min_detJ <= detj_tolerance:
         frames[0].status = "blowup"
         event = BlowupEvent(time=frames[0].t, node=frames[0].worst_node)
@@ -310,9 +285,15 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
         if crossed:
             event = BlowupEvent(time=ens.time, node=int(np.nanargmin(dets)))
             break
-    else:
-        _fill_latest_accel(buffer, kernel)
     return SimulationResult(frames, buffer, event, r_v)
+
+
+def _history_slices(config) -> int:
+    """``n_history_slices``, or one slice per step on [-tau, 0] (1 at tau 0)."""
+    n_hist = getattr(config, "n_history_slices", None)
+    if n_hist is None:
+        n_hist = int(round(config.tau / config.step)) + 1 if config.tau > 0 else 1
+    return n_hist
 
 
 def simulate(config) -> SimulationResult:
@@ -322,15 +303,10 @@ def simulate(config) -> SimulationResult:
     interpolation, and optionally n_history_slices and detj_tolerance (see
     ``flockdde.config.RunConfig``).
     """
-    tau = config.tau
-    h = config.step
-    n_hist = getattr(config, "n_history_slices", None)
-    if n_hist is None:
-        n_hist = int(round(tau / h)) + 1 if tau > 0 else 1
-    buffer = discretize(config.datum, tau, n_hist,
+    buffer = discretize(config.datum, config.tau, _history_slices(config),
                         getattr(config, "interpolation", "cubic-hermite"))
     return integrate(
-        buffer, config.kernel, h=h, t_end=config.t_end,
+        buffer, config.kernel, h=config.step, t_end=config.t_end,
         output_every=getattr(config, "output_every", None),
         detj_tolerance=getattr(config, "detj_tolerance", DETJ_TOLERANCE),
     )

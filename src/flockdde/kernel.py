@@ -98,8 +98,12 @@ class CuckerSmaleKernel:
         if self.beta == 0.0:
             out = np.zeros_like(r)
         else:
-            with np.errstate(over="ignore"):
-                out = -2.0 * self.beta * r * (1.0 + r * r) ** (-self.beta - 1.0)
+            # where the power underflows to 0, -2 beta r may overflow to -inf
+            # (r = inf, or r near the top of the range) and their product is
+            # NaN; the derivative there is -0
+            with np.errstate(over="ignore", invalid="ignore"):
+                power = (1.0 + r * r) ** (-self.beta - 1.0)
+                out = np.where(power == 0.0, -0.0, -2.0 * self.beta * r * power)
         return _as_input_shape(out, r)
 
     @property

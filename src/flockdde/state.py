@@ -120,9 +120,10 @@ class HistoryBuffer:
     Single-writer: only the integrator appends/prunes.  Reads between steps
     are safe from any thread.  Positions interpolate with the stored
     velocities as exact Hermite slopes; velocities use the cached one-sided
-    acceleration slopes (falling back to the interval secant if a slope was
-    never filled, which can only happen for external queries into the newest
-    interval of a manually stepped buffer).
+    acceleration slopes, falling back to the interval secant where a slope is
+    not set.  That happens only at the newest slice, whose slope the next
+    step fills from its first stage, so only a query from outside the stepper
+    into the newest interval reads the secant.
     """
 
     def __init__(self, tau: float, slices: list[LagrangianEnsemble],
@@ -470,13 +471,20 @@ def discretize(datum: InitialDatum, tau: float, n_history_slices: int,
     n, d = nodes.shape
 
     def probe(s, pos):
-        vals = field(s, pos)
+        try:
+            vals = field(s, pos)
+        except ValueError as exc:
+            raise InvalidDatumError(f"velocity field fails at s={s}: {exc}") from None
+        if np.shape(vals) != (n, d):
+            raise InvalidDatumError(
+                f"velocity field has shape {np.shape(vals)} at s={s}, expected {(n, d)}")
         if not np.all(np.isfinite(vals)):
             raise InvalidDatumError(f"velocity field is not finite at s={s}")
         return vals
 
+    # checked up front, before the backward characteristics call the field
+    vel = probe(0.0, nodes)
     if tau == 0.0:
-        vel = probe(0.0, nodes)
         slices = [LagrangianEnsemble(
             time=0.0,
             positions=nodes.copy(),

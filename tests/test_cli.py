@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from flockdde.cli import main
-from flockdde.config import preset_dict
+from flockdde.cli import execute_run, main
+from flockdde.config import preset_dict, run_config_from_dict
+from flockdde.dynamics import simulate
 from flockdde.diagnostics import _BLOCK_PAIRS
 
 
@@ -87,6 +88,11 @@ class TestRun:
         assert proc.stderr.startswith("error: kernel-weighted mass underflowed")
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_execute_run_frames_are_simulate_frames(self, quick_run_doc):
+        cfg = run_config_from_dict(quick_run_doc)
+        assert cfg.n_history_slices is None
+        assert execute_run(cfg)["result"].frames == simulate(cfg).frames
+
     def test_byte_identical_reruns(self, tmp_path, quick_run_doc):
         cfg = write_json(tmp_path / "c.json", quick_run_doc)
         run_cli("run", "--config", cfg, "--out", str(tmp_path / "a"))
@@ -129,6 +135,89 @@ class TestRun:
         path.write_text('{"schema_version": 1,\n  "kernel": }')
         assert run_cli("run", "--config", str(path), "--out", str(tmp_path)) == 1
         assert "line" in capsys.readouterr().err
+
+
+def _with(doc, dotted, value):
+    """Copy of ``doc`` with the field at the dotted path set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *parents, leaf = dotted.split(".")
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return doc
+
+
+# Fields that once ended `run` and `certify` in a traceback, and the text
+# their one-line config error carries instead.
+BAD_FIELDS = [
+    ("datum.density", {"family": "table", "values": [0.0] * 12}, "zero total mass"),
+    ("datum.density", {"family": "table", "values": [1.0] * 5}, "density values"),
+    ("datum.velocity", {"family": "constant", "value": [0.1, 0.2]}, "velocity field"),
+    ("seed", "abc", "seed: expected an integer"),
+    ("seed", 1.5, "seed: expected an integer"),
+    ("n_history_slices", "x", "n_history_slices: expected an integer"),
+]
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    @pytest.mark.parametrize("path,value,message", BAD_FIELDS)
+    def test_bad_field_is_one_config_error_line(self, tmp_path, quick_run_doc,
+                                                capsys, command, path, value,
+                                                message):
+        cfg = write_json(tmp_path / "c.json", _with(quick_run_doc, path, value))
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg] + (
+            ["--out", str(out)] if command == "run" else [])
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("field,value", [("max_workers", "two"),
+                                             ("max_cells", 2.5)])
+    def test_non_integer_sweep_field(self, tmp_path, quick_run_doc, capsys,
+                                     field, value):
+        sweep_doc = {"schema_version": 1, "base": quick_run_doc,
+                     "axes": [{"path": "tau", "values": [0.2]}], field: value}
+        code = run_cli("sweep", "--config",
+                       write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid"))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: expected an integer")
+
+    def test_non_integer_threads_env_names_the_variable(self, tmp_path,
+                                                        quick_run_doc, capsys,
+                                                        monkeypatch):
+        sweep_doc = {"schema_version": 1, "base": quick_run_doc,
+                     "axes": [{"path": "tau", "values": [0.2]}]}
+        monkeypatch.setenv("FLOCKDDE_THREADS", "x")
+        code = run_cli("sweep", "--config",
+                       write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid"))
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "config error: FLOCKDDE_THREADS: expected an integer, got 'x'\n"
+        assert not (tmp_path / "grid").exists()
+
+    def test_datum_error_has_no_traceback_from_the_entry_point(self, tmp_path,
+                                                               quick_run_doc):
+        doc = _with(quick_run_doc, "datum.velocity",
+                    {"family": "constant", "value": [0.1, 0.2]})
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "flockdde.cli", "certify", "--config",
+             write_json(tmp_path / "c.json", doc)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("config error: velocity field")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 class TestCertify:

@@ -1,6 +1,7 @@
 """Force and integrator checks against hand computations and closed forms."""
 
 import math
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -256,6 +257,42 @@ class TestSimulate:
         assert 0.0 not in calls and len(calls) == len(res.frames) - 1
         assert (res.frames[0].d_X, res.frames[0].d_V) == (pre[-1].d_X, pre[-1].d_V)
         assert res.frames == simulate(cfg).frames
+
+    def test_start_frame_is_last_prehistory_record_plus_lyapunov(self):
+        cfg = make_config(t_end=0.05)
+        buffer = discretize(cfg.datum, cfg.tau, 21)
+        last = asdict(prehistory_frames(buffer)[-1])
+        res = integrate(buffer, cfg.kernel, h=cfg.step, t_end=cfg.t_end,
+                        output_every=cfg.output_every)
+        start = asdict(res.frames[0])
+        assert math.isnan(last.pop("lyapunov"))
+        assert math.isfinite(start.pop("lyapunov"))
+        assert start == last
+
+    def test_four_force_evaluations_per_step_and_none_after(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _force(*args)
+
+        monkeypatch.setattr(dynamics, "_force", counted)
+        res = simulate(make_config(t_end=0.05))
+        assert res.frames[-1].t == pytest.approx(0.05)
+        assert len(calls) == 4 * 10
+        calls.clear()
+        simulate(make_config(t_end=0.0))
+        assert calls == []
+
+    def test_stepping_on_after_integrate_matches_a_longer_run(self):
+        cfg = make_config(t_end=0.05)
+        first = simulate(cfg).buffer
+        step(first, cfg.kernel, cfg.step)
+        longer = simulate(make_config(t_end=0.055)).buffer
+        for a, b in zip(first.slices, longer.slices):
+            assert a.time == b.time
+            assert np.array_equal(a.velocities, b.velocities)
+            assert np.array_equal(a.accel_fwd, b.accel_fwd)
 
     def test_deterministic_frames(self):
         a = simulate(make_config())

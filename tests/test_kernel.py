@@ -219,6 +219,18 @@ def test_huge_radius_gives_zero_without_fp_warnings():
         assert np.all(k.eval(np.array([1.0, 1e200])) == [0.5, 0.0])
 
 
+def test_eval_deriv_is_negative_zero_where_the_power_underflows():
+    # -2 beta r overflows to -inf there, and -inf * 0 once gave NaN with an
+    # "invalid value" warning, which the suite turns into an error
+    k = CuckerSmaleKernel(40.0)
+    for r in (1e200, 1e307, math.inf):
+        value = k.eval_deriv(r)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+    out = k.eval_deriv(np.array([1.0, 1e307, math.inf]))
+    assert out[0] == -80.0 * 2.0**-41
+    assert np.all(out[1:] == 0.0) and np.all(np.signbit(out[1:]))
+
+
 @given(r=st.floats(min_value=0.0, max_value=1e308, allow_nan=False,
                    allow_infinity=False),
        beta=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.7, 40.0]))

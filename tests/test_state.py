@@ -94,6 +94,15 @@ class TestDiscretize:
         with pytest.raises(InvalidDatumError):
             discretize(datum, tau=0.0, n_history_slices=1)
 
+    @pytest.mark.parametrize("field", [ConstantVelocity([0.1, 0.2]),
+                                       LinearVelocity([[1.0]], [0.0, 0.0])])
+    @pytest.mark.parametrize("tau,n_slices", [(0.0, 1), (0.1, 3)])
+    def test_velocity_of_the_wrong_dimension_rejected(self, field, tau, n_slices):
+        # the first raises a broadcast error, the second returns (N, 2) values
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), field)
+        with pytest.raises(InvalidDatumError, match="velocity field"):
+            discretize(datum, tau, n_slices)
+
     def test_negative_tau_rejected(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
         with pytest.raises(ValueError):
