@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -32,6 +31,7 @@ from .config import (
 )
 from .diagnostics import (
     NotReadyError,
+    _num_or_inf,
     certify_flocking,
     fit_decay_rate,
     prehistory_frames,
@@ -73,17 +73,9 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _num_or_inf(x):
-    if x is None:
-        return None
-    if math.isinf(x):
-        return "inf"
-    return float(x)
-
-
 def _prepare(cfg: RunConfig):
     """The discretized datum of ``cfg`` and its prehistory frames."""
-    buffer = discretize(cfg.datum, cfg.tau, _history_slices(cfg), cfg.interpolation)
+    buffer = discretize(cfg.datum, cfg.tau, _history_slices(cfg))
     return buffer, prehistory_frames(buffer)
 
 

@@ -49,7 +49,7 @@ def _need(mapping, key, path):
 def _real(value, path, minimum=None):
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{path}: expected a real number, got {value!r}") from None
     if not math.isfinite(out):
         raise ConfigError(f"{path}: must be finite")
@@ -68,14 +68,27 @@ def _integer(value, path):
         raise ConfigError(f"{path}: expected an integer, got {value!r}") from None
 
 
-def _build_density(spec, path):
+def _array(value, path):
+    """``value`` as a float array of finite numbers."""
+    try:
+        out = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{path}: expected numbers, got {value!r}") from None
+    if not np.all(np.isfinite(out)):
+        raise ConfigError(f"{path}: must be finite numbers, got {value!r}")
+    return out
+
+
+def _build_density(spec, path, dim):
     if spec is None:
         return None
     family = _need(spec, "family", path)
     if family == "uniform":
         return None
     if family == "gaussian":
-        center = np.asarray(_need(spec, "center", path), dtype=float)
+        center = _array(_need(spec, "center", path), f"{path}.center")
+        if center.shape != (dim,):
+            raise ConfigError(f"{path}.center: expected {dim} numbers, got {center.tolist()}")
         sigma = _real(_need(spec, "sigma", path), f"{path}.sigma", minimum=0.0)
         if sigma <= 0:
             raise ConfigError(f"{path}.sigma: must be positive")
@@ -86,28 +99,39 @@ def _build_density(spec, path):
 
         return gaussian
     if family == "table":
-        return np.asarray(_need(spec, "values", path), dtype=float)
+        return _array(_need(spec, "values", path), f"{path}.values")
     raise ConfigError(f"{path}.family: unknown density family {family!r}")
 
 
 def _build_velocity(spec, path, seed, dim):
     family = _need(spec, "family", path)
+
+    def numbers(key, optional=False):
+        if optional and spec.get(key) is None:
+            return None
+        return _array(_need(spec, key, path), f"{path}.{key}")
+
     if family == "constant":
-        return ConstantVelocity(_need(spec, "value", path))
+        return ConstantVelocity(numbers("value"))
     if family == "linear":
-        return LinearVelocity(_need(spec, "matrix", path), spec.get("offset"))
+        return LinearVelocity(numbers("matrix"), numbers("offset", optional=True))
     if family == "sine-perturbation":
-        phase = spec.get("phase")
-        if phase == "random":
+        if spec.get("phase") == "random":
+            if seed < 0:
+                raise ConfigError("seed: must be >= 0 to draw a random phase")
             phase = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, dim)
-        return SineVelocity(_need(spec, "base", path),
-                            _need(spec, "amplitude", path),
-                            _need(spec, "wavenumber", path), phase,
+        else:
+            phase = numbers("phase", optional=True)
+        return SineVelocity(numbers("base"), numbers("amplitude"),
+                            numbers("wavenumber"), phase,
                             omega=_real(spec.get("omega", 0.0), f"{path}.omega"))
     if family == "table-of-slices":
-        times = _need(spec, "times", path)
+        times = numbers("times")
+        fields = _need(spec, "fields", path)
+        if not isinstance(fields, list):
+            raise ConfigError(f"{path}.fields: expected a list")
         fields = [_build_velocity(s, f"{path}.fields[{i}]", seed, dim)
-                  for i, s in enumerate(_need(spec, "fields", path))]
+                  for i, s in enumerate(fields)]
         try:
             return SliceTableVelocity(times, fields)
         except ValueError as exc:
@@ -117,11 +141,15 @@ def _build_velocity(spec, path, seed, dim):
 
 def _build_datum(spec, path, seed):
     domain_spec = _need(spec, "domain", path)
+    if not isinstance(domain_spec, dict):
+        raise ConfigError(f"{path}.domain: expected a mapping")
     if "box" in domain_spec:
-        box = np.asarray(domain_spec["box"], dtype=float)
+        box = _array(domain_spec["box"], f"{path}.domain.box")
         if box.ndim != 2 or box.shape[1] != 2:
             raise ConfigError(f"{path}.domain.box: expected [[lo, hi], ...] per axis")
         counts = _need(domain_spec, "counts", f"{path}.domain")
+        counts = [_integer(c, f"{path}.domain.counts")
+                  for c in (counts if isinstance(counts, list) else [counts])]
         try:
             domain = BoxDomain(box[:, 0], box[:, 1], counts)
         except ValueError as exc:
@@ -129,15 +157,15 @@ def _build_datum(spec, path, seed):
         dim = box.shape[0]
     elif "nodes" in domain_spec:
         try:
-            domain = NodeSet(np.asarray(domain_spec["nodes"], dtype=float),
-                             np.asarray(_need(domain_spec, "weights", f"{path}.domain"),
-                                        dtype=float))
+            domain = NodeSet(_array(domain_spec["nodes"], f"{path}.domain.nodes"),
+                             _array(_need(domain_spec, "weights", f"{path}.domain"),
+                                    f"{path}.domain.weights"))
         except ValueError as exc:
             raise ConfigError(f"{path}.domain: {exc}") from None
         dim = domain.nodes.shape[1]
     else:
         raise ConfigError(f"{path}.domain: needs either 'box' or 'nodes'")
-    density = _build_density(spec.get("density"), f"{path}.density")
+    density = _build_density(spec.get("density"), f"{path}.density", dim)
     velocity = _build_velocity(_need(spec, "velocity", path),
                                f"{path}.velocity", seed, dim)
     return InitialDatum(domain, velocity, density)
@@ -153,7 +181,6 @@ class RunConfig:
     step: float
     t_end: float
     output_every: float
-    interpolation: str = "cubic-hermite"
     seed: int = 0
     n_history_slices: int | None = None
     detj_tolerance: float = DETJ_TOLERANCE
@@ -162,7 +189,7 @@ class RunConfig:
 
 
 def _is_multiple(value, unit):
-    k = round(value / unit)
+    k = round(value / unit) if math.isfinite(value / unit) else 0
     return k >= 1 and abs(k * unit - value) <= 1e-9 * max(1.0, abs(value))
 
 
@@ -174,7 +201,9 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     try:
         kernel = kernel_from_config(_need(doc, "kernel", "config"))
-    except ValueError as exc:
+    except KeyError as exc:
+        raise ConfigError(f"kernel.{exc.args[0]}: missing required field") from None
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"kernel: {exc}") from None
     tau = _real(_need(doc, "tau", "config"), "tau", minimum=0.0)
     step = _real(_need(doc, "step", "config"), "step")
@@ -195,9 +224,13 @@ def run_config_from_dict(doc: dict) -> RunConfig:
             f"output_every: must not exceed tau ({tau}), got {output_every}")
     if t_end > 0 and not _is_multiple(t_end, step):
         raise ConfigError("t_end: must be a multiple of step")
-    interpolation = doc.get("interpolation", "cubic-hermite")
-    if interpolation not in ("cubic-hermite", "linear"):
-        raise ConfigError(f"interpolation: unknown mode {interpolation!r}")
+    # the history is always cubic Hermite; the key stays for schema-v1 echoes
+    if doc.get("interpolation", "cubic-hermite") != "cubic-hermite":
+        raise ConfigError("interpolation: only cubic-hermite is supported, "
+                          f"got {doc['interpolation']!r}")
+    snapshot_csv = doc.get("snapshot_csv", False)
+    if not isinstance(snapshot_csv, bool):
+        raise ConfigError(f"snapshot_csv: expected true or false, got {snapshot_csv!r}")
     n_hist = doc.get("n_history_slices")
     if n_hist is not None:
         n_hist = _integer(n_hist, "n_history_slices")
@@ -205,11 +238,11 @@ def run_config_from_dict(doc: dict) -> RunConfig:
             raise ConfigError("n_history_slices: need at least 2 when tau > 0")
     return RunConfig(
         kernel=kernel, datum=datum, tau=tau, step=step, t_end=t_end,
-        output_every=output_every, interpolation=interpolation, seed=seed,
+        output_every=output_every, seed=seed,
         n_history_slices=n_hist,
         detj_tolerance=_real(doc.get("detj_tolerance", DETJ_TOLERANCE),
                              "detj_tolerance", minimum=0.0),
-        snapshot_csv=bool(doc.get("snapshot_csv", False)),
+        snapshot_csv=snapshot_csv,
         raw=json.loads(json.dumps(doc)),
     )
 
@@ -258,6 +291,8 @@ def _set_by_path(doc, dotted, value):
 
 
 def sweep_config_from_dict(doc: dict) -> SweepConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError("sweep config root: expected a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}")
     base = _need(doc, "base", "sweep")
@@ -268,6 +303,8 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
     axes = []
     for i, axis in enumerate(axes_spec):
         path = _need(axis, "path", f"axes[{i}]")
+        if not isinstance(path, str):
+            raise ConfigError(f"axes[{i}].path: expected a dotted string, got {path!r}")
         values = _need(axis, "values", f"axes[{i}]")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"axes[{i}].values: must be a non-empty list")

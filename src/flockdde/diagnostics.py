@@ -291,6 +291,13 @@ def gronwall_rate(a: float, tau: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _num_or_inf(x):
+    """JSON value of an optional real: None stays None, +-inf becomes "inf"."""
+    if x is None:
+        return None
+    return "inf" if math.isinf(x) else float(x)
+
+
 @dataclass
 class FlockingCertificate:
     """Outcome of the sufficient-condition check on the prehistory.
@@ -311,18 +318,14 @@ class FlockingCertificate:
     predicted_rate: float | None = None
 
     def to_dict(self):
-        def num(x):
-            if x is None:
-                return None
-            return "inf" if math.isinf(x) else float(x)
         return {
             "R_V": float(self.r_v),
             "lhs": float(self.lhs),
-            "rhs": num(self.rhs),
+            "rhs": _num_or_inf(self.rhs),
             "satisfied": bool(self.satisfied),
-            "d_star": num(self.d_star),
-            "psi_star": num(self.psi_star),
-            "predicted_rate": num(self.predicted_rate),
+            "d_star": _num_or_inf(self.d_star),
+            "psi_star": _num_or_inf(self.psi_star),
+            "predicted_rate": _num_or_inf(self.predicted_rate),
         }
 
 

@@ -29,7 +29,7 @@ from .diagnostics import (
     diameters,
     prehistory_frames,
 )
-from .state import HistoryBuffer, HistoryView, LagrangianEnsemble, discretize
+from .state import HistoryBuffer, HistoryView, LagrangianEnsemble, _rk4, discretize
 
 __all__ = [
     "ForceEvaluation",
@@ -186,11 +186,7 @@ def step(buffer: HistoryBuffer, kernel, h: float) -> LagrangianEnsemble:
         cur.accel_fwd = k1[1].copy()
     if cur.accel_bwd is None:
         cur.accel_bwd = cur.accel_fwd
-    k2 = rhs(t + h / 2, *(y + (h / 2) * k for y, k in zip(y0, k1)))
-    k3 = rhs(t + h / 2, *(y + (h / 2) * k for y, k in zip(y0, k2)))
-    k4 = rhs(t + h, *(y + h * k for y, k in zip(y0, k3)))
-    new = tuple(y + (h / 6) * (a + 2 * b + 2 * c + d)
-                for y, a, b, c, d in zip(y0, k1, k2, k3, k4))
+    new = _rk4(rhs, t, y0, h, k1)
     if not all(np.all(np.isfinite(arr)) for arr in new):
         raise BlowupSignal(time=t)
     ens = LagrangianEnsemble(
@@ -299,12 +295,11 @@ def _history_slices(config) -> int:
 def simulate(config) -> SimulationResult:
     """Run a scenario end to end from a configuration object.
 
-    ``config`` provides kernel, datum, tau, step, t_end, output_every,
-    interpolation, and optionally n_history_slices and detj_tolerance (see
+    ``config`` provides kernel, datum, tau, step, t_end, output_every, and
+    optionally n_history_slices and detj_tolerance (see
     ``flockdde.config.RunConfig``).
     """
-    buffer = discretize(config.datum, config.tau, _history_slices(config),
-                        getattr(config, "interpolation", "cubic-hermite"))
+    buffer = discretize(config.datum, config.tau, _history_slices(config))
     return integrate(
         buffer, config.kernel, h=config.step, t_end=config.t_end,
         output_every=getattr(config, "output_every", None),

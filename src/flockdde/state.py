@@ -126,12 +126,9 @@ class HistoryBuffer:
     into the newest interval reads the secant.
     """
 
-    def __init__(self, tau: float, slices: list[LagrangianEnsemble],
-                 interpolation: str = "cubic-hermite"):
+    def __init__(self, tau: float, slices: list[LagrangianEnsemble]):
         if tau < 0:
             raise ValueError("delay tau must be nonnegative")
-        if interpolation not in ("cubic-hermite", "linear"):
-            raise ValueError(f"unknown interpolation mode {interpolation!r}")
         if not slices:
             raise ValueError("history needs at least one slice")
         times = [s.time for s in slices]
@@ -140,7 +137,6 @@ class HistoryBuffer:
         if times[-1] - times[0] < tau - _TIME_MATCH_TOL:
             raise ValueError("slices must cover the full delay window")
         self.tau = float(tau)
-        self.interpolation = interpolation
         self.slices = list(slices)
         self._times = times
 
@@ -184,10 +180,6 @@ class HistoryBuffer:
         left, right = self.slices[i], self.slices[i + 1]
         dt = right.time - left.time
         theta = (t - left.time) / dt
-        if self.interpolation == "linear":
-            pos = (1 - theta) * left.positions + theta * right.positions
-            vel = (1 - theta) * left.velocities + theta * right.velocities
-            return HistoryView(t, pos, vel)
         pos = _hermite(theta, dt, left.positions, left.velocities,
                        right.positions, right.velocities)
         secant = (right.velocities - left.velocities) / dt
@@ -370,6 +362,8 @@ class NodeSet:
     def __post_init__(self):
         self.nodes = np.atleast_2d(np.asarray(self.nodes, dtype=float))
         self.weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        if self.nodes.ndim != 2:
+            raise ValueError("nodes must be an (N, d) array")
         if self.weights.shape != (self.nodes.shape[0],):
             raise ValueError("weights must match the node count")
         if np.any(self.weights < 0):
@@ -407,46 +401,29 @@ class InitialDatum:
         return vals
 
 
-def _rk4_backward_slices(field: VelocityField, labels, tau, n_slices):
-    """Integrate d eta/ds = u(s, eta) and its tangent flow from 0 back to -tau.
+def _rk4(rhs, t, y, h, k1):
+    """One classical RK4 step of ``y' = rhs(t, *y)`` from the given first stage.
 
-    Returns (times ascending from -tau to 0, positions per time, jacobians per
-    time); one RK4 step per slice interval, matching the forward stepper.
+    ``y`` and each stage are tuples of arrays; returns the new tuple.  Callers
+    already hold ``k1``: the stepper caches it as a Hermite slope, and the
+    prehistory reads it off the slice it built last.
     """
-    n, d = labels.shape
-    s_grid = np.linspace(-tau, 0.0, n_slices)
-    eta = labels.copy()
-    grad_eta = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    out_pos = [eta.copy()]
-    out_jac = [grad_eta.copy()]
-    for k in range(n_slices - 1, 0, -1):
-        s1, s0 = s_grid[k], s_grid[k - 1]
-        h = s0 - s1  # negative
-        def rhs(s, pos, jac):
-            g = field.gradient(s, pos)
-            return field(s, pos), np.einsum("nab,nbc->nac", g, jac)
-        k1p, k1j = rhs(s1, eta, grad_eta)
-        k2p, k2j = rhs(s1 + h / 2, eta + h / 2 * k1p, grad_eta + h / 2 * k1j)
-        k3p, k3j = rhs(s1 + h / 2, eta + h / 2 * k2p, grad_eta + h / 2 * k2j)
-        k4p, k4j = rhs(s1 + h, eta + h * k3p, grad_eta + h * k3j)
-        eta = eta + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        grad_eta = grad_eta + h / 6 * (k1j + 2 * k2j + 2 * k3j + k4j)
-        out_pos.append(eta.copy())
-        out_jac.append(grad_eta.copy())
-    out_pos.reverse()
-    out_jac.reverse()
-    return s_grid, out_pos, out_jac
+    k2 = rhs(t + h / 2, *(a + (h / 2) * k for a, k in zip(y, k1)))
+    k3 = rhs(t + h / 2, *(a + (h / 2) * k for a, k in zip(y, k2)))
+    k4 = rhs(t + h, *(a + h * k for a, k in zip(y, k3)))
+    return tuple(a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
 
 
-def discretize(datum: InitialDatum, tau: float, n_history_slices: int,
-               interpolation: str = "cubic-hermite") -> HistoryBuffer:
+def discretize(datum: InitialDatum, tau: float, n_history_slices: int) -> HistoryBuffer:
     """Build the quadrature nodes and the prehistory record on [-tau, 0].
 
     Midpoint-rule nodes carry masses proportional to density times cell
     volume, normalized to total mass 1; zero-mass nodes are dropped.
     Prehistory positions come from backward RK4 integration of the
     characteristic flow under the prescribed velocity field, with the tangent
-    flow integrated alongside for the Jacobians.
+    flow integrated alongside for the Jacobians; tau = 0 gives the one slice
+    at t = 0, whatever ``n_history_slices`` says.
     """
     if tau < 0:
         raise ValueError("delay tau must be nonnegative")
@@ -482,41 +459,35 @@ def discretize(datum: InitialDatum, tau: float, n_history_slices: int,
             raise InvalidDatumError(f"velocity field is not finite at s={s}")
         return vals
 
-    # checked up front, before the backward characteristics call the field
-    vel = probe(0.0, nodes)
-    if tau == 0.0:
-        slices = [LagrangianEnsemble(
-            time=0.0,
-            positions=nodes.copy(),
-            velocities=vel,
-            jacobians=np.broadcast_to(np.eye(d), (n, d, d)).copy(),
-            vel_gradients=field.gradient(0.0, nodes),
-            masses=masses, labels=nodes, cell_volumes=volumes,
-            accel_fwd=None,
-            accel_bwd=field.material_derivative(0.0, nodes),
-        )]
-        return HistoryBuffer(0.0, slices, interpolation)
+    def rhs(s, pos, jac):
+        return field(s, pos), np.einsum("nab,nbc->nac", field.gradient(s, pos), jac)
 
-    s_grid, pos_per_s, jac_per_s = _rk4_backward_slices(field, nodes, tau, n_history_slices)
+    n_slices = n_history_slices if tau > 0 else 1
+    times = np.linspace(-tau, 0.0, n_slices)
+    times[-1] = 0.0  # a single-point linspace starts at -tau = -0.0
+    # walk back from the labels at t = 0, where the field is probed first
+    y = (nodes.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy())
     slices = []
-    for k, s in enumerate(s_grid):
-        pos = pos_per_s[k]
-        jac = jac_per_s[k]
+    for k in range(n_slices - 1, -1, -1):
+        if slices:  # one backward step, whose first stage is the later slice
+            y = _rk4(rhs, times[k + 1], y, times[k] - times[k + 1],
+                     (slices[-1].velocities, slices[-1].vel_gradients))
+        s = times[k]
+        pos, jac = y
         vel = probe(s, pos)
-        grad_u = field.gradient(s, pos)
         accel = field.material_derivative(s, pos)
-        at_zero = k == n_history_slices - 1
         slices.append(LagrangianEnsemble(
             time=float(s),
             positions=pos,
             velocities=vel,
             jacobians=jac,
-            vel_gradients=np.einsum("nab,nbc->nac", grad_u, jac),
+            vel_gradients=np.einsum("nab,nbc->nac", field.gradient(s, pos), jac),
             masses=masses, labels=nodes, cell_volumes=volumes,
-            accel_fwd=None if at_zero else accel,
+            accel_fwd=None if k == n_slices - 1 else accel,
             accel_bwd=accel,
         ))
-    return HistoryBuffer(tau, slices, interpolation)
+    slices.reverse()
+    return HistoryBuffer(tau, slices)
 
 
 def write_snapshot_csv(ensemble: LagrangianEnsemble, path) -> None:

@@ -93,6 +93,15 @@ class TestRun:
         assert cfg.n_history_slices is None
         assert execute_run(cfg)["result"].frames == simulate(cfg).frames
 
+    def test_cubic_hermite_key_runs_and_is_echoed(self, tmp_path, quick_run_doc):
+        assert quick_run_doc["interpolation"] == "cubic-hermite"
+        doc = dict(quick_run_doc, t_end=0.1)
+        code = run_cli("run", "--config", write_json(tmp_path / "c.json", doc),
+                       "--out", str(tmp_path / "out"))
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["config"]["interpolation"] == "cubic-hermite"
+
     def test_byte_identical_reruns(self, tmp_path, quick_run_doc):
         cfg = write_json(tmp_path / "c.json", quick_run_doc)
         run_cli("run", "--config", cfg, "--out", str(tmp_path / "a"))
@@ -157,6 +166,35 @@ BAD_FIELDS = [
     ("seed", "abc", "seed: expected an integer"),
     ("seed", 1.5, "seed: expected an integer"),
     ("n_history_slices", "x", "n_history_slices: expected an integer"),
+    ("interpolation", "linear", "interpolation: only cubic-hermite is supported"),
+    ("datum.velocity", {"family": "constant", "value": "abc"},
+     "datum.velocity.value: expected numbers"),
+    ("datum.velocity", {"family": "linear", "matrix": [["a"]]},
+     "datum.velocity.matrix: expected numbers"),
+    ("datum.velocity", {"family": "linear", "matrix": [[0.5]], "offset": "x"},
+     "datum.velocity.offset: expected numbers"),
+    ("datum.velocity.phase", "x", "datum.velocity.phase: expected numbers"),
+    ("datum.velocity.amplitude", [None], "datum.velocity.amplitude: must be finite"),
+    ("datum.velocity", {"family": "table-of-slices", "times": [-1.0, 0.0],
+                        "fields": 3}, "datum.velocity.fields: expected a list"),
+    ("datum.density", {"family": "table", "values": ["a"] * 12},
+     "datum.density.values: expected numbers"),
+    ("datum.density", {"family": "gaussian", "center": "x", "sigma": 0.3},
+     "datum.density.center: expected numbers"),
+    ("datum.density", {"family": "gaussian", "center": [0.5, 0.5], "sigma": 0.3},
+     "datum.density.center: expected 1 numbers"),
+    ("datum.domain.box", "abc", "datum.domain.box: expected numbers"),
+    ("datum.domain.counts", [{"n": 12}], "datum.domain.counts: expected an integer"),
+    ("kernel", {"family": "cucker-smale"}, "kernel.beta: missing required field"),
+    ("kernel", {"family": "tabulated", "values": [1.0, 0.5]},
+     "kernel.radii: missing required field"),
+    ("snapshot_csv", "false", "snapshot_csv: expected true or false"),
+    ("datum.domain", {"nodes": [[[0.1]], [[0.2]]], "weights": [0.5, 0.5]},
+     "nodes must be an (N, d) array"),
+    ("tau", 1e306, "tau: must be a positive integer multiple of step"),
+    ("t_end", 10**400, "t_end: expected a real number"),
+    ("datum.velocity.base", [10**400], "datum.velocity.base: expected numbers"),
+    ("kernel.beta", 10**400, "kernel: "),
 ]
 
 
@@ -188,6 +226,32 @@ class TestConfigErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: expected an integer")
+
+    def test_random_phase_needs_a_nonnegative_seed(self, tmp_path, quick_run_doc,
+                                                   capsys):
+        doc = _with(_with(quick_run_doc, "datum.velocity.phase", "random"), "seed", -1)
+        assert run_cli("certify", "--config", write_json(tmp_path / "c.json", doc)) == 1
+        assert capsys.readouterr().err == \
+            "config error: seed: must be >= 0 to draw a random phase\n"
+
+    @pytest.mark.parametrize("fault,message", [
+        ("root", "sweep config root: expected a JSON object"),
+        ("path", "axes[0].path: expected a dotted string, got 3"),
+    ])
+    def test_malformed_sweep_is_one_config_error_line(self, tmp_path, quick_run_doc,
+                                                      capsys, fault, message):
+        sweep_doc = {"schema_version": 1, "base": quick_run_doc,
+                     "axes": [{"path": "tau", "values": [0.2]}]}
+        if fault == "root":
+            sweep_doc = [sweep_doc]
+        else:
+            sweep_doc["axes"][0]["path"] = 3
+        code = run_cli("sweep", "--config",
+                       write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid"))
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "grid").exists()
 
     def test_non_integer_threads_env_names_the_variable(self, tmp_path,
                                                         quick_run_doc, capsys,

@@ -1,0 +1,133 @@
+"""Fuzzed config documents: parsing returns or raises ConfigError, nothing else.
+
+Each example takes a valid run or sweep document, deletes keys or list
+entries and replaces values (leaves or whole subtrees) with arbitrary JSON.
+Parse-only: nothing is discretized or integrated.
+"""
+
+import copy
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from flockdde.config import (
+    PRESETS,
+    ConfigError,
+    preset_dict,
+    run_config_from_dict,
+    sweep_config_from_dict,
+)
+
+# words the parser branches on, so replacements reach past the family checks
+WORDS = ["random", "linear", "cubic-hermite", "cucker-smale", "tabulated",
+         "uniform", "gaussian", "table", "constant", "sine-perturbation",
+         "table-of-slices", "box", "nodes", "tau", "kernel.beta"]
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(WORDS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6) | st.sampled_from(WORDS), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _rich_doc():
+    """A run document through the branches the presets do not take."""
+    doc = preset_dict("unconditional-beta025")
+    doc["kernel"] = {"family": "tabulated", "radii": [0.0, 1.0, 2.0],
+                     "values": [1.0, 0.5, 0.25]}
+    doc["datum"] = {
+        "domain": {"nodes": [[0.1, 0.2], [0.5, 0.4], [0.9, 0.7]],
+                   "weights": [0.3, 0.3, 0.4]},
+        "density": {"family": "gaussian", "center": [0.5, 0.5], "sigma": 0.3},
+        "velocity": {"family": "table-of-slices", "times": [-0.2, -0.1, 0.0], "fields": [
+            {"family": "sine-perturbation", "base": [0.0, 0.0],
+             "amplitude": [0.1, 0.1], "wavenumber": [1.0, 2.0], "phase": "random",
+             "omega": 1.0},
+            {"family": "linear", "matrix": [[0.1, 0.0], [0.0, 0.1]],
+             "offset": [0.0, 0.0]},
+            {"family": "constant", "value": [0.1, -0.1]},
+        ]},
+    }
+    doc.update(n_history_slices=11, detj_tolerance=1e-6, snapshot_csv=True)
+    return doc
+
+
+def _table_density_doc():
+    doc = preset_dict("flat-kernel-decay")
+    doc["datum"]["domain"]["counts"] = [4]
+    doc["datum"]["density"] = {"family": "table", "values": [1.0, 2.0, 2.0, 1.0]}
+    doc["datum"]["velocity"] = {"family": "constant", "value": [0.3]}
+    return doc
+
+
+RUN_DOCS = [preset_dict(name) for name in sorted(PRESETS)] + [
+    _rich_doc(), _table_density_doc()]
+SWEEP_DOC = {
+    "schema_version": 1,
+    "base": dict(preset_dict("unconditional-beta025"), t_end=0.2),
+    "axes": [{"path": "tau", "values": [0.1, 0.2]},
+             {"path": "kernel.beta", "values": [0.0, 1.0]}],
+    "max_workers": 2,
+    "max_cells": 8,
+}
+
+
+def _locations(node, prefix=()):
+    """Every (container path, key) pair in a JSON tree."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix, key
+        yield from _locations(child, prefix + (key,))
+
+
+@st.composite
+def mutated(draw, docs):
+    doc = copy.deepcopy(draw(st.sampled_from(docs)))
+    for _ in range(draw(st.integers(1, 3))):
+        locations = list(_locations(doc))
+        if not locations or draw(st.integers(0, 30)) == 0:
+            return draw(JSON)  # a root that is not the expected object
+        prefix, key = draw(st.sampled_from(locations))
+        parent = doc
+        for k in prefix:
+            parent = parent[k]
+        if draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(JSON)
+    return doc
+
+
+def _parses_or_config_error(parse, doc, time_limit):
+    with time_limit(5):
+        try:
+            parse(doc)
+        except ConfigError:
+            pass
+
+
+def test_unmutated_documents_parse():
+    for doc in RUN_DOCS:
+        run_config_from_dict(doc)
+    sweep_config_from_dict(SWEEP_DOC)
+
+
+def test_fuzzed_run_documents(time_limit):
+    @settings(max_examples=250, derandomize=True, database=None, deadline=None)
+    @given(mutated(RUN_DOCS))
+    def check(doc):
+        _parses_or_config_error(run_config_from_dict, doc, time_limit)
+
+    check()
+
+
+def test_fuzzed_sweep_documents(time_limit):
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(mutated([SWEEP_DOC]))
+    def check(doc):
+        _parses_or_config_error(sweep_config_from_dict, doc, time_limit)
+
+    check()

@@ -152,7 +152,7 @@ class TestStep:
                     labels=s.labels, cell_volumes=s.cell_volumes,
                     accel_fwd=s.accel_fwd, accel_bwd=s.accel_bwd,
                 ) for s in buf.slices]
-                buf = HistoryBuffer(buf.tau, slices, buf.interpolation)
+                buf = HistoryBuffer(buf.tau, slices)
             for _ in range(60):
                 step(buf, kernel, h=0.01)
             return buf.latest.velocities

@@ -1,5 +1,7 @@
 """Discretization and history-buffer checks against closed-form flows."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,22 @@ class TestDiscretize:
         assert ens.positions[:, 0] == pytest.approx([0.25, 0.75])
         assert ens.masses == pytest.approx([0.5, 0.5])
         assert np.allclose(ens.jacobians, np.eye(1))
+
+    def test_zero_delay_is_the_one_slice_at_zero(self):
+        field = SineVelocity([0.1, -0.2], [0.3, 0.2], [2.0, 1.0], [0.4, 1.1],
+                             omega=0.5)
+        datum = InitialDatum(BoxDomain([0, 0], [1, 1], [3, 2]), field)
+        buf = discretize(datum, 0.0, 5)
+        assert len(buf.slices) == 1
+        ens = buf.latest
+        assert ens.time == 0.0 and math.copysign(1.0, ens.time) == 1.0
+        nodes = ens.labels
+        np.testing.assert_array_equal(ens.positions, nodes)
+        np.testing.assert_array_equal(ens.jacobians, np.broadcast_to(np.eye(2), (6, 2, 2)))
+        np.testing.assert_array_equal(ens.vel_gradients, field.gradient(0.0, nodes))
+        assert ens.accel_fwd is None
+        np.testing.assert_array_equal(ens.accel_bwd,
+                                      field.material_derivative(0.0, nodes))
 
     def test_constant_field_straight_characteristics(self):
         c = np.array([0.3, -0.7])
@@ -152,13 +170,6 @@ class TestHistoryBuffer:
             view = buf.query(t)
             assert view.positions[0, 0] == pytest.approx(p(t), abs=1e-14)
             assert view.velocities[0, 0] == pytest.approx(v(t), abs=1e-14)
-
-    def test_linear_mode(self):
-        times = np.linspace(-1, 0, 3)
-        slices = [make_ensemble(t, [t * t], [2 * t]) for t in times]
-        buf = HistoryBuffer(1.0, slices, interpolation="linear")
-        view = buf.query(-0.75)
-        assert view.positions[0, 0] == pytest.approx((1.0 + 0.25) / 2)
 
     def test_out_of_window_query_raises(self):
         slices = [make_ensemble(t, [0.0], [0.0]) for t in (-1.0, 0.0)]
