@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.optimize import brentq
 
 __all__ = [
     "DiagnosticsFrame",
@@ -154,7 +154,7 @@ class FlockingMonitor:
     Lyapunov trapezoid only the frames inside its window, so the pruned
     record gives the same bits as the full one.  The record is one array,
     compacted or doubled in place, so each frame costs O(1) amortized plus
-    one kernel-profile quadrature and a trapezoid over the window, whose
+    one closed-form kernel integral and a trapezoid over the window, whose
     length depends on tau and the frame cadence, not on the run length.
     """
 
@@ -214,8 +214,7 @@ class FlockingMonitor:
         if in_window < 2:
             raise NotReadyError(f"fewer than 2 recorded frames in [{t - self.tau}, {t}]")
         upper = self._x_at(t - self.tau) + self.r_v * self.tau
-        middle, _ = quad(self.kernel.profile, self._x_base, upper,
-                         epsabs=1e-13, epsrel=1e-11, limit=200)
+        middle = self.kernel.integral(self._x_base, upper)
         tail = _window_trapezoid(times, self._series(_V), t - self.tau, t)
         return self._latest(_V) + middle + tail
 
@@ -266,7 +265,6 @@ def gronwall_rate(a: float, tau: float) -> float:
 
     Returns the unique root C in (0, min(1, a)) of
     ``1 - C = (1 - a) exp(C tau)``; for tau = 0 that is exactly ``a``.
-    Bisection, residual below 1e-12.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"contraction amount a must lie in (0, 1), got {a}")
@@ -274,21 +272,9 @@ def gronwall_rate(a: float, tau: float) -> float:
         raise ValueError("delay tau must be nonnegative")
     if tau == 0.0:
         return a
-
-    def g(c):
-        return 1.0 - c - (1.0 - a) * math.exp(c * tau)
-
-    lo, hi = 0.0, min(1.0, a)  # g(lo) = a > 0 >= g(hi), g strictly decreasing
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = g(mid)
-        if abs(val) < 1e-13:
-            return mid
-        if val > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    # 1 - C - (1 - a) e^(C tau), rewritten so that a tiny a keeps its digits:
+    # g(0) = a > 0 >= g(a), and g is strictly decreasing
+    return brentq(lambda c: a - c - (1.0 - a) * math.expm1(c * tau), 0.0, a, xtol=1e-300)
 
 
 def _num_or_inf(x):
@@ -329,40 +315,6 @@ class FlockingCertificate:
         }
 
 
-def _solve_tail_budget(kernel, a, budget):
-    """Smallest d with integral of the profile over [a, d] equal to budget.
-
-    The bracket stops growing where the profile is 0: beyond that point
-    nothing representable accumulates, so the bracket end is the answer.
-    Its width doubles from at least 1 (tracked apart from ``a``, because
-    ``a + 1 == a`` for a large ``a``), so the end reaches inf, where every
-    profile is 0, within 1024 doublings.
-    """
-    if budget <= 0.0:
-        return a
-
-    def accumulated(d):
-        val, _ = quad(kernel.profile, a, d, epsabs=1e-13, epsrel=1e-12, limit=400)
-        return val
-
-    width = max(budget, 1.0)
-    for _ in range(1100):
-        hi = a + width
-        if accumulated(hi) >= budget or kernel.profile(hi) == 0.0:
-            break
-        width *= 2.0
-    else:
-        raise RuntimeError("failed to bracket the tail budget")
-    lo = a
-    while hi - lo > 1e-13 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if accumulated(mid) < budget:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def certify_flocking(frames, kernel) -> FlockingCertificate:
     """Evaluate the flocking sufficient condition on prehistory frames.
 
@@ -383,7 +335,7 @@ def certify_flocking(frames, kernel) -> FlockingCertificate:
     satisfied = lhs < rhs
     if not satisfied:
         return FlockingCertificate(r_v=r_v, lhs=lhs, rhs=rhs, satisfied=False)
-    d_star = _solve_tail_budget(kernel, lower, lhs)
+    d_star = kernel.budget_radius(lower, lhs)
     psi_star = float(kernel.eval(d_star))
     if psi_star >= 1.0:
         rate = 1.0  # flat-kernel / point-support limit of the Gronwall root

@@ -1,8 +1,8 @@
 """Discretized Lagrangian state, delay history, and initial-datum construction.
 
-The flow is sampled at quadrature nodes: each node carries a position, a
+The flow is sampled at Lagrangian nodes: each node carries a position, a
 velocity, the tangent-flow matrices (position Jacobian and velocity gradient
-with respect to the initial labels), and a fixed quadrature mass.  A
+with respect to the initial labels), and a fixed mass.  A
 ``HistoryBuffer`` holds the time-ordered slices covering the trailing delay
 window and answers dense interpolation queries, which is what makes the
 delayed force evaluable between stored steps.
@@ -354,7 +354,7 @@ class BoxDomain:
 
 @dataclass
 class NodeSet:
-    """Explicit quadrature nodes with weights (cell volumes)."""
+    """Explicit Lagrangian nodes with weights (cell volumes)."""
 
     nodes: np.ndarray
     weights: np.ndarray
@@ -416,7 +416,7 @@ def _rk4(rhs, t, y, h, k1):
 
 
 def discretize(datum: InitialDatum, tau: float, n_history_slices: int) -> HistoryBuffer:
-    """Build the quadrature nodes and the prehistory record on [-tau, 0].
+    """Build the Lagrangian nodes and the prehistory record on [-tau, 0].
 
     Midpoint-rule nodes carry masses proportional to density times cell
     volume, normalized to total mass 1; zero-mass nodes are dropped.

@@ -5,7 +5,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from flockdde.diagnostics import (
     _BLOCK_PAIRS,
@@ -68,6 +67,14 @@ class TestGronwallRate:
 
     def test_degenerate_small_a(self):
         assert gronwall_rate(1e-8, 2.0) < 1e-7
+
+    @pytest.mark.parametrize("a", [1e-8, 1e-17, 2.83e-21])
+    def test_tiny_a_keeps_its_relative_precision(self, a):
+        # 1 - a rounds to 1 below a = 1.1e-16, where a bisection on the
+        # residual 1 - C - (1 - a) e^(C tau) stopped at a / 2; the root is
+        # a / (1 + tau) to first order in a
+        tau = 0.1
+        assert gronwall_rate(a, tau) == pytest.approx(a / (1 + tau), rel=1e-7, abs=0.0)
 
     def test_residual_below_target_on_grid(self):
         for a in np.linspace(0.05, 0.95, 10):
@@ -381,8 +388,7 @@ class _NaiveMonitor:
         if in_window < 2:
             raise NotReadyError("sparse window")
         upper = self._x_at(t - self.tau) + self.r_v * self.tau
-        middle, _ = quad(self.kernel.eval, self._x_base, upper,
-                         epsabs=1e-13, epsrel=1e-11, limit=200)
+        middle = self.kernel.integral(self._x_base, upper)
         tail = _naive_window_trapezoid(self._times, self._v, t - self.tau, t)
         return self._v[-1] + middle + tail
 
@@ -442,20 +448,29 @@ def _monitor_case(name):
         tau = 1.0
         pre_t = np.array([-1.0, 0.0])
         times = np.array([2.5, 2.6, 3.9, 4.0])
+    elif name == "tabulated-kernel":
+        tau = 0.2
+        pre_t = np.linspace(-tau, 0.0, 11)
+        times = np.arange(1, 301) * 0.01
     beta = 0.0 if name == "flat-kernel" else 1.5
     pre_dx = rng.uniform(0.5, 2.0, len(pre_t))
     pre_dv = rng.uniform(0.2, 1.0, len(pre_t))
     d_v = rng.uniform(0.0, 1.0, len(times)) * np.exp(-times)
     if name == "off-cadence-blowup":
         d_v[-1] = 1e6
-    return (CuckerSmaleKernel(beta), tau, (pre_t, pre_dx, pre_dv), 0.8,
-            list(zip(times, d_v)))
+    kernel = CuckerSmaleKernel(beta)
+    if name == "tabulated-kernel":
+        # the Lyapunov middle term runs from 1.6 to between 0.67 and 2.0:
+        # both orientations, inside the table and beyond its last node
+        kernel = TabulatedKernel([0.0, 0.5, 1.1, 1.8], [1.0, 0.7, 0.4, 0.3])
+    return kernel, tau, (pre_t, pre_dx, pre_dv), 0.8, list(zip(times, d_v))
 
 
 class TestWindowedMonitor:
     @pytest.mark.parametrize("name", ["uneven-cadence", "off-cadence-blowup",
                                       "coarse-prehistory", "zero-delay",
-                                      "flat-kernel", "sparse-window"])
+                                      "flat-kernel", "sparse-window",
+                                      "tabulated-kernel"])
     def test_bit_identical_to_naive_monitor(self, name):
         kernel, tau, pre, r_v, frames = _monitor_case(name)
         mon = FlockingMonitor(kernel, tau, *pre, r_v)

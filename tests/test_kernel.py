@@ -1,9 +1,11 @@
 """Kernel profile, derivative and tail-integral checks against closed forms."""
 
 import math
+import sys
 import time
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -163,8 +165,8 @@ def test_config_round_trip():
 
 
 def test_tail_integral_underflowed_profile_returns_quickly(time_limit):
-    # (1 + 1e18)^-40 underflows: the partial sum stays 0 and so does the
-    # remainder bound, which once left the panel loop spinning forever
+    # (1 + 1e18)^-40 underflows; the tail is 0 in floating point, and a
+    # panel quadrature once spun forever on it
     with time_limit(5):
         start = time.perf_counter()
         value = CuckerSmaleKernel(40.0).tail_integral(1e9)
@@ -174,9 +176,8 @@ def test_tail_integral_underflowed_profile_returns_quickly(time_limit):
 
 
 def test_tail_integral_near_critical_beta_terminates(time_limit):
-    # beta just above 1/2: the remainder bound never falls below 1e-10 of the
-    # partial sum; the loop ends where the profile is 0, with the analytic
-    # tail (1/(2 beta - 1) to leading order) still accounted for
+    # beta just above 1/2: the tail is 1/(2 beta - 1) to leading order; a
+    # panel quadrature once never reached its remainder target here
     beta = 0.5 + 1e-7
     with time_limit(5):
         value = CuckerSmaleKernel(beta).tail_integral(1.0)
@@ -246,3 +247,128 @@ def test_tabulated_profile_is_eval():
     for r in (0.0, 0.4, 1.0, 1.9, 2.0, 7.5):
         value = k.profile(r)
         assert type(value) is float and value == k.eval(r)
+
+
+def test_tail_integral_far_field_power_law():
+    # 1 + R^2 overflows above about 1.3e154, where the profile reads 0; a
+    # panel quadrature stopped there early (245.823 for 246.020 at beta
+    # 0.501, 4.35e-40 for 5.0e-40 at beta 0.6); the tail there is the power
+    # law R^(1-2 beta) / (2 beta - 1) to double precision
+    for beta, R in ((0.501, 1e154), (0.501, 1e200), (0.6, 1e200), (2.0, 1e160)):
+        expected = R ** (1.0 - 2.0 * beta) / (2.0 * beta - 1.0)
+        assert CuckerSmaleKernel(beta).tail_integral(R) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+# Closed forms at 50 digits as the accuracy oracle.
+_BETAS = (0.1, 0.25, 0.49, 0.499, 0.5, 0.501, 0.51, 0.75, 1.0, 2.0, 5.0, 40.0)
+_RADII = (0.0, *(float(r) for r in np.geomspace(1e-3, 1e4, 43)),
+          1e6, 1e9, 1e19, 1e20, 1e21, 1e50, 1e100, 1e154, 1e155, 1e200)
+
+
+def _mp_tail(beta, r):
+    beta, r = mp.mpf(beta), mp.mpf(r)
+    return (mp.beta(beta - 0.5, 0.5) / 2
+            * mp.betainc(beta - 0.5, 0.5, 0, 1 / (1 + r * r), regularized=True))
+
+
+def _mp_head(beta, r):
+    """Integral of (1 + s^2)^-beta over [0, r] at 50 digits."""
+    with mp.workdps(50):
+        if beta == 0.0:
+            return mp.mpf(r)
+        if beta == 0.5:
+            return mp.asinh(r)
+        if beta < 0.5:
+            return r * mp.hyp2f1(0.5, beta, 1.5, -mp.mpf(r) ** 2)
+        return _mp_tail(beta, 0) - _mp_tail(beta, r)
+
+
+def _mp_integral(beta, a, b):
+    with mp.workdps(50):
+        if beta > 0.5:  # tails keep their digits where the head is near its total
+            return _mp_tail(beta, a) - _mp_tail(beta, b)
+        return _mp_head(beta, b) - _mp_head(beta, a)
+
+
+def _rel_err(got, exact):
+    return abs(float((mp.mpf(got) - exact) / exact))
+
+
+@pytest.mark.parametrize("beta", _BETAS)
+def test_integral_and_tail_match_mpmath(beta):
+    k = CuckerSmaleKernel(beta)
+    for r in _RADII:
+        head = _mp_head(beta, r)
+        if head >= 1e-300:
+            assert _rel_err(k.integral(0.0, r), head) <= 1e-13, r
+        if beta > 0.5:
+            with mp.workdps(50):
+                tail = _mp_tail(beta, r)
+            if tail >= 1e-300:
+                assert _rel_err(k.tail_integral(r), tail) <= 1e-13, r
+                assert k.integral(r, math.inf) == k.tail_integral(r)
+    # between two radii the difference of antiderivative values can cancel;
+    # the bound scales with that cancellation
+    for a, b in ((0.3, 0.9), (0.9, 4.0), (2.0, 1e3), (0.5, 1e30)):
+        with mp.workdps(50):
+            ha, hb = _mp_head(beta, a), _mp_head(beta, b)
+            exact = hb - ha
+        cancel = float((ha + hb) / exact)
+        assert _rel_err(k.integral(a, b), exact) <= 1e-13 * cancel, (a, b)
+        assert k.integral(b, a) == -k.integral(a, b)
+
+
+def test_tail_integral_subnormal_result_is_zero():
+    # the tail at beta = 40 from 1e4 is 1.27e-318, below the normal range:
+    # it comes out as 0, which the certificate reads as an underflowed tail
+    with mp.workdps(50):
+        assert 1e-318 < _mp_tail(40.0, 1e4) < 1.3e-318
+    assert CuckerSmaleKernel(40.0).tail_integral(1e4) == 0.0
+
+
+@pytest.mark.parametrize("beta", _BETAS)
+def test_budget_radius_matches_mpmath(beta):
+    k = CuckerSmaleKernel(beta)
+    for a in (0.0, 0.05, 0.5, 3.0, 1e3):
+        if beta > 0.5:
+            budgets = [f * k.tail_integral(a) for f in (1e-6, 0.1, 0.5, 0.9)]
+        else:
+            budgets = [1e-6, 0.3, 3.0, 30.0]
+        for budget in budgets:
+            if budget < 1e-300:
+                continue
+            d = k.budget_radius(a, budget)
+            with mp.workdps(50):
+                if d == math.inf:
+                    # the root lies beyond the float range
+                    top = sys.float_info.max
+                    assert _mp_integral(beta, a, top) < budget
+                    continue
+                # Newton's method on the 50-digit integral, from d
+                root = mp.mpf(d)
+                for _ in range(6):
+                    gap = _mp_integral(beta, a, root) - budget
+                    root -= gap * (1 + root * root) ** mp.mpf(beta)
+                assert _rel_err(d, root) <= 1e-12, (a, budget)
+
+
+def test_budget_radius_edge_budgets():
+    k = CuckerSmaleKernel(1.0)
+    assert k.budget_radius(2.0, 0.0) == 2.0
+    # a budget below the rounding of integral(a, a) leaves d at a
+    assert k.budget_radius(1.0, 1e-300) == 1.0
+    # no finite radius absorbs a budget at or above the tail supply
+    assert k.budget_radius(0.0, math.pi / 2) == math.inf
+
+
+def test_tabulated_integral_matches_quadrature():
+    radii = [0.0, 0.5, 1.3, 2.0]
+    k = TabulatedKernel(radii, [1.0, 0.8, 0.35, 0.2])
+    for a, b in ((0.0, 0.5), (0.2, 1.7), (0.0, 2.0), (1.0, 5.0), (2.0, 9.0), (3.0, 4.0)):
+        nodes = [r for r in radii if a < r < b]
+        oracle, _ = quad(k.eval, a, b, points=nodes or None, epsabs=1e-14, epsrel=1e-13)
+        assert k.integral(a, b) == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+        assert k.integral(b, a) == -k.integral(a, b)
+    assert k.integral(1.0, math.inf) == math.inf
+    with pytest.raises(ValueError):
+        k.integral(-1.0, 1.0)
