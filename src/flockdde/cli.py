@@ -36,7 +36,7 @@ from .diagnostics import (
     fit_decay_rate,
     prehistory_frames,
 )
-from .dynamics import SingularNormalizerError, _history_slices, integrate
+from .dynamics import SingularNormalizerError, integrate
 from .kernel import CuckerSmaleKernel, UnsupportedKernelError
 from .state import InvalidDatumError, discretize, write_snapshot_csv
 from .threshold1d import classify, detect_blowup
@@ -75,7 +75,7 @@ def _json_text(obj) -> str:
 
 def _prepare(cfg: RunConfig):
     """The discretized datum of ``cfg`` and its prehistory frames."""
-    buffer = discretize(cfg.datum, cfg.tau, _history_slices(cfg))
+    buffer = discretize(cfg.datum, cfg.tau, cfg.step)
     return buffer, prehistory_frames(buffer)
 
 
@@ -87,16 +87,16 @@ def execute_run(cfg: RunConfig) -> dict:
     except UnsupportedKernelError:
         certificate = None
 
-    start = buffer.latest
+    start = buffer.latest  # a view of the t = 0 slot, which the run reuses
+    w0 = start.vel_gradients[:, 0, 0] / start.jacobians[:, 0, 0] if start.dim == 1 else None
     result = integrate(buffer, cfg.kernel, h=cfg.step, t_end=cfg.t_end,
                        output_every=cfg.output_every,
                        detj_tolerance=cfg.detj_tolerance, prehistory=pre)
 
     verdict = None
-    if start.dim == 1:
-        w0_min = float((start.vel_gradients[:, 0, 0] / start.jacobians[:, 0, 0]).min())
+    if w0 is not None:
         try:
-            verdict = classify(w0_min, cfg.kernel, result.r_v)
+            verdict = classify(float(w0.min()), cfg.kernel, result.r_v)
         except UnsupportedKernelError:
             verdict = None
 

@@ -24,6 +24,7 @@ from .state import (
     NodeSet,
     SineVelocity,
     SliceTableVelocity,
+    _grid_steps,
 )
 
 __all__ = ["ConfigError", "RunConfig", "SweepConfig", "PRESETS",
@@ -182,15 +183,9 @@ class RunConfig:
     t_end: float
     output_every: float
     seed: int = 0
-    n_history_slices: int | None = None
     detj_tolerance: float = DETJ_TOLERANCE
     snapshot_csv: bool = False
     raw: dict = field(default_factory=dict)
-
-
-def _is_multiple(value, unit):
-    k = round(value / unit) if math.isfinite(value / unit) else 0
-    return k >= 1 and abs(k * unit - value) <= 1e-9 * max(1.0, abs(value))
 
 
 def run_config_from_dict(doc: dict) -> RunConfig:
@@ -213,16 +208,16 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     output_every = _real(doc.get("output_every", step), "output_every")
     seed = _integer(doc.get("seed", 0), "seed")
     datum = _build_datum(_need(doc, "datum", "config"), "datum", seed)
-    if tau > 0 and not _is_multiple(tau, step):
+    if tau > 0 and not _grid_steps(tau, step):
         raise ConfigError("tau: must be a positive integer multiple of step")
-    if not _is_multiple(output_every, step):
+    if not _grid_steps(output_every, step):
         raise ConfigError("output_every: must be a positive multiple of step")
     if tau > 0 and round(output_every / step) > round(tau / step):
         # the Lyapunov functional integrates over the last delay window and
         # needs a frame at each end of it
         raise ConfigError(
             f"output_every: must not exceed tau ({tau}), got {output_every}")
-    if t_end > 0 and not _is_multiple(t_end, step):
+    if t_end > 0 and not _grid_steps(t_end, step):
         raise ConfigError("t_end: must be a multiple of step")
     # the history is always cubic Hermite; the key stays for schema-v1 echoes
     if doc.get("interpolation", "cubic-hermite") != "cubic-hermite":
@@ -231,15 +226,15 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     snapshot_csv = doc.get("snapshot_csv", False)
     if not isinstance(snapshot_csv, bool):
         raise ConfigError(f"snapshot_csv: expected true or false, got {snapshot_csv!r}")
+    # the history keeps one slice per step; the key stays for schema-v1 echoes
     n_hist = doc.get("n_history_slices")
-    if n_hist is not None:
-        n_hist = _integer(n_hist, "n_history_slices")
-        if tau > 0 and n_hist < 2:
-            raise ConfigError("n_history_slices: need at least 2 when tau > 0")
+    default = round(tau / step) + 1 if tau > 0 else 1
+    if n_hist is not None and _integer(n_hist, "n_history_slices") != default:
+        raise ConfigError(f"n_history_slices: only one slice per step on "
+                          f"[-tau, 0] ({default}) is supported, got {n_hist!r}")
     return RunConfig(
         kernel=kernel, datum=datum, tau=tau, step=step, t_end=t_end,
         output_every=output_every, seed=seed,
-        n_history_slices=n_hist,
         detj_tolerance=_real(doc.get("detj_tolerance", DETJ_TOLERANCE),
                              "detj_tolerance", minimum=0.0),
         snapshot_csv=snapshot_csv,

@@ -105,9 +105,8 @@ def diameters(ensemble) -> tuple[float, float]:
             _pairwise_diameter(ensemble.velocities))
 
 
-def _record(ens, d_x, d_v, x, v, lyap, status="ok") -> DiagnosticsFrame:
-    """Diagnostics record of ``ens`` from its diameters and (X, V, L)."""
-    dets = ens.det_jacobians()
+def _record(ens, d_x, d_v, x, v, lyap, dets, status="ok") -> DiagnosticsFrame:
+    """Diagnostics record of ``ens`` from its diameters, (X, V, L) and det J."""
     vg = np.sqrt((ens.vel_gradients**2).sum(axis=(1, 2)))
     return DiagnosticsFrame(
         t=ens.time, d_X=d_x, d_V=d_v, max_speed=ens.max_speed(), lyapunov=lyap,
@@ -122,7 +121,7 @@ def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
     out = []
     for s in buffer.prehistory():
         d_x, d_v = diameters(s)
-        out.append(_record(s, d_x, d_v, d_x, d_v, math.nan))
+        out.append(_record(s, d_x, d_v, d_x, d_v, math.nan, s.det_jacobians()))
     return out
 
 

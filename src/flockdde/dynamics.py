@@ -7,16 +7,16 @@ all diameter estimates lean on.  The tangent flow (position Jacobian and
 velocity gradient with respect to labels) is integrated alongside, feeding
 the Jacobian monitor and the one-dimensional slope dynamics.
 
-Stepping is classical RK4 with a fixed step chosen to divide the delay, so
-stage queries fall at worst half a step from stored slices and the dense
-history interpolation keeps the overall order at four.  The delayed argument
-always reads the interpolated history; with zero delay it reads the current
+Stepping is classical RK4 with a fixed step h that divides the delay,
+tau = m h, on an integer clock, so each stage's delayed time is a stored
+step or exactly halfway between two: stages 1 and 4 read stored slots, and
+one cubic-Hermite midpoint per step serves stages 2 and 3, which keeps the
+overall order at four.  With zero delay the delayed argument is the current
 stage state, which turns the system into the undelayed one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +29,8 @@ from .diagnostics import (
     diameters,
     prehistory_frames,
 )
-from .state import HistoryBuffer, HistoryView, LagrangianEnsemble, _rk4, discretize
+from .state import (HistoryBuffer, HistoryView, LagrangianEnsemble, _grid_steps, _rk4,
+                    discretize)
 
 __all__ = [
     "ForceEvaluation",
@@ -151,52 +152,34 @@ def alignment_rhs(current: LagrangianEnsemble, delayed: HistoryView,
     return ForceEvaluation(accelerations=acc, force_gradients=fg, normalizers=s0)
 
 
-def step(buffer: HistoryBuffer, kernel, h: float) -> LagrangianEnsemble:
-    """Advance the buffer by one RK4 step of size ``h``.
+def step(buffer: HistoryBuffer, kernel, h: float) -> None:
+    """Advance the buffer by one RK4 step of size ``h``, its spacing.
 
-    Stage offsets are {0, 1/2, 1/2, 1}; each stage reads the delayed state
-    from the history at its own time minus tau.  Requires h <= tau when
-    tau > 0 so delayed queries never leave the stored window.  Appends the
-    new slice, prunes slices older than t - tau - 2h, and returns the new
-    slice.  Raises BlowupSignal if the new state is not finite.
+    Stage offsets are {0, 1/2, 1/2, 1}; each stage reads the delayed state at
+    its own time minus tau = m h: the slot m steps back, one Hermite midpoint
+    for both middle stages, and the slot after it.  Appends the new state to
+    the ring.  Raises BlowupSignal, before appending, if it is not finite.
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    tau = buffer.tau
-    if tau > 0 and h > tau * (1 + 1e-12):
-        raise ValueError("step size must not exceed the delay")
-    cur = buffer.latest
-    t = cur.time
-    masses = cur.masses
+    if h != buffer.h:
+        raise ValueError(f"step size {h} differs from the history spacing {buffer.h}")
+    m = buffer.m
+    j = buffer.clock - m  # the delayed slot of stage 1
 
-    def rhs(t_stage, pos, vel, jac, vgrad):
-        if tau == 0.0:
-            d_pos, d_vel = pos, vel
-        else:
-            view = buffer.query(t_stage - tau)
-            d_pos, d_vel = view.positions, view.velocities
-        acc, fg, _ = _force(kernel, masses, pos, vel, jac, d_pos, d_vel)
+    def rhs(delayed, pos, vel, jac, vgrad):
+        d_pos, d_vel = (pos, vel) if delayed is None else delayed[:2]
+        acc, fg, _ = _force(kernel, buffer.masses, pos, vel, jac, d_pos, d_vel)
         return vel, acc, vgrad, fg - vgrad
 
-    y0 = (cur.positions, cur.velocities, cur.jacobians, cur.vel_gradients)
-    k1 = rhs(t, *y0)
-    # the first stage is the exact state derivative at t; cache it as the
-    # Hermite slope of this slice before any interpolation can need it
-    if cur.accel_fwd is None:
-        cur.accel_fwd = k1[1].copy()
-    if cur.accel_bwd is None:
-        cur.accel_bwd = cur.accel_fwd
-    new = _rk4(rhs, t, y0, h, k1)
-    if not all(np.all(np.isfinite(arr)) for arr in new):
-        raise BlowupSignal(time=t)
-    ens = LagrangianEnsemble(
-        time=t + h, positions=new[0], velocities=new[1], jacobians=new[2],
-        vel_gradients=new[3], masses=masses, labels=cur.labels,
-        cell_volumes=cur.cell_volumes,
-    )
-    buffer.append(ens)
-    buffer.prune(t + h - tau - 2 * h)
-    return ens
+    y0 = buffer.slot(buffer.clock)
+    k1 = rhs(buffer.slot(j) if m else None, *y0)
+    # the first stage is the exact state derivative at t: the Hermite slope
+    # leaving this slot, which the midpoint reads when m = 1
+    buffer.set_slope(k1[1])
+    mid, end = (buffer.interpolate(j, 0.5), buffer.slot(j + 1)) if m else (None, None)
+    new, k4 = _rk4(rhs, y0, h, k1, mid, end)
+    if not all(np.isfinite(arr).all() for arr in new):
+        raise BlowupSignal(time=buffer.current_time)
+    buffer.append(*new, k4[1])
 
 
 @dataclass
@@ -211,10 +194,10 @@ class SimulationResult:
         return self.blowup is not None
 
 
-def _frame(ens, monitor, status="ok"):
+def _frame(ens, monitor, dets, status="ok"):
     """Diagnostics record of the dynamics slice ``ens`` (time > 0)."""
     d_x, d_v = diameters(ens)
-    return _record(ens, d_x, d_v, *monitor.observe(ens.time, d_x, d_v),
+    return _record(ens, d_x, d_v, *monitor.observe(ens.time, d_x, d_v), dets,
                    status=status)
 
 
@@ -231,20 +214,19 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
     last finite time are retained and the terminal frame carries status
     "blowup".  Deterministic given its inputs.
 
-    ``prehistory`` must be ``prehistory_frames(buffer)`` of this buffer; it
-    seeds the monitor, R_V and the start frame, and is computed here when
-    omitted (the buffer drops its prehistory once stepping starts).
+    ``buffer`` must be at t = 0 with spacing ``h``.  ``prehistory`` must be
+    ``prehistory_frames(buffer)`` of this buffer; it seeds the monitor, R_V
+    and the start frame, and is computed here when omitted.
     """
-    if t_end < 0:
-        raise ValueError("t_end must be nonnegative")
-    if output_every is None:
-        output_every = h
-    every = int(round(output_every / h))
-    if every < 1 or abs(every * h - output_every) > 1e-9 * max(1.0, output_every):
+    if buffer.clock != 0 or h != buffer.h:
+        raise ValueError(f"integrate needs a buffer at t = 0 with spacing {h}, not one at "
+                         f"t = {buffer.current_time} with spacing {buffer.h}")
+    every = _grid_steps(h if output_every is None else output_every, h)
+    if not every:
         raise ValueError("output_every must be a positive multiple of the step")
-    n_steps = int(round(t_end / h))
-    if abs(n_steps * h - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError("t_end must be a multiple of the step")
+    n_steps = _grid_steps(t_end, h)
+    if n_steps is None:
+        raise ValueError("t_end must be a nonnegative multiple of the step")
 
     if prehistory is None:
         prehistory = prehistory_frames(buffer)
@@ -264,42 +246,35 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
     event = None
     for k in range(1, n_steps + 1):
         try:
-            ens = step(buffer, kernel, h)
+            step(buffer, kernel, h)
         except BlowupSignal as sig:
             last = buffer.latest  # step raises before appending
-            if math.isclose(frames[-1].t, last.time, abs_tol=1e-12):
+            if frames[-1].t == last.time:
                 frames[-1].status = "blowup"
             else:
-                frames.append(_frame(last, monitor, status="blowup"))
+                frames.append(_frame(last, monitor, last.det_jacobians(),
+                                     status="blowup"))
             event = BlowupEvent(time=last.time, node=sig.node)
             break
-        dets = ens.det_jacobians()
+        dets = np.linalg.det(buffer.slot(k)[2])
         crossed = (not np.all(np.isfinite(dets))) or dets.min() <= detj_tolerance
         if crossed or k % every == 0 or k == n_steps:
-            frames.append(_frame(ens, monitor,
+            frames.append(_frame(buffer.latest, monitor, dets,
                                  status="blowup" if crossed else "ok"))
         if crossed:
-            event = BlowupEvent(time=ens.time, node=int(np.nanargmin(dets)))
+            event = BlowupEvent(time=buffer.current_time,
+                                node=int(np.nanargmin(dets)))
             break
     return SimulationResult(frames, buffer, event, r_v)
-
-
-def _history_slices(config) -> int:
-    """``n_history_slices``, or one slice per step on [-tau, 0] (1 at tau 0)."""
-    n_hist = getattr(config, "n_history_slices", None)
-    if n_hist is None:
-        n_hist = int(round(config.tau / config.step)) + 1 if config.tau > 0 else 1
-    return n_hist
 
 
 def simulate(config) -> SimulationResult:
     """Run a scenario end to end from a configuration object.
 
     ``config`` provides kernel, datum, tau, step, t_end, output_every, and
-    optionally n_history_slices and detj_tolerance (see
-    ``flockdde.config.RunConfig``).
+    optionally detj_tolerance (see ``flockdde.config.RunConfig``).
     """
-    buffer = discretize(config.datum, config.tau, _history_slices(config))
+    buffer = discretize(config.datum, config.tau, config.step)
     return integrate(
         buffer, config.kernel, h=config.step, t_end=config.t_end,
         output_every=getattr(config, "output_every", None),

@@ -3,15 +3,15 @@
 The flow is sampled at Lagrangian nodes: each node carries a position, a
 velocity, the tangent-flow matrices (position Jacobian and velocity gradient
 with respect to the initial labels), and a fixed mass.  A
-``HistoryBuffer`` holds the time-ordered slices covering the trailing delay
+``HistoryBuffer`` holds the flow on the step grid over the trailing delay
 window and answers dense interpolation queries, which is what makes the
 delayed force evaluable between stored steps.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,8 @@ __all__ = [
     "write_snapshot_csv",
 ]
 
-_TIME_MATCH_TOL = 1e-12
+# How far, in steps, a query may round past either end of the stored window.
+_WINDOW_TOL = 1e-9
 
 
 class InvalidDatumError(Exception):
@@ -49,10 +50,8 @@ class LagrangianEnsemble:
     """One time slice of the discretized flow.
 
     ``masses``, ``labels`` and ``cell_volumes`` are shared, read-only arrays
-    identical across all slices of a run.  ``accel_fwd``/``accel_bwd`` cache
-    the one-sided time derivatives of the velocities at this slice time and
-    serve as cubic-Hermite slopes; they differ only at t = 0, where the
-    prescribed prehistory hands over to the alignment dynamics.
+    identical across all slices of a run.  ``accel`` is dv/dt arriving at
+    this time, the velocity's cubic-Hermite slope in the history.
     """
 
     time: float
@@ -63,8 +62,7 @@ class LagrangianEnsemble:
     masses: np.ndarray         # (N,)
     labels: np.ndarray         # (N, d)
     cell_volumes: np.ndarray   # (N,)
-    accel_fwd: np.ndarray | None = None  # dv/dt leaving this time
-    accel_bwd: np.ndarray | None = None  # dv/dt arriving at this time
+    accel: np.ndarray | None = None  # (N, d)
 
     def __post_init__(self):
         n, d = self.positions.shape
@@ -114,79 +112,118 @@ def _hermite(theta, dt, y0, m0, y1, m1):
     return h00 * y0 + (h10 * dt) * m0 + h01 * y1 + (h11 * dt) * m1
 
 
-class HistoryBuffer:
-    """Dense, interpolable record of the ensemble over [t - tau, t].
+def _grid_steps(value: float, h: float) -> int | None:
+    """The k >= 0 with value = k h to 1e-9 relative, or None if there is none."""
+    k = round(value / h) if math.isfinite(value / h) else -1
+    return k if k >= 0 and abs(k * h - value) <= 1e-9 * max(1.0, abs(value)) else None
 
-    Single-writer: only the integrator appends/prunes.  Reads between steps
-    are safe from any thread.  Positions interpolate with the stored
-    velocities as exact Hermite slopes; velocities use the cached one-sided
-    acceleration slopes, falling back to the interval secant where a slope is
-    not set.  That happens only at the newest slice, whose slope the next
-    step fills from its first stage, so only a query from outside the stepper
-    into the newest interval reads the secant.
+
+def _delay_steps(tau: float, h: float) -> int:
+    """The m with tau = m h; raises ValueError unless there is one."""
+    if not h > 0:
+        raise ValueError("step h must be positive")
+    m = _grid_steps(tau, h)
+    if m is None or (m > 0) != (tau > 0):
+        raise ValueError(f"delay tau = {tau} is not a multiple of the step h = {h}")
+    return m
+
+
+class HistoryBuffer:
+    """Ring record of the flow on the step grid over [t - tau - 2h, t].
+
+    With tau = m h, slot j holds the state at time j h, j read off an integer
+    clock (never a sum of steps), in ring arrays of m + 3 slots; the
+    prehistory fills slots -m..0.  A query at t reads j = floor(t / h): the
+    slot itself when t / h = j, else the cubic Hermite interpolant at
+    theta = t / h - j, whose slopes are the velocities for the positions and
+    the stored dv/dt for the velocities.  That slope is the datum's material
+    derivative at t <= 0, else the first RK4 stage of the step leaving the
+    slot, kept apart at t = 0 where the prehistory hands over to the
+    dynamics.  The newest slot holds the last stage of the step that made it
+    until the next step replaces it, so only a query from outside the stepper
+    into the newest interval reads that provisional slope.  Only the stepper
+    writes.  Stored-slot queries, ``slot``, ``latest`` and ``prehistory``
+    return views, valid until their slot is reused m + 3 steps later: copy
+    what must outlive that.
     """
 
-    def __init__(self, tau: float, slices: list[LagrangianEnsemble]):
-        if tau < 0:
-            raise ValueError("delay tau must be nonnegative")
-        if not slices:
-            raise ValueError("history needs at least one slice")
-        times = [s.time for s in slices]
-        if any(t1 - t0 <= 0 for t0, t1 in zip(times, times[1:])):
-            raise ValueError("slice times must be strictly increasing")
-        if times[-1] - times[0] < tau - _TIME_MATCH_TOL:
-            raise ValueError("slices must cover the full delay window")
-        self.tau = float(tau)
-        self.slices = list(slices)
-        self._times = times
+    def __init__(self, tau: float, h: float, slices: list[LagrangianEnsemble]):
+        m = _delay_steps(tau, h)
+        if len(slices) != m + 1:
+            raise ValueError(f"history needs {m + 1} slices on [-tau, 0], got {len(slices)}")
+        self.tau, self.h, self.m = float(tau), float(h), m
+        self._fwd0 = None  # the first stage of the step leaving t = 0
+        s0 = slices[0]
+        self.masses, self.labels, self.cell_volumes = s0.masses, s0.labels, s0.cell_volumes
+        self._pos, self._vel, self._jac, self._vgrad, self._acc = (
+            np.empty((m + 3, *a.shape)) for a in
+            (s0.positions, s0.velocities, s0.jacobians, s0.vel_gradients, s0.positions))
+        self.clock = -m - 1  # the newest slot; the prehistory ends at 0
+        for j, s in zip(range(-m, 1), slices):
+            if abs(s.time - j * h) > 1e-9 * h or s.accel is None:
+                raise ValueError(f"slice {j + m} needs time {j * h} and a slope accel")
+            self.append(s.positions, s.velocities, s.jacobians, s.vel_gradients, s.accel)
 
     @property
     def current_time(self) -> float:
-        return self._times[-1]
+        return self.clock * self.h
 
     @property
     def latest(self) -> LagrangianEnsemble:
-        return self.slices[-1]
+        return self._ensemble(self.clock)
+
+    def _ensemble(self, j):
+        r = j % len(self._pos)
+        return LagrangianEnsemble(j * self.h, self._pos[r], self._vel[r], self._jac[r],
+                                  self._vgrad[r], self.masses, self.labels,
+                                  self.cell_volumes, self._acc[r])
+
+    def _oldest(self) -> int:
+        return max(-self.m, self.clock - len(self._pos) + 1)
 
     def prehistory(self) -> list[LagrangianEnsemble]:
-        """Slices at times <= 0, the prescribed datum part of the record."""
-        return [s for s in self.slices if s.time <= _TIME_MATCH_TOL]
+        """Stored slices at times <= 0, the prescribed datum part of the record."""
+        return [self._ensemble(j) for j in range(self._oldest(), min(self.clock, 0) + 1)]
 
-    def append(self, ens: LagrangianEnsemble) -> None:
-        if ens.time <= self._times[-1]:
-            raise ValueError("appended slice must advance time")
-        self.slices.append(ens)
-        self._times.append(ens.time)
+    def slot(self, j: int):
+        """(positions, velocities, jacobians, vel_gradients) stored at time j h."""
+        r = j % len(self._pos)
+        return self._pos[r], self._vel[r], self._jac[r], self._vgrad[r]
 
-    def prune(self, keep_from: float) -> None:
-        """Drop old slices, always keeping one at or below ``keep_from``."""
-        while len(self.slices) >= 2 and self._times[1] <= keep_from:
-            self.slices.pop(0)
-            self._times.pop(0)
+    def interpolate(self, j: int, theta: float):
+        """Hermite (positions, velocities) at time (j + theta) h."""
+        a, b = j % len(self._pos), (j + 1) % len(self._pos)
+        m0 = self._fwd0 if j == 0 else self._acc[a]
+        pos = _hermite(theta, self.h, self._pos[a], self._vel[a],
+                       self._pos[b], self._vel[b])
+        vel = _hermite(theta, self.h, self._vel[a], m0, self._vel[b], self._acc[b])
+        return pos, vel
 
     def query(self, t: float) -> HistoryView:
-        times = self._times
-        if t < times[0] - _TIME_MATCH_TOL or t > times[-1] + _TIME_MATCH_TOL:
+        lo, hi = self._oldest(), self.clock
+        x = t / self.h
+        if not lo - _WINDOW_TOL <= x <= hi + _WINDOW_TOL:
             raise OutOfWindowError(
-                f"query at t={t} outside stored window [{times[0]}, {times[-1]}]"
-            )
-        i = bisect_right(times, t) - 1
-        i = min(max(i, 0), len(times) - 1)
-        # snap to a stored slice when the query hits one
-        for j in (i, i + 1):
-            if 0 <= j < len(times) and abs(times[j] - t) <= _TIME_MATCH_TOL * max(1.0, abs(t)):
-                s = self.slices[j]
-                return HistoryView(s.time, s.positions, s.velocities)
-        left, right = self.slices[i], self.slices[i + 1]
-        dt = right.time - left.time
-        theta = (t - left.time) / dt
-        pos = _hermite(theta, dt, left.positions, left.velocities,
-                       right.positions, right.velocities)
-        secant = (right.velocities - left.velocities) / dt
-        m0 = left.accel_fwd if left.accel_fwd is not None else secant
-        m1 = right.accel_bwd if right.accel_bwd is not None else secant
-        vel = _hermite(theta, dt, left.velocities, m0, right.velocities, m1)
-        return HistoryView(t, pos, vel)
+                f"query at t={t} outside stored window [{lo * self.h}, {hi * self.h}]")
+        j = min(max(math.floor(x), lo), hi)
+        theta = x - j
+        if theta == 0.0 or j == hi:
+            return HistoryView(t, *self.slot(j)[:2])
+        return HistoryView(t, *self.interpolate(j, theta))
+
+    def set_slope(self, accel: np.ndarray) -> None:
+        """Store dv/dt leaving the newest slot (the first stage of its step)."""
+        if self.clock == 0:
+            self._fwd0 = accel
+        else:
+            self._acc[self.clock % len(self._pos)] = accel
+
+    def append(self, positions, velocities, jacobians, vel_gradients, accel) -> None:
+        """Store the state one step on, with its provisional slope, and tick."""
+        self.clock += 1
+        r = self.clock % len(self._pos)
+        self._pos[r], self._vel[r], self._acc[r] = positions, velocities, accel
+        self._jac[r], self._vgrad[r] = jacobians, vel_gradients
 
 
 class VelocityField:
@@ -401,34 +438,35 @@ class InitialDatum:
         return vals
 
 
-def _rk4(rhs, t, y, h, k1):
-    """One classical RK4 step of ``y' = rhs(t, *y)`` from the given first stage.
+def _rk4(rhs, y, h, k1, mid, end):
+    """One classical RK4 step of ``y' = rhs(stage, *y)`` from the given first stage.
 
-    ``y`` and each stage are tuples of arrays; returns the new tuple.  Callers
-    already hold ``k1``: the stepper caches it as a Hermite slope, and the
-    prehistory reads it off the slice it built last.
+    ``y`` and each stage are tuples of arrays.  ``mid`` is the ``stage``
+    argument of the two midpoint stages and ``end`` that of the last: the
+    prehistory passes stage times, the stepper the delayed states.  Callers
+    already hold ``k1``: the stepper keeps it as a Hermite slope, and the
+    prehistory reads it off the slice it built last.  Returns the new tuple
+    and the last stage.
     """
-    k2 = rhs(t + h / 2, *(a + (h / 2) * k for a, k in zip(y, k1)))
-    k3 = rhs(t + h / 2, *(a + (h / 2) * k for a, k in zip(y, k2)))
-    k4 = rhs(t + h, *(a + h * k for a, k in zip(y, k3)))
+    k2 = rhs(mid, *[a + (h / 2) * k for a, k in zip(y, k1)])
+    k3 = rhs(mid, *[a + (h / 2) * k for a, k in zip(y, k2)])
+    k4 = rhs(end, *[a + h * k for a, k in zip(y, k3)])
     return tuple(a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)), k4
 
 
-def discretize(datum: InitialDatum, tau: float, n_history_slices: int) -> HistoryBuffer:
+def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
     """Build the Lagrangian nodes and the prehistory record on [-tau, 0].
 
     Midpoint-rule nodes carry masses proportional to density times cell
-    volume, normalized to total mass 1; zero-mass nodes are dropped.
-    Prehistory positions come from backward RK4 integration of the
-    characteristic flow under the prescribed velocity field, with the tangent
-    flow integrated alongside for the Jacobians; tau = 0 gives the one slice
-    at t = 0, whatever ``n_history_slices`` says.
+    volume, normalized to total mass 1; zero-mass nodes are dropped.  The
+    prehistory has one slice per step ``h`` at times j h, j = -m..0, with
+    tau = m h (tau = 0 gives the one slice at t = 0).  Its positions come
+    from backward RK4 integration of the characteristic flow under the
+    prescribed velocity field, with the tangent flow integrated alongside
+    for the Jacobians.
     """
-    if tau < 0:
-        raise ValueError("delay tau must be nonnegative")
-    if tau > 0 and n_history_slices < 2:
-        raise ValueError("need at least 2 history slices when tau > 0")
+    m = _delay_steps(tau, h)
 
     nodes, volumes = datum.domain.nodes_and_volumes()
     dens = datum.density_values(nodes)
@@ -462,32 +500,23 @@ def discretize(datum: InitialDatum, tau: float, n_history_slices: int) -> Histor
     def rhs(s, pos, jac):
         return field(s, pos), np.einsum("nab,nbc->nac", field.gradient(s, pos), jac)
 
-    n_slices = n_history_slices if tau > 0 else 1
-    times = np.linspace(-tau, 0.0, n_slices)
-    times[-1] = 0.0  # a single-point linspace starts at -tau = -0.0
     # walk back from the labels at t = 0, where the field is probed first
     y = (nodes.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy())
     slices = []
-    for k in range(n_slices - 1, -1, -1):
+    for j in range(0, -m - 1, -1):
         if slices:  # one backward step, whose first stage is the later slice
-            y = _rk4(rhs, times[k + 1], y, times[k] - times[k + 1],
-                     (slices[-1].velocities, slices[-1].vel_gradients))
-        s = times[k]
+            y, _ = _rk4(rhs, y, -h, (slices[-1].velocities, slices[-1].vel_gradients),
+                        (j + 0.5) * h, j * h)
+        s = j * h
         pos, jac = y
-        vel = probe(s, pos)
-        accel = field.material_derivative(s, pos)
-        slices.append(LagrangianEnsemble(
-            time=float(s),
-            positions=pos,
-            velocities=vel,
-            jacobians=jac,
-            vel_gradients=np.einsum("nab,nbc->nac", field.gradient(s, pos), jac),
+        vel, grad = probe(s, pos), field.gradient(s, pos)
+        slices.append(LagrangianEnsemble(  # accel is the material derivative
+            time=s, positions=pos, velocities=vel, jacobians=jac,
+            vel_gradients=np.einsum("nab,nbc->nac", grad, jac),
             masses=masses, labels=nodes, cell_volumes=volumes,
-            accel_fwd=None if k == n_slices - 1 else accel,
-            accel_bwd=accel,
-        ))
+            accel=field.time_partial(s, pos) + np.einsum("nab,nb->na", grad, vel)))
     slices.reverse()
-    return HistoryBuffer(tau, slices)
+    return HistoryBuffer(tau, h, slices)
 
 
 def write_snapshot_csv(ensemble: LagrangianEnsemble, path) -> None:

@@ -115,10 +115,11 @@ def evolve_w(buffer, kernel, h: float, t_end: float) -> WEvolution:
     n_steps = int(round((t_end - buffer.current_time) / h))
     for _ in range(n_steps):
         try:
-            ens = step(buffer, kernel, h)
+            step(buffer, kernel, h)
         except BlowupSignal as sig:
             blow = (sig.time, sig.node if sig.node is not None else -1)
             break
+        ens = buffer.latest
         jac = ens.jacobians[:, 0, 0]
         if jac.min() <= 0.0:
             blow = (ens.time, int(jac.argmin()))

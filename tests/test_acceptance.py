@@ -37,12 +37,6 @@ def ok(criterion, text):
     print(f"[acceptance] criterion {criterion}: PASS - {text}")
 
 
-def make_buffer(beta_unused, tau, datum, h, n_hist=None):
-    if n_hist is None:
-        n_hist = int(round(tau / h)) + 1 if tau > 0 else 1
-    return discretize(datum, tau, n_hist)
-
-
 # ten scenarios whose prehistory satisfies the flocking condition
 CERTIFIED_SCENARIOS = [
     ("flat-delay", 0.0, 0.5,
@@ -82,7 +76,7 @@ def certified_runs():
     h, t_end = 0.01, 20.0
     for name, beta, tau, datum in CERTIFIED_SCENARIOS:
         kernel = CuckerSmaleKernel(beta)
-        buffer = make_buffer(beta, tau, datum, h)
+        buffer = discretize(datum, tau, h)
         pre = prehistory_frames(buffer)
         cert = certify_flocking(pre, kernel)
         assert cert.satisfied, f"scenario {name} must be certified"
@@ -96,7 +90,7 @@ def test_criterion_01_flat_kernel_exact_decay():
     datum = InitialDatum(BoxDomain([0.0], [1.0], [64]), LinearVelocity([[0.5]]))
     cfg = SimpleNamespace(kernel=CuckerSmaleKernel(0.0), datum=datum, tau=0.5,
                           step=1e-3, t_end=5.0, output_every=0.01,
-                          interpolation="cubic-hermite", n_history_slices=None)
+                          interpolation="cubic-hermite")
     res = simulate(cfg)
     assert res.blowup is None
     rate = fit_decay_rate(res.frames, 0.0, 5.0)
@@ -131,8 +125,7 @@ def test_criterion_02_velocity_maximum_principle():
         cfg = SimpleNamespace(kernel=CuckerSmaleKernel(beta),
                               datum=InitialDatum(domain, field), tau=tau,
                               step=1e-3, t_end=2.0, output_every=0.02,
-                              interpolation="cubic-hermite",
-                              n_history_slices=None)
+                              interpolation="cubic-hermite")
         res = simulate(cfg)
         excess = max(f.max_speed for f in res.frames) - res.r_v
         worst_excess = max(worst_excess, excess)
@@ -182,7 +175,7 @@ def test_criterion_06_riccati_blowup_time():
     datum = InitialDatum(BoxDomain([0.0], [1.0], [16]), LinearVelocity([[-2.0]]))
     cfg = SimpleNamespace(kernel=CuckerSmaleKernel(0.0), datum=datum, tau=0.1,
                           step=1e-3, t_end=2.0, output_every=0.01,
-                          interpolation="cubic-hermite", n_history_slices=None)
+                          interpolation="cubic-hermite")
     res = simulate(cfg)
     found = detect_blowup(res.frames)
     assert found is not None
@@ -200,7 +193,7 @@ def test_criterion_07_subcritical_persistence():
     # slope a*k*cos(kx) dips to exactly -0.9 inside the box
     datum = InitialDatum(BoxDomain([0.0], [1.0], [12]),
                          SineVelocity([0.0], [0.9 / 3.5], [3.5]))
-    buf = make_buffer(0.0, 0.1, datum, 1e-3)
+    buf = discretize(datum, 0.1, 1e-3)
     w0_min = float((buf.latest.vel_gradients[:, 0, 0]).min())
     assert w0_min >= -0.9 - 1e-12
     evo = evolve_w(buf, CuckerSmaleKernel(0.0), h=1e-3, t_end=10.0)
@@ -216,7 +209,7 @@ def test_criterion_08_force_gradient_bound():
         kernel = CuckerSmaleKernel(beta)
         datum = InitialDatum(BoxDomain([0.0], [1.0], [50]),
                              LinearVelocity([[0.4]]))
-        buf = make_buffer(beta, 0.1, datum, 2e-3)
+        buf = discretize(datum, 0.1, 2e-3)
         r_v = max(s.max_speed() for s in buf.prehistory())
         c_bar = 2.0 * kernel.log_deriv_bound * r_v
         for _ in range(100):
@@ -240,8 +233,7 @@ def test_criterion_09_small_data_diffeomorphism():
             LinearVelocity(eps * base_mat, [0.1 * eps, 0.0]))
         cfg = SimpleNamespace(kernel=CuckerSmaleKernel(1.0), datum=datum,
                               tau=0.1, step=0.01, t_end=10.0, output_every=0.05,
-                              interpolation="cubic-hermite",
-                              n_history_slices=None)
+                              interpolation="cubic-hermite")
         res = simulate(cfg)
         assert res.blowup is None
         deficits[eps] = 1.0 - min(f.min_detJ for f in res.frames)
@@ -255,15 +247,14 @@ def test_criterion_09_small_data_diffeomorphism():
 
 def test_criterion_10_convergence_order():
     # the time-animated prehistory keeps real temporal derivatives in play, so
-    # truncation errors sit far above the roundoff floor at every h; the
-    # prehistory slice spacing equals the largest step so every run's delayed
-    # spans stay within single interpolation pieces
+    # truncation errors sit far above the roundoff floor at every h; each run
+    # discretizes the prehistory on its own step grid
     datum = InitialDatum(BoxDomain([0.0], [1.0], [8]),
                          SineVelocity([0.1], [0.2], [2.0], omega=15.0))
     kernel = CuckerSmaleKernel(1.0)
 
     def final_state(h):
-        buf = discretize(datum, 0.2, 51)
+        buf = discretize(datum, 0.2, h)
         n = int(round(1.0 / h))
         for _ in range(n):
             step(buf, kernel, h)

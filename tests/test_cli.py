@@ -12,6 +12,8 @@ from flockdde.cli import execute_run, main
 from flockdde.config import preset_dict, run_config_from_dict
 from flockdde.dynamics import simulate
 from flockdde.diagnostics import _BLOCK_PAIRS
+from flockdde.state import discretize
+from flockdde.threshold1d import classify
 
 
 def run_cli(*argv):
@@ -90,7 +92,6 @@ class TestRun:
 
     def test_execute_run_frames_are_simulate_frames(self, quick_run_doc):
         cfg = run_config_from_dict(quick_run_doc)
-        assert cfg.n_history_slices is None
         assert execute_run(cfg)["result"].frames == simulate(cfg).frames
 
     def test_cubic_hermite_key_runs_and_is_echoed(self, tmp_path, quick_run_doc):
@@ -101,6 +102,31 @@ class TestRun:
         assert code == 0
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["config"]["interpolation"] == "cubic-hermite"
+
+    def test_default_history_slices_key_runs_and_is_echoed(self, tmp_path,
+                                                           quick_run_doc):
+        # the retired key is accepted at its default, one slice per step
+        doc = dict(quick_run_doc, t_end=0.1)
+        for out, extra in (("plain", {}), ("keyed", {"n_history_slices": 101})):
+            code = run_cli("run", "--config",
+                           write_json(tmp_path / f"{out}.json", dict(doc, **extra)),
+                           "--out", str(tmp_path / out))
+            assert code == 0
+        summary = json.loads((tmp_path / "keyed" / "summary.json").read_text())
+        assert summary["config"]["n_history_slices"] == 101
+        assert (tmp_path / "keyed" / "frames.csv").read_bytes() == \
+            (tmp_path / "plain" / "frames.csv").read_bytes()
+
+    def test_threshold_verdict_reads_the_initial_slopes(self):
+        # the run reuses the t = 0 slot after m + 3 steps; the verdict must
+        # still come from the slopes at t = 0
+        doc = dict(preset_dict("riccati-blowup"), t_end=0.2)
+        cfg = run_config_from_dict(doc)
+        start = discretize(cfg.datum, cfg.tau, cfg.step).latest
+        w0_min = float((start.vel_gradients[:, 0, 0] / start.jacobians[:, 0, 0]).min())
+        summary = execute_run(cfg)["summary"]
+        assert summary["threshold"] == classify(w0_min, cfg.kernel, summary["R_V"]).to_dict()
+        assert summary["threshold"]["bound"] == pytest.approx(1.0, abs=1e-12)
 
     def test_byte_identical_reruns(self, tmp_path, quick_run_doc):
         cfg = write_json(tmp_path / "c.json", quick_run_doc)
@@ -166,6 +192,9 @@ BAD_FIELDS = [
     ("seed", "abc", "seed: expected an integer"),
     ("seed", 1.5, "seed: expected an integer"),
     ("n_history_slices", "x", "n_history_slices: expected an integer"),
+    ("n_history_slices", 11, "n_history_slices: only one slice per step on "
+                             "[-tau, 0] (101) is supported, got 11"),
+    ("n_history_slices", 102, "n_history_slices: only one slice per step"),
     ("interpolation", "linear", "interpolation: only cubic-hermite is supported"),
     ("datum.velocity", {"family": "constant", "value": "abc"},
      "datum.velocity.value: expected numbers"),

@@ -50,7 +50,7 @@ def _rich_doc():
             {"family": "constant", "value": [0.1, -0.1]},
         ]},
     }
-    doc.update(n_history_slices=11, detj_tolerance=1e-6, snapshot_csv=True)
+    doc.update(detj_tolerance=1e-6, snapshot_csv=True)
     return doc
 
 

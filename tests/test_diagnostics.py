@@ -140,7 +140,7 @@ class TestLyapunov:
             datum=InitialDatum(BoxDomain([0.0], [1.0], [12]),
                                SineVelocity([0.0], [0.4], [1.5])),
             tau=0.2, step=2e-3, t_end=2.0, output_every=2e-3,
-            interpolation="cubic-hermite", n_history_slices=None)
+            interpolation="cubic-hermite")
         res = simulate(cfg)
         assert res.blowup is None
         lyap = [f.lyapunov for f in res.frames]
@@ -153,13 +153,12 @@ class TestCertificate:
     def prehistory(self, tau=0.2, beta=0.25, amp=0.3, n=10):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [n]),
                              SineVelocity([0.0], [amp], [3.0]))
-        n_hist = 21 if tau > 0 else 1
-        buf = discretize(datum, tau, n_hist)
+        buf = discretize(datum, tau, tau / 20 if tau > 0 else 0.01)
         return prehistory_frames(buf)
 
     def test_already_flocked_datum_trivially_certified(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [8]), ConstantVelocity([0.9]))
-        buf = discretize(datum, 0.5, 11)
+        buf = discretize(datum, 0.5, 0.05)
         cert = certify_flocking(prehistory_frames(buf), CuckerSmaleKernel(1.0))
         assert cert.satisfied
         assert cert.lhs == pytest.approx(0.0, abs=1e-12)
@@ -225,8 +224,8 @@ class TestCertificate:
             datum=InitialDatum(BoxDomain([0.0], [1.0], [10]),
                                SineVelocity([0.0], [0.3], [1.5])),
             tau=tau, step=2e-3, t_end=10.0, output_every=0.02,
-            interpolation="cubic-hermite", n_history_slices=None)
-        buf = discretize(cfg.datum, tau, int(round(tau / cfg.step)) + 1)
+            interpolation="cubic-hermite")
+        buf = discretize(cfg.datum, tau, cfg.step)
         cert = certify_flocking(prehistory_frames(buf), cfg.kernel)
         assert cert.satisfied
         res = simulate(cfg)
@@ -242,7 +241,7 @@ class TestDiameterVsComparison:
             datum=InitialDatum(BoxDomain([0.0], [1.0], [10]),
                                LinearVelocity([[0.4]])),
             tau=0.1, step=2e-3, t_end=3.0, output_every=0.01,
-            interpolation="cubic-hermite", n_history_slices=None)
+            interpolation="cubic-hermite")
         res = simulate(cfg)
         for f in res.frames:
             assert f.d_V <= f.V_of_t + 1e-6
@@ -255,7 +254,7 @@ class TestFitDecayRate:
             datum=InitialDatum(BoxDomain([0.0], [1.0], [8]),
                                LinearVelocity([[0.5]])),
             tau=0.5, step=2e-3, t_end=3.0, output_every=0.01,
-            interpolation="cubic-hermite", n_history_slices=None)
+            interpolation="cubic-hermite")
         res = simulate(cfg)
         rate = fit_decay_rate(res.frames, 0.0, 3.0)
         assert rate == pytest.approx(1.0, abs=1e-3)

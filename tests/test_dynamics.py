@@ -1,11 +1,15 @@
 """Force and integrator checks against hand computations and closed forms."""
 
 import math
-from dataclasses import asdict
+import re
+from dataclasses import asdict, replace
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flockdde import dynamics
 from flockdde.diagnostics import _BLOCK_PAIRS, diameters, prehistory_frames
@@ -22,6 +26,7 @@ from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
 from flockdde.state import (
     BoxDomain,
     ConstantVelocity,
+    HistoryBuffer,
     HistoryView,
     InitialDatum,
     LinearVelocity,
@@ -39,7 +44,7 @@ def make_config(**kw):
                 datum=InitialDatum(BoxDomain([0.0], [1.0], [8]),
                                    SineVelocity([0.0], [0.3], [2.0])),
                 tau=0.1, step=0.005, t_end=1.0, output_every=0.01,
-                interpolation="cubic-hermite", n_history_slices=None)
+                interpolation="cubic-hermite")
     base.update(kw)
     return SimpleNamespace(**base)
 
@@ -47,7 +52,7 @@ def make_config(**kw):
 class TestAlignmentForce:
     def test_single_node_relaxes_to_delayed_velocity(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [1]), ConstantVelocity([0.4]))
-        buf = discretize(datum, tau=0.0, n_history_slices=1)
+        buf = discretize(datum, tau=0.0, h=0.01)
         cur = buf.latest
         delayed = HistoryView(0.0, cur.positions, np.array([[1.3]]))
         fe = alignment_rhs(cur, delayed, CuckerSmaleKernel(2.0))
@@ -56,7 +61,7 @@ class TestAlignmentForce:
     def test_flat_kernel_mean_field_and_zero_gradient(self):
         datum = InitialDatum(BoxDomain([0.0, 0.0], [1.0, 1.0], [3, 3]),
                              LinearVelocity([[0.2, 0.0], [0.1, -0.3]]))
-        buf = discretize(datum, tau=0.0, n_history_slices=1)
+        buf = discretize(datum, tau=0.0, h=0.01)
         cur = buf.latest
         fe = alignment_rhs(cur, view_of(cur), CuckerSmaleKernel(0.0))
         mean = (cur.masses[:, None] * cur.velocities).sum(axis=0)
@@ -68,7 +73,7 @@ class TestAlignmentForce:
     def test_two_node_hand_evaluation(self):
         # beta=1, equal masses, eta=(0,1), delayed eta=(0,1), delayed v=(0,1)
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
-        buf = discretize(datum, tau=0.0, n_history_slices=1)
+        buf = discretize(datum, tau=0.0, h=0.01)
         cur = buf.latest
         cur.positions[:] = [[0.0], [1.0]]
         delayed = HistoryView(0.0, np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]))
@@ -82,7 +87,7 @@ class TestAlignmentForce:
         rng = np.random.default_rng(5)
         datum = InitialDatum(BoxDomain([0, 0], [1, 1], [4, 4]),
                              ConstantVelocity([0.0, 0.0]))
-        buf = discretize(datum, tau=0.0, n_history_slices=1)
+        buf = discretize(datum, tau=0.0, h=0.01)
         cur = buf.latest
         for _ in range(20):
             d_pos = rng.normal(size=cur.positions.shape)
@@ -96,14 +101,14 @@ class TestAlignmentForce:
 
     def test_shape_mismatch_rejected(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [3]), ConstantVelocity([0.0]))
-        cur = discretize(datum, 0.0, 1).latest
+        cur = discretize(datum, 0.0, 0.01).latest
         bad = HistoryView(0.0, np.zeros((2, 1)), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             alignment_rhs(cur, bad, CuckerSmaleKernel(1.0))
 
     def test_singular_normalizer_signalled(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
-        cur = discretize(datum, 0.0, 1).latest
+        cur = discretize(datum, 0.0, 0.01).latest
         far = HistoryView(0.0, cur.positions + 1e3, cur.velocities)
         with pytest.raises(SingularNormalizerError):
             alignment_rhs(cur, far, CuckerSmaleKernel(300.0))
@@ -113,7 +118,7 @@ class TestStep:
     def test_rigid_translation_is_exact(self):
         c = 0.7
         datum = InitialDatum(BoxDomain([0.0], [1.0], [5]), ConstantVelocity([c]))
-        buf = discretize(datum, tau=0.2, n_history_slices=11)
+        buf = discretize(datum, tau=0.2, h=0.02)
         labels = buf.latest.labels
         for _ in range(25):
             step(buf, CuckerSmaleKernel(1.0), h=0.02)
@@ -123,7 +128,7 @@ class TestStep:
 
     def test_flat_kernel_velocity_diameter_decays_exactly(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [8]), LinearVelocity([[0.5]]))
-        buf = discretize(datum, tau=0.5, n_history_slices=501)
+        buf = discretize(datum, tau=0.5, h=1e-3)
         kernel = CuckerSmaleKernel(0.0)
         v0 = buf.latest.velocities
         d0 = v0.max() - v0.min()
@@ -142,17 +147,12 @@ class TestStep:
                              SineVelocity([0.0], [0.3], [2.0]))
 
         def run(shift):
-            buf = discretize(datum, tau=0.5, n_history_slices=51)
+            buf = discretize(datum, tau=0.5, h=0.01)
             if shift:
-                from flockdde.state import HistoryBuffer, LagrangianEnsemble
-                slices = [LagrangianEnsemble(
-                    time=s.time, positions=s.positions.copy(),
-                    velocities=s.velocities + c, jacobians=s.jacobians.copy(),
-                    vel_gradients=s.vel_gradients.copy(), masses=s.masses,
-                    labels=s.labels, cell_volumes=s.cell_volumes,
-                    accel_fwd=s.accel_fwd, accel_bwd=s.accel_bwd,
-                ) for s in buf.slices]
-                buf = HistoryBuffer(buf.tau, slices)
+                from flockdde.state import HistoryBuffer
+                slices = [replace(s, velocities=s.velocities + c)
+                          for s in buf.prehistory()]
+                buf = HistoryBuffer(buf.tau, buf.h, slices)
             for _ in range(60):
                 step(buf, kernel, h=0.01)
             return buf.latest.velocities
@@ -170,7 +170,7 @@ class TestStep:
         def run(base_velocity):
             datum = InitialDatum(BoxDomain([0.0], [1.0], [6]),
                                  SineVelocity([base_velocity], [0.3], [2.0]))
-            buf = discretize(datum, tau=0.0, n_history_slices=1)
+            buf = discretize(datum, tau=0.0, h=0.01)
             for _ in range(60):
                 step(buf, kernel, h=0.01)
             return buf.latest.velocities
@@ -186,7 +186,7 @@ class TestStep:
             datum = InitialDatum(BoxDomain([offset], [offset + 1.0], [6]),
                                  SineVelocity([0.0], [0.3], [2.0], [2.0 * -offset]))
             # phase offset keeps the velocity profile identical on the shifted box
-            buf = discretize(datum, 0.1, 11)
+            buf = discretize(datum, 0.1, 0.01)
             for _ in range(50):
                 step(buf, kernel, h=0.01)
             return buf.latest.velocities
@@ -198,13 +198,13 @@ class TestStep:
     def test_velocity_maximum_principle(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [8]),
                              SineVelocity([0.2], [0.5], [3.0], [1.0]))
-        buf = discretize(datum, tau=0.1, n_history_slices=11)
+        buf = discretize(datum, tau=0.1, h=0.01)
         r_v = max(s.max_speed() for s in buf.prehistory())
         kernel = CuckerSmaleKernel(1.0)
         worst = 0.0
         for _ in range(200):
-            ens = step(buf, kernel, h=0.01)
-            worst = max(worst, ens.max_speed())
+            step(buf, kernel, h=0.01)
+            worst = max(worst, buf.latest.max_speed())
         assert worst <= r_v + 1e-7
 
     def test_tangent_flow_matches_label_finite_differences(self):
@@ -213,7 +213,7 @@ class TestStep:
         def run(n):
             datum = InitialDatum(BoxDomain([0.0], [1.0], [n]),
                                  SineVelocity([0.0], [0.3], [2.0]))
-            buf = discretize(datum, tau=0.1, n_history_slices=21)
+            buf = discretize(datum, tau=0.1, h=0.005)
             for _ in range(100):
                 step(buf, kernel, h=0.005)
             ens = buf.latest
@@ -227,11 +227,14 @@ class TestStep:
 
     def test_step_size_validation(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
-        buf = discretize(datum, tau=0.1, n_history_slices=3)
+        buf = discretize(datum, tau=0.1, h=0.05)
         with pytest.raises(ValueError):
             step(buf, CuckerSmaleKernel(1.0), h=0.2)  # h > tau
         with pytest.raises(ValueError):
             step(buf, CuckerSmaleKernel(1.0), h=0.0)
+        with pytest.raises(ValueError, match="spacing"):
+            step(buf, CuckerSmaleKernel(1.0), h=0.025)  # divides tau, not the grid
+        assert buf.current_time == 0.0
 
 
 class TestSimulate:
@@ -243,7 +246,7 @@ class TestSimulate:
 
     def test_start_frame_reuses_prehistory_diameters(self, monkeypatch):
         cfg = make_config(t_end=0.05)
-        buffer = discretize(cfg.datum, cfg.tau, 21)
+        buffer = discretize(cfg.datum, cfg.tau, cfg.step)
         pre = prehistory_frames(buffer)
         calls = []
 
@@ -260,7 +263,7 @@ class TestSimulate:
 
     def test_start_frame_is_last_prehistory_record_plus_lyapunov(self):
         cfg = make_config(t_end=0.05)
-        buffer = discretize(cfg.datum, cfg.tau, 21)
+        buffer = discretize(cfg.datum, cfg.tau, cfg.step)
         last = asdict(prehistory_frames(buffer)[-1])
         res = integrate(buffer, cfg.kernel, h=cfg.step, t_end=cfg.t_end,
                         output_every=cfg.output_every)
@@ -289,10 +292,12 @@ class TestSimulate:
         first = simulate(cfg).buffer
         step(first, cfg.kernel, cfg.step)
         longer = simulate(make_config(t_end=0.055)).buffer
-        for a, b in zip(first.slices, longer.slices):
-            assert a.time == b.time
+        assert first.current_time == longer.current_time == 11 * cfg.step
+        # every stored slot and every midpoint, which reads the slopes
+        for x in range(2 * (11 - 20 - 2), 2 * 11 + 1):
+            a, b = first.query(x * cfg.step / 2), longer.query(x * cfg.step / 2)
+            assert np.array_equal(a.positions, b.positions)
             assert np.array_equal(a.velocities, b.velocities)
-            assert np.array_equal(a.accel_fwd, b.accel_fwd)
 
     def test_deterministic_frames(self):
         a = simulate(make_config())
@@ -323,7 +328,7 @@ class TestSimulate:
 
     def test_initial_blowup_reported_at_time_zero(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), LinearVelocity([[0.1]]))
-        buf = discretize(datum, 0.0, 1)
+        buf = discretize(datum, 0.0, 0.01)
         buf.latest.jacobians[:] = 0.0
         res = integrate(buf, CuckerSmaleKernel(1.0), h=0.01, t_end=1.0)
         assert res.blowup is not None and res.blowup.time == 0.0
@@ -335,7 +340,7 @@ class TestSimulate:
         kernel = CuckerSmaleKernel(1.0)
 
         def final_state(h):
-            buf = discretize(datum, 0.2, 101)
+            buf = discretize(datum, 0.2, h)
             while buf.current_time < 1.0 - h / 2:
                 step(buf, kernel, h)
             ens = buf.latest
@@ -352,7 +357,7 @@ class TestSimulate:
 
     def test_non_finite_state_signals_blowup_with_last_finite_time(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), ConstantVelocity([0.1]))
-        buf = discretize(datum, 0.1, 11)
+        buf = discretize(datum, 0.1, 0.01)
         step(buf, CuckerSmaleKernel(1.0), h=0.01)
         last_good = buf.current_time
         buf.latest.velocities[0, 0] = math.nan
@@ -362,11 +367,105 @@ class TestSimulate:
 
     def test_non_finite_state_retains_frames(self):
         cfg = make_config()
-        buf = discretize(cfg.datum, cfg.tau, 21)
-        buf.slices[5].velocities[0, 0] = math.inf  # poisoned prehistory
+        buf = discretize(cfg.datum, cfg.tau, cfg.step)
+        buf.prehistory()[5].velocities[0, 0] = math.inf  # poisoned prehistory
         res = integrate(buf, cfg.kernel, h=cfg.step, t_end=1.0, output_every=0.01)
         assert res.blowup is not None
         assert res.frames[-1].status == "blowup"
+
+    @pytest.mark.parametrize("n_steps", [2, 30])
+    def test_integrate_rejects_a_buffer_past_time_zero(self, n_steps):
+        # past t = 0 the ring has lost all (30 steps) or part (2) of the prehistory
+        cfg = make_config()
+        buf = discretize(cfg.datum, cfg.tau, cfg.step)
+        for _ in range(n_steps):
+            step(buf, cfg.kernel, cfg.step)
+        at = re.escape(f"not one at t = {n_steps * cfg.step} with spacing")
+        with pytest.raises(ValueError, match=at):
+            integrate(buf, cfg.kernel, h=cfg.step, t_end=1.0)
+
+    def test_integrate_rejects_a_buffer_on_another_step_grid(self):
+        # even a run that never steps: its frames would sit on the wrong grid
+        cfg = make_config()
+        buf = discretize(cfg.datum, cfg.tau, cfg.step)
+        with pytest.raises(ValueError, match="with spacing 0.005"):
+            integrate(buf, cfg.kernel, h=2 * cfg.step, t_end=0.0)
+
+    def test_one_hermite_interpolation_and_four_forces_per_step(self, monkeypatch):
+        hermites, forces = [], []
+        interpolate = HistoryBuffer.interpolate
+
+        def counted_interpolate(self, j, theta):
+            hermites.append((j, theta))
+            return interpolate(self, j, theta)
+
+        def counted_force(*args):
+            forces.append(args[0])
+            return _force(*args)
+
+        monkeypatch.setattr(HistoryBuffer, "interpolate", counted_interpolate)
+        monkeypatch.setattr(dynamics, "_force", counted_force)
+        res = simulate(make_config(t_end=0.05))
+        assert res.frames[-1].t == 10 * 0.005
+        assert len(forces) == 4 * 10
+        # m = 20: step k interpolates [k - 20, k - 19] at its midpoint
+        assert hermites == [(k - 20, 0.5) for k in range(10)]
+
+
+# dyadic steps keep t / h exact, so a query at a stage's delayed time lands
+# on the very slot or midpoint the stepper read
+STEP_GRID = st.fixed_dictionaries({
+    "m": st.integers(1, 6),
+    "h": st.sampled_from([2.0**-4, 2.0**-5, 2.0**-7]),
+    "counts": st.one_of(st.tuples(st.integers(1, 12)),
+                        st.tuples(st.integers(1, 3), st.integers(1, 4))),
+    "beta": st.floats(0.0, 3.0),
+    "amplitude": st.floats(0.0, 0.4),
+    "phase": st.floats(0.0, 2 * math.pi),
+    "n_steps": st.integers(1, 20),
+})
+
+
+def _step_grid_run(case):
+    d = len(case["counts"])
+    datum = InitialDatum(BoxDomain([0.0] * d, [1.0] * d, list(case["counts"])),
+                         SineVelocity([0.0] * d, [case["amplitude"]] * d,
+                                      [2.0, 1.0][:d], [case["phase"]] * d))
+    h, m = case["h"], case["m"]
+    buf = discretize(datum, m * h, h)
+    kernel = CuckerSmaleKernel(case["beta"])
+    stage_fractions = (0.0, 0.5, 0.5, 1.0)
+    delayed = []
+
+    def recording_force(kernel, masses, pos, vel, jac, d_pos, d_vel):
+        k = buf.clock
+        t_stage = (k + stage_fractions[len(delayed) % 4]) * h
+        view = buf.query(t_stage - m * h)
+        delayed.append(np.array_equal(d_pos, view.positions)
+                       and np.array_equal(d_vel, view.velocities))
+        return _force(kernel, masses, pos, vel, jac, d_pos, d_vel)
+
+    with mock.patch.object(dynamics, "_force", recording_force):
+        res = integrate(buf, kernel, h=h, t_end=case["n_steps"] * h)
+    return res, delayed
+
+
+def test_step_grid_history_properties(time_limit):
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(STEP_GRID)
+    def check(case):
+        with time_limit(5):
+            res, delayed = _step_grid_run(case)
+            rerun, _ = _step_grid_run(case)
+        assert res.blowup is None
+        # one query path: every stage's delayed state is query(t_stage - tau)
+        assert len(delayed) == 4 * case["n_steps"] and all(delayed)
+        assert [f.t for f in res.frames] == [k * case["h"]
+                                            for k in range(case["n_steps"] + 1)]
+        assert all(f.max_speed <= res.r_v + 1e-7 for f in res.frames)
+        assert rerun.frames == res.frames
+
+    check()
 
 
 def _force_reference(kernel, masses, pos, vel, jac, d_pos, d_vel):
@@ -441,7 +540,7 @@ class TestBlockedForce:
         side = math.isqrt(SIDE) + 1  # side^2 > SIDE: two row blocks
         datum = InitialDatum(BoxDomain([0.0, 0.0], [1.0, 1.0], [side, side]),
                              ConstantVelocity([0.1, 0.0]))
-        buf = discretize(datum, 0.1, 11)
+        buf = discretize(datum, 0.1, 0.01)
         step(buf, CuckerSmaleKernel(beta), h=0.01)
         last_good = buf.current_time
         buf.latest.positions[-1] = 1e6

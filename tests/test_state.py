@@ -20,6 +20,8 @@ from flockdde.state import (
     discretize,
     write_snapshot_csv,
 )
+from flockdde.dynamics import step
+from flockdde.kernel import CuckerSmaleKernel
 
 
 def make_ensemble(t, pos, vel, acc=None):
@@ -28,19 +30,18 @@ def make_ensemble(t, pos, vel, acc=None):
     vel = np.asarray(vel, dtype=float).reshape(-1, 1)
     n = pos.shape[0]
     eye = np.broadcast_to(np.eye(1), (n, 1, 1)).copy()
-    acc = None if acc is None else np.asarray(acc, dtype=float).reshape(-1, 1)
+    acc = np.zeros_like(vel) if acc is None else np.asarray(acc, dtype=float).reshape(-1, 1)
     return LagrangianEnsemble(
         time=t, positions=pos, velocities=vel, jacobians=eye.copy(),
         vel_gradients=np.zeros((n, 1, 1)), masses=np.full(n, 1.0 / n),
-        labels=pos.copy(), cell_volumes=np.full(n, 1.0 / n),
-        accel_fwd=acc, accel_bwd=acc,
+        labels=pos.copy(), cell_volumes=np.full(n, 1.0 / n), accel=acc,
     )
 
 
 class TestDiscretize:
     def test_midpoint_rule_two_nodes(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
-        buf = discretize(datum, tau=0.0, n_history_slices=1)
+        buf = discretize(datum, tau=0.0, h=0.01)
         ens = buf.latest
         assert ens.positions[:, 0] == pytest.approx([0.25, 0.75])
         assert ens.masses == pytest.approx([0.5, 0.5])
@@ -50,22 +51,21 @@ class TestDiscretize:
         field = SineVelocity([0.1, -0.2], [0.3, 0.2], [2.0, 1.0], [0.4, 1.1],
                              omega=0.5)
         datum = InitialDatum(BoxDomain([0, 0], [1, 1], [3, 2]), field)
-        buf = discretize(datum, 0.0, 5)
-        assert len(buf.slices) == 1
+        buf = discretize(datum, 0.0, 0.01)
+        assert len(buf.prehistory()) == 1
         ens = buf.latest
         assert ens.time == 0.0 and math.copysign(1.0, ens.time) == 1.0
         nodes = ens.labels
         np.testing.assert_array_equal(ens.positions, nodes)
         np.testing.assert_array_equal(ens.jacobians, np.broadcast_to(np.eye(2), (6, 2, 2)))
         np.testing.assert_array_equal(ens.vel_gradients, field.gradient(0.0, nodes))
-        assert ens.accel_fwd is None
-        np.testing.assert_array_equal(ens.accel_bwd,
+        np.testing.assert_array_equal(ens.accel,
                                       field.material_derivative(0.0, nodes))
 
     def test_constant_field_straight_characteristics(self):
         c = np.array([0.3, -0.7])
         datum = InitialDatum(BoxDomain([0, 0], [1, 1], [3, 3]), ConstantVelocity(c))
-        buf = discretize(datum, tau=1.0, n_history_slices=5)
+        buf = discretize(datum, tau=1.0, h=0.25)
         for s in (-1.0, -0.5, 0.0):
             view = buf.query(s)
             expected = buf.latest.labels + s * c
@@ -75,9 +75,10 @@ class TestDiscretize:
     def test_linear_field_exponential_characteristics(self):
         # du/ds = eta backward from eta_0 = x gives eta_s = x e^s
         datum = InitialDatum(BoxDomain([0.5], [1.5], [4]), LinearVelocity([[1.0]]))
-        buf = discretize(datum, tau=1.0, n_history_slices=41)
+        buf = discretize(datum, tau=1.0, h=0.025)
         labels = buf.latest.labels
-        for sl in buf.slices:
+        assert len(buf.prehistory()) == 41
+        for sl in buf.prehistory():
             expected = labels * np.exp(sl.time)
             assert np.allclose(sl.positions, expected, atol=2e-9)
             # tangent flow follows the same exponential
@@ -86,15 +87,15 @@ class TestDiscretize:
     def test_prehistory_velocity_gradient_chain_rule(self):
         # for u = a x, grad v_s = a * grad eta_s
         datum = InitialDatum(BoxDomain([0.0], [1.0], [5]), LinearVelocity([[-0.5]]))
-        buf = discretize(datum, tau=0.5, n_history_slices=21)
-        for sl in buf.slices:
+        buf = discretize(datum, tau=0.5, h=0.025)
+        for sl in buf.prehistory():
             assert np.allclose(sl.vel_gradients, -0.5 * sl.jacobians, atol=1e-12)
 
     def test_masses_follow_density(self):
         dens = lambda x: x[:, 0]  # linear density on [0,1]
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), ConstantVelocity([0.0]),
                              density=dens)
-        buf = discretize(datum, tau=0.0, n_history_slices=1)
+        buf = discretize(datum, tau=0.0, h=0.01)
         w = np.array([0.125, 0.375, 0.625, 0.875])
         assert buf.latest.masses == pytest.approx(w / w.sum())
 
@@ -102,7 +103,7 @@ class TestDiscretize:
         dens = lambda x: (x[:, 0] > 0.5).astype(float)
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), ConstantVelocity([0.0]),
                              density=dens)
-        buf = discretize(datum, tau=0.0, n_history_slices=1)
+        buf = discretize(datum, tau=0.0, h=0.01)
         assert buf.latest.n_nodes == 2
         assert buf.latest.masses.sum() == pytest.approx(1.0, abs=1e-15)
 
@@ -110,26 +111,39 @@ class TestDiscretize:
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), ConstantVelocity([0.0]),
                              density=lambda x: np.zeros(x.shape[0]))
         with pytest.raises(InvalidDatumError):
-            discretize(datum, tau=0.0, n_history_slices=1)
+            discretize(datum, tau=0.0, h=0.01)
 
     @pytest.mark.parametrize("field", [ConstantVelocity([0.1, 0.2]),
                                        LinearVelocity([[1.0]], [0.0, 0.0])])
-    @pytest.mark.parametrize("tau,n_slices", [(0.0, 1), (0.1, 3)])
-    def test_velocity_of_the_wrong_dimension_rejected(self, field, tau, n_slices):
+    @pytest.mark.parametrize("tau", [0.0, 0.1])
+    def test_velocity_of_the_wrong_dimension_rejected(self, field, tau):
         # the first raises a broadcast error, the second returns (N, 2) values
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), field)
         with pytest.raises(InvalidDatumError, match="velocity field"):
-            discretize(datum, tau, n_slices)
+            discretize(datum, tau, 0.05)
 
     def test_negative_tau_rejected(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
         with pytest.raises(ValueError):
-            discretize(datum, tau=-0.1, n_history_slices=2)
+            discretize(datum, tau=-0.1, h=0.05)
+
+    @pytest.mark.parametrize("tau,h", [(0.1, 0.03), (0.1, 0.2), (1e-12, 0.01),
+                                       (0.1, 0.0), (0.1, -0.01)])
+    def test_delay_off_the_step_grid_rejected(self, tau, h):
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
+        with pytest.raises(ValueError):
+            discretize(datum, tau, h)
+
+    def test_slices_sit_on_the_integer_clock(self):
+        # slice j is at exactly j * h, not at a sum of steps or a linspace
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.1]))
+        buf = discretize(datum, 0.3, 0.1)
+        assert [s.time for s in buf.prehistory()] == [-3 * 0.1, -2 * 0.1, -0.1, 0.0]
 
     def test_explicit_node_set(self):
         ns = NodeSet(nodes=[[0.0], [1.0], [3.0]], weights=[1.0, 1.0, 2.0])
         datum = InitialDatum(ns, ConstantVelocity([0.0]))
-        buf = discretize(datum, tau=0.0, n_history_slices=1)
+        buf = discretize(datum, tau=0.0, h=0.01)
         assert buf.latest.masses == pytest.approx([0.25, 0.25, 0.5])
 
     def test_slice_table_velocity_blend(self):
@@ -144,14 +158,17 @@ class TestDiscretize:
 class TestHistoryBuffer:
     def test_query_at_stored_time_is_exact(self):
         slices = [make_ensemble(t, [t, 2 * t], [1.0, 2.0]) for t in (-1.0, -0.5, 0.0)]
-        buf = HistoryBuffer(1.0, slices)
+        buf = HistoryBuffer(1.0, 0.5, slices)
         v = buf.query(-0.5)
-        assert v.positions is slices[1].positions
+        # a stored slot is read, not interpolated: a view of the ring's copy
+        np.testing.assert_array_equal(v.positions, slices[1].positions)
+        assert v.positions is not slices[1].positions
+        assert np.shares_memory(v.positions, buf.prehistory()[1].positions)
 
     def test_linear_motion_recovered_exactly(self):
         times = np.linspace(-1, 0, 5)
         slices = [make_ensemble(t, [0.2 + 0.7 * t], [0.7], acc=[0.0]) for t in times]
-        buf = HistoryBuffer(1.0, slices)
+        buf = HistoryBuffer(1.0, 0.25, slices)
         for t in (-0.95, -0.6, -0.1):
             view = buf.query(t)
             assert view.positions[0, 0] == pytest.approx(0.2 + 0.7 * t, abs=1e-15)
@@ -165,7 +182,7 @@ class TestHistoryBuffer:
         a = v.deriv()
         times = np.linspace(-1, 0, 5)
         slices = [make_ensemble(t, [p(t)], [v(t)], acc=[a(t)]) for t in times]
-        buf = HistoryBuffer(1.0, slices)
+        buf = HistoryBuffer(1.0, 0.25, slices)
         for t in (-0.875, -0.4, -0.05):
             view = buf.query(t)
             assert view.positions[0, 0] == pytest.approx(p(t), abs=1e-14)
@@ -173,29 +190,57 @@ class TestHistoryBuffer:
 
     def test_out_of_window_query_raises(self):
         slices = [make_ensemble(t, [0.0], [0.0]) for t in (-1.0, 0.0)]
-        buf = HistoryBuffer(1.0, slices)
+        buf = HistoryBuffer(1.0, 1.0, slices)
         with pytest.raises(OutOfWindowError):
             buf.query(-1.5)
         with pytest.raises(OutOfWindowError):
             buf.query(0.5)
 
-    def test_prune_keeps_bracketing_slice(self):
-        slices = [make_ensemble(t, [0.0], [0.0]) for t in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-        buf = HistoryBuffer(1.0, slices)
-        buf.prune(-0.25)
-        assert buf.slices[0].time == -0.5  # last slice at or below -0.25 kept
-        buf.query(-0.4)
+    def test_ring_keeps_the_window_of_the_last_delay_plus_two_steps(self):
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), SineVelocity([0.0], [0.2], [2.0]))
+        buf = discretize(datum, 0.1, 0.05)
+        for _ in range(10):
+            step(buf, CuckerSmaleKernel(1.0), 0.05)
+        t = buf.current_time
+        assert t == 10 * 0.05
+        np.testing.assert_array_equal(buf.query(t).velocities, buf.latest.velocities)
+        assert np.all(np.isfinite(buf.query(t - 0.2 + 0.01).velocities))
+        buf.query(t - 0.2)  # the oldest kept slot
+        with pytest.raises(OutOfWindowError):
+            buf.query(t - 0.225)
+        assert buf.prehistory() == []
 
-    def test_window_coverage_validated(self):
-        slices = [make_ensemble(t, [0.0], [0.0]) for t in (-0.4, 0.0)]
-        with pytest.raises(ValueError):
-            HistoryBuffer(1.0, slices)
+    def test_newest_interval_reads_a_provisional_slope(self):
+        # until the next step replaces it by that step's first stage, the
+        # newest slot's slope is the last stage of the step that made it
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [6]), SineVelocity([0.0], [0.3], [2.0]))
+        kernel = CuckerSmaleKernel(1.0)
+        buf = discretize(datum, 0.1, 0.01)
+        for _ in range(5):
+            step(buf, kernel, 0.01)
+        t_mid = buf.current_time - 0.005
+        before = buf.query(t_mid)
+        step(buf, kernel, 0.01)
+        after = buf.query(t_mid)
+        np.testing.assert_array_equal(before.positions, after.positions)
+        assert not np.array_equal(before.velocities, after.velocities)
+        assert np.abs(before.velocities - after.velocities).max() <= 1e-9
+
+    def test_grid_and_coverage_validated(self):
+        with pytest.raises(ValueError):  # tau is not a multiple of h
+            HistoryBuffer(1.0, 0.4, [make_ensemble(t, [0.0], [0.0]) for t in (-0.4, 0.0)])
+        with pytest.raises(ValueError):  # too few slices for the window
+            HistoryBuffer(1.0, 0.5, [make_ensemble(t, [0.0], [0.0]) for t in (-0.5, 0.0)])
+        with pytest.raises(ValueError):  # a slice off the step grid
+            HistoryBuffer(1.0, 0.5, [make_ensemble(t, [0.0], [0.0])
+                                     for t in (-1.0, -0.4, 0.0)])
 
     def test_labels_and_masses_shared_across_slices(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [3]), ConstantVelocity([0.1]))
-        buf = discretize(datum, tau=0.5, n_history_slices=6)
-        first = buf.slices[0]
-        for sl in buf.slices[1:]:
+        buf = discretize(datum, tau=0.5, h=0.1)
+        first, *rest = buf.prehistory()
+        assert len(rest) == 5
+        for sl in rest:
             assert sl.labels is first.labels
             assert sl.masses is first.masses
             assert sl.cell_volumes is first.cell_volumes
@@ -203,7 +248,7 @@ class TestHistoryBuffer:
 
 def test_snapshot_csv_round_trip(tmp_path):
     datum = InitialDatum(BoxDomain([0.0], [1.0], [3]), SineVelocity([0.0], [0.2], [2.0]))
-    buf = discretize(datum, tau=0.0, n_history_slices=1)
+    buf = discretize(datum, tau=0.0, h=0.01)
     path = tmp_path / "snap.csv"
     write_snapshot_csv(buf.latest, path)
     lines = path.read_text().splitlines()

@@ -86,7 +86,7 @@ class TestClassify:
 class TestEvolveW:
     def run_buffer(self, slope, n=16, tau=0.1):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [n]), LinearVelocity([[slope]]))
-        return discretize(datum, tau, int(round(tau / 1e-3)) + 1)
+        return discretize(datum, tau, 1e-3)
 
     def test_flat_kernel_matches_riccati_closed_form(self):
         buf = self.run_buffer(-0.5)
@@ -108,14 +108,14 @@ class TestEvolveW:
 
     def test_zero_slope_rigid_translation(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [8]), ConstantVelocity([0.4]))
-        buf = discretize(datum, 0.1, 101)
+        buf = discretize(datum, 0.1, 1e-3)
         evo = evolve_w(buf, CuckerSmaleKernel(1.0), h=1e-3, t_end=0.5)
         assert np.abs(evo.w).max() <= 1e-14
 
     def test_dimension_guard(self):
         datum = InitialDatum(BoxDomain([0, 0], [1, 1], [3, 3]),
                              ConstantVelocity([0.0, 0.0]))
-        buf = discretize(datum, 0.0, 1)
+        buf = discretize(datum, 0.0, 1e-3)
         with pytest.raises(ValueError):
             evolve_w(buf, CuckerSmaleKernel(0.0), h=1e-3, t_end=0.1)
 
@@ -125,7 +125,7 @@ class TestEvolveW:
         beta, box_hi, slope = 0.25, 0.25, -0.7
         datum = InitialDatum(BoxDomain([0.0], [box_hi], [12]),
                              LinearVelocity([[slope]]))
-        buf = discretize(datum, 0.05, 51)
+        buf = discretize(datum, 0.05, 1e-3)
         r_v = max(s.max_speed() for s in buf.prehistory())
         verdict = classify(slope, CuckerSmaleKernel(beta), r_v)
         assert verdict.verdict == "global-existence"
@@ -142,7 +142,7 @@ class TestEvolveW:
                              LinearVelocity([[-0.4]]))
         kernel = CuckerSmaleKernel(1.0)
         h, t_end = 1e-3, 1.0
-        buf = discretize(datum, 0.1, 101)
+        buf = discretize(datum, 0.1, 1e-3)
         times, g_rows, w_rows = [], [], []
         while buf.current_time < t_end - h / 2:
             cur = buf.latest
@@ -173,7 +173,7 @@ class TestDetectBlowup:
             datum=InitialDatum(BoxDomain([0.0], [1.0], [10]),
                                LinearVelocity([[0.3]])),
             tau=0.1, step=2e-3, t_end=2.0, output_every=0.01,
-            interpolation="cubic-hermite", n_history_slices=None)
+            interpolation="cubic-hermite")
         res = simulate(cfg)
         assert detect_blowup(res.frames) is None
 
@@ -183,7 +183,7 @@ class TestDetectBlowup:
             datum=InitialDatum(BoxDomain([0.0], [1.0], [10]),
                                LinearVelocity([[-2.0]])),
             tau=0.1, step=1e-3, t_end=2.0, output_every=0.01,
-            interpolation="cubic-hermite", n_history_slices=None)
+            interpolation="cubic-hermite")
         res = simulate(cfg)
         found = detect_blowup(res.frames)
         assert found is not None
@@ -206,14 +206,14 @@ class TestReconstructDensity:
         dens = lambda x: 1.0 + x[:, 0]
         datum = InitialDatum(BoxDomain([0.0], [1.0], [16]),
                              ConstantVelocity([0.2]), density=dens)
-        buf = discretize(datum, 0.0, 1)
+        buf = discretize(datum, 0.0, 1e-3)
         pos, h_vals = reconstruct_density(buf.latest)
         expected = (1.0 + pos[:, 0]) / 1.5  # normalized: integral of 1+x is 3/2
         assert np.allclose(h_vals, expected, rtol=1e-12)
 
     def test_rigid_translation_density_constant(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [8]), ConstantVelocity([0.5]))
-        buf = discretize(datum, 0.1, 11)
+        buf = discretize(datum, 0.1, 0.01)
         kernel = CuckerSmaleKernel(1.0)
         _, h0 = reconstruct_density(buf.latest)
         for _ in range(100):
@@ -223,7 +223,7 @@ class TestReconstructDensity:
 
     def test_mass_conservation_identity(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [12]), LinearVelocity([[-0.5]]))
-        buf = discretize(datum, 0.1, 11)
+        buf = discretize(datum, 0.1, 0.01)
         kernel = CuckerSmaleKernel(0.0)
         for _ in range(50):
             step(buf, kernel, h=0.01)
@@ -235,7 +235,7 @@ class TestReconstructDensity:
     def test_flat_kernel_jacobian_follows_riccati(self):
         # for u0 = -0.5 x and psi == 1: J(t) = 1 - 0.5 (1 - e^{-t})
         datum = InitialDatum(BoxDomain([0.0], [1.0], [8]), LinearVelocity([[-0.5]]))
-        buf = discretize(datum, 0.1, 101)
+        buf = discretize(datum, 0.1, 1e-3)
         kernel = CuckerSmaleKernel(0.0)
         for _ in range(500):
             step(buf, kernel, h=1e-3)
@@ -247,7 +247,7 @@ class TestReconstructDensity:
 
     def test_collapsed_jacobian_signals_blowup(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), ConstantVelocity([0.0]))
-        buf = discretize(datum, 0.0, 1)
+        buf = discretize(datum, 0.0, 1e-3)
         buf.latest.jacobians[:] *= 1e-9
         with pytest.raises(BlowupSignal):
             reconstruct_density(buf.latest)
@@ -261,7 +261,7 @@ class TestForceGradientBound:
             datum = InitialDatum(BoxDomain([0.0], [1.0], [10]),
                                  LinearVelocity([[0.4]]))
             kernel = CuckerSmaleKernel(beta)
-            buf = discretize(datum, 0.1, 101)
+            buf = discretize(datum, 0.1, 1e-3)
             r_v = max(s.max_speed() for s in buf.prehistory())
             c_bar = 2.0 * kernel.log_deriv_bound * r_v
             for _ in range(100):
