@@ -45,7 +45,6 @@ from .state import (
     SineVelocity,
     SliceTableVelocity,
     discretize,
-    write_snapshot_csv,
 )
 from .threshold1d import (
     ThresholdVerdict,

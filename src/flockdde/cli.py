@@ -12,6 +12,8 @@ cell ran / 1 (config error).  An invalid datum counts as a config error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -38,7 +40,7 @@ from .diagnostics import (
 )
 from .dynamics import SingularNormalizerError, integrate
 from .kernel import CuckerSmaleKernel, UnsupportedKernelError
-from .state import InvalidDatumError, discretize, write_snapshot_csv
+from .state import InvalidDatumError, discretize
 from .threshold1d import classify, detect_blowup
 
 FRAMES_SCHEMA_COMMENT = "# flockdde frames schema v1"
@@ -69,6 +71,18 @@ def write_frames_csv(frames, path) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def write_snapshot_csv(ensemble, path) -> None:
+    """Write one ensemble as CSV: t, node_id, label..., pos..., vel..., mass, detJ."""
+    cols = ["t", "node_id", *(f"{name}_{a}" for name in ("label", "pos", "vel")
+                              for a in range(ensemble.dim)), "mass", "detJ"]
+    values = np.column_stack([ensemble.labels, ensemble.positions, ensemble.velocities,
+                              ensemble.masses, ensemble.det_jacobians()])
+    lines = ["# flockdde snapshot schema v1", ",".join(cols)]
+    lines += [",".join([_fmt(ensemble.time), str(i), *map(_fmt, row)])
+              for i, row in enumerate(values)]
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -90,8 +104,7 @@ def execute_run(cfg: RunConfig) -> dict:
     start = buffer.latest  # a view of the t = 0 slot, which the run reuses
     w0 = start.vel_gradients[:, 0, 0] / start.jacobians[:, 0, 0] if start.dim == 1 else None
     result = integrate(buffer, cfg.kernel, h=cfg.step, t_end=cfg.t_end,
-                       output_every=cfg.output_every,
-                       detj_tolerance=cfg.detj_tolerance, prehistory=pre)
+                       output_every=cfg.output_every, prehistory=pre)
 
     verdict = None
     if w0 is not None:
@@ -100,14 +113,7 @@ def execute_run(cfg: RunConfig) -> dict:
         except UnsupportedKernelError:
             verdict = None
 
-    blowup = None
-    if result.blowup is not None:
-        refined = detect_blowup(result.frames, cfg.detj_tolerance)
-        if refined is not None:
-            blowup = {"time": float(refined[0]), "node": int(refined[1])}
-        else:
-            blowup = {"time": float(result.blowup.time),
-                      "node": result.blowup.node}
+    blowup = detect_blowup(result.frames) or result.blowup
 
     try:
         rate = fit_decay_rate(result.frames, cfg.t_end / 4.0, cfg.t_end)
@@ -126,7 +132,8 @@ def execute_run(cfg: RunConfig) -> dict:
         "fitted_rate": _num_or_inf(rate),
         "certificate": certificate.to_dict() if certificate else None,
         "threshold": verdict.to_dict() if verdict else None,
-        "blowup": blowup,
+        "blowup": None if blowup is None else {"time": float(blowup.time),
+                                               "node": blowup.node},
     }
     return {
         "result": result,
@@ -236,11 +243,11 @@ def cmd_sweep(args) -> int:
     axis_cols = [f"axis:{p}" for p, _ in sweep.axes]
     cols = ["cell"] + axis_cols + ["status", "satisfied", "fitted_rate",
                                    "blowup_time", "final_d_V"]
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(str(row.get(c, "")) for c in cols))
-    _atomic_write(os.path.join(args.out, "sweep_summary.csv"),
-                  "\n".join(lines) + "\n")
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(cols)
+    writer.writerows([str(row.get(c, "")) for c in cols] for row in rows)
+    _atomic_write(os.path.join(args.out, "sweep_summary.csv"), text.getvalue())
     bad = [r for r in rows if r["status"] not in ("ok", "blowup")]
     for r in bad:
         print(f"cell {r['cell']}: {r['status']}", file=sys.stderr)

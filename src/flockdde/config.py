@@ -183,7 +183,6 @@ class RunConfig:
     t_end: float
     output_every: float
     seed: int = 0
-    detj_tolerance: float = DETJ_TOLERANCE
     snapshot_csv: bool = False
     raw: dict = field(default_factory=dict)
 
@@ -232,12 +231,15 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     if n_hist is not None and _integer(n_hist, "n_history_slices") != default:
         raise ConfigError(f"n_history_slices: only one slice per step on "
                           f"[-tau, 0] ({default}) is supported, got {n_hist!r}")
+    # blow-up is one rule, min det J <= DETJ_TOLERANCE; the key stays for
+    # schema-v1 echoes
+    if "detj_tolerance" in doc and _real(doc["detj_tolerance"],
+                                         "detj_tolerance") != DETJ_TOLERANCE:
+        raise ConfigError(f"detj_tolerance: only {DETJ_TOLERANCE:g} is supported, "
+                          f"got {doc['detj_tolerance']!r}")
     return RunConfig(
         kernel=kernel, datum=datum, tau=tau, step=step, t_end=t_end,
-        output_every=output_every, seed=seed,
-        detj_tolerance=_real(doc.get("detj_tolerance", DETJ_TOLERANCE),
-                             "detj_tolerance", minimum=0.0),
-        snapshot_csv=snapshot_csv,
+        output_every=output_every, seed=seed, snapshot_csv=snapshot_csv,
         raw=json.loads(json.dumps(doc)),
     )
 

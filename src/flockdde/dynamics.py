@@ -18,6 +18,7 @@ stage state, which turns the system into the undelayed one.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +65,9 @@ class BlowupSignal(Exception):
         self.node = node
 
 
-@dataclass
-class BlowupEvent:
+class BlowupEvent(NamedTuple):
+    """When and where a run met the blow-up rule; node is None if unknown."""
+
     time: float
     node: int | None
 
@@ -182,16 +184,28 @@ def step(buffer: HistoryBuffer, kernel, h: float) -> None:
     buffer.append(*new, k4[1])
 
 
+def _advance(buffer: HistoryBuffer, kernel, h: float, n_steps: int):
+    """Step the buffer up to ``n_steps`` times: the one stepping loop.
+
+    Yields the new slot's det J and the crossing node, which is None until
+    min det J reaches DETJ_TOLERANCE or leaves the finite range; stops after
+    the first crossing.  ``step``'s BlowupSignal passes through.
+    """
+    for _ in range(n_steps):
+        step(buffer, kernel, h)
+        dets = np.linalg.det(buffer.slot(buffer.clock)[2])
+        if not np.all(np.isfinite(dets)) or dets.min() <= DETJ_TOLERANCE:
+            yield dets, int(np.nanargmin(dets))
+            return
+        yield dets, None
+
+
 @dataclass
 class SimulationResult:
     frames: list
     buffer: HistoryBuffer
     blowup: BlowupEvent | None
     r_v: float
-
-    @property
-    def blew_up(self) -> bool:
-        return self.blowup is not None
 
 
 def _frame(ens, monitor, dets, status="ok"):
@@ -203,14 +217,13 @@ def _frame(ens, monitor, dets, status="ok"):
 
 def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
               output_every: float | None = None,
-              detj_tolerance: float = DETJ_TOLERANCE,
               prehistory: list | None = None) -> SimulationResult:
     """Drive the stepper from t = 0 to t_end, emitting diagnostics frames.
 
     Emits one frame per output step (the initial diagnostics count as the
     first frame, so t_end = 0 produces exactly one).  Stops early with a
     blow-up event when the minimal Jacobian determinant reaches
-    ``detj_tolerance`` or the state leaves the finite range; frames up to the
+    DETJ_TOLERANCE or the state leaves the finite range; frames up to the
     last finite time are retained and the terminal frame carries status
     "blowup".  Deterministic given its inputs.
 
@@ -238,45 +251,37 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
 
     # X = d_X and V = d_V at t = 0: the last prehistory record, plus L
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
-    if frames[0].min_detJ <= detj_tolerance:
+    if frames[0].min_detJ <= DETJ_TOLERANCE:
         frames[0].status = "blowup"
-        event = BlowupEvent(time=frames[0].t, node=frames[0].worst_node)
+        event = BlowupEvent(frames[0].t, frames[0].worst_node)
         return SimulationResult(frames, buffer, event, r_v)
 
     event = None
-    for k in range(1, n_steps + 1):
-        try:
-            step(buffer, kernel, h)
-        except BlowupSignal as sig:
-            last = buffer.latest  # step raises before appending
-            if frames[-1].t == last.time:
-                frames[-1].status = "blowup"
-            else:
-                frames.append(_frame(last, monitor, last.det_jacobians(),
-                                     status="blowup"))
-            event = BlowupEvent(time=last.time, node=sig.node)
-            break
-        dets = np.linalg.det(buffer.slot(k)[2])
-        crossed = (not np.all(np.isfinite(dets))) or dets.min() <= detj_tolerance
-        if crossed or k % every == 0 or k == n_steps:
-            frames.append(_frame(buffer.latest, monitor, dets,
-                                 status="blowup" if crossed else "ok"))
-        if crossed:
-            event = BlowupEvent(time=buffer.current_time,
-                                node=int(np.nanargmin(dets)))
-            break
+    try:
+        for k, (dets, node) in enumerate(_advance(buffer, kernel, h, n_steps), 1):
+            if node is not None or k % every == 0 or k == n_steps:
+                frames.append(_frame(buffer.latest, monitor, dets,
+                                     status="ok" if node is None else "blowup"))
+            if node is not None:
+                event = BlowupEvent(buffer.current_time, node)
+    except BlowupSignal as sig:
+        last = buffer.latest  # step raises before appending
+        if frames[-1].t == last.time:
+            frames[-1].status = "blowup"
+        else:
+            frames.append(_frame(last, monitor, last.det_jacobians(), status="blowup"))
+        event = BlowupEvent(last.time, sig.node)
     return SimulationResult(frames, buffer, event, r_v)
 
 
 def simulate(config) -> SimulationResult:
     """Run a scenario end to end from a configuration object.
 
-    ``config`` provides kernel, datum, tau, step, t_end, output_every, and
-    optionally detj_tolerance (see ``flockdde.config.RunConfig``).
+    ``config`` provides kernel, datum, tau, step, t_end and output_every
+    (see ``flockdde.config.RunConfig``).
     """
     buffer = discretize(config.datum, config.tau, config.step)
     return integrate(
         buffer, config.kernel, h=config.step, t_end=config.t_end,
         output_every=getattr(config, "output_every", None),
-        detj_tolerance=getattr(config, "detj_tolerance", DETJ_TOLERANCE),
     )

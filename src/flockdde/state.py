@@ -30,7 +30,6 @@ __all__ = [
     "InvalidDatumError",
     "OutOfWindowError",
     "discretize",
-    "write_snapshot_csv",
 ]
 
 # How far, in steps, a query may round past either end of the stored window.
@@ -517,24 +516,3 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
             accel=field.time_partial(s, pos) + np.einsum("nab,nb->na", grad, vel)))
     slices.reverse()
     return HistoryBuffer(tau, h, slices)
-
-
-def write_snapshot_csv(ensemble: LagrangianEnsemble, path) -> None:
-    """Write one ensemble as CSV: t, node_id, label..., pos..., vel..., mass, detJ."""
-    d = ensemble.dim
-    dets = ensemble.det_jacobians()
-    cols = (["t", "node_id"]
-            + [f"label_{a}" for a in range(d)]
-            + [f"pos_{a}" for a in range(d)]
-            + [f"vel_{a}" for a in range(d)]
-            + ["mass", "detJ"])
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("# flockdde snapshot schema v1\n")
-        f.write(",".join(cols) + "\n")
-        for i in range(ensemble.n_nodes):
-            row = [f"{ensemble.time:.17g}", str(i)]
-            row += [f"{x:.17g}" for x in ensemble.labels[i]]
-            row += [f"{x:.17g}" for x in ensemble.positions[i]]
-            row += [f"{x:.17g}" for x in ensemble.velocities[i]]
-            row += [f"{ensemble.masses[i]:.17g}", f"{dets[i]:.17g}"]
-            f.write(",".join(row) + "\n")

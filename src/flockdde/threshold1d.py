@@ -5,9 +5,10 @@ perturbed Riccati equation whose forcing is bounded by a constant built from
 the kernel's log-derivative bound and the prehistory speed bound.  That gives
 a computable dichotomy: slopes above the subcritical root persist globally,
 slopes below the supercritical root force the Jacobian to zero in finite
-time.  Blow-up shows up numerically as the minimal Jacobian determinant
-reaching a small tolerance, and the Eulerian density is reconstructed from
-the tangent flow wherever the Jacobian is still invertible.
+time.  Blow-up shows up numerically by one rule, shared with the integrator:
+the minimal Jacobian determinant reaches DETJ_TOLERANCE (or the state leaves
+the finite range).  The Eulerian density is reconstructed from the tangent
+flow wherever the Jacobian is still above that tolerance.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
-from .dynamics import DETJ_TOLERANCE, BlowupSignal, step
+from .dynamics import DETJ_TOLERANCE, BlowupEvent, BlowupSignal, _advance
 from .kernel import UnsupportedKernelError
+from .state import _grid_steps
 
 __all__ = [
     "DETJ_TOLERANCE",
@@ -98,75 +101,73 @@ class WEvolution:
 
     times: np.ndarray   # (K,)
     w: np.ndarray       # (K, N)
-    blowup: tuple[float, int] | None = None
+    blowup: BlowupEvent | None = None
 
 
 def evolve_w(buffer, kernel, h: float, t_end: float) -> WEvolution:
-    """Advance a 1-d buffer and record the slope quotient at every step.
+    """Advance a 1-d buffer to ``t_end`` and record the slope quotient at every step.
 
-    Stops with a (time, node) blow-up record as soon as some Jacobian drops
-    to zero or below; values already recorded stay valid.
+    Steps through the integrator's loop, so it stops under the same rule: at
+    the first step where min det J reaches DETJ_TOLERANCE or the state leaves
+    the finite range, with that (time, node) as the blow-up event.  Rows
+    recorded before it stay valid.  ``t_end`` must lie on the step grid at or
+    after the buffer's time, or ValueError is raised.
     """
     if buffer.latest.dim != 1:
         raise ValueError("slope evolution is defined in one space dimension only")
-    times = [buffer.current_time]
-    w_rows = [buffer.latest.vel_gradients[:, 0, 0] / buffer.latest.jacobians[:, 0, 0]]
-    blow = None
-    n_steps = int(round((t_end - buffer.current_time) / h))
-    for _ in range(n_steps):
-        try:
-            step(buffer, kernel, h)
-        except BlowupSignal as sig:
-            blow = (sig.time, sig.node if sig.node is not None else -1)
-            break
-        ens = buffer.latest
-        jac = ens.jacobians[:, 0, 0]
-        if jac.min() <= 0.0:
-            blow = (ens.time, int(jac.argmin()))
-            break
-        times.append(ens.time)
-        w_rows.append(ens.vel_gradients[:, 0, 0] / jac)
-    return WEvolution(np.array(times), np.array(w_rows), blow)
+    n_steps = _grid_steps(t_end - buffer.current_time, h)
+    if n_steps is None:
+        raise ValueError(f"t_end = {t_end} is not a step of size {h} on or after "
+                         f"t = {buffer.current_time}")
+
+    def w_row():
+        _, _, jac, vgrad = buffer.slot(buffer.clock)
+        return vgrad[:, 0, 0] / jac[:, 0, 0]
+
+    times, w_rows, blowup = [buffer.current_time], [w_row()], None
+    try:
+        for _, node in _advance(buffer, kernel, h, n_steps):
+            if node is not None:
+                blowup = BlowupEvent(buffer.current_time, node)
+            else:
+                times.append(buffer.current_time)
+                w_rows.append(w_row())
+    except BlowupSignal as sig:
+        blowup = BlowupEvent(sig.time, sig.node)
+    return WEvolution(np.array(times), np.array(w_rows), blowup)
 
 
-def detect_blowup(frames, tolerance: float = DETJ_TOLERANCE):
-    """First time the minimal Jacobian determinant reaches ``tolerance``.
+def detect_blowup(frames) -> BlowupEvent | None:
+    """First time the minimal Jacobian determinant reaches DETJ_TOLERANCE.
 
-    Returns (time, node) or None.  The crossing is refined between the
-    bracketing frames by 40 bisection steps on a monotone cubic interpolant
-    of the min-detJ series.
+    The crossing is refined between the bracketing frames by ``brentq`` on a
+    monotone cubic interpolant of the min-detJ series; the node is the
+    crossing frame's worst node.
     """
     times = np.array([f.t for f in frames])
     mins = np.array([f.min_detJ for f in frames])
-    hit = np.nonzero(mins <= tolerance)[0]
+    hit = np.nonzero(mins <= DETJ_TOLERANCE)[0]
     if hit.size == 0:
         return None
     k = int(hit[0])
     node = frames[k].worst_node
     if k == 0:
-        return float(times[0]), node
-    lo_i = max(0, k - 3)
-    hi_i = min(len(frames), k + 3)
-    interp = PchipInterpolator(times[lo_i:hi_i], mins[lo_i:hi_i] - tolerance)
-    lo, hi = float(times[k - 1]), float(times[k])
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if interp(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), node
+        return BlowupEvent(float(times[0]), node)
+    interp = PchipInterpolator(times[max(0, k - 3):k + 3],
+                               mins[max(0, k - 3):k + 3] - DETJ_TOLERANCE)
+    return BlowupEvent(brentq(interp, times[k - 1], times[k], xtol=1e-300), node)
 
 
-def reconstruct_density(ensemble, tolerance: float = DETJ_TOLERANCE):
+def reconstruct_density(ensemble):
     """Eulerian density values carried by the nodes at their current positions.
 
     Each node reports ``density / det(jacobian)`` with density the initial
     mass per cell volume, so the reconstruction conserves mass exactly:
-    sum(h * detJ * cell_volume) = sum(masses) = 1.
+    sum(h * detJ * cell_volume) = sum(masses) = 1.  Raises BlowupSignal under
+    the blow-up rule, min det J <= DETJ_TOLERANCE.
     """
     dets = ensemble.det_jacobians()
-    if dets.min() <= tolerance:
+    if dets.min() <= DETJ_TOLERANCE:
         raise BlowupSignal(time=ensemble.time, node=int(dets.argmin()),
                            reason="non-invertible tangent flow")
     h_vals = (ensemble.masses / ensemble.cell_volumes) / dets

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, deterministic outputs, sweep equivalence."""
 
+import csv
 import json
 import math
 import os
@@ -117,6 +118,22 @@ class TestRun:
         assert (tmp_path / "keyed" / "frames.csv").read_bytes() == \
             (tmp_path / "plain" / "frames.csv").read_bytes()
 
+    def test_default_detj_tolerance_key_runs_byte_identical(self, tmp_path):
+        # the retired key is accepted at the one blow-up tolerance, 1e-6
+        doc = dict(preset_dict("riccati-blowup"), t_end=1.0)
+        doc["datum"]["domain"]["counts"] = [16]
+        for out, extra in (("plain", {}), ("keyed", {"detj_tolerance": 1e-6})):
+            code = run_cli("run", "--config",
+                           write_json(tmp_path / f"{out}.json", dict(doc, **extra)),
+                           "--out", str(tmp_path / out))
+            assert code == 2
+        summary = json.loads((tmp_path / "keyed" / "summary.json").read_text())
+        assert summary["config"]["detj_tolerance"] == 1e-6
+        del summary["config"]["detj_tolerance"]
+        assert summary == json.loads((tmp_path / "plain" / "summary.json").read_text())
+        assert (tmp_path / "keyed" / "frames.csv").read_bytes() == \
+            (tmp_path / "plain" / "frames.csv").read_bytes()
+
     def test_threshold_verdict_reads_the_initial_slopes(self):
         # the run reuses the t = 0 slot after m + 3 steps; the verdict must
         # still come from the slopes at t = 0
@@ -143,6 +160,22 @@ class TestRun:
                 "--out", str(tmp_path / "out"))
         lines = (tmp_path / "out" / "snapshot.csv").read_text().splitlines()
         assert len(lines) == 2 + 12
+
+    def test_run_outputs_are_written_atomically(self, tmp_path, quick_run_doc,
+                                                monkeypatch):
+        replaced = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            replaced.append(os.path.basename(dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        doc = dict(quick_run_doc, snapshot_csv=True, t_end=0.1)
+        run_cli("run", "--config", write_json(tmp_path / "c.json", doc),
+                "--out", str(tmp_path / "out"))
+        assert sorted(replaced) == ["frames.csv", "snapshot.csv", "summary.json"]
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(replaced)
 
     def test_config_error_exit_1(self, tmp_path, capsys):
         doc = preset_dict("flat-kernel-decay")
@@ -196,6 +229,8 @@ BAD_FIELDS = [
                              "[-tau, 0] (101) is supported, got 11"),
     ("n_history_slices", 102, "n_history_slices: only one slice per step"),
     ("interpolation", "linear", "interpolation: only cubic-hermite is supported"),
+    ("detj_tolerance", 1e-3, "detj_tolerance: only 1e-06 is supported, got 0.001"),
+    ("detj_tolerance", "x", "detj_tolerance: expected a real number"),
     ("datum.velocity", {"family": "constant", "value": "abc"},
      "datum.velocity.value: expected numbers"),
     ("datum.velocity", {"family": "linear", "matrix": [["a"]]},
@@ -453,6 +488,31 @@ class TestSweep:
         summary = (tmp_path / "grid" / "sweep_summary.csv").read_text().splitlines()
         assert summary[0].startswith("cell,axis:kernel.beta")
         assert all(",true," in line for line in summary[1:])
+
+    def test_summary_quotes_commas_in_axis_values_and_errors(self, tmp_path,
+                                                              quick_run_doc):
+        # cell 1 fails with a message about a shape "(4,)"; both axes take
+        # lists, which print with a comma
+        doc = json.loads(json.dumps(quick_run_doc))
+        doc["t_end"] = 0.1
+        doc["datum"]["domain"]["counts"] = [4]
+        doc["datum"]["density"] = {"family": "table", "values": [1.0, 2.0, 1.0, 2.0]}
+        sweep_doc = {"schema_version": 1, "base": doc,
+                     "axes": [{"path": "datum.domain.counts", "values": [[4], [3]]},
+                              {"path": "datum.domain.box", "values": [[[0.0, 1.0]]]}],
+                     "max_workers": 1}
+        code = run_cli("sweep", "--config",
+                       write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid"))
+        assert code == 1
+        with open(tmp_path / "grid" / "sweep_summary.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert all(None not in r for r in rows)  # no row spills past the header
+        assert [r["axis:datum.domain.counts"] for r in rows] == ["[4]", "[3]"]
+        assert all(r["axis:datum.domain.box"] == "[[0.0, 1.0]]" for r in rows)
+        assert rows[0]["status"] == "ok" and rows[0]["final_d_V"] != ""
+        assert rows[1]["status"] == \
+            "error: density values have shape (4,), expected (3,)"
 
     def test_threads_env_caps_workers(self, tmp_path, quick_run_doc, monkeypatch):
         doc = json.loads(json.dumps(quick_run_doc))

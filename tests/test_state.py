@@ -18,8 +18,8 @@ from flockdde.state import (
     SineVelocity,
     SliceTableVelocity,
     discretize,
-    write_snapshot_csv,
 )
+from flockdde.cli import write_snapshot_csv
 from flockdde.dynamics import step
 from flockdde.kernel import CuckerSmaleKernel
 

@@ -5,7 +5,10 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flockdde.config import preset_dict, run_config_from_dict
 from flockdde.diagnostics import DiagnosticsFrame
 from flockdde.dynamics import BlowupSignal, alignment_rhs, simulate, step
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKernelError
@@ -133,6 +136,27 @@ class TestEvolveW:
         assert evo.blowup is None
         assert evo.w.min() >= verdict.w1_minus - 1e-4
 
+    def test_off_grid_t_end_rejected(self):
+        buf = self.run_buffer(-0.5)
+        for t_end in (0.0105, -1e-3):
+            with pytest.raises(ValueError, match="not a step"):
+                evolve_w(buf, CuckerSmaleKernel(0.0), h=1e-3, t_end=t_end)
+        assert buf.clock == 0
+
+    def test_blowup_event_is_the_integrators(self):
+        # one rule, one loop: the slope evolution stops at the step, and on
+        # the node, at which integrate stops
+        doc = dict(preset_dict("riccati-blowup"), output_every=1e-3)
+        doc["datum"]["domain"]["counts"] = [16]
+        cfg = run_config_from_dict(doc)
+        res = simulate(cfg)
+        evo = evolve_w(discretize(cfg.datum, cfg.tau, cfg.step), cfg.kernel,
+                       cfg.step, cfg.t_end)
+        last = res.frames[-1]
+        assert last.status == "blowup"
+        assert evo.blowup == res.blowup == (last.t, last.worst_node)
+        assert evo.times[-1] == res.frames[-2].t
+
     def test_quotient_matches_independently_integrated_slope(self):
         # integrate w' = g(t) - w - w^2 per node, with g the simulated
         # position-gradient of the alignment term sampled along the run
@@ -164,6 +188,45 @@ class TestEvolveW:
             k4 = f(t + h, w + h * k3)
             w = w + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         assert np.abs(w - w_rows[-1]).max() <= 1e-8
+
+
+H = 2.0**-9  # a dyadic step, so that the delays and the bound's grid are exact
+
+SLOPE_DATA = st.fixed_dictionaries({
+    "slope": st.floats(-3.0, -1.5),
+    "beta": st.sampled_from([0.0, 0.25, 1.0]),
+    "m": st.sampled_from([0, 1, 5]),
+    "n": st.integers(2, 8),
+    "length": st.floats(0.05, 1.0),
+})
+
+
+def test_supercritical_slopes_blow_up_within_the_bound(time_limit):
+    # the paper's critical threshold: below the supercritical root w2_minus
+    # the Jacobian vanishes before 1 / (w2_minus - w0)
+    reached = []
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(SLOPE_DATA)
+    def check(case):
+        datum = InitialDatum(BoxDomain([0.0], [case["length"]], [case["n"]]),
+                             LinearVelocity([[case["slope"]]]))
+        buf = discretize(datum, case["m"] * H, H)
+        kernel = CuckerSmaleKernel(case["beta"])
+        r_v = max(s.max_speed() for s in buf.prehistory())
+        verdict = classify(case["slope"], kernel, r_v)
+        if case["beta"] == 0.0:
+            assert verdict.verdict == "finite-time-blowup"
+        if verdict.verdict != "finite-time-blowup":
+            return
+        reached.append(case["beta"])
+        with time_limit(5):
+            evo = evolve_w(buf, kernel, H, math.ceil(verdict.blowup_bound / H) * H)
+        assert evo.blowup is not None
+        assert evo.blowup.time <= verdict.blowup_bound
+
+    check()
+    assert 0.0 in reached and len(set(reached)) > 1
 
 
 class TestDetectBlowup:
