@@ -257,11 +257,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_presets(args) -> int:
     if args.show:
-        try:
-            print(_json_text(preset_dict(args.show)), end="")
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        print(_json_text(preset_dict(args.show)), end="")
         return 0
     for name in sorted(PRESETS):
         print(name)

@@ -244,15 +244,19 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     )
 
 
-def load_run_config(path) -> RunConfig:
+def _read_json(path, what):
+    """The JSON document at ``path``; an unreadable file or bad JSON is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            return json.load(f)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return run_config_from_dict(doc)
+
+
+def load_run_config(path) -> RunConfig:
+    return run_config_from_dict(_read_json(path, "config"))
 
 
 @dataclass
@@ -324,14 +328,7 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
 
 
 def load_sweep_config(path) -> SweepConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    return sweep_config_from_dict(doc)
+    return sweep_config_from_dict(_read_json(path, "sweep config"))
 
 
 PRESETS = {

@@ -105,14 +105,13 @@ def diameters(ensemble) -> tuple[float, float]:
             _pairwise_diameter(ensemble.velocities))
 
 
-def _record(ens, d_x, d_v, x, v, lyap, dets, status="ok") -> DiagnosticsFrame:
+def _record(ens, d_x, d_v, x, v, lyap, dets) -> DiagnosticsFrame:
     """Diagnostics record of ``ens`` from its diameters, (X, V, L) and det J."""
     vg = np.sqrt((ens.vel_gradients**2).sum(axis=(1, 2)))
     return DiagnosticsFrame(
         t=ens.time, d_X=d_x, d_V=d_v, max_speed=ens.max_speed(), lyapunov=lyap,
         X_of_t=x, V_of_t=v, min_detJ=float(dets.min()),
         max_velgrad_norm=float(vg.max()), worst_node=int(dets.argmin()),
-        status=status,
     )
 
 

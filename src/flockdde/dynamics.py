@@ -30,8 +30,8 @@ from .diagnostics import (
     diameters,
     prehistory_frames,
 )
-from .state import (HistoryBuffer, HistoryView, LagrangianEnsemble, _grid_steps, _rk4,
-                    discretize)
+from .state import (HistoryBuffer, HistoryView, LagrangianEnsemble, _det, _grid_steps,
+                    _rk4, discretize)
 
 __all__ = [
     "ForceEvaluation",
@@ -184,20 +184,39 @@ def step(buffer: HistoryBuffer, kernel, h: float) -> None:
     buffer.append(*new, k4[1])
 
 
-def _advance(buffer: HistoryBuffer, kernel, h: float, n_steps: int):
-    """Step the buffer up to ``n_steps`` times: the one stepping loop.
+def _blowup_node(dets) -> int | None:
+    """The node at which det J meets the blow-up rule, or None if it does not.
 
-    Yields the new slot's det J and the crossing node, which is None until
-    min det J reaches DETJ_TOLERANCE or leaves the finite range; stops after
-    the first crossing.  ``step``'s BlowupSignal passes through.
+    The rule: a det J is non-finite or min det J <= DETJ_TOLERANCE.  The node
+    is ``dets.argmin()``, as for the frame's worst node, so a NaN node is the
+    one named.
     """
-    for _ in range(n_steps):
-        step(buffer, kernel, h)
-        dets = np.linalg.det(buffer.slot(buffer.clock)[2])
-        if not np.all(np.isfinite(dets)) or dets.min() <= DETJ_TOLERANCE:
-            yield dets, int(np.nanargmin(dets))
+    if np.isfinite(dets).all() and dets.min() > DETJ_TOLERANCE:
+        return None
+    return int(dets.argmin())
+
+
+def _advance(buffer: HistoryBuffer, kernel, h: float, n_steps: int):
+    """Step the buffer up to ``n_steps`` times: the one stepping loop, and the
+    one place that decides how a run ends.
+
+    Yields (det J, event) for the slot it starts at and for each new slot;
+    the event is None until ``_blowup_node`` names a node, and the first one
+    is the last yield.  A step's BlowupSignal yields one too, for the newest
+    slot, which is the last finite one.
+    """
+    for k in range(n_steps + 1):
+        if k:
+            try:
+                step(buffer, kernel, h)
+            except BlowupSignal as sig:
+                yield dets, BlowupEvent(sig.time, sig.node)
+                return
+        dets = _det(buffer.slot(buffer.clock)[2])
+        node = _blowup_node(dets)
+        yield dets, None if node is None else BlowupEvent(buffer.current_time, node)
+        if node is not None:
             return
-        yield dets, None
 
 
 @dataclass
@@ -208,24 +227,16 @@ class SimulationResult:
     r_v: float
 
 
-def _frame(ens, monitor, dets, status="ok"):
-    """Diagnostics record of the dynamics slice ``ens`` (time > 0)."""
-    d_x, d_v = diameters(ens)
-    return _record(ens, d_x, d_v, *monitor.observe(ens.time, d_x, d_v), dets,
-                   status=status)
-
-
 def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
               output_every: float | None = None,
               prehistory: list | None = None) -> SimulationResult:
     """Drive the stepper from t = 0 to t_end, emitting diagnostics frames.
 
     Emits one frame per output step (the initial diagnostics count as the
-    first frame, so t_end = 0 produces exactly one).  Stops early with a
-    blow-up event when the minimal Jacobian determinant reaches
-    DETJ_TOLERANCE or the state leaves the finite range; frames up to the
-    last finite time are retained and the terminal frame carries status
-    "blowup".  Deterministic given its inputs.
+    first frame, so t_end = 0 produces exactly one).  Stops early at the
+    blow-up event of ``_advance``, which judges every slot, t = 0 included:
+    the frames up to it are retained, the event's slot has a frame, and that
+    last frame carries status "blowup".  Deterministic given its inputs.
 
     ``buffer`` must be at t = 0 with spacing ``h``.  ``prehistory`` must be
     ``prehistory_frames(buffer)`` of this buffer; it seeds the monitor, R_V
@@ -251,26 +262,16 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
 
     # X = d_X and V = d_V at t = 0: the last prehistory record, plus L
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
-    if frames[0].min_detJ <= DETJ_TOLERANCE:
-        frames[0].status = "blowup"
-        event = BlowupEvent(frames[0].t, frames[0].worst_node)
-        return SimulationResult(frames, buffer, event, r_v)
-
-    event = None
-    try:
-        for k, (dets, node) in enumerate(_advance(buffer, kernel, h, n_steps), 1):
-            if node is not None or k % every == 0 or k == n_steps:
-                frames.append(_frame(buffer.latest, monitor, dets,
-                                     status="ok" if node is None else "blowup"))
-            if node is not None:
-                event = BlowupEvent(buffer.current_time, node)
-    except BlowupSignal as sig:
-        last = buffer.latest  # step raises before appending
-        if frames[-1].t == last.time:
-            frames[-1].status = "blowup"
-        else:
-            frames.append(_frame(last, monitor, last.det_jacobians(), status="blowup"))
-        event = BlowupEvent(last.time, sig.node)
+    for k, (dets, event) in enumerate(_advance(buffer, kernel, h, n_steps)):
+        # the t = 0 slot has its frame, and a BlowupSignal's event repeats a
+        # slot that may have one
+        if frames[-1].t != buffer.current_time and (
+                event is not None or k % every == 0 or k == n_steps):
+            ens = buffer.latest
+            d_x, d_v = diameters(ens)
+            frames.append(_record(ens, d_x, d_v, *monitor.observe(ens.time, d_x, d_v), dets))
+    if event is not None:
+        frames[-1].status = "blowup"
     return SimulationResult(frames, buffer, event, r_v)
 
 
@@ -283,5 +284,5 @@ def simulate(config) -> SimulationResult:
     buffer = discretize(config.datum, config.tau, config.step)
     return integrate(
         buffer, config.kernel, h=config.step, t_end=config.t_end,
-        output_every=getattr(config, "output_every", None),
+        output_every=config.output_every,
     )

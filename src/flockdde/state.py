@@ -88,7 +88,13 @@ class LagrangianEnsemble:
         return float(np.sqrt((self.velocities**2).sum(axis=1)).max())
 
     def det_jacobians(self) -> np.ndarray:
-        return np.linalg.det(self.jacobians)
+        return _det(self.jacobians)
+
+
+def _det(jacobians: np.ndarray) -> np.ndarray:
+    """det J per node; a non-finite Jacobian gives a non-finite det, silently."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.linalg.det(jacobians)
 
 
 @dataclass

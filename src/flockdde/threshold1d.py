@@ -5,10 +5,12 @@ perturbed Riccati equation whose forcing is bounded by a constant built from
 the kernel's log-derivative bound and the prehistory speed bound.  That gives
 a computable dichotomy: slopes above the subcritical root persist globally,
 slopes below the supercritical root force the Jacobian to zero in finite
-time.  Blow-up shows up numerically by one rule, shared with the integrator:
-the minimal Jacobian determinant reaches DETJ_TOLERANCE (or the state leaves
-the finite range).  The Eulerian density is reconstructed from the tangent
-flow wherever the Jacobian is still above that tolerance.
+time.  Blow-up shows up numerically by one rule: a Jacobian determinant is
+non-finite or the minimal one reaches DETJ_TOLERANCE, or a step leaves the
+finite range.  ``dynamics._advance`` applies it to every slot of a run, t = 0
+included, for both the integrator and the slope evolution, and the density
+reconstruction applies the same predicate to the slice it is given, so the
+Eulerian density is reconstructed only where the rule is not met.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .dynamics import DETJ_TOLERANCE, BlowupEvent, BlowupSignal, _advance
+from .dynamics import DETJ_TOLERANCE, BlowupEvent, BlowupSignal, _advance, _blowup_node
 from .kernel import UnsupportedKernelError
 from .state import _grid_steps
 
@@ -107,11 +109,12 @@ class WEvolution:
 def evolve_w(buffer, kernel, h: float, t_end: float) -> WEvolution:
     """Advance a 1-d buffer to ``t_end`` and record the slope quotient at every step.
 
-    Steps through the integrator's loop, so it stops under the same rule: at
-    the first step where min det J reaches DETJ_TOLERANCE or the state leaves
-    the finite range, with that (time, node) as the blow-up event.  Rows
-    recorded before it stay valid.  ``t_end`` must lie on the step grid at or
-    after the buffer's time, or ValueError is raised.
+    Steps through the integrator's loop, so it stops under the same rule at
+    the same slot, t = 0 included: the first whose det J meets the blow-up
+    rule, with that (time, node) as the event, or the last finite one when a
+    step leaves the finite range.  Rows are recorded for the slots before a
+    blow-up slot.  ``t_end`` must lie on the step grid at or after the
+    buffer's time, or ValueError is raised.
     """
     if buffer.latest.dim != 1:
         raise ValueError("slope evolution is defined in one space dimension only")
@@ -120,21 +123,14 @@ def evolve_w(buffer, kernel, h: float, t_end: float) -> WEvolution:
         raise ValueError(f"t_end = {t_end} is not a step of size {h} on or after "
                          f"t = {buffer.current_time}")
 
-    def w_row():
-        _, _, jac, vgrad = buffer.slot(buffer.clock)
-        return vgrad[:, 0, 0] / jac[:, 0, 0]
-
-    times, w_rows, blowup = [buffer.current_time], [w_row()], None
-    try:
-        for _, node in _advance(buffer, kernel, h, n_steps):
-            if node is not None:
-                blowup = BlowupEvent(buffer.current_time, node)
-            else:
-                times.append(buffer.current_time)
-                w_rows.append(w_row())
-    except BlowupSignal as sig:
-        blowup = BlowupEvent(sig.time, sig.node)
-    return WEvolution(np.array(times), np.array(w_rows), blowup)
+    times, w_rows = [], []
+    for _, blowup in _advance(buffer, kernel, h, n_steps):
+        if blowup is None:
+            _, _, jac, vgrad = buffer.slot(buffer.clock)
+            times.append(buffer.current_time)
+            w_rows.append(vgrad[:, 0, 0] / jac[:, 0, 0])
+    w = np.array(w_rows).reshape(len(times), buffer.masses.size)
+    return WEvolution(np.array(times), w, blowup)
 
 
 def detect_blowup(frames) -> BlowupEvent | None:
@@ -163,12 +159,13 @@ def reconstruct_density(ensemble):
 
     Each node reports ``density / det(jacobian)`` with density the initial
     mass per cell volume, so the reconstruction conserves mass exactly:
-    sum(h * detJ * cell_volume) = sum(masses) = 1.  Raises BlowupSignal under
-    the blow-up rule, min det J <= DETJ_TOLERANCE.
+    sum(h * detJ * cell_volume) = sum(masses) = 1.  Raises BlowupSignal, naming
+    the node, where det J meets the blow-up rule: a det J is non-finite or min
+    det J <= DETJ_TOLERANCE.
     """
     dets = ensemble.det_jacobians()
-    if dets.min() <= DETJ_TOLERANCE:
-        raise BlowupSignal(time=ensemble.time, node=int(dets.argmin()),
-                           reason="non-invertible tangent flow")
+    node = _blowup_node(dets)
+    if node is not None:
+        raise BlowupSignal(time=ensemble.time, node=node, reason="non-invertible tangent flow")
     h_vals = (ensemble.masses / ensemble.cell_volumes) / dets
     return ensemble.positions.copy(), h_vals

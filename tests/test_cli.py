@@ -553,3 +553,8 @@ class TestPresets:
 
     def test_show_unknown_name(self, capsys):
         assert run_cli("presets", "--show", "nope") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown preset 'nope'")
+        assert err.count("\n") == 1
+        assert run_cli("run", "--preset", "nope") == 1
+        assert capsys.readouterr().err == err

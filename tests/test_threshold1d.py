@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from flockdde.config import preset_dict, run_config_from_dict
 from flockdde.diagnostics import DiagnosticsFrame
-from flockdde.dynamics import BlowupSignal, alignment_rhs, simulate, step
+from flockdde.dynamics import BlowupSignal, alignment_rhs, integrate, simulate, step
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKernelError
 from flockdde.state import (
     BoxDomain,
@@ -229,6 +229,83 @@ def test_supercritical_slopes_blow_up_within_the_bound(time_limit):
     assert 0.0 in reached and len(set(reached)) > 1
 
 
+def linear_buffers(slope, beta=0.0, m=1, n=4, h=H):
+    """Two identical 1-d linear-datum buffers, one for each of integrate and evolve_w."""
+    datum = InitialDatum(BoxDomain([0.0], [1.0], [n]), LinearVelocity([[slope]]))
+    return [discretize(datum, m * h, h) for _ in range(2)], CuckerSmaleKernel(beta)
+
+
+def both_events(bufs, kernel, t_end, h=H):
+    res = integrate(bufs[0], kernel, h, t_end, output_every=h)
+    return res, evolve_w(bufs[1], kernel, h, t_end)
+
+
+class TestStartSlot:
+    # the t = 0 slot is judged by the same rule as every later one
+
+    def test_zeroed_start_jacobians_blow_up_at_time_zero(self):
+        bufs, kernel = linear_buffers(-0.5)
+        for buf in bufs:
+            buf.latest.jacobians[:] = 0.0
+        res, evo = both_events(bufs, kernel, 16 * H)
+        assert res.blowup == evo.blowup == (0.0, 0)
+        assert evo.times.size == 0 and evo.w.shape == (0, 4)
+        assert bufs[0].clock == bufs[1].clock == 0
+
+    @pytest.mark.parametrize("node", [0, 2])
+    def test_nan_start_jacobian_names_its_node(self, node):
+        bufs, kernel = linear_buffers(-0.5, beta=1.0)
+        for buf in bufs:
+            buf.latest.jacobians[node] = math.nan
+        res, evo = both_events(bufs, kernel, 16 * H)
+        assert res.blowup == evo.blowup == (0.0, node)
+        assert res.frames[0].worst_node == node
+        assert bufs[0].clock == bufs[1].clock == 0
+
+
+PROPERTY_DATA = st.fixed_dictionaries({
+    "slope": st.floats(-3.0, 0.5),
+    "beta": st.sampled_from([0.0, 0.25, 1.0]),
+    "m": st.sampled_from([0, 1, 5]),
+    "n": st.integers(1, 8),
+    "zeroed_start": st.booleans(),
+})
+
+
+def test_integrate_and_evolve_w_end_alike(time_limit):
+    # one decision for both: the same event, a "blowup" status on the event's
+    # frame alone, and slope rows for exactly the slots before it
+    h = 2.0**-6
+    seen = set()
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(PROPERTY_DATA)
+    def check(case):
+        bufs, kernel = linear_buffers(case["slope"], case["beta"], case["m"],
+                                      case["n"], h)
+        if case["zeroed_start"]:
+            for buf in bufs:
+                buf.latest.jacobians[:] = 0.0
+        with time_limit(5):
+            res, evo = both_events(bufs, kernel, 1.0, h)
+        assert res.blowup == evo.blowup
+        statuses = [f.status for f in res.frames]
+        times = [f.t for f in res.frames]
+        if res.blowup is None:
+            assert set(statuses) == {"ok"}
+            assert evo.times.tolist() == times
+        else:
+            assert statuses == ["ok"] * (len(statuses) - 1) + ["blowup"]
+            assert res.frames[-1].t == res.blowup.time
+            assert res.frames[-1].worst_node == res.blowup.node
+            assert evo.times.tolist() == times[:-1]
+        seen.add("none" if res.blowup is None
+                 else "at t = 0" if res.blowup.time == 0 else "later")
+
+    check()
+    assert seen == {"none", "at t = 0", "later"}
+
+
 class TestDetectBlowup:
     def test_certified_smooth_run_reports_none(self):
         cfg = SimpleNamespace(
@@ -314,6 +391,14 @@ class TestReconstructDensity:
         buf.latest.jacobians[:] *= 1e-9
         with pytest.raises(BlowupSignal):
             reconstruct_density(buf.latest)
+
+    def test_nan_jacobian_signals_blowup_at_its_node(self):
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), ConstantVelocity([0.0]))
+        buf = discretize(datum, 0.0, 1e-3)
+        buf.latest.jacobians[2] = math.nan
+        with pytest.raises(BlowupSignal) as info:
+            reconstruct_density(buf.latest)
+        assert info.value.node == 2
 
 
 class TestForceGradientBound:
