@@ -40,7 +40,8 @@ class DiagnosticsFrame:
 
     ``X_of_t`` and ``V_of_t`` are the integral comparison quantities (equal to
     d_X and d_V on the prehistory, where ``lyapunov`` is not defined and set
-    to NaN).  ``worst_node`` is the node attaining ``min_detJ``.
+    to NaN).  ``worst_node`` is the first node with a non-finite det J, or
+    else the node attaining ``min_detJ`` (see ``_worst_node``).
     """
 
     t: float
@@ -105,13 +106,19 @@ def diameters(ensemble) -> tuple[float, float]:
             _pairwise_diameter(ensemble.velocities))
 
 
+def _worst_node(dets) -> int:
+    """The first node with a non-finite det J (an overflowed +inf included),
+    else the one with the least det J."""
+    return int(np.where(np.isfinite(dets), dets, -np.inf).argmin())
+
+
 def _record(ens, d_x, d_v, x, v, lyap, dets) -> DiagnosticsFrame:
     """Diagnostics record of ``ens`` from its diameters, (X, V, L) and det J."""
     vg = np.sqrt((ens.vel_gradients**2).sum(axis=(1, 2)))
     return DiagnosticsFrame(
         t=ens.time, d_X=d_x, d_V=d_v, max_speed=ens.max_speed(), lyapunov=lyap,
         X_of_t=x, V_of_t=v, min_detJ=float(dets.min()),
-        max_velgrad_norm=float(vg.max()), worst_node=int(dets.argmin()),
+        max_velgrad_norm=float(vg.max()), worst_node=_worst_node(dets),
     )
 
 
@@ -270,9 +277,15 @@ def gronwall_rate(a: float, tau: float) -> float:
         raise ValueError("delay tau must be nonnegative")
     if tau == 0.0:
         return a
-    # 1 - C - (1 - a) e^(C tau), rewritten so that a tiny a keeps its digits:
-    # g(0) = a > 0 >= g(a), and g is strictly decreasing
-    return brentq(lambda c: a - c - (1.0 - a) * math.expm1(c * tau), 0.0, a, xtol=1e-300)
+    # solved for x = C / a in (0, 1], the same at every scale of a: the residual
+    # over a is 1 - x - (1 - a) x tau expm1(y) / y with y = a x tau (1 where y
+    # underflows), decreasing from 1 and negative by y = 700, where the bracket
+    # stops before expm1 overflows; the least xtol leaves rtol in charge
+    def residual(x):
+        y = a * x * tau
+        return 1.0 - x - (1.0 - a) * x * tau * (math.expm1(y) / y if y else 1.0)
+
+    return a * brentq(residual, 0.0, min(1.0, 700.0 / tau / a), xtol=math.ulp(0.0))
 
 
 def _num_or_inf(x):

@@ -27,6 +27,7 @@ from .diagnostics import (
     _differences,
     _record,
     _row_blocks,
+    _worst_node,
     diameters,
     prehistory_frames,
 )
@@ -96,9 +97,11 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
     kernel's ``eval_with_deriv_sq`` gives ``psi`` and ``psi'(r) / r``, whose
     product with the coordinate difference is ``psi'(r)`` times the unit
     vector; coincident pairs have profile value 1 and contribute nothing to
-    the gradient (radial symmetry).  The gradient is contracted as d row sums
-    and d matrix products.  A flat kernel skips the pairs: every row then
-    weighs all delayed nodes by their mass.
+    the gradient (radial symmetry).  Every weighted sum is a moment of one
+    (N, d + 1) matrix ``[m, m v(t - tau)]``, so a block makes one matrix
+    product for ``s0`` and ``s1`` and one per coordinate for their gradients,
+    and the quotient rule divides by ``s0`` once.  A flat kernel skips the
+    pairs: every row then weighs all delayed nodes by their mass.
     """
     n, d = pos.shape
     # transient non-finite values are caught by the stepper's isfinite check
@@ -109,25 +112,22 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
             s1 = np.broadcast_to(masses @ d_vel, (n, d))
             grad_pos = np.zeros((n, d, d))
         else:
-            s0 = np.empty(n)
-            s1 = np.empty((n, d))
-            g0 = np.empty((n, d))
-            g1 = np.empty((n, d, d))
+            mom = np.hstack([masses[:, None], masses[:, None] * d_vel])
+            s = np.empty((n, d + 1))
+            g = np.empty((n, d + 1, d))
             for rows in _row_blocks(n, len(d_pos)):
                 diff, q = _differences(pos[rows], d_pos)
-                # the kernel's outputs and the differences are fresh arrays
-                # of this block, so they are weighted in place
                 w, wd = kernel.eval_with_deriv_sq(q)
-                w *= masses
-                s0[rows] = w.sum(axis=1)
-                s1[rows] = w @ d_vel
-                wd *= masses
-                for b, wd_b in enumerate(diff):
-                    wd_b *= wd
-                    g0[rows, b] = wd_b.sum(axis=1)
-                    g1[rows, :, b] = wd_b @ d_vel
-            grad_pos = (g1 * s0[:, None, None] - s1[:, :, None] * g0[:, None, :]) \
-                / (s0**2)[:, None, None]
+                s[rows] = w @ mom
+                # the differences are fresh arrays of this block, so they
+                # are weighted in place
+                for b, diff_b in enumerate(diff):
+                    diff_b *= wd
+                    g[rows, :, b] = diff_b @ mom
+            s0, s1 = s[:, 0], s[:, 1:]
+            # d(s1 / s0) = (ds1 - u ds0) / s0: one division, no s0^2 to underflow
+            u = s1 / s0[:, None]
+            grad_pos = (g[:, 1:] - u[:, :, None] * g[:, None, 0]) / s0[:, None, None]
         # NaN compares False here on purpose: a poisoned state must flow on to
         # the stepper's isfinite check, not masquerade as an underflow
         if s0.min() < 1e-300:
@@ -188,12 +188,11 @@ def _blowup_node(dets) -> int | None:
     """The node at which det J meets the blow-up rule, or None if it does not.
 
     The rule: a det J is non-finite or min det J <= DETJ_TOLERANCE.  The node
-    is ``dets.argmin()``, as for the frame's worst node, so a NaN node is the
-    one named.
+    is the frame's worst node: the first non-finite det J, else the argmin.
     """
     if np.isfinite(dets).all() and dets.min() > DETJ_TOLERANCE:
         return None
-    return int(dets.argmin())
+    return _worst_node(dets)
 
 
 def _advance(buffer: HistoryBuffer, kernel, h: float, n_steps: int):

@@ -26,6 +26,16 @@ def write_json(path, doc):
     return str(path)
 
 
+# two nodes 300 ahead of their delayed selves under beta 40: the normalizer
+# is about 6e-199 and so is the certificate's psi_star
+UNDERFLOW_DOC = {"schema_version": 1,
+                 "kernel": {"family": "cucker-smale", "beta": 40},
+                 "datum": {"domain": {"box": [[0.0, 1.0]], "counts": [2]},
+                           "density": {"family": "uniform"},
+                           "velocity": {"family": "constant", "value": [3000.0]}},
+                 "tau": 0.1, "step": 0.01, "t_end": 0.1, "output_every": 0.01}
+
+
 @pytest.fixture(scope="module")
 def quick_run_doc():
     doc = preset_dict("unconditional-beta025")
@@ -90,6 +100,18 @@ class TestRun:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: kernel-weighted mass underflowed")
         assert len(proc.stderr.splitlines()) == 1
+
+    def test_normalizer_past_the_square_root_of_the_float_range_runs(self, tmp_path):
+        # the tangent flow's s0^2 underflowed to a false blow-up at t = 0, and
+        # the Gronwall rate of psi_star ~ 6e-199 raised
+        code = run_cli("run", "--config", write_json(tmp_path / "c.json", UNDERFLOW_DOC),
+                       "--out", str(tmp_path / "out"))
+        assert code == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["blowup"] is None
+        cert = summary["certificate"]
+        assert cert["satisfied"] is True
+        assert 0 < cert["predicted_rate"] < cert["psi_star"] < 1e-198
 
     def test_execute_run_frames_are_simulate_frames(self, quick_run_doc):
         cfg = run_config_from_dict(quick_run_doc)
@@ -378,6 +400,12 @@ class TestCertify:
         assert code == 3
         cert = json.loads(capsys.readouterr().out)
         assert cert["satisfied"] is False and cert["rhs"] == 0.0
+
+    def test_tiny_psi_star_has_a_rate(self, tmp_path, capsys):
+        code = run_cli("certify", "--config", write_json(tmp_path / "c.json", UNDERFLOW_DOC))
+        assert code == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["predicted_rate"] == pytest.approx(cert["psi_star"] / 1.1, rel=1e-12)
 
     def test_tabulated_kernel_exit_4(self, tmp_path, quick_run_doc, capsys):
         doc = json.loads(json.dumps(quick_run_doc))

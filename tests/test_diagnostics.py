@@ -3,6 +3,7 @@
 import math
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -75,6 +76,34 @@ class TestGronwallRate:
         # a / (1 + tau) to first order in a
         tau = 0.1
         assert gronwall_rate(a, tau) == pytest.approx(a / (1 + tau), rel=1e-7, abs=0.0)
+
+    def test_matches_a_50_digit_root_at_every_scale_of_a(self):
+        # a from 1e-1 to the subnormal 1e-323: the residual solved in C / a
+        # converges everywhere (brentq on C in (0, a) failed from about 1e-289
+        # to 1e-157); a subnormal root is exact to its own spacing, 2^-1074
+        for tau in [0.01, 0.1, 1.0, 10.0]:
+            for k in range(1, 324):
+                a = float(f"1e-{k}")
+                c = gronwall_rate(a, tau)
+                with mpmath.workdps(50):
+                    A, T = mpmath.mpf(a), mpmath.mpf(tau)
+                    x = mpmath.findroot(
+                        lambda x: 1 - x - (1 - A) * mpmath.expm1(A * x * T) / A, c / a)
+                    root = A * x
+                    assert 0 < x <= 1
+                    assert abs(c - root) <= 1e-13 * root + mpmath.mpf(2)**-1074, (a, tau)
+
+    def test_large_contraction_times_delay_does_not_overflow(self):
+        # a tau = 1000: exp(C tau) at C = a overflowed the float range
+        c = gronwall_rate(0.5, 2000.0)
+        assert 1 - c == pytest.approx(0.5 * math.exp(c * 2000.0), rel=1e-12)
+
+    @pytest.mark.parametrize("tau", [1e200, 1e300])
+    def test_huge_delay_root_keeps_its_digits(self, tau):
+        # 1 - C rounds to 1, so C tau = -log(1 - a); an absolute tolerance of
+        # 1e-300 on C / a stopped at 3.0e-301 for 3.57e-301
+        assert gronwall_rate(0.3, tau) == pytest.approx(-math.log1p(-0.3) / tau,
+                                                        rel=1e-13)
 
     def test_residual_below_target_on_grid(self):
         for a in np.linspace(0.05, 0.95, 10):

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flockdde import dynamics
-from flockdde.diagnostics import _BLOCK_PAIRS, diameters, prehistory_frames
+from flockdde.diagnostics import _BLOCK_PAIRS, _worst_node, diameters, prehistory_frames
 from flockdde.dynamics import (
     BlowupSignal,
     SingularNormalizerError,
@@ -33,6 +33,11 @@ from flockdde.state import (
     SineVelocity,
     discretize,
 )
+
+
+# two nodes a delay's travel, 300, behind their delayed selves: under beta 40
+# the normalizer is about 6e-199, past the square root of the float range
+UNDERFLOW_DATUM = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([3000.0]))
 
 
 def view_of(ens):
@@ -334,6 +339,27 @@ class TestSimulate:
         assert res.blowup is not None and res.blowup.time == 0.0
         assert len(res.frames) == 1 and res.frames[0].status == "blowup"
 
+    def test_overflowed_det_names_its_node(self):
+        # det J of 1e200 I overflows to +inf on node 2, a finite state: the
+        # run ends at t = 0 and names node 2, not node 1 with the least det J
+        datum = InitialDatum(BoxDomain([0.0, 0.0], [1.0, 1.0], [2, 2]),
+                             ConstantVelocity([0.1, 0.0]))
+        buf = discretize(datum, 0.1, 0.01)
+        buf.latest.jacobians[1] = 0.5 * np.eye(2)
+        buf.latest.jacobians[2] = 1e200 * np.eye(2)
+        res = integrate(buf, CuckerSmaleKernel(1.0), h=0.01, t_end=0.1)
+        assert res.blowup == (0.0, 2)
+        assert len(res.frames) == 1 and res.frames[0].status == "blowup"
+        assert res.frames[0].worst_node == 2 and res.frames[0].min_detJ == 0.25
+
+    def test_normalizer_past_the_square_root_of_the_float_range_runs_on(self):
+        # s0 ~ 6e-199, whose square underflows: the tangent flow stays finite
+        res = integrate(discretize(UNDERFLOW_DATUM, 0.1, 0.01), CuckerSmaleKernel(40.0),
+                        h=0.01, t_end=0.1)
+        assert res.blowup is None and len(res.frames) == 11
+        assert all(f.status == "ok" and math.isfinite(f.max_velgrad_norm)
+                   for f in res.frames)
+
     def test_convergence_order_at_least_three_and_a_half(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [8]),
                              SineVelocity([0.1], [0.3], [2.0]))
@@ -410,6 +436,21 @@ class TestSimulate:
         assert len(forces) == 4 * 10
         # m = 20: step k interpolates [k - 20, k - 19] at its midpoint
         assert hermites == [(k - 20, 0.5) for k in range(10)]
+
+
+@pytest.mark.parametrize("dets, node", [
+    ([1.0, math.inf, 1.0], 1),
+    ([0.5, 1.0, math.inf], 2),
+    ([1.0, math.nan, -math.inf], 1),
+    ([-math.inf, 0.5, math.nan], 0),
+    ([2.0, 1e-7, 3.0], 1),
+    ([2.0, 1.0, 3.0], None),
+])
+def test_blowup_node_is_the_first_non_finite_det_else_the_least(dets, node):
+    dets = np.array(dets)
+    assert dynamics._blowup_node(dets) == node
+    # the frame's worst node follows the same rule
+    assert _worst_node(dets) == (1 if node is None else node)
 
 
 # dyadic steps keep t / h exact, so a query at a stage's delayed time lands
@@ -525,6 +566,28 @@ class TestBlockedForce:
             assert g.shape == w.shape
             _assert_normwise_close(g, w)
 
+    @pytest.mark.parametrize("scale", [1e-199, 1e-241, 1e-279])
+    @pytest.mark.parametrize("speed", [3000.0, 1e4, 3e4])
+    def test_gradient_finite_where_the_normalizer_squared_underflows(self, scale,
+                                                                     speed):
+        # two nodes a delay of 0.1 ahead of their delayed selves, under the
+        # beta that puts the normalizer near ``scale``, below 1e-154
+        tau = 0.1
+        kernel = CuckerSmaleKernel(math.log(scale) / -math.log1p((speed * tau)**2))
+        masses = np.array([0.5, 0.5])
+        pos = np.array([[0.0], [0.5]])
+        vel = np.array([[speed], [speed]])
+        d_vel = np.array([[speed], [-speed]])
+        jac = np.ones((2, 1, 1))
+        args = (pos, vel, jac, pos - speed * tau, d_vel)
+        acc, fg, s0 = _force(kernel, masses, *args)
+        assert np.all((s0 > scale / 100) & (s0 < scale * 100)) and np.all(s0**2 == 0)
+        assert np.isfinite(fg).all() and np.abs(fg).max() > 0
+        # u and its gradient do not depend on the scale of the masses
+        want = _force(kernel, 1e150 * masses, *args)
+        _assert_normwise_close(acc, want[0])
+        _assert_normwise_close(fg, want[1])
+
     def test_far_separated_steep_datum_raises_singular_normalizer(self):
         # each node's delayed self lies 1e5 away: (1 + 1e10)^-40 underflows
         n = SIDE + 1
@@ -551,3 +614,58 @@ class TestBlockedForce:
         with pytest.raises(BlowupSignal) as info:
             step(buf, CuckerSmaleKernel(beta), h=0.01)
         assert info.value.time == last_good
+
+
+@st.composite
+def force_inputs(draw):
+    """N <= 12 nodes in 1-3 dimensions with random masses and delayed states,
+    some delayed positions on current ones and some nodes repeated."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+
+    def arr(shape, lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=math.prod(shape),
+                                      max_size=math.prod(shape)))).reshape(shape)
+
+    masses = arr((n,), 0.05, 1.0)
+    pos = arr((n, d), -1.0, 1.0)
+    d_pos = pos + arr((n, d), -0.5, 0.5)
+    index = st.integers(0, n - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        d_pos[j] = pos[i]
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=2)):
+        pos[j] = pos[i]
+    return (CuckerSmaleKernel(draw(st.floats(0.0, 3.0))), masses / masses.sum(), pos,
+            arr((n, d), -2.0, 2.0), d_pos, arr((n, d), -2.0, 2.0))
+
+
+def test_force_properties(time_limit):
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(force_inputs())
+    def check(inputs):
+        kernel, masses, pos, vel, d_pos, d_vel = inputs
+        n, d = pos.shape
+        eye = np.broadcast_to(np.eye(d), (n, d, d))
+
+        def u(p):
+            return _force(kernel, masses, p, vel, eye, d_pos, d_vel)[0] + vel
+
+        with time_limit(5):
+            acc, fg, _ = _force(kernel, masses, pos, vel, eye, d_pos, d_vel)
+            # the alignment target is a convex combination of delayed velocities
+            scale = np.abs(d_vel).max() + np.abs(vel).max()
+            slack = 1e-12 * scale
+            assert np.all(acc + vel >= d_vel.min(axis=0) - slack)
+            assert np.all(acc + vel <= d_vel.max(axis=0) + slack)
+            # each u_i depends on x_i alone, so moving every node's coordinate b
+            # at once gives column b of every node's gradient
+            eps = 1e-5
+            for b in range(d):
+                shift = np.zeros(d)
+                shift[b] = eps
+                fd = (u(pos + shift) - u(pos - shift)) / (2 * eps)
+                # the difference quotient's rounding floor is about
+                # 1e-16 scale / eps = 1e-11 scale
+                err = np.linalg.norm(fd - fg[:, :, b])
+                assert err <= 1e-6 * np.linalg.norm(fg[:, :, b]) + 1e-9 * scale
+
+    check()
