@@ -1,7 +1,7 @@
 """Command-line front end: run, certify, threshold, sweep, presets.
 
 Outputs are deterministic: CSV floats use a 17-significant-digit round-trip
-format with fixed column order, JSON is emitted with sorted keys, and files
+format with fixed column order, JSON is strict, with sorted keys, and files
 are written atomically.  Exit codes: run 0 (completed) / 2 (blow-up) / 1
 (config error, or the kernel normalizer underflowed); certify 0 (satisfied)
 / 3 (not satisfied) / 4 (unsupported kernel) / 1 (config error); threshold
@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +34,6 @@ from .config import (
 )
 from .diagnostics import (
     NotReadyError,
-    _num_or_inf,
     certify_flocking,
     fit_decay_rate,
     prehistory_frames,
@@ -83,8 +83,18 @@ def write_snapshot_csv(ensemble, path) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _json_safe(obj):
+    """``obj`` with each non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj if not isinstance(obj, float) or math.isfinite(obj) else str(obj)
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """RFC 8259 JSON: no bare Infinity or NaN token."""
+    return json.dumps(_json_safe(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _prepare(cfg: RunConfig):
@@ -103,7 +113,7 @@ def execute_run(cfg: RunConfig) -> dict:
 
     start = buffer.latest  # a view of the t = 0 slot, which the run reuses
     w0 = start.vel_gradients[:, 0, 0] / start.jacobians[:, 0, 0] if start.dim == 1 else None
-    result = integrate(buffer, cfg.kernel, h=cfg.step, t_end=cfg.t_end,
+    result = integrate(buffer, cfg.kernel, t_end=cfg.t_end,
                        output_every=cfg.output_every, prehistory=pre)
 
     verdict = None
@@ -129,7 +139,7 @@ def execute_run(cfg: RunConfig) -> dict:
             "t": float(final.t), "d_X": float(final.d_X), "d_V": float(final.d_V),
             "max_speed": float(final.max_speed), "min_detJ": float(final.min_detJ),
         },
-        "fitted_rate": _num_or_inf(rate),
+        "fitted_rate": rate,
         "certificate": certificate.to_dict() if certificate else None,
         "threshold": verdict.to_dict() if verdict else None,
         "blowup": None if blowup is None else {"time": float(blowup.time),
@@ -210,8 +220,7 @@ def _run_cell(payload):
         cert = summary["certificate"]
         row["satisfied"] = "" if cert is None else str(cert["satisfied"]).lower()
         rate = summary["fitted_rate"]
-        row["fitted_rate"] = "" if rate is None else (
-            rate if isinstance(rate, str) else _fmt(rate))
+        row["fitted_rate"] = "" if rate is None else _fmt(rate)
         row["blowup_time"] = ("" if summary["blowup"] is None
                               else _fmt(summary["blowup"]["time"]))
         row["final_d_V"] = _fmt(summary["final"]["d_V"])

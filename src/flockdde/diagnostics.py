@@ -227,7 +227,7 @@ class FlockingMonitor:
         """(X, V, Lyapunov) at t = 0, before any dynamics frame."""
         return self._latest(_X), self._latest(_V), self._lyapunov(0.0)
 
-    def observe(self, t, d_x, d_v):
+    def observe(self, t, d_v):
         """Advance to the emitted frame at time ``t`` and return (X, V, L)."""
         t_prev = self._latest(_T)
         dt = t - t_prev
@@ -259,9 +259,8 @@ def lyapunov(times, d_x_series, d_v_series, kernel, r_v, tau) -> float:
     mon = FlockingMonitor(kernel, tau, times[pre], np.asarray(d_x_series)[pre],
                           np.asarray(d_v_series)[pre], r_v)
     value = mon.start()[2]
-    for t, dx, dv in zip(times[~pre], np.asarray(d_x_series)[~pre],
-                         np.asarray(d_v_series)[~pre]):
-        value = mon.observe(t, dx, dv)[2]
+    for t, dv in zip(times[~pre], np.asarray(d_v_series)[~pre]):
+        value = mon.observe(t, dv)[2]
     return value
 
 
@@ -288,13 +287,6 @@ def gronwall_rate(a: float, tau: float) -> float:
     return a * brentq(residual, 0.0, min(1.0, 700.0 / tau / a), xtol=math.ulp(0.0))
 
 
-def _num_or_inf(x):
-    """JSON value of an optional real: None stays None, +-inf becomes "inf"."""
-    if x is None:
-        return None
-    return "inf" if math.isinf(x) else float(x)
-
-
 @dataclass
 class FlockingCertificate:
     """Outcome of the sufficient-condition check on the prehistory.
@@ -318,11 +310,11 @@ class FlockingCertificate:
         return {
             "R_V": float(self.r_v),
             "lhs": float(self.lhs),
-            "rhs": _num_or_inf(self.rhs),
+            "rhs": float(self.rhs),
             "satisfied": bool(self.satisfied),
-            "d_star": _num_or_inf(self.d_star),
-            "psi_star": _num_or_inf(self.psi_star),
-            "predicted_rate": _num_or_inf(self.predicted_rate),
+            "d_star": self.d_star,
+            "psi_star": self.psi_star,
+            "predicted_rate": self.predicted_rate,
         }
 
 

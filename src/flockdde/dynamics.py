@@ -7,8 +7,8 @@ all diameter estimates lean on.  The tangent flow (position Jacobian and
 velocity gradient with respect to labels) is integrated alongside, feeding
 the Jacobian monitor and the one-dimensional slope dynamics.
 
-Stepping is classical RK4 with a fixed step h that divides the delay,
-tau = m h, on an integer clock, so each stage's delayed time is a stored
+Stepping is classical RK4 with the buffer's fixed step h, which divides the
+delay, tau = m h, on an integer clock, so each stage's delayed time is a stored
 step or exactly halfway between two: stages 1 and 4 read stored slots, and
 one cubic-Hermite midpoint per step serves stages 2 and 3, which keeps the
 overall order at four.  With zero delay the delayed argument is the current
@@ -154,16 +154,14 @@ def alignment_rhs(current: LagrangianEnsemble, delayed: HistoryView,
     return ForceEvaluation(accelerations=acc, force_gradients=fg, normalizers=s0)
 
 
-def step(buffer: HistoryBuffer, kernel, h: float) -> None:
-    """Advance the buffer by one RK4 step of size ``h``, its spacing.
+def step(buffer: HistoryBuffer, kernel) -> None:
+    """Advance the buffer by one RK4 step of its spacing ``buffer.h``.
 
     Stage offsets are {0, 1/2, 1/2, 1}; each stage reads the delayed state at
     its own time minus tau = m h: the slot m steps back, one Hermite midpoint
     for both middle stages, and the slot after it.  Appends the new state to
     the ring.  Raises BlowupSignal, before appending, if it is not finite.
     """
-    if h != buffer.h:
-        raise ValueError(f"step size {h} differs from the history spacing {buffer.h}")
     m = buffer.m
     j = buffer.clock - m  # the delayed slot of stage 1
 
@@ -178,7 +176,7 @@ def step(buffer: HistoryBuffer, kernel, h: float) -> None:
     # leaving this slot, which the midpoint reads when m = 1
     buffer.set_slope(k1[1])
     mid, end = (buffer.interpolate(j, 0.5), buffer.slot(j + 1)) if m else (None, None)
-    new, k4 = _rk4(rhs, y0, h, k1, mid, end)
+    new, k4 = _rk4(rhs, y0, buffer.h, k1, mid, end)
     if not all(np.isfinite(arr).all() for arr in new):
         raise BlowupSignal(time=buffer.current_time)
     buffer.append(*new, k4[1])
@@ -195,7 +193,7 @@ def _blowup_node(dets) -> int | None:
     return _worst_node(dets)
 
 
-def _advance(buffer: HistoryBuffer, kernel, h: float, n_steps: int):
+def _advance(buffer: HistoryBuffer, kernel, n_steps: int):
     """Step the buffer up to ``n_steps`` times: the one stepping loop, and the
     one place that decides how a run ends.
 
@@ -207,7 +205,7 @@ def _advance(buffer: HistoryBuffer, kernel, h: float, n_steps: int):
     for k in range(n_steps + 1):
         if k:
             try:
-                step(buffer, kernel, h)
+                step(buffer, kernel)
             except BlowupSignal as sig:
                 yield dets, BlowupEvent(sig.time, sig.node)
                 return
@@ -226,7 +224,7 @@ class SimulationResult:
     r_v: float
 
 
-def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
+def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
               output_every: float | None = None,
               prehistory: list | None = None) -> SimulationResult:
     """Drive the stepper from t = 0 to t_end, emitting diagnostics frames.
@@ -237,13 +235,13 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
     the frames up to it are retained, the event's slot has a frame, and that
     last frame carries status "blowup".  Deterministic given its inputs.
 
-    ``buffer`` must be at t = 0 with spacing ``h``.  ``prehistory`` must be
-    ``prehistory_frames(buffer)`` of this buffer; it seeds the monitor, R_V
-    and the start frame, and is computed here when omitted.
+    ``buffer`` must be at t = 0; its spacing is the step.  ``prehistory``
+    must be ``prehistory_frames(buffer)`` of this buffer; it seeds the
+    monitor, R_V and the start frame, and is computed here when omitted.
     """
-    if buffer.clock != 0 or h != buffer.h:
-        raise ValueError(f"integrate needs a buffer at t = 0 with spacing {h}, not one at "
-                         f"t = {buffer.current_time} with spacing {buffer.h}")
+    if buffer.clock != 0:
+        raise ValueError(f"integrate needs a buffer at t = 0, not at t = {buffer.current_time}")
+    h = buffer.h
     every = _grid_steps(h if output_every is None else output_every, h)
     if not every:
         raise ValueError("output_every must be a positive multiple of the step")
@@ -261,14 +259,14 @@ def integrate(buffer: HistoryBuffer, kernel, h: float, t_end: float,
 
     # X = d_X and V = d_V at t = 0: the last prehistory record, plus L
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
-    for k, (dets, event) in enumerate(_advance(buffer, kernel, h, n_steps)):
+    for k, (dets, event) in enumerate(_advance(buffer, kernel, n_steps)):
         # the t = 0 slot has its frame, and a BlowupSignal's event repeats a
         # slot that may have one
         if frames[-1].t != buffer.current_time and (
                 event is not None or k % every == 0 or k == n_steps):
             ens = buffer.latest
             d_x, d_v = diameters(ens)
-            frames.append(_record(ens, d_x, d_v, *monitor.observe(ens.time, d_x, d_v), dets))
+            frames.append(_record(ens, d_x, d_v, *monitor.observe(ens.time, d_v), dets))
     if event is not None:
         frames[-1].status = "blowup"
     return SimulationResult(frames, buffer, event, r_v)
@@ -281,7 +279,5 @@ def simulate(config) -> SimulationResult:
     (see ``flockdde.config.RunConfig``).
     """
     buffer = discretize(config.datum, config.tau, config.step)
-    return integrate(
-        buffer, config.kernel, h=config.step, t_end=config.t_end,
-        output_every=config.output_every,
-    )
+    return integrate(buffer, config.kernel, t_end=config.t_end,
+                     output_every=config.output_every)

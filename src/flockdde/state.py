@@ -3,9 +3,9 @@
 The flow is sampled at Lagrangian nodes: each node carries a position, a
 velocity, the tangent-flow matrices (position Jacobian and velocity gradient
 with respect to the initial labels), and a fixed mass.  A
-``HistoryBuffer`` holds the flow on the step grid over the trailing delay
-window and answers dense interpolation queries, which is what makes the
-delayed force evaluable between stored steps.
+``HistoryBuffer``, the one owner of the step grid, holds the flow as untimed
+rows over the trailing delay window and answers dense interpolation queries,
+which is what makes the delayed force evaluable between stored steps.
 """
 
 from __future__ import annotations
@@ -46,11 +46,10 @@ class OutOfWindowError(Exception):
 
 @dataclass
 class LagrangianEnsemble:
-    """One time slice of the discretized flow.
+    """One time slice of the discretized flow, as a history hands it out.
 
     ``masses``, ``labels`` and ``cell_volumes`` are shared, read-only arrays
-    identical across all slices of a run.  ``accel`` is dv/dt arriving at
-    this time, the velocity's cubic-Hermite slope in the history.
+    identical across all slices of a run.
     """
 
     time: float
@@ -61,7 +60,6 @@ class LagrangianEnsemble:
     masses: np.ndarray         # (N,)
     labels: np.ndarray         # (N, d)
     cell_volumes: np.ndarray   # (N,)
-    accel: np.ndarray | None = None  # (N, d)
 
     def __post_init__(self):
         n, d = self.positions.shape
@@ -85,7 +83,14 @@ class LagrangianEnsemble:
         return self.positions.shape[1]
 
     def max_speed(self) -> float:
-        return float(np.sqrt((self.velocities**2).sum(axis=1)).max())
+        """The largest |v|, with no square out of range: scaled by an exact
+        power of two where the largest component is outside [2^-500, 2^500]."""
+        speeds = np.abs(self.velocities)
+        top = float(speeds.max())
+        if self.dim == 1:
+            return top
+        e = math.frexp(top)[1] if 0 < top < math.inf and not 2**-500 <= top <= 2**500 else 0
+        return math.ldexp(float(np.sqrt((np.ldexp(speeds, -e)**2).sum(axis=1)).max()), e)
 
     def det_jacobians(self) -> np.ndarray:
         return _det(self.jacobians)
@@ -136,38 +141,37 @@ def _delay_steps(tau: float, h: float) -> int:
 class HistoryBuffer:
     """Ring record of the flow on the step grid over [t - tau - 2h, t].
 
-    With tau = m h, slot j holds the state at time j h, j read off an integer
-    clock (never a sum of steps), in ring arrays of m + 3 slots; the
-    prehistory fills slots -m..0.  A query at t reads j = floor(t / h): the
-    slot itself when t / h = j, else the cubic Hermite interpolant at
+    The one owner of the grid, which every stepping call reads.  With
+    tau = m h, slot j holds the state at time j h, j read off an integer clock
+    (never a sum of steps), in ring arrays of m + 3 slots.  Its arguments are
+    the arrays shared by all slots and the prehistory as m + 1 untimed rows
+    ``(positions, velocities, jacobians, vel_gradients, accel)``, oldest
+    first, for slots -m..0.  A query at t reads j = floor(t / h): the slot
+    itself when t / h = j, else the cubic Hermite interpolant at
     theta = t / h - j, whose slopes are the velocities for the positions and
-    the stored dv/dt for the velocities.  That slope is the datum's material
-    derivative at t <= 0, else the first RK4 stage of the step leaving the
-    slot, kept apart at t = 0 where the prehistory hands over to the
-    dynamics.  The newest slot holds the last stage of the step that made it
-    until the next step replaces it, so only a query from outside the stepper
-    into the newest interval reads that provisional slope.  Only the stepper
-    writes.  Stored-slot queries, ``slot``, ``latest`` and ``prehistory``
-    return views, valid until their slot is reused m + 3 steps later: copy
-    what must outlive that.
+    the stored dv/dt for the velocities.  That slope is the row's ``accel``,
+    the datum's material derivative, at t <= 0, else the first RK4 stage of
+    the step leaving the slot, kept apart at t = 0 where the prehistory
+    hands over to the dynamics.  The newest slot holds the last stage of the
+    step that made it until the next step replaces it, so only a query from
+    outside the stepper into the newest interval reads that provisional
+    slope.  Only the stepper writes.  Stored-slot queries, ``slot``,
+    ``latest`` and ``prehistory`` return views, valid until their slot is
+    reused m + 3 steps later: copy what must outlive that.
     """
 
-    def __init__(self, tau: float, h: float, slices: list[LagrangianEnsemble]):
+    def __init__(self, tau: float, h: float, masses, labels, cell_volumes, rows):
         m = _delay_steps(tau, h)
-        if len(slices) != m + 1:
-            raise ValueError(f"history needs {m + 1} slices on [-tau, 0], got {len(slices)}")
+        if len(rows) != m + 1:
+            raise ValueError(f"history needs {m + 1} rows on [-tau, 0], got {len(rows)}")
         self.tau, self.h, self.m = float(tau), float(h), m
+        self.masses, self.labels, self.cell_volumes = masses, labels, cell_volumes
         self._fwd0 = None  # the first stage of the step leaving t = 0
-        s0 = slices[0]
-        self.masses, self.labels, self.cell_volumes = s0.masses, s0.labels, s0.cell_volumes
         self._pos, self._vel, self._jac, self._vgrad, self._acc = (
-            np.empty((m + 3, *a.shape)) for a in
-            (s0.positions, s0.velocities, s0.jacobians, s0.vel_gradients, s0.positions))
+            np.empty((m + 3, *np.shape(a))) for a in rows[0])
         self.clock = -m - 1  # the newest slot; the prehistory ends at 0
-        for j, s in zip(range(-m, 1), slices):
-            if abs(s.time - j * h) > 1e-9 * h or s.accel is None:
-                raise ValueError(f"slice {j + m} needs time {j * h} and a slope accel")
-            self.append(s.positions, s.velocities, s.jacobians, s.vel_gradients, s.accel)
+        for row in rows:
+            self.append(*row)
 
     @property
     def current_time(self) -> float:
@@ -181,7 +185,7 @@ class HistoryBuffer:
         r = j % len(self._pos)
         return LagrangianEnsemble(j * self.h, self._pos[r], self._vel[r], self._jac[r],
                                   self._vgrad[r], self.masses, self.labels,
-                                  self.cell_volumes, self._acc[r])
+                                  self.cell_volumes)
 
     def _oldest(self) -> int:
         return max(-self.m, self.clock - len(self._pos) + 1)
@@ -256,12 +260,6 @@ class VelocityField:
     def time_partial(self, s: float, x: np.ndarray) -> np.ndarray:
         ds = 1e-6
         return (self(s + ds, x) - self(s - ds, x)) / (2 * ds)
-
-    def material_derivative(self, s: float, x: np.ndarray) -> np.ndarray:
-        """d/ds of u along its own characteristics: u_s + (grad u) u."""
-        u = self(s, x)
-        grad = self.gradient(s, x)
-        return self.time_partial(s, x) + np.einsum("nab,nb->na", grad, u)
 
 
 class ConstantVelocity(VelocityField):
@@ -450,7 +448,7 @@ def _rk4(rhs, y, h, k1, mid, end):
     argument of the two midpoint stages and ``end`` that of the last: the
     prehistory passes stage times, the stepper the delayed states.  Callers
     already hold ``k1``: the stepper keeps it as a Hermite slope, and the
-    prehistory reads it off the slice it built last.  Returns the new tuple
+    prehistory reads it off the row it built last.  Returns the new tuple
     and the last stage.
     """
     k2 = rhs(mid, *[a + (h / 2) * k for a, k in zip(y, k1)])
@@ -465,8 +463,8 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
 
     Midpoint-rule nodes carry masses proportional to density times cell
     volume, normalized to total mass 1; zero-mass nodes are dropped.  The
-    prehistory has one slice per step ``h`` at times j h, j = -m..0, with
-    tau = m h (tau = 0 gives the one slice at t = 0).  Its positions come
+    prehistory has one row per step ``h`` at times j h, j = -m..0, with
+    tau = m h (tau = 0 gives the one row at t = 0).  Its positions come
     from backward RK4 integration of the characteristic flow under the
     prescribed velocity field, with the tangent flow integrated alongside
     for the Jacobians.
@@ -507,18 +505,15 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
 
     # walk back from the labels at t = 0, where the field is probed first
     y = (nodes.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy())
-    slices = []
+    rows = []
     for j in range(0, -m - 1, -1):
-        if slices:  # one backward step, whose first stage is the later slice
-            y, _ = _rk4(rhs, y, -h, (slices[-1].velocities, slices[-1].vel_gradients),
-                        (j + 0.5) * h, j * h)
+        if rows:  # one backward step, whose first stage is the later row
+            y, _ = _rk4(rhs, y, -h, (rows[-1][1], rows[-1][3]), (j + 0.5) * h, j * h)
         s = j * h
         pos, jac = y
         vel, grad = probe(s, pos), field.gradient(s, pos)
-        slices.append(LagrangianEnsemble(  # accel is the material derivative
-            time=s, positions=pos, velocities=vel, jacobians=jac,
-            vel_gradients=np.einsum("nab,nbc->nac", grad, jac),
-            masses=masses, labels=nodes, cell_volumes=volumes,
-            accel=field.time_partial(s, pos) + np.einsum("nab,nb->na", grad, vel)))
-    slices.reverse()
-    return HistoryBuffer(tau, h, slices)
+        # the velocity's slope is its material derivative u_s + (grad u) u
+        rows.append((pos, vel, jac, np.einsum("nab,nbc->nac", grad, jac),
+                     field.time_partial(s, pos) + np.einsum("nab,nb->na", grad, vel)))
+    rows.reverse()
+    return HistoryBuffer(tau, h, masses, nodes, volumes, rows)

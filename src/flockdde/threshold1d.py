@@ -106,25 +106,25 @@ class WEvolution:
     blowup: BlowupEvent | None = None
 
 
-def evolve_w(buffer, kernel, h: float, t_end: float) -> WEvolution:
+def evolve_w(buffer, kernel, *, t_end: float) -> WEvolution:
     """Advance a 1-d buffer to ``t_end`` and record the slope quotient at every step.
 
     Steps through the integrator's loop, so it stops under the same rule at
     the same slot, t = 0 included: the first whose det J meets the blow-up
     rule, with that (time, node) as the event, or the last finite one when a
     step leaves the finite range.  Rows are recorded for the slots before a
-    blow-up slot.  ``t_end`` must lie on the step grid at or after the
-    buffer's time, or ValueError is raised.
+    blow-up slot.  ``t_end`` must lie on the buffer's step grid at or after
+    its time, or ValueError is raised.
     """
     if buffer.latest.dim != 1:
         raise ValueError("slope evolution is defined in one space dimension only")
-    n_steps = _grid_steps(t_end - buffer.current_time, h)
+    n_steps = _grid_steps(t_end - buffer.current_time, buffer.h)
     if n_steps is None:
-        raise ValueError(f"t_end = {t_end} is not a step of size {h} on or after "
+        raise ValueError(f"t_end = {t_end} is not a step of size {buffer.h} on or after "
                          f"t = {buffer.current_time}")
 
     times, w_rows = [], []
-    for _, blowup in _advance(buffer, kernel, h, n_steps):
+    for _, blowup in _advance(buffer, kernel, n_steps):
         if blowup is None:
             _, _, jac, vgrad = buffer.slot(buffer.clock)
             times.append(buffer.current_time)

@@ -80,7 +80,7 @@ def certified_runs():
         pre = prehistory_frames(buffer)
         cert = certify_flocking(pre, kernel)
         assert cert.satisfied, f"scenario {name} must be certified"
-        res = integrate(buffer, kernel, h=h, t_end=t_end, output_every=0.02)
+        res = integrate(buffer, kernel, t_end=t_end, output_every=0.02)
         assert res.blowup is None, f"scenario {name} must stay smooth"
         out.append((name, cert, pre, res))
     return out
@@ -196,7 +196,7 @@ def test_criterion_07_subcritical_persistence():
     buf = discretize(datum, 0.1, 1e-3)
     w0_min = float((buf.latest.vel_gradients[:, 0, 0]).min())
     assert w0_min >= -0.9 - 1e-12
-    evo = evolve_w(buf, CuckerSmaleKernel(0.0), h=1e-3, t_end=10.0)
+    evo = evolve_w(buf, CuckerSmaleKernel(0.0), t_end=10.0)
     assert evo.blowup is None
     w_min = float(evo.w.min())
     assert w_min >= -1.0 - 1e-4
@@ -219,7 +219,7 @@ def test_criterion_08_force_gradient_bound():
             grad = fe.force_gradients[:, 0, 0] / cur.jacobians[:, 0, 0]
             assert np.abs(grad).max() <= c_bar + 1e-9
             samples += grad.size
-            step(buf, kernel, 2e-3)
+            step(buf, kernel)
     assert samples >= 10_000
     ok(8, f"{samples} sampled position-gradients all below C_bar + 1e-9")
 
@@ -257,7 +257,7 @@ def test_criterion_10_convergence_order():
         buf = discretize(datum, 0.2, h)
         n = int(round(1.0 / h))
         for _ in range(n):
-            step(buf, kernel, h)
+            step(buf, kernel)
         ens = buf.latest
         return np.concatenate([ens.positions.ravel(), ens.velocities.ravel()])
 

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from flockdde.cli import execute_run, main
+from flockdde.cli import _json_text, execute_run, main
 from flockdde.config import preset_dict, run_config_from_dict
 from flockdde.dynamics import simulate
 from flockdde.diagnostics import _BLOCK_PAIRS
@@ -34,6 +34,23 @@ UNDERFLOW_DOC = {"schema_version": 1,
                            "density": {"family": "uniform"},
                            "velocity": {"family": "constant", "value": [3000.0]}},
                  "tau": 0.1, "step": 0.01, "t_end": 0.1, "output_every": 0.01}
+
+
+def strict_json(text):
+    """Parse RFC 8259 JSON: a bare Infinity, -Infinity or NaN token raises."""
+    def reject(token):
+        raise ValueError(f"bare {token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def fast_doc(dim, tau):
+    """A prehistory moving at 1e160 per axis: its squared speed overflows."""
+    return {"schema_version": 1, "kernel": {"family": "cucker-smale", "beta": 1.0},
+            "datum": {"domain": {"box": [[0.0, 1.0]] * dim, "counts": [2] * dim},
+                      "density": {"family": "uniform"},
+                      "velocity": {"family": "constant", "value": [1e160] * dim}},
+            "tau": tau, "step": 0.01, "t_end": 0.05, "output_every": 0.01}
 
 
 @pytest.fixture(scope="module")
@@ -414,6 +431,43 @@ class TestCertify:
         code = run_cli("certify", "--config", write_json(tmp_path / "c.json", doc))
         assert code == 4
         assert json.loads(capsys.readouterr().out)["error"] == "unsupported-kernel"
+
+
+class TestOutOfRangeInputs:
+    @pytest.mark.parametrize("dim, tau, run_code", [(1, 0.0, 0), (1, 0.2, 1), (2, 0.2, 1)])
+    def test_speed_whose_square_overflows_keeps_r_v_finite(self, tmp_path, capsys,
+                                                           dim, tau, run_code):
+        # with tau > 0 each node's delayed self lies 2e159 away, so the run
+        # ends in the normalizer underflow's one error line
+        cfg = write_json(tmp_path / "c.json", fast_doc(dim, tau))
+        assert run_cli("certify", "--config", cfg) == 0
+        cert = strict_json(capsys.readouterr().out)
+        assert cert["R_V"] == pytest.approx(math.sqrt(dim) * 1e160, rel=1e-15)
+        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "out")) == run_code
+        err = capsys.readouterr().err
+        if run_code:
+            assert err.startswith("error: kernel-weighted mass underflowed")
+            assert err.count("\n") == 1
+        else:
+            summary = strict_json((tmp_path / "out" / "summary.json").read_text())
+            assert summary["R_V"] == 1e160 and err == ""
+
+    def test_summary_and_certificate_are_strict_json(self, tmp_path, capsys):
+        # a spread of 1e160, whose squared diameter overflows
+        doc = fast_doc(1, 0.0)
+        doc["datum"]["domain"]["box"] = [[0.0, 1e160]]
+        doc["datum"]["velocity"]["value"] = [0.0]
+        cfg = write_json(tmp_path / "c.json", doc)
+        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "out")) == 0
+        strict_json((tmp_path / "out" / "summary.json").read_text())
+        capsys.readouterr()
+        assert run_cli("certify", "--config", cfg) == 3
+        strict_json(capsys.readouterr().out)
+
+    def test_json_text_writes_non_finite_numbers_as_strings(self):
+        doc = {"a": math.inf, "b": [-math.inf, math.nan], "c": {"d": 1.5, "e": None}}
+        assert strict_json(_json_text(doc)) == {"a": "inf", "b": ["-inf", "nan"],
+                                                "c": {"d": 1.5, "e": None}}
 
 
 class TestThreshold:

@@ -1,5 +1,6 @@
 """Observables, Gronwall solver, Lyapunov functional and certificate checks."""
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -20,6 +21,7 @@ from flockdde.diagnostics import (
     prehistory_frames,
     _row_blocks,
 )
+from flockdde.cli import _json_text
 from flockdde.dynamics import simulate
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKernelError
 from flockdde.state import (
@@ -146,7 +148,7 @@ class TestLyapunov:
         values = []
         for t in times:
             dv = 0.8 * math.exp(-t)
-            x, v, lyap = mon.observe(t, d_x=math.nan, d_v=dv)
+            x, v, lyap = mon.observe(t, d_v=dv)
             # X(t) = X(0) + integral of d_V; middle term telescopes to X - X(0)
             window = v  # placeholder, checked via lyap identity below
             values.append((t, x, v, lyap))
@@ -160,7 +162,7 @@ class TestLyapunov:
         kernel = CuckerSmaleKernel(1.0)
         mon = FlockingMonitor(kernel, 1.0, [-1.0, 0.0], [1.0, 1.0], [0.5, 0.5], 1.0)
         with pytest.raises(NotReadyError):
-            mon.observe(2.5, 1.0, 0.1)  # window (1.5, 2.5] holds only one frame
+            mon.observe(2.5, 0.1)  # window (1.5, 2.5] holds only one frame
 
     def test_nonincreasing_along_heavy_tail_run(self):
         # gentle slope keeps the run subcritical so all 10^3 frames are emitted
@@ -229,7 +231,9 @@ class TestCertificate:
     def test_json_mapping_inf_encoding(self):
         cert = certify_flocking(self.prehistory(), CuckerSmaleKernel(0.25))
         d = cert.to_dict()
-        assert d["rhs"] == "inf"
+        # the dict keeps the float; the JSON writer's one rule makes it "inf"
+        assert d["rhs"] == math.inf
+        assert json.loads(_json_text(d))["rhs"] == "inf"
         assert isinstance(d["lhs"], float)
         assert set(d) == {"R_V", "lhs", "rhs", "satisfied", "d_star", "psi_star",
                           "predicted_rate"}
@@ -423,7 +427,7 @@ class _NaiveMonitor:
     def start(self):
         return self._x[-1], self._v[-1], self._lyapunov(0.0)
 
-    def observe(self, t, d_x, d_v):
+    def observe(self, t, d_v):
         t_prev = self._times[-1]
         dt = t - t_prev
         g_prev = self._g(t_prev)
@@ -506,8 +510,8 @@ class TestWindowedMonitor:
         assert _outcome(mon.start) == _outcome(ref.start)
         outcomes = []
         for t, d_v in frames:
-            got = _outcome(lambda: mon.observe(t, math.nan, d_v))
-            assert got == _outcome(lambda: ref.observe(t, math.nan, d_v)), t
+            got = _outcome(lambda: mon.observe(t, d_v))
+            assert got == _outcome(lambda: ref.observe(t, d_v)), t
             outcomes.append(got)
         assert ("not-ready" in outcomes) == (name in ("uneven-cadence", "sparse-window"))
 
@@ -517,7 +521,7 @@ class TestWindowedMonitor:
         mon = FlockingMonitor(CuckerSmaleKernel(1.0), tau, pre_t,
                               np.ones(21), np.full(21, 0.5), 0.5)
         for k in range(1, 20001):
-            mon.observe(k * dt, math.nan, 0.5 * math.exp(-k * dt))
+            mon.observe(k * dt, 0.5 * math.exp(-k * dt))
         # frames in [t - tau, t], plus the one bracketing t - tau
         window = round(tau / dt) + 2
         assert mon._hi - mon._lo <= window + 1

@@ -24,18 +24,20 @@ from flockdde.dynamics import step
 from flockdde.kernel import CuckerSmaleKernel
 
 
-def make_ensemble(t, pos, vel, acc=None):
-    """1-d synthetic slice with trivial tangent flow, for buffer tests."""
+def make_row(pos, vel, acc=None):
+    """1-d synthetic history row with trivial tangent flow, for buffer tests."""
     pos = np.asarray(pos, dtype=float).reshape(-1, 1)
     vel = np.asarray(vel, dtype=float).reshape(-1, 1)
     n = pos.shape[0]
-    eye = np.broadcast_to(np.eye(1), (n, 1, 1)).copy()
     acc = np.zeros_like(vel) if acc is None else np.asarray(acc, dtype=float).reshape(-1, 1)
-    return LagrangianEnsemble(
-        time=t, positions=pos, velocities=vel, jacobians=eye.copy(),
-        vel_gradients=np.zeros((n, 1, 1)), masses=np.full(n, 1.0 / n),
-        labels=pos.copy(), cell_volumes=np.full(n, 1.0 / n), accel=acc,
-    )
+    return pos, vel, np.ones((n, 1, 1)), np.zeros((n, 1, 1)), acc
+
+
+def make_buffer(tau, h, rows):
+    """A buffer of 1-d rows, oldest first, with equal masses."""
+    n = rows[0][0].shape[0]
+    return HistoryBuffer(tau, h, np.full(n, 1.0 / n), rows[0][0].copy(),
+                         np.full(n, 1.0 / n), rows)
 
 
 class TestDiscretize:
@@ -59,8 +61,10 @@ class TestDiscretize:
         np.testing.assert_array_equal(ens.positions, nodes)
         np.testing.assert_array_equal(ens.jacobians, np.broadcast_to(np.eye(2), (6, 2, 2)))
         np.testing.assert_array_equal(ens.vel_gradients, field.gradient(0.0, nodes))
-        np.testing.assert_array_equal(ens.accel,
-                                      field.material_derivative(0.0, nodes))
+        # the velocity's Hermite slope at t = 0 is the material derivative
+        slope = field.time_partial(0.0, nodes) + np.einsum(
+            "nab,nb->na", field.gradient(0.0, nodes), field(0.0, nodes))
+        np.testing.assert_array_equal(buf._acc[0], slope)
 
     def test_constant_field_straight_characteristics(self):
         c = np.array([0.3, -0.7])
@@ -157,18 +161,18 @@ class TestDiscretize:
 
 class TestHistoryBuffer:
     def test_query_at_stored_time_is_exact(self):
-        slices = [make_ensemble(t, [t, 2 * t], [1.0, 2.0]) for t in (-1.0, -0.5, 0.0)]
-        buf = HistoryBuffer(1.0, 0.5, slices)
+        rows = [make_row([t, 2 * t], [1.0, 2.0]) for t in (-1.0, -0.5, 0.0)]
+        buf = make_buffer(1.0, 0.5, rows)
         v = buf.query(-0.5)
         # a stored slot is read, not interpolated: a view of the ring's copy
-        np.testing.assert_array_equal(v.positions, slices[1].positions)
-        assert v.positions is not slices[1].positions
+        np.testing.assert_array_equal(v.positions, rows[1][0])
+        assert v.positions is not rows[1][0]
         assert np.shares_memory(v.positions, buf.prehistory()[1].positions)
 
     def test_linear_motion_recovered_exactly(self):
         times = np.linspace(-1, 0, 5)
-        slices = [make_ensemble(t, [0.2 + 0.7 * t], [0.7], acc=[0.0]) for t in times]
-        buf = HistoryBuffer(1.0, 0.25, slices)
+        buf = make_buffer(1.0, 0.25, [make_row([0.2 + 0.7 * t], [0.7], acc=[0.0])
+                                      for t in times])
         for t in (-0.95, -0.6, -0.1):
             view = buf.query(t)
             assert view.positions[0, 0] == pytest.approx(0.2 + 0.7 * t, abs=1e-15)
@@ -181,16 +185,14 @@ class TestHistoryBuffer:
         v = p.deriv()
         a = v.deriv()
         times = np.linspace(-1, 0, 5)
-        slices = [make_ensemble(t, [p(t)], [v(t)], acc=[a(t)]) for t in times]
-        buf = HistoryBuffer(1.0, 0.25, slices)
+        buf = make_buffer(1.0, 0.25, [make_row([p(t)], [v(t)], acc=[a(t)]) for t in times])
         for t in (-0.875, -0.4, -0.05):
             view = buf.query(t)
             assert view.positions[0, 0] == pytest.approx(p(t), abs=1e-14)
             assert view.velocities[0, 0] == pytest.approx(v(t), abs=1e-14)
 
     def test_out_of_window_query_raises(self):
-        slices = [make_ensemble(t, [0.0], [0.0]) for t in (-1.0, 0.0)]
-        buf = HistoryBuffer(1.0, 1.0, slices)
+        buf = make_buffer(1.0, 1.0, [make_row([0.0], [0.0]) for _ in range(2)])
         with pytest.raises(OutOfWindowError):
             buf.query(-1.5)
         with pytest.raises(OutOfWindowError):
@@ -200,7 +202,7 @@ class TestHistoryBuffer:
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), SineVelocity([0.0], [0.2], [2.0]))
         buf = discretize(datum, 0.1, 0.05)
         for _ in range(10):
-            step(buf, CuckerSmaleKernel(1.0), 0.05)
+            step(buf, CuckerSmaleKernel(1.0))
         t = buf.current_time
         assert t == 10 * 0.05
         np.testing.assert_array_equal(buf.query(t).velocities, buf.latest.velocities)
@@ -217,10 +219,10 @@ class TestHistoryBuffer:
         kernel = CuckerSmaleKernel(1.0)
         buf = discretize(datum, 0.1, 0.01)
         for _ in range(5):
-            step(buf, kernel, 0.01)
+            step(buf, kernel)
         t_mid = buf.current_time - 0.005
         before = buf.query(t_mid)
-        step(buf, kernel, 0.01)
+        step(buf, kernel)
         after = buf.query(t_mid)
         np.testing.assert_array_equal(before.positions, after.positions)
         assert not np.array_equal(before.velocities, after.velocities)
@@ -228,12 +230,9 @@ class TestHistoryBuffer:
 
     def test_grid_and_coverage_validated(self):
         with pytest.raises(ValueError):  # tau is not a multiple of h
-            HistoryBuffer(1.0, 0.4, [make_ensemble(t, [0.0], [0.0]) for t in (-0.4, 0.0)])
-        with pytest.raises(ValueError):  # too few slices for the window
-            HistoryBuffer(1.0, 0.5, [make_ensemble(t, [0.0], [0.0]) for t in (-0.5, 0.0)])
-        with pytest.raises(ValueError):  # a slice off the step grid
-            HistoryBuffer(1.0, 0.5, [make_ensemble(t, [0.0], [0.0])
-                                     for t in (-1.0, -0.4, 0.0)])
+            make_buffer(1.0, 0.4, [make_row([0.0], [0.0]) for _ in range(2)])
+        with pytest.raises(ValueError, match="needs 3 rows"):  # too few for the window
+            make_buffer(1.0, 0.5, [make_row([0.0], [0.0]) for _ in range(2)])
 
     def test_labels_and_masses_shared_across_slices(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [3]), ConstantVelocity([0.1]))
@@ -244,6 +243,34 @@ class TestHistoryBuffer:
             assert sl.labels is first.labels
             assert sl.masses is first.masses
             assert sl.cell_volumes is first.cell_volumes
+
+
+def ensemble_of(velocities):
+    n, d = velocities.shape
+    eye = np.broadcast_to(np.eye(d), (n, d, d))
+    return LagrangianEnsemble(0.0, np.zeros((n, d)), velocities, eye, eye,
+                              np.full(n, 1.0 / n), np.zeros((n, d)), np.ones(n))
+
+
+class TestMaxSpeed:
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1.0, 1e100, 1e160, 1e300])
+    def test_finite_at_every_scale(self, scale):
+        # the squares of the largest components leave the float range from
+        # about 1e-154 down and 1e154 up
+        assert ensemble_of(np.array([[3.0], [-4.0]]) * scale).max_speed() == 4 * scale
+        speed = ensemble_of(np.array([[1.0, -1.0], [3.0, -4.0]]) * scale).max_speed()
+        assert speed == pytest.approx(5 * scale, rel=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bit_identical_to_the_norm_in_range(self, d):
+        rng = np.random.default_rng(d)
+        for scale in (2.0**-499, 1e-100, 1.0, 1e100, 2.0**499):
+            v = scale * rng.normal(size=(50, d))
+            assert ensemble_of(v).max_speed() == float(np.sqrt((v**2).sum(axis=1)).max())
+
+    def test_non_finite_velocity_propagates(self):
+        assert math.isnan(ensemble_of(np.array([[1.0, math.nan]])).max_speed())
+        assert ensemble_of(np.array([[1.0, -math.inf]])).max_speed() == math.inf
 
 
 def test_snapshot_csv_round_trip(tmp_path):

@@ -93,7 +93,7 @@ class TestEvolveW:
 
     def test_flat_kernel_matches_riccati_closed_form(self):
         buf = self.run_buffer(-0.5)
-        evo = evolve_w(buf, CuckerSmaleKernel(0.0), h=1e-3, t_end=2.0)
+        evo = evolve_w(buf, CuckerSmaleKernel(0.0), t_end=2.0)
         assert evo.blowup is None
         exact = np.array([riccati_w(-0.5, t) for t in evo.times])
         err = np.abs(evo.w - exact[:, None]).max()
@@ -103,7 +103,7 @@ class TestEvolveW:
         # w' = -w - w^2 with w0 = -2 loses the Jacobian at t = ln 2, inside
         # the classifier bound 1/(w2_minus - w0) = 1
         buf = self.run_buffer(-2.0)
-        evo = evolve_w(buf, CuckerSmaleKernel(0.0), h=1e-3, t_end=2.0)
+        evo = evolve_w(buf, CuckerSmaleKernel(0.0), t_end=2.0)
         assert evo.blowup is not None
         t_star, node = evo.blowup
         assert t_star == pytest.approx(math.log(2.0), abs=5e-3)
@@ -112,7 +112,7 @@ class TestEvolveW:
     def test_zero_slope_rigid_translation(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [8]), ConstantVelocity([0.4]))
         buf = discretize(datum, 0.1, 1e-3)
-        evo = evolve_w(buf, CuckerSmaleKernel(1.0), h=1e-3, t_end=0.5)
+        evo = evolve_w(buf, CuckerSmaleKernel(1.0), t_end=0.5)
         assert np.abs(evo.w).max() <= 1e-14
 
     def test_dimension_guard(self):
@@ -120,7 +120,7 @@ class TestEvolveW:
                              ConstantVelocity([0.0, 0.0]))
         buf = discretize(datum, 0.0, 1e-3)
         with pytest.raises(ValueError):
-            evolve_w(buf, CuckerSmaleKernel(0.0), h=1e-3, t_end=0.1)
+            evolve_w(buf, CuckerSmaleKernel(0.0), t_end=0.1)
 
     def test_subcritical_floor_with_forcing(self):
         # 4 C_bar = 4 * (2 beta) * 2 R_V = 0.7 <= 1, slopes start above the
@@ -132,7 +132,7 @@ class TestEvolveW:
         r_v = max(s.max_speed() for s in buf.prehistory())
         verdict = classify(slope, CuckerSmaleKernel(beta), r_v)
         assert verdict.verdict == "global-existence"
-        evo = evolve_w(buf, CuckerSmaleKernel(beta), h=1e-3, t_end=5.0)
+        evo = evolve_w(buf, CuckerSmaleKernel(beta), t_end=5.0)
         assert evo.blowup is None
         assert evo.w.min() >= verdict.w1_minus - 1e-4
 
@@ -140,7 +140,7 @@ class TestEvolveW:
         buf = self.run_buffer(-0.5)
         for t_end in (0.0105, -1e-3):
             with pytest.raises(ValueError, match="not a step"):
-                evolve_w(buf, CuckerSmaleKernel(0.0), h=1e-3, t_end=t_end)
+                evolve_w(buf, CuckerSmaleKernel(0.0), t_end=t_end)
         assert buf.clock == 0
 
     def test_blowup_event_is_the_integrators(self):
@@ -151,7 +151,7 @@ class TestEvolveW:
         cfg = run_config_from_dict(doc)
         res = simulate(cfg)
         evo = evolve_w(discretize(cfg.datum, cfg.tau, cfg.step), cfg.kernel,
-                       cfg.step, cfg.t_end)
+                       t_end=cfg.t_end)
         last = res.frames[-1]
         assert last.status == "blowup"
         assert evo.blowup == res.blowup == (last.t, last.worst_node)
@@ -176,7 +176,7 @@ class TestEvolveW:
             times.append(cur.time)
             g_rows.append(g_euler)
             w_rows.append(cur.vel_gradients[:, 0, 0] / cur.jacobians[:, 0, 0])
-            step(buf, kernel, h)
+            step(buf, kernel)
         g_spline = CubicSpline(np.array(times), np.array(g_rows), axis=0)
         w = w_rows[0].copy()
         for t in times[:-1]:
@@ -221,7 +221,7 @@ def test_supercritical_slopes_blow_up_within_the_bound(time_limit):
             return
         reached.append(case["beta"])
         with time_limit(5):
-            evo = evolve_w(buf, kernel, H, math.ceil(verdict.blowup_bound / H) * H)
+            evo = evolve_w(buf, kernel, t_end=math.ceil(verdict.blowup_bound / H) * H)
         assert evo.blowup is not None
         assert evo.blowup.time <= verdict.blowup_bound
 
@@ -236,8 +236,8 @@ def linear_buffers(slope, beta=0.0, m=1, n=4, h=H):
 
 
 def both_events(bufs, kernel, t_end, h=H):
-    res = integrate(bufs[0], kernel, h, t_end, output_every=h)
-    return res, evolve_w(bufs[1], kernel, h, t_end)
+    res = integrate(bufs[0], kernel, t_end=t_end, output_every=h)
+    return res, evolve_w(bufs[1], kernel, t_end=t_end)
 
 
 class TestStartSlot:
@@ -357,7 +357,7 @@ class TestReconstructDensity:
         kernel = CuckerSmaleKernel(1.0)
         _, h0 = reconstruct_density(buf.latest)
         for _ in range(100):
-            step(buf, kernel, h=0.01)
+            step(buf, kernel)
         _, h1 = reconstruct_density(buf.latest)
         assert np.allclose(h1, h0, atol=1e-12)
 
@@ -366,7 +366,7 @@ class TestReconstructDensity:
         buf = discretize(datum, 0.1, 0.01)
         kernel = CuckerSmaleKernel(0.0)
         for _ in range(50):
-            step(buf, kernel, h=0.01)
+            step(buf, kernel)
         ens = buf.latest
         _, h_vals = reconstruct_density(ens)
         total = float((h_vals * ens.det_jacobians() * ens.cell_volumes).sum())
@@ -378,7 +378,7 @@ class TestReconstructDensity:
         buf = discretize(datum, 0.1, 1e-3)
         kernel = CuckerSmaleKernel(0.0)
         for _ in range(500):
-            step(buf, kernel, h=1e-3)
+            step(buf, kernel)
         t = buf.current_time
         expected = 1.0 - 0.5 * (1.0 - math.exp(-t))
         assert np.allclose(buf.latest.jacobians[:, 0, 0], expected, atol=1e-10)
@@ -418,4 +418,4 @@ class TestForceGradientBound:
                 fe = alignment_rhs(cur, view, kernel)
                 g = fe.force_gradients[:, 0, 0] / cur.jacobians[:, 0, 0]
                 assert np.abs(g).max() <= c_bar + 1e-9
-                step(buf, kernel, h=1e-3)
+                step(buf, kernel)
