@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .state import _ldexp, _range_exponent
+
 __all__ = [
     "DiagnosticsFrame",
     "FlockingCertificate",
@@ -86,8 +88,7 @@ def _differences(a, b):
 
 
 def _pairwise_diameter(arr: np.ndarray) -> float:
-    # exact max over all pairs; diameters feed certified inequalities, so no
-    # bounding-box shortcut (non-finite slices appear in terminal blow-up
+    # exact max over all pairs (non-finite slices appear in terminal blow-up
     # frames, hence the silenced FP state).  Each row block meets the columns
     # from its first row on, which covers every unordered pair and the
     # diagonal.  sqrt is monotone and correctly rounded, so sqrt of the
@@ -100,10 +101,45 @@ def _pairwise_diameter(arr: np.ndarray) -> float:
         return float(np.sqrt(np.max(block_max)))
 
 
+def _diameter(arr: np.ndarray) -> float:
+    """The largest pairwise distance, exact, from the pairs that can hold it.
+
+    A non-finite slice takes ``_pairwise_diameter``, so NaN propagates.  In
+    1-D it is ``max - min``: subtraction is monotone and correctly rounded,
+    and ``sqrt(fl(x^2)) = |x|`` wherever the square is normal.  In d >= 2 the
+    pairs among the per-axis extreme points give a lower bound LB^2, and a
+    point whose farthest bounding-box corner lies below it ends no diameter:
+    rounding is monotone, so none of its computed squared distances exceeds
+    the corner's, summed in the same order.  Both endpoints of the diameter
+    survive, and ``_pairwise_diameter`` over the survivors forms their square
+    by the same operations, so the maximum has its bits.  A box extent
+    outside [2^-500, 2^500] is scaled by an exact power of two first, so no
+    square under- or overflows (see ``state._range_exponent``).
+    """
+    lo, hi = arr.min(axis=0), arr.max(axis=0)
+    if not (math.isfinite(lo.min()) and math.isfinite(hi.max())):
+        return _pairwise_diameter(arr)
+    if arr.shape[1] == 1:
+        return float(hi[0]) - float(lo[0])
+    with np.errstate(over="ignore"):
+        e = _range_exponent(float((hi - lo).max()))
+        if e:
+            # a constant axis adds exact zeros; zeroed, it cannot overflow
+            flat = hi == lo
+            arr, lo, hi = (np.ldexp(np.where(flat, 0.0, a), -e) for a in (arr, lo, hi))
+        ends = arr[np.concatenate([arr.argmin(axis=0), arr.argmax(axis=0)])]
+        lb_sq = _differences(ends, ends)[1].max()
+        far = np.maximum(arr - lo, hi - arr)
+        bound = far[:, 0] * far[:, 0]
+        for k in range(1, far.shape[1]):
+            bound += far[:, k] * far[:, k]
+        return _ldexp(_pairwise_diameter(arr[bound >= lb_sq * (1 - 1e-12)]), e)
+
+
 def diameters(ensemble) -> tuple[float, float]:
-    """Spatial and velocity diameters (exact O(N^2) pairwise maxima)."""
-    return (_pairwise_diameter(ensemble.positions),
-            _pairwise_diameter(ensemble.velocities))
+    """Spatial and velocity diameters: exact maxima of the pairwise distances
+    (see ``_diameter``), without visiting every pair."""
+    return _diameter(ensemble.positions), _diameter(ensemble.velocities)
 
 
 def _worst_node(dets) -> int:

@@ -112,7 +112,9 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
             s1 = np.broadcast_to(masses @ d_vel, (n, d))
             grad_pos = np.zeros((n, d, d))
         else:
-            mom = np.hstack([masses[:, None], masses[:, None] * d_vel])
+            mom = np.empty((n, d + 1))
+            mom[:, 0] = masses
+            np.multiply(masses[:, None], d_vel, out=mom[:, 1:])
             s = np.empty((n, d + 1))
             g = np.empty((n, d + 1, d))
             for rows in _row_blocks(n, len(d_pos)):

@@ -89,11 +89,26 @@ class LagrangianEnsemble:
         top = float(speeds.max())
         if self.dim == 1:
             return top
-        e = math.frexp(top)[1] if 0 < top < math.inf and not 2**-500 <= top <= 2**500 else 0
-        return math.ldexp(float(np.sqrt((np.ldexp(speeds, -e)**2).sum(axis=1)).max()), e)
+        e = _range_exponent(top)
+        return _ldexp(float(np.sqrt((np.ldexp(speeds, -e)**2).sum(axis=1)).max()), e)
 
     def det_jacobians(self) -> np.ndarray:
         return _det(self.jacobians)
+
+
+def _range_exponent(top: float) -> int:
+    """The e that brings a finite ``top`` > 0 outside [2^-500, 2^500] into
+    [1/2, 1) as ``top * 2^-e``, else 0: norms of values scaled by 2^-e
+    square nothing out of the float range, and in range nothing is scaled."""
+    return math.frexp(top)[1] if 0 < top < math.inf and not 2**-500 <= top <= 2**500 else 0
+
+
+def _ldexp(x: float, e: int) -> float:
+    """``x * 2^e``, with inf where ``math.ldexp`` raises on overflow."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _det(jacobians: np.ndarray) -> np.ndarray:

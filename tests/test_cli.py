@@ -452,17 +452,36 @@ class TestOutOfRangeInputs:
             summary = strict_json((tmp_path / "out" / "summary.json").read_text())
             assert summary["R_V"] == 1e160 and err == ""
 
-    def test_summary_and_certificate_are_strict_json(self, tmp_path, capsys):
+    @staticmethod
+    def wide_doc():
         # a spread of 1e160, whose squared diameter overflows
         doc = fast_doc(1, 0.0)
         doc["datum"]["domain"]["box"] = [[0.0, 1e160]]
         doc["datum"]["velocity"]["value"] = [0.0]
-        cfg = write_json(tmp_path / "c.json", doc)
+        return doc
+
+    def test_summary_and_certificate_are_strict_json(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", self.wide_doc())
         assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "out")) == 0
         strict_json((tmp_path / "out" / "summary.json").read_text())
         capsys.readouterr()
-        assert run_cli("certify", "--config", cfg) == 3
+        assert run_cli("certify", "--config", cfg) == 0
         strict_json(capsys.readouterr().out)
+
+    def test_spread_whose_square_overflows_has_a_finite_diameter(self, tmp_path, capsys):
+        # the two nodes sit at 2.5e159 and 7.5e159; a diameter read as inf
+        # once put the tail's lower limit at inf and the certificate's rhs at 0
+        cfg = write_json(tmp_path / "c.json", self.wide_doc())
+        assert run_cli("run", "--config", cfg, "--out", str(tmp_path / "out")) == 0
+        assert capsys.readouterr().err == ""
+        summary = strict_json((tmp_path / "out" / "summary.json").read_text())
+        assert summary["final"]["d_X"] == pytest.approx(5e159, rel=1e-15)
+        assert run_cli("certify", "--config", cfg) == 0
+        out, err = capsys.readouterr()
+        cert = strict_json(out)
+        assert err == "" and cert == summary["certificate"]
+        assert cert["rhs"] == pytest.approx(2e-160, rel=1e-12)
+        assert cert["d_star"] == pytest.approx(5e159, rel=1e-15)
 
     def test_json_text_writes_non_finite_numbers_as_strings(self):
         doc = {"a": math.inf, "b": [-math.inf, math.nan], "c": {"d": 1.5, "e": None}}

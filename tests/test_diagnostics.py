@@ -7,7 +7,10 @@ from types import SimpleNamespace
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flockdde import diagnostics
 from flockdde.diagnostics import (
     _BLOCK_PAIRS,
     DiagnosticsFrame,
@@ -19,6 +22,8 @@ from flockdde.diagnostics import (
     gronwall_rate,
     lyapunov,
     prehistory_frames,
+    _diameter,
+    _pairwise_diameter,
     _row_blocks,
 )
 from flockdde.cli import _json_text
@@ -317,6 +322,15 @@ def _naive_diameter(arr):
         return float(np.sqrt((diff**2).sum(axis=2)).max())
 
 
+def _hypot_diameter(arr):
+    """Pairwise maximum of ``math.hypot``, which squares nothing out of range."""
+    return max(math.hypot(*(a - b)) for a in arr for b in arr)
+
+
+def _within_ulps(got, want, ulps=2):
+    return abs(got - want) <= ulps * math.ulp(want)
+
+
 def _same_float(a, b):
     return (math.isnan(a) and math.isnan(b)) or a == b
 
@@ -339,12 +353,17 @@ class TestBlockedDiameters:
     @pytest.mark.parametrize("n", [1, SIDE + 1, 2 * SIDE + 3])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e200])
     def test_non_finite_and_overflow_match_naive(self, n, bad):
+        # a non-finite slice keeps the naive value; 1e200, whose square
+        # overflows, gets the exact diameter
         rng = np.random.default_rng(n)
         for row in sorted({0, n // 2, n - 1}):
             arr = rng.normal(size=(n, 2))
             arr[row, 1] = bad
             d_x, _ = diameters(SimpleNamespace(positions=arr, velocities=arr))
-            assert _same_float(d_x, _naive_diameter(arr)), (row, d_x)
+            if math.isfinite(bad):
+                assert _within_ulps(d_x, _hypot_diameter(arr)), (row, d_x)
+            else:
+                assert _same_float(d_x, _naive_diameter(arr)), (row, d_x)
 
     @pytest.mark.parametrize("n", [1, SIDE, SIDE + 1, 2 * SIDE + 3, _BLOCK_PAIRS + 1])
     def test_row_blocks_partition_rows_by_shape_alone(self, n):
@@ -354,6 +373,79 @@ class TestBlockedDiameters:
         rows = blocks[0].stop - blocks[0].start
         assert rows * n <= max(_BLOCK_PAIRS, n)
         assert (n <= SIDE) == (len(blocks) == 1)
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 300 points in 1-3 dimensions at scales 1e-150 to 1e150, off the
+    origin: clouds, repeated points, collinear, all-equal, single-point and
+    ring sets."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["cloud", "repeated", "collinear", "equal",
+                                 "single", "ring"]))
+    n = 1 if kind == "single" else draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind in ("cloud", "single"):
+        unit = rng.normal(size=(n, d))
+    elif kind == "repeated":
+        distinct = rng.normal(size=(int(rng.integers(1, 6)), d))
+        unit = distinct[rng.integers(0, len(distinct), n)]
+    elif kind == "collinear":
+        unit = rng.normal(size=(n, 1)) * rng.normal(size=d)
+    elif kind == "equal":
+        unit = np.zeros((n, d))
+    else:
+        angle = rng.uniform(0.0, 2 * math.pi, n)
+        unit = np.stack([np.cos(angle), np.sin(angle), np.zeros(n)], axis=1)[:, :d]
+    offset = rng.normal(size=d) * 10.0 ** draw(st.integers(-3, 3))
+    return (unit + offset) * 10.0 ** draw(st.integers(-150, 150))
+
+
+def test_diameter_bit_identical_to_naive_on_generated_sets(time_limit):
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(point_sets())
+    def check(arr):
+        assert _diameter(arr) == _naive_diameter(arr)
+
+    with time_limit(10):
+        check()
+
+
+class TestDiameterRange:
+    @pytest.mark.parametrize("spread", [1e-160, 1e300])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_spread_whose_square_leaves_the_float_range(self, spread, d):
+        # the squares of these spreads underflow to subnormals or overflow
+        rng = np.random.default_rng(d)
+        arr = rng.uniform(-0.5, 0.5, (20, d)) * spread
+        assert _within_ulps(_diameter(arr), _hypot_diameter(arr))
+
+    def test_constant_axis_far_from_the_origin(self):
+        # scaling the spread of 1e-160 up would overflow the constant 1e300
+        arr = np.array([[1e300, 0.0], [1e300, 1e-160], [1e300, 3e-160]])
+        assert _diameter(arr) == 3e-160
+
+    def test_diameter_above_the_float_range_is_inf(self):
+        arr = np.array([[0.0, 0.0], [1.5e308, 1.5e308]])
+        assert _diameter(arr) == math.inf
+        assert _diameter(np.array([[-1e308], [1e308]])) == math.inf
+
+    def test_prune_forms_under_one_percent_of_the_pairs(self, monkeypatch):
+        # counts work, not time: a prune that stopped pruning would form all
+        # n (n + 1) / 2 pairs and still return the right value
+        n = 4096
+        arr = np.random.default_rng(0).normal(size=(n, 2))
+        want = _pairwise_diameter(arr)
+        differences = diagnostics._differences
+        pairs = []
+
+        def counted(a, b):
+            pairs.append(len(a) * len(b))
+            return differences(a, b)
+
+        monkeypatch.setattr(diagnostics, "_differences", counted)
+        assert _diameter(arr) == want
+        assert 0 < sum(pairs) < 0.01 * n * (n + 1) / 2
 
 
 class TestTailBudgetBracket:

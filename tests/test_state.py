@@ -268,6 +268,11 @@ class TestMaxSpeed:
             v = scale * rng.normal(size=(50, d))
             assert ensemble_of(v).max_speed() == float(np.sqrt((v**2).sum(axis=1)).max())
 
+    def test_speed_above_the_float_range_is_inf(self):
+        # |(1.5e308, 1.5e308)| = 2.1e308 overflows; unscaling once raised
+        # OverflowError from math.ldexp
+        assert ensemble_of(np.array([[1.5e308, 1.5e308]])).max_speed() == math.inf
+
     def test_non_finite_velocity_propagates(self):
         assert math.isnan(ensemble_of(np.array([[1.0, math.nan]])).max_speed())
         assert ensemble_of(np.array([[1.0, -math.inf]])).max_speed() == math.inf
