@@ -16,13 +16,11 @@ from .diagnostics import (
     diameters,
     fit_decay_rate,
     gronwall_rate,
-    lyapunov,
     prehistory_frames,
 )
 from .dynamics import (
     BlowupEvent,
     BlowupSignal,
-    ForceEvaluation,
     SimulationResult,
     SingularNormalizerError,
     alignment_rhs,
@@ -35,7 +33,6 @@ from .state import (
     BoxDomain,
     ConstantVelocity,
     HistoryBuffer,
-    HistoryView,
     InitialDatum,
     InvalidDatumError,
     LagrangianEnsemble,

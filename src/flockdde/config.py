@@ -24,7 +24,7 @@ from .state import (
     NodeSet,
     SineVelocity,
     SliceTableVelocity,
-    _grid_steps,
+    _run_steps,
 )
 
 __all__ = ["ConfigError", "RunConfig", "SweepConfig", "PRESETS",
@@ -201,23 +201,14 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"kernel: {exc}") from None
     tau = _real(_need(doc, "tau", "config"), "tau", minimum=0.0)
     step = _real(_need(doc, "step", "config"), "step")
-    if step <= 0:
-        raise ConfigError("step: must be positive")
     t_end = _real(_need(doc, "t_end", "config"), "t_end", minimum=0.0)
     output_every = _real(doc.get("output_every", step), "output_every")
     seed = _integer(doc.get("seed", 0), "seed")
     datum = _build_datum(_need(doc, "datum", "config"), "datum", seed)
-    if tau > 0 and not _grid_steps(tau, step):
-        raise ConfigError("tau: must be a positive integer multiple of step")
-    if not _grid_steps(output_every, step):
-        raise ConfigError("output_every: must be a positive multiple of step")
-    if tau > 0 and round(output_every / step) > round(tau / step):
-        # the Lyapunov functional integrates over the last delay window and
-        # needs a frame at each end of it
-        raise ConfigError(
-            f"output_every: must not exceed tau ({tau}), got {output_every}")
-    if t_end > 0 and not _grid_steps(t_end, step):
-        raise ConfigError("t_end: must be a multiple of step")
+    try:
+        m = _run_steps(tau, step, t_end, output_every)[0]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     # the history is always cubic Hermite; the key stays for schema-v1 echoes
     if doc.get("interpolation", "cubic-hermite") != "cubic-hermite":
         raise ConfigError("interpolation: only cubic-hermite is supported, "
@@ -227,10 +218,9 @@ def run_config_from_dict(doc: dict) -> RunConfig:
         raise ConfigError(f"snapshot_csv: expected true or false, got {snapshot_csv!r}")
     # the history keeps one slice per step; the key stays for schema-v1 echoes
     n_hist = doc.get("n_history_slices")
-    default = round(tau / step) + 1 if tau > 0 else 1
-    if n_hist is not None and _integer(n_hist, "n_history_slices") != default:
+    if n_hist is not None and _integer(n_hist, "n_history_slices") != m + 1:
         raise ConfigError(f"n_history_slices: only one slice per step on "
-                          f"[-tau, 0] ({default}) is supported, got {n_hist!r}")
+                          f"[-tau, 0] ({m + 1}) is supported, got {n_hist!r}")
     # blow-up is one rule, min det J <= DETJ_TOLERANCE; the key stays for
     # schema-v1 echoes
     if "detj_tolerance" in doc and _real(doc["detj_tolerance"],

@@ -27,7 +27,6 @@ __all__ = [
     "diameters",
     "fit_decay_rate",
     "gronwall_rate",
-    "lyapunov",
     "prehistory_frames",
 ]
 
@@ -282,24 +281,6 @@ class FlockingMonitor:
         return x_new, v_new, self._lyapunov(t)
 
 
-def lyapunov(times, d_x_series, d_v_series, kernel, r_v, tau) -> float:
-    """Lyapunov functional at the last time of a recorded frame history.
-
-    Entries at times <= 0 seed the prehistory (X := d_X, V := d_V there);
-    later entries are replayed through the streaming recurrences.
-    """
-    times = np.asarray(times, dtype=float)
-    pre = times <= 1e-12
-    if not pre.any():
-        raise ValueError("frame history must include the prehistory on [-tau, 0]")
-    mon = FlockingMonitor(kernel, tau, times[pre], np.asarray(d_x_series)[pre],
-                          np.asarray(d_v_series)[pre], r_v)
-    value = mon.start()[2]
-    for t, dv in zip(times[~pre], np.asarray(d_v_series)[~pre]):
-        value = mon.observe(t, dv)[2]
-    return value
-
-
 def gronwall_rate(a: float, tau: float) -> float:
     """Decay exponent of the delayed Gronwall inequality.
 
@@ -375,7 +356,7 @@ def certify_flocking(frames, kernel) -> FlockingCertificate:
     if not satisfied:
         return FlockingCertificate(r_v=r_v, lhs=lhs, rhs=rhs, satisfied=False)
     d_star = kernel.budget_radius(lower, lhs)
-    psi_star = float(kernel.eval(d_star))
+    psi_star = kernel.profile(d_star)
     if psi_star >= 1.0:
         rate = 1.0  # flat-kernel / point-support limit of the Gronwall root
     elif psi_star == 0.0:

@@ -31,11 +31,9 @@ from .diagnostics import (
     diameters,
     prehistory_frames,
 )
-from .state import (HistoryBuffer, HistoryView, LagrangianEnsemble, _det, _grid_steps,
-                    _rk4, discretize)
+from .state import HistoryBuffer, LagrangianEnsemble, _det, _rk4, _run_steps, discretize
 
 __all__ = [
-    "ForceEvaluation",
     "BlowupSignal",
     "BlowupEvent",
     "SingularNormalizerError",
@@ -71,21 +69,6 @@ class BlowupEvent(NamedTuple):
 
     time: float
     node: int | None
-
-
-@dataclass
-class ForceEvaluation:
-    """Right-hand side pieces of the velocity and velocity-gradient equations.
-
-    ``accelerations`` is the full dv/dt (convex combination minus current
-    velocity); ``force_gradients`` is the label-space gradient of the
-    combination term, i.e. its position-gradient composed with the tangent
-    flow; ``normalizers`` are the kernel-weighted masses (strictly positive).
-    """
-
-    accelerations: np.ndarray   # (N, d)
-    force_gradients: np.ndarray  # (N, d, d)
-    normalizers: np.ndarray     # (N,)
 
 
 def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
@@ -141,19 +124,21 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
     return acc, grad_pos @ jac, s0
 
 
-def alignment_rhs(current: LagrangianEnsemble, delayed: HistoryView,
-                  kernel) -> ForceEvaluation:
-    """Evaluate the delayed alignment force on one ensemble.
+def alignment_rhs(current: LagrangianEnsemble, delayed, kernel):
+    """The delayed alignment force on one ensemble, as ``_force`` returns it.
 
-    ``delayed`` supplies the positions and velocities at time t - tau for the
-    same nodes (same N, d, masses).
+    ``delayed`` is the ``(positions, velocities)`` pair at time t - tau of the
+    same nodes, as ``HistoryBuffer.query`` returns it.  Returns
+    ``(accelerations, force_gradients, normalizers)``: the full dv/dt (convex
+    combination minus current velocity), the label-space gradient of the
+    combination term (its position gradient composed with the tangent flow),
+    and the kernel-weighted masses.
     """
-    if delayed.positions.shape != current.positions.shape:
-        raise ValueError("delayed view must match the ensemble shape")
-    acc, fg, s0 = _force(kernel, current.masses, current.positions,
-                         current.velocities, current.jacobians,
-                         delayed.positions, delayed.velocities)
-    return ForceEvaluation(accelerations=acc, force_gradients=fg, normalizers=s0)
+    d_pos, d_vel = delayed
+    if d_pos.shape != current.positions.shape:
+        raise ValueError("delayed positions must match the ensemble shape")
+    return _force(kernel, current.masses, current.positions, current.velocities,
+                  current.jacobians, d_pos, d_vel)
 
 
 def step(buffer: HistoryBuffer, kernel) -> None:
@@ -237,19 +222,16 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
     the frames up to it are retained, the event's slot has a frame, and that
     last frame carries status "blowup".  Deterministic given its inputs.
 
-    ``buffer`` must be at t = 0; its spacing is the step.  ``prehistory``
+    ``buffer`` must be at t = 0; its spacing is the step, and ``t_end`` and
+    ``output_every`` (default: the step) must pass ``state._run_steps``, which
+    raises ValueError before any step otherwise.  ``prehistory``
     must be ``prehistory_frames(buffer)`` of this buffer; it seeds the
     monitor, R_V and the start frame, and is computed here when omitted.
     """
     if buffer.clock != 0:
         raise ValueError(f"integrate needs a buffer at t = 0, not at t = {buffer.current_time}")
-    h = buffer.h
-    every = _grid_steps(h if output_every is None else output_every, h)
-    if not every:
-        raise ValueError("output_every must be a positive multiple of the step")
-    n_steps = _grid_steps(t_end, h)
-    if n_steps is None:
-        raise ValueError("t_end must be a nonnegative multiple of the step")
+    _, n_steps, every = _run_steps(buffer.tau, buffer.h, t_end,
+                                   buffer.h if output_every is None else output_every)
 
     if prehistory is None:
         prehistory = prehistory_frames(buffer)

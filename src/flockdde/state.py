@@ -5,7 +5,9 @@ velocity, the tangent-flow matrices (position Jacobian and velocity gradient
 with respect to the initial labels), and a fixed mass.  A
 ``HistoryBuffer``, the one owner of the step grid, holds the flow as untimed
 rows over the trailing delay window and answers dense interpolation queries,
-which is what makes the delayed force evaluable between stored steps.
+which is what makes the delayed force evaluable between stored steps.  Every
+delayed read, stored or interpolated, is a ``(positions, velocities)`` pair,
+and ``_run_steps`` holds every rule that a run's times obey on that grid.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import numpy as np
 
 __all__ = [
     "LagrangianEnsemble",
-    "HistoryView",
     "HistoryBuffer",
     "BoxDomain",
     "NodeSet",
@@ -75,10 +76,6 @@ class LagrangianEnsemble:
             raise ValueError("masses must sum to 1 within 1e-12")
 
     @property
-    def n_nodes(self) -> int:
-        return self.positions.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.positions.shape[1]
 
@@ -117,15 +114,6 @@ def _det(jacobians: np.ndarray) -> np.ndarray:
         return np.linalg.det(jacobians)
 
 
-@dataclass
-class HistoryView:
-    """Interpolated (or stored) positions and velocities at one query time."""
-
-    time: float
-    positions: np.ndarray
-    velocities: np.ndarray
-
-
 def _hermite(theta, dt, y0, m0, y1, m1):
     """Cubic Hermite value at fraction ``theta`` of an interval of length ``dt``."""
     t2 = theta * theta
@@ -146,11 +134,29 @@ def _grid_steps(value: float, h: float) -> int | None:
 def _delay_steps(tau: float, h: float) -> int:
     """The m with tau = m h; raises ValueError unless there is one."""
     if not h > 0:
-        raise ValueError("step h must be positive")
+        raise ValueError(f"step: must be positive, got {h}")
     m = _grid_steps(tau, h)
-    if m is None or (m > 0) != (tau > 0):
-        raise ValueError(f"delay tau = {tau} is not a multiple of the step h = {h}")
+    if m is None or (m > 0) != (tau > 0) or tau < 0:
+        raise ValueError(f"tau: must be a positive integer multiple of step ({h}), got {tau}")
     return m
+
+
+def _run_steps(tau: float, h: float, t_end: float, output_every: float):
+    """(m, n_steps, every) with tau = m h, t_end = n_steps h and output_every
+    = every h, where every <= m unless m = 0: the Lyapunov functional needs a
+    frame at each end of the last delay window.  Raises ValueError, naming
+    the field at fault first."""
+    m = _delay_steps(tau, h)
+    every = _grid_steps(output_every, h)
+    if not every:
+        raise ValueError(f"output_every: must be a positive multiple of step ({h}), "
+                         f"got {output_every}")
+    if 0 < m < every:
+        raise ValueError(f"output_every: must not exceed tau ({tau}), got {output_every}")
+    n_steps = _grid_steps(t_end, h)
+    if n_steps is None or t_end < 0:
+        raise ValueError(f"t_end: must be a multiple of step ({h}), got {t_end}")
+    return m, n_steps, every
 
 
 class HistoryBuffer:
@@ -223,7 +229,8 @@ class HistoryBuffer:
         vel = _hermite(theta, self.h, self._vel[a], m0, self._vel[b], self._acc[b])
         return pos, vel
 
-    def query(self, t: float) -> HistoryView:
+    def query(self, t: float):
+        """(positions, velocities) at time t: ``slot(j)[:2]`` or ``interpolate``."""
         lo, hi = self._oldest(), self.clock
         x = t / self.h
         if not lo - _WINDOW_TOL <= x <= hi + _WINDOW_TOL:
@@ -232,8 +239,8 @@ class HistoryBuffer:
         j = min(max(math.floor(x), lo), hi)
         theta = x - j
         if theta == 0.0 or j == hi:
-            return HistoryView(t, *self.slot(j)[:2])
-        return HistoryView(t, *self.interpolate(j, theta))
+            return self.slot(j)[:2]
+        return self.interpolate(j, theta)
 
     def set_slope(self, accel: np.ndarray) -> None:
         """Store dv/dt leaving the newest slot (the first stage of its step)."""
@@ -253,9 +260,9 @@ class HistoryBuffer:
 class VelocityField:
     """Time-dependent velocity field ``(s, x) -> u`` on the datum domain.
 
-    Subclasses override :meth:`gradient` (and :meth:`time_partial`) with exact
-    expressions where available; the base class falls back to central finite
-    differences, which is what a user-supplied callable gets.
+    A field gives its value and, in closed form, its spatial gradient and
+    time partial: ``discretize`` integrates the tangent flow with the one and
+    takes the velocity's Hermite slope from both.
     """
 
     def __call__(self, s: float, x: np.ndarray) -> np.ndarray:
@@ -263,18 +270,10 @@ class VelocityField:
 
     def gradient(self, s: float, x: np.ndarray) -> np.ndarray:
         """Spatial gradient, shape (N, d, d) with entries du_a/dx_b."""
-        n, d = x.shape
-        out = np.empty((n, d, d))
-        h = 1e-6
-        for b in range(d):
-            dx = np.zeros((1, d))
-            dx[0, b] = h
-            out[:, :, b] = (self(s, x + dx) - self(s, x - dx)) / (2 * h)
-        return out
+        raise NotImplementedError
 
     def time_partial(self, s: float, x: np.ndarray) -> np.ndarray:
-        ds = 1e-6
-        return (self(s + ds, x) - self(s - ds, x)) / (2 * ds)
+        raise NotImplementedError
 
 
 class ConstantVelocity(VelocityField):
@@ -344,7 +343,8 @@ class SineVelocity(VelocityField):
 
 
 class SliceTableVelocity(VelocityField):
-    """Linear-in-time blend of velocity fields given at sample times."""
+    """Linear-in-time blend of velocity fields given at sample times; outside
+    them the blend weight is frozen, the end field still evaluated at s."""
 
     def __init__(self, times, fields):
         self.times = np.asarray(times, dtype=float)
@@ -371,9 +371,14 @@ class SliceTableVelocity(VelocityField):
             + theta * self.fields[i + 1].gradient(s, x)
 
     def time_partial(self, s, x):
-        i, _ = self._bracket(s)
-        dt = self.times[i + 1] - self.times[i]
-        return (self.fields[i + 1](s, x) - self.fields[i](s, x)) / dt
+        # product rule; theta moves inside the table, its ends taking the inner slope
+        i, theta = self._bracket(s)
+        out = (1 - theta) * self.fields[i].time_partial(s, x) \
+            + theta * self.fields[i + 1].time_partial(s, x)
+        if self.times[0] <= s <= self.times[-1]:
+            dt = self.times[i + 1] - self.times[i]
+            out = out + (self.fields[i + 1](s, x) - self.fields[i](s, x)) / dt
+        return out
 
 
 @dataclass

@@ -5,7 +5,8 @@ import json
 import os
 
 from flockdde import cli, dynamics
-from flockdde.config import preset_dict
+from flockdde.config import preset_dict, run_config_from_dict
+from flockdde.state import discretize
 
 BENCH = os.path.join(os.path.dirname(__file__), os.pardir, "bench")
 
@@ -24,10 +25,20 @@ def test_tracer_installs_runs_and_uninstalls(tmp_path, monkeypatch):
         cfg.write_text(json.dumps(doc))
         assert cli.main(["run", "--config", str(cfg),
                          "--out", str(tmp_path / "out")]) == 0
+        # a run never reaches these two; the tracer reads t and N off their
+        # arguments, so call them with the stepper's own forms
+        run = run_config_from_dict(doc)
+        buf = discretize(run.datum, run.tau, run.step)
+        delayed = buf.query(-0.05)
+        dynamics.alignment_rhs(buf.latest, delayed, run.kernel)
     finally:
         tracer.uninstall()
-    names = {name for _, name, *_ in tracer.collect()}
+    spans = tracer.collect()
+    names = {name for _, name, *_ in spans}
     assert {"cli.main", "cli.execute_run", "state.discretize",
             "diagnostics.prehistory_frames", "dynamics.integrate",
             "dynamics.step", "threshold1d.classify"} <= names
+    values = {(name, value) for _, name, _, _, _, value in spans}
+    assert ("state.HistoryBuffer.query", -0.05) in values
+    assert ("dynamics.alignment_rhs", 4) in values
     assert (cli.main, cli.integrate, cli.discretize, dynamics.step) == originals

@@ -7,7 +7,7 @@ Parse-only: nothing is discretized or integrated.
 
 import copy
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flockdde.config import (
@@ -17,6 +17,7 @@ from flockdde.config import (
     run_config_from_dict,
     sweep_config_from_dict,
 )
+from flockdde.state import _run_steps
 
 # words the parser branches on, so replacements reach past the family checks
 WORDS = ["random", "linear", "cubic-hermite", "cucker-smale", "tabulated",
@@ -129,5 +130,50 @@ def test_fuzzed_sweep_documents(time_limit):
     @given(mutated([SWEEP_DOC]))
     def check(doc):
         _parses_or_config_error(sweep_config_from_dict, doc, time_limit)
+
+    check()
+
+
+@st.composite
+def grid_fields(draw):
+    """(tau, step, t_end, output_every): on the step's grid, near it or off it."""
+    step = draw(st.sampled_from([1e-3, 2e-3, 5e-3, 0.01, 0.03, 0.1, 0.25, 0.0, -0.01])
+                | st.floats(-1.0, 1.0))
+
+    def value():
+        return draw(st.integers(-2, 60).map(lambda k: k * step)
+                    | st.integers(0, 60).map(lambda k: k * step * (1 + 1e-10))
+                    | st.sampled_from([0.0, 1e-10, 1e-12, 0.0015, 0.5, 1e306])
+                    | st.floats(-1.0, 2.0))
+
+    return value(), step, value(), value()
+
+
+def test_config_grid_rules_are_the_run_grid_rules():
+    # the config accepts a grid exactly when the stepper's one rule does
+    doc = _table_density_doc()
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @example((0.1, 0.01, 1.0, 0.5))   # a frame cadence above the delay
+    @example((0.1, 0.01, 1e-10, 0.01))  # t_end within 1e-9 of 0: no steps
+    @example((1e306, 2e-3, 1.0, 2e-3))  # tau / step overflows
+    @given(grid_fields())
+    def check(fields):
+        tau, step, t_end, output_every = fields
+        cell = dict(doc, tau=tau, step=step, t_end=t_end, output_every=output_every)
+        try:
+            _run_steps(tau, step, t_end, output_every)
+            stepper = None
+        except ValueError as exc:
+            stepper = str(exc)
+        try:
+            run_config_from_dict(cell)
+            config = None
+        except ConfigError as exc:
+            config = str(exc)
+        assert (config is None) == (stepper is None), (config, stepper)
+        # the config's own range check may speak first on a negative tau or t_end
+        if config is not None and "must be >= 0.0" not in config:
+            assert config == stepper
 
     check()

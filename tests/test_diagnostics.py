@@ -20,7 +20,6 @@ from flockdde.diagnostics import (
     diameters,
     fit_decay_rate,
     gronwall_rate,
-    lyapunov,
     prehistory_frames,
     _diameter,
     _pairwise_diameter,
@@ -136,10 +135,6 @@ class TestGronwallRate:
 
 
 class TestLyapunov:
-    def test_zero_delay_equals_initial_velocity_diameter(self):
-        val = lyapunov([0.0], [2.0], [0.7], CuckerSmaleKernel(1.0), r_v=1.0, tau=0.0)
-        assert val == 0.7
-
     def test_flat_kernel_reduces_to_plain_integrals(self):
         # with psi == 1 the middle term is X(t-tau) - X(-tau) and V decays as
         # d_V(0) e^{-t}; replay synthetic exact-decay frames and compare
@@ -472,6 +467,22 @@ class TestTailBudgetBracket:
                                     CuckerSmaleKernel(1.0))
         assert cert.satisfied
         assert cert.psi_star == 0.0 and cert.predicted_rate == 0.0
+
+    @pytest.mark.parametrize("beta,d_x,d_v", [(0.6, 1e17, 1e-4), (1.0, 1e170, 1e-171),
+                                              (1.0, 0.5, 0.05), (0.0, 1.0, 0.2),
+                                              # the budget outlasts the float range
+                                              (0.5000001, 1.0, 1000.0)])
+    def test_psi_star_is_the_scalar_profile(self, monkeypatch, beta, d_x, d_v):
+        kernel = CuckerSmaleKernel(beta)
+        want = certify_flocking(self.far_frames(d_x, d_v), kernel)
+        assert want.satisfied
+        assert want.psi_star == float(kernel.eval(want.d_star))
+
+        def no_array_eval(self, r):
+            raise AssertionError("certify_flocking called the array eval")
+
+        monkeypatch.setattr(CuckerSmaleKernel, "eval", no_array_eval)
+        assert certify_flocking(self.far_frames(d_x, d_v), kernel) == want
 
 
 def _naive_window_trapezoid(times, values, a, b):

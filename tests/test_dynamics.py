@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flockdde import dynamics
+from flockdde.config import RunConfig
 from flockdde.diagnostics import _BLOCK_PAIRS, _worst_node, diameters, prehistory_frames
 from flockdde.dynamics import (
     BlowupSignal,
@@ -27,7 +28,6 @@ from flockdde.state import (
     BoxDomain,
     ConstantVelocity,
     HistoryBuffer,
-    HistoryView,
     InitialDatum,
     LinearVelocity,
     SineVelocity,
@@ -38,10 +38,6 @@ from flockdde.state import (
 # two nodes a delay's travel, 300, behind their delayed selves: under beta 40
 # the normalizer is about 6e-199, past the square root of the float range
 UNDERFLOW_DATUM = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([3000.0]))
-
-
-def view_of(ens):
-    return HistoryView(ens.time, ens.positions, ens.velocities)
 
 
 def make_config(**kw):
@@ -59,21 +55,22 @@ class TestAlignmentForce:
         datum = InitialDatum(BoxDomain([0.0], [1.0], [1]), ConstantVelocity([0.4]))
         buf = discretize(datum, tau=0.0, h=0.01)
         cur = buf.latest
-        delayed = HistoryView(0.0, cur.positions, np.array([[1.3]]))
-        fe = alignment_rhs(cur, delayed, CuckerSmaleKernel(2.0))
-        assert fe.accelerations[0, 0] == pytest.approx(1.3 - 0.4, abs=1e-15)
+        acc, _, _ = alignment_rhs(cur, (cur.positions, np.array([[1.3]])),
+                                  CuckerSmaleKernel(2.0))
+        assert acc[0, 0] == pytest.approx(1.3 - 0.4, abs=1e-15)
 
     def test_flat_kernel_mean_field_and_zero_gradient(self):
         datum = InitialDatum(BoxDomain([0.0, 0.0], [1.0, 1.0], [3, 3]),
                              LinearVelocity([[0.2, 0.0], [0.1, -0.3]]))
         buf = discretize(datum, tau=0.0, h=0.01)
         cur = buf.latest
-        fe = alignment_rhs(cur, view_of(cur), CuckerSmaleKernel(0.0))
+        acc, force_grad, s0 = alignment_rhs(cur, (cur.positions, cur.velocities),
+                                            CuckerSmaleKernel(0.0))
         mean = (cur.masses[:, None] * cur.velocities).sum(axis=0)
         expected = mean[None, :] - cur.velocities
-        assert np.allclose(fe.accelerations, expected, atol=1e-15)
-        assert np.all(fe.force_gradients == 0.0)
-        assert np.allclose(fe.normalizers, 1.0, atol=1e-15)
+        assert np.allclose(acc, expected, atol=1e-15)
+        assert np.all(force_grad == 0.0)
+        assert np.allclose(s0, 1.0, atol=1e-15)
 
     def test_two_node_hand_evaluation(self):
         # beta=1, equal masses, eta=(0,1), delayed eta=(0,1), delayed v=(0,1)
@@ -81,12 +78,12 @@ class TestAlignmentForce:
         buf = discretize(datum, tau=0.0, h=0.01)
         cur = buf.latest
         cur.positions[:] = [[0.0], [1.0]]
-        delayed = HistoryView(0.0, np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]))
-        fe = alignment_rhs(cur, delayed, CuckerSmaleKernel(1.0))
+        delayed = (np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]))
+        acc, _, s0 = alignment_rhs(cur, delayed, CuckerSmaleKernel(1.0))
         # independent scalar computation of the two-node quadrature
-        assert fe.accelerations[0, 0] == pytest.approx(0.25 / 0.75, rel=1e-15)
-        assert fe.accelerations[1, 0] == pytest.approx(0.5 / 0.75, rel=1e-15)
-        assert fe.normalizers == pytest.approx([0.75, 0.75], rel=1e-15)
+        assert acc[0, 0] == pytest.approx(0.25 / 0.75, rel=1e-15)
+        assert acc[1, 0] == pytest.approx(0.5 / 0.75, rel=1e-15)
+        assert s0 == pytest.approx([0.75, 0.75], rel=1e-15)
 
     def test_alignment_is_convex_combination_of_delayed_velocities(self):
         rng = np.random.default_rng(5)
@@ -97,9 +94,8 @@ class TestAlignmentForce:
         for _ in range(20):
             d_pos = rng.normal(size=cur.positions.shape)
             d_vel = rng.normal(size=cur.velocities.shape)
-            fe = alignment_rhs(cur, HistoryView(0.0, d_pos, d_vel),
-                               CuckerSmaleKernel(1.5))
-            combo = fe.accelerations + cur.velocities
+            acc, _, _ = alignment_rhs(cur, (d_pos, d_vel), CuckerSmaleKernel(1.5))
+            combo = acc + cur.velocities
             lo, hi = d_vel.min(axis=0), d_vel.max(axis=0)
             pad = 1e-12 * np.maximum(1.0, np.abs(d_vel).max())
             assert np.all(combo >= lo - pad) and np.all(combo <= hi + pad)
@@ -107,14 +103,14 @@ class TestAlignmentForce:
     def test_shape_mismatch_rejected(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [3]), ConstantVelocity([0.0]))
         cur = discretize(datum, 0.0, 0.01).latest
-        bad = HistoryView(0.0, np.zeros((2, 1)), np.zeros((2, 1)))
+        bad = (np.zeros((2, 1)), np.zeros((2, 1)))
         with pytest.raises(ValueError):
             alignment_rhs(cur, bad, CuckerSmaleKernel(1.0))
 
     def test_singular_normalizer_signalled(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
         cur = discretize(datum, 0.0, 0.01).latest
-        far = HistoryView(0.0, cur.positions + 1e3, cur.velocities)
+        far = (cur.positions + 1e3, cur.velocities)
         with pytest.raises(SingularNormalizerError):
             alignment_rhs(cur, far, CuckerSmaleKernel(300.0))
 
@@ -296,8 +292,8 @@ class TestSimulate:
         # every stored slot and every midpoint, which reads the slopes
         for x in range(2 * (11 - 20 - 2), 2 * 11 + 1):
             a, b = first.query(x * cfg.step / 2), longer.query(x * cfg.step / 2)
-            assert np.array_equal(a.positions, b.positions)
-            assert np.array_equal(a.velocities, b.velocities)
+            assert np.array_equal(a[0], b[0])
+            assert np.array_equal(a[1], b[1])
 
     def test_deterministic_frames(self):
         a = simulate(make_config())
@@ -405,6 +401,25 @@ class TestSimulate:
         with pytest.raises(ValueError, match=at):
             integrate(buf, cfg.kernel, t_end=1.0)
 
+    @pytest.mark.parametrize("kw,field", [
+        # frames 0.5 apart leave a 0.1 delay window with one frame in it
+        (dict(t_end=1.0, output_every=0.5), "output_every: must not exceed tau"),
+        (dict(t_end=1.0, output_every=0.015), "output_every: must be a positive multiple"),
+        (dict(t_end=1.0, output_every=0.0), "output_every: must be a positive multiple"),
+        (dict(t_end=0.995), "t_end: must be a multiple"),
+        (dict(t_end=-0.01), "t_end: must be a multiple"),
+    ])
+    def test_grid_rules_checked_before_the_first_step(self, kw, field):
+        cfg = make_config(tau=0.1, step=0.01)
+        buf = discretize(cfg.datum, cfg.tau, cfg.step)
+        with pytest.raises(ValueError, match=field):
+            integrate(buf, cfg.kernel, **kw)
+        assert buf.clock == 0
+        run = dict(kernel=cfg.kernel, datum=cfg.datum, tau=0.1, step=0.01,
+                   output_every=0.01)
+        with pytest.raises(ValueError, match=field):  # the README's RunConfig path
+            simulate(RunConfig(**{**run, **kw}))
+
     def test_one_hermite_interpolation_and_four_forces_per_step(self, monkeypatch):
         hermites, forces = [], []
         interpolate = HistoryBuffer.interpolate
@@ -469,9 +484,8 @@ def _step_grid_run(case):
     def recording_force(kernel, masses, pos, vel, jac, d_pos, d_vel):
         k = buf.clock
         t_stage = (k + stage_fractions[len(delayed) % 4]) * h
-        view = buf.query(t_stage - m * h)
-        delayed.append(np.array_equal(d_pos, view.positions)
-                       and np.array_equal(d_vel, view.velocities))
+        q_pos, q_vel = buf.query(t_stage - m * h)
+        delayed.append(np.array_equal(d_pos, q_pos) and np.array_equal(d_vel, q_vel))
         return _force(kernel, masses, pos, vel, jac, d_pos, d_vel)
 
     with mock.patch.object(dynamics, "_force", recording_force):

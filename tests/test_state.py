@@ -71,10 +71,10 @@ class TestDiscretize:
         datum = InitialDatum(BoxDomain([0, 0], [1, 1], [3, 3]), ConstantVelocity(c))
         buf = discretize(datum, tau=1.0, h=0.25)
         for s in (-1.0, -0.5, 0.0):
-            view = buf.query(s)
+            pos, vel = buf.query(s)
             expected = buf.latest.labels + s * c
-            assert np.allclose(view.positions, expected, atol=1e-12)
-            assert np.allclose(view.velocities, np.broadcast_to(c, view.velocities.shape))
+            assert np.allclose(pos, expected, atol=1e-12)
+            assert np.allclose(vel, np.broadcast_to(c, vel.shape))
 
     def test_linear_field_exponential_characteristics(self):
         # du/ds = eta backward from eta_0 = x gives eta_s = x e^s
@@ -108,7 +108,7 @@ class TestDiscretize:
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), ConstantVelocity([0.0]),
                              density=dens)
         buf = discretize(datum, tau=0.0, h=0.01)
-        assert buf.latest.n_nodes == 2
+        assert buf.latest.positions.shape[0] == 2
         assert buf.latest.masses.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_total_mass_rejected(self):
@@ -158,25 +158,55 @@ class TestDiscretize:
         assert table(-0.5, x) == pytest.approx(2.0)
         assert table.time_partial(-0.5, x) == pytest.approx(2.0)
 
+    def test_slice_table_time_partial_is_the_derivative_of_the_blend(self):
+        # the fields move in time themselves, and outside the table the blend
+        # is frozen while its end field still moves
+        moving = SliceTableVelocity([-1.0, -0.5, 0.0], [
+            SineVelocity([0.1], [0.4], [2.0], [0.3], omega=3.0),
+            SineVelocity([-0.2], [0.5], [1.0], [1.1], omega=-2.0),
+            LinearVelocity([[0.7]], [0.2])])
+        static = SliceTableVelocity([-0.5, 0.0], [ConstantVelocity([1.0]),
+                                                  ConstantVelocity([1.4])])
+        x = np.linspace(-0.5, 1.5, 7)[:, None]
+        e = 1e-5
+
+        def central(f, s):
+            return (f(s + e, x) - f(s - e, x)) / (2 * e)
+
+        def inward(f, s, sign):
+            # second-order one-sided difference from inside the table
+            ds = sign * e
+            return (-3 * f(s, x) + 4 * f(s + ds, x) - f(s + 2 * ds, x)) / (2 * ds)
+
+        for table in (moving, static):
+            lo, hi = table.times[0], table.times[-1]
+            cases = [(s, central(table, s)) for s in
+                     (lo + 0.2, hi - 0.1, lo + 0.01, hi - 0.01, lo - 0.25, hi + 0.3)]
+            cases += [(lo, inward(table, lo, 1)), (hi, inward(table, hi, -1))]
+            for s, expected in cases:
+                np.testing.assert_allclose(table.time_partial(s, x), expected,
+                                           rtol=0, atol=1e-8, err_msg=f"s = {s}")
+        assert np.all(static.time_partial(-0.75, x) == 0.0)
+
 
 class TestHistoryBuffer:
     def test_query_at_stored_time_is_exact(self):
         rows = [make_row([t, 2 * t], [1.0, 2.0]) for t in (-1.0, -0.5, 0.0)]
         buf = make_buffer(1.0, 0.5, rows)
-        v = buf.query(-0.5)
+        pos, _ = buf.query(-0.5)
         # a stored slot is read, not interpolated: a view of the ring's copy
-        np.testing.assert_array_equal(v.positions, rows[1][0])
-        assert v.positions is not rows[1][0]
-        assert np.shares_memory(v.positions, buf.prehistory()[1].positions)
+        np.testing.assert_array_equal(pos, rows[1][0])
+        assert pos is not rows[1][0]
+        assert np.shares_memory(pos, buf.prehistory()[1].positions)
 
     def test_linear_motion_recovered_exactly(self):
         times = np.linspace(-1, 0, 5)
         buf = make_buffer(1.0, 0.25, [make_row([0.2 + 0.7 * t], [0.7], acc=[0.0])
                                       for t in times])
         for t in (-0.95, -0.6, -0.1):
-            view = buf.query(t)
-            assert view.positions[0, 0] == pytest.approx(0.2 + 0.7 * t, abs=1e-15)
-            assert view.velocities[0, 0] == pytest.approx(0.7, abs=1e-15)
+            pos, vel = buf.query(t)
+            assert pos[0, 0] == pytest.approx(0.2 + 0.7 * t, abs=1e-15)
+            assert vel[0, 0] == pytest.approx(0.7, abs=1e-15)
 
     def test_cubic_trajectory_reproduced_to_rounding(self):
         # position cubic in t, so velocity quadratic and acceleration linear;
@@ -187,9 +217,9 @@ class TestHistoryBuffer:
         times = np.linspace(-1, 0, 5)
         buf = make_buffer(1.0, 0.25, [make_row([p(t)], [v(t)], acc=[a(t)]) for t in times])
         for t in (-0.875, -0.4, -0.05):
-            view = buf.query(t)
-            assert view.positions[0, 0] == pytest.approx(p(t), abs=1e-14)
-            assert view.velocities[0, 0] == pytest.approx(v(t), abs=1e-14)
+            pos, vel = buf.query(t)
+            assert pos[0, 0] == pytest.approx(p(t), abs=1e-14)
+            assert vel[0, 0] == pytest.approx(v(t), abs=1e-14)
 
     def test_out_of_window_query_raises(self):
         buf = make_buffer(1.0, 1.0, [make_row([0.0], [0.0]) for _ in range(2)])
@@ -205,8 +235,8 @@ class TestHistoryBuffer:
             step(buf, CuckerSmaleKernel(1.0))
         t = buf.current_time
         assert t == 10 * 0.05
-        np.testing.assert_array_equal(buf.query(t).velocities, buf.latest.velocities)
-        assert np.all(np.isfinite(buf.query(t - 0.2 + 0.01).velocities))
+        np.testing.assert_array_equal(buf.query(t)[1], buf.latest.velocities)
+        assert np.all(np.isfinite(buf.query(t - 0.2 + 0.01)[1]))
         buf.query(t - 0.2)  # the oldest kept slot
         with pytest.raises(OutOfWindowError):
             buf.query(t - 0.225)
@@ -221,12 +251,12 @@ class TestHistoryBuffer:
         for _ in range(5):
             step(buf, kernel)
         t_mid = buf.current_time - 0.005
-        before = buf.query(t_mid)
+        pos_before, vel_before = buf.query(t_mid)
         step(buf, kernel)
-        after = buf.query(t_mid)
-        np.testing.assert_array_equal(before.positions, after.positions)
-        assert not np.array_equal(before.velocities, after.velocities)
-        assert np.abs(before.velocities - after.velocities).max() <= 1e-9
+        pos_after, vel_after = buf.query(t_mid)
+        np.testing.assert_array_equal(pos_before, pos_after)
+        assert not np.array_equal(vel_before, vel_after)
+        assert np.abs(vel_before - vel_after).max() <= 1e-9
 
     def test_grid_and_coverage_validated(self):
         with pytest.raises(ValueError):  # tau is not a multiple of h

@@ -15,7 +15,6 @@ from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKerne
 from flockdde.state import (
     BoxDomain,
     ConstantVelocity,
-    HistoryView,
     InitialDatum,
     LinearVelocity,
     discretize,
@@ -170,9 +169,8 @@ class TestEvolveW:
         times, g_rows, w_rows = [], [], []
         while buf.current_time < t_end - h / 2:
             cur = buf.latest
-            view = buf.query(cur.time - 0.1)
-            fe = alignment_rhs(cur, view, kernel)
-            g_euler = fe.force_gradients[:, 0, 0] / cur.jacobians[:, 0, 0]
+            _, force_grad, _ = alignment_rhs(cur, buf.query(cur.time - 0.1), kernel)
+            g_euler = force_grad[:, 0, 0] / cur.jacobians[:, 0, 0]
             times.append(cur.time)
             g_rows.append(g_euler)
             w_rows.append(cur.vel_gradients[:, 0, 0] / cur.jacobians[:, 0, 0])
@@ -414,8 +412,7 @@ class TestForceGradientBound:
             c_bar = 2.0 * kernel.log_deriv_bound * r_v
             for _ in range(100):
                 cur = buf.latest
-                view = buf.query(cur.time - 0.1)
-                fe = alignment_rhs(cur, view, kernel)
-                g = fe.force_gradients[:, 0, 0] / cur.jacobians[:, 0, 0]
+                _, force_grad, _ = alignment_rhs(cur, buf.query(cur.time - 0.1), kernel)
+                g = force_grad[:, 0, 0] / cur.jacobians[:, 0, 0]
                 assert np.abs(g).max() <= c_bar + 1e-9
                 step(buf, kernel)
