@@ -67,10 +67,11 @@ class DiagnosticsFrame:
 _BLOCK_PAIRS = 16384
 
 
-def _row_blocks(n_rows, n_cols):
-    """Row slices of at most max(1, _BLOCK_PAIRS // n_cols) rows each."""
-    rows = max(1, _BLOCK_PAIRS // max(1, n_cols))
-    return [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
+def _row_blocks(n):
+    """Slices of n rows, each row meeting n columns: max(1, _BLOCK_PAIRS // n)
+    rows per slice."""
+    rows = max(1, _BLOCK_PAIRS // max(1, n))
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
 def _differences(a, b):
@@ -96,7 +97,7 @@ def _pairwise_diameter(arr: np.ndarray) -> float:
     # keeps NaN, as the blow-up frames need.
     with np.errstate(invalid="ignore", over="ignore"):
         block_max = [_differences(arr[rows], arr[rows.start:])[1].max()
-                     for rows in _row_blocks(len(arr), len(arr))]
+                     for rows in _row_blocks(len(arr))]
         return float(np.sqrt(np.max(block_max)))
 
 
@@ -173,10 +174,6 @@ def _window_trapezoid(ts, vs, a, b):
     return float(np.trapezoid(np.interp(pts, ts, vs), pts))
 
 
-# Rows of the monitor's frame record.
-_T, _D_V, _X, _V = range(4)
-
-
 class FlockingMonitor:
     """Streaming evaluation of X(t), V(t) and the Lyapunov functional.
 
@@ -184,18 +181,18 @@ class FlockingMonitor:
     V := d_V.  For t > 0, X accumulates the trapezoid of d_V, and V advances
     by the exact exponential-decay recurrence
 
-        V(t+dt) = V(t) e^{-dt} + trapezoid of (1 - psi(X(s-tau) + R_V tau))
-                                 d_V(s-tau) e^{s-(t+dt)} over [t, t+dt].
+        V(t+dt) = V(t) e^{-dt} + trapezoid of g(s) e^{s-(t+dt)} over [t, t+dt],
+        g(s) = (1 - psi(X(s-tau) + R_V tau)) d_V(s-tau).
 
-    Once the frame at time t is recorded, nothing reads a time before
-    t - tau - 1e-12 (the lower end of the Lyapunov window), so the monitor
-    keeps only the frames from the last one at or before that time up to t.
-    Interpolation reads only the two frames around its argument and the
-    Lyapunov trapezoid only the frames inside its window, so the pruned
-    record gives the same bits as the full one.  The record is one array,
-    compacted or doubled in place, so each frame costs O(1) amortized plus
-    one closed-form kernel integral and a trapezoid over the window, whose
-    length depends on tau and the frame cadence, not on the run length.
+    The record is one array of rows t, d_V, X, V.  Once frame t is in,
+    nothing reads a time before t - tau - 1e-12 (the lower end of the
+    Lyapunov window), so each frame drops the columns before the last one at
+    or before that time as it appends its own: the record is the live
+    window, whose length depends on tau and the frame cadence, not on the
+    run length.  Interpolation reads only the two frames around its argument
+    and the trapezoid only the frames inside its window, so the trimmed
+    record gives the bits of the full one.  g(t) is evaluated once, on the
+    record of frame t, and carried to the next frame as g(t_prev).
     """
 
     def __init__(self, kernel, tau, pre_times, pre_d_x, pre_d_v, r_v):
@@ -207,78 +204,50 @@ class FlockingMonitor:
         self.kernel = kernel
         self.tau = float(tau)
         self.r_v = float(r_v)
-        n = len(pre_times)
-        self._rows = np.empty((4, 2 * n + 16))
-        self._rows[:, :n] = (pre_times, pre_d_v, pre_d_x, pre_d_v)
-        self._lo, self._hi = 0, n  # the window is self._rows[:, lo:hi]
+        self._rows = np.array([pre_times, pre_d_v, pre_d_x, pre_d_v], dtype=float)
         # X(-tau) + R_V tau
-        self._x_base = float(self._rows[_X, 0]) + self.r_v * self.tau
+        self._x_base = float(self._rows[2, 0]) + self.r_v * self.tau
+        self._g_prev = self._delayed(0.0)[1]
 
-    def _series(self, row):
-        return self._rows[row, self._lo:self._hi]
+    def _delayed(self, t):
+        """X(t - tau) + R_V tau and g(t), read off the record."""
+        times, d_v, x = self._rows[:3]
+        upper = float(np.interp(t - self.tau, times, x)) + self.r_v * self.tau
+        g = (1.0 - self.kernel.profile(upper)) * float(np.interp(t - self.tau, times, d_v))
+        return upper, g
 
-    def _latest(self, row):
-        return float(self._rows[row, self._hi - 1])
-
-    def _append(self, t, d_v, x):
-        """Record a frame (its V is set by the caller), making room first."""
-        capacity = self._rows.shape[1]
-        if self._hi == capacity:
-            n = self._hi - self._lo
-            if 2 * n > capacity:
-                grown = np.empty((4, 2 * capacity))
-                grown[:, :n] = self._rows[:, self._lo:self._hi]
-                self._rows = grown
-            else:
-                self._rows[:, :n] = self._rows[:, self._lo:self._hi]
-            self._lo, self._hi = 0, n
-        self._rows[:, self._hi] = (t, d_v, x, math.nan)
-        self._hi += 1
-
-    def _x_at(self, s):
-        return float(np.interp(s, self._series(_T), self._series(_X)))
-
-    def _d_v_at(self, s):
-        return float(np.interp(s, self._series(_T), self._series(_D_V)))
-
-    def _g(self, s):
-        arg = self._x_at(s - self.tau) + self.r_v * self.tau
-        return (1.0 - self.kernel.profile(arg)) * self._d_v_at(s - self.tau)
-
-    def _lyapunov(self, t):
+    def _lyapunov(self, t, upper, v):
         if self.tau == 0.0:
-            return self._latest(_V)
-        times = self._series(_T)
+            return v
+        times = self._rows[0]
         in_window = (np.searchsorted(times, t + 1e-12, "right")
                      - np.searchsorted(times, t - self.tau - 1e-12, "left"))
         if in_window < 2:
             raise NotReadyError(f"fewer than 2 recorded frames in [{t - self.tau}, {t}]")
-        upper = self._x_at(t - self.tau) + self.r_v * self.tau
         middle = self.kernel.integral(self._x_base, upper)
-        tail = _window_trapezoid(times, self._series(_V), t - self.tau, t)
-        return self._latest(_V) + middle + tail
+        return v + middle + _window_trapezoid(times, self._rows[3], t - self.tau, t)
 
     def start(self):
         """(X, V, Lyapunov) at t = 0, before any dynamics frame."""
-        return self._latest(_X), self._latest(_V), self._lyapunov(0.0)
+        x, v = self._rows[2:, -1].tolist()
+        return x, v, self._lyapunov(0.0, self._delayed(0.0)[0], v)
 
     def observe(self, t, d_v):
         """Advance to the emitted frame at time ``t`` and return (X, V, L)."""
-        t_prev = self._latest(_T)
+        t_prev, d_v_prev, x_prev, v_prev = self._rows[:, -1].tolist()
         dt = t - t_prev
         if dt <= 0:
             raise ValueError("frames must advance in time")
-        g_prev = self._g(t_prev)
-        v_prev = self._latest(_V)
-        x_new = self._latest(_X) + 0.5 * dt * (self._latest(_D_V) + d_v)
-        self._append(t, d_v, x_new)
-        # drop the frames before the last one at or before t - tau - 1e-12
-        times = self._series(_T)
-        self._lo += max(0, int(np.searchsorted(times, t - self.tau - 1e-12, "right")) - 1)
+        x_new = x_prev + 0.5 * dt * (d_v_prev + d_v)
+        lo = max(0, int(np.searchsorted(self._rows[0], t - self.tau - 1e-12, "right")) - 1)
+        self._rows = np.concatenate(
+            [self._rows[:, lo:], [[t], [d_v], [x_new], [math.nan]]], axis=1)
+        upper, g = self._delayed(t)
         decay = math.exp(-dt)
-        v_new = v_prev * decay + 0.5 * dt * (decay * g_prev + self._g(t))
-        self._rows[_V, self._hi - 1] = v_new
-        return x_new, v_new, self._lyapunov(t)
+        v_new = v_prev * decay + 0.5 * dt * (decay * self._g_prev + g)
+        self._rows[3, -1] = v_new
+        self._g_prev = g
+        return x_new, v_new, self._lyapunov(t, upper, v_new)
 
 
 def gronwall_rate(a: float, tau: float) -> float:

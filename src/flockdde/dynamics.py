@@ -100,7 +100,7 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
             np.multiply(masses[:, None], d_vel, out=mom[:, 1:])
             s = np.empty((n, d + 1))
             g = np.empty((n, d + 1, d))
-            for rows in _row_blocks(n, len(d_pos)):
+            for rows in _row_blocks(n):
                 diff, q = _differences(pos[rows], d_pos)
                 w, wd = kernel.eval_with_deriv_sq(q)
                 s[rows] = w @ mom

@@ -126,9 +126,11 @@ def _hermite(theta, dt, y0, m0, y1, m1):
 
 
 def _grid_steps(value: float, h: float) -> int | None:
-    """The k >= 0 with value = k h to 1e-9 relative, or None if there is none."""
-    k = round(value / h) if math.isfinite(value / h) else -1
-    return k if k >= 0 and abs(k * h - value) <= 1e-9 * max(1.0, abs(value)) else None
+    """The k >= 0 with |value / h - k| <= 1e-9 max(1, k), or None if there is
+    none: the tolerance is counted in steps, so it holds at any size of h."""
+    x = value / h
+    k = round(x) if math.isfinite(x) else -1
+    return k if k >= 0 and abs(x - k) <= 1e-9 * max(1, k) else None
 
 
 def _delay_steps(tau: float, h: float) -> int:
@@ -185,6 +187,12 @@ class HistoryBuffer:
         m = _delay_steps(tau, h)
         if len(rows) != m + 1:
             raise ValueError(f"history needs {m + 1} rows on [-tau, 0], got {len(rows)}")
+        # the ensemble checks the first row and the shared arrays; the rows match it
+        LagrangianEnsemble(0.0, *rows[0][:4], masses, labels, cell_volumes)
+        shapes = [np.shape(a) for a in rows[0]]
+        if shapes[4] != shapes[0] or any([np.shape(a) for a in r] != shapes for r in rows):
+            raise ValueError("every history row needs the first row's shapes, "
+                             "with accel shaped like the positions")
         self.tau, self.h, self.m = float(tau), float(h), m
         self.masses, self.labels, self.cell_volumes = masses, labels, cell_volumes
         self._fwd0 = None  # the first stage of the step leaving t = 0

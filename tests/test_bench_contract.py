@@ -1,5 +1,6 @@
 """The benchmark's traced run patches package names; they must all exist."""
 
+import csv
 import importlib
 import json
 import os
@@ -41,4 +42,13 @@ def test_tracer_installs_runs_and_uninstalls(tmp_path, monkeypatch):
     values = {(name, value) for _, name, _, _, _, value in spans}
     assert ("state.HistoryBuffer.query", -0.05) in values
     assert ("dynamics.alignment_rhs", 4) in values
+    # one monitor span per dynamics frame (the t = 0 frame has none), in
+    # frame order, each carrying its frame's t
+    with open(tmp_path / "out" / "frames.csv", newline="") as f:
+        rows = csv.DictReader(line for line in f if not line.startswith("#"))
+        frame_ts = [float(row["t"]) for row in rows]
+    observed = [value for _, name, _, _, _, value in spans
+                if name == "diagnostics.FlockingMonitor.observe"]
+    assert len(frame_ts) > 1 and frame_ts[0] == 0.0
+    assert observed == frame_ts[1:]
     assert (cli.main, cli.integrate, cli.discretize, dynamics.step) == originals

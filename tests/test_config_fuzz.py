@@ -155,7 +155,8 @@ def test_config_grid_rules_are_the_run_grid_rules():
 
     @settings(max_examples=400, derandomize=True, database=None, deadline=None)
     @example((0.1, 0.01, 1.0, 0.5))   # a frame cadence above the delay
-    @example((0.1, 0.01, 1e-10, 0.01))  # t_end within 1e-9 of 0: no steps
+    @example((0.1, 0.01, 1e-10, 0.01))  # t_end 1e-8 steps from 0: rejected
+    @example((1.5e-10, 1e-10, 0.0, 1e-10))  # tau 1.5 steps, below 1e-9 of 2 steps
     @example((1e306, 2e-3, 1.0, 2e-3))  # tau / step overflows
     @given(grid_fields())
     def check(fields):

@@ -362,7 +362,7 @@ class TestBlockedDiameters:
 
     @pytest.mark.parametrize("n", [1, SIDE, SIDE + 1, 2 * SIDE + 3, _BLOCK_PAIRS + 1])
     def test_row_blocks_partition_rows_by_shape_alone(self, n):
-        blocks = _row_blocks(n, n)
+        blocks = _row_blocks(n)
         assert blocks[0].start == 0 and blocks[-1].stop >= n
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         rows = blocks[0].stop - blocks[0].start
@@ -625,7 +625,21 @@ class TestWindowedMonitor:
                               np.ones(21), np.full(21, 0.5), 0.5)
         for k in range(1, 20001):
             mon.observe(k * dt, 0.5 * math.exp(-k * dt))
-        # frames in [t - tau, t], plus the one bracketing t - tau
-        window = round(tau / dt) + 2
-        assert mon._hi - mon._lo <= window + 1
-        assert mon._rows.shape[1] <= 2 * 21 + 16
+        # the record is the frames in [t - tau, t] and the one bracketing
+        # t - tau, round(tau / dt) + 2 here; the bound leaves one frame spare
+        assert mon._rows.shape[1] <= round(tau / dt) + 3
+
+    @pytest.mark.parametrize("tau,n", [(0.0, 1), (0.1, 11)])
+    def test_one_profile_evaluation_per_frame(self, tau, n, monkeypatch):
+        # g(t) is evaluated when frame t is recorded and carried to the next
+        # frame as g(t_prev), never evaluated again
+        kernel = CuckerSmaleKernel(1.0)
+        pre_t = np.linspace(-tau, 0.0, n)
+        mon = FlockingMonitor(kernel, tau, pre_t, np.ones(n), np.full(n, 0.5), 0.5)
+        mon.start()
+        calls = []
+        profile = kernel.profile
+        monkeypatch.setattr(kernel, "profile", lambda r: calls.append(r) or profile(r))
+        for k in range(1, 51):
+            mon.observe(k * 0.01, 0.5 * math.exp(-k * 0.01))
+            assert len(calls) == k

@@ -1,16 +1,19 @@
 """The paper's invariants on generated runs, end to end through the CLI.
 
 Derandomized hypothesis over small runs: N <= 12, d in {1, 2}, Cucker-Smale
-beta in [0, 3], tau in {0} and [h, 0.5], uniform or gaussian densities and
-sine prehistories.  Every run keeps unit mass and the velocity maximum
-principle; a certified run keeps d_V <= V, a nonincreasing Lyapunov
-functional, sup d_X <= d_star and d_V inside the predicted decay envelope (at
-the acceptance suite's tolerances); a sweep cell is its standalone run, byte
-for byte.
+beta in [0, 3] or a tabulated profile, tau in {0} and [h, 0.5], uniform or
+gaussian densities and sine prehistories.  Every run keeps unit mass and the
+velocity maximum principle; a certified run keeps d_V <= V, a nonincreasing
+Lyapunov functional, sup d_X <= d_star and d_V inside the predicted decay
+envelope (at the acceptance suite's tolerances); a tabulated run has neither
+certificate nor threshold verdict and ends without blow-up; a sweep cell is
+its standalone run, byte for byte.
 """
 
+import itertools
 import json
 import math
+import operator
 import tempfile
 from pathlib import Path
 
@@ -24,9 +27,22 @@ from flockdde.state import discretize
 
 H = 0.02
 
+CUCKER_SMALE = st.floats(0.0, 3.0).map(lambda b: {"family": "cucker-smale", "beta": b})
+
 
 @st.composite
-def run_docs(draw):
+def tabulated_kernels(draw):
+    """Radii from 0, positive nonincreasing values from 1."""
+    n = draw(st.integers(2, 5))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    ratios = draw(st.lists(st.floats(0.2, 1.0), min_size=n - 1, max_size=n - 1))
+    return {"family": "tabulated",
+            "radii": [0.0, *itertools.accumulate(gaps)],
+            "values": [1.0, *itertools.accumulate(ratios, operator.mul)]}
+
+
+@st.composite
+def run_docs(draw, kernels):
     d = draw(st.sampled_from([1, 2]))
     counts = ([draw(st.integers(1, 12))] if d == 1
               else [draw(st.integers(1, 3)), draw(st.integers(1, 4))])
@@ -36,7 +52,7 @@ def run_docs(draw):
                   st.floats(0.0, 1.0), st.floats(0.2, 1.0))))
     return {
         "schema_version": 1,
-        "kernel": {"family": "cucker-smale", "beta": draw(st.floats(0.0, 3.0))},
+        "kernel": draw(kernels),
         "datum": {"domain": {"box": [[0.0, 1.0]] * d, "counts": counts},
                   "density": density,
                   "velocity": {"family": "sine-perturbation", "base": [0.0] * d,
@@ -51,44 +67,62 @@ def run_docs(draw):
     }
 
 
+def _check_run(doc, time_limit):
+    """Run ``doc`` and check the invariants that hold for its kernel."""
+    cfg = run_config_from_dict(doc)
+    with time_limit(5):
+        artifacts = execute_run(cfg)
+    result, summary = artifacts["result"], artifacts["summary"]
+    cert, frames = summary["certificate"], result.frames
+    assert abs(math.fsum(result.buffer.masses) - 1.0) <= 1e-12
+    assert all(f.max_speed <= result.r_v + 1e-7 for f in frames)
+    if doc["kernel"]["family"] == "tabulated":
+        # no tail model: no certificate, no threshold verdict
+        assert cert is None and summary["threshold"] is None
+        assert artifacts["exit_code"] == 0
+    elif cert["satisfied"]:
+        assert all(f.d_V <= f.V_of_t + 1e-6 for f in frames)
+        lyap = [f.lyapunov for f in frames]
+        assert all(b - a <= 1e-6 for a, b in zip(lyap, lyap[1:]))
+        assert max(f.d_X for f in frames) <= cert["d_star"] + 1e-6
+        pre = prehistory_frames(discretize(cfg.datum, cfg.tau, cfg.step))
+        top = max(f.d_V for f in pre)
+        rate = cert["predicted_rate"]
+        assert all(f.d_V <= top * math.exp(-rate * f.t) * 1.001 for f in frames)
+
+
 def test_invariants_of_generated_runs(time_limit):
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
-    @given(run_docs())
+    @given(run_docs(CUCKER_SMALE))
     def check(doc):
-        cfg = run_config_from_dict(doc)
-        with time_limit(5):
-            artifacts = execute_run(cfg)
-        result, cert = artifacts["result"], artifacts["summary"]["certificate"]
-        frames = result.frames
-        assert abs(math.fsum(result.buffer.masses) - 1.0) <= 1e-12
-        assert all(f.max_speed <= result.r_v + 1e-7 for f in frames)
-        if cert["satisfied"]:
-            assert all(f.d_V <= f.V_of_t + 1e-6 for f in frames)
-            lyap = [f.lyapunov for f in frames]
-            assert all(b - a <= 1e-6 for a, b in zip(lyap, lyap[1:]))
-            assert max(f.d_X for f in frames) <= cert["d_star"] + 1e-6
-            pre = prehistory_frames(discretize(cfg.datum, cfg.tau, cfg.step))
-            top = max(f.d_V for f in pre)
-            rate = cert["predicted_rate"]
-            assert all(f.d_V <= top * math.exp(-rate * f.t) * 1.001 for f in frames)
+        _check_run(doc, time_limit)
+
+    check()
+
+
+def test_invariants_of_generated_tabulated_runs(time_limit):
+    @settings(max_examples=20, derandomize=True, database=None, deadline=None)
+    @given(run_docs(tabulated_kernels()))
+    def check(doc):
+        _check_run(doc, time_limit)
 
     check()
 
 
 def test_sweep_cells_are_their_standalone_runs(tmp_path, time_limit):
     @settings(max_examples=8, derandomize=True, database=None, deadline=None)
-    @given(run_docs(), st.floats(0.0, 3.0))
+    @given(run_docs(CUCKER_SMALE | tabulated_kernels()), st.floats(0.0, 3.0))
     def check(doc, other_beta):
         out = Path(tempfile.mkdtemp(dir=tmp_path))
-        betas = [doc["kernel"]["beta"], other_beta]
+        kernels = [doc["kernel"], {"family": "cucker-smale", "beta": other_beta}]
         sweep = {"schema_version": 1, "base": doc, "max_workers": 1,
-                 "axes": [{"path": "kernel.beta", "values": betas}]}
+                 "axes": [{"path": "kernel", "values": kernels}]}
         (out / "sweep.json").write_text(json.dumps(sweep))
         with time_limit(5):
             assert main(["sweep", "--config", str(out / "sweep.json"),
                          "--out", str(out / "grid")]) == 0
-            for i, beta in enumerate(betas):
-                doc["kernel"]["beta"] = beta
+            for i, kernel in enumerate(kernels):
+                doc["kernel"] = kernel
                 (out / f"run{i}.json").write_text(json.dumps(doc))
                 assert main(["run", "--config", str(out / f"run{i}.json"),
                              "--out", str(out / f"solo{i}")]) in (0, 2)

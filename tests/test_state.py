@@ -131,8 +131,9 @@ class TestDiscretize:
         with pytest.raises(ValueError):
             discretize(datum, tau=-0.1, h=0.05)
 
+    # (1.5e-10, 1e-10): 1.5 steps, yet within 1e-9 of 2 steps in absolute terms
     @pytest.mark.parametrize("tau,h", [(0.1, 0.03), (0.1, 0.2), (1e-12, 0.01),
-                                       (0.1, 0.0), (0.1, -0.01)])
+                                       (0.1, 0.0), (0.1, -0.01), (1.5e-10, 1e-10)])
     def test_delay_off_the_step_grid_rejected(self, tau, h):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
         with pytest.raises(ValueError):
@@ -263,6 +264,17 @@ class TestHistoryBuffer:
             make_buffer(1.0, 0.4, [make_row([0.0], [0.0]) for _ in range(2)])
         with pytest.raises(ValueError, match="needs 3 rows"):  # too few for the window
             make_buffer(1.0, 0.5, [make_row([0.0], [0.0]) for _ in range(2)])
+
+    def test_malformed_rows_rejected(self):
+        # a (1, d) row among (N, d) rows would broadcast into the ring
+        good = [make_row([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]) for _ in range(3)]
+        bad_row = [good[0], make_row([7.0], [0.0]), good[2]]
+        bad_accel = [good[0], good[1][:4] + (np.zeros((1, 1)),), good[2]]
+        for rows in (bad_row, bad_accel, [bad_accel[1], *good[1:]]):
+            with pytest.raises(ValueError, match="shape"):
+                make_buffer(1.0, 0.5, rows)
+        with pytest.raises(ValueError, match="masses must sum to 1"):
+            HistoryBuffer(1.0, 0.5, np.ones(3), good[0][0].copy(), np.ones(3), good)
 
     def test_labels_and_masses_shared_across_slices(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [3]), ConstantVelocity([0.1]))
