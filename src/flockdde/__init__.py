@@ -25,7 +25,6 @@ from .dynamics import (
     SingularNormalizerError,
     alignment_rhs,
     integrate,
-    simulate,
     step,
 )
 from .kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKernelError

@@ -3,10 +3,11 @@
 Outputs are deterministic: CSV floats use a 17-significant-digit round-trip
 format with fixed column order, JSON is strict, with sorted keys, and files
 are written atomically.  Exit codes: run 0 (completed) / 2 (blow-up) / 1
-(config error, or the kernel normalizer underflowed); certify 0 (satisfied)
-/ 3 (not satisfied) / 4 (unsupported kernel) / 1 (config error); threshold
-0 (global existence) / 2 (blow-up) / 5 (indeterminate); sweep 0 when every
-cell ran / 1 (config error).  An invalid datum counts as a config error.
+(config error, the kernel normalizer underflowed, or ``--out`` cannot be
+written); certify 0 (satisfied) / 3 (not satisfied) / 4 (unsupported
+kernel) / 1 (config error); threshold 0 (global existence) / 2 (blow-up) / 5
+(indeterminate); sweep 0 when every cell ran / 1 (config error, or ``--out``
+cannot be written).  An invalid datum counts as a config error.
 """
 
 from __future__ import annotations
@@ -103,8 +104,14 @@ def _prepare(cfg: RunConfig):
     return buffer, prehistory_frames(buffer)
 
 
-def execute_run(cfg: RunConfig) -> dict:
-    """Run one scenario and assemble its artifacts (result, summary, code)."""
+def execute_run(cfg: RunConfig):
+    """The one pipeline from a config to a run: returns ``(result, summary)``.
+
+    Discretizes the datum, takes its prehistory frames once, certifies
+    flocking from them and integrates from t = 0 with them; ``result`` is
+    ``integrate``'s ``SimulationResult`` (``result.blowup`` is the run's
+    outcome) and ``summary`` the mapping written to ``summary.json``.
+    """
     buffer, pre = _prepare(cfg)
     try:
         certificate = certify_flocking(pre, cfg.kernel)
@@ -145,21 +152,23 @@ def execute_run(cfg: RunConfig) -> dict:
         "blowup": None if blowup is None else {"time": float(blowup.time),
                                                "node": blowup.node},
     }
-    return {
-        "result": result,
-        "summary": summary,
-        "exit_code": 2 if result.blowup is not None else 0,
-    }
+    return result, summary
 
 
-def _write_run_outputs(cfg, artifacts, out_dir):
+def _write_run_outputs(cfg, result, summary, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    write_frames_csv(artifacts["result"].frames, os.path.join(out_dir, "frames.csv"))
-    _atomic_write(os.path.join(out_dir, "summary.json"),
-                  _json_text(artifacts["summary"]))
+    write_frames_csv(result.frames, os.path.join(out_dir, "frames.csv"))
+    _atomic_write(os.path.join(out_dir, "summary.json"), _json_text(summary))
     if cfg.snapshot_csv:
-        write_snapshot_csv(artifacts["result"].buffer.latest,
-                           os.path.join(out_dir, "snapshot.csv"))
+        write_snapshot_csv(result.buffer.latest, os.path.join(out_dir, "snapshot.csv"))
+
+
+def _run_into(cfg, out_dir):
+    """Run ``cfg`` and write its outputs to ``out_dir``: the step that a
+    standalone run and a sweep cell share, so the two write the same bytes."""
+    result, summary = execute_run(cfg)
+    _write_run_outputs(cfg, result, summary, out_dir)
+    return result, summary
 
 
 def _load_cfg(args) -> RunConfig:
@@ -171,15 +180,9 @@ def _load_cfg(args) -> RunConfig:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_cfg(args)
-    try:
-        artifacts = execute_run(cfg)
-    except SingularNormalizerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    _write_run_outputs(cfg, artifacts, args.out)
+    result, _ = _run_into(_load_cfg(args), args.out)
     print(f"wrote {os.path.join(args.out, 'frames.csv')} and summary.json")
-    return artifacts["exit_code"]
+    return 0 if result.blowup is None else 2
 
 
 def cmd_certify(args) -> int:
@@ -210,13 +213,11 @@ def _run_cell(payload):
     """Sweep worker: run one cell into its own directory (process-safe)."""
     index, coords, doc, out_dir = payload
     cell_dir = os.path.join(out_dir, f"cell_{index:04d}")
-    row = {"cell": index, **{f"axis:{k}": v for k, v in coords.items()}}
+    row = {"cell": index, **{f"axis:{k}": json.dumps(_json_safe(v), sort_keys=True)
+                             for k, v in coords.items()}}
     try:
-        cfg = run_config_from_dict(doc)
-        artifacts = execute_run(cfg)
-        _write_run_outputs(cfg, artifacts, cell_dir)
-        summary = artifacts["summary"]
-        row["status"] = "blowup" if artifacts["exit_code"] == 2 else "ok"
+        result, summary = _run_into(run_config_from_dict(doc), cell_dir)
+        row["status"] = "ok" if result.blowup is None else "blowup"
         cert = summary["certificate"]
         row["satisfied"] = "" if cert is None else str(cert["satisfied"]).lower()
         rate = summary["fitted_rate"]
@@ -317,6 +318,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, InvalidDatumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    # a run whose kernel normalizer underflowed, or an unwritable --out
+    except (SingularNormalizerError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

@@ -182,7 +182,6 @@ class RunConfig:
     step: float
     t_end: float
     output_every: float
-    seed: int = 0
     snapshot_csv: bool = False
     raw: dict = field(default_factory=dict)
 
@@ -229,7 +228,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
                           f"got {doc['detj_tolerance']!r}")
     return RunConfig(
         kernel=kernel, datum=datum, tau=tau, step=step, t_end=t_end,
-        output_every=output_every, seed=seed, snapshot_csv=snapshot_csv,
+        output_every=output_every, snapshot_csv=snapshot_csv,
         raw=json.loads(json.dumps(doc)),
     )
 

@@ -1,5 +1,8 @@
 """Delayed alignment dynamics: force evaluation, RK4 stepping, run driver.
 
+``integrate`` drives a discretized buffer from t = 0; ``cli.execute_run``,
+the one run pipeline, builds that buffer and call from a ``RunConfig``.
+
 The velocity equation relaxes each node toward a kernel-weighted convex
 combination of the delayed velocities; the normalization by the same weighted
 mass makes the combination convex, which is what the maximum principle and
@@ -31,7 +34,7 @@ from .diagnostics import (
     diameters,
     prehistory_frames,
 )
-from .state import HistoryBuffer, LagrangianEnsemble, _det, _rk4, _run_steps, discretize
+from .state import HistoryBuffer, LagrangianEnsemble, _det, _rk4, _run_steps
 
 __all__ = [
     "BlowupSignal",
@@ -41,7 +44,6 @@ __all__ = [
     "alignment_rhs",
     "step",
     "integrate",
-    "simulate",
 ]
 
 # Minimal Jacobian determinant at which a run counts as blown up.
@@ -254,14 +256,3 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
     if event is not None:
         frames[-1].status = "blowup"
     return SimulationResult(frames, buffer, event, r_v)
-
-
-def simulate(config) -> SimulationResult:
-    """Run a scenario end to end from a configuration object.
-
-    ``config`` provides kernel, datum, tau, step, t_end and output_every
-    (see ``flockdde.config.RunConfig``).
-    """
-    buffer = discretize(config.datum, config.tau, config.step)
-    return integrate(buffer, config.kernel, t_end=config.t_end,
-                     output_every=config.output_every)

@@ -210,9 +210,6 @@ class CuckerSmaleKernel:
             return a
         return math.sinh(brentq(excess, math.asinh(a), _ASINH_MAX, xtol=1e-300))
 
-    def to_config(self) -> dict:
-        return {"family": "cucker-smale", "beta": self.beta}
-
 
 class TabulatedKernel:
     """Monotone piecewise-cubic profile through ``(radii, values)`` samples.
@@ -304,13 +301,6 @@ class TabulatedKernel:
         raise UnsupportedKernelError(
             "tail integral of a tabulated kernel is undefined (no tail model)"
         )
-
-    def to_config(self) -> dict:
-        return {
-            "family": "tabulated",
-            "radii": [float(x) for x in self.radii],
-            "values": [float(x) for x in self.values],
-        }
 
 
 def kernel_from_config(spec: dict):

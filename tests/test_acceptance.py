@@ -8,7 +8,6 @@ proven inequalities at desk scale.
 import itertools
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from flockdde.diagnostics import (
     gronwall_rate,
     prehistory_frames,
 )
-from flockdde.dynamics import alignment_rhs, integrate, simulate, step
+from flockdde.dynamics import alignment_rhs, integrate, step
 from flockdde.kernel import CuckerSmaleKernel
 from flockdde.state import (
     BoxDomain,
@@ -88,10 +87,8 @@ def certified_runs():
 
 def test_criterion_01_flat_kernel_exact_decay():
     datum = InitialDatum(BoxDomain([0.0], [1.0], [64]), LinearVelocity([[0.5]]))
-    cfg = SimpleNamespace(kernel=CuckerSmaleKernel(0.0), datum=datum, tau=0.5,
-                          step=1e-3, t_end=5.0, output_every=0.01,
-                          interpolation="cubic-hermite")
-    res = simulate(cfg)
+    res = integrate(discretize(datum, 0.5, 1e-3), CuckerSmaleKernel(0.0),
+                    t_end=5.0, output_every=0.01)
     assert res.blowup is None
     rate = fit_decay_rate(res.frames, 0.0, 5.0)
     assert abs(rate - 1.0) <= 1e-3
@@ -122,11 +119,8 @@ def test_criterion_02_velocity_maximum_principle():
                                  rng.uniform(0.05, 0.25, size=dim),
                                  rng.uniform(0.5, 2.0, size=dim),
                                  rng.uniform(0.0, 2 * np.pi, size=dim))
-        cfg = SimpleNamespace(kernel=CuckerSmaleKernel(beta),
-                              datum=InitialDatum(domain, field), tau=tau,
-                              step=1e-3, t_end=2.0, output_every=0.02,
-                              interpolation="cubic-hermite")
-        res = simulate(cfg)
+        res = integrate(discretize(InitialDatum(domain, field), tau, 1e-3),
+                        CuckerSmaleKernel(beta), t_end=2.0, output_every=0.02)
         excess = max(f.max_speed for f in res.frames) - res.r_v
         worst_excess = max(worst_excess, excess)
         assert excess <= 1e-7, f"beta={beta}, tau={tau}: excess {excess}"
@@ -173,10 +167,8 @@ def test_criterion_05_gronwall_solver():
 
 def test_criterion_06_riccati_blowup_time():
     datum = InitialDatum(BoxDomain([0.0], [1.0], [16]), LinearVelocity([[-2.0]]))
-    cfg = SimpleNamespace(kernel=CuckerSmaleKernel(0.0), datum=datum, tau=0.1,
-                          step=1e-3, t_end=2.0, output_every=0.01,
-                          interpolation="cubic-hermite")
-    res = simulate(cfg)
+    res = integrate(discretize(datum, 0.1, 1e-3), CuckerSmaleKernel(0.0),
+                    t_end=2.0, output_every=0.01)
     found = detect_blowup(res.frames)
     assert found is not None
     t_star, _ = found
@@ -230,10 +222,8 @@ def test_criterion_09_small_data_diffeomorphism():
         datum = InitialDatum(
             BoxDomain([0.0, 0.0], [1.0, 1.0], [4, 4]),
             LinearVelocity(eps * base_mat, [0.1 * eps, 0.0]))
-        cfg = SimpleNamespace(kernel=CuckerSmaleKernel(1.0), datum=datum,
-                              tau=0.1, step=0.01, t_end=10.0, output_every=0.05,
-                              interpolation="cubic-hermite")
-        res = simulate(cfg)
+        res = integrate(discretize(datum, 0.1, 0.01), CuckerSmaleKernel(1.0),
+                        t_end=10.0, output_every=0.05)
         assert res.blowup is None
         deficits[eps] = 1.0 - min(f.min_detJ for f in res.frames)
     assert deficits[1e-1] > deficits[1e-2] > deficits[1e-3] >= 0.0

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, deterministic outputs, sweep equivalence."""
 
+import collections
 import csv
 import json
 import math
@@ -9,9 +10,9 @@ import sys
 
 import pytest
 
+from flockdde import cli
 from flockdde.cli import _json_text, execute_run, main
 from flockdde.config import preset_dict, run_config_from_dict
-from flockdde.dynamics import simulate
 from flockdde.diagnostics import _BLOCK_PAIRS
 from flockdde.state import discretize
 from flockdde.threshold1d import classify
@@ -19,6 +20,15 @@ from flockdde.threshold1d import classify
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_entry_point(*argv):
+    """Run ``python -m flockdde.cli`` on this checkout's ``src/``."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "flockdde.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 def write_json(path, doc):
@@ -106,13 +116,8 @@ class TestRun:
                          "velocity": {"family": "linear", "matrix": [[1e6]],
                                       "offset": [0.0]}},
                "tau": 0.1, "step": 0.01, "t_end": 0.1, "output_every": 0.01}
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "flockdde.cli", "run", "--config",
-             write_json(tmp_path / "c.json", doc), "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_entry_point("run", "--config", write_json(tmp_path / "c.json", doc),
+                               "--out", str(tmp_path / "out"))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: kernel-weighted mass underflowed")
@@ -129,10 +134,6 @@ class TestRun:
         cert = summary["certificate"]
         assert cert["satisfied"] is True
         assert 0 < cert["predicted_rate"] < cert["psi_star"] < 1e-198
-
-    def test_execute_run_frames_are_simulate_frames(self, quick_run_doc):
-        cfg = run_config_from_dict(quick_run_doc)
-        assert execute_run(cfg)["result"].frames == simulate(cfg).frames
 
     def test_cubic_hermite_key_runs_and_is_echoed(self, tmp_path, quick_run_doc):
         assert quick_run_doc["interpolation"] == "cubic-hermite"
@@ -180,7 +181,7 @@ class TestRun:
         cfg = run_config_from_dict(doc)
         start = discretize(cfg.datum, cfg.tau, cfg.step).latest
         w0_min = float((start.vel_gradients[:, 0, 0] / start.jacobians[:, 0, 0]).min())
-        summary = execute_run(cfg)["summary"]
+        _, summary = execute_run(cfg)
         assert summary["threshold"] == classify(w0_min, cfg.kernel, summary["R_V"]).to_dict()
         assert summary["threshold"]["bound"] == pytest.approx(1.0, abs=1e-12)
 
@@ -374,16 +375,27 @@ class TestConfigErrors:
                                                                quick_run_doc):
         doc = _with(quick_run_doc, "datum.velocity",
                     {"family": "constant", "value": [0.1, 0.2]})
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "flockdde.cli", "certify", "--config",
-             write_json(tmp_path / "c.json", doc)],
-            capture_output=True, text=True, env=env, timeout=120)
+        proc = run_entry_point("certify", "--config",
+                               write_json(tmp_path / "c.json", doc))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("config error: velocity field")
+        assert len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, quick_run_doc, command):
+        # a directory cannot be made under a regular file
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        doc = dict(quick_run_doc, t_end=0.02)
+        if command == "sweep":
+            doc = {"schema_version": 1, "base": doc,
+                   "axes": [{"path": "tau", "values": [0.2]}], "max_workers": 1}
+        proc = run_entry_point(command, "--config", write_json(tmp_path / "c.json", doc),
+                               "--out", str(blocker / "out"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and str(blocker) in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
 
@@ -555,6 +567,58 @@ class TestSweep:
             cell = tmp_path / "grid" / f"cell_{i:04d}"
             for name in ("frames.csv", "summary.json"):
                 assert (cell / name).read_bytes() == (solo / name).read_bytes()
+
+    def test_each_stage_runs_once_and_cells_are_the_standalone_runs(
+            self, tmp_path, quick_run_doc, monkeypatch):
+        calls = collections.Counter()
+
+        def counting(name, stage):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return stage(*args, **kwargs)
+            return counted
+
+        for name in ("discretize", "prehistory_frames", "integrate"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        doc = json.loads(json.dumps(quick_run_doc))
+        doc["t_end"] = 0.1
+        taus = [0.1, 0.2]
+        for i, tau in enumerate(taus):
+            calls.clear()
+            assert run_cli("run", "--config",
+                           write_json(tmp_path / f"run{i}.json", dict(doc, tau=tau)),
+                           "--out", str(tmp_path / f"solo{i}")) == 0
+            assert calls == {"discretize": 1, "prehistory_frames": 1, "integrate": 1}
+        calls.clear()
+        sweep_doc = {"schema_version": 1, "base": doc,
+                     "axes": [{"path": "tau", "values": taus}], "max_workers": 1}
+        assert run_cli("sweep", "--config",
+                       write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid")) == 0
+        assert calls == {"discretize": 2, "prehistory_frames": 2, "integrate": 2}
+        for i in range(len(taus)):
+            cell, solo = tmp_path / "grid" / f"cell_{i:04d}", tmp_path / f"solo{i}"
+            for name in ("frames.csv", "summary.json"):
+                assert (cell / name).read_bytes() == (solo / name).read_bytes()
+
+    def test_axis_values_are_json(self, tmp_path, quick_run_doc):
+        doc = json.loads(json.dumps(quick_run_doc))
+        doc.update(t_end=0.02, snapshot_csv=False)  # an axis path must exist
+        kernels = [{"family": "cucker-smale", "beta": 0.5},
+                   {"family": "tabulated", "radii": [0.0, 1.0], "values": [1.0, 0.5]}]
+        sweep_doc = {"schema_version": 1, "base": doc,
+                     "axes": [{"path": "kernel", "values": kernels},
+                              {"path": "snapshot_csv", "values": [False, True]}],
+                     "max_workers": 1}
+        assert run_cli("sweep", "--config",
+                       write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid")) == 0
+        with open(tmp_path / "grid" / "sweep_summary.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [json.loads(r["axis:kernel"]) for r in rows] == \
+            [k for k in kernels for _ in range(2)]
+        assert [json.loads(r["axis:snapshot_csv"]) for r in rows] == [False, True] * 2
+        assert rows[0]["axis:kernel"] == '{"beta": 0.5, "family": "cucker-smale"}'
 
     def test_tau_axis_flips_certificate(self, tmp_path, quick_run_doc):
         # thin tail: growing the delay eventually defeats the condition

@@ -26,7 +26,7 @@ from flockdde.diagnostics import (
     _row_blocks,
 )
 from flockdde.cli import _json_text
-from flockdde.dynamics import simulate
+from flockdde.dynamics import integrate
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKernelError
 from flockdde.state import (
     BoxDomain,
@@ -166,13 +166,10 @@ class TestLyapunov:
 
     def test_nonincreasing_along_heavy_tail_run(self):
         # gentle slope keeps the run subcritical so all 10^3 frames are emitted
-        cfg = SimpleNamespace(
-            kernel=CuckerSmaleKernel(0.25),
-            datum=InitialDatum(BoxDomain([0.0], [1.0], [12]),
-                               SineVelocity([0.0], [0.4], [1.5])),
-            tau=0.2, step=2e-3, t_end=2.0, output_every=2e-3,
-            interpolation="cubic-hermite")
-        res = simulate(cfg)
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [12]),
+                             SineVelocity([0.0], [0.4], [1.5]))
+        res = integrate(discretize(datum, 0.2, 2e-3), CuckerSmaleKernel(0.25),
+                        t_end=2.0, output_every=2e-3)
         assert res.blowup is None
         lyap = [f.lyapunov for f in res.frames]
         assert len(lyap) >= 1000
@@ -251,17 +248,14 @@ class TestCertificate:
 
     def test_certificate_soundness_strong_diameter_bound(self):
         # certified runs must keep sup d_X below d_star - R_V * tau
-        tau = 0.2
-        cfg = SimpleNamespace(
-            kernel=CuckerSmaleKernel(0.5),
-            datum=InitialDatum(BoxDomain([0.0], [1.0], [10]),
-                               SineVelocity([0.0], [0.3], [1.5])),
-            tau=tau, step=2e-3, t_end=10.0, output_every=0.02,
-            interpolation="cubic-hermite")
-        buf = discretize(cfg.datum, tau, cfg.step)
-        cert = certify_flocking(prehistory_frames(buf), cfg.kernel)
+        tau, kernel = 0.2, CuckerSmaleKernel(0.5)
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [10]),
+                             SineVelocity([0.0], [0.3], [1.5]))
+        buf = discretize(datum, tau, 2e-3)
+        pre = prehistory_frames(buf)
+        cert = certify_flocking(pre, kernel)
         assert cert.satisfied
-        res = simulate(cfg)
+        res = integrate(buf, kernel, t_end=10.0, output_every=0.02, prehistory=pre)
         assert res.blowup is None
         sup_dx = max(f.d_X for f in res.frames)
         assert sup_dx <= cert.d_star - cert.r_v * tau + 1e-6
@@ -269,26 +263,18 @@ class TestCertificate:
 
 class TestDiameterVsComparison:
     def test_d_v_below_v_along_certified_run(self):
-        cfg = SimpleNamespace(
-            kernel=CuckerSmaleKernel(0.5),
-            datum=InitialDatum(BoxDomain([0.0], [1.0], [10]),
-                               LinearVelocity([[0.4]])),
-            tau=0.1, step=2e-3, t_end=3.0, output_every=0.01,
-            interpolation="cubic-hermite")
-        res = simulate(cfg)
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [10]), LinearVelocity([[0.4]]))
+        res = integrate(discretize(datum, 0.1, 2e-3), CuckerSmaleKernel(0.5),
+                        t_end=3.0, output_every=0.01)
         for f in res.frames:
             assert f.d_V <= f.V_of_t + 1e-6
 
 
 class TestFitDecayRate:
     def test_flat_kernel_run_rate_one(self):
-        cfg = SimpleNamespace(
-            kernel=CuckerSmaleKernel(0.0),
-            datum=InitialDatum(BoxDomain([0.0], [1.0], [8]),
-                               LinearVelocity([[0.5]])),
-            tau=0.5, step=2e-3, t_end=3.0, output_every=0.01,
-            interpolation="cubic-hermite")
-        res = simulate(cfg)
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [8]), LinearVelocity([[0.5]]))
+        res = integrate(discretize(datum, 0.5, 2e-3), CuckerSmaleKernel(0.0),
+                        t_end=3.0, output_every=0.01)
         rate = fit_decay_rate(res.frames, 0.0, 3.0)
         assert rate == pytest.approx(1.0, abs=1e-3)
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flockdde import dynamics
+from flockdde.cli import execute_run
 from flockdde.config import RunConfig
 from flockdde.diagnostics import _BLOCK_PAIRS, _worst_node, diameters, prehistory_frames
 from flockdde.dynamics import (
@@ -20,7 +21,6 @@ from flockdde.dynamics import (
     _force,
     alignment_rhs,
     integrate,
-    simulate,
     step,
 )
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
@@ -48,6 +48,12 @@ def make_config(**kw):
                 interpolation="cubic-hermite")
     base.update(kw)
     return SimpleNamespace(**base)
+
+
+def integrate_config(cfg):
+    """Integrate ``make_config``'s scenario from its discretized datum."""
+    return integrate(discretize(cfg.datum, cfg.tau, cfg.step), cfg.kernel,
+                     t_end=cfg.t_end, output_every=cfg.output_every)
 
 
 class TestAlignmentForce:
@@ -235,7 +241,7 @@ class TestStep:
 
 class TestSimulate:
     def test_zero_t_end_emits_exactly_one_frame(self):
-        res = simulate(make_config(t_end=0.0))
+        res = integrate_config(make_config(t_end=0.0))
         assert len(res.frames) == 1
         assert res.frames[0].t == 0.0
         assert res.blowup is None
@@ -255,7 +261,8 @@ class TestSimulate:
                         output_every=cfg.output_every, prehistory=pre)
         assert 0.0 not in calls and len(calls) == len(res.frames) - 1
         assert (res.frames[0].d_X, res.frames[0].d_V) == (pre[-1].d_X, pre[-1].d_V)
-        assert res.frames == simulate(cfg).frames
+        # integrate's own prehistory, when none is passed, gives the same run
+        assert res.frames == integrate_config(cfg).frames
 
     def test_start_frame_is_last_prehistory_record_plus_lyapunov(self):
         cfg = make_config(t_end=0.05)
@@ -276,18 +283,18 @@ class TestSimulate:
             return _force(*args)
 
         monkeypatch.setattr(dynamics, "_force", counted)
-        res = simulate(make_config(t_end=0.05))
+        res = integrate_config(make_config(t_end=0.05))
         assert res.frames[-1].t == pytest.approx(0.05)
         assert len(calls) == 4 * 10
         calls.clear()
-        simulate(make_config(t_end=0.0))
+        integrate_config(make_config(t_end=0.0))
         assert calls == []
 
     def test_stepping_on_after_integrate_matches_a_longer_run(self):
         cfg = make_config(t_end=0.05)
-        first = simulate(cfg).buffer
+        first = integrate_config(cfg).buffer
         step(first, cfg.kernel)
-        longer = simulate(make_config(t_end=0.055)).buffer
+        longer = integrate_config(make_config(t_end=0.055)).buffer
         assert first.current_time == longer.current_time == 11 * cfg.step
         # every stored slot and every midpoint, which reads the slopes
         for x in range(2 * (11 - 20 - 2), 2 * 11 + 1):
@@ -296,8 +303,8 @@ class TestSimulate:
             assert np.array_equal(a[1], b[1])
 
     def test_deterministic_frames(self):
-        a = simulate(make_config())
-        b = simulate(make_config())
+        a = integrate_config(make_config())
+        b = integrate_config(make_config())
         assert len(a.frames) == len(b.frames)
         for fa, fb in zip(a.frames, b.frames):
             assert fa == fb
@@ -307,7 +314,7 @@ class TestSimulate:
                           t_end=5.0, output_every=0.05,
                           datum=InitialDatum(BoxDomain([0.0], [1.0], [8]),
                                              LinearVelocity([[0.5]])))
-        res = simulate(cfg)
+        res = integrate_config(cfg)
         assert res.blowup is None
         assert max(f.max_speed for f in res.frames) <= res.r_v + 1e-9
 
@@ -316,7 +323,7 @@ class TestSimulate:
                           t_end=2.0, output_every=0.01,
                           datum=InitialDatum(BoxDomain([0.0], [1.0], [8]),
                                              LinearVelocity([[-2.0]])))
-        res = simulate(cfg)
+        res = integrate_config(cfg)
         assert res.blowup is not None
         assert res.blowup.time == pytest.approx(math.log(2.0), abs=5e-3)
         assert res.frames[-1].status == "blowup"
@@ -370,7 +377,7 @@ class TestSimulate:
 
     def test_negative_t_end_rejected(self):
         with pytest.raises(ValueError):
-            simulate(make_config(t_end=-1.0))
+            integrate_config(make_config(t_end=-1.0))
 
     def test_non_finite_state_signals_blowup_with_last_finite_time(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), ConstantVelocity([0.1]))
@@ -417,8 +424,9 @@ class TestSimulate:
         assert buf.clock == 0
         run = dict(kernel=cfg.kernel, datum=cfg.datum, tau=0.1, step=0.01,
                    output_every=0.01)
-        with pytest.raises(ValueError, match=field):  # the README's RunConfig path
-            simulate(RunConfig(**{**run, **kw}))
+        # a RunConfig built by hand skips the config checks; the run applies them
+        with pytest.raises(ValueError, match=field):
+            execute_run(RunConfig(**{**run, **kw}))
 
     def test_one_hermite_interpolation_and_four_forces_per_step(self, monkeypatch):
         hermites, forces = [], []
@@ -434,7 +442,7 @@ class TestSimulate:
 
         monkeypatch.setattr(HistoryBuffer, "interpolate", counted_interpolate)
         monkeypatch.setattr(dynamics, "_force", counted_force)
-        res = simulate(make_config(t_end=0.05))
+        res = integrate_config(make_config(t_end=0.05))
         assert res.frames[-1].t == 10 * 0.005
         assert len(forces) == 4 * 10
         # m = 20: step k interpolates [k - 20, k - 19] at its midpoint
@@ -595,8 +603,9 @@ class TestBlockedForce:
         n = SIDE + 1
         datum = InitialDatum(BoxDomain([0.0], [1.0], [n]), ConstantVelocity([1e6]))
         with pytest.raises(SingularNormalizerError):
-            simulate(make_config(kernel=CuckerSmaleKernel(40.0), datum=datum,
-                                 tau=0.1, step=0.05, t_end=0.1, output_every=0.05))
+            integrate_config(make_config(kernel=CuckerSmaleKernel(40.0), datum=datum,
+                                         tau=0.1, step=0.05, t_end=0.1,
+                                         output_every=0.05))
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 40.0])
     def test_nan_state_reaches_blowup_signal(self, beta):

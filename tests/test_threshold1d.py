@@ -1,16 +1,16 @@
 """Critical-threshold classifier, slope evolution and blow-up detection."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flockdde.cli import execute_run
 from flockdde.config import preset_dict, run_config_from_dict
 from flockdde.diagnostics import DiagnosticsFrame
-from flockdde.dynamics import BlowupSignal, alignment_rhs, integrate, simulate, step
+from flockdde.dynamics import BlowupSignal, alignment_rhs, integrate, step
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKernelError
 from flockdde.state import (
     BoxDomain,
@@ -148,7 +148,7 @@ class TestEvolveW:
         doc = dict(preset_dict("riccati-blowup"), output_every=1e-3)
         doc["datum"]["domain"]["counts"] = [16]
         cfg = run_config_from_dict(doc)
-        res = simulate(cfg)
+        res, _ = execute_run(cfg)
         evo = evolve_w(discretize(cfg.datum, cfg.tau, cfg.step), cfg.kernel,
                        t_end=cfg.t_end)
         last = res.frames[-1]
@@ -306,23 +306,15 @@ def test_integrate_and_evolve_w_end_alike(time_limit):
 
 class TestDetectBlowup:
     def test_certified_smooth_run_reports_none(self):
-        cfg = SimpleNamespace(
-            kernel=CuckerSmaleKernel(0.25),
-            datum=InitialDatum(BoxDomain([0.0], [1.0], [10]),
-                               LinearVelocity([[0.3]])),
-            tau=0.1, step=2e-3, t_end=2.0, output_every=0.01,
-            interpolation="cubic-hermite")
-        res = simulate(cfg)
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [10]), LinearVelocity([[0.3]]))
+        res = integrate(discretize(datum, 0.1, 2e-3), CuckerSmaleKernel(0.25),
+                        t_end=2.0, output_every=0.01)
         assert detect_blowup(res.frames) is None
 
     def test_riccati_blowup_time_refined(self):
-        cfg = SimpleNamespace(
-            kernel=CuckerSmaleKernel(0.0),
-            datum=InitialDatum(BoxDomain([0.0], [1.0], [10]),
-                               LinearVelocity([[-2.0]])),
-            tau=0.1, step=1e-3, t_end=2.0, output_every=0.01,
-            interpolation="cubic-hermite")
-        res = simulate(cfg)
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [10]), LinearVelocity([[-2.0]]))
+        res = integrate(discretize(datum, 0.1, 1e-3), CuckerSmaleKernel(0.0),
+                        t_end=2.0, output_every=0.01)
         found = detect_blowup(res.frames)
         assert found is not None
         t_star, node = found
