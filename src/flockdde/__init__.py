@@ -3,7 +3,7 @@
 Simulates the Lagrangian form of the pressureless alignment system with
 delayed, normalized communication; certifies exponential flocking via the
 kernel-tail sufficient condition; monitors the Lyapunov functional and
-velocity bounds; and classifies/detects finite-time blow-up in one dimension.
+velocity bounds; classifies 1-D critical thresholds; and times blow-up.
 """
 
 from .config import ConfigError, RunConfig, SweepConfig
@@ -46,7 +46,6 @@ from .threshold1d import (
     ThresholdVerdict,
     WEvolution,
     classify,
-    detect_blowup,
     evolve_w,
     reconstruct_density,
 )

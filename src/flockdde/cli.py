@@ -42,7 +42,7 @@ from .diagnostics import (
 from .dynamics import SingularNormalizerError, integrate
 from .kernel import CuckerSmaleKernel, UnsupportedKernelError
 from .state import InvalidDatumError, discretize
-from .threshold1d import classify, detect_blowup
+from .threshold1d import classify
 
 FRAMES_SCHEMA_COMMENT = "# flockdde frames schema v1"
 FRAME_COLUMNS = ["t", "d_X", "d_V", "max_speed", "lyapunov", "X", "V",
@@ -123,14 +123,10 @@ def execute_run(cfg: RunConfig):
     result = integrate(buffer, cfg.kernel, t_end=cfg.t_end,
                        output_every=cfg.output_every, prehistory=pre)
 
-    verdict = None
-    if w0 is not None:
-        try:
-            verdict = classify(float(w0.min()), cfg.kernel, result.r_v)
-        except UnsupportedKernelError:
-            verdict = None
-
-    blowup = detect_blowup(result.frames) or result.blowup
+    try:
+        verdict = None if w0 is None else classify(float(w0.min()), cfg.kernel, result.r_v)
+    except UnsupportedKernelError:
+        verdict = None
 
     try:
         rate = fit_decay_rate(result.frames, cfg.t_end / 4.0, cfg.t_end)
@@ -149,8 +145,7 @@ def execute_run(cfg: RunConfig):
         "fitted_rate": rate,
         "certificate": certificate.to_dict() if certificate else None,
         "threshold": verdict.to_dict() if verdict else None,
-        "blowup": None if blowup is None else {"time": float(blowup.time),
-                                               "node": blowup.node},
+        "blowup": None if result.blowup is None else result.blowup._asdict(),
     }
     return result, summary
 
@@ -180,7 +175,11 @@ def _load_cfg(args) -> RunConfig:
 
 
 def cmd_run(args) -> int:
-    result, _ = _run_into(_load_cfg(args), args.out)
+    cfg = _load_cfg(args)
+    if not os.path.isdir(args.out):  # an unwritable --out fails before the run
+        os.makedirs(args.out)
+        os.rmdir(args.out)  # made again with the outputs, so a failed run leaves none
+    result, _ = _run_into(cfg, args.out)
     print(f"wrote {os.path.join(args.out, 'frames.csv')} and summary.json")
     return 0 if result.blowup is None else 2
 
@@ -226,11 +225,7 @@ def _run_cell(payload):
                               else _fmt(summary["blowup"]["time"]))
         row["final_d_V"] = _fmt(summary["final"]["d_V"])
     except Exception as exc:  # per-cell failures are recorded, not fatal
-        row["status"] = f"error: {exc}"
-        row.setdefault("satisfied", "")
-        row.setdefault("fitted_rate", "")
-        row.setdefault("blowup_time", "")
-        row.setdefault("final_d_V", "")
+        row["status"] = f"error: {exc}"  # cmd_sweep leaves the missing columns empty
     return row
 
 
@@ -248,8 +243,7 @@ def cmd_sweep(args) -> int:
         rows = [_run_cell(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, payloads))
-    rows.sort(key=lambda r: r["cell"])
+            rows = list(pool.map(_run_cell, payloads))  # in cell order
     axis_cols = [f"axis:{p}" for p, _ in sweep.axes]
     cols = ["cell"] + axis_cols + ["status", "satisfied", "fitted_rate",
                                    "blowup_time", "final_d_V"]

@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .diagnostics import (
     FlockingMonitor,
@@ -34,7 +35,7 @@ from .diagnostics import (
     diameters,
     prehistory_frames,
 )
-from .state import HistoryBuffer, LagrangianEnsemble, _det, _rk4, _run_steps
+from .state import HistoryBuffer, LagrangianEnsemble, _det, _hermite, _rk4, _run_steps
 
 __all__ = [
     "BlowupSignal",
@@ -182,17 +183,51 @@ def _blowup_node(dets) -> int | None:
     return _worst_node(dets)
 
 
+def _det_slope(jac, vgrad):
+    """d det J / dt per node by Jacobi's formula, dJ/dt being vgrad: the sum
+    over i of det J with its column i replaced by that of vgrad."""
+    cols = np.arange(jac.shape[-1])
+    return sum(_det(np.where(cols == i, vgrad, jac)) for i in cols)
+
+
+def _first_crossing(h, y0, m0, y1, m1) -> float:
+    """The earliest theta in [0, 1] at which the cubic Hermite of det J over a
+    step h, from (y0, m0) above DETJ_TOLERANCE to (y1, m1) not, meets it: the
+    first piece between turning points to end at or below it holds the root.
+    An overflowed slope gives the step's end, theta = 1."""
+    if not np.isfinite([m0, m1]).all():
+        return 1.0
+    shifted = (h, y0 - DETJ_TOLERANCE, m0, y1 - DETJ_TOLERANCE, m1)  # of det J - tolerance
+    turns = np.roots([6 * (y0 - y1) + 3 * h * (m0 + m1),
+                      6 * (y1 - y0) - 2 * h * (2 * m0 + m1), h * m0])
+    ends = [0.0, *sorted(r.real for r in turns if r.imag == 0 and 0 < r.real < 1), 1.0]
+    lo, hi = next((a, b) for a, b in zip(ends, ends[1:]) if _hermite(b, *shifted) <= 0)
+    return brentq(_hermite, lo, hi, args=shifted, xtol=1e-300)
+
+
+def _refined_event(buffer: HistoryBuffer, before, dets) -> BlowupEvent:
+    """The event in the step to the newest slot, whose finite ``dets`` meet
+    the rule, from the slot whose ``before`` do not: the earliest crossing of
+    the nodes at or below the tolerance, the lowest node winning a tie."""
+    m0, m1 = (_det_slope(*buffer.slot(i)[2:]) for i in (buffer.clock - 1, buffer.clock))
+    theta, node = min((_first_crossing(buffer.h, before[i], m0[i], dets[i], m1[i]), i)
+                      for i in np.flatnonzero(dets <= DETJ_TOLERANCE))
+    return BlowupEvent((buffer.clock - 1 + theta) * buffer.h, int(node))
+
+
 def _advance(buffer: HistoryBuffer, kernel, n_steps: int):
     """Step the buffer up to ``n_steps`` times: the one stepping loop, and the
-    one place that decides how a run ends.
+    one place that decides how a run ends and when.
 
     Yields (det J, event) for the slot it starts at and for each new slot;
     the event is None until ``_blowup_node`` names a node, and the first one
-    is the last yield.  A step's BlowupSignal yields one too, for the newest
-    slot, which is the last finite one.
+    is the last yield.  After t = 0 and with finite dets, its time is the
+    crossing that ``_refined_event`` finds, else the slot's.  A step's
+    BlowupSignal yields one too, at the newest slot, the last finite one.
     """
     for k in range(n_steps + 1):
         if k:
+            before = dets
             try:
                 step(buffer, kernel)
             except BlowupSignal as sig:
@@ -200,9 +235,12 @@ def _advance(buffer: HistoryBuffer, kernel, n_steps: int):
                 return
         dets = _det(buffer.slot(buffer.clock)[2])
         node = _blowup_node(dets)
-        yield dets, None if node is None else BlowupEvent(buffer.current_time, node)
-        if node is not None:
-            return
+        if node is None:
+            yield dets, None
+            continue
+        yield dets, (_refined_event(buffer, before, dets) if k and np.isfinite(dets).all()
+                     else BlowupEvent(buffer.current_time, node))
+        return
 
 
 @dataclass

@@ -50,7 +50,8 @@ class LagrangianEnsemble:
     """One time slice of the discretized flow, as a history hands it out.
 
     ``masses``, ``labels`` and ``cell_volumes`` are shared, read-only arrays
-    identical across all slices of a run.
+    identical across all slices of a run.  A slice is not checked: its
+    arrays are views of rows that ``HistoryBuffer`` checked when they entered.
     """
 
     time: float
@@ -61,19 +62,6 @@ class LagrangianEnsemble:
     masses: np.ndarray         # (N,)
     labels: np.ndarray         # (N, d)
     cell_volumes: np.ndarray   # (N,)
-
-    def __post_init__(self):
-        n, d = self.positions.shape
-        if n < 1:
-            raise ValueError("ensemble needs at least one node")
-        if self.velocities.shape != (n, d) or self.labels.shape != (n, d):
-            raise ValueError("positions, velocities and labels must share shape (N, d)")
-        if self.jacobians.shape != (n, d, d) or self.vel_gradients.shape != (n, d, d):
-            raise ValueError("tangent-flow arrays must have shape (N, d, d)")
-        if self.masses.shape != (n,) or self.cell_volumes.shape != (n,):
-            raise ValueError("masses and cell_volumes must have shape (N,)")
-        if abs(float(self.masses.sum()) - 1.0) > 1e-12:
-            raise ValueError("masses must sum to 1 within 1e-12")
 
     @property
     def dim(self) -> int:
@@ -187,12 +175,15 @@ class HistoryBuffer:
         m = _delay_steps(tau, h)
         if len(rows) != m + 1:
             raise ValueError(f"history needs {m + 1} rows on [-tau, 0], got {len(rows)}")
-        # the ensemble checks the first row and the shared arrays; the rows match it
-        LagrangianEnsemble(0.0, *rows[0][:4], masses, labels, cell_volumes)
-        shapes = [np.shape(a) for a in rows[0]]
-        if shapes[4] != shapes[0] or any([np.shape(a) for a in r] != shapes for r in rows):
-            raise ValueError("every history row needs the first row's shapes, "
-                             "with accel shaped like the positions")
+        n, d = np.shape(rows[0][0])
+        shapes = [(n, d), (n, d), (n, d, d), (n, d, d), (n, d)]
+        shared = [np.shape(a) for a in (labels, masses, cell_volumes)]
+        if n < 1 or shared != [(n, d), (n,), (n,)] or any(
+                [np.shape(a) for a in r] != shapes for r in rows):
+            raise ValueError("history needs N >= 1 nodes, rows shaped (N, d), (N, d), (N, d, d), "
+                             "(N, d, d), (N, d) and shared arrays shaped (N, d), (N,), (N,)")
+        if abs(float(np.sum(masses)) - 1.0) > 1e-12:
+            raise ValueError("masses must sum to 1 within 1e-12")
         self.tau, self.h, self.m = float(tau), float(h), m
         self.masses, self.labels, self.cell_volumes = masses, labels, cell_volumes
         self._fwd0 = None  # the first stage of the step leaving t = 0

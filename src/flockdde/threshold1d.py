@@ -8,7 +8,9 @@ slopes below the supercritical root force the Jacobian to zero in finite
 time.  Blow-up shows up numerically by one rule: a Jacobian determinant is
 non-finite or the minimal one reaches DETJ_TOLERANCE, or a step leaves the
 finite range.  ``dynamics._advance`` applies it to every slot of a run, t = 0
-included, for both the integrator and the slope evolution, and the density
+included, for both the integrator and the slope evolution, and it alone
+gives the blow-up time: after t = 0 a crossing between two slots with finite
+dets is refined on a cubic Hermite of det J with exact slopes.  The density
 reconstruction applies the same predicate to the slice it is given, so the
 Eulerian density is reconstructed only where the rule is not met.
 """
@@ -19,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .dynamics import DETJ_TOLERANCE, BlowupEvent, BlowupSignal, _advance, _blowup_node
 from .kernel import UnsupportedKernelError
@@ -31,7 +31,6 @@ __all__ = [
     "ThresholdVerdict",
     "WEvolution",
     "classify",
-    "detect_blowup",
     "evolve_w",
     "reconstruct_density",
 ]
@@ -131,27 +130,6 @@ def evolve_w(buffer, kernel, *, t_end: float) -> WEvolution:
             w_rows.append(vgrad[:, 0, 0] / jac[:, 0, 0])
     w = np.array(w_rows).reshape(len(times), buffer.masses.size)
     return WEvolution(np.array(times), w, blowup)
-
-
-def detect_blowup(frames) -> BlowupEvent | None:
-    """First time the minimal Jacobian determinant reaches DETJ_TOLERANCE.
-
-    The crossing is refined between the bracketing frames by ``brentq`` on a
-    monotone cubic interpolant of the min-detJ series; the node is the
-    crossing frame's worst node.
-    """
-    times = np.array([f.t for f in frames])
-    mins = np.array([f.min_detJ for f in frames])
-    hit = np.nonzero(mins <= DETJ_TOLERANCE)[0]
-    if hit.size == 0:
-        return None
-    k = int(hit[0])
-    node = frames[k].worst_node
-    if k == 0:
-        return BlowupEvent(float(times[0]), node)
-    interp = PchipInterpolator(times[max(0, k - 3):k + 3],
-                               mins[max(0, k - 3):k + 3] - DETJ_TOLERANCE)
-    return BlowupEvent(brentq(interp, times[k - 1], times[k], xtol=1e-300), node)
 
 
 def reconstruct_density(ensemble):

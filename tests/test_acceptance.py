@@ -29,7 +29,7 @@ from flockdde.state import (
     SineVelocity,
     discretize,
 )
-from flockdde.threshold1d import classify, detect_blowup, evolve_w
+from flockdde.threshold1d import classify, evolve_w
 
 
 def ok(criterion, text):
@@ -169,7 +169,7 @@ def test_criterion_06_riccati_blowup_time():
     datum = InitialDatum(BoxDomain([0.0], [1.0], [16]), LinearVelocity([[-2.0]]))
     res = integrate(discretize(datum, 0.1, 1e-3), CuckerSmaleKernel(0.0),
                     t_end=2.0, output_every=0.01)
-    found = detect_blowup(res.frames)
+    found = res.blowup
     assert found is not None
     t_star, _ = found
     assert abs(t_star - math.log(2.0)) <= 1e-2

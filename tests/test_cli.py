@@ -398,6 +398,16 @@ class TestConfigErrors:
         assert proc.stderr.startswith("error: ") and str(blocker) in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        calls = []
+        monkeypatch.setattr(cli, "execute_run", lambda cfg: calls.append(cfg))
+        code = run_cli("run", "--preset", "riccati-blowup", "--out", str(blocker / "x"))
+        err = capsys.readouterr().err
+        assert code == 1 and calls == []
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestCertify:
     def test_satisfied_exit_0(self, tmp_path, quick_run_doc, capsys):

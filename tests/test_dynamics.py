@@ -464,6 +464,33 @@ def test_blowup_node_is_the_first_non_finite_det_else_the_least(dets, node):
     assert _worst_node(dets) == (1 if node is None else node)
 
 
+def test_first_crossing_is_the_earliest_root():
+    # det J - tol = -(theta - 0.2)(theta - 0.5)(theta - 0.9) meets zero three
+    # times in the step, and its slopes are exact
+    tol, h = dynamics.DETJ_TOLERANCE, 0.25
+    theta = dynamics._first_crossing(h, 0.09 + tol, -0.73 / h, -0.04 + tol, -0.53 / h)
+    assert theta == pytest.approx(0.2, abs=1e-14)
+    # an overflowed slope leaves the step's end
+    assert dynamics._first_crossing(h, 1.0, -math.inf, 0.0, -1.0) == 1.0
+
+
+def test_refined_event_is_the_earliest_crossing_not_the_worst_node():
+    # 1-D, det J linear in t on each node: node 0 ends lowest, node 1 crosses first
+    tol, h = dynamics.DETJ_TOLERANCE, 0.25
+    slopes = np.reshape([-1.5 / h, -0.5 / h], (2, 1, 1))
+    before, after = np.array([1 + tol, tol + 0.3]), np.array([tol - 0.5, tol - 0.2])
+
+    def row(dets):
+        return (np.zeros((2, 1)), np.zeros((2, 1)), dets.reshape(2, 1, 1), slopes,
+                np.zeros((2, 1)))
+
+    buf = HistoryBuffer(h, h, np.full(2, 0.5), np.zeros((2, 1)), np.ones(2),
+                        [row(before), row(before)])
+    buf.append(*row(after))
+    event = dynamics._refined_event(buf, before, after)
+    assert event.node == 1 and event.time == pytest.approx(0.6 * h, abs=1e-15)
+
+
 # dyadic steps keep t / h exact, so a query at a stage's delayed time lands
 # on the very slot or midpoint the stepper read
 STEP_GRID = st.fixed_dictionaries({

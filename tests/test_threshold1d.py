@@ -1,5 +1,7 @@
-"""Critical-threshold classifier, slope evolution and blow-up detection."""
+"""Critical-threshold classifier, slope evolution and the blow-up time."""
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -7,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flockdde.cli import execute_run
+from flockdde.cli import execute_run, main
 from flockdde.config import preset_dict, run_config_from_dict
-from flockdde.diagnostics import DiagnosticsFrame
 from flockdde.dynamics import BlowupSignal, alignment_rhs, integrate, step
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKernelError
 from flockdde.state import (
@@ -21,7 +22,6 @@ from flockdde.state import (
 )
 from flockdde.threshold1d import (
     classify,
-    detect_blowup,
     evolve_w,
     reconstruct_density,
 )
@@ -31,13 +31,6 @@ def riccati_w(w0, t):
     """Closed form of w' = -w - w^2 (flat-kernel slope dynamics)."""
     e = math.exp(-t)
     return w0 * e / (1 + w0 * (1 - e))
-
-
-def frame_stub(t, min_detj, node=0):
-    return DiagnosticsFrame(t=t, d_X=1.0, d_V=0.0, max_speed=0.0,
-                            lyapunov=math.nan, X_of_t=1.0, V_of_t=0.0,
-                            min_detJ=min_detj, max_velgrad_norm=0.0,
-                            worst_node=node)
 
 
 class TestClassify:
@@ -144,7 +137,7 @@ class TestEvolveW:
 
     def test_blowup_event_is_the_integrators(self):
         # one rule, one loop: the slope evolution stops at the step, and on
-        # the node, at which integrate stops
+        # the node, at which integrate stops, and reports the same event
         doc = dict(preset_dict("riccati-blowup"), output_every=1e-3)
         doc["datum"]["domain"]["counts"] = [16]
         cfg = run_config_from_dict(doc)
@@ -153,7 +146,9 @@ class TestEvolveW:
                        t_end=cfg.t_end)
         last = res.frames[-1]
         assert last.status == "blowup"
-        assert evo.blowup == res.blowup == (last.t, last.worst_node)
+        assert evo.blowup == res.blowup
+        assert res.blowup.node == last.worst_node
+        assert res.frames[-2].t < res.blowup.time <= last.t
         assert evo.times[-1] == res.frames[-2].t
 
     def test_quotient_matches_independently_integrated_slope(self):
@@ -294,7 +289,9 @@ def test_integrate_and_evolve_w_end_alike(time_limit):
             assert evo.times.tolist() == times
         else:
             assert statuses == ["ok"] * (len(statuses) - 1) + ["blowup"]
-            assert res.frames[-1].t == res.blowup.time
+            # a frame every step: the event lies in the step that ends the run
+            assert res.blowup.time <= times[-1]
+            assert len(times) == 1 or times[-2] < res.blowup.time
             assert res.frames[-1].worst_node == res.blowup.node
             assert evo.times.tolist() == times[:-1]
         seen.add("none" if res.blowup is None
@@ -304,31 +301,58 @@ def test_integrate_and_evolve_w_end_alike(time_limit):
     assert seen == {"none", "at t = 0", "later"}
 
 
-class TestDetectBlowup:
+class TestBlowupTime:
     def test_certified_smooth_run_reports_none(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [10]), LinearVelocity([[0.3]]))
         res = integrate(discretize(datum, 0.1, 2e-3), CuckerSmaleKernel(0.25),
                         t_end=2.0, output_every=0.01)
-        assert detect_blowup(res.frames) is None
+        assert res.blowup is None
 
     def test_riccati_blowup_time_refined(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [10]), LinearVelocity([[-2.0]]))
         res = integrate(discretize(datum, 0.1, 1e-3), CuckerSmaleKernel(0.0),
                         t_end=2.0, output_every=0.01)
-        found = detect_blowup(res.frames)
+        found = res.blowup
         assert found is not None
         t_star, node = found
         assert t_star == pytest.approx(math.log(2.0), abs=1e-2)
 
-    def test_initial_crossing_reports_time_zero(self):
-        frames = [frame_stub(0.0, 1e-9), frame_stub(0.1, -0.5)]
-        assert detect_blowup(frames) == (0.0, 0)
+    def test_riccati_closed_form_at_every_cadence(self, tmp_path):
+        # flat kernel, u = -2x: det J = 2 e^-t - 1 meets 1e-6 at t*, and the
+        # event, the summary and a sweep cell report it whatever the cadence
+        t_star = math.log(2.0) - math.log1p(1e-6)
+        cadences = [0.001, 0.005, 0.05, 0.1]
+        written = {}
+        for every in cadences:
+            res, summary = execute_run(run_config_from_dict(
+                dict(preset_dict("riccati-blowup"), output_every=every)))
+            assert abs(res.blowup.time - t_star) <= 1e-9
+            assert summary["blowup"]["time"] == res.blowup.time
+            written[every] = "%.17g" % summary["blowup"]["time"]
+        sweep = {"schema_version": 1, "base": preset_dict("riccati-blowup"),
+                 "axes": [{"path": "output_every", "values": cadences[::3]}],
+                 "max_workers": 1}
+        (tmp_path / "sweep.json").write_text(json.dumps(sweep))
+        assert main(["sweep", "--config", str(tmp_path / "sweep.json"),
+                     "--out", str(tmp_path / "grid")]) == 0
+        with open(tmp_path / "grid" / "sweep_summary.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [r["blowup_time"] for r in rows] == [written[e] for e in cadences[::3]]
 
-    def test_synthetic_crossing_refinement(self):
-        # min detJ = 1 - t crosses 1e-6 at t ~ 1; frames every 0.25
-        frames = [frame_stub(t, 1.0 - t) for t in np.arange(0.0, 1.3, 0.25)]
-        t_star, _ = detect_blowup(frames)
-        assert t_star == pytest.approx(1.0 - 1e-6, abs=1e-9)
+    @pytest.mark.parametrize("h", [1e-3, 2.0**-7, 0.01])
+    def test_two_dimensional_closed_form(self, h):
+        # flat kernel, u = A x with A = diag(-2, -1/2): J = I + A (1 - e^-t),
+        # so det J = 1 - 5 s / 2 + s^2 with s = 1 - e^-t; every node alike,
+        # and the slope needs Jacobi's formula beyond one dimension
+        s = (2.5 - math.sqrt(2.25 + 4e-6)) / 2
+        t_star = -math.log1p(-s)
+        datum = InitialDatum(BoxDomain([0.0, 0.0], [1.0, 1.0], [2, 3]),
+                             LinearVelocity([[-2.0, 0.0], [0.0, -0.5]]))
+        res = integrate(discretize(datum, 10 * h, h), CuckerSmaleKernel(0.0),
+                        t_end=math.ceil(1.0 / h) * h, output_every=h)
+        assert abs(res.blowup.time - t_star) <= 1e-9
+        assert res.blowup.node == 0  # a tie: the lowest node wins
+        assert res.frames[-2].t < res.blowup.time <= res.frames[-1].t
 
 
 class TestReconstructDensity:
