@@ -39,6 +39,31 @@ class ConfigError(Exception):
     """Malformed configuration; the message names the offending field."""
 
 
+# The keys of each mapping, per family where it has one.  Any other key is an
+# error, so a misspelled optional field is not read as an absent one.
+_RUN_KEYS = ("schema_version kernel datum tau step t_end output_every seed interpolation "
+             "snapshot_csv n_history_slices detj_tolerance")
+_KERNEL_KEYS = {"cucker-smale": "beta", "tabulated": "radii values"}
+_DENSITY_KEYS = {"uniform": "", "gaussian": "center sigma", "table": "values"}
+_VELOCITY_KEYS = {"constant": "value", "linear": "matrix offset", "table-of-slices": "times fields",
+                  "sine-perturbation": "base amplitude wavenumber phase omega"}
+
+
+def _known(mapping, path, keys):
+    """Reject the first key of ``mapping`` that is not a word of ``keys``."""
+    for key in mapping:
+        if key not in keys.split():
+            raise ConfigError(f"{path}.{key}: unknown field")
+
+
+def _family(spec, path, table):
+    """``spec``'s family; its keys are checked when ``table`` has it."""
+    family = _need(spec, "family", path)
+    if isinstance(family, str) and family in table:
+        _known(spec, path, "family " + table[family])
+    return family
+
+
 def _need(mapping, key, path):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{path}: expected a mapping")
@@ -83,7 +108,7 @@ def _array(value, path):
 def _build_density(spec, path, dim):
     if spec is None:
         return None
-    family = _need(spec, "family", path)
+    family = _family(spec, path, _DENSITY_KEYS)
     if family == "uniform":
         return None
     if family == "gaussian":
@@ -105,7 +130,7 @@ def _build_density(spec, path, dim):
 
 
 def _build_velocity(spec, path, seed, dim):
-    family = _need(spec, "family", path)
+    family = _family(spec, path, _VELOCITY_KEYS)
 
     def numbers(key, optional=False):
         if optional and spec.get(key) is None:
@@ -142,8 +167,10 @@ def _build_velocity(spec, path, seed, dim):
 
 def _build_datum(spec, path, seed):
     domain_spec = _need(spec, "domain", path)
+    _known(spec, path, "domain density velocity")
     if not isinstance(domain_spec, dict):
         raise ConfigError(f"{path}.domain: expected a mapping")
+    _known(domain_spec, f"{path}.domain", "box counts" if "box" in domain_spec else "nodes weights")
     if "box" in domain_spec:
         box = _array(domain_spec["box"], f"{path}.domain.box")
         if box.ndim != 2 or box.shape[1] != 2:
@@ -192,8 +219,10 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    _known(doc, "config", _RUN_KEYS)
     try:
-        kernel = kernel_from_config(_need(doc, "kernel", "config"))
+        _family(_need(doc, "kernel", "config"), "kernel", _KERNEL_KEYS)
+        kernel = kernel_from_config(doc["kernel"])
     except KeyError as exc:
         raise ConfigError(f"kernel.{exc.args[0]}: missing required field") from None
     except (TypeError, ValueError, OverflowError) as exc:
@@ -285,6 +314,7 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
         raise ConfigError("sweep config root: expected a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}")
+    _known(doc, "sweep", "schema_version base axes max_workers max_cells")
     base = _need(doc, "base", "sweep")
     run_config_from_dict(base)  # validate the base eagerly
     axes_spec = _need(doc, "axes", "sweep")
@@ -293,6 +323,7 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
     axes = []
     for i, axis in enumerate(axes_spec):
         path = _need(axis, "path", f"axes[{i}]")
+        _known(axis, f"axes[{i}]", "path values")
         if not isinstance(path, str):
             raise ConfigError(f"axes[{i}].path: expected a dotted string, got {path!r}")
         values = _need(axis, "values", f"axes[{i}]")

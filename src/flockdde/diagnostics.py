@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial.distance import cdist
 
 from .state import _ldexp, _range_exponent
 
@@ -74,31 +75,17 @@ def _row_blocks(n):
     return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
-def _differences(a, b):
-    """Per-coordinate differences ``a_i - b_j`` and their squared norms.
-
-    Returns a list of d arrays of shape (len(a), len(b)) and the sum of their
-    squares, added coordinate by coordinate.
-    """
-    diff = [a[:, k, None] - b[:, k] for k in range(a.shape[1])]
-    q = diff[0] * diff[0]
-    for diff_k in diff[1:]:
-        q += diff_k * diff_k
-    return diff, q
-
-
 def _pairwise_diameter(arr: np.ndarray) -> float:
     # exact max over all pairs (non-finite slices appear in terminal blow-up
-    # frames, hence the silenced FP state).  Each row block meets the columns
+    # frames; cdist sets no FP flag on them).  Each row block meets the columns
     # from its first row on, which covers every unordered pair and the
     # diagonal.  sqrt is monotone and correctly rounded, so sqrt of the
-    # largest square is the largest distance bit for bit; the squares add the
-    # coordinates left to right, as numpy's sum does below 8 terms.  np.max
-    # keeps NaN, as the blow-up frames need.
-    with np.errstate(invalid="ignore", over="ignore"):
-        block_max = [_differences(arr[rows], arr[rows.start:])[1].max()
-                     for rows in _row_blocks(len(arr))]
-        return float(np.sqrt(np.max(block_max)))
+    # largest square is the largest distance bit for bit; cdist adds the
+    # squared coordinates left to right, as the force's distance pass does.
+    # np.max keeps NaN, as the blow-up frames need.
+    block_max = [cdist(arr[rows], arr[rows.start:], "sqeuclidean").max()
+                 for rows in _row_blocks(len(arr))]
+    return float(np.sqrt(np.max(block_max)))
 
 
 def _diameter(arr: np.ndarray) -> float:
@@ -128,7 +115,7 @@ def _diameter(arr: np.ndarray) -> float:
             flat = hi == lo
             arr, lo, hi = (np.ldexp(np.where(flat, 0.0, a), -e) for a in (arr, lo, hi))
         ends = arr[np.concatenate([arr.argmin(axis=0), arr.argmax(axis=0)])]
-        lb_sq = _differences(ends, ends)[1].max()
+        lb_sq = cdist(ends, ends, "sqeuclidean").max()
         far = np.maximum(arr - lo, hi - arr)
         bound = far[:, 0] * far[:, 0]
         for k in range(1, far.shape[1]):

@@ -25,10 +25,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.spatial.distance import cdist
 
 from .diagnostics import (
     FlockingMonitor,
-    _differences,
     _record,
     _row_blocks,
     _worst_node,
@@ -79,15 +79,20 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
 
     Returns (accelerations, label-space force gradient, normalizers).  Pairs
     are visited one row block at a time (see ``_row_blocks``) on squared
-    distances, so the temporaries hold O(_BLOCK_PAIRS d) values.  The
-    kernel's ``eval_with_deriv_sq`` gives ``psi`` and ``psi'(r) / r``, whose
-    product with the coordinate difference is ``psi'(r)`` times the unit
-    vector; coincident pairs have profile value 1 and contribute nothing to
-    the gradient (radial symmetry).  Every weighted sum is a moment of one
-    (N, d + 1) matrix ``[m, m v(t - tau)]``, so a block makes one matrix
-    product for ``s0`` and ``s1`` and one per coordinate for their gradients,
-    and the quotient rule divides by ``s0`` once.  A flat kernel skips the
-    pairs: every row then weighs all delayed nodes by their mass.
+    distances q, so the temporaries hold O(_BLOCK_PAIRS) values.  The
+    kernel's ``eval_with_deriv_sq`` gives ``w = psi`` and ``wd = psi'(r) / r``,
+    whose product with ``x_i - y_j`` is ``psi'(r)`` times the unit vector;
+    coincident pairs have profile value 1 and contribute nothing to the
+    gradient (radial symmetry).  Every weighted sum is a moment of one
+    (N, d + 1) matrix ``M = [m, m v(t - tau)]``: a block makes one product
+    ``w @ M`` for ``s0`` and ``s1``, one more for their gradients, and the
+    quotient rule divides by ``s0`` once.  In 1-D that product weighs the
+    difference, q's own input, by wd.  In d >= 2, q is one ``cdist`` pass,
+    with the bits of the coordinate-order sum, and the product is
+    ``wd @ [M, (y - c)_1 M, ..., (y - c)_d M]``, first moments about the
+    delayed box's midpoint c; their cancellation leaves an error of a small
+    multiple of eps |x - c| (|wd| @ |M|) in the gradient alone.  A flat
+    kernel skips the pairs: every row then weighs all delayed nodes by mass.
     """
     n, d = pos.shape
     # transient non-finite values are caught by the stepper's isfinite check
@@ -102,16 +107,23 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
             mom[:, 0] = masses
             np.multiply(masses[:, None], d_vel, out=mom[:, 1:])
             s = np.empty((n, d + 1))
-            g = np.empty((n, d + 1, d))
+            g = np.empty((n, d + 1, 1 if d == 1 else d + 1))
+            if d > 1:
+                c = 0.5 * (d_pos.min(axis=0) + d_pos.max(axis=0))
+                ext = (mom[:, :, None] * np.c_[np.ones(n), d_pos - c][:, None]).reshape(n, -1)
             for rows in _row_blocks(n):
-                diff, q = _differences(pos[rows], d_pos)
-                w, wd = kernel.eval_with_deriv_sq(q)
+                if d == 1:
+                    diff = pos[rows] - d_pos.T
+                    w, wd = kernel.eval_with_deriv_sq(diff * diff)
+                    diff *= wd  # a fresh array of this block
+                    g[rows, :, 0] = diff @ mom
+                else:
+                    w, wd = kernel.eval_with_deriv_sq(cdist(pos[rows], d_pos, "sqeuclidean"))
+                    g[rows] = (wd @ ext).reshape(-1, d + 1, d + 1)
                 s[rows] = w @ mom
-                # the differences are fresh arrays of this block, so they
-                # are weighted in place
-                for b, diff_b in enumerate(diff):
-                    diff_b *= wd
-                    g[rows, :, b] = diff_b @ mom
+            if d > 1:
+                # sum_j wd (x_i - y_j) M_j = (x_i - c) (wd @ M)_i - (wd @ ((y - c) M))_i
+                g = (pos - c)[:, None] * g[:, :, :1] - g[:, :, 1:]
             s0, s1 = s[:, 0], s[:, 1:]
             # d(s1 / s0) = (ds1 - u ds0) / s0: one division, no s0^2 to underflow
             u = s1 / s0[:, None]

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -12,7 +13,12 @@ import pytest
 
 from flockdde import cli
 from flockdde.cli import _json_text, execute_run, main
-from flockdde.config import preset_dict, run_config_from_dict
+from flockdde.config import (
+    PRESETS,
+    preset_dict,
+    run_config_from_dict,
+    sweep_config_from_dict,
+)
 from flockdde.diagnostics import _BLOCK_PAIRS
 from flockdde.state import discretize
 from flockdde.threshold1d import classify
@@ -407,6 +413,103 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == 1 and calls == []
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+# One misspelled key per mapping of the run schema: (the mapping's dotted
+# path, a mapping with one extra key, that key's path).
+MISSPELLED_RUN_KEYS = [
+    ("", None, "config.snapshot_cvs"),
+    ("kernel", {"family": "cucker-smale", "betta": 0.25}, "kernel.betta"),
+    ("kernel", {"family": "tabulated", "radii": [0.0, 1.0], "values": [1.0, 0.5],
+                "value": [1.0, 0.5]}, "kernel.value"),
+    ("datum", None, "datum.densty"),
+    ("datum.domain", {"box": [[0.0, 1.0]], "counts": [12], "count": [12]},
+     "datum.domain.count"),
+    ("datum.domain", {"nodes": [[0.25], [0.75]], "weights": [0.5, 0.5],
+                      "weight": [0.5, 0.5]}, "datum.domain.weight"),
+    ("datum.domain", {"boxes": [[0.0, 1.0]], "counts": [12]}, "datum.domain.boxes"),
+    ("datum.density", {"family": "uniform", "sigma": 0.3}, "datum.density.sigma"),
+    ("datum.density", {"family": "gaussian", "center": [0.5], "sigma": 0.3,
+                       "centre": [0.5]}, "datum.density.centre"),
+    ("datum.density", {"family": "table", "values": [1.0] * 12, "value": 1.0},
+     "datum.density.value"),
+    ("datum.velocity", {"family": "constant", "value": [0.1], "values": [0.1]},
+     "datum.velocity.values"),
+    ("datum.velocity", {"family": "linear", "matrix": [[0.5]], "ofset": [0.0]},
+     "datum.velocity.ofset"),
+    ("datum.velocity", None, "datum.velocity.amplitudes"),
+    ("datum.velocity", {"family": "table-of-slices", "times": [-0.2, 0.0], "time": [0.0],
+                        "fields": [{"family": "constant", "value": [0.1]}] * 2},
+     "datum.velocity.time"),
+    ("datum.velocity", {"family": "table-of-slices", "times": [-0.2, 0.0],
+                        "fields": [{"family": "constant", "value": [0.1]},
+                                   {"family": "constant", "value": [0.2], "valu": 1}]},
+     "datum.velocity.fields[1].valu"),
+]
+
+
+class TestStrictSchema:
+    """An unknown key at any mapping level is one config error line."""
+
+    @pytest.mark.parametrize("where,mapping,field", MISSPELLED_RUN_KEYS)
+    def test_misspelled_run_key(self, tmp_path, quick_run_doc, capsys, where,
+                                mapping, field):
+        doc = json.loads(json.dumps(quick_run_doc))
+        if mapping is not None:
+            doc = _with(doc, where, mapping)
+        else:
+            node = doc
+            for key in filter(None, where.split(".")):
+                node = node[key]
+            node[field.rpartition(".")[2]] = 1.0
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", write_json(tmp_path / "c.json", doc),
+                       "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"config error: {field}: unknown field\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["sweep.max_worker", "axes[1].value"])
+    def test_misspelled_sweep_key(self, tmp_path, quick_run_doc, capsys, field):
+        sweep_doc = {"schema_version": 1, "base": quick_run_doc,
+                     "axes": [{"path": "tau", "values": [0.2]},
+                              {"path": "kernel.beta", "values": [0.5]}]}
+        if field == "sweep.max_worker":
+            sweep_doc["max_worker"] = 2
+        else:
+            sweep_doc["axes"][1]["value"] = [0.5]
+        grid = tmp_path / "grid"
+        assert run_cli("sweep", "--config", write_json(tmp_path / "s.json", sweep_doc),
+                       "--out", str(grid)) == 1
+        assert capsys.readouterr().err == f"config error: {field}: unknown field\n"
+        assert not grid.exists()
+
+    def test_documented_and_shipped_configs_still_load(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__),
+                                                 os.pardir, "bench"))
+        import workloads
+
+        readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+                      encoding="utf-8").read()
+        run_example, sweep_example = (json.loads(block) for block in
+                                      re.findall(r"```json\n(.*?)```", readme, re.S))
+        sweep_example["base"] = run_example
+        sweep_config_from_dict(sweep_example)
+        docs = [run_example] + [preset_dict(name) for name in PRESETS]
+        for name, command in workloads.COMMANDS.items():
+            doc = workloads.make_config(name, 1)
+            if command == "sweep":
+                sweep_config_from_dict(doc)
+                doc = doc["base"]
+            docs.append(doc)
+        for doc in docs:
+            run_config_from_dict(doc)
+            # and the config its summary echoes
+            doc = dict(doc, t_end=0.0)
+            out = tmp_path / "out"
+            assert run_cli("run", "--config", write_json(tmp_path / "c.json", doc),
+                           "--out", str(out)) == 0
+            with open(out / "summary.json", encoding="utf-8") as f:
+                run_config_from_dict(json.load(f)["config"])
 
 
 class TestCertify:

@@ -417,14 +417,14 @@ class TestDiameterRange:
         n = 4096
         arr = np.random.default_rng(0).normal(size=(n, 2))
         want = _pairwise_diameter(arr)
-        differences = diagnostics._differences
+        cdist = diagnostics.cdist
         pairs = []
 
-        def counted(a, b):
+        def counted(a, b, metric):
             pairs.append(len(a) * len(b))
-            return differences(a, b)
+            return cdist(a, b, metric)
 
-        monkeypatch.setattr(diagnostics, "_differences", counted)
+        monkeypatch.setattr(diagnostics, "cdist", counted)
         assert _diameter(arr) == want
         assert 0 < sum(pairs) < 0.01 * n * (n + 1) / 2
 

@@ -14,7 +14,13 @@ from hypothesis import strategies as st
 from flockdde import dynamics
 from flockdde.cli import execute_run
 from flockdde.config import RunConfig
-from flockdde.diagnostics import _BLOCK_PAIRS, _worst_node, diameters, prehistory_frames
+from flockdde.diagnostics import (
+    _BLOCK_PAIRS,
+    _row_blocks,
+    _worst_node,
+    diameters,
+    prehistory_frames,
+)
 from flockdde.dynamics import (
     BlowupSignal,
     SingularNormalizerError,
@@ -236,6 +242,30 @@ class TestStep:
 
         errs = {n: run(n) for n in (16, 32)}
         order = math.log2(errs[16] / errs[32])
+        assert order >= 1.9
+
+    def test_tangent_flow_matches_label_finite_differences_2d(self):
+        # the moments form of the gradient in d >= 2: central differences of
+        # the positions along each label axis converge to the Jacobian
+        kernel = CuckerSmaleKernel(1.0)
+
+        def run(n):
+            datum = InitialDatum(BoxDomain([0.0, 0.0], [1.0, 1.0], [n, n]),
+                                 SineVelocity([0.0, 0.0], [0.3, 0.2], [2.0, 3.0],
+                                              [0.5, 1.0]))
+            buf = discretize(datum, tau=0.1, h=0.01)
+            for _ in range(30):
+                step(buf, kernel)
+            ens = buf.latest
+            pos = ens.positions.reshape(n, n, 2)
+            jac = ens.jacobians.reshape(n, n, 2, 2)
+            delta = 1.0 / n
+            fd = [(pos[2:, 1:-1] - pos[:-2, 1:-1]) / (2 * delta),
+                  (pos[1:-1, 2:] - pos[1:-1, :-2]) / (2 * delta)]
+            return max(np.abs(fd[b] - jac[1:-1, 1:-1, :, b]).max() for b in range(2))
+
+        errs = {n: run(n) for n in (12, 24)}
+        order = math.log2(errs[12] / errs[24])
         assert order >= 1.9
 
 
@@ -653,6 +683,175 @@ class TestBlockedForce:
             step(buf, CuckerSmaleKernel(beta))
         assert info.value.time == last_good
 
+
+def _coordinate_differences(a, b):
+    """Per-coordinate differences ``a_i - b_j`` and their squared norms, the
+    squares added coordinate by coordinate: the direct form of the distance
+    pass."""
+    diff = [a[:, k, None] - b[:, k] for k in range(a.shape[1])]
+    q = diff[0] * diff[0]
+    for diff_k in diff[1:]:
+        q += diff_k * diff_k
+    return diff, q
+
+
+def _force_direct(kernel, masses, pos, vel, jac, d_pos, d_vel):
+    """The blocked force with the gradient formed from the weighted
+    differences in every dimension: one product per coordinate."""
+    n, d = pos.shape
+    mom = np.c_[masses, masses[:, None] * d_vel]
+    s = np.empty((n, d + 1))
+    g = np.empty((n, d + 1, d))
+    for rows in _row_blocks(n):
+        diff, q = _coordinate_differences(pos[rows], d_pos)
+        w, wd = kernel.eval_with_deriv_sq(q)
+        s[rows] = w @ mom
+        for b, diff_b in enumerate(diff):
+            g[rows, :, b] = (diff_b * wd) @ mom
+    s0, s1 = s[:, 0], s[:, 1:]
+    u = s1 / s0[:, None]
+    grad_pos = (g[:, 1:] - u[:, :, None] * g[:, None, 0]) / s0[:, None, None]
+    return s1 / s0[:, None] - vel, grad_pos @ jac, s0
+
+
+def _gradient_reference(beta, masses, pos, d_pos, d_vel):
+    """The Cucker-Smale position gradient of u = s1 / s0 in long double,
+    directly from the differences, and its error scale ``|wd| @ |M|`` (N, d + 1)."""
+    ld = np.longdouble
+    n, d = pos.shape
+    mom = np.c_[masses, masses[:, None] * d_vel].astype(ld)
+    s = np.empty((n, d + 1), ld)
+    g = np.empty((n, d + 1, d), ld)
+    for lo in range(0, n, 64):
+        rows = slice(lo, lo + 64)
+        diff = pos[rows, None, :].astype(ld) - d_pos[None].astype(ld)
+        base = 1 + (diff * diff).sum(axis=2)
+        w = base ** ld(-beta)
+        wd = -2 * ld(beta) * w / base
+        s[rows] = w @ mom
+        g[rows] = np.einsum("ij,ja,ijb->iab", wd, mom, diff)
+    u = s[:, 1:] / s[:, :1]
+    grad = (g[:, 1:] - u[:, :, None] * g[:, None, 0]) / s[:, :1, None]
+    _, q = _coordinate_differences(pos, d_pos)
+    _, wd = CuckerSmaleKernel(beta).eval_with_deriv_sq(q)
+    return grad, np.abs(wd) @ np.abs(np.c_[masses, masses[:, None] * d_vel])
+
+
+def _sample_state(d, shape):
+    """Current and delayed state of a Gaussian cloud on the unit box, a delay
+    of 0.05 apart: for d = 2 the datum of the large-N benchmark."""
+    datum = InitialDatum(
+        BoxDomain(np.zeros(d), np.ones(d), [shape] * d),
+        SineVelocity(np.zeros(d), np.linspace(0.1, 0.3, d), np.linspace(3.0, 2.0, d),
+                     np.linspace(1.0, 2.0, d)),
+        lambda x: np.exp(-((x - 0.5) ** 2).sum(axis=1) / (2 * 0.3**2)))
+    buf = discretize(datum, tau=0.05, h=0.01)
+    cur, old = buf.latest, buf.prehistory()[0]
+    return cur.masses, cur.positions, cur.velocities, old.positions, old.velocities
+
+
+def _two_clusters(masses, pos, vel, d_pos, d_vel):
+    """The same nodes in two clusters of spread 0.01, 1e3 apart."""
+    far = np.zeros(pos.shape[1])
+    far[0] = 1e3
+    half = np.arange(len(pos)) % 2 == 0
+    c_pos, c_dpos = 0.01 * pos, 0.01 * d_pos
+    c_pos[half] += far
+    c_dpos[half] += far
+    return masses, c_pos, vel, c_dpos, d_vel
+
+
+# The gradient's error, per entry, over eps R (|wd| @ |M|) / s0 (the |M| of
+# s1's columns plus |u| times that of s0's), R half the delayed box extent.
+# The products add N = 512 or 1024 terms, whose rounding grows about like
+# sqrt(N); the largest ratio on the cases below is 12.4 for the moments form
+# and 2.4 for the direct form, and 32 = sqrt(1024) bounds both.
+MOMENTS_ERROR_MULTIPLE = 32
+
+
+class TestMomentsGradient:
+    """d >= 2: the gradient from first moments about the delayed box's midpoint."""
+
+    CASES = ["benchmark datum", "shifted by 1e3", "two clusters 1e3 apart"]
+
+    @staticmethod
+    def case_inputs(d, case):
+        state = _sample_state(d, 32 if d == 2 else 8)
+        if case == "shifted by 1e3":
+            masses, pos, vel, d_pos, d_vel = state
+            return masses, pos + 1e3, vel, d_pos + 1e3, d_vel
+        if case == "two clusters 1e3 apart":
+            return _two_clusters(*state)
+        return state
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gradient_within_the_stated_bound(self, d, case):
+        masses, pos, vel, d_pos, d_vel = self.case_inputs(d, case)
+        beta = 1.0
+        eye = np.broadcast_to(np.eye(d), (len(pos), d, d))
+        acc, fg, s0 = _force(CuckerSmaleKernel(beta), masses, pos, vel, eye, d_pos, d_vel)
+        want = _force_direct(CuckerSmaleKernel(beta), masses, pos, vel, eye, d_pos, d_vel)
+        # w and w @ M are the direct form's computations
+        assert np.array_equal(acc, want[0]) and np.array_equal(s0, want[2])
+        ref, scale = _gradient_reference(beta, masses, pos, d_pos, d_vel)
+        half_extent = 0.5 * (d_pos.max(axis=0) - d_pos.min(axis=0)).max()
+        u = np.abs(acc + vel)
+        bound = (np.finfo(float).eps * half_extent
+                 * (scale[:, 1:] + u * scale[:, :1]) / s0[:, None])
+        err = np.abs(fg - ref).astype(float).max(axis=2)
+        assert np.all(err <= MOMENTS_ERROR_MULTIPLE * bound)
+
+    def test_one_distance_pass_and_kernel_evaluation_per_block(self, monkeypatch):
+        # counts work, not time: the distance pass and the kernel each see
+        # every pair once, however many coordinates there are
+        masses, pos, vel, d_pos, d_vel = _sample_state(2, 32)
+        kernel = CuckerSmaleKernel(1.0)
+        cdist, evaluate = dynamics.cdist, kernel.eval_with_deriv_sq
+        calls = {"cdist": 0, "kernel": 0}
+
+        def counted_cdist(*args):
+            calls["cdist"] += 1
+            return cdist(*args)
+
+        def counted_kernel(q):
+            calls["kernel"] += 1
+            return evaluate(q)
+
+        monkeypatch.setattr(dynamics, "cdist", counted_cdist)
+        monkeypatch.setattr(kernel, "eval_with_deriv_sq", counted_kernel)
+        eye = np.broadcast_to(np.eye(2), (len(pos), 2, 2))
+        _force(kernel, masses, pos, vel, eye, d_pos, d_vel)
+        n_blocks = len(_row_blocks(len(pos)))
+        assert len(pos) == 1024 and calls == {"cdist": n_blocks, "kernel": n_blocks}
+
+
+_EDGE_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2e-308,
+                     1e-160, 1.3e154, -1.3e154, 1e200, 1.7e308, -1.7e308, 0.0, -0.0]))
+
+
+def test_distance_pass_is_the_coordinate_order_sum_bit_for_bit(time_limit):
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5), st.data())
+    def check(d, na, nb, data):
+        def arr(rows):
+            return np.array(data.draw(st.lists(_EDGE_FLOATS, min_size=rows * d,
+                                               max_size=rows * d))).reshape(rows, d)
+
+        a, b = arr(na), arr(nb)
+        with np.errstate(all="ignore"):
+            want = _coordinate_differences(a, b)[1]
+        got = dynamics.cdist(a, b, "sqeuclidean")
+        # NaN where the sum is NaN; every other entry has its bits (a NaN's
+        # sign and payload are not part of the contract: nothing reads them)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+    with time_limit(60):
+        check()
 
 @st.composite
 def force_inputs(draw):
