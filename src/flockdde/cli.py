@@ -174,11 +174,23 @@ def _load_cfg(args) -> RunConfig:
     raise ConfigError("need either --config PATH or --preset NAME")
 
 
+def _check_out_dir(path):
+    """Make ``path`` with its missing parents, then remove each one made: an
+    unwritable ``--out`` fails before the run, and a failed run leaves no
+    directory (the outputs make them again)."""
+    missing, path = [], os.path.abspath(path)
+    while not os.path.isdir(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    if missing:
+        os.makedirs(missing[0])
+        for made in missing:  # deepest first
+            os.rmdir(made)
+
+
 def cmd_run(args) -> int:
     cfg = _load_cfg(args)
-    if not os.path.isdir(args.out):  # an unwritable --out fails before the run
-        os.makedirs(args.out)
-        os.rmdir(args.out)  # made again with the outputs, so a failed run leaves none
+    _check_out_dir(args.out)
     result, _ = _run_into(cfg, args.out)
     print(f"wrote {os.path.join(args.out, 'frames.csv')} and summary.json")
     return 0 if result.blowup is None else 2

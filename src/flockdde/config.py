@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import DETJ_TOLERANCE
-from .kernel import kernel_from_config
+from .kernel import CuckerSmaleKernel, TabulatedKernel
 from .state import (
     BoxDomain,
     ConstantVelocity,
@@ -103,6 +103,20 @@ def _array(value, path):
     if not np.all(np.isfinite(out)):
         raise ConfigError(f"{path}: must be finite numbers, got {value!r}")
     return out
+
+
+def _build_kernel(spec):
+    family = _family(spec, "kernel", _KERNEL_KEYS)
+    if family == "cucker-smale":
+        return CuckerSmaleKernel(_real(_need(spec, "beta", "kernel"), "kernel.beta", minimum=0.0))
+    if family == "tabulated":
+        radii, values = (_array(_need(spec, key, "kernel"), f"kernel.{key}")
+                         for key in ("radii", "values"))
+        try:
+            return TabulatedKernel(radii, values)
+        except ValueError as exc:
+            raise ConfigError(f"kernel: {exc}") from None
+    raise ConfigError(f"kernel.family: unknown kernel family {family!r}")
 
 
 def _build_density(spec, path, dim):
@@ -220,13 +234,7 @@ def run_config_from_dict(doc: dict) -> RunConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     _known(doc, "config", _RUN_KEYS)
-    try:
-        _family(_need(doc, "kernel", "config"), "kernel", _KERNEL_KEYS)
-        kernel = kernel_from_config(doc["kernel"])
-    except KeyError as exc:
-        raise ConfigError(f"kernel.{exc.args[0]}: missing required field") from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"kernel: {exc}") from None
+    kernel = _build_kernel(_need(doc, "kernel", "config"))
     tau = _real(_need(doc, "tau", "config"), "tau", minimum=0.0)
     step = _real(_need(doc, "step", "config"), "step")
     t_end = _real(_need(doc, "t_end", "config"), "t_end", minimum=0.0)

@@ -164,8 +164,11 @@ def _window_trapezoid(ts, vs, a, b):
 class FlockingMonitor:
     """Streaming evaluation of X(t), V(t) and the Lyapunov functional.
 
-    Seeded with the prehistory series on [-tau, 0], where X := d_X and
-    V := d_V.  For t > 0, X accumulates the trapezoid of d_V, and V advances
+    The one reduction of the prehistory frames on [-tau, 0], where X := d_X
+    and V := d_V: ``tau`` = -prehistory[0].t (their m h), ``r_v`` = R_V (the
+    largest max_speed), ``lower`` = X(-tau) + R_V tau, and ``start()`` gives
+    L(0); the flocking certificate is L(0) < integral of psi over [lower, inf).
+    For t > 0, X accumulates the trapezoid of d_V, and V advances
     by the exact exponential-decay recurrence
 
         V(t+dt) = V(t) e^{-dt} + trapezoid of g(s) e^{s-(t+dt)} over [t, t+dt],
@@ -182,18 +185,15 @@ class FlockingMonitor:
     record of frame t, and carried to the next frame as g(t_prev).
     """
 
-    def __init__(self, kernel, tau, pre_times, pre_d_x, pre_d_v, r_v):
-        pre_times = [float(t) for t in pre_times]
-        if not pre_times or abs(pre_times[-1]) > 1e-9:
-            raise ValueError("prehistory series must end at t = 0")
-        if tau > 0 and abs(pre_times[0] + tau) > 1e-9:
-            raise ValueError("prehistory series must start at t = -tau")
+    def __init__(self, kernel, prehistory):
+        frames = sorted(prehistory, key=lambda f: f.t)
+        if not frames or abs(frames[-1].t) > 1e-9:
+            raise ValueError("prehistory frames must cover [-tau, 0] and end at t = 0")
         self.kernel = kernel
-        self.tau = float(tau)
-        self.r_v = float(r_v)
-        self._rows = np.array([pre_times, pre_d_v, pre_d_x, pre_d_v], dtype=float)
-        # X(-tau) + R_V tau
-        self._x_base = float(self._rows[2, 0]) + self.r_v * self.tau
+        self.tau = float(-frames[0].t)
+        self.r_v = float(max(f.max_speed for f in frames))
+        self._rows = np.array([[f.t, f.d_V, f.d_X, f.d_V] for f in frames], dtype=float).T
+        self.lower = float(self._rows[2, 0]) + self.r_v * self.tau
         self._g_prev = self._delayed(0.0)[1]
 
     def _delayed(self, t):
@@ -211,7 +211,7 @@ class FlockingMonitor:
                      - np.searchsorted(times, t - self.tau - 1e-12, "left"))
         if in_window < 2:
             raise NotReadyError(f"fewer than 2 recorded frames in [{t - self.tau}, {t}]")
-        middle = self.kernel.integral(self._x_base, upper)
+        middle = self.kernel.integral(self.lower, upper)
         return v + middle + _window_trapezoid(times, self._rows[3], t - self.tau, t)
 
     def start(self):
@@ -292,21 +292,15 @@ class FlockingCertificate:
 
 
 def certify_flocking(frames, kernel) -> FlockingCertificate:
-    """Evaluate the flocking sufficient condition on prehistory frames.
-
-    ``frames`` must cover [-tau, 0] in increasing time order, carrying t,
-    d_X, d_V, max_speed.  Raises UnsupportedKernelError (from the kernel) if
-    the kernel has no tail model.
+    """Evaluate the flocking certificate L(0) < integral of psi over
+    [X(-tau) + R_V tau, inf) on prehistory frames covering [-tau, 0], in any
+    order: L(0) (``lhs``, a run's first-frame ``lyapunov`` bit for bit), R_V,
+    tau (the frames' m h) and the limit are their ``FlockingMonitor``'s.
+    Raises UnsupportedKernelError (from the kernel) if the kernel has no
+    tail model.
     """
-    frames = sorted(frames, key=lambda f: f.t)
-    if not frames or abs(frames[-1].t) > 1e-9:
-        raise ValueError("prehistory frames must cover [-tau, 0] and end at 0")
-    tau = -frames[0].t
-    times = np.array([f.t for f in frames])
-    d_v = np.array([f.d_V for f in frames])
-    r_v = max(f.max_speed for f in frames)
-    lhs = float(d_v[-1] + np.trapezoid(d_v, times))
-    lower = frames[0].d_X + r_v * tau
+    monitor = FlockingMonitor(kernel, frames)
+    r_v, lower, lhs = monitor.r_v, monitor.lower, monitor.start()[2]
     rhs = kernel.tail_integral(lower)
     satisfied = lhs < rhs
     if not satisfied:
@@ -318,7 +312,7 @@ def certify_flocking(frames, kernel) -> FlockingCertificate:
     elif psi_star == 0.0:
         rate = 0.0  # profile underflowed at d_star: the root's a -> 0 limit
     else:
-        rate = gronwall_rate(psi_star, tau)
+        rate = gronwall_rate(psi_star, monitor.tau)
     return FlockingCertificate(r_v=r_v, lhs=lhs, rhs=rhs, satisfied=True,
                                d_star=d_star, psi_star=psi_star, predicted_rate=rate)
 

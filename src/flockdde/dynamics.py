@@ -287,11 +287,7 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
 
     if prehistory is None:
         prehistory = prehistory_frames(buffer)
-    r_v = max(f.max_speed for f in prehistory)
-    monitor = FlockingMonitor(kernel, buffer.tau,
-                              [f.t for f in prehistory],
-                              [f.d_X for f in prehistory],
-                              [f.d_V for f in prehistory], r_v)
+    monitor = FlockingMonitor(kernel, prehistory)
 
     # X = d_X and V = d_V at t = 0: the last prehistory record, plus L
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
@@ -305,4 +301,4 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
             frames.append(_record(ens, d_x, d_v, *monitor.observe(ens.time, d_v), dets))
     if event is not None:
         frames[-1].status = "blowup"
-    return SimulationResult(frames, buffer, event, r_v)
+    return SimulationResult(frames, buffer, event, monitor.r_v)

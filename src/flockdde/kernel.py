@@ -22,7 +22,6 @@ __all__ = [
     "CuckerSmaleKernel",
     "TabulatedKernel",
     "UnsupportedKernelError",
-    "kernel_from_config",
 ]
 
 # From this radius on, (1 + r^2)^-beta = r^(-2 beta) (1 + O(beta / r^2)) in
@@ -302,14 +301,3 @@ class TabulatedKernel:
             "tail integral of a tabulated kernel is undefined (no tail model)"
         )
 
-
-def kernel_from_config(spec: dict):
-    """Build a kernel from its config mapping (see README for the schema)."""
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ValueError("kernel config must be a mapping with a 'family' key")
-    family = spec["family"]
-    if family == "cucker-smale":
-        return CuckerSmaleKernel(spec["beta"])
-    if family == "tabulated":
-        return TabulatedKernel(spec["radii"], spec["values"])
-    raise ValueError(f"unknown kernel family {family!r}")

@@ -304,7 +304,14 @@ BAD_FIELDS = [
     ("tau", 1e306, "tau: must be a positive integer multiple of step"),
     ("t_end", 10**400, "t_end: expected a real number"),
     ("datum.velocity.base", [10**400], "datum.velocity.base: expected numbers"),
-    ("kernel.beta", 10**400, "kernel: "),
+    ("kernel.beta", 10**400, "kernel.beta: expected a real number"),
+    ("kernel.beta", "x", "kernel.beta: expected a real number"),
+    ("kernel.beta", -0.5, "kernel.beta: must be >= 0.0"),
+    ("kernel", {"family": "tabulated", "radii": [0.0, 1.0], "values": [1.0, math.nan]},
+     "kernel.values: must be finite numbers"),
+    ("kernel", {"family": "tabulated", "radii": [0.0, 1.0], "values": [1.0, 2.0]},
+     "kernel: tabulated values must be nonincreasing"),
+    ("kernel.family", "morse", "kernel.family: unknown kernel family 'morse'"),
 ]
 
 
@@ -413,6 +420,20 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert code == 1 and calls == []
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("out", ["out", "nest/a/b/c"])
+    def test_failed_run_leaves_no_out_directory(self, tmp_path, capsys, out):
+        # the zero-mass datum fails after the --out check made the path; the
+        # empty directory that was there before stays
+        doc = _with(preset_dict("flat-kernel-decay"), "datum.density",
+                    {"family": "table", "values": [0.0] * 64})
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        code = run_cli("run", "--config", write_json(tmp_path / "c.json", doc),
+                       "--out", str(kept / out))
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("config error: ") and err.count("\n") == 1
+        assert list(kept.iterdir()) == []
 
 
 # One misspelled key per mapping of the run schema: (the mapping's dotted

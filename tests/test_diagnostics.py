@@ -25,7 +25,8 @@ from flockdde.diagnostics import (
     _pairwise_diameter,
     _row_blocks,
 )
-from flockdde.cli import _json_text
+from flockdde.cli import _json_text, execute_run
+from flockdde.config import run_config_from_dict
 from flockdde.dynamics import integrate
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKernelError
 from flockdde.state import (
@@ -42,6 +43,12 @@ def frame_stub(t, d_v, d_x=1.0, max_speed=1.0):
     return DiagnosticsFrame(t=t, d_X=d_x, d_V=d_v, max_speed=max_speed,
                             lyapunov=math.nan, X_of_t=d_x, V_of_t=d_v,
                             min_detJ=1.0, max_velgrad_norm=0.0)
+
+
+def prehistory_stubs(pre_t, pre_d_x, pre_d_v, r_v):
+    """Prehistory frames of a (t, d_X, d_V) series, each with max_speed r_v."""
+    return [frame_stub(float(t), float(dv), d_x=float(dx), max_speed=r_v)
+            for t, dx, dv in zip(pre_t, pre_d_x, pre_d_v)]
 
 
 class TestDiameters:
@@ -143,7 +150,7 @@ class TestLyapunov:
         pre_t = np.linspace(-tau, 0.0, 6)
         pre_dv = np.full(6, 0.8)
         pre_dx = np.full(6, 1.0)
-        mon = FlockingMonitor(kernel, tau, pre_t, pre_dx, pre_dv, r_v=1.0)
+        mon = FlockingMonitor(kernel, prehistory_stubs(pre_t, pre_dx, pre_dv, 1.0))
         times = np.arange(1, 41) * 0.025
         values = []
         for t in times:
@@ -160,7 +167,7 @@ class TestLyapunov:
 
     def test_not_ready_with_sparse_window(self):
         kernel = CuckerSmaleKernel(1.0)
-        mon = FlockingMonitor(kernel, 1.0, [-1.0, 0.0], [1.0, 1.0], [0.5, 0.5], 1.0)
+        mon = FlockingMonitor(kernel, prehistory_stubs([-1.0, 0.0], [1.0, 1.0], [0.5, 0.5], 1.0))
         with pytest.raises(NotReadyError):
             mon.observe(2.5, 0.1)  # window (1.5, 2.5] holds only one frame
 
@@ -219,6 +226,36 @@ class TestCertificate:
         assert cert.rhs == pytest.approx(math.pi / 4, abs=1e-9)
         assert not cert.satisfied
         assert cert.d_star is None
+
+    def test_shuffled_prehistory_gives_the_same_certificate(self):
+        frames = self.prehistory(tau=0.1, beta=1.0, amp=0.1)
+        shuffled = list(frames)
+        np.random.default_rng(3).shuffle(shuffled)
+        assert [f.t for f in shuffled] != [f.t for f in frames]
+        kernel = CuckerSmaleKernel(1.0)
+        cert = certify_flocking(frames, kernel)
+        assert cert.satisfied and certify_flocking(shuffled, kernel) == cert
+
+    def test_off_grid_delay_has_one_tau(self, monkeypatch):
+        # 3 * 0.3 = 0.8999999999999999: the certificate and the run both take
+        # tau from the frames, so lhs is the first frame's L(0) bit for bit
+        # and the tail starts at the monitor's X(-tau) + R_V tau
+        doc = {"schema_version": 1, "kernel": {"family": "cucker-smale", "beta": 1.0},
+               "datum": {"domain": {"box": [[0.0, 1.0]], "counts": [8]},
+                         "velocity": {"family": "sine-perturbation", "base": [0.0],
+                                      "amplitude": [0.125], "wavenumber": [2.0],
+                                      "phase": [0.5]}},
+               "tau": 0.9, "step": 0.3, "t_end": 0.9, "output_every": 0.3}
+        cfg = run_config_from_dict(doc)
+        lowers = []
+        tail = cfg.kernel.tail_integral
+        monkeypatch.setattr(cfg.kernel, "tail_integral", lambda r: lowers.append(r) or tail(r))
+        result, summary = execute_run(cfg)
+        pre = prehistory_frames(discretize(cfg.datum, cfg.tau, cfg.step))
+        monitor = FlockingMonitor(cfg.kernel, pre)
+        assert monitor.tau == 3 * 0.3 != cfg.tau
+        assert summary["certificate"]["lhs"] == result.frames[0].lyapunov
+        assert lowers == [monitor.lower] != [pre[0].d_X + monitor.r_v * cfg.tau]
 
     def test_tabulated_kernel_unsupported(self):
         frames = self.prehistory()
@@ -594,7 +631,7 @@ class TestWindowedMonitor:
                                       "tabulated-kernel"])
     def test_bit_identical_to_naive_monitor(self, name):
         kernel, tau, pre, r_v, frames = _monitor_case(name)
-        mon = FlockingMonitor(kernel, tau, *pre, r_v)
+        mon = FlockingMonitor(kernel, prehistory_stubs(*pre, r_v))
         ref = _NaiveMonitor(kernel, tau, *pre, r_v)
         assert _outcome(mon.start) == _outcome(ref.start)
         outcomes = []
@@ -607,8 +644,8 @@ class TestWindowedMonitor:
     def test_stored_window_stays_bounded(self):
         tau, dt = 0.1, 0.005
         pre_t = np.linspace(-tau, 0.0, 21)
-        mon = FlockingMonitor(CuckerSmaleKernel(1.0), tau, pre_t,
-                              np.ones(21), np.full(21, 0.5), 0.5)
+        mon = FlockingMonitor(CuckerSmaleKernel(1.0),
+                              prehistory_stubs(pre_t, np.ones(21), np.full(21, 0.5), 0.5))
         for k in range(1, 20001):
             mon.observe(k * dt, 0.5 * math.exp(-k * dt))
         # the record is the frames in [t - tau, t] and the one bracketing
@@ -621,7 +658,7 @@ class TestWindowedMonitor:
         # frame as g(t_prev), never evaluated again
         kernel = CuckerSmaleKernel(1.0)
         pre_t = np.linspace(-tau, 0.0, n)
-        mon = FlockingMonitor(kernel, tau, pre_t, np.ones(n), np.full(n, 0.5), 0.5)
+        mon = FlockingMonitor(kernel, prehistory_stubs(pre_t, np.ones(n), np.full(n, 0.5), 0.5))
         mon.start()
         calls = []
         profile = kernel.profile

@@ -16,7 +16,6 @@ from flockdde.kernel import (
     CuckerSmaleKernel,
     TabulatedKernel,
     UnsupportedKernelError,
-    kernel_from_config,
 )
 
 
@@ -152,15 +151,6 @@ def test_tabulated_tail_unsupported():
     k = TabulatedKernel([0.0, 1.0], [1.0, 0.5])
     with pytest.raises(UnsupportedKernelError):
         k.tail_integral(0.0)
-
-
-def test_config_round_trip():
-    k = kernel_from_config({"family": "cucker-smale", "beta": 0.25})
-    assert isinstance(k, CuckerSmaleKernel) and k.beta == 0.25
-    t = kernel_from_config({"family": "tabulated", "radii": [0, 1], "values": [1, 0.5]})
-    assert isinstance(t, TabulatedKernel)
-    with pytest.raises(ValueError):
-        kernel_from_config({"family": "morse"})
 
 
 def test_tail_integral_underflowed_profile_returns_quickly(time_limit):

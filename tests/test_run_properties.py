@@ -3,11 +3,12 @@
 Derandomized hypothesis over small runs: N <= 12, d in {1, 2}, Cucker-Smale
 beta in [0, 3] or a tabulated profile, tau in {0} and [h, 0.5], uniform or
 gaussian densities and sine prehistories.  Every run keeps unit mass and the
-velocity maximum principle; a certified run keeps d_V <= V, a nonincreasing
-Lyapunov functional, sup d_X <= d_star and d_V inside the predicted decay
-envelope (at the acceptance suite's tolerances); a tabulated run has neither
-certificate nor threshold verdict and ends without blow-up; a sweep cell is
-its standalone run, byte for byte.
+velocity maximum principle; a certificate's lhs and R_V are the run's
+first-frame Lyapunov value and R_V, bit for bit; a certified run keeps
+d_V <= V, a nonincreasing Lyapunov functional, sup d_X <= d_star and d_V
+inside the predicted decay envelope (at the acceptance suite's tolerances); a
+tabulated run has neither certificate nor threshold verdict and ends without
+blow-up; a sweep cell is its standalone run, byte for byte.
 """
 
 import itertools
@@ -79,7 +80,9 @@ def _check_run(doc, time_limit):
         # no tail model: no certificate, no threshold verdict
         assert cert is None and summary["threshold"] is None
         assert result.blowup is None
-    elif cert["satisfied"]:
+        return
+    assert cert["lhs"] == frames[0].lyapunov and cert["R_V"] == summary["R_V"]
+    if cert["satisfied"]:
         assert all(f.d_V <= f.V_of_t + 1e-6 for f in frames)
         lyap = [f.lyapunov for f in frames]
         assert all(b - a <= 1e-6 for a, b in zip(lyap, lyap[1:]))
