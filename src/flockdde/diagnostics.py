@@ -1,11 +1,11 @@
 """Flocking observables, the decay certificate, and run monitors.
 
-Implements the spatial/velocity diameters, the comparison quantities X and V
-maintained by exact one-step recurrences, the Lyapunov functional that the
-certificate argument drives to be nonincreasing, the delayed-Gronwall rate
-solver, and the sufficient-condition certificate with its predicted decay
-rate.  All time integrals over emitted frames use the trapezoid rule at the
-output cadence.
+Implements the spatial/velocity diameters, the comparison quantities X and V,
+the Lyapunov functional that the certificate argument drives to be
+nonincreasing, the delayed-Gronwall rate solver, and the sufficient-condition
+certificate with its predicted decay rate.  Every time integral over the
+frames takes one two-point rule per gap, exact for constants and for e^{-t},
+so the discrete Lyapunov functional telescopes as the continuous one does.
 """
 
 from __future__ import annotations
@@ -154,11 +154,12 @@ def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
     return out
 
 
-def _window_trapezoid(ts, vs, a, b):
-    """Trapezoid of the piecewise-linear series between arbitrary endpoints."""
-    inner = ts[(ts > a) & (ts < b)]
-    pts = np.concatenate([[a], inner, [b]])
-    return float(np.trapezoid(np.interp(pts, ts, vs), pts))
+def _rule(dt):
+    """Weights (a, b) of the rule a f(t) + b f(t + dt) for the integral over
+    [t, t + dt]: exact for constants and for e^{-t}, both positive."""
+    e = -math.expm1(-dt)
+    b = (dt - e) / e
+    return dt - b, b
 
 
 class FlockingMonitor:
@@ -168,21 +169,20 @@ class FlockingMonitor:
     and V := d_V: ``tau`` = -prehistory[0].t (their m h), ``r_v`` = R_V (the
     largest max_speed), ``lower`` = X(-tau) + R_V tau, and ``start()`` gives
     L(0); the flocking certificate is L(0) < integral of psi over [lower, inf).
-    For t > 0, X accumulates the trapezoid of d_V, and V advances
-    by the exact exponential-decay recurrence
 
-        V(t+dt) = V(t) e^{-dt} + trapezoid of g(s) e^{s-(t+dt)} over [t, t+dt],
-        g(s) = (1 - psi(X(s-tau) + R_V tau)) d_V(s-tau).
-
-    The record is one array of rows t, d_V, X, V.  Once frame t is in,
-    nothing reads a time before t - tau - 1e-12 (the lower end of the
-    Lyapunov window), so each frame drops the columns before the last one at
-    or before that time as it appends its own: the record is the live
-    window, whose length depends on tau and the frame cadence, not on the
-    run length.  Interpolation reads only the two frames around its argument
-    and the trapezoid only the frames inside its window, so the trimmed
-    record gives the bits of the full one.  g(t) is evaluated once, on the
-    record of frame t, and carried to the next frame as g(t_prev).
+    Every time integral takes ``_rule`` on each gap between frames.  Y and W
+    sum d_V and V by it (both sum d_V on the prehistory), X sums d_V for
+    t > 0, and V advances implicitly: V(t+dt) = ((1 - a) V(t) + S) / (1 + b),
+    exactly e^{-dt} V(t) when S = 0, where S = D - int_x^{x+D} psi with
+    D = Y(t+dt-tau) - Y(t-tau) and x = X(t-tau) + R_V tau.  Then
+    L(t) = V(t) + int_lower^{X(t-tau)+R_V tau} psi + W(t) - W(t-tau), which is
+    V + int_{d_X(0)}^{X(t)} psi at tau = 0.  Past t = tau, a frame changes L
+    by the change of Y - W at t - tau, <= 0 where d_V <= V at the frames.
+    The record is one array of rows t, d_V, X, V, Y, W, read by linear
+    interpolation.  A frame reads nothing before the previous frame's
+    t - tau, so each drops the columns before the last one at or before that
+    time; interpolation reads only the two frames around its argument, so
+    the trimmed record gives the bits of the full one.
     """
 
     def __init__(self, kernel, prehistory):
@@ -192,49 +192,44 @@ class FlockingMonitor:
         self.kernel = kernel
         self.tau = float(-frames[0].t)
         self.r_v = float(max(f.max_speed for f in frames))
-        self._rows = np.array([[f.t, f.d_V, f.d_X, f.d_V] for f in frames], dtype=float).T
+        rows = [[f.t, f.d_V, f.d_X, f.d_V, 0.0, 0.0] for f in frames]
+        for prev, row in zip(rows, rows[1:]):
+            a, b = _rule(row[0] - prev[0])
+            row[4] = row[5] = prev[4] + (a * prev[1] + b * row[1])
+        self._rows = np.array(rows, dtype=float).T
         self.lower = float(self._rows[2, 0]) + self.r_v * self.tau
-        self._g_prev = self._delayed(0.0)[1]
 
-    def _delayed(self, t):
-        """X(t - tau) + R_V tau and g(t), read off the record."""
-        times, d_v, x = self._rows[:3]
-        upper = float(np.interp(t - self.tau, times, x)) + self.r_v * self.tau
-        g = (1.0 - self.kernel.profile(upper)) * float(np.interp(t - self.tau, times, d_v))
-        return upper, g
+    def _delayed(self, row, t):
+        """Row ``row`` of the record at t - tau."""
+        return float(np.interp(t - self.tau, self._rows[0], self._rows[row]))
 
-    def _lyapunov(self, t, upper, v):
-        if self.tau == 0.0:
-            return v
-        times = self._rows[0]
-        in_window = (np.searchsorted(times, t + 1e-12, "right")
-                     - np.searchsorted(times, t - self.tau - 1e-12, "left"))
-        if in_window < 2:
-            raise NotReadyError(f"fewer than 2 recorded frames in [{t - self.tau}, {t}]")
-        middle = self.kernel.integral(self.lower, upper)
-        return v + middle + _window_trapezoid(times, self._rows[3], t - self.tau, t)
+    def _lyapunov(self, t):
+        """L at the record's last frame, t."""
+        v, w = self._rows[[3, 5], -1].tolist()
+        upper = self._delayed(2, t) + self.r_v * self.tau
+        return v + self.kernel.integral(self.lower, upper) + (w - self._delayed(5, t))
 
     def start(self):
         """(X, V, Lyapunov) at t = 0, before any dynamics frame."""
-        x, v = self._rows[2:, -1].tolist()
-        return x, v, self._lyapunov(0.0, self._delayed(0.0)[0], v)
+        x, v = self._rows[2:4, -1].tolist()
+        return x, v, self._lyapunov(0.0)
 
     def observe(self, t, d_v):
         """Advance to the emitted frame at time ``t`` and return (X, V, L)."""
-        t_prev, d_v_prev, x_prev, v_prev = self._rows[:, -1].tolist()
+        t_prev, d_v_prev, x_prev, v_prev, y_prev, w_prev = self._rows[:, -1].tolist()
         dt = t - t_prev
         if dt <= 0:
             raise ValueError("frames must advance in time")
-        x_new = x_prev + 0.5 * dt * (d_v_prev + d_v)
-        lo = max(0, int(np.searchsorted(self._rows[0], t - self.tau - 1e-12, "right")) - 1)
-        self._rows = np.concatenate(
-            [self._rows[:, lo:], [[t], [d_v], [x_new], [math.nan]]], axis=1)
-        upper, g = self._delayed(t)
-        decay = math.exp(-dt)
-        v_new = v_prev * decay + 0.5 * dt * (decay * self._g_prev + g)
-        self._rows[3, -1] = v_new
-        self._g_prev = g
-        return x_new, v_new, self._lyapunov(t, upper, v_new)
+        a, b = _rule(dt)
+        growth = a * d_v_prev + b * d_v
+        lo = int(np.searchsorted(self._rows[0], t_prev - self.tau, "right")) - 1
+        self._rows = np.concatenate([self._rows[:, lo:], [
+            [t], [d_v], [x_prev + growth], [math.nan], [y_prev + growth], [math.nan]]], axis=1)
+        x = self._delayed(2, t_prev) + self.r_v * self.tau
+        d = self._delayed(4, t) - self._delayed(4, t_prev)
+        v = ((1.0 - a) * v_prev + d - self.kernel.integral(x, x + d)) / (1.0 + b)
+        self._rows[3, -1], self._rows[5, -1] = v, w_prev + (a * v_prev + b * v)
+        return x_prev + growth, v, self._lyapunov(t)
 
 
 def gronwall_rate(a: float, tau: float) -> float:
@@ -264,11 +259,12 @@ def gronwall_rate(a: float, tau: float) -> float:
 class FlockingCertificate:
     """Outcome of the sufficient-condition check on the prehistory.
 
-    ``lhs`` is the initial velocity budget d_V(0) + integral of d_V over
-    [-tau, 0]; ``rhs`` is the kernel tail integral from d_X(-tau) + R_V tau
-    (may be infinite).  When satisfied, ``d_star`` absorbs the budget into the
-    tail, ``psi_star`` is the kernel value there, and ``predicted_rate`` is
-    the Gronwall exponent, a certified lower bound on the measured decay.
+    ``lhs`` is the initial velocity budget L(0) = d_V(0) + integral of d_V
+    over [-tau, 0], the integral by the monitor's rule; ``rhs`` is the kernel
+    tail integral from d_X(-tau) + R_V tau (may be infinite).  When
+    satisfied, ``d_star`` absorbs the budget into the tail, ``psi_star`` is
+    the kernel value there, and ``predicted_rate`` is the Gronwall exponent,
+    a certified lower bound on the measured decay.
     """
 
     r_v: float

@@ -133,16 +133,13 @@ def _delay_steps(tau: float, h: float) -> int:
 
 def _run_steps(tau: float, h: float, t_end: float, output_every: float):
     """(m, n_steps, every) with tau = m h, t_end = n_steps h and output_every
-    = every h, where every <= m unless m = 0: the Lyapunov functional needs a
-    frame at each end of the last delay window.  Raises ValueError, naming
-    the field at fault first."""
+    = every h, every >= 1.  Raises ValueError, naming the field at fault
+    first."""
     m = _delay_steps(tau, h)
     every = _grid_steps(output_every, h)
     if not every:
         raise ValueError(f"output_every: must be a positive multiple of step ({h}), "
                          f"got {output_every}")
-    if 0 < m < every:
-        raise ValueError(f"output_every: must not exceed tau ({tau}), got {output_every}")
     n_steps = _grid_steps(t_end, h)
     if n_steps is None or t_end < 0:
         raise ValueError(f"t_end: must be a multiple of step ({h}), got {t_end}")
@@ -526,9 +523,12 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
     y = (nodes.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy())
     rows = []
     for j in range(0, -m - 1, -1):
-        if rows:  # one backward step, whose first stage is the later row
-            y, _ = _rk4(rhs, y, -h, (rows[-1][1], rows[-1][3]), (j + 0.5) * h, j * h)
         s = j * h
+        if rows:  # one backward step, whose first stage is the later row
+            with np.errstate(over="ignore", invalid="ignore"):
+                y, _ = _rk4(rhs, y, -h, (rows[-1][1], rows[-1][3]), (j + 0.5) * h, s)
+            if not (np.isfinite(y[0]).all() and np.isfinite(y[1]).all()):
+                raise InvalidDatumError(f"prehistory is not finite at s={s}")
         pos, jac = y
         vel, grad = probe(s, pos), field.gradient(s, pos)
         # the velocity's slope is its material derivative u_s + (grad u) u

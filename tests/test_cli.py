@@ -231,18 +231,17 @@ class TestRun:
         assert code == 1
         assert "tau" in capsys.readouterr().err
 
-    def test_output_every_above_tau_is_config_error(self, tmp_path, quick_run_doc,
-                                                    capsys):
-        # the Lyapunov window [t - tau, t] would hold a single frame
-        doc = json.loads(json.dumps(quick_run_doc))
-        doc["tau"] = 0.04
-        doc["output_every"] = 0.05
+    def test_output_every_above_tau_runs(self, tmp_path, quick_run_doc):
+        # frames 0.5 apart leave no frame inside a 0.1 delay window; L is
+        # defined at any gap and still decreases once t - tau > 0
+        doc = dict(quick_run_doc, tau=0.1, output_every=0.5, t_end=2.0)
         code = run_cli("run", "--config", write_json(tmp_path / "c.json", doc),
                        "--out", str(tmp_path / "out"))
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: output_every")
-        assert err.count("\n") == 1
+        assert code == 0
+        lines = (tmp_path / "out" / "frames.csv").read_text().splitlines()[1:]
+        rows = [(float(r["t"]), float(r["lyapunov"])) for r in csv.DictReader(lines)]
+        assert [t for t, _ in rows] == [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert all(b - a < 0 for (s, a), (_, b) in zip(rows, rows[1:]) if s >= 0.1)
 
     def test_malformed_json_reports_line(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -268,6 +267,9 @@ BAD_FIELDS = [
     ("datum.density", {"family": "table", "values": [0.0] * 12}, "zero total mass"),
     ("datum.density", {"family": "table", "values": [1.0] * 5}, "density values"),
     ("datum.velocity", {"family": "constant", "value": [0.1, 0.2]}, "velocity field"),
+    # the backward RK4 sum of the prehistory overflows to inf
+    ("datum.velocity", {"family": "constant", "value": [1e308]},
+     "prehistory is not finite at s=-0.002"),
     ("seed", "abc", "seed: expected an integer"),
     ("seed", 1.5, "seed: expected an integer"),
     ("n_history_slices", "x", "n_history_slices: expected an integer"),

@@ -165,11 +165,38 @@ class TestLyapunov:
             # psi == 1 makes the V-recurrence source vanish: V(t) = d_V(0) e^{-t}
             assert v == pytest.approx(0.8 * math.exp(-t), rel=1e-5)
 
-    def test_not_ready_with_sparse_window(self):
+    def test_gap_wider_than_tau_gives_finite_lyapunov(self):
         kernel = CuckerSmaleKernel(1.0)
         mon = FlockingMonitor(kernel, prehistory_stubs([-1.0, 0.0], [1.0, 1.0], [0.5, 0.5], 1.0))
-        with pytest.raises(NotReadyError):
-            mon.observe(2.5, 0.1)  # window (1.5, 2.5] holds only one frame
+        # no frame lies inside the window (1.5, 2.5) or (2.5, 3.5)
+        values = [mon.observe(t, d_v) for t, d_v in [(2.5, 0.1), (3.5, 0.05)]]
+        assert np.all(np.isfinite(values))
+        assert values[1][2] < values[0][2]
+
+    def test_flat_kernel_lyapunov_constant_after_tau(self):
+        # psi == 1 and d_V = d_V(0) e^{-t}: V keeps d_V, so Y - W stays put
+        # and L, which changes by the change of Y - W at t - tau, is constant
+        kernel = CuckerSmaleKernel(0.0)
+        tau, dt = 0.5, 0.025
+        pre_t = np.linspace(-tau, 0.0, 21)
+        pre_dx = 1.0 + 0.3 * np.sin(5 * pre_t)
+        mon = FlockingMonitor(kernel, prehistory_stubs(pre_t, pre_dx, 0.8 * np.exp(-pre_t), 1.0))
+        lyap = [mon.observe(k * dt, 0.8 * math.exp(-k * dt))[2] for k in range(1, 401)]
+        settled = lyap[round(tau / dt):]  # frames k with t_{k-1} >= tau
+        assert len(settled) == 380
+        assert np.ptp(settled) <= 1e-13 * abs(settled[0])
+
+    def test_zero_delay_is_v_plus_the_kernel_integral(self):
+        # at tau = 0 the delay window is empty: L = V + integral of psi from
+        # d_X(0) to X(t), bit for bit
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [10]),
+                             SineVelocity([0.0], [0.3], [1.5]))
+        kernel = CuckerSmaleKernel(1.0)
+        res = integrate(discretize(datum, 0.0, 0.01), kernel, t_end=1.0, output_every=0.02)
+        assert len(res.frames) == 51
+        lower = res.frames[0].d_X
+        for f in res.frames:
+            assert f.lyapunov == f.V_of_t + kernel.integral(lower, f.X_of_t)
 
     def test_nonincreasing_along_heavy_tail_run(self):
         # gentle slope keeps the run subcritical so all 10^3 frames are emitted
@@ -508,16 +535,15 @@ class TestTailBudgetBracket:
         assert certify_flocking(self.far_frames(d_x, d_v), kernel) == want
 
 
-def _naive_window_trapezoid(times, values, a, b):
-    ts = np.asarray(times)
-    vs = np.asarray(values)
-    inner = ts[(ts > a) & (ts < b)]
-    pts = np.concatenate([[a], inner, [b]])
-    return float(np.trapezoid(np.interp(pts, ts, vs), pts))
+def _rule_weights(dt):
+    """The two-point rule on [t, t + dt], exact for 1 and e^{-t}."""
+    e = -math.expm1(-dt)
+    b = (dt - e) / e
+    return dt - b, b
 
 
 class _NaiveMonitor:
-    """Reference: the monitor that keeps every frame and rescans them all."""
+    """Reference: the monitor's rule on series that keep every frame."""
 
     def __init__(self, kernel, tau, pre_times, pre_d_x, pre_d_v, r_v):
         self.kernel = kernel
@@ -526,56 +552,43 @@ class _NaiveMonitor:
         self._times = [float(t) for t in pre_times]
         self._d_v = [float(v) for v in pre_d_v]
         self._x = [float(v) for v in pre_d_x]
-        self._v = [float(v) for v in pre_d_v]
+        self._v = list(self._d_v)
+        self._y = [0.0]
+        for k in range(1, len(self._times)):
+            a, b = _rule_weights(self._times[k] - self._times[k - 1])
+            self._y.append(self._y[-1] + (a * self._d_v[k - 1] + b * self._d_v[k]))
+        self._w = list(self._y)
         self._x_base = self._x[0] + self.r_v * self.tau
 
-    def _x_at(self, s):
-        return float(np.interp(s, self._times, self._x))
-
-    def _d_v_at(self, s):
-        return float(np.interp(s, self._times, self._d_v))
-
-    def _g(self, s):
-        arg = self._x_at(s - self.tau) + self.r_v * self.tau
-        return (1.0 - self.kernel.eval(arg)) * self._d_v_at(s - self.tau)
+    def _at(self, series, t):
+        return float(np.interp(t - self.tau, self._times, series))
 
     def _lyapunov(self, t):
-        if self.tau == 0.0:
-            return self._v[-1]
-        in_window = sum(1 for s in self._times if t - self.tau - 1e-12 <= s <= t + 1e-12)
-        if in_window < 2:
-            raise NotReadyError("sparse window")
-        upper = self._x_at(t - self.tau) + self.r_v * self.tau
+        upper = self._at(self._x, t) + self.r_v * self.tau
         middle = self.kernel.integral(self._x_base, upper)
-        tail = _naive_window_trapezoid(self._times, self._v, t - self.tau, t)
-        return self._v[-1] + middle + tail
+        return self._v[-1] + middle + (self._w[-1] - self._at(self._w, t))
 
     def start(self):
         return self._x[-1], self._v[-1], self._lyapunov(0.0)
 
     def observe(self, t, d_v):
         t_prev = self._times[-1]
-        dt = t - t_prev
-        g_prev = self._g(t_prev)
-        x_new = self._x[-1] + 0.5 * dt * (self._d_v[-1] + d_v)
+        a, b = _rule_weights(t - t_prev)
+        growth = a * self._d_v[-1] + b * d_v
         self._times.append(float(t))
         self._d_v.append(float(d_v))
-        self._x.append(float(x_new))
-        decay = math.exp(-dt)
-        v_new = self._v[-1] * decay + 0.5 * dt * (decay * g_prev + self._g(t))
-        self._v.append(float(v_new))
-        return x_new, v_new, self._lyapunov(t)
+        self._x.append(self._x[-1] + growth)
+        self._y.append(self._y[-1] + growth)
+        x = self._at(self._x, t_prev) + self.r_v * self.tau
+        d = self._at(self._y, t) - self._at(self._y, t_prev)
+        v = ((1.0 - a) * self._v[-1] + d - self.kernel.integral(x, x + d)) / (1.0 + b)
+        self._w.append(self._w[-1] + (a * self._v[-1] + b * v))
+        self._v.append(v)
+        return self._x[-1], v, self._lyapunov(t)
 
 
 def _bits(values):
     return np.asarray(values, dtype=float).tobytes()
-
-
-def _outcome(call):
-    try:
-        return _bits(call())
-    except NotReadyError:
-        return "not-ready"
 
 
 def _monitor_case(name):
@@ -584,7 +597,7 @@ def _monitor_case(name):
     if name == "uneven-cadence":
         tau = 0.3
         pre_t = np.linspace(-tau, 0.0, 7)
-        # steps above tau leave windows with one frame (not ready)
+        # steps above tau leave windows with no frame inside them
         times = np.cumsum(rng.uniform(0.004, 0.4, 300))
     elif name == "off-cadence-blowup":
         tau = 0.05
@@ -633,13 +646,9 @@ class TestWindowedMonitor:
         kernel, tau, pre, r_v, frames = _monitor_case(name)
         mon = FlockingMonitor(kernel, prehistory_stubs(*pre, r_v))
         ref = _NaiveMonitor(kernel, tau, *pre, r_v)
-        assert _outcome(mon.start) == _outcome(ref.start)
-        outcomes = []
+        assert _bits(mon.start()) == _bits(ref.start())
         for t, d_v in frames:
-            got = _outcome(lambda: mon.observe(t, d_v))
-            assert got == _outcome(lambda: ref.observe(t, d_v)), t
-            outcomes.append(got)
-        assert ("not-ready" in outcomes) == (name in ("uneven-cadence", "sparse-window"))
+            assert _bits(mon.observe(t, d_v)) == _bits(ref.observe(t, d_v)), t
 
     def test_stored_window_stays_bounded(self):
         tau, dt = 0.1, 0.005
@@ -648,21 +657,22 @@ class TestWindowedMonitor:
                               prehistory_stubs(pre_t, np.ones(21), np.full(21, 0.5), 0.5))
         for k in range(1, 20001):
             mon.observe(k * dt, 0.5 * math.exp(-k * dt))
-        # the record is the frames in [t - tau, t] and the one bracketing
-        # t - tau, round(tau / dt) + 2 here; the bound leaves one frame spare
+        # the record runs from the last frame at or before t_prev - tau to t,
+        # round(tau / dt) + 2 frames here; the bound leaves one frame spare
         assert mon._rows.shape[1] <= round(tau / dt) + 3
 
-    @pytest.mark.parametrize("tau,n", [(0.0, 1), (0.1, 11)])
-    def test_one_profile_evaluation_per_frame(self, tau, n, monkeypatch):
-        # g(t) is evaluated when frame t is recorded and carried to the next
-        # frame as g(t_prev), never evaluated again
+    @pytest.mark.parametrize("tau,n", [(0.0, 1), (0.1, 11), (0.5, 51), (1.0, 101)])
+    def test_fixed_kernel_work_per_frame(self, tau, n, monkeypatch):
+        # two integrals per frame (the source and the middle term) and no
+        # profile, whether the window holds 1, 10, 50 or 100 frames
         kernel = CuckerSmaleKernel(1.0)
         pre_t = np.linspace(-tau, 0.0, n)
         mon = FlockingMonitor(kernel, prehistory_stubs(pre_t, np.ones(n), np.full(n, 0.5), 0.5))
         mon.start()
         calls = []
-        profile = kernel.profile
-        monkeypatch.setattr(kernel, "profile", lambda r: calls.append(r) or profile(r))
-        for k in range(1, 51):
+        integral = kernel.integral
+        monkeypatch.setattr(kernel, "integral", lambda a, b: calls.append(a) or integral(a, b))
+        monkeypatch.setattr(kernel, "profile", lambda r: pytest.fail("profile called"))
+        for k in range(1, 151):
             mon.observe(k * 0.01, 0.5 * math.exp(-k * 0.01))
-            assert len(calls) == k
+            assert len(calls) == 2 * k

@@ -439,8 +439,6 @@ class TestSimulate:
             integrate(buf, cfg.kernel, t_end=1.0)
 
     @pytest.mark.parametrize("kw,field", [
-        # frames 0.5 apart leave a 0.1 delay window with one frame in it
-        (dict(t_end=1.0, output_every=0.5), "output_every: must not exceed tau"),
         (dict(t_end=1.0, output_every=0.015), "output_every: must be a positive multiple"),
         (dict(t_end=1.0, output_every=0.0), "output_every: must be a positive multiple"),
         (dict(t_end=0.995), "t_end: must be a multiple"),
