@@ -8,6 +8,9 @@ rows over the trailing delay window and answers dense interpolation queries,
 which is what makes the delayed force evaluable between stored steps.  Every
 delayed read, stored or interpolated, is a ``(positions, velocities)`` pair,
 and ``_run_steps`` holds every rule that a run's times obey on that grid.
+The prehistory's velocity field answers one call, ``field(s, x) -> (u,
+grad_u, u_s)``, and ``discretize`` makes and checks one call per row and
+per RK4 stage.
 """
 
 from __future__ import annotations
@@ -254,21 +257,17 @@ class HistoryBuffer:
 
 
 class VelocityField:
-    """Time-dependent velocity field ``(s, x) -> u`` on the datum domain.
+    """Time-dependent velocity field on the datum domain, in closed form.
 
-    A field gives its value and, in closed form, its spatial gradient and
-    time partial: ``discretize`` integrates the tangent flow with the one and
-    takes the velocity's Hermite slope from both.
+    ``field(s, x)``, at a time ``s`` and points ``x`` shaped (N, d), returns
+    ``(u, grad_u, u_s)`` from one evaluation: the value (N, d), the spatial
+    gradient (N, d, d) with entries du_a/dx_b, and the time partial (N, d).
+    ``discretize`` integrates the tangent flow with ``grad_u`` and takes the
+    velocity's Hermite slope, its material derivative ``u_s + (grad_u) u``,
+    from all three.
     """
 
-    def __call__(self, s: float, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gradient(self, s: float, x: np.ndarray) -> np.ndarray:
-        """Spatial gradient, shape (N, d, d) with entries du_a/dx_b."""
-        raise NotImplementedError
-
-    def time_partial(self, s: float, x: np.ndarray) -> np.ndarray:
+    def __call__(self, s: float, x: np.ndarray):
         raise NotImplementedError
 
 
@@ -277,14 +276,8 @@ class ConstantVelocity(VelocityField):
         self.value = np.atleast_1d(np.asarray(value, dtype=float))
 
     def __call__(self, s, x):
-        return np.broadcast_to(self.value, x.shape).copy()
-
-    def gradient(self, s, x):
         n, d = x.shape
-        return np.zeros((n, d, d))
-
-    def time_partial(self, s, x):
-        return np.zeros_like(x)
+        return np.broadcast_to(self.value, x.shape).copy(), np.zeros((n, d, d)), np.zeros_like(x)
 
 
 class LinearVelocity(VelocityField):
@@ -296,13 +289,8 @@ class LinearVelocity(VelocityField):
         self.offset = np.zeros(d) if offset is None else np.asarray(offset, dtype=float)
 
     def __call__(self, s, x):
-        return x @ self.matrix.T + self.offset
-
-    def gradient(self, s, x):
-        return np.broadcast_to(self.matrix, (x.shape[0], *self.matrix.shape)).copy()
-
-    def time_partial(self, s, x):
-        return np.zeros_like(x)
+        grad = np.broadcast_to(self.matrix, (x.shape[0], *self.matrix.shape))
+        return x @ self.matrix.T + self.offset, grad, np.zeros_like(x)
 
 
 class SineVelocity(VelocityField):
@@ -320,22 +308,15 @@ class SineVelocity(VelocityField):
         self.phase = np.zeros(d) if phase is None else np.asarray(phase, dtype=float)
         self.omega = float(omega)
 
-    def _arg(self, s, x):
-        return self.wavenumber * x + self.phase + self.omega * s
-
     def __call__(self, s, x):
-        return self.base + self.amplitude * np.sin(self._arg(s, x))
-
-    def gradient(self, s, x):
-        n, d = x.shape
-        out = np.zeros((n, d, d))
-        diag = self.amplitude * self.wavenumber * np.cos(self._arg(s, x))
+        arg = self.wavenumber * x + self.phase + self.omega * s
+        cos = np.cos(arg)
+        u = self.base + self.amplitude * np.sin(arg)
+        n, d = u.shape  # the diagonal gradient takes the value's shape, checked first
+        grad = np.zeros((n, d, d))
         idx = np.arange(d)
-        out[:, idx, idx] = diag
-        return out
-
-    def time_partial(self, s, x):
-        return self.amplitude * self.omega * np.cos(self._arg(s, x))
+        grad[:, idx, idx] = self.amplitude * self.wavenumber * cos
+        return u, grad, self.amplitude * self.omega * cos
 
 
 class SliceTableVelocity(VelocityField):
@@ -350,31 +331,18 @@ class SliceTableVelocity(VelocityField):
             raise ValueError("table times must be strictly increasing")
         self.fields = list(fields)
 
-    def _bracket(self, s):
-        s = min(max(s, self.times[0]), self.times[-1])
-        i = int(np.searchsorted(self.times, s, side="right")) - 1
-        i = min(max(i, 0), self.times.size - 2)
-        theta = (s - self.times[i]) / (self.times[i + 1] - self.times[i])
-        return i, theta
-
     def __call__(self, s, x):
-        i, theta = self._bracket(s)
-        return (1 - theta) * self.fields[i](s, x) + theta * self.fields[i + 1](s, x)
-
-    def gradient(self, s, x):
-        i, theta = self._bracket(s)
-        return (1 - theta) * self.fields[i].gradient(s, x) \
-            + theta * self.fields[i + 1].gradient(s, x)
-
-    def time_partial(self, s, x):
+        t = self.times
+        c = min(max(s, t[0]), t[-1])
+        i = min(max(int(np.searchsorted(t, c, side="right")) - 1, 0), t.size - 2)
+        dt = t[i + 1] - t[i]
+        theta = (c - t[i]) / dt
+        (u0, g0, s0), (u1, g1, s1) = self.fields[i](s, x), self.fields[i + 1](s, x)
+        u_s = (1 - theta) * s0 + theta * s1
         # product rule; theta moves inside the table, its ends taking the inner slope
-        i, theta = self._bracket(s)
-        out = (1 - theta) * self.fields[i].time_partial(s, x) \
-            + theta * self.fields[i + 1].time_partial(s, x)
-        if self.times[0] <= s <= self.times[-1]:
-            dt = self.times[i + 1] - self.times[i]
-            out = out + (self.fields[i + 1](s, x) - self.fields[i](s, x)) / dt
-        return out
+        if t[0] <= s <= t[-1]:
+            u_s = u_s + (u1 - u0) / dt
+        return (1 - theta) * u0 + theta * u1, (1 - theta) * g0 + theta * g1, u_s
 
 
 @dataclass
@@ -504,22 +472,24 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
     field = datum.velocity
     n, d = nodes.shape
 
-    def probe(s, pos):
+    def evaluate(s, pos):
+        """The field's ``(u, grad_u, u_s)`` at time s, each checked for shape."""
         try:
-            vals = field(s, pos)
+            u, grad, u_s = field(s, pos)
         except ValueError as exc:
             raise InvalidDatumError(f"velocity field fails at s={s}: {exc}") from None
-        if np.shape(vals) != (n, d):
-            raise InvalidDatumError(
-                f"velocity field has shape {np.shape(vals)} at s={s}, expected {(n, d)}")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidDatumError(f"velocity field is not finite at s={s}")
-        return vals
+        for name, a, shape in (("", u, (n, d)), (" gradient", grad, (n, d, d)),
+                               (" time partial", u_s, (n, d))):
+            if np.shape(a) != shape:
+                raise InvalidDatumError(f"velocity field{name} has shape {np.shape(a)} "
+                                        f"at s={s}, expected {shape}")
+        return u, grad, u_s
 
     def rhs(s, pos, jac):
-        return field(s, pos), np.einsum("nab,nbc->nac", field.gradient(s, pos), jac)
+        u, grad, _ = evaluate(s, pos)
+        return u, np.einsum("nab,nbc->nac", grad, jac)
 
-    # walk back from the labels at t = 0, where the field is probed first
+    # walk back from the labels at t = 0, where the field is evaluated first
     y = (nodes.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy())
     rows = []
     for j in range(0, -m - 1, -1):
@@ -530,9 +500,11 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
             if not (np.isfinite(y[0]).all() and np.isfinite(y[1]).all()):
                 raise InvalidDatumError(f"prehistory is not finite at s={s}")
         pos, jac = y
-        vel, grad = probe(s, pos), field.gradient(s, pos)
+        vel, grad, vel_s = evaluate(s, pos)
+        if not np.all(np.isfinite(vel)):
+            raise InvalidDatumError(f"velocity field is not finite at s={s}")
         # the velocity's slope is its material derivative u_s + (grad u) u
         rows.append((pos, vel, jac, np.einsum("nab,nbc->nac", grad, jac),
-                     field.time_partial(s, pos) + np.einsum("nab,nb->na", grad, vel)))
+                     vel_s + np.einsum("nab,nb->na", grad, vel)))
     rows.reverse()
     return HistoryBuffer(tau, h, masses, nodes, volumes, rows)

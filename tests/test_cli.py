@@ -314,6 +314,17 @@ BAD_FIELDS = [
     ("kernel", {"family": "tabulated", "radii": [0.0, 1.0], "values": [1.0, 2.0]},
      "kernel: tabulated values must be nonincreasing"),
     ("kernel.family", "morse", "kernel.family: unknown kernel family 'morse'"),
+    # the value broadcasts to (N, 2), the gradient does not
+    ("datum", {"domain": {"box": [[0, 1], [0, 1]], "counts": [3, 3]},
+               "velocity": {"family": "linear", "matrix": [[1.0, 2.0]], "offset": [0, 0]}},
+     "velocity field gradient has shape (9, 1, 2) at s=0.0, expected (9, 2, 2)"),
+    # the first field fails only between rows, at the first RK4 stage before -0.1
+    ("datum", {"domain": {"box": [[0, 1]], "counts": [4]},
+               "velocity": {"family": "table-of-slices", "times": [-0.2, -0.1, 0.0],
+                            "fields": [{"family": "constant", "value": [0.1, 0.2]},
+                                       {"family": "constant", "value": [0.1]},
+                                       {"family": "constant", "value": [0.2]}]}},
+     "velocity field fails at s=-0.101: "),
 ]
 
 

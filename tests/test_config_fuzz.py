@@ -2,14 +2,19 @@
 
 Each example takes a valid run or sweep document, deletes keys or list
 entries and replaces values (leaves or whole subtrees) with arbitrary JSON.
-Parse-only: nothing is discretized or integrated.
+These are parse-only.  The last test goes on to discretize and certify small
+generated runs whose velocity arrays have any length from 1 to 3.
 """
 
+import contextlib
 import copy
+import io
+import json
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flockdde.cli import main
 from flockdde.config import (
     PRESETS,
     ConfigError,
@@ -176,5 +181,102 @@ def test_config_grid_rules_are_the_run_grid_rules():
         # the config's own range check may speak first on a negative tau or t_end
         if config is not None and "must be >= 0.0" not in config:
             assert config == stepper
+
+    check()
+
+
+VALUES = st.sampled_from([-1.0, -0.3, 0.0, 0.5, 2.0])
+
+
+def length(d):
+    """1 to 3, and the dimension d most of the time: a field with one odd
+    array passes the checks that one with many odd arrays fails first."""
+    return st.sampled_from([d, d, d, 1, 2, 3])
+
+
+@st.composite
+def numbers(draw, d, optional=False):
+    """A list of ``length(d)`` numbers, or with ``optional`` sometimes None."""
+    if optional and draw(st.integers(0, 4)) == 0:
+        return None
+    return [draw(VALUES) for _ in range(draw(length(d)))]
+
+
+@st.composite
+def velocity_specs(draw, d, table=True):
+    """A velocity spec in d dimensions whose arrays, and a table's fields,
+    hold 1 to 3 entries."""
+    # tables twice as often: only a table evaluates a field between rows alone
+    family = draw(st.sampled_from(["constant", "linear", "sine-perturbation"]
+                                  + ["table-of-slices"] * 2 * table))
+    spec = {"family": family}
+    if family == "constant":
+        spec["value"] = draw(numbers(d))
+    elif family == "linear":
+        rows, cols = draw(length(d)), draw(length(d))
+        spec["matrix"] = [[draw(VALUES) for _ in range(cols)] for _ in range(rows)]
+        spec["offset"] = draw(numbers(d, optional=True))
+    elif family == "sine-perturbation":
+        for key in ("base", "amplitude", "wavenumber"):
+            spec[key] = draw(numbers(d))
+        spec["phase"] = draw(numbers(d, optional=True))
+        spec["omega"] = draw(st.sampled_from([0.0, 2.0]))
+    else:
+        n = draw(st.integers(1, 3))
+        spec["fields"] = [draw(velocity_specs(d, table=False)) for _ in range(n)]
+        # times mostly match the fields, spread over the last 0.1 to 0.3
+        k = draw(st.sampled_from([n, n, n, 2, 3]))
+        start = draw(st.sampled_from([-0.3, -0.2, -0.1]))
+        spec["times"] = [start * (k - 1 - i) / max(k - 1, 1) for i in range(k)]
+    return spec
+
+
+@st.composite
+def small_run_docs(draw):
+    """A 1-D or 2-D run of N <= 9 nodes and m <= 4 delay steps of 0.05."""
+    counts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2)
+                  | st.integers(1, 9).map(lambda n: [n]))
+    return {"schema_version": 1,
+            "kernel": {"family": "cucker-smale", "beta": draw(st.sampled_from([0.0, 1.0]))},
+            "datum": {"domain": {"box": [[0.0, 1.0]] * len(counts), "counts": counts},
+                      "velocity": draw(velocity_specs(len(counts)))},
+            "tau": draw(st.integers(0, 4)) * 0.05, "step": 0.05,
+            "t_end": 0.1, "output_every": 0.05}
+
+
+# the two documents that once leaked a traceback out of discretize
+GRADIENT_SHAPE_DOC = {
+    "schema_version": 1, "kernel": {"family": "cucker-smale", "beta": 1.0},
+    "datum": {"domain": {"box": [[0.0, 1.0], [0.0, 1.0]], "counts": [3, 3]},
+              "velocity": {"family": "linear", "matrix": [[1.0, 2.0]], "offset": [0.0, 0.0]}},
+    "tau": 0.1, "step": 0.05, "t_end": 0.1, "output_every": 0.05}
+STAGE_FAILURE_DOC = {
+    "schema_version": 1, "kernel": {"family": "cucker-smale", "beta": 1.0},
+    "datum": {"domain": {"box": [[0.0, 1.0]], "counts": [4]},
+              "velocity": {"family": "table-of-slices", "times": [-0.2, -0.1, 0.0],
+                           "fields": [{"family": "constant", "value": [0.1, 0.2]},
+                                      {"family": "constant", "value": [0.1]},
+                                      {"family": "constant", "value": [0.2]}]}},
+    "tau": 0.2, "step": 0.05, "t_end": 0.1, "output_every": 0.05}
+
+
+def test_certify_on_velocity_arrays_of_any_length(tmp_path, time_limit):
+    # certify discretizes the datum: it ends in a verdict or one config error
+    path = tmp_path / "c.json"
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @example(GRADIENT_SHAPE_DOC)
+    @example(STAGE_FAILURE_DOC)
+    @given(small_run_docs())
+    def check(doc):
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with time_limit(5), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["certify", "--config", str(path)])
+        lines = err.getvalue().splitlines()
+        assert code in (0, 3, 4) or (
+            code == 1 and len(lines) == 1 and lines[0].startswith("config error: ")), (
+            code, lines)
 
     check()

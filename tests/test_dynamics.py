@@ -164,12 +164,11 @@ class TestStep:
             if shift:
                 # a constant shift leaves the velocity's slope, the field's
                 # material derivative along the unshifted flow, as it is
-                field = datum.velocity
-                rows = [(s.positions, s.velocities + c, s.jacobians, s.vel_gradients,
-                         field.time_partial(s.time, s.positions) + np.einsum(
-                             "nab,nb->na", field.gradient(s.time, s.positions),
-                             s.velocities))
-                        for s in buf.prehistory()]
+                rows = []
+                for s in buf.prehistory():
+                    _, grad, u_s = datum.velocity(s.time, s.positions)
+                    rows.append((s.positions, s.velocities + c, s.jacobians, s.vel_gradients,
+                                 u_s + np.einsum("nab,nb->na", grad, s.velocities)))
                 buf = HistoryBuffer(buf.tau, buf.h, buf.masses, buf.labels,
                                     buf.cell_volumes, rows)
             for _ in range(60):

@@ -17,6 +17,7 @@ from flockdde.state import (
     OutOfWindowError,
     SineVelocity,
     SliceTableVelocity,
+    VelocityField,
     discretize,
 )
 from flockdde.cli import write_snapshot_csv
@@ -40,6 +41,13 @@ def make_buffer(tau, h, rows):
                          np.full(n, 1.0 / n), rows)
 
 
+class FlatTimePartial(VelocityField):
+    """A zero field in 1-D whose time partial has the shape (N,), not (N, 1)."""
+
+    def __call__(self, s, x):
+        return np.zeros_like(x), np.zeros((x.shape[0], 1, 1)), np.zeros(x.shape[0])
+
+
 class TestDiscretize:
     def test_midpoint_rule_two_nodes(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
@@ -60,10 +68,10 @@ class TestDiscretize:
         nodes = ens.labels
         np.testing.assert_array_equal(ens.positions, nodes)
         np.testing.assert_array_equal(ens.jacobians, np.broadcast_to(np.eye(2), (6, 2, 2)))
-        np.testing.assert_array_equal(ens.vel_gradients, field.gradient(0.0, nodes))
+        u, grad, u_s = field(0.0, nodes)
+        np.testing.assert_array_equal(ens.vel_gradients, grad)
         # the velocity's Hermite slope at t = 0 is the material derivative
-        slope = field.time_partial(0.0, nodes) + np.einsum(
-            "nab,nb->na", field.gradient(0.0, nodes), field(0.0, nodes))
+        slope = u_s + np.einsum("nab,nb->na", grad, u)
         np.testing.assert_array_equal(buf._acc[0], slope)
 
     def test_constant_field_straight_characteristics(self):
@@ -118,10 +126,12 @@ class TestDiscretize:
             discretize(datum, tau=0.0, h=0.01)
 
     @pytest.mark.parametrize("field", [ConstantVelocity([0.1, 0.2]),
-                                       LinearVelocity([[1.0]], [0.0, 0.0])])
+                                       LinearVelocity([[1.0]], [0.0, 0.0]),
+                                       FlatTimePartial()])
     @pytest.mark.parametrize("tau", [0.0, 0.1])
     def test_velocity_of_the_wrong_dimension_rejected(self, field, tau):
         # the first raises a broadcast error, the second returns (N, 2) values
+        # and the third a time partial shaped (N,)
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), field)
         with pytest.raises(InvalidDatumError, match="velocity field"):
             discretize(datum, tau, 0.05)
@@ -156,8 +166,8 @@ class TestDiscretize:
         table = SliceTableVelocity([-1.0, 0.0],
                                    [ConstantVelocity([1.0]), ConstantVelocity([3.0])])
         x = np.zeros((1, 1))
-        assert table(-0.5, x) == pytest.approx(2.0)
-        assert table.time_partial(-0.5, x) == pytest.approx(2.0)
+        u, _, u_s = table(-0.5, x)
+        assert u == pytest.approx(2.0) and u_s == pytest.approx(2.0)
 
     def test_slice_table_time_partial_is_the_derivative_of_the_blend(self):
         # the fields move in time themselves, and outside the table the blend
@@ -171,13 +181,14 @@ class TestDiscretize:
         x = np.linspace(-0.5, 1.5, 7)[:, None]
         e = 1e-5
 
-        def central(f, s):
-            return (f(s + e, x) - f(s - e, x)) / (2 * e)
+        def central(table, s):
+            return (table(s + e, x)[0] - table(s - e, x)[0]) / (2 * e)
 
-        def inward(f, s, sign):
+        def inward(table, s, sign):
             # second-order one-sided difference from inside the table
             ds = sign * e
-            return (-3 * f(s, x) + 4 * f(s + ds, x) - f(s + 2 * ds, x)) / (2 * ds)
+            f = [table(s + k * ds, x)[0] for k in range(3)]
+            return (-3 * f[0] + 4 * f[1] - f[2]) / (2 * ds)
 
         for table in (moving, static):
             lo, hi = table.times[0], table.times[-1]
@@ -185,10 +196,74 @@ class TestDiscretize:
                      (lo + 0.2, hi - 0.1, lo + 0.01, hi - 0.01, lo - 0.25, hi + 0.3)]
             cases += [(lo, inward(table, lo, 1)), (hi, inward(table, hi, -1))]
             for s, expected in cases:
-                np.testing.assert_allclose(table.time_partial(s, x), expected,
+                np.testing.assert_allclose(table(s, x)[2], expected,
                                            rtol=0, atol=1e-8, err_msg=f"s = {s}")
-        assert np.all(static.time_partial(-0.75, x) == 0.0)
+        assert np.all(static(-0.75, x)[2] == 0.0)
 
+
+def _fields(d):
+    """One field of each family in d dimensions; the table blends two moving
+    sines and a linear field over [-1, 0]."""
+    def ramp(a, b):
+        return np.linspace(a, b, d)
+
+    matrix = np.array([[0.7, -0.3], [0.2, -0.5]])[:d, :d]
+    sine = SineVelocity(ramp(0.1, -0.2), ramp(0.4, 0.3), ramp(2.0, 1.0), ramp(0.3, 1.1),
+                        omega=3.0)
+    return {
+        "constant": ConstantVelocity(ramp(0.3, -0.7)),
+        "linear": LinearVelocity(matrix, ramp(0.2, -0.1)),
+        "sine": sine,
+        "table-of-slices": SliceTableVelocity([-1.0, -0.5, 0.0], [
+            sine,
+            SineVelocity(ramp(-0.2, 0.1), ramp(0.5, 0.2), ramp(1.0, 3.0), ramp(1.1, 0.0),
+                         omega=-2.0),
+            LinearVelocity(matrix, ramp(0.2, -0.1))]),
+    }
+
+
+# Central differences with step E are off by at most E^2 |f'''| / 6 plus a
+# rounding error near 1e-16 / E; |f'''| stays below 100 for these fields, so
+# FD_TOL = 100 E^2 covers both with room to spare.
+E = 1e-5
+FD_TOL = 100 * E**2
+
+
+class CountingField(VelocityField):
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def __call__(self, s, x):
+        self.calls += 1
+        return self.inner(s, x)
+
+
+class TestVelocityFields:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("family", ["constant", "linear", "sine", "table-of-slices"])
+    def test_gradient_and_time_partial_are_the_derivatives(self, family, d):
+        field = _fields(d)[family]
+        x = np.stack([np.linspace(-0.5, 1.5, 7) + 0.3 * a for a in range(d)], axis=1)
+        # inside the table's intervals, and outside it, where theta is frozen
+        for s in (-0.8, -0.3, -1.4, 0.2):
+            u, grad, u_s = field(s, x)
+            assert (u.shape, grad.shape, u_s.shape) == ((7, d), (7, d, d), (7, d))
+            for b in range(d):
+                dx = E * np.eye(d)[b]
+                np.testing.assert_allclose(
+                    grad[:, :, b], (field(s, x + dx)[0] - field(s, x - dx)[0]) / (2 * E),
+                    rtol=0, atol=FD_TOL, err_msg=f"d/dx_{b} at s = {s}")
+            np.testing.assert_allclose(
+                u_s, (field(s + E, x)[0] - field(s - E, x)[0]) / (2 * E),
+                rtol=0, atol=FD_TOL, err_msg=f"d/ds at s = {s}")
+
+    @pytest.mark.parametrize("m", [0, 1, 10])
+    def test_discretize_evaluates_once_per_point(self, m):
+        # m + 1 rows and three RK4 stages per step: 4 m + 1 calls, 41 at m = 10
+        domain = BoxDomain([0, 0], [1, 1], [3, 2])
+        field = CountingField(_fields(2)["table-of-slices"])
+        discretize(InitialDatum(domain, field), m * 0.01, 0.01)
+        assert field.calls == 4 * m + 1
 
 class TestHistoryBuffer:
     def test_query_at_stored_time_is_exact(self):

@@ -18,6 +18,7 @@ from flockdde.state import (
     ConstantVelocity,
     InitialDatum,
     LinearVelocity,
+    VelocityField,
     discretize,
 )
 from flockdde.threshold1d import (
@@ -432,3 +433,95 @@ class TestForceGradientBound:
                 g = force_grad[:, 0, 0] / cur.jacobians[:, 0, 0]
                 assert np.abs(g).max() <= c_bar + 1e-9
                 step(buf, kernel)
+
+
+def riccati_envelope(w0, c, t):
+    """Closed form of w' = -w^2 - w + c from w0 (per node) at times t, with
+    -inf from its blow-up time on, and that time (inf where it has none).
+
+    With D = 1 + 4c > 0 and roots a > b of -w^2 - w + c, (w - a)/(w - b) =
+    K e^{-(a - b) t}, K = (w0 - a)/(w0 - b), reaching -inf at ln K / (a - b)
+    where w0 < b; with D = 0, 1/(w + 1/2) grows by t; with D < 0,
+    w + 1/2 = q tan(phi0 - q t), q = sqrt(-D)/2, and every w0 reaches -inf.
+    """
+    w0, t = np.asarray(w0, dtype=float), np.asarray(t, dtype=float)
+    disc = 1.0 + 4.0 * c
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if disc > 0:
+            r = math.sqrt(disc)
+            a, b = (-1.0 + r) / 2, (-1.0 - r) / 2
+            k = (w0 - a) / (w0 - b)
+            e = k * np.exp(-r * t)
+            w = (a - b * e) / (1 - e)
+            blowup = np.where(w0 < b, np.log(k) / r, np.inf)
+        elif disc == 0:
+            w = -0.5 + 1 / (1 / (w0 + 0.5) + t)
+            blowup = np.where(w0 < -0.5, -1 / (w0 + 0.5), np.inf)
+        else:
+            q = math.sqrt(-disc) / 2
+            phi = np.arctan((w0 + 0.5) / q)
+            w = -0.5 + q * np.tan(phi - q * t)
+            blowup = (phi + math.pi / 2) / q
+    return np.where(t < blowup, w, -np.inf), blowup
+
+
+class SlopeAndWave(VelocityField):
+    """u(x) = slope (x - 1/2) + amplitude sin(2 pi x), frozen in time."""
+
+    def __init__(self, slope, amplitude):
+        self.slope, self.amplitude = slope, amplitude
+
+    def __call__(self, s, x):
+        k = 2 * math.pi
+        u = self.slope * (x - 0.5) + self.amplitude * np.sin(k * x)
+        grad = (self.slope + self.amplitude * k * np.cos(k * x))[:, :, None]
+        return u, grad, np.zeros_like(x)
+
+
+DICHOTOMY_H = 2.0**-7
+DICHOTOMY_DATA = st.fixed_dictionaries({
+    "beta": st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]),
+    "slope": st.floats(-3.0, 0.5),
+    "amplitude": st.floats(0.0, 0.3),
+    "n": st.integers(2, 12),
+    "m": st.sampled_from([0, 1, 4, 8]),
+})
+
+
+def test_slopes_stay_between_the_riccati_envelopes(time_limit):
+    # |F| <= C_bar puts each node's w between the solutions of
+    # w' = -w^2 - w -/+ C_bar from its own w0.  RK4 and the Hermite history
+    # are fourth order, and w = vel_gradient / J carries an error near h^4 / J,
+    # where 1/J grows like |w| toward a blow-up: hence tol = h^4 (1 + w^2).
+    h, t_end = DICHOTOMY_H, 1.5
+    reached = set()
+
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    @given(DICHOTOMY_DATA)
+    def check(case):
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [case["n"]]),
+                             SlopeAndWave(case["slope"], case["amplitude"]))
+        buf = discretize(datum, case["m"] * h, h)
+        kernel = CuckerSmaleKernel(case["beta"])
+        r_v = max(s.max_speed() for s in buf.prehistory())
+        w0 = buf.latest.vel_gradients[:, 0, 0] / buf.latest.jacobians[:, 0, 0]
+        verdict = classify(float(w0.min()), kernel, r_v)
+        with time_limit(5):
+            evo = evolve_w(buf, kernel, t_end=t_end)
+        t = evo.times[:, None]
+        upper, upper_blowup = riccati_envelope(w0, verdict.c_bar, t)
+        lower, _ = riccati_envelope(w0, -verdict.c_bar, t)
+        tol = h**4 * (1 + evo.w**2)
+        assert np.all(evo.w <= upper + tol)
+        assert np.all((evo.w >= lower - tol) | np.isneginf(lower))
+        if verdict.verdict == "global-existence":
+            assert evo.blowup is None
+            assert evo.w.min() >= verdict.w1_minus - tol.max()
+        if upper_blowup.min() <= t_end:
+            assert evo.blowup is not None
+        if evo.blowup is not None:
+            assert evo.blowup.time <= upper_blowup.min()
+        reached.add((verdict.verdict, evo.blowup is not None))
+
+    check()
+    assert {("global-existence", False), ("finite-time-blowup", True)} <= reached
