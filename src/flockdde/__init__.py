@@ -11,7 +11,6 @@ from .diagnostics import (
     DiagnosticsFrame,
     FlockingCertificate,
     FlockingMonitor,
-    NotReadyError,
     certify_flocking,
     diameters,
     fit_decay_rate,
@@ -27,7 +26,7 @@ from .dynamics import (
     integrate,
     step,
 )
-from .kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKernelError
+from .kernel import CuckerSmaleKernel, TabulatedKernel
 from .state import (
     BoxDomain,
     ConstantVelocity,

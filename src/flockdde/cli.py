@@ -4,8 +4,8 @@ Outputs are deterministic: CSV floats use a 17-significant-digit round-trip
 format with fixed column order, JSON is strict, with sorted keys, and files
 are written atomically.  Exit codes: run 0 (completed) / 2 (blow-up) / 1
 (config error, the kernel normalizer underflowed, or ``--out`` cannot be
-written); certify 0 (satisfied) / 3 (not satisfied) / 4 (unsupported
-kernel) / 1 (config error); threshold 0 (global existence) / 2 (blow-up) / 5
+written); certify 0 (satisfied) / 3 (not satisfied) / 1 (config error), for
+every kernel family; threshold 0 (global existence) / 2 (blow-up) / 5
 (indeterminate); sweep 0 when every cell ran / 1 (config error, or ``--out``
 cannot be written).  An invalid datum counts as a config error.
 """
@@ -33,14 +33,9 @@ from .config import (
     run_config_from_dict,
     PRESETS,
 )
-from .diagnostics import (
-    NotReadyError,
-    certify_flocking,
-    fit_decay_rate,
-    prehistory_frames,
-)
+from .diagnostics import certify_flocking, fit_decay_rate, prehistory_frames
 from .dynamics import SingularNormalizerError, integrate
-from .kernel import CuckerSmaleKernel, UnsupportedKernelError
+from .kernel import CuckerSmaleKernel
 from .state import InvalidDatumError, discretize
 from .threshold1d import classify
 
@@ -113,26 +108,12 @@ def execute_run(cfg: RunConfig):
     outcome) and ``summary`` the mapping written to ``summary.json``.
     """
     buffer, pre = _prepare(cfg)
-    try:
-        certificate = certify_flocking(pre, cfg.kernel)
-    except UnsupportedKernelError:
-        certificate = None
+    certificate = certify_flocking(pre, cfg.kernel)
 
     start = buffer.latest  # a view of the t = 0 slot, which the run reuses
     w0 = start.vel_gradients[:, 0, 0] / start.jacobians[:, 0, 0] if start.dim == 1 else None
     result = integrate(buffer, cfg.kernel, t_end=cfg.t_end,
                        output_every=cfg.output_every, prehistory=pre)
-
-    try:
-        verdict = None if w0 is None else classify(float(w0.min()), cfg.kernel, result.r_v)
-    except UnsupportedKernelError:
-        verdict = None
-
-    try:
-        rate = fit_decay_rate(result.frames, cfg.t_end / 4.0, cfg.t_end)
-    except NotReadyError:
-        rate = None
-
     final = result.frames[-1]
     summary = {
         "schema_version": 1,
@@ -142,9 +123,10 @@ def execute_run(cfg: RunConfig):
             "t": float(final.t), "d_X": float(final.d_X), "d_V": float(final.d_V),
             "max_speed": float(final.max_speed), "min_detJ": float(final.min_detJ),
         },
-        "fitted_rate": rate,
-        "certificate": certificate.to_dict() if certificate else None,
-        "threshold": verdict.to_dict() if verdict else None,
+        "fitted_rate": fit_decay_rate(result.frames, cfg.t_end / 4.0, cfg.t_end),
+        "certificate": certificate.to_dict(),
+        "threshold": (None if w0 is None else
+                      classify(float(w0.min()), cfg.kernel, result.r_v).to_dict()),
         "blowup": None if result.blowup is None else result.blowup._asdict(),
     }
     return result, summary
@@ -198,12 +180,7 @@ def cmd_run(args) -> int:
 
 def cmd_certify(args) -> int:
     cfg = _load_cfg(args)
-    _, pre = _prepare(cfg)
-    try:
-        cert = certify_flocking(pre, cfg.kernel)
-    except UnsupportedKernelError as exc:
-        print(_json_text({"error": "unsupported-kernel", "detail": str(exc)}), end="")
-        return 4
+    cert = certify_flocking(_prepare(cfg)[1], cfg.kernel)
     print(_json_text(cert.to_dict()), end="")
     return 0 if cert.satisfied else 3
 
@@ -212,7 +189,7 @@ def cmd_threshold(args) -> int:
     try:
         kernel = CuckerSmaleKernel(args.beta)
         verdict = classify(args.w0_min, kernel, args.rv)
-    except (ValueError, UnsupportedKernelError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(_json_text(verdict.to_dict()), end="")
@@ -229,8 +206,7 @@ def _run_cell(payload):
     try:
         result, summary = _run_into(run_config_from_dict(doc), cell_dir)
         row["status"] = "ok" if result.blowup is None else "blowup"
-        cert = summary["certificate"]
-        row["satisfied"] = "" if cert is None else str(cert["satisfied"]).lower()
+        row["satisfied"] = str(summary["certificate"]["satisfied"]).lower()
         rate = summary["fitted_rate"]
         row["fitted_rate"] = "" if rate is None else _fmt(rate)
         row["blowup_time"] = ("" if summary["blowup"] is None

@@ -146,15 +146,20 @@ def _build_density(spec, path, dim):
 def _build_velocity(spec, path, seed, dim):
     family = _family(spec, path, _VELOCITY_KEYS)
 
-    def numbers(key, optional=False):
+    def numbers(key, optional=False, shape=(dim,)):
         if optional and spec.get(key) is None:
             return None
-        return _array(_need(spec, key, path), f"{path}.{key}")
+        out = _array(_need(spec, key, path), f"{path}.{key}")
+        if out.shape != shape:
+            raise ConfigError(f"{path}.{key}: expected {'x'.join(map(str, shape))} numbers, "
+                              f"got {out.tolist()}")
+        return out
 
     if family == "constant":
         return ConstantVelocity(numbers("value"))
     if family == "linear":
-        return LinearVelocity(numbers("matrix"), numbers("offset", optional=True))
+        return LinearVelocity(numbers("matrix", shape=(dim, dim)),
+                              numbers("offset", optional=True))
     if family == "sine-perturbation":
         if spec.get("phase") == "random":
             if seed < 0:
@@ -166,7 +171,7 @@ def _build_velocity(spec, path, seed, dim):
                             numbers("wavenumber"), phase,
                             omega=_real(spec.get("omega", 0.0), f"{path}.omega"))
     if family == "table-of-slices":
-        times = numbers("times")
+        times = _array(_need(spec, "times", path), f"{path}.times")
         fields = _need(spec, "fields", path)
         if not isinstance(fields, list):
             raise ConfigError(f"{path}.fields: expected a list")

@@ -23,17 +23,12 @@ __all__ = [
     "DiagnosticsFrame",
     "FlockingCertificate",
     "FlockingMonitor",
-    "NotReadyError",
     "certify_flocking",
     "diameters",
     "fit_decay_rate",
     "gronwall_rate",
     "prehistory_frames",
 ]
-
-
-class NotReadyError(Exception):
-    """Not enough recorded frames to evaluate the requested quantity."""
 
 
 @dataclass
@@ -292,8 +287,8 @@ def certify_flocking(frames, kernel) -> FlockingCertificate:
     [X(-tau) + R_V tau, inf) on prehistory frames covering [-tau, 0], in any
     order: L(0) (``lhs``, a run's first-frame ``lyapunov`` bit for bit), R_V,
     tau (the frames' m h) and the limit are their ``FlockingMonitor``'s.
-    Raises UnsupportedKernelError (from the kernel) if the kernel has no
-    tail model.
+    Every kernel answers: ``rhs`` is ``inf`` (always satisfied) for a
+    Cucker-Smale ``beta <= 1/2`` and for every tabulated kernel.
     """
     monitor = FlockingMonitor(kernel, frames)
     r_v, lower, lhs = monitor.r_v, monitor.lower, monitor.start()[2]
@@ -313,16 +308,16 @@ def certify_flocking(frames, kernel) -> FlockingCertificate:
                                d_star=d_star, psi_star=psi_star, predicted_rate=rate)
 
 
-def fit_decay_rate(frames, t_start: float, t_end: float) -> float:
+def fit_decay_rate(frames, t_start: float, t_end: float) -> float | None:
     """Least-squares decay exponent of d_V over [t_start, t_end].
 
-    Frames with d_V below 1e-14 are ignored (log underflow); if they leave
-    fewer than 3 usable points the series has collapsed and the rate is
-    reported as +infinity.
+    None when fewer than 3 frames fall in the window.  Frames with d_V below
+    1e-14 are ignored (log underflow); if they leave fewer than 3 usable
+    points the series has collapsed and the rate is reported as +infinity.
     """
     pts = [(f.t, f.d_V) for f in frames if t_start - 1e-12 <= f.t <= t_end + 1e-12]
     if len(pts) < 3:
-        raise NotReadyError("need at least 3 frames in the fitting window")
+        return None
     usable = [(t, dv) for t, dv in pts if dv >= 1e-14]
     if len(usable) < 3:
         return math.inf

@@ -5,8 +5,10 @@ pairwise interactions by distance, normalized to 1 at distance zero.  Two
 families are provided: the algebraic ``1/(1+r^2)^beta`` profile and a
 tabulated profile interpolated monotonically from sample points.  Each has one
 exact ``integral(a, b)`` of its profile, on which every kernel integral in the
-package is built.  Kernels are immutable and all methods are pure, so
-instances are safe to share across threads.
+package is built (both inherit the certificate's tail and budget radius from
+it), and a log-derivative bound: every claim is answered for every family.
+Kernels are immutable and all methods are pure, so instances are safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -21,17 +23,12 @@ from scipy.optimize import brentq
 __all__ = [
     "CuckerSmaleKernel",
     "TabulatedKernel",
-    "UnsupportedKernelError",
 ]
 
 # From this radius on, (1 + r^2)^-beta = r^(-2 beta) (1 + O(beta / r^2)) in
 # double precision, so the Cucker-Smale integrals take their power-law forms.
 _FAR = 1e20
 _ASINH_MAX = math.asinh(np.finfo(float).max)
-
-
-class UnsupportedKernelError(Exception):
-    """The requested operation needs a kernel capability this family lacks."""
 
 
 def _check_radii(r):
@@ -47,7 +44,37 @@ def _as_input_shape(values, r):
     return values
 
 
-class CuckerSmaleKernel:
+class _Kernel:
+    """The certificate's two integrals, built on a family's ``integral``."""
+
+    def tail_integral(self, R: float) -> float:
+        """``integral(R, inf)``, ``math.inf`` where the tail diverges (the
+        unconditional-flocking branch): Cucker-Smale with ``beta <= 1/2``, and
+        every tabulated profile, whose constant tail is positive."""
+        R = float(R)
+        if not R >= 0:
+            raise ValueError(f"tail integral lower limit must be nonnegative, got {R}")
+        return self.integral(R, math.inf)
+
+    def budget_radius(self, a: float, budget: float) -> float:
+        """Smallest ``d >= a`` with ``integral(a, d) == budget``: one root in
+        ``s = asinh d`` bracketed by the float range, ``math.inf`` when ``d``
+        lies beyond it (as for a budget not below ``tail_integral(a)``)."""
+        a, budget = float(a), float(budget)
+        if budget <= 0.0:
+            return a
+
+        def excess(s):
+            return self.integral(a, math.sinh(s)) - budget
+
+        if excess(_ASINH_MAX) <= 0.0:
+            return math.inf
+        if excess(math.asinh(a)) >= 0.0:  # budget below the rounding of a
+            return a
+        return math.sinh(brentq(excess, math.asinh(a), _ASINH_MAX, xtol=1e-300))
+
+
+class CuckerSmaleKernel(_Kernel):
     """Algebraic profile ``(1 + r^2)^{-beta}`` with ``beta >= 0``.
 
     ``beta = 0`` gives the flat kernel (identically 1).  The profile is
@@ -183,41 +210,15 @@ class CuckerSmaleKernel:
         u = 1.0 / (1.0 + r * r)
         return special.betainc(q, 0.5, u) if upper else special.betaincc(q, 0.5, u)
 
-    def tail_integral(self, R: float) -> float:
-        """``integral(R, inf)``: ``math.inf`` for ``beta <= 1/2`` (the
-        unconditional-flocking regime); beyond R = 1e20 ``R^(1-2 beta) /
-        (2 beta - 1)``, finite where ``1 + R^2`` overflows."""
-        R = float(R)
-        if not R >= 0:
-            raise ValueError(f"tail integral lower limit must be nonnegative, got {R}")
-        return self.integral(R, math.inf)
 
-    def budget_radius(self, a: float, budget: float) -> float:
-        """Smallest ``d >= a`` with ``integral(a, d) == budget``: one root in
-        ``s = asinh d`` bracketed by the float range, ``math.inf`` when ``d``
-        lies beyond it (as for a budget not below ``tail_integral(a)``)."""
-        a, budget = float(a), float(budget)
-        if budget <= 0.0:
-            return a
-
-        def excess(s):
-            return self.integral(a, math.sinh(s)) - budget
-
-        if excess(_ASINH_MAX) <= 0.0:
-            return math.inf
-        if excess(math.asinh(a)) >= 0.0:  # budget below the rounding of a
-            return a
-        return math.sinh(brentq(excess, math.asinh(a), _ASINH_MAX, xtol=1e-300))
-
-
-class TabulatedKernel:
+class TabulatedKernel(_Kernel):
     """Monotone piecewise-cubic profile through ``(radii, values)`` samples.
 
     The table must start at radius 0 with value 1 (normalization) and the
     values must be positive and nonincreasing.  Beyond the last node the
     profile extends as a constant, which keeps it positive and nonincreasing;
-    the derivative there is 0, and the integral grows linearly.  Tail
-    integrals are unsupported (a tabulated profile carries no tail model).
+    the derivative there is 0, and the integral grows linearly, so every tail
+    integral is ``+inf`` and the certificate holds for every datum and delay.
     """
 
     def __init__(self, radii, values):
@@ -245,9 +246,20 @@ class TabulatedKernel:
         return f"TabulatedKernel({self.radii.size} nodes, last radius {self.radii[-1]})"
 
     @property
-    def log_deriv_bound(self):
-        """No certified log-derivative bound for a tabulated profile."""
-        return None
+    def log_deriv_bound(self) -> float:
+        """Constant C with ``|psi'| <= C psi``: the largest ``max |p'|`` of a
+        cubic piece ``p`` over the value at its right node, the least on the
+        piece since PCHIP keeps each piece monotone; ``p'`` is 0 beyond."""
+        # p' on piece k is 3 c0 t^2 + 2 c1 t + c2 for t in [0, h_k]: its
+        # largest magnitude is at an end or at the vertex t = -c1 / (3 c0)
+        c0, c1, c2 = self._interp.c[:3]
+        h = np.diff(self.radii)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vertex = -c1 / (3.0 * c0)
+        t = np.where((vertex > 0.0) & (vertex < h), vertex, 0.0)
+        slopes = np.abs([c2, (3.0 * c0 * h + 2.0 * c1) * h + c2,
+                         (3.0 * c0 * t + 2.0 * c1) * t + c2])
+        return float((slopes.max(axis=0) / self.values[1:]).max())
 
     def eval(self, r):
         r = _check_radii(r)
@@ -295,9 +307,3 @@ class TabulatedKernel:
         last = float(self.radii[-1])
         return (float(self._interp_antideriv(min(r, last)))
                 + float(self.values[-1]) * max(r - last, 0.0))
-
-    def tail_integral(self, R: float) -> float:
-        raise UnsupportedKernelError(
-            "tail integral of a tabulated kernel is undefined (no tail model)"
-        )
-

@@ -112,6 +112,25 @@ class TestRun:
         assert summary["certificate"]["satisfied"] is True
         assert summary["certificate"]["rhs"] == "inf"
 
+    def test_every_kernel_family_has_a_certificate_and_a_verdict(self, tmp_path,
+                                                                quick_run_doc):
+        # the Cucker-Smale note names C_psi = 2*beta, byte for byte as before;
+        # a tabulated verdict names the table's bound instead
+        notes = {}
+        for family, kernel in (("cucker-smale", {"family": "cucker-smale", "beta": 0.25}),
+                               ("tabulated", {"family": "tabulated", "radii": [0.0, 1.0],
+                                              "values": [1.0, 0.5]})):
+            doc = dict(quick_run_doc, kernel=kernel)
+            out = tmp_path / family
+            assert run_cli("run", "--config", write_json(tmp_path / f"{family}.json", doc),
+                           "--out", str(out)) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["certificate"]["satisfied"] is True
+            assert summary["certificate"]["rhs"] == "inf"
+            notes[family] = summary["threshold"]["note"]
+        assert notes["cucker-smale"].startswith("classification uses C_psi = 2*beta and roots")
+        assert "2*beta" not in notes["tabulated"] and "tabulated" in notes["tabulated"]
+
     def test_normalizer_underflow_is_one_error_line(self, tmp_path):
         # nodes outrun their delayed selves by ~1e5 under beta 40, so every
         # kernel weight underflows in the first step
@@ -266,7 +285,8 @@ def _with(doc, dotted, value):
 BAD_FIELDS = [
     ("datum.density", {"family": "table", "values": [0.0] * 12}, "zero total mass"),
     ("datum.density", {"family": "table", "values": [1.0] * 5}, "density values"),
-    ("datum.velocity", {"family": "constant", "value": [0.1, 0.2]}, "velocity field"),
+    ("datum.velocity", {"family": "constant", "value": [0.1, 0.2]},
+     "datum.velocity.value: expected 1 numbers, got [0.1, 0.2]"),
     # the backward RK4 sum of the prehistory overflows to inf
     ("datum.velocity", {"family": "constant", "value": [1e308]},
      "prehistory is not finite at s=-0.002"),
@@ -314,17 +334,20 @@ BAD_FIELDS = [
     ("kernel", {"family": "tabulated", "radii": [0.0, 1.0], "values": [1.0, 2.0]},
      "kernel: tabulated values must be nonincreasing"),
     ("kernel.family", "morse", "kernel.family: unknown kernel family 'morse'"),
-    # the value broadcasts to (N, 2), the gradient does not
+    # two data that once passed the config and failed in discretize: the
+    # value broadcasts to (N, 2) and the gradient does not, and the first
+    # field fails only between rows; each array is now checked against d
     ("datum", {"domain": {"box": [[0, 1], [0, 1]], "counts": [3, 3]},
                "velocity": {"family": "linear", "matrix": [[1.0, 2.0]], "offset": [0, 0]}},
-     "velocity field gradient has shape (9, 1, 2) at s=0.0, expected (9, 2, 2)"),
-    # the first field fails only between rows, at the first RK4 stage before -0.1
+     "datum.velocity.matrix: expected 2x2 numbers, got [[1.0, 2.0]]"),
     ("datum", {"domain": {"box": [[0, 1]], "counts": [4]},
                "velocity": {"family": "table-of-slices", "times": [-0.2, -0.1, 0.0],
                             "fields": [{"family": "constant", "value": [0.1, 0.2]},
                                        {"family": "constant", "value": [0.1]},
                                        {"family": "constant", "value": [0.2]}]}},
-     "velocity field fails at s=-0.101: "),
+     "datum.velocity.fields[0].value: expected 1 numbers, got [0.1, 0.2]"),
+    ("datum.velocity.wavenumber", [1.0, 2.0],
+     "datum.velocity.wavenumber: expected 1 numbers, got [1.0, 2.0]"),
 ]
 
 
@@ -399,13 +422,14 @@ class TestConfigErrors:
 
     def test_datum_error_has_no_traceback_from_the_entry_point(self, tmp_path,
                                                                quick_run_doc):
+        # a datum that passes the config and fails in discretize
         doc = _with(quick_run_doc, "datum.velocity",
-                    {"family": "constant", "value": [0.1, 0.2]})
+                    {"family": "constant", "value": [1e308]})
         proc = run_entry_point("certify", "--config",
                                write_json(tmp_path / "c.json", doc))
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("config error: velocity field")
+        assert proc.stderr.startswith("config error: prehistory is not finite")
         assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
@@ -583,13 +607,17 @@ class TestCertify:
         cert = json.loads(capsys.readouterr().out)
         assert cert["predicted_rate"] == pytest.approx(cert["psi_star"] / 1.1, rel=1e-12)
 
-    def test_tabulated_kernel_exit_4(self, tmp_path, quick_run_doc, capsys):
+    def test_tabulated_kernel_certifies_on_its_infinite_tail(self, tmp_path,
+                                                            quick_run_doc, capsys):
+        # the profile is constant past the last node, so its tail diverges
         doc = json.loads(json.dumps(quick_run_doc))
         doc["kernel"] = {"family": "tabulated", "radii": [0.0, 1.0],
                           "values": [1.0, 0.5]}
         code = run_cli("certify", "--config", write_json(tmp_path / "c.json", doc))
-        assert code == 4
-        assert json.loads(capsys.readouterr().out)["error"] == "unsupported-kernel"
+        assert code == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["rhs"] == "inf" and cert["satisfied"] is True
+        assert 0.0 < cert["predicted_rate"] < 1.0
 
 
 class TestOutOfRangeInputs:

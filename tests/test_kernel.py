@@ -1,6 +1,8 @@
 """Kernel profile, derivative and tail-integral checks against closed forms."""
 
+import itertools
 import math
+import operator
 import sys
 import time
 import warnings
@@ -8,15 +10,11 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from flockdde.kernel import (
-    CuckerSmaleKernel,
-    TabulatedKernel,
-    UnsupportedKernelError,
-)
+from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
 
 
 def test_eval_normalization_at_zero():
@@ -147,10 +145,55 @@ def test_tabulated_validation():
         TabulatedKernel([0.0, 1.0], [1.0, -0.1])  # nonpositive value
 
 
-def test_tabulated_tail_unsupported():
+def test_tabulated_tail_is_infinite():
+    # the constant extension past the last node makes every tail diverge
     k = TabulatedKernel([0.0, 1.0], [1.0, 0.5])
-    with pytest.raises(UnsupportedKernelError):
-        k.tail_integral(0.0)
+    assert k.tail_integral(0.0) == k.tail_integral(7.5) == math.inf
+    with pytest.raises(ValueError):
+        k.tail_integral(math.nan)
+
+
+@st.composite
+def tables(draw):
+    """Radii from 0, positive nonincreasing values from 1, flat pieces included."""
+    n = draw(st.integers(2, 8))
+    gaps = draw(st.lists(st.floats(0.01, 2.0), min_size=n - 1, max_size=n - 1))
+    ratios = draw(st.lists(st.floats(0.05, 1.0) | st.just(1.0), min_size=n - 1,
+                           max_size=n - 1))
+    return ([0.0, *itertools.accumulate(gaps)],
+            [1.0, *itertools.accumulate(ratios, operator.mul)])
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(tables())
+def test_tabulated_log_deriv_bound_covers_the_sampled_ratio(table):
+    k = TabulatedKernel(*table)
+    r = np.linspace(0.0, k.radii[-1] * 1.25, 20001)
+    sampled = float(np.max(np.abs(k.eval_deriv(r)) / k.eval(r)))
+    assert sampled <= k.log_deriv_bound < math.inf
+
+
+def _dense_cucker_smale_table():
+    """Cucker-Smale beta = 1 sampled every 0.01 on [0, 20]."""
+    radii = np.arange(2001) * 0.01
+    return TabulatedKernel(radii, CuckerSmaleKernel(1.0).eval(radii))
+
+
+def test_tabulated_log_deriv_bound_of_a_dense_cucker_smale_table():
+    # |psi'| / psi = 2 r / (1 + r^2) peaks at 1 (r = 1) for beta = 1; the
+    # bound divides each piece's steepest slope by its smallest value
+    assert 1.0 <= _dense_cucker_smale_table().log_deriv_bound <= 1.02
+
+
+def test_tabulated_budget_radius_past_the_last_node_is_linear():
+    k = _dense_cucker_smale_table()
+    last, tail = 20.0, float(k.values[-1])
+    for a, budget in ((0.0, 2.0), (0.5, 10.0), (19.0, 1.0), (19.99, 0.05)):
+        expected = last + (budget - k.integral(a, last)) / tail
+        assert expected > last
+        assert _rel_err(k.budget_radius(a, budget), expected) <= 1e-14, (a, budget)
+    for a, budget in ((20.0, 0.3), (35.0, 1e-3)):
+        assert _rel_err(k.budget_radius(a, budget), a + budget / tail) <= 1e-14, (a, budget)
 
 
 def test_tail_integral_underflowed_profile_returns_quickly(time_limit):

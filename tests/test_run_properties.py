@@ -7,9 +7,10 @@ velocity maximum principle; a certificate's lhs and R_V are the run's
 first-frame Lyapunov value and R_V, bit for bit; a certified run keeps
 d_V <= V, sup d_X <= d_star and d_V inside the predicted decay envelope (at
 the acceptance suite's tolerances), and a nonincreasing Lyapunov functional:
-to 1e-6 in the first delay window and to rounding after it; a tabulated run
-has neither certificate nor threshold verdict and ends without blow-up; a
-sweep cell is its standalone run, byte for byte.
+to 1e-6 in the first delay window and to rounding after it.  A tabulated
+run's tail is infinite, so it is always certified and checked the same way;
+every 1-D run has a threshold verdict.  A sweep cell is its standalone run,
+byte for byte.
 """
 
 import itertools
@@ -77,11 +78,10 @@ def _check_run(doc, time_limit):
     cert, frames = summary["certificate"], result.frames
     assert abs(math.fsum(result.buffer.masses) - 1.0) <= 1e-12
     assert all(f.max_speed <= result.r_v + 1e-7 for f in frames)
+    assert (summary["threshold"] is None) == (len(doc["datum"]["domain"]["box"]) != 1)
     if doc["kernel"]["family"] == "tabulated":
-        # no tail model: no certificate, no threshold verdict
-        assert cert is None and summary["threshold"] is None
-        assert result.blowup is None
-        return
+        # constant past the last node: the tail diverges
+        assert cert["rhs"] == math.inf and cert["satisfied"]
     assert cert["lhs"] == frames[0].lyapunov and cert["R_V"] == summary["R_V"]
     if cert["satisfied"]:
         assert all(f.d_V <= f.V_of_t + 1e-6 for f in frames)

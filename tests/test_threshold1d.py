@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from flockdde.cli import execute_run, main
 from flockdde.config import preset_dict, run_config_from_dict
 from flockdde.dynamics import BlowupSignal, alignment_rhs, integrate, step
-from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel, UnsupportedKernelError
+from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
 from flockdde.state import (
     BoxDomain,
     ConstantVelocity,
@@ -70,9 +70,13 @@ class TestClassify:
         assert v.verdict == "finite-time-blowup"
         assert v.blowup_bound == pytest.approx(1 / (v.w2_minus + 3.0), abs=1e-12)
 
-    def test_tabulated_kernel_unsupported(self):
-        with pytest.raises(UnsupportedKernelError):
-            classify(-0.5, TabulatedKernel([0.0, 1.0], [1.0, 0.5]), r_v=1.0)
+    def test_tabulated_kernel_classifies_with_its_bound(self):
+        # one linear piece from 1 to 1/2: |p'| / p <= 0.5 / 0.5 = 1, so
+        # C_bar = 2 and w2_minus = (-1 - 3) / 2
+        v = classify(-2.5, TabulatedKernel([0.0, 1.0], [1.0, 0.5]), r_v=1.0)
+        assert v.c_bar == 2.0 and v.w1_minus is None and v.w2_minus == -2.0
+        assert v.verdict == "finite-time-blowup" and v.blowup_bound == 2.0
+        assert "2*beta" not in v.note and "C_bar" in v.note
 
     def test_note_records_alternative_constants(self):
         v = classify(-0.5, CuckerSmaleKernel(0.0), r_v=1.0)
@@ -479,8 +483,10 @@ class SlopeAndWave(VelocityField):
 
 
 DICHOTOMY_H = 2.0**-7
+DICHOTOMY_TABLE = np.linspace(0.0, 4.0, 41)
 DICHOTOMY_DATA = st.fixed_dictionaries({
     "beta": st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.0]),
+    "tabulated": st.booleans(),
     "slope": st.floats(-3.0, 0.5),
     "amplitude": st.floats(0.0, 0.3),
     "n": st.integers(2, 12),
@@ -493,6 +499,8 @@ def test_slopes_stay_between_the_riccati_envelopes(time_limit):
     # w' = -w^2 - w -/+ C_bar from its own w0.  RK4 and the Hermite history
     # are fourth order, and w = vel_gradient / J carries an error near h^4 / J,
     # where 1/J grows like |w| toward a blow-up: hence tol = h^4 (1 + w^2).
+    # A tabulated kernel (Cucker-Smale sampled on 41 nodes over [0, 4])
+    # enters with its own bound as C_psi.
     h, t_end = DICHOTOMY_H, 1.5
     reached = set()
 
@@ -503,6 +511,8 @@ def test_slopes_stay_between_the_riccati_envelopes(time_limit):
                              SlopeAndWave(case["slope"], case["amplitude"]))
         buf = discretize(datum, case["m"] * h, h)
         kernel = CuckerSmaleKernel(case["beta"])
+        if case["tabulated"]:
+            kernel = TabulatedKernel(DICHOTOMY_TABLE, kernel.eval(DICHOTOMY_TABLE))
         r_v = max(s.max_speed() for s in buf.prehistory())
         w0 = buf.latest.vel_gradients[:, 0, 0] / buf.latest.jacobians[:, 0, 0]
         verdict = classify(float(w0.min()), kernel, r_v)
@@ -521,7 +531,8 @@ def test_slopes_stay_between_the_riccati_envelopes(time_limit):
             assert evo.blowup is not None
         if evo.blowup is not None:
             assert evo.blowup.time <= upper_blowup.min()
-        reached.add((verdict.verdict, evo.blowup is not None))
+        reached.update({(verdict.verdict, evo.blowup is not None), type(kernel)})
 
     check()
-    assert {("global-existence", False), ("finite-time-blowup", True)} <= reached
+    assert {("global-existence", False), ("finite-time-blowup", True),
+            CuckerSmaleKernel, TabulatedKernel} <= reached
