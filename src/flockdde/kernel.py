@@ -82,6 +82,10 @@ class CuckerSmaleKernel(_Kernel):
     is bounded: ``|d/dr psi| <= 2 beta psi`` everywhere.
     """
 
+    # the threshold verdict's note names C_psi and a sharper bound, if one is known
+    log_deriv_note = "C_psi = 2*beta"
+    log_deriv_remark = "the sharper elementary bound |psi'| <= beta*psi would halve C_bar"
+
     def __init__(self, beta: float):
         beta = float(beta)
         if beta < 0 or not math.isfinite(beta):
@@ -220,6 +224,9 @@ class TabulatedKernel(_Kernel):
     the derivative there is 0, and the integral grows linearly, so every tail
     integral is ``+inf`` and the certificate holds for every datum and delay.
     """
+
+    log_deriv_note = "C_psi = the largest max|p'| of a tabulated piece over its right-node value"
+    log_deriv_remark = ""
 
     def __init__(self, radii, values):
         radii = np.asarray(radii, dtype=float)

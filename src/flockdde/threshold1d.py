@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DETJ_TOLERANCE, BlowupEvent, BlowupSignal, _advance, _blowup_node
-from .kernel import CuckerSmaleKernel
 from .state import _grid_steps
 
 __all__ = [
@@ -36,19 +35,14 @@ __all__ = [
 ]
 
 # Two constant conventions exist for this classification; the conservative
-# one is used (4*C_bar under both radicals, and for Cucker-Smale C_psi =
-# 2*beta) and the verdict's note records C_psi and the alternatives so
-# downstream consumers can rescale.
-_CONSTANTS_NOTE = (
-    "classification uses C_psi = 2*beta and roots (-1 -/+ sqrt(1 -/+ 4*C_bar))/2; "
-    "the sharper elementary bound |psi'| <= beta*psi would halve C_bar, and an "
-    "alternative convention pairs sqrt(1 + C_bar) with the condition C_bar <= 1"
-)
-_TABLE_NOTE = (
-    "classification uses C_psi = the largest max|p'| of a tabulated piece over its "
-    "right-node value, and roots (-1 -/+ sqrt(1 -/+ 4*C_bar))/2; an alternative "
-    "convention pairs sqrt(1 + C_bar) with the condition C_bar <= 1"
-)
+# one is used (4*C_bar under both radicals, and the kernel's C_psi) and the
+# verdict's note records C_psi and the alternatives so downstream consumers
+# can rescale.
+def _constants_note(kernel) -> str:
+    remark = f"{kernel.log_deriv_remark}, and " if kernel.log_deriv_remark else ""
+    return (f"classification uses {kernel.log_deriv_note} and roots "
+            f"(-1 -/+ sqrt(1 -/+ 4*C_bar))/2; {remark}an alternative convention pairs "
+            "sqrt(1 + C_bar) with the condition C_bar <= 1")
 
 
 @dataclass
@@ -59,8 +53,8 @@ class ThresholdVerdict:
     w1_minus: float | None
     w2_minus: float
     verdict: str                    # global-existence | finite-time-blowup | indeterminate
-    blowup_bound: float | None = None
-    note: str = _CONSTANTS_NOTE
+    blowup_bound: float | None
+    note: str
 
     def to_dict(self):
         return {
@@ -86,7 +80,6 @@ def classify(w0_min: float, kernel, r_v: float) -> ThresholdVerdict:
     if not math.isfinite(w0_min) or not math.isfinite(r_v) or r_v < 0:
         raise ValueError("w0_min must be finite and R_V a finite nonnegative real")
     c_bar = 2.0 * kernel.log_deriv_bound * r_v
-    note = _CONSTANTS_NOTE if isinstance(kernel, CuckerSmaleKernel) else _TABLE_NOTE
     w1_minus = (-1.0 - math.sqrt(1.0 - 4.0 * c_bar)) / 2.0 if 4.0 * c_bar <= 1.0 else None
     w2_minus = (-1.0 - math.sqrt(1.0 + 4.0 * c_bar)) / 2.0
     if w1_minus is not None and w0_min >= w1_minus:
@@ -95,7 +88,8 @@ def classify(w0_min: float, kernel, r_v: float) -> ThresholdVerdict:
         verdict, bound = "finite-time-blowup", 1.0 / (w2_minus - w0_min)
     else:
         verdict, bound = "indeterminate", None
-    return ThresholdVerdict(c_bar, w1_minus, w2_minus, verdict, bound, note)
+    return ThresholdVerdict(c_bar, w1_minus, w2_minus, verdict, bound,
+                            _constants_note(kernel))
 
 
 @dataclass

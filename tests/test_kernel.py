@@ -1,8 +1,6 @@
 """Kernel profile, derivative and tail-integral checks against closed forms."""
 
-import itertools
 import math
-import operator
 import sys
 import time
 import warnings
@@ -14,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import monotone_tables
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
 
 
@@ -153,19 +152,13 @@ def test_tabulated_tail_is_infinite():
         k.tail_integral(math.nan)
 
 
-@st.composite
-def tables(draw):
-    """Radii from 0, positive nonincreasing values from 1, flat pieces included."""
-    n = draw(st.integers(2, 8))
-    gaps = draw(st.lists(st.floats(0.01, 2.0), min_size=n - 1, max_size=n - 1))
-    ratios = draw(st.lists(st.floats(0.05, 1.0) | st.just(1.0), min_size=n - 1,
-                           max_size=n - 1))
-    return ([0.0, *itertools.accumulate(gaps)],
-            [1.0, *itertools.accumulate(ratios, operator.mul)])
+# flat pieces included
+TABLES = monotone_tables(st.integers(2, 8), st.floats(0.01, 2.0),
+                         st.floats(0.05, 1.0) | st.just(1.0))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(tables())
+@given(TABLES)
 def test_tabulated_log_deriv_bound_covers_the_sampled_ratio(table):
     k = TabulatedKernel(*table)
     r = np.linspace(0.0, k.radii[-1] * 1.25, 20001)

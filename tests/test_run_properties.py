@@ -8,21 +8,20 @@ first-frame Lyapunov value and R_V, bit for bit; a certified run keeps
 d_V <= V, sup d_X <= d_star and d_V inside the predicted decay envelope (at
 the acceptance suite's tolerances), and a nonincreasing Lyapunov functional:
 to 1e-6 in the first delay window and to rounding after it.  A tabulated
-run's tail is infinite, so it is always certified and checked the same way;
-every 1-D run has a threshold verdict.  A sweep cell is its standalone run,
-byte for byte.
+run's tail is infinite, so it is always certified, checked the same way and
+ends without blow-up; every 1-D run has a threshold verdict.  A sweep cell is
+its standalone run, byte for byte.
 """
 
-import itertools
 import json
 import math
-import operator
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import monotone_tables
 from flockdde.cli import execute_run, main
 from flockdde.config import run_config_from_dict
 from flockdde.diagnostics import prehistory_frames
@@ -33,15 +32,8 @@ H = 0.02
 CUCKER_SMALE = st.floats(0.0, 3.0).map(lambda b: {"family": "cucker-smale", "beta": b})
 
 
-@st.composite
-def tabulated_kernels(draw):
-    """Radii from 0, positive nonincreasing values from 1."""
-    n = draw(st.integers(2, 5))
-    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
-    ratios = draw(st.lists(st.floats(0.2, 1.0), min_size=n - 1, max_size=n - 1))
-    return {"family": "tabulated",
-            "radii": [0.0, *itertools.accumulate(gaps)],
-            "values": [1.0, *itertools.accumulate(ratios, operator.mul)]}
+TABULATED = monotone_tables(st.integers(2, 5), st.floats(0.05, 1.0), st.floats(0.2, 1.0)).map(
+    lambda table: {"family": "tabulated", "radii": table[0], "values": table[1]})
 
 
 @st.composite
@@ -82,6 +74,7 @@ def _check_run(doc, time_limit):
     if doc["kernel"]["family"] == "tabulated":
         # constant past the last node: the tail diverges
         assert cert["rhs"] == math.inf and cert["satisfied"]
+        assert result.blowup is None
     assert cert["lhs"] == frames[0].lyapunov and cert["R_V"] == summary["R_V"]
     if cert["satisfied"]:
         assert all(f.d_V <= f.V_of_t + 1e-6 for f in frames)
@@ -114,7 +107,7 @@ def test_invariants_of_generated_runs(time_limit):
 
 def test_invariants_of_generated_tabulated_runs(time_limit):
     @settings(max_examples=20, derandomize=True, database=None, deadline=None)
-    @given(run_docs(tabulated_kernels()))
+    @given(run_docs(TABULATED))
     def check(doc):
         _check_run(doc, time_limit)
 
@@ -139,7 +132,7 @@ def test_lyapunov_nonincreasing_on_every_frame_of_a_tight_case(time_limit):
 
 def test_sweep_cells_are_their_standalone_runs(tmp_path, time_limit):
     @settings(max_examples=8, derandomize=True, database=None, deadline=None)
-    @given(run_docs(CUCKER_SMALE | tabulated_kernels()), st.floats(0.0, 3.0))
+    @given(run_docs(CUCKER_SMALE | TABULATED), st.floats(0.0, 3.0))
     def check(doc, other_beta):
         out = Path(tempfile.mkdtemp(dir=tmp_path))
         kernels = [doc["kernel"], {"family": "cucker-smale", "beta": other_beta}]

@@ -136,6 +136,23 @@ class TestDiscretize:
         with pytest.raises(InvalidDatumError, match="velocity field"):
             discretize(datum, tau, 0.05)
 
+    @pytest.mark.parametrize("domain,field,tau,message", [
+        # the value broadcasts to (N, 2), the gradient does not
+        (BoxDomain([0.0, 0.0], [1.0, 1.0], [3, 3]), LinearVelocity([[1.0, 2.0]], [0.0, 0.0]),
+         0.1, "velocity field gradient has shape (9, 1, 2) at s=0.0, expected (9, 2, 2)"),
+        # the first field fails only between rows, at the first RK4 stage before -0.1
+        (BoxDomain([0.0], [1.0], [4]),
+         SliceTableVelocity([-0.2, -0.1, 0.0], [ConstantVelocity([0.1, 0.2]),
+                                                ConstantVelocity([0.1]),
+                                                ConstantVelocity([0.2])]),
+         0.2, "velocity field fails at s=-0.125: "),
+    ], ids=["gradient-shape", "stage-failure"])
+    def test_malformed_field_named_by_its_shape_or_time(self, domain, field, tau, message):
+        # the config checks array lengths first; a library caller reaches these
+        with pytest.raises(InvalidDatumError) as info:
+            discretize(InitialDatum(domain, field), tau, 0.05)
+        assert str(info.value).startswith(message)
+
     def test_negative_tau_rejected(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
         with pytest.raises(ValueError):

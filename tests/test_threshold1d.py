@@ -79,8 +79,12 @@ class TestClassify:
         assert "2*beta" not in v.note and "C_bar" in v.note
 
     def test_note_records_alternative_constants(self):
+        # the Cucker-Smale note is the one every earlier summary.json carries
         v = classify(-0.5, CuckerSmaleKernel(0.0), r_v=1.0)
-        assert "beta" in v.note and "C_bar" in v.note
+        assert v.note == (
+            "classification uses C_psi = 2*beta and roots (-1 -/+ sqrt(1 -/+ 4*C_bar))/2; "
+            "the sharper elementary bound |psi'| <= beta*psi would halve C_bar, and an "
+            "alternative convention pairs sqrt(1 + C_bar) with the condition C_bar <= 1")
 
 
 class TestEvolveW:
