@@ -2,12 +2,12 @@
 
 Outputs are deterministic: CSV floats use a 17-significant-digit round-trip
 format with fixed column order, JSON is strict, with sorted keys, and files
-are written atomically.  Exit codes: run 0 (completed) / 2 (blow-up) / 1
-(config error, the kernel normalizer underflowed, or ``--out`` cannot be
-written); certify 0 (satisfied) / 3 (not satisfied) / 1 (config error), for
-every kernel family; threshold 0 (global existence) / 2 (blow-up) / 5
-(indeterminate); sweep 0 when every cell ran / 1 (config error, or ``--out``
-cannot be written).  An invalid datum counts as a config error.
+are written atomically.  Exit codes: run 0 (completed) / 2 (blow-up);
+certify 0 (satisfied) / 3 (not satisfied); threshold 0 (global existence) /
+2 (blow-up) / 5 (indeterminate); sweep 0 when every cell ran / 1 when a cell
+failed.  Any other failure exits 1 with one line from ``main``, never a
+traceback: ``config error: <msg>`` for a config or an invalid datum, and
+``error: <msg>`` for anything else.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .config import (
     PRESETS,
 )
 from .diagnostics import certify_flocking, fit_decay_rate, prehistory_frames
-from .dynamics import SingularNormalizerError, integrate
+from .dynamics import integrate
 from .kernel import CuckerSmaleKernel
 from .state import InvalidDatumError, discretize
 from .threshold1d import classify
@@ -186,12 +186,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    try:
-        kernel = CuckerSmaleKernel(args.beta)
-        verdict = classify(args.w0_min, kernel, args.rv)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    verdict = classify(args.w0_min, CuckerSmaleKernel(args.beta), args.rv)
     print(_json_text(verdict.to_dict()), end="")
     return {"global-existence": 0, "finite-time-blowup": 2,
             "indeterminate": 5}[verdict.verdict]
@@ -224,15 +219,14 @@ def cmd_sweep(args) -> int:
     if env_cap:
         workers = min(workers, max(1, _integer(env_cap, THREADS_ENV)))
     os.makedirs(args.out, exist_ok=True)
-    cells = sweep.grid()
-    payloads = [(i, coords, doc, args.out) for i, (coords, doc) in enumerate(cells)]
+    payloads = [(i, coords, doc, args.out) for i, (coords, doc) in enumerate(sweep.cells)]
     workers = min(workers, len(payloads))
     if workers <= 1:
         rows = [_run_cell(p) for p in payloads]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, payloads))  # in cell order
-    axis_cols = [f"axis:{p}" for p, _ in sweep.axes]
+    axis_cols = [f"axis:{p}" for p in sweep.axes]
     cols = ["cell"] + axis_cols + ["status", "satisfied", "fitted_rate",
                                    "blowup_time", "final_d_V"]
     text = io.StringIO()
@@ -301,9 +295,8 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidDatumError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    # a run whose kernel normalizer underflowed, or an unwritable --out
-    except (SingularNormalizerError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except Exception as exc:  # any other failure is one line, never a traceback
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -292,22 +293,13 @@ def load_run_config(path) -> RunConfig:
 
 @dataclass
 class SweepConfig:
-    base: dict
-    axes: list           # [(dotted path, [values...]), ...]
+    """A validated sweep: ``axes`` holds the dotted paths, ``cells`` the
+    ``(coords, doc)`` pairs in row-major axis order, each ``doc`` a run config
+    built and checked once, on load, and ``coords`` its value per path."""
+
+    axes: list
+    cells: list
     max_workers: int
-    max_cells: int
-
-    def grid(self):
-        """Cell dicts in row-major axis order, paired with their coordinates."""
-        from itertools import product
-
-        cells = []
-        for combo in product(*(values for _, values in self.axes)):
-            doc = json.loads(json.dumps(self.base))
-            for (path, _), value in zip(self.axes, combo):
-                _set_by_path(doc, path, value)
-            cells.append((dict(zip((p for p, _ in self.axes), combo)), doc))
-        return cells
 
 
 def _set_by_path(doc, dotted, value):
@@ -333,7 +325,7 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
     axes_spec = _need(doc, "axes", "sweep")
     if not isinstance(axes_spec, list) or not axes_spec:
         raise ConfigError("axes: must be a non-empty list")
-    axes = []
+    paths, value_lists = [], []
     for i, axis in enumerate(axes_spec):
         path = _need(axis, "path", f"axes[{i}]")
         _known(axis, f"axes[{i}]", "path values")
@@ -342,22 +334,26 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
         values = _need(axis, "values", f"axes[{i}]")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"axes[{i}].values: must be a non-empty list")
-        axes.append((path, values))
+        paths.append(path)
+        value_lists.append(values)
     max_cells = _integer(doc.get("max_cells", DEFAULT_MAX_CELLS), "max_cells")
-    total = math.prod(len(v) for _, v in axes)
+    total = math.prod(map(len, value_lists))
     if total > max_cells:
         raise ConfigError(f"axes: grid size {total} exceeds max_cells {max_cells}")
     max_workers = _integer(doc.get("max_workers", 1), "max_workers")
     if max_workers < 1:
         raise ConfigError("max_workers: must be >= 1")
-    sweep = SweepConfig(base=base, axes=axes, max_workers=max_workers,
-                        max_cells=max_cells)
-    for coords, cell in sweep.grid():
+    cells = []
+    for combo in product(*value_lists):
+        coords, cell = dict(zip(paths, combo)), json.loads(json.dumps(base))
+        for path, value in coords.items():
+            _set_by_path(cell, path, value)
         try:
             run_config_from_dict(cell)
         except ConfigError as exc:
             raise ConfigError(f"cell {coords}: {exc}") from None
-    return sweep
+        cells.append((coords, cell))
+    return SweepConfig(axes=paths, cells=cells, max_workers=max_workers)
 
 
 def load_sweep_config(path) -> SweepConfig:

@@ -245,9 +245,15 @@ class TabulatedKernel(_Kernel):
         self.values = values.copy()
         self.radii.flags.writeable = False
         self.values.flags.writeable = False
-        self._interp = PchipInterpolator(radii, values, extrapolate=False)
+        with np.errstate(over="ignore"):  # an overflowing table is rejected below
+            self._interp = PchipInterpolator(radii, values, extrapolate=False)
         self._interp_deriv = self._interp.derivative()
         self._interp_antideriv = self._interp.antiderivative()
+        # the antiderivative's quartics overflow on a gap of 2**256 (about
+        # 1.16e77) or more, and their coefficients on one below about 1e-102
+        if not math.isfinite(self._primitive(radii[-1])):
+            raise ValueError("the table's integral is not finite: a gap between radii "
+                             "is 2**256 or wider, or too narrow for its cubic")
 
     def __repr__(self):
         return f"TabulatedKernel({self.radii.size} nodes, last radius {self.radii[-1]})"

@@ -619,6 +619,29 @@ class TestCertify:
         assert cert["rhs"] == "inf" and cert["satisfied"] is True
         assert 0.0 < cert["predicted_rate"] < 1.0
 
+    def test_table_ending_below_2_to_the_256_keeps_an_infinite_tail(self, tmp_path,
+                                                                   quick_run_doc, capsys):
+        doc = _with(quick_run_doc, "kernel", {"family": "tabulated",
+                                              "radii": [0.0, 1.0, 1e77],
+                                              "values": [1.0, 0.5, 0.25]})
+        code = run_cli("certify", "--config", write_json(tmp_path / "c.json", doc))
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["rhs"] == "inf"
+
+    # the antiderivative's quartic pieces overflowed on a gap past 2**256 (and
+    # the cubic's coefficients on a gap below ~1e-102): rhs was "nan", exit 3
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radii", [[0.0, 1.0, 2e77], [0.0, 1.0, 1e200],
+                                       [0.0, 1e-110, 1.0]])
+    def test_table_whose_integral_overflows_is_a_config_error(self, tmp_path, quick_run_doc,
+                                                               capsys, radii):
+        doc = _with(quick_run_doc, "kernel", {"family": "tabulated", "radii": radii,
+                                              "values": [1.0, 0.5, 0.25]})
+        code = run_cli("certify", "--config", write_json(tmp_path / "c.json", doc))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("config error: kernel: ") and err.count("\n") == 1
+
 
 class TestOutOfRangeInputs:
     @pytest.mark.parametrize("dim, tau, run_code", [(1, 0.0, 0), (1, 0.2, 1), (2, 0.2, 1)])
@@ -700,9 +723,54 @@ class TestThreshold:
                        "--rv", "1.0") == 1
         assert run_cli("threshold", "--w0-min", "-1", "--beta", "-2",
                        "--rv", "1.0") == 1
+        capsys.readouterr()
+        assert run_cli("threshold", "--w0-min", "-1", "--beta", "-1", "--rv", "1.0") == 1
+        assert capsys.readouterr().err == \
+            "error: beta must be a finite nonnegative real, got -1.0\n"
+
+
+class TestFailureBoundary:
+    """``main`` turns every failure into one stderr line and exit 1."""
+
+    @pytest.mark.parametrize("case", ["huge-grid", "deep-json"])
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_unexpected_failure_is_one_error_line(self, tmp_path, quick_run_doc, capsys,
+                                                  command, case):
+        path = tmp_path / "c.json"
+        if case == "huge-grid":  # numpy refuses the grid before allocating it
+            write_json(path, _with(quick_run_doc, "datum.domain.counts", [10**19]))
+        else:  # json.load runs out of recursion depth
+            path.write_text("[" * 100000 + "]" * 100000)
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else []
+        code = run_cli(command, "--config", str(path), *extra)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_failure_without_a_message_names_its_type(self, monkeypatch, capsys):
+        def fail(cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_prepare", fail)
+        assert run_cli("certify", "--preset", "riccati-blowup") == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
 
 
 class TestSweep:
+    def test_cells_are_built_once_in_row_major_order(self, quick_run_doc):
+        sweep = sweep_config_from_dict({
+            "schema_version": 1, "base": quick_run_doc,
+            "axes": [{"path": "tau", "values": [0.1, 0.3]},
+                     {"path": "kernel.beta", "values": [0.5, 2.0, 3.0]}]})
+        assert sweep.axes == ["tau", "kernel.beta"]
+        assert [coords for coords, _ in sweep.cells] == \
+            [{"tau": t, "kernel.beta": b} for t in (0.1, 0.3) for b in (0.5, 2.0, 3.0)]
+        for coords, doc in sweep.cells:
+            assert (doc["tau"], doc["kernel"]["beta"]) == tuple(coords.values())
+        assert (quick_run_doc["tau"], quick_run_doc["kernel"]["beta"]) == (0.2, 0.25)
+
     def test_single_cell_matches_standalone_run(self, tmp_path, quick_run_doc):
         cfg = write_json(tmp_path / "run.json", quick_run_doc)
         run_cli("run", "--config", cfg, "--out", str(tmp_path / "solo"))
