@@ -293,9 +293,10 @@ def load_run_config(path) -> RunConfig:
 
 @dataclass
 class SweepConfig:
-    """A validated sweep: ``axes`` holds the dotted paths, ``cells`` the
-    ``(coords, doc)`` pairs in row-major axis order, each ``doc`` a run config
-    built and checked once, on load, and ``coords`` its value per path."""
+    """A validated sweep: ``axes`` holds the dotted paths, each once,
+    ``cells`` the ``(coords, doc)`` pairs in row-major axis order, each
+    ``doc`` a run config built and checked once, on load, and ``coords`` its
+    value per path."""
 
     axes: list
     cells: list
@@ -334,6 +335,8 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
         values = _need(axis, "values", f"axes[{i}]")
         if not isinstance(values, list) or not values:
             raise ConfigError(f"axes[{i}].values: must be a non-empty list")
+        if path in paths:
+            raise ConfigError(f"axes[{i}].path: {path!r} repeats axes[{paths.index(path)}]")
         paths.append(path)
         value_lists.append(values)
     max_cells = _integer(doc.get("max_cells", DEFAULT_MAX_CELLS), "max_cells")

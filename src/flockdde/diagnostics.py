@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial.distance import cdist
 
+from .roots import brentq
 from .state import _ldexp, _range_exponent
 
 __all__ = [
@@ -70,6 +69,15 @@ def _row_blocks(n):
     return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
+def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of ``a`` and of ``b``, each the
+    coordinate-order sum of squared differences: ``cdist``'s, imported on
+    first use, so a 1-D run never loads ``scipy.spatial``."""
+    from scipy.spatial.distance import cdist
+
+    return cdist(a, b, "sqeuclidean")
+
+
 def _pairwise_diameter(arr: np.ndarray) -> float:
     # exact max over all pairs (non-finite slices appear in terminal blow-up
     # frames; cdist sets no FP flag on them).  Each row block meets the columns
@@ -78,7 +86,7 @@ def _pairwise_diameter(arr: np.ndarray) -> float:
     # largest square is the largest distance bit for bit; cdist adds the
     # squared coordinates left to right, as the force's distance pass does.
     # np.max keeps NaN, as the blow-up frames need.
-    block_max = [cdist(arr[rows], arr[rows.start:], "sqeuclidean").max()
+    block_max = [_sq_distances(arr[rows], arr[rows.start:]).max()
                  for rows in _row_blocks(len(arr))]
     return float(np.sqrt(np.max(block_max)))
 
@@ -110,7 +118,7 @@ def _diameter(arr: np.ndarray) -> float:
             flat = hi == lo
             arr, lo, hi = (np.ldexp(np.where(flat, 0.0, a), -e) for a in (arr, lo, hi))
         ends = arr[np.concatenate([arr.argmin(axis=0), arr.argmax(axis=0)])]
-        lb_sq = cdist(ends, ends, "sqeuclidean").max()
+        lb_sq = _sq_distances(ends, ends).max()
         far = np.maximum(arr - lo, hi - arr)
         bound = far[:, 0] * far[:, 0]
         for k in range(1, far.shape[1]):

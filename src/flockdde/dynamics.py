@@ -24,17 +24,17 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial.distance import cdist
 
 from .diagnostics import (
     FlockingMonitor,
     _record,
     _row_blocks,
+    _sq_distances,
     _worst_node,
     diameters,
     prehistory_frames,
 )
+from .roots import brentq
 from .state import HistoryBuffer, LagrangianEnsemble, _det, _hermite, _rk4, _run_steps
 
 __all__ = [
@@ -87,8 +87,8 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
     (N, d + 1) matrix ``M = [m, m v(t - tau)]``: a block makes one product
     ``w @ M`` for ``s0`` and ``s1``, one more for their gradients, and the
     quotient rule divides by ``s0`` once.  In 1-D that product weighs the
-    difference, q's own input, by wd.  In d >= 2, q is one ``cdist`` pass,
-    with the bits of the coordinate-order sum, and the product is
+    difference, q's own input, by wd.  In d >= 2, q is one ``_sq_distances``
+    pass, with the bits of the coordinate-order sum, and the product is
     ``wd @ [M, (y - c)_1 M, ..., (y - c)_d M]``, first moments about the
     delayed box's midpoint c; their cancellation leaves an error of a small
     multiple of eps |x - c| (|wd| @ |M|) in the gradient alone.  A flat
@@ -118,7 +118,7 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
                     diff *= wd  # a fresh array of this block
                     g[rows, :, 0] = diff @ mom
                 else:
-                    w, wd = kernel.eval_with_deriv_sq(cdist(pos[rows], d_pos, "sqeuclidean"))
+                    w, wd = kernel.eval_with_deriv_sq(_sq_distances(pos[rows], d_pos))
                     g[rows] = (wd @ ext).reshape(-1, d + 1, d + 1)
                 s[rows] = w @ mom
             if d > 1:

@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 from scipy import special
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
+
+from .roots import brentq
 
 __all__ = [
     "CuckerSmaleKernel",
@@ -229,6 +229,8 @@ class TabulatedKernel(_Kernel):
     log_deriv_remark = ""
 
     def __init__(self, radii, values):
+        from scipy.interpolate import PchipInterpolator  # loaded for tables alone
+
         radii = np.asarray(radii, dtype=float)
         values = np.asarray(values, dtype=float)
         if radii.ndim != 1 or radii.shape != values.shape or radii.size < 2:

@@ -361,6 +361,9 @@ class BoxDomain:
             raise ValueError("lo, hi and counts must agree in dimension")
         if np.any(self.hi <= self.lo) or any(c < 1 for c in self.counts):
             raise ValueError("box must have positive extent and node counts")
+        n, limit = math.prod(self.counts), np.iinfo(np.intp).max
+        if n > limit:
+            raise ValueError(f"a grid of {n} nodes is more than numpy can index ({limit})")
 
     def nodes_and_volumes(self):
         axes = []

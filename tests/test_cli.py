@@ -28,13 +28,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_entry_point(*argv):
-    """Run ``python -m flockdde.cli`` on this checkout's ``src/``."""
+def run_python(*args):
+    """Run ``python *args`` on this checkout's ``src/``."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-m", "flockdde.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
+
+
+def run_entry_point(*argv):
+    """Run ``python -m flockdde.cli`` on this checkout's ``src/``."""
+    return run_python("-m", "flockdde.cli", *argv)
 
 
 def write_json(path, doc):
@@ -732,21 +737,33 @@ class TestThreshold:
 class TestFailureBoundary:
     """``main`` turns every failure into one stderr line and exit 1."""
 
-    @pytest.mark.parametrize("case", ["huge-grid", "deep-json"])
     @pytest.mark.parametrize("command", ["run", "certify"])
-    def test_unexpected_failure_is_one_error_line(self, tmp_path, quick_run_doc, capsys,
-                                                  command, case):
+    def test_unexpected_failure_is_one_error_line(self, tmp_path, capsys, command):
         path = tmp_path / "c.json"
-        if case == "huge-grid":  # numpy refuses the grid before allocating it
-            write_json(path, _with(quick_run_doc, "datum.domain.counts", [10**19]))
-        else:  # json.load runs out of recursion depth
-            path.write_text("[" * 100000 + "]" * 100000)
+        path.write_text("[" * 100000 + "]" * 100000)  # json.load runs out of recursion depth
         out = tmp_path / "out"
         extra = ["--out", str(out)] if command == "run" else []
         code = run_cli(command, "--config", str(path), *extra)
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("counts", [[10**19], [2**32, 2**31]])  # 2**63 is one too many
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_grid_numpy_cannot_index_is_a_config_error(self, tmp_path, quick_run_doc, capsys,
+                                                       command, counts):
+        doc = _with(quick_run_doc, "datum.domain.counts", counts)
+        if len(counts) == 2:
+            doc = _with(_with(doc, "datum.domain.box", [[0.0, 1.0]] * 2), "datum.velocity",
+                        {"family": "constant", "value": [0.0, 0.0]})
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else []
+        code = run_cli(command, "--config", write_json(tmp_path / "c.json", doc), *extra)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: datum.domain: a grid of {math.prod(counts)} nodes is more "
+            f"than numpy can index ({sys.maxsize})\n")
         assert not out.exists()
 
     def test_failure_without_a_message_names_its_type(self, monkeypatch, capsys):
@@ -770,6 +787,17 @@ class TestSweep:
         for coords, doc in sweep.cells:
             assert (doc["tau"], doc["kernel"]["beta"]) == tuple(coords.values())
         assert (quick_run_doc["tau"], quick_run_doc["kernel"]["beta"]) == (0.2, 0.25)
+
+    def test_repeated_axis_path_is_a_config_error(self, tmp_path, quick_run_doc, capsys):
+        # the two axes would run identical cells under two axis:tau columns
+        sweep_doc = {"schema_version": 1, "base": quick_run_doc,
+                     "axes": [{"path": "tau", "values": [0.1, 0.2]},
+                              {"path": "tau", "values": [0.3]}]}
+        code = run_cli("sweep", "--config", write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid"))
+        assert code == 1
+        assert capsys.readouterr().err == "config error: axes[1].path: 'tau' repeats axes[0]\n"
+        assert not (tmp_path / "grid").exists()
 
     def test_single_cell_matches_standalone_run(self, tmp_path, quick_run_doc):
         cfg = write_json(tmp_path / "run.json", quick_run_doc)
@@ -966,3 +994,52 @@ class TestPresets:
         assert err.count("\n") == 1
         assert run_cli("run", "--preset", "nope") == 1
         assert capsys.readouterr().err == err
+
+
+_FOOTPRINT = """
+import json, sys
+from flockdde.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, [name for name in ("scipy.interpolate", "scipy.optimize",
+                                            "scipy.spatial") if name in sys.modules]]))
+"""
+
+
+class TestImportFootprint:
+    """A run imports only the scipy modules its inputs need: ``scipy.spatial``
+    for d >= 2 and ``scipy.interpolate`` for a tabulated kernel; the package
+    never imports ``scipy.optimize`` itself.  Asserted on ``sys.modules``,
+    not on megabytes."""
+
+    @staticmethod
+    def codes_and_modules(*runs):
+        """Exit codes of ``main`` on each argv of ``runs`` in one fresh
+        process, and the three modules loaded after them."""
+        proc = run_python("-c", _FOOTPRINT, json.dumps(runs))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_one_d_presets_load_none_of_the_three(self, tmp_path):
+        # the blow-up crossing, the budget radius and the Gronwall rate all
+        # solve for a root
+        assert self.codes_and_modules(
+            ["run", "--preset", "riccati-blowup", "--out", str(tmp_path / "blowup")],
+            ["certify", "--preset", "unconditional-beta025"]) == [[2, 0], []]
+
+    def test_two_d_run_loads_scipy_spatial(self, tmp_path, quick_run_doc):
+        doc = _with(_with(_with(quick_run_doc, "datum.domain.box", [[0.0, 1.0]] * 2),
+                          "datum.domain.counts", [4, 4]),
+                    "datum.velocity", {"family": "linear", "matrix": [[0.5, 0.0], [0.0, 0.5]],
+                                       "offset": [0.0, 0.0]})
+        path = write_json(tmp_path / "c.json", _with(doc, "t_end", 0.1))
+        assert self.codes_and_modules(["run", "--config", path, "--out", str(tmp_path / "o")]) \
+            == [[0], ["scipy.spatial"]]
+
+    def test_tabulated_kernel_loads_scipy_interpolate(self, tmp_path, quick_run_doc):
+        doc = _with(quick_run_doc, "kernel", {"family": "tabulated", "radii": [0.0, 1.0, 2.0],
+                                              "values": [1.0, 0.5, 0.25]})
+        path = write_json(tmp_path / "c.json", _with(doc, "t_end", 0.1))
+        codes, modules = self.codes_and_modules(
+            ["run", "--config", path, "--out", str(tmp_path / "o")], ["certify", "--config", path])
+        # scipy.interpolate's own __init__ imports scipy.optimize and scipy.spatial
+        assert codes == [0, 0] and "scipy.interpolate" in modules

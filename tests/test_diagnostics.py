@@ -486,14 +486,14 @@ class TestDiameterRange:
         n = 4096
         arr = np.random.default_rng(0).normal(size=(n, 2))
         want = _pairwise_diameter(arr)
-        cdist = diagnostics.cdist
+        distances = diagnostics._sq_distances
         pairs = []
 
-        def counted(a, b, metric):
+        def counted(a, b):
             pairs.append(len(a) * len(b))
-            return cdist(a, b, metric)
+            return distances(a, b)
 
-        monkeypatch.setattr(diagnostics, "cdist", counted)
+        monkeypatch.setattr(diagnostics, "_sq_distances", counted)
         assert _diameter(arr) == want
         assert 0 < sum(pairs) < 0.01 * n * (n + 1) / 2
 

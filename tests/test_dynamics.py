@@ -804,23 +804,23 @@ class TestMomentsGradient:
         # every pair once, however many coordinates there are
         masses, pos, vel, d_pos, d_vel = _sample_state(2, 32)
         kernel = CuckerSmaleKernel(1.0)
-        cdist, evaluate = dynamics.cdist, kernel.eval_with_deriv_sq
-        calls = {"cdist": 0, "kernel": 0}
+        distances, evaluate = dynamics._sq_distances, kernel.eval_with_deriv_sq
+        calls = {"distances": 0, "kernel": 0}
 
-        def counted_cdist(*args):
-            calls["cdist"] += 1
-            return cdist(*args)
+        def counted_distances(*args):
+            calls["distances"] += 1
+            return distances(*args)
 
         def counted_kernel(q):
             calls["kernel"] += 1
             return evaluate(q)
 
-        monkeypatch.setattr(dynamics, "cdist", counted_cdist)
+        monkeypatch.setattr(dynamics, "_sq_distances", counted_distances)
         monkeypatch.setattr(kernel, "eval_with_deriv_sq", counted_kernel)
         eye = np.broadcast_to(np.eye(2), (len(pos), 2, 2))
         _force(kernel, masses, pos, vel, eye, d_pos, d_vel)
         n_blocks = len(_row_blocks(len(pos)))
-        assert len(pos) == 1024 and calls == {"cdist": n_blocks, "kernel": n_blocks}
+        assert len(pos) == 1024 and calls == {"distances": n_blocks, "kernel": n_blocks}
 
 
 _EDGE_FLOATS = st.one_of(
@@ -840,7 +840,7 @@ def test_distance_pass_is_the_coordinate_order_sum_bit_for_bit(time_limit):
         a, b = arr(na), arr(nb)
         with np.errstate(all="ignore"):
             want = _coordinate_differences(a, b)[1]
-        got = dynamics.cdist(a, b, "sqeuclidean")
+        got = dynamics._sq_distances(a, b)
         # NaN where the sum is NaN; every other entry has its bits (a NaN's
         # sign and payload are not part of the contract: nothing reads them)
         nan = np.isnan(want)
