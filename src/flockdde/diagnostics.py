@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -62,20 +63,32 @@ class DiagnosticsFrame:
 _BLOCK_PAIRS = 16384
 
 
+def _block_rows(n):
+    """Rows of n values each that one block holds, max(1, _BLOCK_PAIRS // n):
+    a row block's rows against n columns, or a frame batch's slices of n
+    nodes."""
+    return max(1, _BLOCK_PAIRS // max(1, n))
+
+
+@cache
 def _row_blocks(n):
-    """Slices of n rows, each row meeting n columns: max(1, _BLOCK_PAIRS // n)
-    rows per slice."""
-    rows = max(1, _BLOCK_PAIRS // max(1, n))
-    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
+    """Slices of n rows, each row meeting n columns: ``_block_rows(n)`` rows
+    per slice."""
+    rows = _block_rows(n)
+    return tuple(slice(lo, lo + rows) for lo in range(0, n, rows))
+
+
+_cdist = None
 
 
 def _sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared distances between the rows of ``a`` and of ``b``, each the
     coordinate-order sum of squared differences: ``cdist``'s, imported on
-    first use, so a 1-D run never loads ``scipy.spatial``."""
-    from scipy.spatial.distance import cdist
-
-    return cdist(a, b, "sqeuclidean")
+    the first call, so a 1-D run never loads ``scipy.spatial``."""
+    global _cdist
+    if _cdist is None:
+        from scipy.spatial.distance import cdist as _cdist
+    return _cdist(a, b, "sqeuclidean")
 
 
 def _pairwise_diameter(arr: np.ndarray) -> float:
@@ -126,34 +139,78 @@ def _diameter(arr: np.ndarray) -> float:
         return _ldexp(_pairwise_diameter(arr[bound >= lb_sq * (1 - 1e-12)]), e)
 
 
-def diameters(ensemble) -> tuple[float, float]:
+def _diameters(arr: np.ndarray) -> np.ndarray:
+    """``_diameter`` of each slice of a (K, N, d) stack.  In 1-D every
+    finite slice takes ``max - min`` at once, the same rounded subtraction."""
+    if arr.shape[2] > 1:
+        return np.array([_diameter(a) for a in arr])
+    lo, hi = arr.min(axis=1)[:, 0], arr.max(axis=1)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = hi - lo
+    for k in np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi))):
+        out[k] = _diameter(arr[k])
+    return out
+
+
+def diameters(ensemble):
     """Spatial and velocity diameters: exact maxima of the pairwise distances
-    (see ``_diameter``), without visiting every pair."""
-    return _diameter(ensemble.positions), _diameter(ensemble.velocities)
+    (see ``_diameter``), without visiting every pair.  A stacked ensemble
+    (``HistoryBuffer.gather``) gives two (K,) arrays, one entry per slice."""
+    if ensemble.positions.ndim == 2:
+        return _diameter(ensemble.positions), _diameter(ensemble.velocities)
+    return _diameters(ensemble.positions), _diameters(ensemble.velocities)
 
 
-def _worst_node(dets) -> int:
+def _worst_node(dets):
     """The first node with a non-finite det J (an overflowed +inf included),
-    else the one with the least det J."""
-    return int(np.where(np.isfinite(dets), dets, -np.inf).argmin())
+    else the one with the least det J; one per row of a (K, N) stack."""
+    return np.where(np.isfinite(dets), dets, -np.inf).argmin(axis=-1)
 
 
-def _record(ens, d_x, d_v, x, v, lyap, dets) -> DiagnosticsFrame:
-    """Diagnostics record of ``ens`` from its diameters, (X, V, L) and det J."""
-    vg = np.sqrt((ens.vel_gradients**2).sum(axis=(1, 2)))
-    return DiagnosticsFrame(
-        t=ens.time, d_X=d_x, d_V=d_v, max_speed=ens.max_speed(), lyapunov=lyap,
-        X_of_t=x, V_of_t=v, min_detJ=float(dets.min()),
-        max_velgrad_norm=float(vg.max()), worst_node=_worst_node(dets),
-    )
+def _max_speeds(velocities: np.ndarray) -> np.ndarray:
+    """``LagrangianEnsemble.max_speed`` of each slice of a (K, N, d) stack,
+    each scaled by its own power of two (see ``state._range_exponent``).  A
+    slice holding inf is not scaled, and squares that overflow beside it
+    leave its inf as it is."""
+    speeds = np.abs(velocities)
+    top = speeds.max(axis=(1, 2))
+    if speeds.shape[2] == 1:
+        return top
+    e = np.where((top < 2.0**-500) | ((top > 2.0**500) & (top < math.inf)),
+                 np.frexp(top)[1], 0)  # frexp(0) is (0, 0)
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((np.ldexp(speeds, -e[:, None, None])**2).sum(axis=2)).max(axis=1)
+        return np.ldexp(norms, e)
+
+
+def _records(ens, d_x, d_v, dets, comparison) -> list[DiagnosticsFrame]:
+    """Diagnostics records of the K slices of a stacked ensemble from their
+    diameters and det J (K, N).  ``comparison(t, d_x, d_v)`` gives a slice's
+    (X, V, L); it is called once per slice, in order."""
+    vg = np.sqrt((ens.vel_gradients**2).sum(axis=(2, 3))).max(axis=1)
+    columns = zip(ens.time.tolist(), d_x.tolist(), d_v.tolist(),
+                  _max_speeds(ens.velocities).tolist(), dets.min(axis=1).tolist(),
+                  vg.tolist(), _worst_node(dets).tolist())
+    out = []
+    for t, dx, dv, speed, lo, g, node in columns:
+        x, v, lyap = comparison(t, dx, dv)
+        out.append(DiagnosticsFrame(t=t, d_X=dx, d_V=dv, max_speed=speed, lyapunov=lyap,
+                                    X_of_t=x, V_of_t=v, min_detJ=lo, max_velgrad_norm=g,
+                                    worst_node=node))
+    return out
 
 
 def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
-    """Diagnostics records for the prescribed slices at times <= 0."""
+    """Diagnostics records for the prescribed slices at times <= 0, reduced
+    ``_block_rows(N)`` slices at a time."""
+    clocks = buffer.prehistory_clocks()
+    batch = _block_rows(len(buffer.masses))
     out = []
-    for s in buffer.prehistory():
-        d_x, d_v = diameters(s)
-        out.append(_record(s, d_x, d_v, d_x, d_v, math.nan, s.det_jacobians()))
+    for lo in range(0, len(clocks), batch):
+        ens = buffer.gather(clocks[lo:lo + batch])
+        d_x, d_v = diameters(ens)
+        out += _records(ens, d_x, d_v, ens.det_jacobians(),
+                        lambda t, dx, dv: (dx, dv, math.nan))
     return out
 
 
@@ -185,7 +242,9 @@ class FlockingMonitor:
     interpolation.  A frame reads nothing before the previous frame's
     t - tau, so each drops the columns before the last one at or before that
     time; interpolation reads only the two frames around its argument, so
-    the trimmed record gives the bits of the full one.
+    the trimmed record gives the bits of the full one.  For the same reason
+    X and Y at the previous frame's t - tau are kept from the reads made
+    there, so a frame interpolates three times: Y, X and W at its t - tau.
     """
 
     def __init__(self, kernel, prehistory):
@@ -201,21 +260,24 @@ class FlockingMonitor:
             row[4] = row[5] = prev[4] + (a * prev[1] + b * row[1])
         self._rows = np.array(rows, dtype=float).T
         self.lower = float(self._rows[2, 0]) + self.r_v * self.tau
+        # X and Y at the last frame's t - tau, which the next frame reads
+        t_last = float(self._rows[0, -1])
+        self._x_delayed, self._y_delayed = self._delayed(2, t_last), self._delayed(4, t_last)
 
     def _delayed(self, row, t):
         """Row ``row`` of the record at t - tau."""
         return float(np.interp(t - self.tau, self._rows[0], self._rows[row]))
 
-    def _lyapunov(self, t):
-        """L at the record's last frame, t."""
+    def _lyapunov(self, t, x_delayed):
+        """L at the record's last frame, t, whose X(t - tau) is ``x_delayed``."""
         v, w = self._rows[[3, 5], -1].tolist()
-        upper = self._delayed(2, t) + self.r_v * self.tau
+        upper = x_delayed + self.r_v * self.tau
         return v + self.kernel.integral(self.lower, upper) + (w - self._delayed(5, t))
 
     def start(self):
         """(X, V, Lyapunov) at t = 0, before any dynamics frame."""
         x, v = self._rows[2:4, -1].tolist()
-        return x, v, self._lyapunov(0.0)
+        return x, v, self._lyapunov(0.0, self._delayed(2, 0.0))
 
     def observe(self, t, d_v):
         """Advance to the emitted frame at time ``t`` and return (X, V, L)."""
@@ -228,11 +290,13 @@ class FlockingMonitor:
         lo = int(np.searchsorted(self._rows[0], t_prev - self.tau, "right")) - 1
         self._rows = np.concatenate([self._rows[:, lo:], [
             [t], [d_v], [x_prev + growth], [math.nan], [y_prev + growth], [math.nan]]], axis=1)
-        x = self._delayed(2, t_prev) + self.r_v * self.tau
-        d = self._delayed(4, t) - self._delayed(4, t_prev)
+        x = self._x_delayed + self.r_v * self.tau
+        y_delayed = self._delayed(4, t)
+        d = y_delayed - self._y_delayed
         v = ((1.0 - a) * v_prev + d - self.kernel.integral(x, x + d)) / (1.0 + b)
         self._rows[3, -1], self._rows[5, -1] = v, w_prev + (a * v_prev + b * v)
-        return x_prev + growth, v, self._lyapunov(t)
+        self._x_delayed, self._y_delayed = self._delayed(2, t), y_delayed
+        return x_prev + growth, v, self._lyapunov(t, self._x_delayed)
 
 
 def gronwall_rate(a: float, tau: float) -> float:

@@ -27,7 +27,8 @@ import numpy as np
 
 from .diagnostics import (
     FlockingMonitor,
-    _record,
+    _block_rows,
+    _records,
     _row_blocks,
     _sq_distances,
     _worst_node,
@@ -93,50 +94,50 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
     delayed box's midpoint c; their cancellation leaves an error of a small
     multiple of eps |x - c| (|wd| @ |M|) in the gradient alone.  A flat
     kernel skips the pairs: every row then weighs all delayed nodes by mass.
+    Transient non-finite values only feed the stepper's isfinite check, so
+    callers silence FP warnings around it, once per step in ``step``.
     """
     n, d = pos.shape
-    # transient non-finite values are caught by the stepper's isfinite check
-    # and turned into a blow-up signal, so FP warnings here are only noise
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        if kernel.is_flat:
-            s0 = np.full(n, masses.sum())
-            s1 = np.broadcast_to(masses @ d_vel, (n, d))
-            grad_pos = np.zeros((n, d, d))
-        else:
-            mom = np.empty((n, d + 1))
-            mom[:, 0] = masses
-            np.multiply(masses[:, None], d_vel, out=mom[:, 1:])
-            s = np.empty((n, d + 1))
-            g = np.empty((n, d + 1, 1 if d == 1 else d + 1))
-            if d > 1:
-                c = 0.5 * (d_pos.min(axis=0) + d_pos.max(axis=0))
-                ext = (mom[:, :, None] * np.c_[np.ones(n), d_pos - c][:, None]).reshape(n, -1)
-            for rows in _row_blocks(n):
-                if d == 1:
-                    diff = pos[rows] - d_pos.T
-                    w, wd = kernel.eval_with_deriv_sq(diff * diff)
-                    diff *= wd  # a fresh array of this block
-                    g[rows, :, 0] = diff @ mom
-                else:
-                    w, wd = kernel.eval_with_deriv_sq(_sq_distances(pos[rows], d_pos))
-                    g[rows] = (wd @ ext).reshape(-1, d + 1, d + 1)
-                s[rows] = w @ mom
-            if d > 1:
-                # sum_j wd (x_i - y_j) M_j = (x_i - c) (wd @ M)_i - (wd @ ((y - c) M))_i
-                g = (pos - c)[:, None] * g[:, :, :1] - g[:, :, 1:]
-            s0, s1 = s[:, 0], s[:, 1:]
-            # d(s1 / s0) = (ds1 - u ds0) / s0: one division, no s0^2 to underflow
-            u = s1 / s0[:, None]
-            grad_pos = (g[:, 1:] - u[:, :, None] * g[:, None, 0]) / s0[:, None, None]
-        # NaN compares False here on purpose: a poisoned state must flow on to
-        # the stepper's isfinite check, not masquerade as an underflow
-        if s0.min() < 1e-300:
-            raise SingularNormalizerError(
-                "kernel-weighted mass underflowed below 1e-300; nodes are "
-                "separated beyond the representable range of the kernel"
-            )
-        acc = s1 / s0[:, None] - vel
-    return acc, grad_pos @ jac, s0
+    if kernel.is_flat:
+        s0 = np.full(n, masses.sum())
+        u = np.broadcast_to(masses @ d_vel, (n, d)) / s0[:, None]
+        grad_pos = np.zeros((n, d, d))
+    else:
+        mom = np.empty((n, d + 1))
+        mom[:, 0] = masses
+        np.multiply(masses[:, None], d_vel, out=mom[:, 1:])
+        s = np.empty((n, d + 1))
+        g = np.empty((n, d + 1, 1 if d == 1 else d + 1))
+        if d > 1:
+            c = 0.5 * (d_pos.min(axis=0) + d_pos.max(axis=0))
+            ext = (mom[:, :, None] * np.c_[np.ones(n), d_pos - c][:, None]).reshape(n, -1)
+        for rows in _row_blocks(n):
+            if d == 1:
+                diff = pos[rows] - d_pos.T
+                w, wd = kernel.eval_with_deriv_sq(diff * diff)
+                diff *= wd  # a fresh array of this block
+                g[rows, :, 0] = diff @ mom
+            else:
+                w, wd = kernel.eval_with_deriv_sq(_sq_distances(pos[rows], d_pos))
+                g[rows] = (wd @ ext).reshape(-1, d + 1, d + 1)
+            s[rows] = w @ mom
+        if d > 1:
+            # sum_j wd (x_i - y_j) M_j = (x_i - c) (wd @ M)_i - (wd @ ((y - c) M))_i
+            g = (pos - c)[:, None] * g[:, :, :1] - g[:, :, 1:]
+        s0, s1 = s[:, 0], s[:, 1:]
+        # d(s1 / s0) = (ds1 - u ds0) / s0: one division, no s0^2 to underflow
+        u = s1 / s0[:, None]  # the convex combination
+        grad_pos = (g[:, 1:] - u[:, :, None] * g[:, None, 0]) / s0[:, None, None]
+    # NaN compares False here on purpose: a poisoned state must flow on to
+    # the stepper's isfinite check, not masquerade as an underflow
+    if s0.min() < 1e-300:
+        raise SingularNormalizerError(
+            "kernel-weighted mass underflowed below 1e-300; nodes are "
+            "separated beyond the representable range of the kernel"
+        )
+    # in 1-D the product of 1 x 1 matrices, with matmul's +0 for a -0 product
+    fg = grad_pos * jac + 0.0 if d == 1 else grad_pos @ jac
+    return u - vel, fg, s0
 
 
 def alignment_rhs(current: LagrangianEnsemble, delayed, kernel):
@@ -152,8 +153,9 @@ def alignment_rhs(current: LagrangianEnsemble, delayed, kernel):
     d_pos, d_vel = delayed
     if d_pos.shape != current.positions.shape:
         raise ValueError("delayed positions must match the ensemble shape")
-    return _force(kernel, current.masses, current.positions, current.velocities,
-                  current.jacobians, d_pos, d_vel)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return _force(kernel, current.masses, current.positions, current.velocities,
+                      current.jacobians, d_pos, d_vel)
 
 
 def step(buffer: HistoryBuffer, kernel) -> None:
@@ -173,12 +175,15 @@ def step(buffer: HistoryBuffer, kernel) -> None:
         return vel, acc, vgrad, fg - vgrad
 
     y0 = buffer.slot(buffer.clock)
-    k1 = rhs(buffer.slot(j) if m else None, *y0)
-    # the first stage is the exact state derivative at t: the Hermite slope
-    # leaving this slot, which the midpoint reads when m = 1
-    buffer.set_slope(k1[1])
-    mid, end = (buffer.interpolate(j, 0.5), buffer.slot(j + 1)) if m else (None, None)
-    new, k4 = _rk4(rhs, y0, buffer.h, k1, mid, end)
+    # transient non-finite values are caught by the isfinite check below and
+    # turned into a blow-up signal, so FP warnings here are only noise
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        k1 = rhs(buffer.slot(j) if m else None, *y0)
+        # the first stage is the exact state derivative at t: the Hermite
+        # slope leaving this slot, which the midpoint reads when m = 1
+        buffer.set_slope(k1[1])
+        mid, end = (buffer.interpolate(j, 0.5), buffer.slot(j + 1)) if m else (None, None)
+        new, k4 = _rk4(rhs, y0, buffer.h, k1, mid, end)
     if not all(np.isfinite(arr).all() for arr in new):
         raise BlowupSignal(time=buffer.current_time)
     buffer.append(*new, k4[1])
@@ -192,7 +197,7 @@ def _blowup_node(dets) -> int | None:
     """
     if np.isfinite(dets).all() and dets.min() > DETJ_TOLERANCE:
         return None
-    return _worst_node(dets)
+    return int(_worst_node(dets))
 
 
 def _det_slope(jac, vgrad):
@@ -291,14 +296,29 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
 
     # X = d_X and V = d_V at t = 0: the last prehistory record, plus L
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
+    # (clock, det J) of the frames not yet reduced; a batch is reduced in one
+    # pass before the next step reuses its oldest slot, at _block_rows(N)
+    # frames, and at the end
+    queue, last, cap = [], 0, _block_rows(len(buffer.masses))
+
+    def reduce_queue():
+        clocks, dets = zip(*queue)
+        ens = buffer.gather(clocks)
+        d_x, d_v = diameters(ens)
+        frames.extend(_records(ens, d_x, d_v, np.array(dets),
+                               lambda t, dx, dv: monitor.observe(t, dv)))
+        queue.clear()
+
     for k, (dets, event) in enumerate(_advance(buffer, kernel, n_steps)):
         # the t = 0 slot has its frame, and a BlowupSignal's event repeats a
         # slot that may have one
-        if frames[-1].t != buffer.current_time and (
-                event is not None or k % every == 0 or k == n_steps):
-            ens = buffer.latest
-            d_x, d_v = diameters(ens)
-            frames.append(_record(ens, d_x, d_v, *monitor.observe(ens.time, d_v), dets))
+        if buffer.clock != last and (event is not None or k % every == 0 or k == n_steps):
+            queue.append((buffer.clock, dets))
+            last = buffer.clock
+        if queue and (len(queue) == cap or buffer.clock - queue[0][0] >= buffer.m + 2):
+            reduce_queue()
+    if queue:
+        reduce_queue()
     if event is not None:
         frames[-1].status = "blowup"
     return SimulationResult(frames, buffer, event, monitor.r_v)

@@ -55,6 +55,8 @@ class LagrangianEnsemble:
     ``masses``, ``labels`` and ``cell_volumes`` are shared, read-only arrays
     identical across all slices of a run.  A slice is not checked: its
     arrays are views of rows that ``HistoryBuffer`` checked when they entered.
+    A stack of K slices (``HistoryBuffer.gather``) has a (K,) ``time`` and a
+    leading axis of K on each per-node array.
     """
 
     time: float
@@ -68,7 +70,7 @@ class LagrangianEnsemble:
 
     @property
     def dim(self) -> int:
-        return self.positions.shape[1]
+        return self.positions.shape[-1]
 
     def max_speed(self) -> float:
         """The largest |v|, with no square out of range: scaled by an exact
@@ -210,9 +212,21 @@ class HistoryBuffer:
     def _oldest(self) -> int:
         return max(-self.m, self.clock - len(self._pos) + 1)
 
+    def prehistory_clocks(self) -> range:
+        """Clocks of the stored slices at times <= 0, oldest first."""
+        return range(self._oldest(), min(self.clock, 0) + 1)
+
     def prehistory(self) -> list[LagrangianEnsemble]:
         """Stored slices at times <= 0, the prescribed datum part of the record."""
-        return [self._ensemble(j) for j in range(self._oldest(), min(self.clock, 0) + 1)]
+        return [self._ensemble(j) for j in self.prehistory_clocks()]
+
+    def gather(self, clocks) -> LagrangianEnsemble:
+        """The stored slots at ``clocks`` as one stacked ensemble, copied."""
+        j = np.asarray(clocks)
+        r = j % len(self._pos)
+        return LagrangianEnsemble(j * self.h, self._pos[r], self._vel[r], self._jac[r],
+                                  self._vgrad[r], self.masses, self.labels,
+                                  self.cell_volumes)
 
     def slot(self, j: int):
         """(positions, velocities, jacobians, vel_gradients) stored at time j h."""

@@ -2,11 +2,17 @@
 
 import contextlib
 import itertools
+import math
 import operator
 import signal
+import struct
+from dataclasses import astuple
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
+
+from flockdde.diagnostics import DiagnosticsFrame
 
 
 @pytest.fixture
@@ -43,3 +49,24 @@ def monotone_tables(draw, nodes, gaps, ratios):
     factors = draw(st.lists(ratios, min_size=n - 1, max_size=n - 1))
     return ([0.0, *itertools.accumulate(steps)],
             [1.0, *itertools.accumulate(factors, operator.mul)])
+
+
+def record_per_slice(ens, d_x, d_v, x, v, lyap, dets):
+    """The diagnostics record of one slice, one reduction at a time: the
+    reference for the records that frames reduce in batches."""
+    vg = np.sqrt((ens.vel_gradients**2).sum(axis=(1, 2)))
+    return DiagnosticsFrame(
+        t=ens.time, d_X=d_x, d_V=d_v, max_speed=ens.max_speed(), lyapunov=lyap,
+        X_of_t=x, V_of_t=v, min_detJ=float(dets.min()),
+        max_velgrad_norm=float(vg.max()),
+        worst_node=int(np.where(np.isfinite(dets), dets, -np.inf).argmin()))
+
+
+def float_bits(value):
+    """The bits of a float, every NaN alike."""
+    return "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+def frame_bits(frame):
+    """A frame's fields, each float as ``float_bits``."""
+    return tuple(float_bits(v) if isinstance(v, float) else v for v in astuple(frame))

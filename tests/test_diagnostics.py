@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import float_bits, frame_bits, record_per_slice
 from flockdde import diagnostics
 from flockdde.diagnostics import (
     _BLOCK_PAIRS,
@@ -22,6 +23,7 @@ from flockdde.diagnostics import (
     prehistory_frames,
     _diameter,
     _pairwise_diameter,
+    _records,
     _row_blocks,
 )
 from flockdde.cli import _json_text, execute_run
@@ -32,6 +34,7 @@ from flockdde.state import (
     BoxDomain,
     ConstantVelocity,
     InitialDatum,
+    LagrangianEnsemble,
     LinearVelocity,
     SineVelocity,
     discretize,
@@ -461,6 +464,54 @@ def test_diameter_bit_identical_to_naive_on_generated_sets(time_limit):
         check()
 
 
+@st.composite
+def slice_stacks(draw):
+    """K slices of N nodes in 1-3 dimensions, each at its own scale from
+    1e-300 to 1e300 (tangent flow 1e-150 to 1e150, so no square of it
+    overflows), some entries NaN or +-inf."""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def arr(shape, top):
+        scale = 10.0 ** rng.integers(-top, top + 1, (k,) + (1,) * len(shape))
+        a = rng.normal(size=(k, *shape)) * scale
+        if draw(st.booleans()):
+            a[rng.random(a.shape) < 0.05] = rng.choice([math.nan, math.inf, -math.inf])
+        return a
+
+    return LagrangianEnsemble(
+        np.arange(k) * 0.25, arr((n, d), 300), arr((n, d), 300), arr((n, d, d), 150),
+        arr((n, d, d), 150), np.full(n, 1.0 / n), np.zeros((n, d)), np.ones(n))
+
+
+def test_stacked_records_equal_per_slice_records(time_limit):
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(slice_stacks())
+    def check(stack):
+        dets = stack.det_jacobians()
+        d_x, d_v = diameters(stack)
+        got = _records(stack, d_x, d_v, dets, lambda t, dx, dv: (dx, dv, math.nan))
+        assert len(got) == len(stack.time)
+        for i, frame in enumerate(got):
+            ens = LagrangianEnsemble(float(stack.time[i]), stack.positions[i],
+                                     stack.velocities[i], stack.jacobians[i],
+                                     stack.vel_gradients[i], stack.masses,
+                                     stack.labels, stack.cell_volumes)
+            assert float_bits(float(d_x[i])) == float_bits(_diameter(ens.positions))
+            assert float_bits(float(d_v[i])) == float_bits(_diameter(ens.velocities))
+            assert dets[i].tobytes() == ens.det_jacobians().tobytes()
+            # beside an inf velocity, the per-slice max_speed squares 1e300
+            with np.errstate(over="ignore"):
+                want = record_per_slice(ens, frame.d_X, frame.d_V, frame.d_X, frame.d_V,
+                                        math.nan, ens.det_jacobians())
+            assert frame_bits(frame) == frame_bits(want)
+
+    with time_limit(20):
+        check()
+
+
 class TestDiameterRange:
     @pytest.mark.parametrize("spread", [1e-160, 1e300])
     @pytest.mark.parametrize("d", [1, 2])
@@ -654,6 +705,21 @@ class TestWindowedMonitor:
         assert _bits(mon.start()) == _bits(ref.start())
         for t, d_v in frames:
             assert _bits(mon.observe(t, d_v)) == _bits(ref.observe(t, d_v)), t
+
+    @pytest.mark.parametrize("name", ["uneven-cadence", "zero-delay", "sparse-window"])
+    def test_three_interpolations_per_frame_without_start(self, name, monkeypatch):
+        # X and Y at the previous frame's t - tau come from that frame's reads
+        # (or, for the first frame, the constructor's), never read again
+        kernel, tau, pre, r_v, frames = _monitor_case(name)
+        mon = FlockingMonitor(kernel, prehistory_stubs(*pre, r_v))
+        ref = _NaiveMonitor(kernel, tau, *pre, r_v)
+        calls, interp = [], np.interp
+        monkeypatch.setattr(np, "interp", lambda *args: calls.append(args[0]) or interp(*args))
+        for t, d_v in frames:
+            calls.clear()
+            got = mon.observe(t, d_v)
+            assert len(calls) == 3
+            assert _bits(got) == _bits(ref.observe(t, d_v)), t
 
     def test_stored_window_stays_bounded(self):
         tau, dt = 0.1, 0.005

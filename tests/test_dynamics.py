@@ -2,7 +2,7 @@
 
 import math
 import re
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import frame_bits, record_per_slice
 from flockdde import dynamics
 from flockdde.cli import execute_run
-from flockdde.config import RunConfig
+from flockdde.config import RunConfig, preset_dict, run_config_from_dict
 from flockdde.diagnostics import (
     _BLOCK_PAIRS,
+    FlockingMonitor,
     _row_blocks,
     _worst_node,
     diameters,
@@ -37,6 +39,7 @@ from flockdde.state import (
     InitialDatum,
     LinearVelocity,
     SineVelocity,
+    _run_steps,
     discretize,
 )
 
@@ -282,13 +285,13 @@ class TestSimulate:
         calls = []
 
         def counted(ens):
-            calls.append(ens.time)
+            calls.extend(ens.time.tolist())  # a stack of slices
             return diameters(ens)
 
         monkeypatch.setattr(dynamics, "diameters", counted)
         res = integrate(buffer, cfg.kernel, t_end=cfg.t_end,
                         output_every=cfg.output_every, prehistory=pre)
-        assert 0.0 not in calls and len(calls) == len(res.frames) - 1
+        assert 0.0 not in calls and calls == [f.t for f in res.frames[1:]]
         assert (res.frames[0].d_X, res.frames[0].d_V) == (pre[-1].d_X, pre[-1].d_V)
         # integrate's own prehistory, when none is passed, gives the same run
         assert res.frames == integrate_config(cfg).frames
@@ -474,6 +477,82 @@ class TestSimulate:
         assert len(forces) == 4 * 10
         # m = 20: step k interpolates [k - 20, k - 19] at its midpoint
         assert hermites == [(k - 20, 0.5) for k in range(10)]
+
+
+def _integrate_per_frame(buffer, kernel, t_end, output_every):
+    """The reference run loop: each frame reduced from its own slot as the
+    step that made it ends, each prehistory slice on its own."""
+    _, n_steps, every = _run_steps(buffer.tau, buffer.h, t_end, output_every)
+    prehistory = []
+    for s in buffer.prehistory():
+        d_x, d_v = diameters(s)
+        prehistory.append(record_per_slice(s, d_x, d_v, d_x, d_v, math.nan,
+                                            s.det_jacobians()))
+    monitor = FlockingMonitor(kernel, prehistory)
+    frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
+    for k, (dets, event) in enumerate(dynamics._advance(buffer, kernel, n_steps)):
+        if frames[-1].t != buffer.current_time and (
+                event is not None or k % every == 0 or k == n_steps):
+            ens = buffer.latest
+            d_x, d_v = diameters(ens)
+            frames.append(record_per_slice(ens, d_x, d_v, *monitor.observe(ens.time, d_v),
+                                            dets))
+    if event is not None:
+        frames[-1].status = "blowup"
+    return prehistory, frames, event, monitor.r_v
+
+
+BATCH_CASES = {
+    # a 3-slot ring: a batch every 3 frames
+    "zero-delay": make_config(tau=0.0, t_end=0.2),
+    # 16 frames of 1024 nodes fill a batch before the m + 2 = 22 steps
+    "cap-before-ring": make_config(datum=InitialDatum(BoxDomain([0.0], [1.0], [1024]),
+                                                      SineVelocity([0.0], [0.3], [2.0])),
+                                   tau=0.1, t_end=0.15, output_every=0.005),
+    # det J crosses the tolerance at t = 0.694, between frames
+    "riccati-blowup": run_config_from_dict(preset_dict("riccati-blowup")),
+    # every frame alone: the ring turns over between two frames
+    "every-above-tau": make_config(tau=0.01, output_every=0.035, t_end=0.7),
+    "two-d": make_config(datum=InitialDatum(BoxDomain([0.0, 0.0], [1.0, 1.0], [5, 4]),
+                                            SineVelocity([0.0, 0.1], [0.3, 0.2],
+                                                         [2.0, 1.0], [0.3, 0.1])),
+                         tau=0.05, step=0.01, t_end=0.5, output_every=0.02),
+    # a poisoned prehistory slice ends the run in a BlowupSignal
+    "blowup-signal": make_config(t_end=1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCH_CASES))
+def test_batched_frames_equal_the_per_frame_loop(name, monkeypatch):
+    cfg = BATCH_CASES[name]
+    buffers = [discretize(cfg.datum, cfg.tau, cfg.step) for _ in range(2)]
+    if name == "blowup-signal":
+        for buf in buffers:
+            buf.prehistory()[5].velocities[0, 0] = math.inf
+    gathered, gather = [], HistoryBuffer.gather
+
+    def counted_gather(self, clocks):
+        gathered.append(len(clocks))
+        return gather(self, clocks)
+
+    monkeypatch.setattr(HistoryBuffer, "gather", counted_gather)
+    pre = prehistory_frames(buffers[0])
+    res = integrate(buffers[0], cfg.kernel, t_end=cfg.t_end,
+                    output_every=cfg.output_every, prehistory=pre)
+    want_pre, want, event, r_v = _integrate_per_frame(buffers[1], cfg.kernel, cfg.t_end,
+                                                      cfg.output_every)
+    assert list(map(frame_bits, pre)) == list(map(frame_bits, want_pre))
+    assert list(map(frame_bits, res.frames)) == list(map(frame_bits, want))
+    assert (res.blowup, res.r_v) == (event, r_v)
+    # no gather holds more than _BLOCK_PAIRS nodes
+    n = len(buffers[0].masses)
+    assert sum(gathered) == len(pre) + len(res.frames) - 1
+    assert max(gathered) * n <= _BLOCK_PAIRS
+    if name == "cap-before-ring":
+        assert max(gathered) == _BLOCK_PAIRS // n < 22
+    if name in ("riccati-blowup", "blowup-signal"):
+        assert res.frames[-1].status == "blowup"
+        assert (res.blowup.node is None) == (name == "blowup-signal")
 
 
 @pytest.mark.parametrize("dets, node", [
