@@ -93,21 +93,32 @@ def _json_text(obj) -> str:
     return json.dumps(_json_safe(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
+def _message(exc: Exception) -> str:
+    """The text of a failure: its message, or its type where it has none."""
+    return str(exc) or type(exc).__name__
+
+
 def _prepare(cfg: RunConfig):
     """The discretized datum of ``cfg`` and its prehistory frames."""
     buffer = discretize(cfg.datum, cfg.tau, cfg.step)
     return buffer, prehistory_frames(buffer)
 
 
-def execute_run(cfg: RunConfig):
+def execute_run(cfg: RunConfig, prepared=None):
     """The one pipeline from a config to a run: returns ``(result, summary)``.
 
     Discretizes the datum, takes its prehistory frames once, certifies
     flocking from them and integrates from t = 0 with them; ``result`` is
     ``integrate``'s ``SimulationResult`` (``result.blowup`` is the run's
     outcome) and ``summary`` the mapping written to ``summary.json``.
+    ``prepared``, a ``_prepare`` pair of a config with the same datum, tau,
+    step and seed, stands in for the first two steps: the run steps a copy
+    of its buffer and reads its frames, so other runs may share it.
     """
-    buffer, pre = _prepare(cfg)
+    if prepared is None:
+        buffer, pre = _prepare(cfg)
+    else:
+        buffer, pre = prepared[0].copy(), prepared[1]
     certificate = certify_flocking(pre, cfg.kernel)
 
     start = buffer.latest  # a view of the t = 0 slot, which the run reuses
@@ -140,10 +151,10 @@ def _write_run_outputs(cfg, result, summary, out_dir):
         write_snapshot_csv(result.buffer.latest, os.path.join(out_dir, "snapshot.csv"))
 
 
-def _run_into(cfg, out_dir):
+def _run_into(cfg, out_dir, prepared=None):
     """Run ``cfg`` and write its outputs to ``out_dir``: the step that a
     standalone run and a sweep cell share, so the two write the same bytes."""
-    result, summary = execute_run(cfg)
+    result, summary = execute_run(cfg, prepared)
     _write_run_outputs(cfg, result, summary, out_dir)
     return result, summary
 
@@ -192,14 +203,42 @@ def cmd_threshold(args) -> int:
             "indeterminate": 5}[verdict.verdict]
 
 
+def _setup_key(doc) -> str:
+    """What ``_prepare`` reads of a run config: its datum, tau, step and seed
+    (which draws a random phase), never its kernel."""
+    return json.dumps([doc["datum"], doc["tau"], doc["step"], doc.get("seed", 0)],
+                      sort_keys=True)
+
+
+def _tasks(keys, workers):
+    """Split cells 0..len(keys) - 1 into tasks: each holds cells of one key,
+    in cell order, and at most ceil(cells / workers) of them, so a sweep of
+    one key still keeps every worker busy.  Tasks come in the order of their
+    first cells."""
+    size = -(-len(keys) // max(workers, 1))
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return sorted((cells[lo:lo + size] for cells in groups.values()
+                   for lo in range(0, len(cells), size)), key=lambda task: task[0])
+
+
 def _run_cell(payload):
-    """Sweep worker: run one cell into its own directory (process-safe)."""
-    index, coords, doc, out_dir = payload
+    """Sweep worker: run one cell into its own directory (process-safe).
+
+    ``shared``, the last item, is its task's list of at most one ``_prepare``
+    pair: the first cell to succeed fills it and the others run on it; a
+    failed set-up is not kept, so each cell that needs it meets the failure.
+    """
+    index, coords, doc, out_dir, shared = payload
     cell_dir = os.path.join(out_dir, f"cell_{index:04d}")
     row = {"cell": index, **{f"axis:{k}": json.dumps(_json_safe(v), sort_keys=True)
                              for k, v in coords.items()}}
     try:
-        result, summary = _run_into(run_config_from_dict(doc), cell_dir)
+        cfg = run_config_from_dict(doc)
+        if not shared:
+            shared.append(_prepare(cfg))
+        result, summary = _run_into(cfg, cell_dir, shared[0])
         row["status"] = "ok" if result.blowup is None else "blowup"
         row["satisfied"] = str(summary["certificate"]["satisfied"]).lower()
         rate = summary["fitted_rate"]
@@ -208,8 +247,15 @@ def _run_cell(payload):
                               else _fmt(summary["blowup"]["time"]))
         row["final_d_V"] = _fmt(summary["final"]["d_V"])
     except Exception as exc:  # per-cell failures are recorded, not fatal
-        row["status"] = f"error: {exc}"  # cmd_sweep leaves the missing columns empty
+        row["status"] = f"error: {_message(exc)}"  # cmd_sweep leaves the missing columns empty
     return row
+
+
+def _run_task(payloads):
+    """Sweep worker: run the cells of one task (see ``_tasks``), which share
+    one set-up, each through ``_run_cell``."""
+    shared = []
+    return [_run_cell((*payload, shared)) for payload in payloads]
 
 
 def cmd_sweep(args) -> int:
@@ -221,11 +267,14 @@ def cmd_sweep(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     payloads = [(i, coords, doc, args.out) for i, (coords, doc) in enumerate(sweep.cells)]
     workers = min(workers, len(payloads))
+    tasks = [[payloads[i] for i in task] for task in
+             _tasks([_setup_key(doc) for _, doc in sweep.cells], workers)]
     if workers <= 1:
-        rows = [_run_cell(p) for p in payloads]
+        done = [_run_task(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, payloads))  # in cell order
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            done = list(pool.map(_run_task, tasks))
+    rows = sorted((row for task_rows in done for row in task_rows), key=lambda r: r["cell"])
     axis_cols = [f"axis:{p}" for p in sweep.axes]
     cols = ["cell"] + axis_cols + ["status", "satisfied", "fitted_rate",
                                    "blowup_time", "final_d_V"]
@@ -296,7 +345,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # any other failure is one line, never a traceback
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(f"error: {_message(exc)}", file=sys.stderr)
         return 1
 
 

@@ -168,10 +168,10 @@ def _worst_node(dets):
 
 
 def _max_speeds(velocities: np.ndarray) -> np.ndarray:
-    """``LagrangianEnsemble.max_speed`` of each slice of a (K, N, d) stack,
-    each scaled by its own power of two (see ``state._range_exponent``).  A
-    slice holding inf is not scaled, and squares that overflow beside it
-    leave its inf as it is."""
+    """The largest |v| of each slice of a (K, N, d) stack, with no square out
+    of range: each slice is scaled by its own power of two (see
+    ``state._range_exponent``).  A slice holding inf is not scaled, and
+    squares that overflow beside it leave its inf as it is."""
     speeds = np.abs(velocities)
     top = speeds.max(axis=(1, 2))
     if speeds.shape[2] == 1:

@@ -15,6 +15,7 @@ per RK4 stage.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -71,16 +72,6 @@ class LagrangianEnsemble:
     @property
     def dim(self) -> int:
         return self.positions.shape[-1]
-
-    def max_speed(self) -> float:
-        """The largest |v|, with no square out of range: scaled by an exact
-        power of two where the largest component is outside [2^-500, 2^500]."""
-        speeds = np.abs(self.velocities)
-        top = float(speeds.max())
-        if self.dim == 1:
-            return top
-        e = _range_exponent(top)
-        return _ldexp(float(np.sqrt((np.ldexp(speeds, -e)**2).sum(axis=1)).max()), e)
 
     def det_jacobians(self) -> np.ndarray:
         return _det(self.jacobians)
@@ -255,6 +246,16 @@ class HistoryBuffer:
             return self.slot(j)[:2]
         return self.interpolate(j, theta)
 
+    def copy(self) -> HistoryBuffer:
+        """A buffer that steps on its own copy of the ring and shares the
+        read-only ``masses``, ``labels`` and ``cell_volumes``: one prepared
+        prehistory, run by several kernels."""
+        twin = copy.copy(self)
+        twin._pos, twin._vel, twin._jac, twin._vgrad, twin._acc = (
+            a.copy() for a in (self._pos, self._vel, self._jac, self._vgrad, self._acc))
+        twin._fwd0 = None if self._fwd0 is None else self._fwd0.copy()
+        return twin
+
     def set_slope(self, accel: np.ndarray) -> None:
         """Store dv/dt leaving the newest slot (the first stage of its step)."""
         if self.clock == 0:
@@ -321,16 +322,22 @@ class SineVelocity(VelocityField):
         d = self.base.size
         self.phase = np.zeros(d) if phase is None else np.asarray(phase, dtype=float)
         self.omega = float(omega)
+        # the factors of cos in du_a/dx_a and in u_s, which
+        # amplitude * wavenumber * cos and amplitude * omega * cos form first
+        self._slope, self._rate = self.amplitude * self.wavenumber, self.amplitude * self.omega
 
     def __call__(self, s, x):
         arg = self.wavenumber * x + self.phase + self.omega * s
         cos = np.cos(arg)
         u = self.base + self.amplitude * np.sin(arg)
         n, d = u.shape  # the diagonal gradient takes the value's shape, checked first
-        grad = np.zeros((n, d, d))
-        idx = np.arange(d)
-        grad[:, idx, idx] = self.amplitude * self.wavenumber * cos
-        return u, grad, self.amplitude * self.omega * cos
+        slope = self._slope * cos
+        if d == 1:
+            grad = slope[:, :, None]
+        else:
+            grad = np.zeros((n, d, d))
+            grad.reshape(n, d * d)[:, ::d + 1] = slope  # the diagonal
+        return u, grad, self._rate * cos
 
 
 class SliceTableVelocity(VelocityField):
@@ -442,6 +449,18 @@ class InitialDatum:
         return vals
 
 
+def _matmul(a, c):
+    """``np.einsum("nab,nbc->nac", a, c)`` bit for bit, without its set-up:
+    the products summed in order over b, from +0 as einsum sums them (so no
+    entry is -0).  Unlike einsum, its ufuncs warn on overflow and on invalid
+    products unless the caller silences them."""
+    out = a[:, :, 0, None] * c[:, None, 0]
+    for b in range(1, a.shape[-1]):
+        out += a[:, :, b, None] * c[:, None, b]
+    out += 0.0
+    return out
+
+
 def _rk4(rhs, y, h, k1, mid, end):
     """One classical RK4 step of ``y' = rhs(stage, *y)`` from the given first stage.
 
@@ -504,7 +523,7 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
 
     def rhs(s, pos, jac):
         u, grad, _ = evaluate(s, pos)
-        return u, np.einsum("nab,nbc->nac", grad, jac)
+        return u, _matmul(grad, jac)
 
     # walk back from the labels at t = 0, where the field is evaluated first
     y = (nodes.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy())
@@ -520,8 +539,9 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
         vel, grad, vel_s = evaluate(s, pos)
         if not np.all(np.isfinite(vel)):
             raise InvalidDatumError(f"velocity field is not finite at s={s}")
+        with np.errstate(over="ignore", invalid="ignore"):  # as silent as einsum
+            vel_grad = _matmul(grad, jac)
         # the velocity's slope is its material derivative u_s + (grad u) u
-        rows.append((pos, vel, jac, np.einsum("nab,nbc->nac", grad, jac),
-                     vel_s + np.einsum("nab,nb->na", grad, vel)))
+        rows.append((pos, vel, jac, vel_grad, vel_s + np.einsum("nab,nb->na", grad, vel)))
     rows.reverse()
     return HistoryBuffer(tau, h, masses, nodes, volumes, rows)

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from flockdde.diagnostics import DiagnosticsFrame
+from flockdde.diagnostics import DiagnosticsFrame, _max_speeds
+from flockdde.state import _ldexp, _range_exponent
 
 
 @pytest.fixture
@@ -51,12 +52,31 @@ def monotone_tables(draw, nodes, gaps, ratios):
             [1.0, *itertools.accumulate(factors, operator.mul)])
 
 
+def max_speed(ens):
+    """The largest |v| of one slice, with no square out of range: scaled by
+    an exact power of two where the largest component is outside
+    [2^-500, 2^500].  The reference for ``diagnostics._max_speeds``; beside
+    an inf, squares above the float range overflow silently to inf."""
+    speeds = np.abs(ens.velocities)
+    top = float(speeds.max())
+    if ens.dim == 1:
+        return top
+    e = _range_exponent(top)
+    with np.errstate(over="ignore"):
+        return _ldexp(float(np.sqrt((np.ldexp(speeds, -e)**2).sum(axis=1)).max()), e)
+
+
+def prehistory_r_v(buf):
+    """R_V of a buffer: the largest speed over its slices at t <= 0."""
+    return float(_max_speeds(buf.gather(buf.prehistory_clocks()).velocities).max())
+
+
 def record_per_slice(ens, d_x, d_v, x, v, lyap, dets):
     """The diagnostics record of one slice, one reduction at a time: the
     reference for the records that frames reduce in batches."""
     vg = np.sqrt((ens.vel_gradients**2).sum(axis=(1, 2)))
     return DiagnosticsFrame(
-        t=ens.time, d_X=d_x, d_V=d_v, max_speed=ens.max_speed(), lyapunov=lyap,
+        t=ens.time, d_X=d_x, d_V=d_v, max_speed=max_speed(ens), lyapunov=lyap,
         X_of_t=x, V_of_t=v, min_detJ=float(dets.min()),
         max_velgrad_norm=float(vg.max()),
         worst_node=int(np.where(np.isfinite(dets), dets, -np.inf).argmin()))

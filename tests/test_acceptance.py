@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import prehistory_r_v
 from flockdde.cli import main as cli_main
 from flockdde.config import preset_dict
 from flockdde.diagnostics import (
@@ -202,7 +203,7 @@ def test_criterion_08_force_gradient_bound():
         datum = InitialDatum(BoxDomain([0.0], [1.0], [50]),
                              LinearVelocity([[0.4]]))
         buf = discretize(datum, 0.1, 2e-3)
-        r_v = max(s.max_speed() for s in buf.prehistory())
+        r_v = prehistory_r_v(buf)
         c_bar = 2.0 * kernel.log_deriv_bound * r_v
         for _ in range(100):
             cur = buf.latest

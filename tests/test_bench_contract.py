@@ -5,6 +5,8 @@ import importlib
 import json
 import os
 
+import pytest
+
 from flockdde import cli, dynamics
 from flockdde.config import preset_dict, run_config_from_dict
 from flockdde.state import discretize
@@ -52,3 +54,37 @@ def test_tracer_installs_runs_and_uninstalls(tmp_path, monkeypatch):
     assert len(frame_ts) > 1 and frame_ts[0] == 0.0
     assert observed == frame_ts[1:]
     assert (cli.main, cli.integrate, cli.discretize, dynamics.step) == originals
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tracer_sees_each_sweep_cell_and_one_set_up_per_task(tmp_path, monkeypatch, workers):
+    # four cells of one set-up key: one task in-process, two in two workers
+    monkeypatch.syspath_prepend(BENCH)
+    spans = importlib.import_module("spans")
+    doc = preset_dict("unconditional-beta025")
+    doc["datum"]["domain"]["counts"] = [4]
+    doc["t_end"] = 0.01
+    sweep = {"schema_version": 1, "base": doc, "max_workers": workers,
+             "axes": [{"path": "kernel.beta", "values": [0.0, 0.25, 0.75, 2.0]}]}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(sweep))
+    trace_dir = tmp_path / "trace"
+    trace_dir.mkdir()
+    tracer = spans.Tracer(trace_dir)
+    tracer.install()
+    cells = []
+    run_cell = tracer.run_cell
+    tracer.run_cell = lambda payload: cells.append(payload[0]) or run_cell(payload)
+    try:
+        assert cli.main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        tags = sorted(p.name.rsplit("-", 1)[1] for p in trace_dir.glob("spans-*.json"))
+    finally:
+        tracer.uninstall()
+    names = [name for _, name, *_ in tracer.collect()]
+    assert names.count("cli.sweep.cell") == 4
+    assert names.count("state.discretize") == workers
+    if workers == 1:
+        assert cells == [0, 1, 2, 3]  # in-process, each cell passes through the tracer
+    else:
+        # each worker writes its spans under the index the tracer reads first
+        assert tags == [f"cell{i:04d}.json" for i in range(4)]

@@ -10,6 +10,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flockdde import cli
 from flockdde.cli import _json_text, execute_run, main
@@ -774,6 +776,21 @@ class TestFailureBoundary:
         assert run_cli("certify", "--preset", "riccati-blowup") == 1
         assert capsys.readouterr().err == "error: MemoryError\n"
 
+    def test_sweep_cell_failure_without_a_message_names_its_type(self, tmp_path,
+                                                                 quick_run_doc,
+                                                                 monkeypatch, capsys):
+        def fail(cfg):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "_prepare", fail)
+        sweep_doc = {"schema_version": 1, "base": quick_run_doc,
+                     "axes": [{"path": "tau", "values": [0.1]}], "max_workers": 1}
+        assert run_cli("sweep", "--config", write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid")) == 1
+        summary = (tmp_path / "grid" / "sweep_summary.csv").read_text().splitlines()
+        assert summary[1] == "0,0.1,error: MemoryError,,,,"
+        assert capsys.readouterr().err == "cell 0: error: MemoryError\n"
+
 
 class TestSweep:
     def test_cells_are_built_once_in_row_major_order(self, quick_run_doc):
@@ -871,6 +888,127 @@ class TestSweep:
             cell, solo = tmp_path / "grid" / f"cell_{i:04d}", tmp_path / f"solo{i}"
             for name in ("frames.csv", "summary.json"):
                 assert (cell / name).read_bytes() == (solo / name).read_bytes()
+        # cells that differ only in the kernel share one set-up
+        betas = [0.25, 1.5, 0.0]
+        calls.clear()
+        sweep_doc = {"schema_version": 1, "base": doc,
+                     "axes": [{"path": "kernel.beta", "values": betas}], "max_workers": 1}
+        assert run_cli("sweep", "--config",
+                       write_json(tmp_path / "beta_sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "beta_grid")) == 0
+        assert calls == {"discretize": 1, "prehistory_frames": 1, "integrate": 3}
+        for i, beta in enumerate(betas):
+            solo = tmp_path / f"beta_solo{i}"
+            assert run_cli("run", "--config",
+                           write_json(tmp_path / f"beta{i}.json",
+                                      _with(doc, "kernel.beta", beta)),
+                           "--out", str(solo)) == 0
+            cell = tmp_path / "beta_grid" / f"cell_{i:04d}"
+            for name in ("frames.csv", "summary.json"):
+                assert (cell / name).read_bytes() == (solo / name).read_bytes()
+
+    def test_shared_set_up_survives_a_cell_that_blows_up(self, tmp_path, monkeypatch):
+        # one set-up for both cells: the first blows up at t = ln 2, the
+        # second ends before; each must be its standalone run
+        doc = preset_dict("riccati-blowup")
+        doc.update(step=0.005, output_every=0.01, snapshot_csv=True)
+        doc["datum"]["domain"]["counts"] = [16]
+        ends = [1.0, 0.3]
+        prepared = []
+
+        def prepare(cfg, real=cli._prepare):
+            prepared.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "_prepare", prepare)
+        sweep_doc = {"schema_version": 1, "base": doc,
+                     "axes": [{"path": "t_end", "values": ends}], "max_workers": 1}
+        assert run_cli("sweep", "--config", write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid")) == 0
+        assert len(prepared) == 1
+        with open(tmp_path / "grid" / "sweep_summary.csv", newline="") as f:
+            assert [r["status"] for r in csv.DictReader(f)] == ["blowup", "ok"]
+        for i, t_end in enumerate(ends):
+            solo = tmp_path / f"solo{i}"
+            run_cli("run", "--config",
+                    write_json(tmp_path / f"run{i}.json", dict(doc, t_end=t_end)),
+                    "--out", str(solo))
+            for name in ("frames.csv", "summary.json", "snapshot.csv"):
+                assert (tmp_path / "grid" / f"cell_{i:04d}" / name).read_bytes() == \
+                    (solo / name).read_bytes()
+
+    def test_shared_cells_read_one_read_only_set_of_node_arrays(self, tmp_path,
+                                                                quick_run_doc, monkeypatch):
+        buffers = []
+
+        def recording(buffer, *args, real=cli.integrate, **kwargs):
+            buffers.append(buffer)
+            return real(buffer, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate", recording)
+        sweep_doc = {"schema_version": 1, "base": dict(quick_run_doc, t_end=0.05),
+                     "axes": [{"path": "kernel.beta", "values": [0.25, 0.5, 2.0]}],
+                     "max_workers": 1}
+        assert run_cli("sweep", "--config", write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid")) == 0
+        assert len({id(b) for b in buffers}) == 3  # each cell steps its own ring
+        for name in ("masses", "labels", "cell_volumes"):
+            arrays = [getattr(b.latest, name) for b in buffers]
+            assert all(a is arrays[0] for a in arrays)
+            assert not any(a.flags.writeable for a in arrays)
+
+    def test_failed_shared_set_up_fails_each_of_its_cells_only(self, tmp_path, quick_run_doc,
+                                                               monkeypatch, capsys):
+        prepared = collections.Counter()
+
+        def prepare(cfg, real=cli._prepare):
+            prepared[cfg.tau] += 1
+            if cfg.tau == 0.1:
+                raise RuntimeError("no set-up at tau 0.1")
+            return real(cfg)
+
+        monkeypatch.setattr(cli, "_prepare", prepare)
+        sweep_doc = {"schema_version": 1, "base": dict(quick_run_doc, t_end=0.05),
+                     "axes": [{"path": "tau", "values": [0.1, 0.2]},
+                              {"path": "kernel.beta", "values": [0.25, 0.5]}],
+                     "max_workers": 1}
+        assert run_cli("sweep", "--config", write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid")) == 1
+        with open(tmp_path / "grid" / "sweep_summary.csv", newline="") as f:
+            statuses = [r["status"] for r in csv.DictReader(f)]
+        assert statuses == ["error: no set-up at tau 0.1"] * 2 + ["ok"] * 2
+        assert prepared == {0.1: 2, 0.2: 1}  # a failed set-up is tried again, not kept
+        assert capsys.readouterr().err == "".join(
+            f"cell {i}: error: no set-up at tau 0.1\n" for i in (0, 1))
+
+    def test_set_up_key_is_the_datum_tau_step_and_seed(self, quick_run_doc):
+        key = cli._setup_key(quick_run_doc)
+        assert cli._setup_key(_with(quick_run_doc, "kernel.beta", 3.0)) == key
+        assert cli._setup_key(_with(quick_run_doc, "t_end", 0.5)) == key
+        for path, value in (("tau", 0.1), ("step", 0.001), ("seed", 4),
+                            ("datum.velocity.amplitude", [0.3])):
+            assert cli._setup_key(_with(quick_run_doc, path, value)) != key
+
+    def test_tasks_of_small_sweeps(self):
+        assert cli._tasks(list("aaabbb"), 2) == [[0, 1, 2], [3, 4, 5]]  # sweep-2x3
+        assert cli._tasks(list("aaa"), 2) == [[0, 1], [2]]  # one key keeps two workers
+        assert cli._tasks(list("abcd"), 2) == [[0], [1], [2], [3]]
+        assert cli._tasks(list("abab"), 1) == [[0, 2], [1, 3]]
+        assert cli._tasks([], 1) == []
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.sampled_from("abc"), max_size=14), st.integers(1, 5))
+    def test_tasks_partition_the_cells(self, keys, workers):
+        tasks = cli._tasks(keys, workers)
+        size = math.ceil(len(keys) / workers)
+        assert sorted(i for task in tasks for i in task) == list(range(len(keys)))
+        for task in tasks:
+            assert 0 < len(task) <= size
+            assert task == sorted(task)
+            assert len({keys[i] for i in task}) == 1
+        assert [task[0] for task in tasks] == sorted(task[0] for task in tasks)
+        # no more tasks than the cap forces
+        assert len(tasks) == sum(math.ceil(keys.count(k) / size) for k in set(keys))
 
     def test_axis_values_are_json(self, tmp_path, quick_run_doc):
         doc = json.loads(json.dumps(quick_run_doc))

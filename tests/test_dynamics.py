@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_bits, record_per_slice
+from conftest import frame_bits, max_speed, prehistory_r_v, record_per_slice
 from flockdde import dynamics
 from flockdde.cli import execute_run
 from flockdde.config import RunConfig, preset_dict, run_config_from_dict
@@ -220,12 +220,12 @@ class TestStep:
         datum = InitialDatum(BoxDomain([0.0], [1.0], [8]),
                              SineVelocity([0.2], [0.5], [3.0], [1.0]))
         buf = discretize(datum, tau=0.1, h=0.01)
-        r_v = max(s.max_speed() for s in buf.prehistory())
+        r_v = prehistory_r_v(buf)
         kernel = CuckerSmaleKernel(1.0)
         worst = 0.0
         for _ in range(200):
             step(buf, kernel)
-            worst = max(worst, buf.latest.max_speed())
+            worst = max(worst, max_speed(buf.latest))
         assert worst <= r_v + 1e-7
 
     def test_tangent_flow_matches_label_finite_differences(self):

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import float_bits
 from flockdde.state import (
     BoxDomain,
     ConstantVelocity,
@@ -18,9 +21,11 @@ from flockdde.state import (
     SineVelocity,
     SliceTableVelocity,
     VelocityField,
+    _matmul,
     discretize,
 )
 from flockdde.cli import write_snapshot_csv
+from flockdde.diagnostics import _max_speeds
 from flockdde.dynamics import step
 from flockdde.kernel import CuckerSmaleKernel
 
@@ -282,6 +287,76 @@ class TestVelocityFields:
         discretize(InitialDatum(domain, field), m * 0.01, 0.01)
         assert field.calls == 4 * m + 1
 
+@st.composite
+def matrix_stacks(draw):
+    """Two (N, d, d) stacks, each at a scale of 1e-150, 1 or 1e150, with
+    subnormal, signed-zero, NaN and +-inf entries among them, so products
+    underflow to +-0, overflow or are NaN; the second is sometimes a strided
+    view."""
+    d, n = draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 6))
+    entries = st.one_of(st.floats(-4.0, 4.0),
+                        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
+
+    def stack():
+        values = draw(st.lists(entries, min_size=n * d * d, max_size=n * d * d))
+        return np.array(values).reshape(n, d, d) * draw(st.sampled_from([1e-150, 1.0, 1e150]))
+
+    a, c = stack(), stack()
+    if draw(st.booleans()):
+        packed = np.zeros((n, d + d * d))
+        packed[:, d:] = c.reshape(n, d * d)
+        c = packed[:, d:].reshape(n, d, d)
+    return a, c
+
+
+def test_unrolled_product_is_einsum_bit_for_bit(time_limit):
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
+    @given(matrix_stacks())
+    def check(stacks):
+        with np.errstate(all="ignore"):
+            got, want = _matmul(*stacks), np.einsum("nab,nbc->nac", *stacks)
+        assert got.shape == want.shape
+        assert [float_bits(v) for v in got.ravel().tolist()] == \
+            [float_bits(v) for v in want.ravel().tolist()]
+
+    with time_limit(30):
+        check()
+
+
+def _sine_reference(field, s, x):
+    """``SineVelocity`` as it built its gradient before: zeros, then the
+    diagonal written by fancy indexing."""
+    arg = field.wavenumber * x + field.phase + field.omega * s
+    cos = np.cos(arg)
+    n, d = x.shape
+    grad = np.zeros((n, d, d))
+    idx = np.arange(d)
+    grad[:, idx, idx] = field.amplitude * field.wavenumber * cos
+    return (field.base + field.amplitude * np.sin(arg), grad,
+            field.amplitude * field.omega * cos)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_sine_gradient_is_the_old_construction_bit_for_bit(data):
+    d = data.draw(st.sampled_from([1, 2, 3]))
+    n = data.draw(st.integers(1, 5))
+
+    def numbers(size, lo, hi):
+        return data.draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size))
+
+    # zero and negative amplitudes and wavenumbers give +-0 slopes on the diagonal
+    field = SineVelocity(numbers(d, -2, 2), numbers(d, -1, 1), numbers(d, -4, 4),
+                         numbers(d, -4, 4), omega=data.draw(st.floats(-3, 3)))
+    x = np.array(numbers(n * d, -10, 10)).reshape(n, d)
+    s = data.draw(st.floats(-2, 0))
+    got, want = field(s, x), _sine_reference(field, s, x)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    off_diagonal = ~np.eye(d, dtype=bool)
+    assert not np.signbit(got[1][:, off_diagonal]).any()  # +0.0, never -0.0
+
+
 class TestHistoryBuffer:
     def test_query_at_stored_time_is_exact(self):
         rows = [make_row([t, 2 * t], [1.0, 2.0]) for t in (-1.0, -0.5, 0.0)]
@@ -368,6 +443,22 @@ class TestHistoryBuffer:
         with pytest.raises(ValueError, match="masses must sum to 1"):
             HistoryBuffer(1.0, 0.5, np.ones(3), good[0][0].copy(), np.ones(3), good)
 
+    def test_copy_steps_its_own_ring_and_shares_the_read_only_arrays(self):
+        datum = InitialDatum(BoxDomain([0.0], [1.0], [4]),
+                             SineVelocity([0.0], [0.3], [2.0], [0.5]))
+        buf = discretize(datum, tau=0.03, h=0.01)
+        before = [a.copy() for a in (buf._pos, buf._vel, buf._jac, buf._vgrad, buf._acc)]
+        twin = buf.copy()
+        for _ in range(6):  # past the m + 3 = 6 slots, so every slot is rewritten
+            step(twin, CuckerSmaleKernel(1.0))
+        assert (buf.clock, twin.clock) == (0, 6)
+        assert buf._fwd0 is None and twin._fwd0 is not None
+        for old, now in zip(before, (buf._pos, buf._vel, buf._jac, buf._vgrad, buf._acc)):
+            assert old.tobytes() == now.tobytes()
+        for name in ("masses", "labels", "cell_volumes"):
+            assert getattr(twin, name) is getattr(buf, name)
+            assert not getattr(twin, name).flags.writeable
+
     def test_labels_and_masses_shared_across_slices(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [3]), ConstantVelocity([0.1]))
         buf = discretize(datum, tau=0.5, h=0.1)
@@ -379,11 +470,9 @@ class TestHistoryBuffer:
             assert sl.cell_volumes is first.cell_volumes
 
 
-def ensemble_of(velocities):
-    n, d = velocities.shape
-    eye = np.broadcast_to(np.eye(d), (n, d, d))
-    return LagrangianEnsemble(0.0, np.zeros((n, d)), velocities, eye, eye,
-                              np.full(n, 1.0 / n), np.zeros((n, d)), np.ones(n))
+def max_speed_of(velocities):
+    """``_max_speeds`` of one (N, d) slice."""
+    return float(_max_speeds(velocities[None])[0])
 
 
 class TestMaxSpeed:
@@ -391,8 +480,8 @@ class TestMaxSpeed:
     def test_finite_at_every_scale(self, scale):
         # the squares of the largest components leave the float range from
         # about 1e-154 down and 1e154 up
-        assert ensemble_of(np.array([[3.0], [-4.0]]) * scale).max_speed() == 4 * scale
-        speed = ensemble_of(np.array([[1.0, -1.0], [3.0, -4.0]]) * scale).max_speed()
+        assert max_speed_of(np.array([[3.0], [-4.0]]) * scale) == 4 * scale
+        speed = max_speed_of(np.array([[1.0, -1.0], [3.0, -4.0]]) * scale)
         assert speed == pytest.approx(5 * scale, rel=1e-15)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -400,16 +489,16 @@ class TestMaxSpeed:
         rng = np.random.default_rng(d)
         for scale in (2.0**-499, 1e-100, 1.0, 1e100, 2.0**499):
             v = scale * rng.normal(size=(50, d))
-            assert ensemble_of(v).max_speed() == float(np.sqrt((v**2).sum(axis=1)).max())
+            assert max_speed_of(v) == float(np.sqrt((v**2).sum(axis=1)).max())
 
     def test_speed_above_the_float_range_is_inf(self):
         # |(1.5e308, 1.5e308)| = 2.1e308 overflows; unscaling once raised
         # OverflowError from math.ldexp
-        assert ensemble_of(np.array([[1.5e308, 1.5e308]])).max_speed() == math.inf
+        assert max_speed_of(np.array([[1.5e308, 1.5e308]])) == math.inf
 
     def test_non_finite_velocity_propagates(self):
-        assert math.isnan(ensemble_of(np.array([[1.0, math.nan]])).max_speed())
-        assert ensemble_of(np.array([[1.0, -math.inf]])).max_speed() == math.inf
+        assert math.isnan(max_speed_of(np.array([[1.0, math.nan]])))
+        assert max_speed_of(np.array([[1.0, -math.inf]])) == math.inf
 
 
 def test_snapshot_csv_round_trip(tmp_path):

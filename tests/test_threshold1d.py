@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import prehistory_r_v
 from flockdde.cli import execute_run, main
 from flockdde.config import preset_dict, run_config_from_dict
 from flockdde.dynamics import BlowupSignal, alignment_rhs, integrate, step
@@ -130,7 +131,7 @@ class TestEvolveW:
         datum = InitialDatum(BoxDomain([0.0], [box_hi], [12]),
                              LinearVelocity([[slope]]))
         buf = discretize(datum, 0.05, 1e-3)
-        r_v = max(s.max_speed() for s in buf.prehistory())
+        r_v = prehistory_r_v(buf)
         verdict = classify(slope, CuckerSmaleKernel(beta), r_v)
         assert verdict.verdict == "global-existence"
         evo = evolve_w(buf, CuckerSmaleKernel(beta), t_end=5.0)
@@ -215,7 +216,7 @@ def test_supercritical_slopes_blow_up_within_the_bound(time_limit):
                              LinearVelocity([[case["slope"]]]))
         buf = discretize(datum, case["m"] * H, H)
         kernel = CuckerSmaleKernel(case["beta"])
-        r_v = max(s.max_speed() for s in buf.prehistory())
+        r_v = prehistory_r_v(buf)
         verdict = classify(case["slope"], kernel, r_v)
         if case["beta"] == 0.0:
             assert verdict.verdict == "finite-time-blowup"
@@ -433,7 +434,7 @@ class TestForceGradientBound:
                                  LinearVelocity([[0.4]]))
             kernel = CuckerSmaleKernel(beta)
             buf = discretize(datum, 0.1, 1e-3)
-            r_v = max(s.max_speed() for s in buf.prehistory())
+            r_v = prehistory_r_v(buf)
             c_bar = 2.0 * kernel.log_deriv_bound * r_v
             for _ in range(100):
                 cur = buf.latest
@@ -517,7 +518,7 @@ def test_slopes_stay_between_the_riccati_envelopes(time_limit):
         kernel = CuckerSmaleKernel(case["beta"])
         if case["tabulated"]:
             kernel = TabulatedKernel(DICHOTOMY_TABLE, kernel.eval(DICHOTOMY_TABLE))
-        r_v = max(s.max_speed() for s in buf.prehistory())
+        r_v = prehistory_r_v(buf)
         w0 = buf.latest.vel_gradients[:, 0, 0] / buf.latest.jacobians[:, 0, 0]
         verdict = classify(float(w0.min()), kernel, r_v)
         with time_limit(5):
