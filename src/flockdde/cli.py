@@ -112,13 +112,11 @@ def execute_run(cfg: RunConfig, prepared=None):
     ``integrate``'s ``SimulationResult`` (``result.blowup`` is the run's
     outcome) and ``summary`` the mapping written to ``summary.json``.
     ``prepared``, a ``_prepare`` pair of a config with the same datum, tau,
-    step and seed, stands in for the first two steps: the run steps a copy
-    of its buffer and reads its frames, so other runs may share it.
+    step and seed, stands in for the first two steps: the run steps its
+    buffer and reads its frames, so a caller that reuses the pair passes a
+    ``HistoryBuffer.copy`` of the buffer.
     """
-    if prepared is None:
-        buffer, pre = _prepare(cfg)
-    else:
-        buffer, pre = prepared[0].copy(), prepared[1]
+    buffer, pre = _prepare(cfg) if prepared is None else prepared
     certificate = certify_flocking(pre, cfg.kernel)
 
     start = buffer.latest  # a view of the t = 0 slot, which the run reuses
@@ -226,11 +224,12 @@ def _tasks(keys, workers):
 def _run_cell(payload):
     """Sweep worker: run one cell into its own directory (process-safe).
 
-    ``shared``, the last item, is its task's list of at most one ``_prepare``
-    pair: the first cell to succeed fills it and the others run on it; a
-    failed set-up is not kept, so each cell that needs it meets the failure.
+    ``shared`` is its task's list of at most one ``_prepare`` pair: the first
+    cell to succeed fills it and the others run on it; a failed set-up is not
+    kept, so each cell that needs it meets the failure.  Each cell steps a
+    copy of the ring but the ``last`` of its task, which steps the ring itself.
     """
-    index, coords, doc, out_dir, shared = payload
+    index, coords, doc, out_dir, shared, last = payload
     cell_dir = os.path.join(out_dir, f"cell_{index:04d}")
     row = {"cell": index, **{f"axis:{k}": json.dumps(_json_safe(v), sort_keys=True)
                              for k, v in coords.items()}}
@@ -238,7 +237,8 @@ def _run_cell(payload):
         cfg = run_config_from_dict(doc)
         if not shared:
             shared.append(_prepare(cfg))
-        result, summary = _run_into(cfg, cell_dir, shared[0])
+        buffer, pre = shared[0]
+        result, summary = _run_into(cfg, cell_dir, (buffer if last else buffer.copy(), pre))
         row["status"] = "ok" if result.blowup is None else "blowup"
         row["satisfied"] = str(summary["certificate"]["satisfied"]).lower()
         rate = summary["fitted_rate"]
@@ -255,7 +255,8 @@ def _run_task(payloads):
     """Sweep worker: run the cells of one task (see ``_tasks``), which share
     one set-up, each through ``_run_cell``."""
     shared = []
-    return [_run_cell((*payload, shared)) for payload in payloads]
+    return [_run_cell((*payload, shared, i == len(payloads) - 1))
+            for i, payload in enumerate(payloads)]
 
 
 def cmd_sweep(args) -> int:

@@ -135,8 +135,9 @@ def _build_density(spec, path, dim):
             raise ConfigError(f"{path}.sigma: must be positive")
 
         def gaussian(x, center=center, sigma=sigma):
-            d2 = ((x - center[None, :]) ** 2).sum(axis=1)
-            return np.exp(-d2 / (2 * sigma * sigma))
+            with np.errstate(over="ignore"):  # an overflowing square gives exp(-inf) = 0
+                d2 = ((x - center[None, :]) ** 2).sum(axis=1)
+                return np.exp(-d2 / (2 * sigma * sigma))
 
         return gaussian
     if family == "table":

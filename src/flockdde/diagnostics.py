@@ -17,7 +17,6 @@ from functools import cache
 import numpy as np
 
 from .roots import brentq
-from .state import _ldexp, _range_exponent
 
 __all__ = [
     "DiagnosticsFrame",
@@ -104,28 +103,32 @@ def _pairwise_diameter(arr: np.ndarray) -> float:
     return float(np.sqrt(np.max(block_max)))
 
 
-def _diameter(arr: np.ndarray) -> float:
-    """The largest pairwise distance, exact, from the pairs that can hold it.
+def _range_exponents(top: np.ndarray) -> np.ndarray:
+    """Per entry of ``top`` >= 0, the e that brings a finite value outside
+    [2^-500, 2^500] into [1/2, 1) as ``top * 2^-e``, else 0 (``frexp(0)`` is
+    (0, 0)): norms of values scaled by 2^-e square nothing out of range."""
+    return np.where((top < 2.0**-500) | ((top > 2.0**500) & (top < math.inf)),
+                    np.frexp(top)[1], 0)
 
-    A non-finite slice takes ``_pairwise_diameter``, so NaN propagates.  In
-    1-D it is ``max - min``: subtraction is monotone and correctly rounded,
-    and ``sqrt(fl(x^2)) = |x|`` wherever the square is normal.  In d >= 2 the
-    pairs among the per-axis extreme points give a lower bound LB^2, and a
+
+def _diameter(arr: np.ndarray) -> float:
+    """The largest pairwise distance in d >= 2, exact, from the pairs that can hold it.
+
+    A non-finite slice takes ``_pairwise_diameter``, so NaN propagates.  Else
+    the pairs among the per-axis extreme points give a lower bound LB^2, and a
     point whose farthest bounding-box corner lies below it ends no diameter:
     rounding is monotone, so none of its computed squared distances exceeds
     the corner's, summed in the same order.  Both endpoints of the diameter
     survive, and ``_pairwise_diameter`` over the survivors forms their square
     by the same operations, so the maximum has its bits.  A box extent
     outside [2^-500, 2^500] is scaled by an exact power of two first, so no
-    square under- or overflows (see ``state._range_exponent``).
+    square under- or overflows (see ``_range_exponents``).
     """
     lo, hi = arr.min(axis=0), arr.max(axis=0)
     if not (math.isfinite(lo.min()) and math.isfinite(hi.max())):
         return _pairwise_diameter(arr)
-    if arr.shape[1] == 1:
-        return float(hi[0]) - float(lo[0])
     with np.errstate(over="ignore"):
-        e = _range_exponent(float((hi - lo).max()))
+        e = int(_range_exponents((hi - lo).max()))
         if e:
             # a constant axis adds exact zeros; zeroed, it cannot overflow
             flat = hi == lo
@@ -136,29 +139,33 @@ def _diameter(arr: np.ndarray) -> float:
         bound = far[:, 0] * far[:, 0]
         for k in range(1, far.shape[1]):
             bound += far[:, k] * far[:, k]
-        return _ldexp(_pairwise_diameter(arr[bound >= lb_sq * (1 - 1e-12)]), e)
+        return float(np.ldexp(_pairwise_diameter(arr[bound >= lb_sq * (1 - 1e-12)]), e))
 
 
 def _diameters(arr: np.ndarray) -> np.ndarray:
-    """``_diameter`` of each slice of a (K, N, d) stack.  In 1-D every
-    finite slice takes ``max - min`` at once, the same rounded subtraction."""
+    """The largest pairwise distance of each slice of a (K, N, d) stack.  In
+    d >= 2 each slice takes ``_diameter``.  In 1-D every finite slice takes
+    ``max - min`` at once: subtraction is monotone and correctly rounded, and
+    ``sqrt(fl(x^2)) = |x|`` wherever the square is normal; a non-finite slice
+    takes ``_pairwise_diameter``, so NaN propagates."""
     if arr.shape[2] > 1:
         return np.array([_diameter(a) for a in arr])
     lo, hi = arr.min(axis=1)[:, 0], arr.max(axis=1)[:, 0]
     with np.errstate(over="ignore", invalid="ignore"):
         out = hi - lo
     for k in np.flatnonzero(~(np.isfinite(lo) & np.isfinite(hi))):
-        out[k] = _diameter(arr[k])
+        out[k] = _pairwise_diameter(arr[k])
     return out
 
 
 def diameters(ensemble):
     """Spatial and velocity diameters: exact maxima of the pairwise distances
-    (see ``_diameter``), without visiting every pair.  A stacked ensemble
-    (``HistoryBuffer.gather``) gives two (K,) arrays, one entry per slice."""
-    if ensemble.positions.ndim == 2:
-        return _diameter(ensemble.positions), _diameter(ensemble.velocities)
-    return _diameters(ensemble.positions), _diameters(ensemble.velocities)
+    (see ``_diameters``), without visiting every pair.  A stacked ensemble
+    (``HistoryBuffer.gather``) gives two (K,) arrays, a slice two floats."""
+    pos, vel = ensemble.positions, ensemble.velocities
+    if pos.ndim == 2:
+        return float(_diameters(pos[None])[0]), float(_diameters(vel[None])[0])
+    return _diameters(pos), _diameters(vel)
 
 
 def _worst_node(dets):
@@ -170,14 +177,13 @@ def _worst_node(dets):
 def _max_speeds(velocities: np.ndarray) -> np.ndarray:
     """The largest |v| of each slice of a (K, N, d) stack, with no square out
     of range: each slice is scaled by its own power of two (see
-    ``state._range_exponent``).  A slice holding inf is not scaled, and
-    squares that overflow beside it leave its inf as it is."""
+    ``_range_exponents``).  A slice holding inf is not scaled, and squares
+    that overflow beside it leave its inf as it is."""
     speeds = np.abs(velocities)
     top = speeds.max(axis=(1, 2))
     if speeds.shape[2] == 1:
         return top
-    e = np.where((top < 2.0**-500) | ((top > 2.0**500) & (top < math.inf)),
-                 np.frexp(top)[1], 0)  # frexp(0) is (0, 0)
+    e = _range_exponents(top)
     with np.errstate(over="ignore"):
         norms = np.sqrt((np.ldexp(speeds, -e[:, None, None])**2).sum(axis=2)).max(axis=1)
         return np.ldexp(norms, e)

@@ -140,6 +140,7 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
     return u - vel, fg, s0
 
 
+# only bench/spans.py and tests call alignment_rhs
 def alignment_rhs(current: LagrangianEnsemble, delayed, kernel):
     """The delayed alignment force on one ensemble, as ``_force`` returns it.
 

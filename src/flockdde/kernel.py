@@ -105,6 +105,7 @@ class CuckerSmaleKernel(_Kernel):
         """Constant C with ``|psi'| <= C psi``; 2*beta for this family."""
         return 2.0 * self.beta
 
+    # only bench/spans.py and tests call eval and eval_deriv
     def eval(self, r):
         """Profile value at radius ``r`` (scalar or array), in (0, 1]."""
         r = _check_radii(r)
@@ -119,8 +120,10 @@ class CuckerSmaleKernel(_Kernel):
     def profile(self, r: float) -> float:
         """Profile value at one radius ``r >= 0``, in plain floats.
 
-        Equal to ``eval(r)`` bit for bit (the same IEEE operations and libm
-        ``pow``) without the array round trip, for scalar callers.
+        Equal to ``eval(r)`` bit for bit on a 0-d radius only (the same IEEE
+        operations and libm ``pow``).  An array ``eval`` may take numpy's SIMD
+        ``pow``, whose last bit can differ from libm's; ``eval_with_deriv_sq``
+        takes the same array ``pow`` as the array ``eval``.
         """
         if self.beta == 0.0:
             return 1.0
@@ -276,22 +279,12 @@ class TabulatedKernel(_Kernel):
                          (3.0 * c0 * t + 2.0 * c1) * t + c2])
         return float((slopes.max(axis=0) / self.values[1:]).max())
 
-    def eval(self, r):
-        r = _check_radii(r)
-        inside = np.minimum(r, self.radii[-1])
-        out = self._interp(inside)
-        return _as_input_shape(np.asarray(out, dtype=float), r)
-
     def profile(self, r: float) -> float:
         """Profile value at one radius ``r >= 0`` as a plain float."""
-        return float(self.eval(r))
-
-    def eval_deriv(self, r):
-        r = _check_radii(r)
-        inside = np.minimum(r, self.radii[-1])
-        out = np.asarray(self._interp_deriv(inside), dtype=float)
-        out = np.where(r >= self.radii[-1], 0.0, out)
-        return _as_input_shape(out, r)
+        r = float(r)
+        if r < 0:
+            raise ValueError("kernel radius must be nonnegative")
+        return float(self._interp(min(r, self.radii[-1])))
 
     @property
     def is_flat(self) -> bool:
@@ -299,16 +292,18 @@ class TabulatedKernel(_Kernel):
         return bool(np.all(self.values == 1.0))
 
     def eval_with_deriv_sq(self, q):
-        """Profile and ``psi'(r) / r`` at squared radii ``q``; 0 at ``r = 0``.
+        """Profile and ``psi'(r) / r`` at squared radii ``q``, read off the
+        PCHIP pieces at ``r = sqrt(q)`` clamped to the last radius.
 
-        The generic path: takes ``r = sqrt(q)`` and divides the derivative by
-        it.  At ``r = 0`` the quotient is set to 0, the radially symmetric
-        value of ``psi'(r) * unit`` there.  Both results are new arrays.
+        The quotient is 0 at ``r = 0``, the radially symmetric value of
+        ``psi'(r) * unit`` there, and from the last radius on, where the
+        profile is constant.  Both results are new arrays.
         """
         r = np.sqrt(q)
+        inside = np.minimum(r, self.radii[-1])
         with np.errstate(invalid="ignore", divide="ignore"):
-            dpsi_r = np.where(r > 0.0, self.eval_deriv(r) / r, 0.0)
-        return self.eval(r), dpsi_r
+            dpsi_r = np.where((r > 0.0) & (r < self.radii[-1]), self._interp_deriv(inside) / r, 0.0)
+        return self._interp(inside), dpsi_r
 
     def integral(self, a: float, b: float) -> float:
         """Integral of the profile from ``a`` to ``b``, oriented; ``b`` may be inf."""

@@ -77,21 +77,6 @@ class LagrangianEnsemble:
         return _det(self.jacobians)
 
 
-def _range_exponent(top: float) -> int:
-    """The e that brings a finite ``top`` > 0 outside [2^-500, 2^500] into
-    [1/2, 1) as ``top * 2^-e``, else 0: norms of values scaled by 2^-e
-    square nothing out of the float range, and in range nothing is scaled."""
-    return math.frexp(top)[1] if 0 < top < math.inf and not 2**-500 <= top <= 2**500 else 0
-
-
-def _ldexp(x: float, e: int) -> float:
-    """``x * 2^e``, with inf where ``math.ldexp`` raises on overflow."""
-    try:
-        return math.ldexp(x, e)
-    except OverflowError:
-        return math.copysign(math.inf, x)
-
-
 def _det(jacobians: np.ndarray) -> np.ndarray:
     """det J per node; a non-finite Jacobian gives a non-finite det, silently."""
     with np.errstate(invalid="ignore", over="ignore"):
@@ -159,9 +144,9 @@ class HistoryBuffer:
     hands over to the dynamics.  The newest slot holds the last stage of the
     step that made it until the next step replaces it, so only a query from
     outside the stepper into the newest interval reads that provisional
-    slope.  Only the stepper writes.  Stored-slot queries, ``slot``,
-    ``latest`` and ``prehistory`` return views, valid until their slot is
-    reused m + 3 steps later: copy what must outlive that.
+    slope.  Only the stepper writes.  Stored-slot queries, ``slot`` and
+    ``latest`` return views, valid until their slot is reused m + 3 steps
+    later: copy what must outlive that; ``gather`` copies.
     """
 
     def __init__(self, tau: float, h: float, masses, labels, cell_volumes, rows):
@@ -175,7 +160,7 @@ class HistoryBuffer:
                 [np.shape(a) for a in r] != shapes for r in rows):
             raise ValueError("history needs N >= 1 nodes, rows shaped (N, d), (N, d), (N, d, d), "
                              "(N, d, d), (N, d) and shared arrays shaped (N, d), (N,), (N,)")
-        if abs(float(np.sum(masses)) - 1.0) > 1e-12:
+        if not abs(float(np.sum(masses)) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("masses must sum to 1 within 1e-12")
         self.tau, self.h, self.m = float(tau), float(h), m
         self.masses, self.labels, self.cell_volumes = masses, labels, cell_volumes
@@ -192,11 +177,8 @@ class HistoryBuffer:
 
     @property
     def latest(self) -> LagrangianEnsemble:
-        return self._ensemble(self.clock)
-
-    def _ensemble(self, j):
-        r = j % len(self._pos)
-        return LagrangianEnsemble(j * self.h, self._pos[r], self._vel[r], self._jac[r],
+        r = self.clock % len(self._pos)
+        return LagrangianEnsemble(self.current_time, self._pos[r], self._vel[r], self._jac[r],
                                   self._vgrad[r], self.masses, self.labels,
                                   self.cell_volumes)
 
@@ -206,10 +188,6 @@ class HistoryBuffer:
     def prehistory_clocks(self) -> range:
         """Clocks of the stored slices at times <= 0, oldest first."""
         return range(self._oldest(), min(self.clock, 0) + 1)
-
-    def prehistory(self) -> list[LagrangianEnsemble]:
-        """Stored slices at times <= 0, the prescribed datum part of the record."""
-        return [self._ensemble(j) for j in self.prehistory_clocks()]
 
     def gather(self, clocks) -> LagrangianEnsemble:
         """The stored slots at ``clocks`` as one stacked ensemble, copied."""
@@ -233,6 +211,7 @@ class HistoryBuffer:
         vel = _hermite(theta, self.h, self._vel[a], m0, self._vel[b], self._acc[b])
         return pos, vel
 
+    # only bench/spans.py and tests call query (with OutOfWindowError, _WINDOW_TOL)
     def query(self, t: float):
         """(positions, velocities) at time t: ``slot(j)[:2]`` or ``interpolate``."""
         lo, hi = self._oldest(), self.clock
@@ -382,22 +361,18 @@ class BoxDomain:
             raise ValueError("lo, hi and counts must agree in dimension")
         if np.any(self.hi <= self.lo) or any(c < 1 for c in self.counts):
             raise ValueError("box must have positive extent and node counts")
+        with np.errstate(over="ignore"):  # an extent of inf gives a volume of inf
+            if not np.isfinite(np.prod((self.hi - self.lo) / self.counts)):
+                raise ValueError("box extent and cell volume must be finite")
         n, limit = math.prod(self.counts), np.iinfo(np.intp).max
         if n > limit:
             raise ValueError(f"a grid of {n} nodes is more than numpy can index ({limit})")
 
     def nodes_and_volumes(self):
-        axes = []
-        spacings = []
-        for a in range(self.lo.size):
-            n = self.counts[a]
-            d = (self.hi[a] - self.lo[a]) / n
-            axes.append(self.lo[a] + (np.arange(n) + 0.5) * d)
-            spacings.append(d)
-        grids = np.meshgrid(*axes, indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=1)
-        vol = float(np.prod(spacings))
-        return nodes, np.full(nodes.shape[0], vol)
+        spacings = (self.hi - self.lo) / self.counts
+        axes = [lo + (np.arange(n) + 0.5) * d for lo, n, d in zip(self.lo, self.counts, spacings)]
+        nodes = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+        return nodes, np.full(len(nodes), float(np.prod(spacings)))
 
 
 @dataclass
@@ -495,10 +470,11 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
     dens = datum.density_values(nodes)
     if np.any(dens < 0):
         raise InvalidDatumError("density must be nonnegative")
-    raw = dens * volumes
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise InvalidDatumError("initial datum carries zero total mass")
+    with np.errstate(over="ignore"):  # an overflow is rejected below
+        raw = dens * volumes
+        total = float(raw.sum())
+    if not 0.0 < total < math.inf:
+        raise InvalidDatumError(f"the datum's total mass must be finite and positive, got {total}")
     keep = raw > 0
     nodes, volumes, raw = nodes[keep], volumes[keep], raw[keep]
     masses = raw / raw.sum()

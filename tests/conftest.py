@@ -13,7 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from flockdde.diagnostics import DiagnosticsFrame, _max_speeds
-from flockdde.state import _ldexp, _range_exponent
+from flockdde.kernel import TabulatedKernel
 
 
 @pytest.fixture
@@ -52,6 +52,21 @@ def monotone_tables(draw, nodes, gaps, ratios):
             [1.0, *itertools.accumulate(factors, operator.mul)])
 
 
+def radius_methods(kernel):
+    """Reference (value, derivative) of a kernel on an array of radii:
+    ``eval`` and ``eval_deriv`` of a Cucker-Smale kernel, and for a table
+    scipy's ``PchipInterpolator`` through its nodes, clamped at the last
+    radius, with derivative 0 from that radius on."""
+    if not isinstance(kernel, TabulatedKernel):
+        return kernel.eval, kernel.eval_deriv
+    from scipy.interpolate import PchipInterpolator
+
+    spline = PchipInterpolator(kernel.radii, kernel.values, extrapolate=False)
+    slope, last = spline.derivative(), kernel.radii[-1]
+    return (lambda r: spline(np.minimum(r, last)),
+            lambda r: np.where(np.asarray(r) >= last, 0.0, slope(np.minimum(r, last))))
+
+
 def max_speed(ens):
     """The largest |v| of one slice, with no square out of range: scaled by
     an exact power of two where the largest component is outside
@@ -61,9 +76,9 @@ def max_speed(ens):
     top = float(speeds.max())
     if ens.dim == 1:
         return top
-    e = _range_exponent(top)
+    e = math.frexp(top)[1] if 0 < top < math.inf and not 2**-500 <= top <= 2**500 else 0
     with np.errstate(over="ignore"):
-        return _ldexp(float(np.sqrt((np.ldexp(speeds, -e)**2).sum(axis=1)).max()), e)
+        return float(np.ldexp(np.sqrt((np.ldexp(speeds, -e)**2).sum(axis=1)).max(), e))
 
 
 def prehistory_r_v(buf):

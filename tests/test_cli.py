@@ -22,7 +22,7 @@ from flockdde.config import (
     sweep_config_from_dict,
 )
 from flockdde.diagnostics import _BLOCK_PAIRS
-from flockdde.state import discretize
+from flockdde.state import HistoryBuffer, discretize
 from flockdde.threshold1d import classify
 
 
@@ -30,18 +30,19 @@ def run_cli(*argv):
     return main(list(argv))
 
 
-def run_python(*args):
-    """Run ``python *args`` on this checkout's ``src/``."""
+def run_python(*args, **env_vars):
+    """Run ``python *args`` on this checkout's ``src/``, with ``env_vars``
+    added to the environment."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env, timeout=120)
 
 
-def run_entry_point(*argv):
+def run_entry_point(*argv, **env_vars):
     """Run ``python -m flockdde.cli`` on this checkout's ``src/``."""
-    return run_python("-m", "flockdde.cli", *argv)
+    return run_python("-m", "flockdde.cli", *argv, **env_vars)
 
 
 def write_json(path, doc):
@@ -290,7 +291,8 @@ def _with(doc, dotted, value):
 # Fields that once ended `run` and `certify` in a traceback, and the text
 # their one-line config error carries instead.
 BAD_FIELDS = [
-    ("datum.density", {"family": "table", "values": [0.0] * 12}, "zero total mass"),
+    ("datum.density", {"family": "table", "values": [0.0] * 12},
+     "total mass must be finite and positive, got 0.0"),
     ("datum.density", {"family": "table", "values": [1.0] * 5}, "density values"),
     ("datum.velocity", {"family": "constant", "value": [0.1, 0.2]},
      "datum.velocity.value: expected 1 numbers, got [0.1, 0.2]"),
@@ -511,6 +513,24 @@ MISSPELLED_RUN_KEYS = [
                                    {"family": "constant", "value": [0.2], "valu": 1}]},
      "datum.velocity.fields[1].valu"),
 ]
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a 2-D run at N = 1024 takes the force's matmul through BLAS
+    doc = {"schema_version": 1, "kernel": {"family": "cucker-smale", "beta": 1.0},
+           "datum": {"domain": {"box": [[0.0, 1.0], [0.0, 1.0]], "counts": [32, 32]},
+                     "density": {"family": "gaussian", "center": [0.5, 0.5], "sigma": 0.3},
+                     "velocity": {"family": "sine-perturbation", "base": [0.0, 0.0],
+                                  "amplitude": [0.2, 0.1], "wavenumber": [3.0, 2.0],
+                                  "phase": [0.4, 1.1]}},
+           "tau": 0.05, "step": 0.01, "t_end": 0.04, "output_every": 0.02}
+    config = write_json(tmp_path / "c.json", doc)
+    for threads in ("1", "2"):
+        proc = run_entry_point("run", "--config", config, "--out", str(tmp_path / threads),
+                               OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+    for name in ("frames.csv", "summary.json"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
 
 class TestStrictSchema:
@@ -768,6 +788,38 @@ class TestFailureBoundary:
             f"than numpy can index ({sys.maxsize})\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("box,density", [
+        ([[0.0, 1e200], [0.0, 2e200]], {"family": "uniform"}),
+        ([[0.0, 1e200], [0.0, 2e200]],
+         {"family": "gaussian", "center": [0.5, 0.5], "sigma": 0.3}),
+        ([[-1e308, 1e308]], {"family": "uniform"})], ids=["2d", "2d-gaussian", "1d"])
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_box_whose_cell_volume_overflows_is_a_config_error(self, tmp_path, quick_run_doc,
+                                                               capsys, command, box, density):
+        # the cell volume (or the 1-D extent) overflows: once NaN masses passed
+        # every check, with RuntimeWarnings on stderr
+        dim = len(box)
+        doc = _with(_with(_with(_with(quick_run_doc, "datum.domain.box", box),
+                                "datum.domain.counts", [12] * dim), "datum.density", density),
+                    "datum.velocity", {"family": "constant", "value": [0.0] * dim})
+        out = tmp_path / "out"
+        extra = ["--out", str(out)] if command == "run" else []
+        code = run_cli(command, "--config", write_json(tmp_path / "c.json", doc), *extra)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "config error: datum.domain: box extent and cell volume must be finite\n")
+        assert not out.exists()
+
+    def test_gaussian_density_whose_exponent_overflows_is_zero(self, quick_run_doc):
+        # only the node at the center keeps mass; the squared distances of the
+        # others overflow, silently, and their density is 0
+        doc = _with(_with(_with(quick_run_doc, "datum.domain.box", [[0.0, 1e200]]),
+                          "datum.domain.counts", [4]),
+                    "datum.density", {"family": "gaussian", "center": [1.25e199], "sigma": 1.0})
+        cfg = run_config_from_dict(doc)
+        buf = discretize(cfg.datum, cfg.tau, cfg.step)
+        assert buf.labels.tolist() == [[1.25e199]] and buf.masses.tolist() == [1.0]
+
     def test_failure_without_a_message_names_its_type(self, monkeypatch, capsys):
         def fail(cfg):
             raise MemoryError()
@@ -906,6 +958,50 @@ class TestSweep:
             cell = tmp_path / "beta_grid" / f"cell_{i:04d}"
             for name in ("frames.csv", "summary.json"):
                 assert (cell / name).read_bytes() == (solo / name).read_bytes()
+
+    @pytest.mark.parametrize("cells", [1, 2, 3])
+    def test_a_task_copies_the_ring_for_every_cell_but_the_last(self, tmp_path, quick_run_doc,
+                                                                  monkeypatch, cells):
+        sources, stepped = [], []
+
+        def copying(buffer, real=HistoryBuffer.copy):
+            sources.append(buffer)
+            return real(buffer)
+
+        def recording(buffer, *args, real=cli.integrate, **kwargs):
+            stepped.append(buffer)
+            return real(buffer, *args, **kwargs)
+
+        monkeypatch.setattr(HistoryBuffer, "copy", copying)
+        monkeypatch.setattr(cli, "integrate", recording)
+        doc = dict(quick_run_doc, t_end=0.05)
+        betas = [0.25, 0.5, 2.0][:cells]
+        rows = cli._run_task([(i, {"kernel.beta": beta}, _with(doc, "kernel.beta", beta),
+                               str(tmp_path)) for i, beta in enumerate(betas)])
+        assert [row["status"] for row in rows] == ["ok"] * cells
+        assert len(sources) == cells - 1
+        # every copy is of the prepared ring, which the last cell steps itself
+        assert all(source is stepped[-1] for source in sources)
+        assert len({id(b) for b in stepped}) == cells
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cells_sharing_a_set_up_are_the_standalone_runs(self, tmp_path, quick_run_doc,
+                                                            workers):
+        doc = dict(quick_run_doc, t_end=0.1, snapshot_csv=True)
+        betas = [0.25, 1.5, 0.0]  # at 2 workers the tasks are cells [0, 1] and [2]
+        sweep_doc = {"schema_version": 1, "base": doc,
+                     "axes": [{"path": "kernel.beta", "values": betas}],
+                     "max_workers": workers}
+        assert run_cli("sweep", "--config", write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid")) == 0
+        for i, beta in enumerate(betas):
+            solo = tmp_path / f"solo{i}"
+            assert run_cli("run", "--config",
+                           write_json(tmp_path / f"run{i}.json", _with(doc, "kernel.beta", beta)),
+                           "--out", str(solo)) == 0
+            for name in ("frames.csv", "summary.json", "snapshot.csv"):
+                assert (tmp_path / "grid" / f"cell_{i:04d}" / name).read_bytes() == \
+                    (solo / name).read_bytes()
 
     def test_shared_set_up_survives_a_cell_that_blows_up(self, tmp_path, monkeypatch):
         # one set-up for both cells: the first blows up at t = ln 2, the

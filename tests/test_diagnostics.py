@@ -22,6 +22,7 @@ from flockdde.diagnostics import (
     gronwall_rate,
     prehistory_frames,
     _diameter,
+    _diameters,
     _pairwise_diameter,
     _records,
     _row_blocks,
@@ -388,6 +389,11 @@ def _same_float(a, b):
     return (math.isnan(a) and math.isnan(b)) or a == b
 
 
+def _slice_diameter(arr):
+    """The diameter of one (N, d) slice, reduced as ``diameters`` reduces it."""
+    return float(_diameters(arr[None])[0])
+
+
 # the largest N whose N x N pairs fit one block of the pairwise layers
 SIDE = math.isqrt(_BLOCK_PAIRS)
 
@@ -458,7 +464,7 @@ def test_diameter_bit_identical_to_naive_on_generated_sets(time_limit):
     @settings(max_examples=500, derandomize=True, database=None, deadline=None)
     @given(point_sets())
     def check(arr):
-        assert _diameter(arr) == _naive_diameter(arr)
+        assert _slice_diameter(arr) == _naive_diameter(arr)
 
     with time_limit(10):
         check()
@@ -499,8 +505,9 @@ def test_stacked_records_equal_per_slice_records(time_limit):
                                      stack.velocities[i], stack.jacobians[i],
                                      stack.vel_gradients[i], stack.masses,
                                      stack.labels, stack.cell_volumes)
-            assert float_bits(float(d_x[i])) == float_bits(_diameter(ens.positions))
-            assert float_bits(float(d_v[i])) == float_bits(_diameter(ens.velocities))
+            want_x, want_v = diameters(ens)  # a stack of one
+            assert float_bits(float(d_x[i])) == float_bits(want_x)
+            assert float_bits(float(d_v[i])) == float_bits(want_v)
             assert dets[i].tobytes() == ens.det_jacobians().tobytes()
             want = record_per_slice(ens, frame.d_X, frame.d_V, frame.d_X, frame.d_V,
                                     math.nan, ens.det_jacobians())
@@ -517,17 +524,17 @@ class TestDiameterRange:
         # the squares of these spreads underflow to subnormals or overflow
         rng = np.random.default_rng(d)
         arr = rng.uniform(-0.5, 0.5, (20, d)) * spread
-        assert _within_ulps(_diameter(arr), _hypot_diameter(arr))
+        assert _within_ulps(_slice_diameter(arr), _hypot_diameter(arr))
 
     def test_constant_axis_far_from_the_origin(self):
         # scaling the spread of 1e-160 up would overflow the constant 1e300
         arr = np.array([[1e300, 0.0], [1e300, 1e-160], [1e300, 3e-160]])
-        assert _diameter(arr) == 3e-160
+        assert _slice_diameter(arr) == 3e-160
 
     def test_diameter_above_the_float_range_is_inf(self):
         arr = np.array([[0.0, 0.0], [1.5e308, 1.5e308]])
-        assert _diameter(arr) == math.inf
-        assert _diameter(np.array([[-1e308], [1e308]])) == math.inf
+        assert _slice_diameter(arr) == math.inf
+        assert _slice_diameter(np.array([[-1e308], [1e308]])) == math.inf
 
     def test_prune_forms_under_one_percent_of_the_pairs(self, monkeypatch):
         # counts work, not time: a prune that stopped pruning would form all

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_bits, max_speed, prehistory_r_v, record_per_slice
+from conftest import frame_bits, max_speed, prehistory_r_v, radius_methods, record_per_slice
 from flockdde import dynamics
 from flockdde.cli import execute_run
 from flockdde.config import RunConfig, preset_dict, run_config_from_dict
@@ -37,6 +37,7 @@ from flockdde.state import (
     ConstantVelocity,
     HistoryBuffer,
     InitialDatum,
+    LagrangianEnsemble,
     LinearVelocity,
     SineVelocity,
     _run_steps,
@@ -168,10 +169,11 @@ class TestStep:
                 # a constant shift leaves the velocity's slope, the field's
                 # material derivative along the unshifted flow, as it is
                 rows = []
-                for s in buf.prehistory():
-                    _, grad, u_s = datum.velocity(s.time, s.positions)
-                    rows.append((s.positions, s.velocities + c, s.jacobians, s.vel_gradients,
-                                 u_s + np.einsum("nab,nb->na", grad, s.velocities)))
+                for j in buf.prehistory_clocks():
+                    pos, vel, jac, vgrad = buf.slot(j)
+                    _, grad, u_s = datum.velocity(j * buf.h, pos)
+                    rows.append((pos, vel + c, jac, vgrad,
+                                 u_s + np.einsum("nab,nb->na", grad, vel)))
                 buf = HistoryBuffer(buf.tau, buf.h, buf.masses, buf.labels,
                                     buf.cell_volumes, rows)
             for _ in range(60):
@@ -424,7 +426,7 @@ class TestSimulate:
     def test_non_finite_state_retains_frames(self):
         cfg = make_config()
         buf = discretize(cfg.datum, cfg.tau, cfg.step)
-        buf.prehistory()[5].velocities[0, 0] = math.inf  # poisoned prehistory
+        buf.slot(buf.prehistory_clocks()[5])[1][0, 0] = math.inf  # poisoned prehistory
         res = integrate(buf, cfg.kernel, t_end=1.0, output_every=0.01)
         assert res.blowup is not None
         assert res.frames[-1].status == "blowup"
@@ -484,7 +486,9 @@ def _integrate_per_frame(buffer, kernel, t_end, output_every):
     step that made it ends, each prehistory slice on its own."""
     _, n_steps, every = _run_steps(buffer.tau, buffer.h, t_end, output_every)
     prehistory = []
-    for s in buffer.prehistory():
+    for j in buffer.prehistory_clocks():
+        s = LagrangianEnsemble(j * buffer.h, *buffer.slot(j), buffer.masses, buffer.labels,
+                               buffer.cell_volumes)
         d_x, d_v = diameters(s)
         prehistory.append(record_per_slice(s, d_x, d_v, d_x, d_v, math.nan,
                                             s.det_jacobians()))
@@ -528,7 +532,7 @@ def test_batched_frames_equal_the_per_frame_loop(name, monkeypatch):
     buffers = [discretize(cfg.datum, cfg.tau, cfg.step) for _ in range(2)]
     if name == "blowup-signal":
         for buf in buffers:
-            buf.prehistory()[5].velocities[0, 0] = math.inf
+            buf.slot(buf.prehistory_clocks()[5])[1][0, 0] = math.inf
     gathered, gather = [], HistoryBuffer.gather
 
     def counted_gather(self, clocks):
@@ -660,13 +664,14 @@ def _force_reference(kernel, masses, pos, vel, jac, d_pos, d_vel):
     """
     diff = pos[:, None, :] - d_pos[None, :, :]
     r = np.sqrt((diff**2).sum(axis=2))
-    w = kernel.eval(r) * masses[None, :]
+    value, slope = radius_methods(kernel)
+    w = value(r) * masses[None, :]
     s0 = w.sum(axis=1)
     s1 = w @ d_vel
     acc = s1 / s0[:, None] - vel
     safe_r = np.where(r > 0, r, 1.0)
     unit = np.where(r[..., None] > 0, diff / safe_r[..., None], 0.0)
-    wd = kernel.eval_deriv(r) * masses[None, :]
+    wd = slope(r) * masses[None, :]
     g0 = np.einsum("ij,ijb->ib", wd, unit)
     g1 = np.einsum("ij,ja,ijb->iab", wd, d_vel, unit)
     grad_pos = (g1 * s0[:, None, None] - s1[:, :, None] * g0[:, None, :]) \
@@ -822,8 +827,8 @@ def _sample_state(d, shape):
                      np.linspace(1.0, 2.0, d)),
         lambda x: np.exp(-((x - 0.5) ** 2).sum(axis=1) / (2 * 0.3**2)))
     buf = discretize(datum, tau=0.05, h=0.01)
-    cur, old = buf.latest, buf.prehistory()[0]
-    return cur.masses, cur.positions, cur.velocities, old.positions, old.velocities
+    cur, (old_pos, old_vel, *_) = buf.latest, buf.slot(buf.prehistory_clocks()[0])
+    return cur.masses, cur.positions, cur.velocities, old_pos, old_vel
 
 
 def _two_clusters(masses, pos, vel, d_pos, d_vel):

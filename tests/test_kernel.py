@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import monotone_tables
+from conftest import monotone_tables, radius_methods
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
 
 
@@ -69,7 +69,7 @@ def test_monotone_nonincreasing_sampled():
         TabulatedKernel([0.0, 1.0, 2.0, 5.0], [1.0, 0.5, 0.2, 0.1]),
     ):
         r = np.sort(rng.uniform(0.0, 8.0, size=200))
-        v = kernel.eval(r)
+        v = np.array([kernel.profile(x) for x in r])
         assert np.all(np.diff(v) <= 1e-15)
         assert np.all(v > 0)
         assert np.all(v <= 1.0)
@@ -124,13 +124,14 @@ def test_tail_additivity():
 
 def test_tabulated_interpolation_and_extension():
     k = TabulatedKernel([0.0, 1.0, 2.0], [1.0, 0.4, 0.2])
-    assert k.eval(0.0) == 1.0
-    assert k.eval(1.0) == pytest.approx(0.4, rel=1e-15)
+    assert k.profile(0.0) == 1.0
+    assert k.profile(1.0) == pytest.approx(0.4, rel=1e-15)
     # constant extension beyond the last node
-    assert k.eval(2.0) == pytest.approx(0.2, rel=1e-15)
-    assert k.eval(10.0) == pytest.approx(0.2, rel=1e-15)
-    assert k.eval_deriv(10.0) == 0.0
-    assert np.all(np.asarray(k.eval_deriv(np.linspace(0, 5, 50))) <= 1e-15)
+    assert k.profile(2.0) == pytest.approx(0.2, rel=1e-15)
+    assert k.profile(10.0) == pytest.approx(0.2, rel=1e-15)
+    assert k.eval_with_deriv_sq(np.array([100.0]))[1][0] == 0.0
+    r = np.linspace(0, 5, 50)
+    assert np.all(k.eval_with_deriv_sq(r * r)[1] * r <= 1e-15)
 
 
 def test_tabulated_validation():
@@ -161,8 +162,9 @@ TABLES = monotone_tables(st.integers(2, 8), st.floats(0.01, 2.0),
 @given(TABLES)
 def test_tabulated_log_deriv_bound_covers_the_sampled_ratio(table):
     k = TabulatedKernel(*table)
+    value, slope = radius_methods(k)
     r = np.linspace(0.0, k.radii[-1] * 1.25, 20001)
-    sampled = float(np.max(np.abs(k.eval_deriv(r)) / k.eval(r)))
+    sampled = float(np.max(np.abs(slope(r)) / value(r)))
     assert sampled <= k.log_deriv_bound < math.inf
 
 
@@ -218,13 +220,13 @@ def test_tail_integral_rejects_nan_limit():
                                     TabulatedKernel([0.0, 1.0, 2.0], [1.0, 0.6, 0.3])],
                          ids=repr)
 def test_eval_with_deriv_sq_matches_radius_methods(kernel):
+    value, slope = radius_methods(kernel)
     r = np.array([0.0, 1e-8, 0.3, 1.0, 1.7, 2.0, 5.0])
     psi, dpsi_r = kernel.eval_with_deriv_sq(r * r)
-    assert np.allclose(psi, kernel.eval(r), rtol=1e-14, atol=0.0)
+    assert np.allclose(psi, value(r), rtol=1e-14, atol=0.0)
     # at r = 0: the Cucker-Smale limit -2 beta; the generic path returns 0
     assert dpsi_r[0] == (-2.0 * kernel.beta if hasattr(kernel, "beta") else 0.0)
-    assert np.allclose(dpsi_r[1:] * r[1:], kernel.eval_deriv(r[1:]),
-                       rtol=1e-12, atol=1e-300)
+    assert np.allclose(dpsi_r[1:] * r[1:], slope(r[1:]), rtol=1e-12, atol=1e-300)
 
 
 def test_is_flat():
@@ -267,11 +269,31 @@ def test_profile_is_eval_bit_for_bit(r, beta):
     assert np.float64(value).tobytes() == np.float64(k.eval(r)).tobytes()
 
 
-def test_tabulated_profile_is_eval():
+def test_tabulated_profile_is_a_plain_float():
     k = TabulatedKernel([0.0, 1.0, 2.0], [1.0, 0.6, 0.3])
     for r in (0.0, 0.4, 1.0, 1.9, 2.0, 7.5):
-        value = k.profile(r)
-        assert type(value) is float and value == k.eval(r)
+        assert type(k.profile(r)) is float
+    with pytest.raises(ValueError):
+        k.profile(-0.1)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(TABLES, st.lists(st.floats(0.0, 1.5), max_size=20))
+def test_table_is_scipys_pchip_bit_for_bit(table, fractions):
+    # scipy's PchipInterpolator through the nodes, clamped at the last radius
+    # with derivative 0 from there on, and psi'/r = 0 at r = 0
+    k = TabulatedKernel(*table)
+    value, slope = radius_methods(k)
+    q = np.square([*k.radii, *(f * k.radii[-1] for f in fractions)])
+    psi, dpsi_r = k.eval_with_deriv_sq(q)
+    r = np.sqrt(q)
+    want = value(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        want_r = np.where(r > 0.0, slope(r) / r, 0.0)
+    assert psi.tobytes() == want.tobytes()
+    assert dpsi_r.tobytes() == want_r.tobytes()
+    assert dpsi_r[0] == 0.0 and np.all(dpsi_r[r >= k.radii[-1]] == 0.0)
+    assert [k.profile(x) for x in r] == want.tolist()
 
 
 def test_tail_integral_far_field_power_law():
@@ -391,7 +413,7 @@ def test_tabulated_integral_matches_quadrature():
     k = TabulatedKernel(radii, [1.0, 0.8, 0.35, 0.2])
     for a, b in ((0.0, 0.5), (0.2, 1.7), (0.0, 2.0), (1.0, 5.0), (2.0, 9.0), (3.0, 4.0)):
         nodes = [r for r in radii if a < r < b]
-        oracle, _ = quad(k.eval, a, b, points=nodes or None, epsabs=1e-14, epsrel=1e-13)
+        oracle, _ = quad(k.profile, a, b, points=nodes or None, epsabs=1e-14, epsrel=1e-13)
         assert k.integral(a, b) == pytest.approx(oracle, rel=1e-12, abs=1e-14)
         assert k.integral(b, a) == -k.integral(a, b)
     assert k.integral(1.0, math.inf) == math.inf

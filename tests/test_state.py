@@ -54,6 +54,11 @@ class FlatTimePartial(VelocityField):
 
 
 class TestDiscretize:
+    def test_total_mass_must_be_finite(self):
+        datum = InitialDatum(NodeSet([[0.0], [1.0]], [1e308, 1e308]), ConstantVelocity([0.0]))
+        with pytest.raises(InvalidDatumError, match="finite and positive, got inf"):
+            discretize(datum, 0.0, 0.01)
+
     def test_midpoint_rule_two_nodes(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.0]))
         buf = discretize(datum, tau=0.0, h=0.01)
@@ -67,7 +72,7 @@ class TestDiscretize:
                              omega=0.5)
         datum = InitialDatum(BoxDomain([0, 0], [1, 1], [3, 2]), field)
         buf = discretize(datum, 0.0, 0.01)
-        assert len(buf.prehistory()) == 1
+        assert len(buf.prehistory_clocks()) == 1
         ens = buf.latest
         assert ens.time == 0.0 and math.copysign(1.0, ens.time) == 1.0
         nodes = ens.labels
@@ -94,19 +99,19 @@ class TestDiscretize:
         datum = InitialDatum(BoxDomain([0.5], [1.5], [4]), LinearVelocity([[1.0]]))
         buf = discretize(datum, tau=1.0, h=0.025)
         labels = buf.latest.labels
-        assert len(buf.prehistory()) == 41
-        for sl in buf.prehistory():
-            expected = labels * np.exp(sl.time)
-            assert np.allclose(sl.positions, expected, atol=2e-9)
-            # tangent flow follows the same exponential
-            assert np.allclose(sl.jacobians[:, 0, 0], np.exp(sl.time), atol=2e-9)
+        pre = buf.gather(buf.prehistory_clocks())
+        assert len(pre.time) == 41
+        growth = np.exp(pre.time)[:, None]
+        assert np.allclose(pre.positions[..., 0], labels[:, 0] * growth, atol=2e-9)
+        # tangent flow follows the same exponential
+        assert np.allclose(pre.jacobians[..., 0, 0], growth, atol=2e-9)
 
     def test_prehistory_velocity_gradient_chain_rule(self):
         # for u = a x, grad v_s = a * grad eta_s
         datum = InitialDatum(BoxDomain([0.0], [1.0], [5]), LinearVelocity([[-0.5]]))
         buf = discretize(datum, tau=0.5, h=0.025)
-        for sl in buf.prehistory():
-            assert np.allclose(sl.vel_gradients, -0.5 * sl.jacobians, atol=1e-12)
+        pre = buf.gather(buf.prehistory_clocks())
+        assert np.allclose(pre.vel_gradients, -0.5 * pre.jacobians, atol=1e-12)
 
     def test_masses_follow_density(self):
         dens = lambda x: x[:, 0]  # linear density on [0,1]
@@ -175,7 +180,8 @@ class TestDiscretize:
         # slice j is at exactly j * h, not at a sum of steps or a linspace
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.1]))
         buf = discretize(datum, 0.3, 0.1)
-        assert [s.time for s in buf.prehistory()] == [-3 * 0.1, -2 * 0.1, -0.1, 0.0]
+        assert buf.gather(buf.prehistory_clocks()).time.tolist() == [-3 * 0.1, -2 * 0.1,
+                                                                     -0.1, 0.0]
 
     def test_explicit_node_set(self):
         ns = NodeSet(nodes=[[0.0], [1.0], [3.0]], weights=[1.0, 1.0, 2.0])
@@ -365,7 +371,7 @@ class TestHistoryBuffer:
         # a stored slot is read, not interpolated: a view of the ring's copy
         np.testing.assert_array_equal(pos, rows[1][0])
         assert pos is not rows[1][0]
-        assert np.shares_memory(pos, buf.prehistory()[1].positions)
+        assert np.shares_memory(pos, buf.slot(-1)[0])
 
     def test_linear_motion_recovered_exactly(self):
         times = np.linspace(-1, 0, 5)
@@ -408,7 +414,7 @@ class TestHistoryBuffer:
         buf.query(t - 0.2)  # the oldest kept slot
         with pytest.raises(OutOfWindowError):
             buf.query(t - 0.225)
-        assert buf.prehistory() == []
+        assert len(buf.prehistory_clocks()) == 0
 
     def test_newest_interval_reads_a_provisional_slope(self):
         # until the next step replaces it by that step's first stage, the
@@ -440,8 +446,9 @@ class TestHistoryBuffer:
         for rows in (bad_row, bad_accel, [bad_accel[1], *good[1:]]):
             with pytest.raises(ValueError, match="shape"):
                 make_buffer(1.0, 0.5, rows)
-        with pytest.raises(ValueError, match="masses must sum to 1"):
-            HistoryBuffer(1.0, 0.5, np.ones(3), good[0][0].copy(), np.ones(3), good)
+        for masses in (np.ones(3), np.full(3, math.nan)):
+            with pytest.raises(ValueError, match="masses must sum to 1"):
+                HistoryBuffer(1.0, 0.5, masses, good[0][0].copy(), np.ones(3), good)
 
     def test_copy_steps_its_own_ring_and_shares_the_read_only_arrays(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]),
@@ -462,12 +469,12 @@ class TestHistoryBuffer:
     def test_labels_and_masses_shared_across_slices(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [3]), ConstantVelocity([0.1]))
         buf = discretize(datum, tau=0.5, h=0.1)
-        first, *rest = buf.prehistory()
-        assert len(rest) == 5
-        for sl in rest:
-            assert sl.labels is first.labels
-            assert sl.masses is first.masses
-            assert sl.cell_volumes is first.cell_volumes
+        clocks = buf.prehistory_clocks()
+        assert len(clocks) == 6
+        for ens in (buf.latest, buf.gather(clocks), *(buf.gather([j]) for j in clocks)):
+            assert ens.labels is buf.labels
+            assert ens.masses is buf.masses
+            assert ens.cell_volumes is buf.cell_volumes
 
 
 def max_speed_of(velocities):
