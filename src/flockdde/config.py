@@ -131,8 +131,8 @@ def _build_density(spec, path, dim):
         if center.shape != (dim,):
             raise ConfigError(f"{path}.center: expected {dim} numbers, got {center.tolist()}")
         sigma = _real(_need(spec, "sigma", path), f"{path}.sigma", minimum=0.0)
-        if sigma <= 0:
-            raise ConfigError(f"{path}.sigma: must be positive")
+        if not 2 * sigma * sigma > 0:  # the exponent's divisor, 0 when sigma^2 underflows
+            raise ConfigError(f"{path}.sigma: must be positive, with 2 sigma^2 above 0, got {sigma}")
 
         def gaussian(x, center=center, sigma=sigma):
             with np.errstate(over="ignore"):  # an overflowing square gives exp(-inf) = 0

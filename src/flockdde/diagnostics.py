@@ -4,13 +4,14 @@ Implements the spatial/velocity diameters, the comparison quantities X and V,
 the Lyapunov functional that the certificate argument drives to be
 nonincreasing, the delayed-Gronwall rate solver, and the sufficient-condition
 certificate with its predicted decay rate.  Every time integral over the
-frames takes one two-point rule per gap, exact for constants and for e^{-t},
+steps takes one two-point rule per gap, exact for constants and for e^{-t},
 so the discrete Lyapunov functional telescopes as the continuous one does.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import cache
 
@@ -189,21 +190,18 @@ def _max_speeds(velocities: np.ndarray) -> np.ndarray:
         return np.ldexp(norms, e)
 
 
-def _records(ens, d_x, d_v, dets, comparison) -> list[DiagnosticsFrame]:
+def _records(ens, d_x, d_v, dets, values) -> list[DiagnosticsFrame]:
     """Diagnostics records of the K slices of a stacked ensemble from their
-    diameters and det J (K, N).  ``comparison(t, d_x, d_v)`` gives a slice's
-    (X, V, L); it is called once per slice, in order."""
+    diameters, det J (K, N) and ``values``, each slice's (X, V, L) in order;
+    a slice whose value is None has no record."""
     vg = np.sqrt((ens.vel_gradients**2).sum(axis=(2, 3))).max(axis=1)
     columns = zip(ens.time.tolist(), d_x.tolist(), d_v.tolist(),
                   _max_speeds(ens.velocities).tolist(), dets.min(axis=1).tolist(),
-                  vg.tolist(), _worst_node(dets).tolist())
-    out = []
-    for t, dx, dv, speed, lo, g, node in columns:
-        x, v, lyap = comparison(t, dx, dv)
-        out.append(DiagnosticsFrame(t=t, d_X=dx, d_V=dv, max_speed=speed, lyapunov=lyap,
-                                    X_of_t=x, V_of_t=v, min_detJ=lo, max_velgrad_norm=g,
-                                    worst_node=node))
-    return out
+                  vg.tolist(), _worst_node(dets).tolist(), values)
+    return [DiagnosticsFrame(t=t, d_X=dx, d_V=dv, max_speed=speed, lyapunov=xvl[2],
+                             X_of_t=xvl[0], V_of_t=xvl[1], min_detJ=lo,
+                             max_velgrad_norm=g, worst_node=node)
+            for t, dx, dv, speed, lo, g, node, xvl in columns if xvl is not None]
 
 
 def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
@@ -216,7 +214,7 @@ def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
         ens = buffer.gather(clocks[lo:lo + batch])
         d_x, d_v = diameters(ens)
         out += _records(ens, d_x, d_v, ens.det_jacobians(),
-                        lambda t, dx, dv: (dx, dv, math.nan))
+                        [(dx, dv, math.nan) for dx, dv in zip(d_x.tolist(), d_v.tolist())])
     return out
 
 
@@ -231,26 +229,23 @@ def _rule(dt):
 class FlockingMonitor:
     """Streaming evaluation of X(t), V(t) and the Lyapunov functional.
 
-    The one reduction of the prehistory frames on [-tau, 0], where X := d_X
-    and V := d_V: ``tau`` = -prehistory[0].t (their m h), ``r_v`` = R_V (the
-    largest max_speed), ``lower`` = X(-tau) + R_V tau, and ``start()`` gives
-    L(0); the flocking certificate is L(0) < integral of psi over [lower, inf).
+    The one reduction of the m + 1 prehistory frames on [-tau, 0], where
+    X := d_X and V := d_V: ``tau`` = -prehistory[0].t (their m h), ``r_v`` =
+    R_V (the largest max_speed), ``lower`` = X(-tau) + R_V tau, and
+    ``start()`` gives L(0); the flocking certificate is L(0) < integral of psi
+    over [lower, inf).
 
-    Every time integral takes ``_rule`` on each gap between frames.  Y and W
-    sum d_V and V by it (both sum d_V on the prehistory), X sums d_V for
-    t > 0, and V advances implicitly: V(t+dt) = ((1 - a) V(t) + S) / (1 + b),
-    exactly e^{-dt} V(t) when S = 0, where S = D - int_x^{x+D} psi with
+    A run then steps it through every slot of the step grid, one prehistory
+    spacing tau / m at a time, so t - tau is always a stored step: X, Y and W
+    of the last m + 1 steps sit in rings whose first entry is at t - tau.
+    Every time integral takes ``_rule`` on each step.  Y and W sum d_V and V
+    by it (both sum d_V on the prehistory), X sums d_V for t > 0, and V
+    advances implicitly: V(t+dt) = ((1 - a) V(t) + S) / (1 + b), exactly
+    e^{-dt} V(t) when S = 0, where S = D - int_x^{x+D} psi with
     D = Y(t+dt-tau) - Y(t-tau) and x = X(t-tau) + R_V tau.  Then
     L(t) = V(t) + int_lower^{X(t-tau)+R_V tau} psi + W(t) - W(t-tau), which is
-    V + int_{d_X(0)}^{X(t)} psi at tau = 0.  Past t = tau, a frame changes L
-    by the change of Y - W at t - tau, <= 0 where d_V <= V at the frames.
-    The record is one array of rows t, d_V, X, V, Y, W, read by linear
-    interpolation.  A frame reads nothing before the previous frame's
-    t - tau, so each drops the columns before the last one at or before that
-    time; interpolation reads only the two frames around its argument, so
-    the trimmed record gives the bits of the full one.  For the same reason
-    X and Y at the previous frame's t - tau are kept from the reads made
-    there, so a frame interpolates three times: Y, X and W at its t - tau.
+    V + int_{d_X(0)}^{X(t)} psi at tau = 0.  Past t = tau, a step changes L
+    by the change of Y - W at t - tau, <= 0 where d_V <= V.
     """
 
     def __init__(self, kernel, prehistory):
@@ -260,49 +255,45 @@ class FlockingMonitor:
         self.kernel = kernel
         self.tau = float(-frames[0].t)
         self.r_v = float(max(f.max_speed for f in frames))
-        rows = [[f.t, f.d_V, f.d_X, f.d_V, 0.0, 0.0] for f in frames]
-        for prev, row in zip(rows, rows[1:]):
-            a, b = _rule(row[0] - prev[0])
-            row[4] = row[5] = prev[4] + (a * prev[1] + b * row[1])
-        self._rows = np.array(rows, dtype=float).T
-        self.lower = float(self._rows[2, 0]) + self.r_v * self.tau
-        # X and Y at the last frame's t - tau, which the next frame reads
-        t_last = float(self._rows[0, -1])
-        self._x_delayed, self._y_delayed = self._delayed(2, t_last), self._delayed(4, t_last)
-
-    def _delayed(self, row, t):
-        """Row ``row`` of the record at t - tau."""
-        return float(np.interp(t - self.tau, self._rows[0], self._rows[row]))
-
-    def _lyapunov(self, t, x_delayed):
-        """L at the record's last frame, t, whose X(t - tau) is ``x_delayed``."""
-        v, w = self._rows[[3, 5], -1].tolist()
-        upper = x_delayed + self.r_v * self.tau
-        return v + self.kernel.integral(self.lower, upper) + (w - self._delayed(5, t))
+        self.lower = frames[0].d_X + self.r_v * self.tau
+        m = len(frames) - 1
+        self._spacing = self.tau / m if m else None
+        y = [0.0]
+        for prev, f in zip(frames, frames[1:]):
+            a, b = _rule(f.t - prev.t)
+            y.append(y[-1] + (a * prev.d_V + b * f.d_V))
+        self._x = deque((f.d_X for f in frames), m + 1)
+        self._y, self._w = deque(y, m + 1), deque(y, m + 1)
+        self._t, self._d_v, self._v = frames[-1].t, frames[-1].d_V, frames[-1].d_V
 
     def start(self):
-        """(X, V, Lyapunov) at t = 0, before any dynamics frame."""
-        x, v = self._rows[2:4, -1].tolist()
-        return x, v, self._lyapunov(0.0, self._delayed(2, 0.0))
+        """(X, V, L) at the last step: at t = 0 before any ``advance``."""
+        upper = self._x[0] + self.r_v * self.tau
+        lyapunov = self._v + self.kernel.integral(self.lower, upper) + (self._w[-1] - self._w[0])
+        return self._x[-1], self._v, lyapunov
+
+    def advance(self, t, d_v) -> None:
+        """Step to time ``t``, one prehistory spacing on (any step at tau =
+        0), where the velocity diameter is ``d_v``."""
+        dt = t - self._t
+        if not dt > 0 or self._spacing and not math.isclose(dt, self._spacing, rel_tol=1e-6):
+            raise ValueError(f"a step of {dt} from t = {self._t} is not the prehistory's spacing")
+        a, b = _rule(dt)
+        growth = a * self._d_v + b * d_v
+        x, y_delayed = self._x[0] + self.r_v * self.tau, self._y[0]
+        self._x.append(self._x[-1] + growth)
+        self._y.append(self._y[-1] + growth)
+        d = self._y[0] - y_delayed
+        v = ((1.0 - a) * self._v + d - self.kernel.integral(x, x + d)) / (1.0 + b)
+        self._w.append(self._w[-1] + (a * self._v + b * v))
+        self._t, self._d_v, self._v = t, d_v, v
 
     def observe(self, t, d_v):
-        """Advance to the emitted frame at time ``t`` and return (X, V, L)."""
-        t_prev, d_v_prev, x_prev, v_prev, y_prev, w_prev = self._rows[:, -1].tolist()
-        dt = t - t_prev
-        if dt <= 0:
-            raise ValueError("frames must advance in time")
-        a, b = _rule(dt)
-        growth = a * d_v_prev + b * d_v
-        lo = int(np.searchsorted(self._rows[0], t_prev - self.tau, "right")) - 1
-        self._rows = np.concatenate([self._rows[:, lo:], [
-            [t], [d_v], [x_prev + growth], [math.nan], [y_prev + growth], [math.nan]]], axis=1)
-        x = self._x_delayed + self.r_v * self.tau
-        y_delayed = self._delayed(4, t)
-        d = y_delayed - self._y_delayed
-        v = ((1.0 - a) * v_prev + d - self.kernel.integral(x, x + d)) / (1.0 + b)
-        self._rows[3, -1], self._rows[5, -1] = v, w_prev + (a * v_prev + b * v)
-        self._x_delayed, self._y_delayed = self._delayed(2, t), y_delayed
-        return x_prev + growth, v, self._lyapunov(t, self._x_delayed)
+        """(X, V, L) at the frame at time ``t``: ``advance`` to it, unless the
+        last step already reached it (a blow-up frame)."""
+        if t != self._t:
+            self.advance(t, d_v)
+        return self.start()
 
 
 def gronwall_rate(a: float, tau: float) -> float:

@@ -297,25 +297,28 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
 
     # X = d_X and V = d_V at t = 0: the last prehistory record, plus L
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
-    # (clock, det J) of the frames not yet reduced; a batch is reduced in one
-    # pass before the next step reuses its oldest slot, at _block_rows(N)
-    # frames, and at the end
-    queue, last, cap = [], 0, _block_rows(len(buffer.masses))
+    # (clock, has a frame?, det J) of the slots not yet reduced; a batch is
+    # reduced in one pass before the next step reuses its oldest slot, at
+    # _block_rows(N) slots, and at the end.  The monitor steps through every
+    # slot, so X, V and L do not depend on the output cadence.
+    queue, cap = [], _block_rows(len(buffer.masses))
 
     def reduce_queue():
-        clocks, dets = zip(*queue)
+        clocks, out, dets = zip(*queue)
         ens = buffer.gather(clocks)
         d_x, d_v = diameters(ens)
-        frames.extend(_records(ens, d_x, d_v, np.array(dets),
-                               lambda t, dx, dv: monitor.observe(t, dv)))
+        values = [(monitor.observe if o else monitor.advance)(t, dv)
+                  for t, dv, o in zip(ens.time.tolist(), d_v.tolist(), out)]
+        frames.extend(_records(ens, d_x, d_v, np.array(dets), values))
         queue.clear()
 
+    last = (0, True)  # (clock, has a frame?) of the newest queued slot
     for k, (dets, event) in enumerate(_advance(buffer, kernel, n_steps)):
-        # the t = 0 slot has its frame, and a BlowupSignal's event repeats a
-        # slot that may have one
-        if buffer.clock != last and (event is not None or k % every == 0 or k == n_steps):
-            queue.append((buffer.clock, dets))
-            last = buffer.clock
+        # the t = 0 slot has its frame, and a BlowupSignal's event repeats the
+        # newest slot, which is queued again if it has no frame
+        if last != (buffer.clock, True):
+            last = (buffer.clock, event is not None or k % every == 0 or k == n_steps)
+            queue.append((*last, dets))
         if queue and (len(queue) == cap or buffer.clock - queue[0][0] >= buffer.m + 2):
             reduce_queue()
     if queue:

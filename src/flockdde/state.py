@@ -362,8 +362,11 @@ class BoxDomain:
         if np.any(self.hi <= self.lo) or any(c < 1 for c in self.counts):
             raise ValueError("box must have positive extent and node counts")
         with np.errstate(over="ignore"):  # an extent of inf gives a volume of inf
-            if not np.isfinite(np.prod((self.hi - self.lo) / self.counts)):
-                raise ValueError("box extent and cell volume must be finite")
+            volume = np.prod((self.hi - self.lo) / self.counts)
+        if not np.isfinite(volume):
+            raise ValueError("box extent and cell volume must be finite")
+        if volume == 0:  # a subnormal volume still normalizes the masses
+            raise ValueError("box cell volume underflows to 0: the box is too small for its counts")
         n, limit = math.prod(self.counts), np.iinfo(np.intp).max
         if n > limit:
             raise ValueError(f"a grid of {n} nodes is more than numpy can index ({limit})")

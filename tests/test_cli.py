@@ -810,6 +810,34 @@ class TestFailureBoundary:
             "config error: datum.domain: box extent and cell volume must be finite\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("extent", [1e-170, 1e-160])
+    def test_box_whose_cell_volume_underflows_is_a_config_error(self, tmp_path, quick_run_doc,
+                                                                extent):
+        # at 12 x 12 the cell volume is about 7e-343 at extent 1e-170, which
+        # rounds to 0 (once read as a zero total mass), and a subnormal 7e-323
+        # at 1e-160, which still normalizes the masses
+        doc = _with(_with(_with(quick_run_doc, "datum.domain.box", [[0.0, extent]] * 2),
+                          "datum.domain.counts", [12, 12]),
+                    "datum.velocity", {"family": "constant", "value": [0.1, 0.0]})
+        proc = run_entry_point("certify", "--config", write_json(tmp_path / "c.json", doc))
+        if extent == 1e-160:
+            assert (proc.returncode, proc.stderr) == (0, "")
+            return
+        assert proc.returncode == 1
+        assert proc.stderr == ("config error: datum.domain: box cell volume underflows to 0: "
+                               "the box is too small for its counts\n")
+
+    def test_gaussian_sigma_whose_square_underflows_is_a_config_error(self, tmp_path,
+                                                                      quick_run_doc):
+        # 2 sigma^2 is 0 at sigma = 1e-170: once a "divide by zero"
+        # RuntimeWarning on stderr, then a zero total mass
+        doc = _with(quick_run_doc, "datum.density",
+                    {"family": "gaussian", "center": [0.5], "sigma": 1e-170})
+        proc = run_entry_point("certify", "--config", write_json(tmp_path / "c.json", doc))
+        assert proc.returncode == 1
+        assert proc.stderr == ("config error: datum.density.sigma: must be positive, "
+                               "with 2 sigma^2 above 0, got 1e-170\n")
+
     def test_gaussian_density_whose_exponent_overflows_is_zero(self, quick_run_doc):
         # only the node at the center keeps mass; the squared distances of the
         # others overflow, silently, and their density is 0

@@ -11,6 +11,7 @@ import contextlib
 import copy
 import io
 import json
+import warnings
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -241,11 +242,18 @@ def small_run_docs(draw):
     discretize and the certificate and the rest mostly the config's checks."""
     counts = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2)
                   | st.integers(1, 9).map(lambda n: [n]))
+    # half the boxes are the unit box; the others, and a Gaussian's sigma,
+    # span 1e-170 to 1e200, so a cell volume or a 2 sigma^2 under- or overflows
+    scale = st.floats(-170.0, 200.0).map(lambda e: 10.0 ** e)
+    extents = [draw(scale) for _ in counts] if draw(st.booleans()) else [1.0] * len(counts)
+    datum = {"domain": {"box": [[0.0, e] for e in extents], "counts": counts},
+             "velocity": draw(velocity_specs(len(counts), draw(st.booleans())))}
+    if draw(st.booleans()):
+        datum["density"] = {"family": "gaussian", "center": [0.5 * e for e in extents],
+                            "sigma": draw(scale)}
     return {"schema_version": 1,
             "kernel": {"family": "cucker-smale", "beta": draw(st.sampled_from([0.0, 1.0]))},
-            "datum": {"domain": {"box": [[0.0, 1.0]] * len(counts), "counts": counts},
-                      "velocity": draw(velocity_specs(len(counts), draw(st.booleans())))},
-            "tau": draw(st.integers(0, 4)) * 0.05, "step": 0.05,
+            "datum": datum, "tau": draw(st.integers(0, 4)) * 0.05, "step": 0.05,
             "t_end": 0.1, "output_every": 0.05}
 
 
@@ -266,6 +274,19 @@ TABLE_FIELD_LENGTH_DOC = {
                                       {"family": "constant", "value": [0.1]},
                                       {"family": "constant", "value": [0.2]}]}},
     "tau": 0.2, "step": 0.05, "t_end": 0.1, "output_every": 0.05}
+# a cell volume of about 7e-343 rounds to 0, and 2 sigma^2 at sigma = 1e-170
+# is 0: both once failed as a zero total mass, the second after a warning
+TINY_BOX_DOC = {
+    "schema_version": 1, "kernel": {"family": "cucker-smale", "beta": 1.0},
+    "datum": {"domain": {"box": [[0.0, 1e-170], [0.0, 1e-170]], "counts": [12, 12]},
+              "velocity": {"family": "constant", "value": [0.1, 0.0]}},
+    "tau": 0.1, "step": 0.05, "t_end": 0.1, "output_every": 0.05}
+TINY_SIGMA_DOC = {
+    "schema_version": 1, "kernel": {"family": "cucker-smale", "beta": 1.0},
+    "datum": {"domain": {"box": [[0.0, 1.0]], "counts": [16]},
+              "density": {"family": "gaussian", "center": [0.5], "sigma": 1e-170},
+              "velocity": {"family": "constant", "value": [0.1]}},
+    "tau": 0.1, "step": 0.05, "t_end": 0.1, "output_every": 0.05}
 OVERFLOW_DOC = {
     "schema_version": 1, "kernel": {"family": "cucker-smale", "beta": 1.0},
     "datum": {"domain": {"box": [[0.0, 1.0]], "counts": [4]},
@@ -274,22 +295,27 @@ OVERFLOW_DOC = {
 
 
 def test_certify_on_velocity_arrays_of_any_length(tmp_path, time_limit):
-    # certify discretizes the datum: it ends in a verdict or one config error
+    # certify discretizes the datum: it ends in a verdict or one config
+    # error, and no warning
     path = tmp_path / "c.json"
 
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @example(MATRIX_ROW_DOC)
     @example(TABLE_FIELD_LENGTH_DOC)
     @example(OVERFLOW_DOC)
+    @example(TINY_BOX_DOC)
+    @example(TINY_SIGMA_DOC)
     @given(small_run_docs())
     def check(doc):
         path.write_text(json.dumps(doc))
         err = io.StringIO()
         with time_limit(5), contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
+                contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["certify", "--config", str(path)])
         lines = err.getvalue().splitlines()
-        assert code in (0, 3) or (
+        assert not caught, [str(w.message) for w in caught]
+        assert (code in (0, 3) and not lines) or (
             code == 1 and len(lines) == 1 and lines[0].startswith("config error: ")), (
             code, lines)
 

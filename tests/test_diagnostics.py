@@ -150,9 +150,9 @@ class TestLyapunov:
         # d_V(0) e^{-t}; replay synthetic exact-decay frames and compare
         kernel = CuckerSmaleKernel(0.0)
         tau = 0.5
-        pre_t = np.linspace(-tau, 0.0, 6)
-        pre_dv = np.full(6, 0.8)
-        pre_dx = np.full(6, 1.0)
+        pre_t = np.linspace(-tau, 0.0, 21)  # the steps' spacing, 0.025
+        pre_dv = np.full(21, 0.8)
+        pre_dx = np.full(21, 1.0)
         mon = FlockingMonitor(kernel, prehistory_stubs(pre_t, pre_dx, pre_dv, 1.0))
         times = np.arange(1, 41) * 0.025
         values = []
@@ -167,14 +167,6 @@ class TestLyapunov:
             assert x == pytest.approx(1.0 + 0.8 * (1 - math.exp(-t)), abs=2e-4)
             # psi == 1 makes the V-recurrence source vanish: V(t) = d_V(0) e^{-t}
             assert v == pytest.approx(0.8 * math.exp(-t), rel=1e-5)
-
-    def test_gap_wider_than_tau_gives_finite_lyapunov(self):
-        kernel = CuckerSmaleKernel(1.0)
-        mon = FlockingMonitor(kernel, prehistory_stubs([-1.0, 0.0], [1.0, 1.0], [0.5, 0.5], 1.0))
-        # no frame lies inside the window (1.5, 2.5) or (2.5, 3.5)
-        values = [mon.observe(t, d_v) for t, d_v in [(2.5, 0.1), (3.5, 0.05)]]
-        assert np.all(np.isfinite(values))
-        assert values[1][2] < values[0][2]
 
     def test_flat_kernel_lyapunov_constant_after_tau(self):
         # psi == 1 and d_V = d_V(0) e^{-t}: V keeps d_V, so Y - W stays put
@@ -498,9 +490,13 @@ def test_stacked_records_equal_per_slice_records(time_limit):
     def check(stack):
         dets = stack.det_jacobians()
         d_x, d_v = diameters(stack)
-        got = _records(stack, d_x, d_v, dets, lambda t, dx, dv: (dx, dv, math.nan))
-        assert len(got) == len(stack.time)
-        for i, frame in enumerate(got):
+        # every other slice has a record, as a run's output slots do
+        values = [(dx, dv, math.nan) if i % 2 == 0 else None
+                  for i, (dx, dv) in enumerate(zip(d_x.tolist(), d_v.tolist()))]
+        got = _records(stack, d_x, d_v, dets, values)
+        assert len(got) == (len(stack.time) + 1) // 2
+        records = iter(got)
+        for i in range(len(stack.time)):
             ens = LagrangianEnsemble(float(stack.time[i]), stack.positions[i],
                                      stack.velocities[i], stack.jacobians[i],
                                      stack.vel_gradients[i], stack.masses,
@@ -509,6 +505,9 @@ def test_stacked_records_equal_per_slice_records(time_limit):
             assert float_bits(float(d_x[i])) == float_bits(want_x)
             assert float_bits(float(d_v[i])) == float_bits(want_v)
             assert dets[i].tobytes() == ens.det_jacobians().tobytes()
+            if i % 2:
+                continue
+            frame = next(records)
             want = record_per_slice(ens, frame.d_X, frame.d_V, frame.d_X, frame.d_V,
                                     math.nan, ens.det_jacobians())
             assert frame_bits(frame) == frame_bits(want)
@@ -604,11 +603,13 @@ def _rule_weights(dt):
 
 
 class _NaiveMonitor:
-    """Reference: the monitor's rule on series that keep every frame."""
+    """Reference: the monitor's rule, one step at a time, on series that keep
+    every step, read by index: step i's delayed value is entry i - m."""
 
-    def __init__(self, kernel, tau, pre_times, pre_d_x, pre_d_v, r_v):
+    def __init__(self, kernel, pre_times, pre_d_x, pre_d_v, r_v):
         self.kernel = kernel
-        self.tau = float(tau)
+        self.m = len(pre_times) - 1
+        self.tau = float(-pre_times[0])
         self.r_v = float(r_v)
         self._times = [float(t) for t in pre_times]
         self._d_v = [float(v) for v in pre_d_v]
@@ -619,33 +620,27 @@ class _NaiveMonitor:
             a, b = _rule_weights(self._times[k] - self._times[k - 1])
             self._y.append(self._y[-1] + (a * self._d_v[k - 1] + b * self._d_v[k]))
         self._w = list(self._y)
-        self._x_base = self._x[0] + self.r_v * self.tau
+        self._lower = self._x[0] + self.r_v * self.tau
 
-    def _at(self, series, t):
-        return float(np.interp(t - self.tau, self._times, series))
+    def values(self):
+        i = len(self._times) - 1
+        upper = self._x[i - self.m] + self.r_v * self.tau
+        middle = self.kernel.integral(self._lower, upper)
+        return self._x[i], self._v[i], self._v[i] + middle + (self._w[i] - self._w[i - self.m])
 
-    def _lyapunov(self, t):
-        upper = self._at(self._x, t) + self.r_v * self.tau
-        middle = self.kernel.integral(self._x_base, upper)
-        return self._v[-1] + middle + (self._w[-1] - self._at(self._w, t))
-
-    def start(self):
-        return self._x[-1], self._v[-1], self._lyapunov(0.0)
-
-    def observe(self, t, d_v):
-        t_prev = self._times[-1]
-        a, b = _rule_weights(t - t_prev)
-        growth = a * self._d_v[-1] + b * d_v
+    def step(self, t, d_v):
+        i = len(self._times)
+        a, b = _rule_weights(t - self._times[i - 1])
+        growth = a * self._d_v[i - 1] + b * d_v
         self._times.append(float(t))
         self._d_v.append(float(d_v))
-        self._x.append(self._x[-1] + growth)
-        self._y.append(self._y[-1] + growth)
-        x = self._at(self._x, t_prev) + self.r_v * self.tau
-        d = self._at(self._y, t) - self._at(self._y, t_prev)
-        v = ((1.0 - a) * self._v[-1] + d - self.kernel.integral(x, x + d)) / (1.0 + b)
-        self._w.append(self._w[-1] + (a * self._v[-1] + b * v))
+        self._x.append(self._x[i - 1] + growth)
+        self._y.append(self._y[i - 1] + growth)
+        x = self._x[i - 1 - self.m] + self.r_v * self.tau
+        d = self._y[i - self.m] - self._y[i - 1 - self.m]
+        v = ((1.0 - a) * self._v[i - 1] + d - self.kernel.integral(x, x + d)) / (1.0 + b)
+        self._w.append(self._w[i - 1] + (a * self._v[i - 1] + b * v))
         self._v.append(v)
-        return self._x[-1], v, self._lyapunov(t)
 
 
 def _bits(values):
@@ -653,94 +648,106 @@ def _bits(values):
 
 
 def _monitor_case(name):
-    """(kernel, tau, prehistory (t, d_X, d_V), r_v, frames (t, d_V))."""
+    """(kernel, prehistory (t, d_X, d_V), r_v, steps (t, d_V)): each step one
+    prehistory spacing, as slot times j h are (any steps at tau = 0)."""
     rng = np.random.default_rng(7)
-    if name == "uneven-cadence":
-        tau = 0.3
-        pre_t = np.linspace(-tau, 0.0, 7)
-        # steps above tau leave windows with no frame inside them
-        times = np.cumsum(rng.uniform(0.004, 0.4, 300))
-    elif name == "off-cadence-blowup":
-        tau = 0.05
-        pre_t = np.linspace(-tau, 0.0, 11)
-        times = np.append(np.arange(1, 201) * 0.01, 2.0037)
-    elif name == "coarse-prehistory":
-        tau = 0.2
-        pre_t = np.linspace(-tau, 0.0, 3)
-        times = np.arange(1, 301) * 0.01
-    elif name == "zero-delay":
-        tau = 0.0
-        pre_t = np.array([0.0])
-        times = np.cumsum(rng.uniform(0.001, 0.05, 300))
-    elif name == "flat-kernel":
-        tau = 0.1
-        pre_t = np.linspace(-tau, 0.0, 21)
-        times = np.arange(1, 301) * 0.005
-    elif name == "sparse-window":
-        tau = 1.0
-        pre_t = np.array([-1.0, 0.0])
-        times = np.array([2.5, 2.6, 3.9, 4.0])
-    elif name == "tabulated-kernel":
-        tau = 0.2
-        pre_t = np.linspace(-tau, 0.0, 11)
-        times = np.arange(1, 301) * 0.01
+    h, m, n = 0.01, 20, 300
+    if name == "zero-delay":
+        m = 0
+    elif name == "one-step-delay":
+        m = 1
+    elif name == "long-delay":
+        h, m, n = 0.002, 250, 1000
+    elif name == "off-grid-delay":
+        h, m = 0.3, 3  # 3 * 0.3 != 0.9
     beta = 0.0 if name == "flat-kernel" else 1.5
-    pre_dx = rng.uniform(0.5, 2.0, len(pre_t))
-    pre_dv = rng.uniform(0.2, 1.0, len(pre_t))
-    d_v = rng.uniform(0.0, 1.0, len(times)) * np.exp(-times)
-    if name == "off-cadence-blowup":
+    pre_t = np.arange(-m, 1) * h
+    times = np.arange(1, n + 1) * h
+    if name == "zero-delay":
+        times = np.cumsum(rng.uniform(0.001, 0.05, n))
+    pre_dx = rng.uniform(0.5, 2.0, m + 1)
+    pre_dv = rng.uniform(0.2, 1.0, m + 1)
+    d_v = rng.uniform(0.0, 1.0, n) * np.exp(-times)
+    if name == "blowup":
         d_v[-1] = 1e6
     kernel = CuckerSmaleKernel(beta)
     if name == "tabulated-kernel":
         # the Lyapunov middle term runs from 1.6 to between 0.67 and 2.0:
         # both orientations, inside the table and beyond its last node
         kernel = TabulatedKernel([0.0, 0.5, 1.1, 1.8], [1.0, 0.7, 0.4, 0.3])
-    return kernel, tau, (pre_t, pre_dx, pre_dv), 0.8, list(zip(times, d_v))
+    return kernel, (pre_t, pre_dx, pre_dv), 0.8, list(zip(times.tolist(), d_v.tolist()))
 
 
-class TestWindowedMonitor:
-    @pytest.mark.parametrize("name", ["uneven-cadence", "off-cadence-blowup",
-                                      "coarse-prehistory", "zero-delay",
-                                      "flat-kernel", "sparse-window",
-                                      "tabulated-kernel"])
-    def test_bit_identical_to_naive_monitor(self, name):
-        kernel, tau, pre, r_v, frames = _monitor_case(name)
+MONITOR_CASES = ["uniform", "blowup", "zero-delay", "one-step-delay", "long-delay",
+                 "off-grid-delay", "flat-kernel", "tabulated-kernel"]
+
+
+class TestSteppedMonitor:
+    @pytest.mark.parametrize("name", MONITOR_CASES)
+    @pytest.mark.parametrize("every", [1, 7])
+    def test_bit_identical_to_naive_monitor(self, name, every):
+        # advance between frames, observe at every 7th step: the frames' values
+        # are the per-step reference's at those steps
+        kernel, pre, r_v, steps = _monitor_case(name)
         mon = FlockingMonitor(kernel, prehistory_stubs(*pre, r_v))
-        ref = _NaiveMonitor(kernel, tau, *pre, r_v)
-        assert _bits(mon.start()) == _bits(ref.start())
-        for t, d_v in frames:
-            assert _bits(mon.observe(t, d_v)) == _bits(ref.observe(t, d_v)), t
+        ref = _NaiveMonitor(kernel, *pre, r_v)
+        assert _bits(mon.start()) == _bits(ref.values())
+        for k, (t, d_v) in enumerate(steps, 1):
+            ref.step(t, d_v)
+            if k % every:
+                assert mon.advance(t, d_v) is None
+            else:
+                assert _bits(mon.observe(t, d_v)) == _bits(ref.values()), t
 
-    @pytest.mark.parametrize("name", ["uneven-cadence", "zero-delay", "sparse-window"])
-    def test_three_interpolations_per_frame_without_start(self, name, monkeypatch):
-        # X and Y at the previous frame's t - tau come from that frame's reads
-        # (or, for the first frame, the constructor's), never read again
-        kernel, tau, pre, r_v, frames = _monitor_case(name)
+    def test_observe_after_advance_at_the_same_time_does_not_step(self):
+        # a blow-up frame repeats a slot that the monitor already stepped to
+        kernel, pre, r_v, steps = _monitor_case("blowup")
         mon = FlockingMonitor(kernel, prehistory_stubs(*pre, r_v))
-        ref = _NaiveMonitor(kernel, tau, *pre, r_v)
-        calls, interp = [], np.interp
-        monkeypatch.setattr(np, "interp", lambda *args: calls.append(args[0]) or interp(*args))
-        for t, d_v in frames:
-            calls.clear()
-            got = mon.observe(t, d_v)
-            assert len(calls) == 3
-            assert _bits(got) == _bits(ref.observe(t, d_v)), t
+        for t, d_v in steps:
+            mon.advance(t, d_v)
+        want = mon.start()
+        assert _bits(mon.observe(*steps[-1])) == _bits(want)
+        assert _bits(mon.observe(*steps[-1])) == _bits(want)
 
-    def test_stored_window_stays_bounded(self):
-        tau, dt = 0.1, 0.005
-        pre_t = np.linspace(-tau, 0.0, 21)
+    def test_calls_no_interpolation_search_or_concatenation(self, monkeypatch):
+        kernel, pre, r_v, steps = _monitor_case("uniform")
+        mon = FlockingMonitor(kernel, prehistory_stubs(*pre, r_v))
+        for name in ("interp", "searchsorted", "concatenate"):
+            monkeypatch.setattr(np, name, lambda *a, name=name, **k: pytest.fail(f"np.{name}"))
+        for t, d_v in steps:
+            mon.observe(t, d_v)
+
+    @pytest.mark.parametrize("m", [0, 1, 20])
+    def test_rings_hold_m_plus_one_steps(self, m):
+        h = 0.005
+        mon = FlockingMonitor(CuckerSmaleKernel(1.0), prehistory_stubs(
+            np.arange(-m, 1) * h, np.ones(m + 1), np.full(m + 1, 0.5), 0.5))
+        for k in range(1, 10 * max(m, 1) + 1):
+            mon.advance(k * h, 0.5 * math.exp(-k * h))
+        assert len(mon._x) == len(mon._y) == len(mon._w) == m + 1
+
+    @pytest.mark.parametrize("t", [0.01, 0.2, 0.1 + 1e-5, -0.1, 0.0])
+    def test_a_step_off_the_prehistory_spacing_raises(self, t):
+        # prehistory frames 0.1 apart and a run stepping 0.01 (a coarse
+        # prehistory) would read X and Y at the wrong delayed steps
+        pre_t = np.linspace(-0.2, 0.0, 3)
         mon = FlockingMonitor(CuckerSmaleKernel(1.0),
-                              prehistory_stubs(pre_t, np.ones(21), np.full(21, 0.5), 0.5))
-        for k in range(1, 20001):
-            mon.observe(k * dt, 0.5 * math.exp(-k * dt))
-        # the record runs from the last frame at or before t_prev - tau to t,
-        # round(tau / dt) + 2 frames here; the bound leaves one frame spare
-        assert mon._rows.shape[1] <= round(tau / dt) + 3
+                              prehistory_stubs(pre_t, np.ones(3), np.full(3, 0.5), 0.5))
+        with pytest.raises(ValueError, match="spacing"):
+            mon.advance(t, 0.4)
+        mon.advance(0.1, 0.4)  # one spacing on is a step
+
+    def test_zero_delay_takes_any_positive_step(self):
+        mon = FlockingMonitor(CuckerSmaleKernel(1.0), prehistory_stubs([0.0], [1.0], [0.5], 0.5))
+        for t in (0.01, 0.5, 0.5001, 3.0):
+            mon.advance(t, 0.4)
+        with pytest.raises(ValueError, match="spacing"):
+            mon.advance(3.0, 0.4)
 
     @pytest.mark.parametrize("tau,n", [(0.0, 1), (0.1, 11), (0.5, 51), (1.0, 101)])
     def test_fixed_kernel_work_per_frame(self, tau, n, monkeypatch):
         # two integrals per frame (the source and the middle term) and no
-        # profile, whether the window holds 1, 10, 50 or 100 frames
+        # profile, whether the window holds 1, 10, 50 or 100 steps
         kernel = CuckerSmaleKernel(1.0)
         pre_t = np.linspace(-tau, 0.0, n)
         mon = FlockingMonitor(kernel, prehistory_stubs(pre_t, np.ones(n), np.full(n, 0.5), 0.5))

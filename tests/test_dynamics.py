@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import frame_bits, max_speed, prehistory_r_v, radius_methods, record_per_slice
 from flockdde import dynamics
-from flockdde.cli import execute_run
+from flockdde.cli import execute_run, write_frames_csv
 from flockdde.config import RunConfig, preset_dict, run_config_from_dict
 from flockdde.diagnostics import (
     _BLOCK_PAIRS,
@@ -293,7 +293,8 @@ class TestSimulate:
         monkeypatch.setattr(dynamics, "diameters", counted)
         res = integrate(buffer, cfg.kernel, t_end=cfg.t_end,
                         output_every=cfg.output_every, prehistory=pre)
-        assert 0.0 not in calls and calls == [f.t for f in res.frames[1:]]
+        # the monitor reads every step's d_V, so every slot after t = 0 is reduced
+        assert 0.0 not in calls and calls == [k * cfg.step for k in range(1, 11)]
         assert (res.frames[0].d_X, res.frames[0].d_V) == (pre[-1].d_X, pre[-1].d_V)
         # integrate's own prehistory, when none is passed, gives the same run
         assert res.frames == integrate_config(cfg).frames
@@ -482,8 +483,9 @@ class TestSimulate:
 
 
 def _integrate_per_frame(buffer, kernel, t_end, output_every):
-    """The reference run loop: each frame reduced from its own slot as the
-    step that made it ends, each prehistory slice on its own."""
+    """The reference run loop: each slot reduced on its own as the step that
+    made it ends, each prehistory slice on its own; the monitor steps through
+    every slot and gives the frames' values."""
     _, n_steps, every = _run_steps(buffer.tau, buffer.h, t_end, output_every)
     prehistory = []
     for j in buffer.prehistory_clocks():
@@ -494,13 +496,16 @@ def _integrate_per_frame(buffer, kernel, t_end, output_every):
                                             s.det_jacobians()))
     monitor = FlockingMonitor(kernel, prehistory)
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
+    stepped = 0  # the monitor's slot; a BlowupSignal's event repeats a slot
     for k, (dets, event) in enumerate(dynamics._advance(buffer, kernel, n_steps)):
+        ens = buffer.latest
+        d_x, d_v = diameters(ens)
+        if buffer.clock != stepped:
+            monitor.advance(ens.time, d_v)
+            stepped = buffer.clock
         if frames[-1].t != buffer.current_time and (
                 event is not None or k % every == 0 or k == n_steps):
-            ens = buffer.latest
-            d_x, d_v = diameters(ens)
-            frames.append(record_per_slice(ens, d_x, d_v, *monitor.observe(ens.time, d_v),
-                                            dets))
+            frames.append(record_per_slice(ens, d_x, d_v, *monitor.start(), dets))
     if event is not None:
         frames[-1].status = "blowup"
     return prehistory, frames, event, monitor.r_v
@@ -536,7 +541,7 @@ def test_batched_frames_equal_the_per_frame_loop(name, monkeypatch):
     gathered, gather = [], HistoryBuffer.gather
 
     def counted_gather(self, clocks):
-        gathered.append(len(clocks))
+        gathered.append(list(clocks))
         return gather(self, clocks)
 
     monkeypatch.setattr(HistoryBuffer, "gather", counted_gather)
@@ -549,14 +554,68 @@ def test_batched_frames_equal_the_per_frame_loop(name, monkeypatch):
     assert list(map(frame_bits, res.frames)) == list(map(frame_bits, want))
     assert (res.blowup, res.r_v) == (event, r_v)
     # no gather holds more than _BLOCK_PAIRS nodes
-    n = len(buffers[0].masses)
-    assert sum(gathered) == len(pre) + len(res.frames) - 1
-    assert max(gathered) * n <= _BLOCK_PAIRS
+    # every slot is gathered once, the prehistory's first; a blow-up frame on
+    # a slot without one gathers that slot again
+    clocks = [c for batch in gathered for c in batch]
+    slots = list(range(1, res.buffer.clock + 1))
+    assert clocks[len(pre):] in (slots, slots + slots[-1:])
+    n, sizes = len(buffers[0].masses), list(map(len, gathered))
+    assert max(sizes) * n <= _BLOCK_PAIRS
     if name == "cap-before-ring":
-        assert max(gathered) == _BLOCK_PAIRS // n < 22
+        assert max(sizes) == _BLOCK_PAIRS // n < 22
     if name in ("riccati-blowup", "blowup-signal"):
         assert res.frames[-1].status == "blowup"
         assert (res.blowup.node is None) == (name == "blowup-signal")
+
+
+def _cadence_doc(name):
+    """A run config document whose output cadence the test varies."""
+    if name == "riccati-blowup":
+        return preset_dict(name)
+    doc = preset_dict("unconditional-beta025")
+    doc["t_end"] = 1.2  # 600 steps, four frames at 3 m = 300
+    if name == "two-d":
+        doc["datum"] = {"domain": {"box": [[0.0, 1.0], [0.0, 1.0]], "counts": [8, 8]},
+                        "velocity": {"family": "sine-perturbation", "base": [0.0, 0.1],
+                                     "amplitude": [0.3, 0.2], "wavenumber": [2.0, 1.0],
+                                     "phase": [0.3, 0.1]}}
+        doc.update(tau=0.05, step=0.01, t_end=0.6)
+    if name == "zero-delay":
+        doc["tau"] = 0.0
+    return doc
+
+
+def _cadence_rows(name, every, tmp_path):
+    """frames.csv's data rows of the run ``name`` at ``output_every`` = every h."""
+    path = tmp_path / f"{name}-{every}.csv"
+    if name == "blowup-signal":
+        # a library run: a poisoned prehistory slice ends it in a BlowupSignal
+        cfg = make_config(t_end=0.2)
+        buf = discretize(cfg.datum, cfg.tau, cfg.step)
+        buf.slot(buf.prehistory_clocks()[5])[1][0, 0] = math.inf
+        res = integrate(buf, cfg.kernel, t_end=cfg.t_end, output_every=every * cfg.step)
+        assert res.blowup is not None and res.blowup.node is None
+    else:
+        doc = _cadence_doc(name)
+        doc["output_every"] = every * doc["step"]
+        res, _ = execute_run(run_config_from_dict(doc))
+    write_frames_csv(res.frames, path)
+    return path.read_text().splitlines()[2:]
+
+
+@pytest.mark.parametrize("name", ["one-d", "two-d", "zero-delay", "riccati-blowup",
+                                  "blowup-signal"])
+def test_frames_at_every_cadence_are_every_kth_step_frame(name, tmp_path):
+    # the monitor reads every step, so output_every only picks the rows:
+    # every column at k h, status and the blow-up row included, is the row
+    # at h, byte for byte
+    m = 20 if name == "blowup-signal" else round(
+        _cadence_doc(name)["tau"] / _cadence_doc(name)["step"])
+    rows = _cadence_rows(name, 1, tmp_path)
+    assert (rows[-1].endswith(",blowup")) == (name in ("riccati-blowup", "blowup-signal"))
+    for k in sorted({2, 5, m, 3 * m} - {0}):
+        want = [row for i, row in enumerate(rows) if i % k == 0 or i == len(rows) - 1]
+        assert _cadence_rows(name, k, tmp_path) == want, k
 
 
 @pytest.mark.parametrize("dets, node", [
