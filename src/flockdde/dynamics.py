@@ -110,7 +110,10 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
         g = np.empty((n, d + 1, 1 if d == 1 else d + 1))
         if d > 1:
             c = 0.5 * (d_pos.min(axis=0) + d_pos.max(axis=0))
-            ext = (mom[:, :, None] * np.c_[np.ones(n), d_pos - c][:, None]).reshape(n, -1)
+            ext = np.empty((n, d + 1, d + 1))  # [M, (y - c)_1 M, ..., (y - c)_d M]
+            ext[:, :, 0] = mom
+            np.multiply(mom[:, :, None], (d_pos - c)[:, None], out=ext[:, :, 1:])
+            ext = ext.reshape(n, -1)
         for rows in _row_blocks(n):
             if d == 1:
                 diff = pos[rows] - d_pos.T
@@ -140,7 +143,7 @@ def _force(kernel, masses, pos, vel, jac, d_pos, d_vel):
     return u - vel, fg, s0
 
 
-# only bench/spans.py and tests call alignment_rhs
+# only bench/spans.py and its own tests call alignment_rhs, until item 9a
 def alignment_rhs(current: LagrangianEnsemble, delayed, kernel):
     """The delayed alignment force on one ensemble, as ``_force`` returns it.
 

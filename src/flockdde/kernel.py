@@ -31,19 +31,6 @@ _FAR = 1e20
 _ASINH_MAX = math.asinh(np.finfo(float).max)
 
 
-def _check_radii(r):
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("kernel radius must be nonnegative")
-    return r
-
-
-def _as_input_shape(values, r):
-    if np.ndim(r) == 0:
-        return float(values)
-    return values
-
-
 class _Kernel:
     """The certificate's two integrals, built on a family's ``integral``."""
 
@@ -105,44 +92,36 @@ class CuckerSmaleKernel(_Kernel):
         """Constant C with ``|psi'| <= C psi``; 2*beta for this family."""
         return 2.0 * self.beta
 
-    # only bench/spans.py and tests call eval and eval_deriv
+    # only bench/spans.py names eval and eval_deriv, until item 9a
     def eval(self, r):
-        """Profile value at radius ``r`` (scalar or array), in (0, 1]."""
-        r = _check_radii(r)
-        if self.beta == 0.0:
-            out = np.ones_like(r)
-        else:
-            # r * r overflows to inf above about 1.3e154, where 0 is right
-            with np.errstate(over="ignore"):
-                out = (1.0 + r * r) ** (-self.beta)
-        return _as_input_shape(out, r)
+        """Profile value at radii ``r``, an array of their shape, in [0, 1]."""
+        return self._radial(r)[0]
+
+    def eval_deriv(self, r):
+        """Radial derivative ``wd * r`` of the profile; NaN at r = inf."""
+        return self._radial(r)[1]
+
+    def _radial(self, r):
+        # one eval_with_deriv_sq call on r * r, a 0-d radius read as shape (1,)
+        r = np.asarray(r, dtype=float)[..., None]
+        if np.any(r < 0):
+            raise ValueError("kernel radius must be nonnegative")
+        # r * r overflows to inf above about 1.3e154, where psi is 0 and wd -0
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi, wd = self.eval_with_deriv_sq(r * r)
+            return psi[..., 0], (wd * r)[..., 0]
 
     def profile(self, r: float) -> float:
         """Profile value at one radius ``r >= 0``, in plain floats.
 
-        Equal to ``eval(r)`` bit for bit on a 0-d radius only (the same IEEE
-        operations and libm ``pow``).  An array ``eval`` may take numpy's SIMD
-        ``pow``, whose last bit can differ from libm's; ``eval_with_deriv_sq``
-        takes the same array ``pow`` as the array ``eval``.
+        The power ``(1 + r * r)^-beta`` of ``eval_with_deriv_sq``, taken by
+        libm's ``pow``: numpy's array ``pow`` there may take a SIMD path,
+        whose last bit can differ.
         """
         if self.beta == 0.0:
             return 1.0
         r = float(r)
         return (1.0 + r * r) ** -self.beta
-
-    def eval_deriv(self, r):
-        """Radial derivative of the profile; nonpositive everywhere."""
-        r = _check_radii(r)
-        if self.beta == 0.0:
-            out = np.zeros_like(r)
-        else:
-            # where the power underflows to 0, -2 beta r may overflow to -inf
-            # (r = inf, or r near the top of the range) and their product is
-            # NaN; the derivative there is -0
-            with np.errstate(over="ignore", invalid="ignore"):
-                power = (1.0 + r * r) ** (-self.beta - 1.0)
-                out = np.where(power == 0.0, -0.0, -2.0 * self.beta * r * power)
-        return _as_input_shape(out, r)
 
     @property
     def is_flat(self) -> bool:

@@ -78,8 +78,12 @@ class LagrangianEnsemble:
 
 
 def _det(jacobians: np.ndarray) -> np.ndarray:
-    """det J per node; a non-finite Jacobian gives a non-finite det, silently."""
-    with np.errstate(invalid="ignore", over="ignore"):
+    """det J per node, silently: LU's log of a zero pivot on a singular
+    Jacobian, and a non-finite one, set no FP warning.  In 1-D det J is J
+    itself, copied: LU's sign * exp(sum log |u_ii|) can miss it by an ulp."""
+    if jacobians.shape[-1] == 1:
+        return jacobians[..., 0, 0].copy()
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
         return np.linalg.det(jacobians)
 
 
@@ -211,7 +215,8 @@ class HistoryBuffer:
         vel = _hermite(theta, self.h, self._vel[a], m0, self._vel[b], self._acc[b])
         return pos, vel
 
-    # only bench/spans.py and tests call query (with OutOfWindowError, _WINDOW_TOL)
+    # only bench/spans.py and its own tests call query (with OutOfWindowError,
+    # _WINDOW_TOL), until item 9a
     def query(self, t: float):
         """(positions, velocities) at time t: ``slot(j)[:2]`` or ``interpolate``."""
         lo, hi = self._oldest(), self.clock

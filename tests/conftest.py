@@ -13,6 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from flockdde.diagnostics import DiagnosticsFrame, _max_speeds
+from flockdde.dynamics import _force
 from flockdde.kernel import TabulatedKernel
 
 
@@ -52,19 +53,37 @@ def monotone_tables(draw, nodes, gaps, ratios):
             [1.0, *itertools.accumulate(factors, operator.mul)])
 
 
+def cucker_smale(beta):
+    """The profile ``(1 + r^2)^-beta`` and its derivative
+    ``-2 beta r (1 + r^2)^(-beta - 1)``, written out, on floats or arrays:
+    the reference for ``CuckerSmaleKernel``.  On plain floats the value is
+    ``profile``'s libm ``pow``; on arrays, numpy's array ``pow``, that of
+    ``eval_with_deriv_sq``."""
+    return (lambda r: (1.0 + r * r) ** -beta,
+            lambda r: -2.0 * beta * r * (1.0 + r * r) ** (-beta - 1.0))
+
+
 def radius_methods(kernel):
-    """Reference (value, derivative) of a kernel on an array of radii:
-    ``eval`` and ``eval_deriv`` of a Cucker-Smale kernel, and for a table
+    """Reference (value, derivative) of a kernel on an array of radii: the
+    closed forms ``cucker_smale`` of a Cucker-Smale kernel, and for a table
     scipy's ``PchipInterpolator`` through its nodes, clamped at the last
     radius, with derivative 0 from that radius on."""
     if not isinstance(kernel, TabulatedKernel):
-        return kernel.eval, kernel.eval_deriv
+        return cucker_smale(kernel.beta)
     from scipy.interpolate import PchipInterpolator
 
     spline = PchipInterpolator(kernel.radii, kernel.values, extrapolate=False)
     slope, last = spline.derivative(), kernel.radii[-1]
     return (lambda r: spline(np.minimum(r, last)),
             lambda r: np.where(np.asarray(r) >= last, 0.0, slope(np.minimum(r, last))))
+
+
+def newest_force(buf, kernel):
+    """``_force`` on the buffer's newest slot against the slot m steps
+    before it: the stepper's first stage, as ``(accelerations,
+    force_gradients, normalizers)``."""
+    pos, vel, jac, _ = buf.slot(buf.clock)
+    return _force(kernel, buf.masses, pos, vel, jac, *buf.slot(buf.clock - buf.m)[:2])
 
 
 def max_speed(ens):

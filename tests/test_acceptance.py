@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import prehistory_r_v
+from conftest import newest_force, prehistory_r_v
 from flockdde.cli import main as cli_main
 from flockdde.config import preset_dict
 from flockdde.diagnostics import (
@@ -21,7 +21,7 @@ from flockdde.diagnostics import (
     gronwall_rate,
     prehistory_frames,
 )
-from flockdde.dynamics import alignment_rhs, integrate, step
+from flockdde.dynamics import integrate, step
 from flockdde.kernel import CuckerSmaleKernel
 from flockdde.state import (
     BoxDomain,
@@ -207,7 +207,7 @@ def test_criterion_08_force_gradient_bound():
         c_bar = 2.0 * kernel.log_deriv_bound * r_v
         for _ in range(100):
             cur = buf.latest
-            _, force_grad, _ = alignment_rhs(cur, buf.query(cur.time - 0.1), kernel)
+            _, force_grad, _ = newest_force(buf, kernel)
             grad = force_grad[:, 0, 0] / cur.jacobians[:, 0, 0]
             assert np.abs(grad).max() <= c_bar + 1e-9
             samples += grad.size

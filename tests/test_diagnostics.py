@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import float_bits, frame_bits, record_per_slice
+from conftest import cucker_smale, float_bits, frame_bits, record_per_slice
 from flockdde import diagnostics
 from flockdde.diagnostics import (
     _BLOCK_PAIRS,
@@ -235,7 +235,7 @@ class TestCertificate:
         # d_star reproduces lhs
         from scipy.integrate import quad
         lower = frames[0].d_X + cert.r_v * 1.0
-        val, _ = quad(CuckerSmaleKernel(0.25).eval, lower, cert.d_star,
+        val, _ = quad(cucker_smale(0.25)[0], lower, cert.d_star,
                       epsabs=1e-13, epsrel=1e-12)
         assert val == pytest.approx(cert.lhs, abs=1e-9)
 
@@ -308,7 +308,7 @@ class TestCertificate:
         cert = certify_flocking(frames, kernel)
         assert cert.satisfied and math.isfinite(cert.rhs)
         lower = frames[0].d_X + cert.r_v * 0.1
-        val, _ = quad(kernel.eval, lower, cert.d_star, epsabs=1e-13, epsrel=1e-12)
+        val, _ = quad(cucker_smale(1.0)[0], lower, cert.d_star, epsabs=1e-13, epsrel=1e-12)
         assert val == pytest.approx(cert.lhs, abs=1e-9)
         assert 0 < cert.predicted_rate < 1
 
@@ -586,12 +586,12 @@ class TestTailBudgetBracket:
         kernel = CuckerSmaleKernel(beta)
         want = certify_flocking(self.far_frames(d_x, d_v), kernel)
         assert want.satisfied
-        assert want.psi_star == float(kernel.eval(want.d_star))
+        assert float_bits(want.psi_star) == float_bits(cucker_smale(beta)[0](want.d_star))
 
-        def no_array_eval(self, r):
-            raise AssertionError("certify_flocking called the array eval")
+        def no_array_eval(self, q):
+            raise AssertionError("certify_flocking called the array evaluator")
 
-        monkeypatch.setattr(CuckerSmaleKernel, "eval", no_array_eval)
+        monkeypatch.setattr(CuckerSmaleKernel, "eval_with_deriv_sq", no_array_eval)
         assert certify_flocking(self.far_frames(d_x, d_v), kernel) == want
 
 

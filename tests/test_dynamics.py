@@ -66,13 +66,20 @@ def integrate_config(cfg):
                      t_end=cfg.t_end, output_every=cfg.output_every)
 
 
+def _force_on(cur, delayed, kernel):
+    """``_force`` on one slice against a delayed ``(positions, velocities)``
+    pair, its FP warnings silenced as ``step`` silences them."""
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        return _force(kernel, cur.masses, cur.positions, cur.velocities, cur.jacobians,
+                      *delayed)
+
+
 class TestAlignmentForce:
     def test_single_node_relaxes_to_delayed_velocity(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [1]), ConstantVelocity([0.4]))
         buf = discretize(datum, tau=0.0, h=0.01)
         cur = buf.latest
-        acc, _, _ = alignment_rhs(cur, (cur.positions, np.array([[1.3]])),
-                                  CuckerSmaleKernel(2.0))
+        acc, _, _ = _force_on(cur, (cur.positions, np.array([[1.3]])), CuckerSmaleKernel(2.0))
         assert acc[0, 0] == pytest.approx(1.3 - 0.4, abs=1e-15)
 
     def test_flat_kernel_mean_field_and_zero_gradient(self):
@@ -80,8 +87,8 @@ class TestAlignmentForce:
                              LinearVelocity([[0.2, 0.0], [0.1, -0.3]]))
         buf = discretize(datum, tau=0.0, h=0.01)
         cur = buf.latest
-        acc, force_grad, s0 = alignment_rhs(cur, (cur.positions, cur.velocities),
-                                            CuckerSmaleKernel(0.0))
+        acc, force_grad, s0 = _force_on(cur, (cur.positions, cur.velocities),
+                                        CuckerSmaleKernel(0.0))
         mean = (cur.masses[:, None] * cur.velocities).sum(axis=0)
         expected = mean[None, :] - cur.velocities
         assert np.allclose(acc, expected, atol=1e-15)
@@ -95,7 +102,7 @@ class TestAlignmentForce:
         cur = buf.latest
         cur.positions[:] = [[0.0], [1.0]]
         delayed = (np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]]))
-        acc, _, s0 = alignment_rhs(cur, delayed, CuckerSmaleKernel(1.0))
+        acc, _, s0 = _force_on(cur, delayed, CuckerSmaleKernel(1.0))
         # independent scalar computation of the two-node quadrature
         assert acc[0, 0] == pytest.approx(0.25 / 0.75, rel=1e-15)
         assert acc[1, 0] == pytest.approx(0.5 / 0.75, rel=1e-15)
@@ -110,7 +117,7 @@ class TestAlignmentForce:
         for _ in range(20):
             d_pos = rng.normal(size=cur.positions.shape)
             d_vel = rng.normal(size=cur.velocities.shape)
-            acc, _, _ = alignment_rhs(cur, (d_pos, d_vel), CuckerSmaleKernel(1.5))
+            acc, _, _ = _force_on(cur, (d_pos, d_vel), CuckerSmaleKernel(1.5))
             combo = acc + cur.velocities
             lo, hi = d_vel.min(axis=0), d_vel.max(axis=0)
             pad = 1e-12 * np.maximum(1.0, np.abs(d_vel).max())
@@ -128,7 +135,7 @@ class TestAlignmentForce:
         cur = discretize(datum, 0.0, 0.01).latest
         far = (cur.positions + 1e3, cur.velocities)
         with pytest.raises(SingularNormalizerError):
-            alignment_rhs(cur, far, CuckerSmaleKernel(300.0))
+            _force_on(cur, far, CuckerSmaleKernel(300.0))
 
 
 class TestStep:
@@ -332,10 +339,13 @@ class TestSimulate:
         longer = integrate_config(make_config(t_end=0.055)).buffer
         assert first.current_time == longer.current_time == 11 * cfg.step
         # every stored slot and every midpoint, which reads the slopes
-        for x in range(2 * (11 - 20 - 2), 2 * 11 + 1):
-            a, b = first.query(x * cfg.step / 2), longer.query(x * cfg.step / 2)
-            assert np.array_equal(a[0], b[0])
-            assert np.array_equal(a[1], b[1])
+        for j in range(11 - 20 - 2, 11 + 1):
+            reads = [(first.slot(j)[:2], longer.slot(j)[:2])]
+            if j < 11:
+                reads.append((first.interpolate(j, 0.5), longer.interpolate(j, 0.5)))
+            for a, b in reads:
+                assert np.array_equal(a[0], b[0])
+                assert np.array_equal(a[1], b[1])
 
     def test_deterministic_frames(self):
         a = integrate_config(make_config())
@@ -660,8 +670,6 @@ def test_refined_event_is_the_earliest_crossing_not_the_worst_node():
     assert event.node == 1 and event.time == pytest.approx(0.6 * h, abs=1e-15)
 
 
-# dyadic steps keep t / h exact, so a query at a stage's delayed time lands
-# on the very slot or midpoint the stepper read
 STEP_GRID = st.fixed_dictionaries({
     "m": st.integers(1, 6),
     "h": st.sampled_from([2.0**-4, 2.0**-5, 2.0**-7]),
@@ -686,10 +694,10 @@ def _step_grid_run(case):
     delayed = []
 
     def recording_force(kernel, masses, pos, vel, jac, d_pos, d_vel):
-        k = buf.clock
-        t_stage = (k + stage_fractions[len(delayed) % 4]) * h
-        q_pos, q_vel = buf.query(t_stage - m * h)
-        delayed.append(np.array_equal(d_pos, q_pos) and np.array_equal(d_vel, q_vel))
+        # a stage at (k + fraction) h reads the state m steps before it
+        j, theta = divmod(buf.clock + stage_fractions[len(delayed) % 4] - m, 1)
+        want = buf.slot(int(j))[:2] if theta == 0 else buf.interpolate(int(j), theta)
+        delayed.append(np.array_equal(d_pos, want[0]) and np.array_equal(d_vel, want[1]))
         return _force(kernel, masses, pos, vel, jac, d_pos, d_vel)
 
     with mock.patch.object(dynamics, "_force", recording_force):
@@ -705,7 +713,7 @@ def test_step_grid_history_properties(time_limit):
             res, delayed = _step_grid_run(case)
             rerun, _ = _step_grid_run(case)
         assert res.blowup is None
-        # one query path: every stage's delayed state is query(t_stage - tau)
+        # every stage's delayed state is the slot or midpoint at t_stage - tau
         assert len(delayed) == 4 * case["n_steps"] and all(delayed)
         assert [f.t for f in res.frames] == [k * case["h"]
                                             for k in range(case["n_steps"] + 1)]

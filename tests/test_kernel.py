@@ -12,51 +12,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import monotone_tables, radius_methods
+from conftest import cucker_smale, float_bits, monotone_tables, radius_methods
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
 
 
-def test_eval_normalization_at_zero():
+def _psi_and_slope(kernel, r):
+    """``psi`` and ``psi'`` at radii ``r`` from one ``eval_with_deriv_sq``
+    call on their squares, as the force reads it."""
+    r = np.asarray(r, dtype=float)
+    psi, dpsi_r = kernel.eval_with_deriv_sq(r * r)
+    return psi, dpsi_r * r
+
+
+def test_normalization_at_zero():
     for beta in (0.0, 0.25, 1.0, 3.7):
-        assert CuckerSmaleKernel(beta).eval(0.0) == 1.0
+        k = CuckerSmaleKernel(beta)
+        psi, dpsi_r = k.eval_with_deriv_sq(np.zeros(1))
+        assert psi[0] == k.profile(0.0) == 1.0
+        assert dpsi_r[0] == -2.0 * beta  # psi'(r) / r is finite at r = 0
 
 
 def test_flat_kernel_is_identically_one():
     k = CuckerSmaleKernel(0.0)
-    assert k.eval(17.3) == 1.0
-    assert k.eval_deriv(123.4) == 0.0
+    psi, dpsi_r = k.eval_with_deriv_sq(np.array([0.0, 17.3**2, 1e300, math.inf]))
+    assert np.all(psi == 1.0) and np.all(dpsi_r == 0.0)
+    assert k.profile(17.3) == 1.0
 
 
-def test_eval_beta_one_closed_form():
-    k = CuckerSmaleKernel(1.0)
-    assert k.eval(1.0) == pytest.approx(0.5, abs=0, rel=1e-15)
-
-
-def test_eval_rejects_negative_radius():
-    k = CuckerSmaleKernel(1.0)
-    with pytest.raises(ValueError):
-        k.eval(-0.1)
-    with pytest.raises(ValueError):
-        k.eval_deriv(np.array([0.5, -1e-9]))
-    with pytest.raises(ValueError):
-        k.tail_integral(-1.0)
-
-
-def test_eval_deriv_closed_forms():
-    assert CuckerSmaleKernel(1.0).eval_deriv(1.0) == pytest.approx(-0.5, rel=1e-14)
+def test_beta_one_closed_form():
+    psi, slope = _psi_and_slope(CuckerSmaleKernel(1.0), [1.0])
+    assert psi[0] == CuckerSmaleKernel(1.0).profile(1.0) == 0.5
+    assert slope[0] == pytest.approx(-0.5, rel=1e-14)
     # d/dr (1+r^2)^(-1/4) at r=2 via the chain rule
     expected = -2.0 * 0.25 * 2.0 * 5.0 ** (-1.25)
-    assert CuckerSmaleKernel(0.25).eval_deriv(2.0) == pytest.approx(expected, rel=1e-14)
+    _, slope = _psi_and_slope(CuckerSmaleKernel(0.25), [2.0])
+    assert slope[0] == pytest.approx(expected, rel=1e-14)
 
 
-def test_eval_deriv_matches_central_difference_with_order_two():
+def test_negative_radius_rejected():
+    k = CuckerSmaleKernel(1.0)
+    with pytest.raises(ValueError):
+        k.tail_integral(-1.0)
+    with pytest.raises(ValueError):
+        k.integral(-0.1, 1.0)
+
+
+def test_derivative_matches_central_difference_with_order_two():
     k = CuckerSmaleKernel(1.3)
     rng = np.random.default_rng(7)
     radii = rng.uniform(0.3, 3.0, size=20)
     errs = {}
     for h in (1e-3, 1e-4):
-        fd = (k.eval(radii + h) - k.eval(radii - h)) / (2 * h)
-        errs[h] = np.max(np.abs(fd - k.eval_deriv(radii)))
+        fd = (_psi_and_slope(k, radii + h)[0] - _psi_and_slope(k, radii - h)[0]) / (2 * h)
+        errs[h] = np.max(np.abs(fd - _psi_and_slope(k, radii)[1]))
     order = math.log10(errs[1e-3] / errs[1e-4])
     assert order >= 1.9
 
@@ -79,7 +87,8 @@ def test_log_derivative_bound_sampled():
     for beta in (0.25, 1.0, 2.0):
         k = CuckerSmaleKernel(beta)
         r = np.random.default_rng(11).uniform(0.0, 50.0, size=10_000)
-        ratio = np.abs(k.eval_deriv(r)) / k.eval(r)
+        psi, slope = _psi_and_slope(k, r)
+        ratio = np.abs(slope) / psi
         assert ratio.max() <= 2 * beta + 1e-12
 
 
@@ -116,7 +125,7 @@ def test_tail_additivity():
     for beta in (0.75, 1.0, 2.0):
         k = CuckerSmaleKernel(beta)
         r1, r2 = 0.3, 4.2
-        middle, _ = quad(k.eval, r1, r2, epsabs=1e-14, epsrel=1e-13)
+        middle, _ = quad(cucker_smale(beta)[0], r1, r2, epsabs=1e-14, epsrel=1e-13)
         lhs = k.tail_integral(r1)
         rhs = k.tail_integral(r2) + middle
         assert lhs == pytest.approx(rhs, rel=1e-9)
@@ -171,7 +180,7 @@ def test_tabulated_log_deriv_bound_covers_the_sampled_ratio(table):
 def _dense_cucker_smale_table():
     """Cucker-Smale beta = 1 sampled every 0.01 on [0, 20]."""
     radii = np.arange(2001) * 0.01
-    return TabulatedKernel(radii, CuckerSmaleKernel(1.0).eval(radii))
+    return TabulatedKernel(radii, cucker_smale(1.0)[0](radii))
 
 
 def test_tabulated_log_deriv_bound_of_a_dense_cucker_smale_table():
@@ -241,32 +250,59 @@ def test_huge_radius_gives_zero_without_fp_warnings():
     k = CuckerSmaleKernel(1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert k.eval(1e200) == 0.0
-        assert k.eval_deriv(1e200) == 0.0
+        psi, dpsi_r = k.eval_with_deriv_sq(np.array([1.0, math.inf]))
         assert k.profile(1e200) == 0.0
-        assert np.all(k.eval(np.array([1.0, 1e200])) == [0.5, 0.0])
+    assert psi[0] == 0.5 and psi[1] == 0.0 and not np.signbit(psi).any()
+    assert dpsi_r[1] == 0.0 and np.signbit(dpsi_r[1])
 
 
-def test_eval_deriv_is_negative_zero_where_the_power_underflows():
-    # -2 beta r overflows to -inf there, and -inf * 0 once gave NaN with an
-    # "invalid value" warning, which the suite turns into an error
+def test_derivative_is_negative_zero_where_the_power_underflows():
+    # where the power underflows or r * r overflows, psi is 0 and psi'(r) / r
+    # is -0, with no "invalid value" warning, which the suite turns into an
+    # error
     k = CuckerSmaleKernel(40.0)
-    for r in (1e200, 1e307, math.inf):
-        value = k.eval_deriv(r)
-        assert value == 0.0 and math.copysign(1.0, value) == -1.0
-    out = k.eval_deriv(np.array([1.0, 1e307, math.inf]))
-    assert out[0] == -80.0 * 2.0**-41
-    assert np.all(out[1:] == 0.0) and np.all(np.signbit(out[1:]))
+    psi, dpsi_r = k.eval_with_deriv_sq(np.array([1.0, 1e300, math.inf]))
+    assert dpsi_r[0] == -80.0 * 2.0**-41
+    assert np.all(psi[1:] == 0.0) and not np.signbit(psi).any()
+    assert np.all(dpsi_r[1:] == 0.0) and np.all(np.signbit(dpsi_r[1:]))
 
 
+@settings(derandomize=True, database=None)
 @given(r=st.floats(min_value=0.0, max_value=1e308, allow_nan=False,
                    allow_infinity=False),
        beta=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.7, 40.0]))
-def test_profile_is_eval_bit_for_bit(r, beta):
+def test_profile_is_the_closed_form_bit_for_bit(r, beta):
+    # libm's pow; the array pow of eval_with_deriv_sq may differ in the last bit
     k = CuckerSmaleKernel(beta)
     value = k.profile(r)
     assert type(value) is float
-    assert np.float64(value).tobytes() == np.float64(k.eval(r)).tobytes()
+    assert float_bits(value) == float_bits(cucker_smale(beta)[0](r))
+    with np.errstate(over="ignore"):
+        psi = k.eval_with_deriv_sq(np.square([r]))[0][0]
+    assert abs(psi - value) <= math.ulp(value)
+
+
+# only bench/spans.py names the two readers below, until item 9a
+def test_eval_and_eval_deriv_read_eval_with_deriv_sq():
+    r = np.array([0.0, 5e-324, 1e-300, 0.3, 1.0, 2.0, 1e10, 1e154, 1e200, 1e308])
+    for beta in (0.0, 0.25, 1.0, 40.0):
+        k = CuckerSmaleKernel(beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, slope = k.eval(r), k.eval_deriv(r)
+            assert k.eval(math.inf) == cucker_smale(beta)[0](math.inf)
+            assert math.isnan(k.eval_deriv(math.inf))  # -0 * inf
+            with np.errstate(over="ignore"):
+                psi, dpsi_r = k.eval_with_deriv_sq(r * r)
+                assert value.tobytes() == cucker_smale(beta)[0](r).tobytes()
+        assert value.tobytes() == psi.tobytes()
+        assert slope.tobytes() == (dpsi_r * r).tobytes()
+        assert k.eval(1.0) == value[4] and k.eval(1.0).shape == ()
+        for bad in (-0.1, np.array([0.5, -1e-9])):
+            with pytest.raises(ValueError):
+                k.eval(bad)
+            with pytest.raises(ValueError):
+                k.eval_deriv(bad)
 
 
 def test_tabulated_profile_is_a_plain_float():

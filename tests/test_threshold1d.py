@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import prehistory_r_v
+from conftest import cucker_smale, newest_force, prehistory_r_v
 from flockdde.cli import execute_run, main
 from flockdde.config import preset_dict, run_config_from_dict
-from flockdde.dynamics import BlowupSignal, alignment_rhs, integrate, step
+from flockdde.dynamics import BlowupSignal, integrate, step
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
 from flockdde.state import (
     BoxDomain,
@@ -174,7 +174,7 @@ class TestEvolveW:
         times, g_rows, w_rows = [], [], []
         while buf.current_time < t_end - h / 2:
             cur = buf.latest
-            _, force_grad, _ = alignment_rhs(cur, buf.query(cur.time - 0.1), kernel)
+            _, force_grad, _ = newest_force(buf, kernel)
             g_euler = force_grad[:, 0, 0] / cur.jacobians[:, 0, 0]
             times.append(cur.time)
             g_rows.append(g_euler)
@@ -438,7 +438,7 @@ class TestForceGradientBound:
             c_bar = 2.0 * kernel.log_deriv_bound * r_v
             for _ in range(100):
                 cur = buf.latest
-                _, force_grad, _ = alignment_rhs(cur, buf.query(cur.time - 0.1), kernel)
+                _, force_grad, _ = newest_force(buf, kernel)
                 g = force_grad[:, 0, 0] / cur.jacobians[:, 0, 0]
                 assert np.abs(g).max() <= c_bar + 1e-9
                 step(buf, kernel)
@@ -517,7 +517,7 @@ def test_slopes_stay_between_the_riccati_envelopes(time_limit):
         buf = discretize(datum, case["m"] * h, h)
         kernel = CuckerSmaleKernel(case["beta"])
         if case["tabulated"]:
-            kernel = TabulatedKernel(DICHOTOMY_TABLE, kernel.eval(DICHOTOMY_TABLE))
+            kernel = TabulatedKernel(DICHOTOMY_TABLE, cucker_smale(case["beta"])[0](DICHOTOMY_TABLE))
         r_v = prehistory_r_v(buf)
         w0 = buf.latest.vel_gradients[:, 0, 0] / buf.latest.jacobians[:, 0, 0]
         verdict = classify(float(w0.min()), kernel, r_v)
