@@ -167,8 +167,10 @@ def _load_cfg(args) -> RunConfig:
 
 def _check_out_dir(path):
     """Make ``path`` with its missing parents, then remove each one made: an
-    unwritable ``--out`` fails before the run, and a failed run leaves no
-    directory (the outputs make them again)."""
+    unwritable or empty ``--out`` fails before the run, and a failed run
+    leaves no directory (the outputs make them again)."""
+    if not path:  # abspath('') is the current directory, but makedirs('') fails
+        raise ValueError("--out must name a directory, not ''")
     missing, path = [], os.path.abspath(path)
     while not os.path.isdir(path):
         missing.append(path)

@@ -33,12 +33,12 @@ __all__ = [
 
 @dataclass
 class DiagnosticsFrame:
-    """Per-output-step record of the run observables.
+    """Per-output-step record of the run observables: one field per column
+    of ``frames.csv``, in its order.
 
     ``X_of_t`` and ``V_of_t`` are the integral comparison quantities (equal to
     d_X and d_V on the prehistory, where ``lyapunov`` is not defined and set
-    to NaN).  ``worst_node`` is the first node with a non-finite det J, or
-    else the node attaining ``min_detJ`` (see ``_worst_node``).
+    to NaN).
     """
 
     t: float
@@ -50,7 +50,6 @@ class DiagnosticsFrame:
     V_of_t: float
     min_detJ: float
     max_velgrad_norm: float
-    worst_node: int = 0
     status: str = "ok"
 
 
@@ -169,39 +168,34 @@ def diameters(ensemble):
     return _diameters(pos), _diameters(vel)
 
 
-def _worst_node(dets):
-    """The first node with a non-finite det J (an overflowed +inf included),
-    else the one with the least det J; one per row of a (K, N) stack."""
-    return np.where(np.isfinite(dets), dets, -np.inf).argmin(axis=-1)
-
-
-def _max_speeds(velocities: np.ndarray) -> np.ndarray:
-    """The largest |v| of each slice of a (K, N, d) stack, with no square out
-    of range: each slice is scaled by its own power of two (see
-    ``_range_exponents``).  A slice holding inf is not scaled, and squares
-    that overflow beside it leave its inf as it is."""
-    speeds = np.abs(velocities)
-    top = speeds.max(axis=(1, 2))
-    if speeds.shape[2] == 1:
+def _max_norms(stack: np.ndarray) -> np.ndarray:
+    """The largest norm of a node's (d,) or (d, d) entry, each slice of a
+    (K, N, ...) stack scaled by its own power of two (``_range_exponents``)
+    so no square is out of range; in 1-D |entry|, with no square.  A slice
+    holding inf is not scaled: squares overflowing beside it keep its inf."""
+    entries = np.abs(stack)
+    top = entries.max(axis=tuple(range(1, stack.ndim)))
+    if stack.shape[-1] == 1:
         return top
     e = _range_exponents(top)
     with np.errstate(over="ignore"):
-        norms = np.sqrt((np.ldexp(speeds, -e[:, None, None])**2).sum(axis=2)).max(axis=1)
+        squares = np.ldexp(entries, -e.reshape(-1, *(1,) * (stack.ndim - 1)))**2
+        norms = np.sqrt(squares.sum(axis=tuple(range(2, stack.ndim)))).max(axis=1)
         return np.ldexp(norms, e)
 
 
 def _records(ens, d_x, d_v, dets, values) -> list[DiagnosticsFrame]:
     """Diagnostics records of the K slices of a stacked ensemble from their
     diameters, det J (K, N) and ``values``, each slice's (X, V, L) in order;
-    a slice whose value is None has no record."""
-    vg = np.sqrt((ens.vel_gradients**2).sum(axis=(2, 3))).max(axis=1)
+    a slice whose value is None has no record.  ``max_speed`` and
+    ``max_velgrad_norm`` take ``_max_norms``."""
     columns = zip(ens.time.tolist(), d_x.tolist(), d_v.tolist(),
-                  _max_speeds(ens.velocities).tolist(), dets.min(axis=1).tolist(),
-                  vg.tolist(), _worst_node(dets).tolist(), values)
+                  _max_norms(ens.velocities).tolist(), dets.min(axis=1).tolist(),
+                  _max_norms(ens.vel_gradients).tolist(), values)
     return [DiagnosticsFrame(t=t, d_X=dx, d_V=dv, max_speed=speed, lyapunov=xvl[2],
                              X_of_t=xvl[0], V_of_t=xvl[1], min_detJ=lo,
-                             max_velgrad_norm=g, worst_node=node)
-            for t, dx, dv, speed, lo, g, node, xvl in columns if xvl is not None]
+                             max_velgrad_norm=g)
+            for t, dx, dv, speed, lo, g, xvl in columns if xvl is not None]
 
 
 def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
@@ -289,10 +283,8 @@ class FlockingMonitor:
         self._t, self._d_v, self._v = t, d_v, v
 
     def observe(self, t, d_v):
-        """(X, V, L) at the frame at time ``t``: ``advance`` to it, unless the
-        last step already reached it (a blow-up frame)."""
-        if t != self._t:
-            self.advance(t, d_v)
+        """(X, V, L) at the frame at time ``t``: ``advance`` to it and read."""
+        self.advance(t, d_v)
         return self.start()
 
 

@@ -31,7 +31,6 @@ from .diagnostics import (
     _records,
     _row_blocks,
     _sq_distances,
-    _worst_node,
     diameters,
     prehistory_frames,
 )
@@ -197,11 +196,11 @@ def _blowup_node(dets) -> int | None:
     """The node at which det J meets the blow-up rule, or None if it does not.
 
     The rule: a det J is non-finite or min det J <= DETJ_TOLERANCE.  The node
-    is the frame's worst node: the first non-finite det J, else the argmin.
+    is the first non-finite det J (+inf included), else the argmin.
     """
     if np.isfinite(dets).all() and dets.min() > DETJ_TOLERANCE:
         return None
-    return int(_worst_node(dets))
+    return int(np.where(np.isfinite(dets), dets, -np.inf).argmin())
 
 
 def _det_slope(jac, vgrad):
@@ -244,7 +243,7 @@ def _advance(buffer: HistoryBuffer, kernel, n_steps: int):
     the event is None until ``_blowup_node`` names a node, and the first one
     is the last yield.  After t = 0 and with finite dets, its time is the
     crossing that ``_refined_event`` finds, else the slot's.  A step's
-    BlowupSignal yields one too, at the newest slot, the last finite one.
+    BlowupSignal yields (None, event): it made no slot; the event is the newest's.
     """
     for k in range(n_steps + 1):
         if k:
@@ -252,7 +251,7 @@ def _advance(buffer: HistoryBuffer, kernel, n_steps: int):
             try:
                 step(buffer, kernel)
             except BlowupSignal as sig:
-                yield dets, BlowupEvent(sig.time, sig.node)
+                yield None, BlowupEvent(sig.time, sig.node)
                 return
         dets = _det(buffer.slot(buffer.clock)[2])
         node = _blowup_node(dets)
@@ -277,11 +276,10 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
               prehistory: list | None = None) -> SimulationResult:
     """Drive the stepper from t = 0 to t_end, emitting diagnostics frames.
 
-    Emits one frame per output step (the initial diagnostics count as the
-    first frame, so t_end = 0 produces exactly one).  Stops early at the
-    blow-up event of ``_advance``, which judges every slot, t = 0 included:
-    the frames up to it are retained, the event's slot has a frame, and that
-    last frame carries status "blowup".  Deterministic given its inputs.
+    Frames are the slot at t = 0, every ``output_every`` after it and the
+    last slot: at t_end, at the event of ``_advance``, which judges every
+    slot, t = 0 included, or the last finite one before a failed step; after
+    an event it carries status "blowup".  Deterministic given its inputs.
 
     ``buffer`` must be at t = 0; its spacing is the step, and ``t_end`` and
     ``output_every`` (default: the step) must pass ``state._run_steps``, which
@@ -300,32 +298,29 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
 
     # X = d_X and V = d_V at t = 0: the last prehistory record, plus L
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
-    # (clock, has a frame?, det J) of the slots not yet reduced; a batch is
-    # reduced in one pass before the next step reuses its oldest slot, at
-    # _block_rows(N) slots, and at the end.  The monitor steps through every
-    # slot, so X, V and L do not depend on the output cadence.
+    # (clock, det J) of the slots after t = 0 not yet reduced.  A batch takes
+    # all but the newest once cap + 1 wait or before a step reuses the oldest;
+    # the newest waits for the end, so a slot at buffer.clock is the last.
+    # The monitor steps through every slot: X, V and L ignore the cadence.
     queue, cap = [], _block_rows(len(buffer.masses))
 
-    def reduce_queue():
-        clocks, out, dets = zip(*queue)
+    def reduce_queue(n):
+        clocks, dets = zip(*queue[:n])
+        del queue[:n]
         ens = buffer.gather(clocks)
         d_x, d_v = diameters(ens)
-        values = [(monitor.observe if o else monitor.advance)(t, dv)
-                  for t, dv, o in zip(ens.time.tolist(), d_v.tolist(), out)]
+        values = [monitor.observe(t, dv) if c % every == 0 or c == buffer.clock
+                  else monitor.advance(t, dv)
+                  for c, t, dv in zip(clocks, ens.time.tolist(), d_v.tolist())]
         frames.extend(_records(ens, d_x, d_v, np.array(dets), values))
-        queue.clear()
 
-    last = (0, True)  # (clock, has a frame?) of the newest queued slot
-    for k, (dets, event) in enumerate(_advance(buffer, kernel, n_steps)):
-        # the t = 0 slot has its frame, and a BlowupSignal's event repeats the
-        # newest slot, which is queued again if it has no frame
-        if last != (buffer.clock, True):
-            last = (buffer.clock, event is not None or k % every == 0 or k == n_steps)
-            queue.append((*last, dets))
-        if queue and (len(queue) == cap or buffer.clock - queue[0][0] >= buffer.m + 2):
-            reduce_queue()
+    for dets, event in _advance(buffer, kernel, n_steps):
+        if buffer.clock and dets is not None:  # a new slot after t = 0
+            queue.append((buffer.clock, dets))
+            if len(queue) > cap or buffer.clock - queue[0][0] >= buffer.m + 2:
+                reduce_queue(len(queue) - 1)
     if queue:
-        reduce_queue()
+        reduce_queue(len(queue))
     if event is not None:
         frames[-1].status = "blowup"
     return SimulationResult(frames, buffer, event, monitor.r_v)

@@ -307,8 +307,10 @@ class SineVelocity(VelocityField):
         self.phase = np.zeros(d) if phase is None else np.asarray(phase, dtype=float)
         self.omega = float(omega)
         # the factors of cos in du_a/dx_a and in u_s, which
-        # amplitude * wavenumber * cos and amplitude * omega * cos form first
-        self._slope, self._rate = self.amplitude * self.wavenumber, self.amplitude * self.omega
+        # amplitude * wavenumber * cos and amplitude * omega * cos form first;
+        # an overflow is rejected where discretize checks the field
+        with np.errstate(over="ignore"):
+            self._slope, self._rate = self.amplitude * self.wavenumber, self.amplitude * self.omega
 
     def __call__(self, s, x):
         arg = self.wavenumber * x + self.phase + self.omega * s
@@ -520,12 +522,14 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
             if not (np.isfinite(y[0]).all() and np.isfinite(y[1]).all()):
                 raise InvalidDatumError(f"prehistory is not finite at s={s}")
         pos, jac = y
-        vel, grad, vel_s = evaluate(s, pos)
-        if not np.all(np.isfinite(vel)):
-            raise InvalidDatumError(f"velocity field is not finite at s={s}")
-        with np.errstate(over="ignore", invalid="ignore"):  # as silent as einsum
+        with np.errstate(over="ignore", invalid="ignore"):  # as silent as the stages
+            vel, grad, vel_s = evaluate(s, pos)
             vel_grad = _matmul(grad, jac)
-        # the velocity's slope is its material derivative u_s + (grad u) u
-        rows.append((pos, vel, jac, vel_grad, vel_s + np.einsum("nab,nb->na", grad, vel)))
+            # the velocity's slope is its material derivative u_s + (grad u) u
+            slope = vel_s + np.einsum("nab,nb->na", grad, vel)
+        for name, a in (("", vel), (" gradient", grad), (" time partial", vel_s)):
+            if not np.isfinite(a).all():
+                raise InvalidDatumError(f"velocity field{name} is not finite at s={s}")
+        rows.append((pos, vel, jac, vel_grad, slope))
     rows.reverse()
     return HistoryBuffer(tau, h, masses, nodes, volumes, rows)

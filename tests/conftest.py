@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from flockdde.diagnostics import DiagnosticsFrame, _max_speeds
+from flockdde.diagnostics import DiagnosticsFrame, _max_norms
 from flockdde.dynamics import _force
 from flockdde.kernel import TabulatedKernel
 
@@ -86,34 +86,40 @@ def newest_force(buf, kernel):
     return _force(kernel, buf.masses, pos, vel, jac, *buf.slot(buf.clock - buf.m)[:2])
 
 
-def max_speed(ens):
-    """The largest |v| of one slice, with no square out of range: scaled by
-    an exact power of two where the largest component is outside
-    [2^-500, 2^500].  The reference for ``diagnostics._max_speeds``; beside
-    an inf, squares above the float range overflow silently to inf."""
-    speeds = np.abs(ens.velocities)
-    top = float(speeds.max())
-    if ens.dim == 1:
+def max_norm(entries):
+    """The largest norm of a node's entry in one (N, ...) slice, the
+    Euclidean norm of a velocity or the Frobenius norm of a gradient, with no
+    square out of range: scaled by an exact power of two where the largest
+    |component| is outside [2^-500, 2^500]; in 1-D the largest |value|.  The
+    reference for ``diagnostics._max_norms``; beside an inf, squares above
+    the float range overflow silently to inf."""
+    mags = np.abs(entries)
+    top = float(mags.max())
+    if entries.shape[-1] == 1:
         return top
     e = math.frexp(top)[1] if 0 < top < math.inf and not 2**-500 <= top <= 2**500 else 0
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.sqrt((np.ldexp(speeds, -e)**2).sum(axis=1)).max(), e))
+        squares = np.ldexp(mags, -e)**2
+        return float(np.ldexp(np.sqrt(squares.sum(axis=tuple(range(1, mags.ndim)))).max(), e))
+
+
+def max_speed(ens):
+    """The largest |v| of one slice: ``max_norm`` of its velocities."""
+    return max_norm(ens.velocities)
 
 
 def prehistory_r_v(buf):
     """R_V of a buffer: the largest speed over its slices at t <= 0."""
-    return float(_max_speeds(buf.gather(buf.prehistory_clocks()).velocities).max())
+    return float(_max_norms(buf.gather(buf.prehistory_clocks()).velocities).max())
 
 
 def record_per_slice(ens, d_x, d_v, x, v, lyap, dets):
     """The diagnostics record of one slice, one reduction at a time: the
     reference for the records that frames reduce in batches."""
-    vg = np.sqrt((ens.vel_gradients**2).sum(axis=(1, 2)))
     return DiagnosticsFrame(
         t=ens.time, d_X=d_x, d_V=d_v, max_speed=max_speed(ens), lyapunov=lyap,
         X_of_t=x, V_of_t=v, min_detJ=float(dets.min()),
-        max_velgrad_norm=float(vg.max()),
-        worst_node=int(np.where(np.isfinite(dets), dets, -np.inf).argmin()))
+        max_velgrad_norm=max_norm(ens.vel_gradients))
 
 
 def float_bits(value):

@@ -2,6 +2,7 @@
 
 import collections
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from flockdde.config import (
     run_config_from_dict,
     sweep_config_from_dict,
 )
-from flockdde.diagnostics import _BLOCK_PAIRS
+from flockdde.diagnostics import _BLOCK_PAIRS, DiagnosticsFrame
 from flockdde.state import HistoryBuffer, discretize
 from flockdde.threshold1d import classify
 
@@ -226,6 +227,13 @@ class TestRun:
             (tmp_path / "b" / "frames.csv").read_bytes()
         assert (tmp_path / "a" / "summary.json").read_bytes() == \
             (tmp_path / "b" / "summary.json").read_bytes()
+
+    def test_frame_records_hold_only_the_written_columns(self):
+        # a field of DiagnosticsFrame that frames.csv does not write would be
+        # carried by every record of every run for no reader
+        renamed = {"X_of_t": "X", "V_of_t": "V"}
+        names = [renamed.get(f.name, f.name) for f in dataclasses.fields(DiagnosticsFrame)]
+        assert names == cli.FRAME_COLUMNS
 
     def test_snapshot_export(self, tmp_path, quick_run_doc):
         doc = dict(quick_run_doc, snapshot_csv=True)
@@ -457,15 +465,20 @@ class TestConfigErrors:
         assert proc.stderr.startswith("error: ") and str(blocker) in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
-    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
+    @pytest.mark.parametrize("out", ["file/x", ""])
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys, out):
+        # no directory can be made under a regular file, nor at '', though
+        # abspath('') is the current directory: the run once took all its
+        # steps before makedirs('') failed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
         calls = []
-        monkeypatch.setattr(cli, "execute_run", lambda cfg: calls.append(cfg))
-        code = run_cli("run", "--preset", "riccati-blowup", "--out", str(blocker / "x"))
+        monkeypatch.setattr(cli, "execute_run", lambda *args: calls.append(args))
+        code = run_cli("run", "--preset", "riccati-blowup", "--out", out)
         err = capsys.readouterr().err
         assert code == 1 and calls == []
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     @pytest.mark.parametrize("out", ["out", "nest/a/b/c"])
     def test_failed_run_leaves_no_out_directory(self, tmp_path, capsys, out):

@@ -187,7 +187,8 @@ def test_config_grid_rules_are_the_run_grid_rules():
     check()
 
 
-VALUES = st.sampled_from([-1.0, -0.3, 0.0, 0.5, 2.0])
+# a few magnitudes whose products, squares or sines leave the float range
+VALUES = st.sampled_from([-1.0, -0.3, 0.0, 0.5, 2.0] * 2 + [-1e200, 1e200, 1e300])
 
 
 def length(d, odd):
@@ -224,7 +225,7 @@ def velocity_specs(draw, d, odd, table=True):
         for key in ("base", "amplitude", "wavenumber"):
             spec[key] = draw(numbers(d, odd))
         spec["phase"] = draw(numbers(d, odd, optional=True))
-        spec["omega"] = draw(st.sampled_from([0.0, 2.0]))
+        spec["omega"] = draw(st.sampled_from([0.0, 2.0, 1e300]))
     else:
         n = draw(st.integers(1, 3))
         spec["fields"] = [draw(velocity_specs(d, odd, table=False)) for _ in range(n)]
@@ -294,6 +295,29 @@ OVERFLOW_DOC = {
     "tau": 0.2, "step": 0.05, "t_end": 0.1, "output_every": 0.05}
 
 
+def _velocity_doc(box, velocity, tau):
+    """A 1-D run of 4 nodes on ``box`` under one velocity spec."""
+    return {"schema_version": 1, "kernel": {"family": "cucker-smale", "beta": 1.0},
+            "datum": {"domain": {"box": [box], "counts": [4]}, "velocity": velocity},
+            "tau": tau, "step": 0.05, "t_end": 0.1, "output_every": 0.05}
+
+
+def _sine(amplitude, wavenumber, omega=0.0):
+    return {"family": "sine-perturbation", "base": [0.0], "amplitude": [amplitude],
+            "wavenumber": [wavenumber], "omega": omega}
+
+
+# fields whose value, gradient or time partial leaves the float range: each
+# once printed a RuntimeWarning before its verdict or error
+FIELD_OVERFLOW_DOCS = [
+    _velocity_doc([0.0, 1.0], _sine(1e300, 1e100), 0.0),  # amplitude * wavenumber
+    _velocity_doc([0.0, 1e10], _sine(0.4, 1e300), 0.1),  # wavenumber * x, its sine
+    _velocity_doc([0.0, 1e300], {"family": "linear", "matrix": [[1e300]]}, 0.0),
+    _velocity_doc([0.0, 1.0], _sine(1e10, 1.0, omega=1e300), 0.05),  # amplitude * omega
+    _velocity_doc([0.0, 1.0], _sine(1e200, 1.0), 0.0),  # a gradient's square
+]
+
+
 def test_certify_on_velocity_arrays_of_any_length(tmp_path, time_limit):
     # certify discretizes the datum: it ends in a verdict or one config
     # error, and no warning
@@ -305,6 +329,11 @@ def test_certify_on_velocity_arrays_of_any_length(tmp_path, time_limit):
     @example(OVERFLOW_DOC)
     @example(TINY_BOX_DOC)
     @example(TINY_SIGMA_DOC)
+    @example(FIELD_OVERFLOW_DOCS[0])
+    @example(FIELD_OVERFLOW_DOCS[1])
+    @example(FIELD_OVERFLOW_DOCS[2])
+    @example(FIELD_OVERFLOW_DOCS[3])
+    @example(FIELD_OVERFLOW_DOCS[4])
     @given(small_run_docs())
     def check(doc):
         path.write_text(json.dumps(doc))

@@ -699,16 +699,6 @@ class TestSteppedMonitor:
             else:
                 assert _bits(mon.observe(t, d_v)) == _bits(ref.values()), t
 
-    def test_observe_after_advance_at_the_same_time_does_not_step(self):
-        # a blow-up frame repeats a slot that the monitor already stepped to
-        kernel, pre, r_v, steps = _monitor_case("blowup")
-        mon = FlockingMonitor(kernel, prehistory_stubs(*pre, r_v))
-        for t, d_v in steps:
-            mon.advance(t, d_v)
-        want = mon.start()
-        assert _bits(mon.observe(*steps[-1])) == _bits(want)
-        assert _bits(mon.observe(*steps[-1])) == _bits(want)
-
     def test_calls_no_interpolation_search_or_concatenation(self, monkeypatch):
         kernel, pre, r_v, steps = _monitor_case("uniform")
         mon = FlockingMonitor(kernel, prehistory_stubs(*pre, r_v))

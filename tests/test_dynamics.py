@@ -19,7 +19,6 @@ from flockdde.diagnostics import (
     _BLOCK_PAIRS,
     FlockingMonitor,
     _row_blocks,
-    _worst_node,
     diameters,
     prehistory_frames,
 )
@@ -393,7 +392,8 @@ class TestSimulate:
         res = integrate(buf, CuckerSmaleKernel(1.0), t_end=0.1)
         assert res.blowup == (0.0, 2)
         assert len(res.frames) == 1 and res.frames[0].status == "blowup"
-        assert res.frames[0].worst_node == 2 and res.frames[0].min_detJ == 0.25
+        assert dynamics._blowup_node(buf.latest.det_jacobians()) == 2
+        assert res.frames[0].min_detJ == 0.25
 
     def test_normalizer_past_the_square_root_of_the_float_range_runs_on(self):
         # s0 ~ 6e-199, whose square underflows: the tangent flow stays finite
@@ -495,7 +495,8 @@ class TestSimulate:
 def _integrate_per_frame(buffer, kernel, t_end, output_every):
     """The reference run loop: each slot reduced on its own as the step that
     made it ends, each prehistory slice on its own; the monitor steps through
-    every slot and gives the frames' values."""
+    every slot and gives the frames' values, and the run's last slot has a
+    frame."""
     _, n_steps, every = _run_steps(buffer.tau, buffer.h, t_end, output_every)
     prehistory = []
     for j in buffer.prehistory_clocks():
@@ -506,16 +507,17 @@ def _integrate_per_frame(buffer, kernel, t_end, output_every):
                                             s.det_jacobians()))
     monitor = FlockingMonitor(kernel, prehistory)
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
-    stepped = 0  # the monitor's slot; a BlowupSignal's event repeats a slot
-    for k, (dets, event) in enumerate(dynamics._advance(buffer, kernel, n_steps)):
-        ens = buffer.latest
-        d_x, d_v = diameters(ens)
-        if buffer.clock != stepped:
+    newest = frames[0]  # the record of the newest slot
+    for dets, event in dynamics._advance(buffer, kernel, n_steps):
+        if buffer.clock and dets is not None:  # a new slot after t = 0
+            ens = buffer.latest
+            d_x, d_v = diameters(ens)
             monitor.advance(ens.time, d_v)
-            stepped = buffer.clock
-        if frames[-1].t != buffer.current_time and (
-                event is not None or k % every == 0 or k == n_steps):
-            frames.append(record_per_slice(ens, d_x, d_v, *monitor.start(), dets))
+            newest = record_per_slice(ens, d_x, d_v, *monitor.start(), dets)
+            if buffer.clock % every == 0:
+                frames.append(newest)
+    if frames[-1] is not newest:
+        frames.append(newest)
     if event is not None:
         frames[-1].status = "blowup"
     return prehistory, frames, event, monitor.r_v
@@ -538,16 +540,20 @@ BATCH_CASES = {
                          tau=0.05, step=0.01, t_end=0.5, output_every=0.02),
     # a poisoned prehistory slice ends the run in a BlowupSignal
     "blowup-signal": make_config(t_end=1.0),
+    # the step that fails follows slot 5, which has no frame at every = 2
+    "signal-off-frame": make_config(t_end=1.0),
 }
+# the prehistory slice whose velocity is poisoned, by case
+POISONED = {"blowup-signal": 5, "signal-off-frame": 6}
 
 
 @pytest.mark.parametrize("name", list(BATCH_CASES))
 def test_batched_frames_equal_the_per_frame_loop(name, monkeypatch):
     cfg = BATCH_CASES[name]
     buffers = [discretize(cfg.datum, cfg.tau, cfg.step) for _ in range(2)]
-    if name == "blowup-signal":
+    if name in POISONED:
         for buf in buffers:
-            buf.slot(buf.prehistory_clocks()[5])[1][0, 0] = math.inf
+            buf.slot(buf.prehistory_clocks()[POISONED[name]])[1][0, 0] = math.inf
     gathered, gather = [], HistoryBuffer.gather
 
     def counted_gather(self, clocks):
@@ -564,18 +570,21 @@ def test_batched_frames_equal_the_per_frame_loop(name, monkeypatch):
     assert list(map(frame_bits, res.frames)) == list(map(frame_bits, want))
     assert (res.blowup, res.r_v) == (event, r_v)
     # no gather holds more than _BLOCK_PAIRS nodes
-    # every slot is gathered once, the prehistory's first; a blow-up frame on
-    # a slot without one gathers that slot again
+    # every slot is gathered once, the prehistory's first
     clocks = [c for batch in gathered for c in batch]
     slots = list(range(1, res.buffer.clock + 1))
-    assert clocks[len(pre):] in (slots, slots + slots[-1:])
+    assert clocks[len(pre):] == slots
     n, sizes = len(buffers[0].masses), list(map(len, gathered))
     assert max(sizes) * n <= _BLOCK_PAIRS
     if name == "cap-before-ring":
         assert max(sizes) == _BLOCK_PAIRS // n < 22
-    if name in ("riccati-blowup", "blowup-signal"):
+    # the run's last slot has a frame, with or without the output cadence
+    assert res.frames[-1].t == res.buffer.current_time
+    if name == "signal-off-frame":
+        assert res.buffer.clock == 5 and res.frames[-2].t == 4 * cfg.step
+    if name in ("riccati-blowup", *POISONED):
         assert res.frames[-1].status == "blowup"
-        assert (res.blowup.node is None) == (name == "blowup-signal")
+        assert (res.blowup.node is None) == (name in POISONED)
 
 
 def _cadence_doc(name):
@@ -639,8 +648,6 @@ def test_frames_at_every_cadence_are_every_kth_step_frame(name, tmp_path):
 def test_blowup_node_is_the_first_non_finite_det_else_the_least(dets, node):
     dets = np.array(dets)
     assert dynamics._blowup_node(dets) == node
-    # the frame's worst node follows the same rule
-    assert _worst_node(dets) == (1 if node is None else node)
 
 
 def test_first_crossing_is_the_earliest_root():

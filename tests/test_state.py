@@ -26,7 +26,7 @@ from flockdde.state import (
     discretize,
 )
 from flockdde.cli import write_snapshot_csv
-from flockdde.diagnostics import _max_speeds
+from flockdde.diagnostics import _max_norms
 from flockdde.dynamics import step
 from flockdde.kernel import CuckerSmaleKernel
 
@@ -501,35 +501,42 @@ class TestHistoryBuffer:
             assert ens.cell_volumes is buf.cell_volumes
 
 
-def max_speed_of(velocities):
-    """``_max_speeds`` of one (N, d) slice."""
-    return float(_max_speeds(velocities[None])[0])
+def max_norm_of(entries):
+    """``_max_norms`` of one (N, ...) slice."""
+    return float(_max_norms(entries[None])[0])
 
 
-class TestMaxSpeed:
+class TestMaxNorms:
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1.0, 1e100, 1e160, 1e300])
     def test_finite_at_every_scale(self, scale):
         # the squares of the largest components leave the float range from
         # about 1e-154 down and 1e154 up
-        assert max_speed_of(np.array([[3.0], [-4.0]]) * scale) == 4 * scale
-        speed = max_speed_of(np.array([[1.0, -1.0], [3.0, -4.0]]) * scale)
+        assert max_norm_of(np.array([[3.0], [-4.0]]) * scale) == 4 * scale
+        speed = max_norm_of(np.array([[1.0, -1.0], [3.0, -4.0]]) * scale)
         assert speed == pytest.approx(5 * scale, rel=1e-15)
+        # velocity gradients: (N, d, d) entries, their Frobenius norms
+        assert max_norm_of(np.array([[[3.0]], [[-4.0]]]) * scale) == 4 * scale
+        grad = max_norm_of(np.array([[[1.0, 0.0], [0.0, -1.0]],
+                                     [[3.0, 0.0], [0.0, -4.0]]]) * scale)
+        assert grad == pytest.approx(5 * scale, rel=1e-15)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_bit_identical_to_the_norm_in_range(self, d):
         rng = np.random.default_rng(d)
         for scale in (2.0**-499, 1e-100, 1.0, 1e100, 2.0**499):
             v = scale * rng.normal(size=(50, d))
-            assert max_speed_of(v) == float(np.sqrt((v**2).sum(axis=1)).max())
+            assert max_norm_of(v) == float(np.sqrt((v**2).sum(axis=1)).max())
+            g = scale * rng.normal(size=(50, d, d))
+            assert max_norm_of(g) == float(np.sqrt((g**2).sum(axis=(1, 2))).max())
 
     def test_speed_above_the_float_range_is_inf(self):
         # |(1.5e308, 1.5e308)| = 2.1e308 overflows; unscaling once raised
         # OverflowError from math.ldexp
-        assert max_speed_of(np.array([[1.5e308, 1.5e308]])) == math.inf
+        assert max_norm_of(np.array([[1.5e308, 1.5e308]])) == math.inf
 
     def test_non_finite_velocity_propagates(self):
-        assert math.isnan(max_speed_of(np.array([[1.0, math.nan]])))
-        assert max_speed_of(np.array([[1.0, -math.inf]])) == math.inf
+        assert math.isnan(max_norm_of(np.array([[1.0, math.nan]])))
+        assert max_norm_of(np.array([[1.0, -math.inf]])) == math.inf
 
 
 def test_snapshot_csv_round_trip(tmp_path):

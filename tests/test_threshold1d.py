@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import cucker_smale, newest_force, prehistory_r_v
 from flockdde.cli import execute_run, main
 from flockdde.config import preset_dict, run_config_from_dict
-from flockdde.dynamics import BlowupSignal, integrate, step
+from flockdde.dynamics import BlowupSignal, _blowup_node, integrate, step
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
 from flockdde.state import (
     BoxDomain,
@@ -157,7 +157,7 @@ class TestEvolveW:
         last = res.frames[-1]
         assert last.status == "blowup"
         assert evo.blowup == res.blowup
-        assert res.blowup.node == last.worst_node
+        assert res.blowup.node == _blowup_node(res.buffer.latest.det_jacobians())
         assert res.frames[-2].t < res.blowup.time <= last.t
         assert evo.times[-1] == res.frames[-2].t
 
@@ -262,7 +262,7 @@ class TestStartSlot:
             buf.latest.jacobians[node] = math.nan
         res, evo = both_events(bufs, kernel, 16 * H)
         assert res.blowup == evo.blowup == (0.0, node)
-        assert res.frames[0].worst_node == node
+        assert _blowup_node(bufs[0].latest.det_jacobians()) == node
         assert bufs[0].clock == bufs[1].clock == 0
 
 
@@ -302,7 +302,7 @@ def test_integrate_and_evolve_w_end_alike(time_limit):
             # a frame every step: the event lies in the step that ends the run
             assert res.blowup.time <= times[-1]
             assert len(times) == 1 or times[-2] < res.blowup.time
-            assert res.frames[-1].worst_node == res.blowup.node
+            assert _blowup_node(res.buffer.latest.det_jacobians()) == res.blowup.node
             assert evo.times.tolist() == times[:-1]
         seen.add("none" if res.blowup is None
                  else "at t = 0" if res.blowup.time == 0 else "later")
