@@ -135,9 +135,11 @@ def _build_density(spec, path, dim):
             raise ConfigError(f"{path}.sigma: must be positive, with 2 sigma^2 above 0, got {sigma}")
 
         def gaussian(x, center=center, sigma=sigma):
-            with np.errstate(over="ignore"):  # an overflowing square gives exp(-inf) = 0
-                d2 = ((x - center[None, :]) ** 2).sum(axis=1)
-                return np.exp(-d2 / (2 * sigma * sigma))
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing square gives 0
+                exponent = -((x - center[None, :]) ** 2).sum(axis=1) / (2 * sigma * sigma)
+            if np.isnan(exponent).any():  # inf / inf: 2 sigma^2 and a square overflow
+                raise ConfigError(f"{path}.sigma: too large for the domain, got {sigma}")
+            return np.exp(exponent)
 
         return gaussian
     if family == "table":

@@ -38,7 +38,8 @@ class DiagnosticsFrame:
 
     ``X_of_t`` and ``V_of_t`` are the integral comparison quantities (equal to
     d_X and d_V on the prehistory, where ``lyapunov`` is not defined and set
-    to NaN).
+    to NaN).  The tangent flow starts at t = 0, so ``min_detJ`` and
+    ``max_velgrad_norm`` are NaN at t < 0 too.
     """
 
     t: float
@@ -200,7 +201,8 @@ def _records(ens, d_x, d_v, dets, values) -> list[DiagnosticsFrame]:
 
 def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
     """Diagnostics records for the prescribed slices at times <= 0, reduced
-    ``_block_rows(N)`` slices at a time."""
+    ``_block_rows(N)`` slices at a time; at t < 0 ``lyapunov``, ``min_detJ``
+    and ``max_velgrad_norm`` are NaN."""
     clocks = buffer.prehistory_clocks()
     batch = _block_rows(len(buffer.masses))
     out = []

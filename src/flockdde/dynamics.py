@@ -34,7 +34,7 @@ from .diagnostics import (
     diameters,
     prehistory_frames,
 )
-from .roots import brentq
+from .roots import _WIDE_MAXITER, brentq
 from .state import HistoryBuffer, LagrangianEnsemble, _det, _hermite, _rk4, _run_steps
 
 __all__ = [
@@ -205,9 +205,11 @@ def _blowup_node(dets) -> int | None:
 
 def _det_slope(jac, vgrad):
     """d det J / dt per node by Jacobi's formula, dJ/dt being vgrad: the sum
-    over i of det J with its column i replaced by that of vgrad."""
+    over i of det J with its column i replaced by that of vgrad, silently:
+    ``_first_crossing`` trusts no slope that overflows or is NaN."""
     cols = np.arange(jac.shape[-1])
-    return sum(_det(np.where(cols == i, vgrad, jac)) for i in cols)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return sum(_det(np.where(cols == i, vgrad, jac)) for i in cols)
 
 
 def _first_crossing(h, y0, m0, y1, m1) -> float:
@@ -222,7 +224,7 @@ def _first_crossing(h, y0, m0, y1, m1) -> float:
                       6 * (y1 - y0) - 2 * h * (2 * m0 + m1), h * m0])
     ends = [0.0, *sorted(r.real for r in turns if r.imag == 0 and 0 < r.real < 1), 1.0]
     lo, hi = next((a, b) for a, b in zip(ends, ends[1:]) if _hermite(b, *shifted) <= 0)
-    return brentq(_hermite, lo, hi, args=shifted, xtol=1e-300)
+    return brentq(_hermite, lo, hi, args=shifted, xtol=1e-300, maxiter=_WIDE_MAXITER)
 
 
 def _refined_event(buffer: HistoryBuffer, before, dets) -> BlowupEvent:

@@ -18,7 +18,7 @@ import math
 import numpy as np
 from scipy import special
 
-from .roots import brentq
+from .roots import _WIDE_MAXITER, brentq
 
 __all__ = [
     "CuckerSmaleKernel",
@@ -58,7 +58,8 @@ class _Kernel:
             return math.inf
         if excess(math.asinh(a)) >= 0.0:  # budget below the rounding of a
             return a
-        return math.sinh(brentq(excess, math.asinh(a), _ASINH_MAX, xtol=1e-300))
+        return math.sinh(brentq(excess, math.asinh(a), _ASINH_MAX, xtol=1e-300,
+                                maxiter=_WIDE_MAXITER))
 
 
 class CuckerSmaleKernel(_Kernel):

@@ -3,7 +3,7 @@
 A port of scipy's C ``brentq`` (Brent, *Algorithms for Minimization Without
 Derivatives*, 1973, ch. 4, in the form of scipy 1.17): the same inverse
 quadratic interpolation, secant and bisection steps, the same tolerance
-``xtol + 4 eps |x|`` and the same 100 iterations, so a root has the bits
+``xtol + 4 eps |x|`` and ``maxiter``, 100 by default, so a root has the bits
 scipy gives it.  The package solves three scalar equations with it (the
 certificate's budget radius, the Gronwall rate and the blow-up crossing),
 without importing ``scipy.optimize``.
@@ -16,7 +16,10 @@ import math
 __all__ = ["brentq"]
 
 _RTOL = 4.0 * 2.0**-52
-_MAXITER = 100
+# No bracket within [0, 1024] exhausts this maxiter at xtol = 1e-300: k = 1008
+# bisections take it below xtol, and at most 2 k + 2 interpolation steps lie
+# between two, each under half the step before last, none once that is < xtol / 2.
+_WIDE_MAXITER = (1008 + 1) * (2 * 1008 + 3)
 
 
 def _div(num: float, den: float) -> float:
@@ -29,13 +32,13 @@ def _div(num: float, den: float) -> float:
     return math.copysign(math.inf, num) * math.copysign(1.0, den)
 
 
-def brentq(f, a: float, b: float, xtol: float, args: tuple = ()) -> float:
+def brentq(f, a: float, b: float, xtol: float, args: tuple = (), maxiter: int = 100) -> float:
     """A root of ``f(x, *args)`` between ``a`` and ``b``, where ``f`` changes sign.
 
     Stops when the bracket's half width falls below ``(xtol + 4 eps |x|) / 2``
     or ``f`` is 0, and returns the end with the smaller ``|f|``.  Raises
     ValueError for a NaN value of ``f`` or ends of the same sign, and
-    RuntimeError after 100 iterations without convergence.
+    RuntimeError after ``maxiter`` iterations without convergence.
     """
     def value(x):
         fx = float(f(x, *args))
@@ -52,7 +55,7 @@ def brentq(f, a: float, b: float, xtol: float, args: tuple = ()) -> float:
         return xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_MAXITER):
+    for _ in range(maxiter):
         if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -85,4 +88,4 @@ def brentq(f, a: float, b: float, xtol: float, args: tuple = ()) -> float:
         else:
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")

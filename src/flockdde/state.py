@@ -1,8 +1,8 @@
 """Discretized Lagrangian state, delay history, and initial-datum construction.
 
 The flow is sampled at Lagrangian nodes: each node carries a position, a
-velocity, the tangent-flow matrices (position Jacobian and velocity gradient
-with respect to the initial labels), and a fixed mass.  A
+velocity, a fixed mass and, from t = 0 on, the tangent flow (position
+Jacobian and velocity gradient with respect to the labels), NaN before.  A
 ``HistoryBuffer``, the one owner of the step grid, holds the flow as untimed
 rows over the trailing delay window and answers dense interpolation queries,
 which is what makes the delayed force evaluable between stored steps.  Every
@@ -54,7 +54,8 @@ class LagrangianEnsemble:
     """One time slice of the discretized flow, as a history hands it out.
 
     ``masses``, ``labels`` and ``cell_volumes`` are shared, read-only arrays
-    identical across all slices of a run.  A slice is not checked: its
+    identical across all slices of a run.  The tangent flow, ``jacobians``
+    and ``vel_gradients``, is NaN at t < 0.  A slice is not checked: its
     arrays are views of rows that ``HistoryBuffer`` checked when they entered.
     A stack of K slices (``HistoryBuffer.gather``) has a (K,) ``time`` and a
     leading axis of K on each per-node array.
@@ -139,18 +140,18 @@ class HistoryBuffer:
     (never a sum of steps), in ring arrays of m + 3 slots.  Its arguments are
     the arrays shared by all slots and the prehistory as m + 1 untimed rows
     ``(positions, velocities, jacobians, vel_gradients, accel)``, oldest
-    first, for slots -m..0.  A query at t reads j = floor(t / h): the slot
-    itself when t / h = j, else the cubic Hermite interpolant at
-    theta = t / h - j, whose slopes are the velocities for the positions and
-    the stored dv/dt for the velocities.  That slope is the row's ``accel``,
-    the datum's material derivative, at t <= 0, else the first RK4 stage of
-    the step leaving the slot, kept apart at t = 0 where the prehistory
-    hands over to the dynamics.  The newest slot holds the last stage of the
-    step that made it until the next step replaces it, so only a query from
-    outside the stepper into the newest interval reads that provisional
-    slope.  Only the stepper writes.  Stored-slot queries, ``slot`` and
-    ``latest`` return views, valid until their slot is reused m + 3 steps
-    later: copy what must outlive that; ``gather`` copies.
+    first, for slots -m..0, the tangent flow NaN before 0.  A query at t
+    reads j = floor(t / h): the slot itself when t / h = j, else the cubic
+    Hermite interpolant at theta = t / h - j, whose slopes are the velocities
+    for the positions and the stored dv/dt for the velocities.  That slope is
+    the row's ``accel``, the datum's material derivative, at t <= 0, else the
+    first RK4 stage of the step leaving the slot, kept apart at t = 0 where
+    the prehistory hands over to the dynamics.  The newest slot holds the
+    last stage of the step that made it until the next step replaces it, so
+    only a query from outside the stepper into the newest interval reads
+    that provisional slope.  Only the stepper writes.  Stored-slot queries,
+    ``slot`` and ``latest`` return views, valid until their slot is reused
+    m + 3 steps later: copy what must outlive that; ``gather`` copies.
     """
 
     def __init__(self, tau: float, h: float, masses, labels, cell_volumes, rows):
@@ -261,9 +262,9 @@ class VelocityField:
     ``field(s, x)``, at a time ``s`` and points ``x`` shaped (N, d), returns
     ``(u, grad_u, u_s)`` from one evaluation: the value (N, d), the spatial
     gradient (N, d, d) with entries du_a/dx_b, and the time partial (N, d).
-    ``discretize`` integrates the tangent flow with ``grad_u`` and takes the
-    velocity's Hermite slope, its material derivative ``u_s + (grad_u) u``,
-    from all three.
+    ``discretize`` takes the velocity gradient at t = 0 from ``grad_u``,
+    and the velocity's Hermite slope, its material derivative
+    ``u_s + (grad_u) u``, from all three.
     """
 
     def __call__(self, s: float, x: np.ndarray):
@@ -434,18 +435,6 @@ class InitialDatum:
         return vals
 
 
-def _matmul(a, c):
-    """``np.einsum("nab,nbc->nac", a, c)`` bit for bit, without its set-up:
-    the products summed in order over b, from +0 as einsum sums them (so no
-    entry is -0).  Unlike einsum, its ufuncs warn on overflow and on invalid
-    products unless the caller silences them."""
-    out = a[:, :, 0, None] * c[:, None, 0]
-    for b in range(1, a.shape[-1]):
-        out += a[:, :, b, None] * c[:, None, b]
-    out += 0.0
-    return out
-
-
 def _rk4(rhs, y, h, k1, mid, end):
     """One classical RK4 step of ``y' = rhs(stage, *y)`` from the given first stage.
 
@@ -471,8 +460,8 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
     prehistory has one row per step ``h`` at times j h, j = -m..0, with
     tau = m h (tau = 0 gives the one row at t = 0).  Its positions come
     from backward RK4 integration of the characteristic flow under the
-    prescribed velocity field, with the tangent flow integrated alongside
-    for the Jacobians.
+    prescribed velocity field alone: the tangent flow starts from (I, grad u)
+    at t = 0 and is NaN before, where no claim reads it.
     """
     m = _delay_steps(tau, h)
 
@@ -507,29 +496,28 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
                                         f"at s={s}, expected {shape}")
         return u, grad, u_s
 
-    def rhs(s, pos, jac):
-        u, grad, _ = evaluate(s, pos)
-        return u, _matmul(grad, jac)
+    def rhs(s, pos):
+        return (evaluate(s, pos)[0],)
 
     # walk back from the labels at t = 0, where the field is evaluated first
-    y = (nodes.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy())
-    rows = []
+    eye, undefined = np.broadcast_to(np.eye(d), (n, d, d)), np.full((n, d, d), math.nan)
+    pos, rows = nodes, []
     for j in range(0, -m - 1, -1):
         s = j * h
-        if rows:  # one backward step, whose first stage is the later row
+        if rows:  # one backward step, whose first stage is the later row's velocity
             with np.errstate(over="ignore", invalid="ignore"):
-                y, _ = _rk4(rhs, y, -h, (rows[-1][1], rows[-1][3]), (j + 0.5) * h, s)
-            if not (np.isfinite(y[0]).all() and np.isfinite(y[1]).all()):
+                (pos,), _ = _rk4(rhs, (pos,), -h, (rows[-1][1],), (j + 0.5) * h, s)
+            if not np.isfinite(pos).all():
                 raise InvalidDatumError(f"prehistory is not finite at s={s}")
-        pos, jac = y
         with np.errstate(over="ignore", invalid="ignore"):  # as silent as the stages
             vel, grad, vel_s = evaluate(s, pos)
-            vel_grad = _matmul(grad, jac)
             # the velocity's slope is its material derivative u_s + (grad u) u
             slope = vel_s + np.einsum("nab,nb->na", grad, vel)
         for name, a in (("", vel), (" gradient", grad), (" time partial", vel_s)):
             if not np.isfinite(a).all():
                 raise InvalidDatumError(f"velocity field{name} is not finite at s={s}")
+        # (J, grad u J) at J = I: grad u, with einsum's +0 for a -0 entry
+        jac, vel_grad = (eye, grad + 0.0) if j == 0 else (undefined, undefined)
         rows.append((pos, vel, jac, vel_grad, slope))
     rows.reverse()
     return HistoryBuffer(tau, h, masses, nodes, volumes, rows)

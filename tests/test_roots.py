@@ -98,6 +98,16 @@ class TestErrors:
         with pytest.raises(RuntimeError):
             scipy_brentq(f, -1e300, 1e300, xtol=5e-324)
 
+    @pytest.mark.parametrize("maxiter", [1712, 1713])
+    def test_maxiter_is_scipys(self, maxiter):
+        # the same step converges in 1713 iterations, with either solver
+        def f(x):
+            return 1.0 if x > 1e-200 else -1.0
+
+        ours = _outcome(brentq, f, -1e300, 1e300, 5e-324, maxiter=maxiter)
+        assert ours == _outcome(scipy_brentq, f, -1e300, 1e300, xtol=5e-324, maxiter=maxiter)
+        assert (ours is RuntimeError) == (maxiter < 1713)
+
 
 class TestCallSites:
     def test_budget_radius(self, monkeypatch, time_limit):

@@ -22,11 +22,10 @@ from flockdde.state import (
     SliceTableVelocity,
     VelocityField,
     _det,
-    _matmul,
     discretize,
 )
 from flockdde.cli import write_snapshot_csv
-from flockdde.diagnostics import _max_norms
+from flockdde.diagnostics import _max_norms, prehistory_frames
 from flockdde.dynamics import step
 from flockdde.kernel import CuckerSmaleKernel
 
@@ -104,15 +103,26 @@ class TestDiscretize:
         assert len(pre.time) == 41
         growth = np.exp(pre.time)[:, None]
         assert np.allclose(pre.positions[..., 0], labels[:, 0] * growth, atol=2e-9)
-        # tangent flow follows the same exponential
-        assert np.allclose(pre.jacobians[..., 0, 0], growth, atol=2e-9)
 
-    def test_prehistory_velocity_gradient_chain_rule(self):
-        # for u = a x, grad v_s = a * grad eta_s
-        datum = InitialDatum(BoxDomain([0.0], [1.0], [5]), LinearVelocity([[-0.5]]))
-        buf = discretize(datum, tau=0.5, h=0.025)
-        pre = buf.gather(buf.prehistory_clocks())
-        assert np.allclose(pre.vel_gradients, -0.5 * pre.jacobians, atol=1e-12)
+    @pytest.mark.parametrize("field", [
+        LinearVelocity([[-0.0, 1.0], [0.5, -0.0]]),  # -0 entries, which einsum sums to +0
+        SineVelocity([0.1, -0.2], [0.3, 0.2], [2.0, 1.0], [0.4, 1.1], omega=0.5)])
+    def test_tangent_flow_starts_at_zero_and_is_nan_before(self, field):
+        datum = InitialDatum(BoxDomain([0, 0], [1, 1], [3, 2]), field)
+        buf = discretize(datum, 0.03, 0.01)
+        jac, vgrad = buf.slot(0)[2:]
+        np.testing.assert_array_equal(jac, np.broadcast_to(np.eye(2), (6, 2, 2)))
+        grad = field(0.0, buf.labels)[1]
+        want = np.einsum("nab,nbc->nac", grad, np.broadcast_to(np.eye(2), (6, 2, 2)))
+        assert [float_bits(v) for v in vgrad.ravel().tolist()] == \
+            [float_bits(v) for v in want.ravel().tolist()]
+        for j in (-3, -2, -1):
+            assert np.isnan(buf.slot(j)[2]).all() and np.isnan(buf.slot(j)[3]).all()
+        records = prehistory_frames(buf)
+        assert [r.t for r in records] == pytest.approx([-0.03, -0.02, -0.01, 0.0])
+        for r in records[:-1]:
+            assert math.isnan(r.min_detJ) and math.isnan(r.max_velgrad_norm)
+        assert records[-1].min_detJ == 1.0 and math.isfinite(records[-1].max_velgrad_norm)
 
     def test_masses_follow_density(self):
         dens = lambda x: x[:, 0]  # linear density on [0,1]
@@ -293,42 +303,6 @@ class TestVelocityFields:
         field = CountingField(_fields(2)["table-of-slices"])
         discretize(InitialDatum(domain, field), m * 0.01, 0.01)
         assert field.calls == 4 * m + 1
-
-@st.composite
-def matrix_stacks(draw):
-    """Two (N, d, d) stacks, each at a scale of 1e-150, 1 or 1e150, with
-    subnormal, signed-zero, NaN and +-inf entries among them, so products
-    underflow to +-0, overflow or are NaN; the second is sometimes a strided
-    view."""
-    d, n = draw(st.sampled_from([1, 2, 3])), draw(st.integers(1, 6))
-    entries = st.one_of(st.floats(-4.0, 4.0),
-                        st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]))
-
-    def stack():
-        values = draw(st.lists(entries, min_size=n * d * d, max_size=n * d * d))
-        return np.array(values).reshape(n, d, d) * draw(st.sampled_from([1e-150, 1.0, 1e150]))
-
-    a, c = stack(), stack()
-    if draw(st.booleans()):
-        packed = np.zeros((n, d + d * d))
-        packed[:, d:] = c.reshape(n, d * d)
-        c = packed[:, d:].reshape(n, d, d)
-    return a, c
-
-
-def test_unrolled_product_is_einsum_bit_for_bit(time_limit):
-    @settings(max_examples=600, derandomize=True, database=None, deadline=None)
-    @given(matrix_stacks())
-    def check(stacks):
-        with np.errstate(all="ignore"):
-            got, want = _matmul(*stacks), np.einsum("nab,nbc->nac", *stacks)
-        assert got.shape == want.shape
-        assert [float_bits(v) for v in got.ravel().tolist()] == \
-            [float_bits(v) for v in want.ravel().tolist()]
-
-    with time_limit(30):
-        check()
-
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(st.sampled_from([1, 2, 3]), st.sampled_from([(5,), (3, 4)]), st.data())
