@@ -114,12 +114,12 @@ def execute_run(cfg: RunConfig, prepared=None):
     ``prepared``, a ``_prepare`` pair of a config with the same datum, tau,
     step and seed, stands in for the first two steps: the run steps its
     buffer and reads its frames, so a caller that reuses the pair passes a
-    ``HistoryBuffer.copy`` of the buffer.
+    ``HistoryBuffer.copy`` of the buffer, which shares the stored arrays.
     """
     buffer, pre = _prepare(cfg) if prepared is None else prepared
     certificate = certify_flocking(pre, cfg.kernel)
 
-    start = buffer.latest  # a view of the t = 0 slot, which the run reuses
+    start = buffer.latest  # the t = 0 slot, whose arrays no step writes
     w0 = start.vel_gradients[:, 0, 0] / start.jacobians[:, 0, 0] if start.dim == 1 else None
     result = integrate(buffer, cfg.kernel, t_end=cfg.t_end,
                        output_every=cfg.output_every, prehistory=pre)
@@ -229,9 +229,9 @@ def _run_cell(payload):
     ``shared`` is its task's list of at most one ``_prepare`` pair: the first
     cell to succeed fills it and the others run on it; a failed set-up is not
     kept, so each cell that needs it meets the failure.  Each cell steps a
-    copy of the ring but the ``last`` of its task, which steps the ring itself.
+    ``HistoryBuffer.copy`` of the ring, which shares every stored array.
     """
-    index, coords, doc, out_dir, shared, last = payload
+    index, coords, doc, out_dir, shared = payload
     cell_dir = os.path.join(out_dir, f"cell_{index:04d}")
     row = {"cell": index, **{f"axis:{k}": json.dumps(_json_safe(v), sort_keys=True)
                              for k, v in coords.items()}}
@@ -240,7 +240,7 @@ def _run_cell(payload):
         if not shared:
             shared.append(_prepare(cfg))
         buffer, pre = shared[0]
-        result, summary = _run_into(cfg, cell_dir, (buffer if last else buffer.copy(), pre))
+        result, summary = _run_into(cfg, cell_dir, (buffer.copy(), pre))
         row["status"] = "ok" if result.blowup is None else "blowup"
         row["satisfied"] = str(summary["certificate"]["satisfied"]).lower()
         rate = summary["fitted_rate"]
@@ -257,8 +257,7 @@ def _run_task(payloads):
     """Sweep worker: run the cells of one task (see ``_tasks``), which share
     one set-up, each through ``_run_cell``."""
     shared = []
-    return [_run_cell((*payload, shared, i == len(payloads) - 1))
-            for i, payload in enumerate(payloads)]
+    return [_run_cell((*payload, shared)) for payload in payloads]
 
 
 def cmd_sweep(args) -> int:

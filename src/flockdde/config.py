@@ -139,7 +139,10 @@ def _build_density(spec, path, dim):
                 exponent = -((x - center[None, :]) ** 2).sum(axis=1) / (2 * sigma * sigma)
             if np.isnan(exponent).any():  # inf / inf: 2 sigma^2 and a square overflow
                 raise ConfigError(f"{path}.sigma: too large for the domain, got {sigma}")
-            return np.exp(exponent)
+            values = np.exp(exponent)
+            if not values.any():  # no mass: e^exponent underflows to 0 at every node
+                raise ConfigError(f"{path}.sigma: too small for the domain, got {sigma}")
+            return values
 
         return gaussian
     if family == "table":

@@ -18,6 +18,7 @@ from functools import cache
 import numpy as np
 
 from .roots import brentq
+from .state import _det
 
 __all__ = [
     "DiagnosticsFrame",
@@ -189,10 +190,12 @@ def _records(ens, d_x, d_v, dets, values) -> list[DiagnosticsFrame]:
     """Diagnostics records of the K slices of a stacked ensemble from their
     diameters, det J (K, N) and ``values``, each slice's (X, V, L) in order;
     a slice whose value is None has no record.  ``max_speed`` and
-    ``max_velgrad_norm`` take ``_max_norms``."""
+    ``max_velgrad_norm`` take ``_max_norms``.  With ``dets`` None, on a stack
+    with no tangent flow, ``min_detJ`` and ``max_velgrad_norm`` are NaN."""
+    tangent = ([math.nan] * len(values),) * 2 if dets is None else (
+        dets.min(axis=1).tolist(), _max_norms(ens.vel_gradients).tolist())
     columns = zip(ens.time.tolist(), d_x.tolist(), d_v.tolist(),
-                  _max_norms(ens.velocities).tolist(), dets.min(axis=1).tolist(),
-                  _max_norms(ens.vel_gradients).tolist(), values)
+                  _max_norms(ens.velocities).tolist(), *tangent, values)
     return [DiagnosticsFrame(t=t, d_X=dx, d_V=dv, max_speed=speed, lyapunov=xvl[2],
                              X_of_t=xvl[0], V_of_t=xvl[1], min_detJ=lo,
                              max_velgrad_norm=g)
@@ -201,16 +204,20 @@ def _records(ens, d_x, d_v, dets, values) -> list[DiagnosticsFrame]:
 
 def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
     """Diagnostics records for the prescribed slices at times <= 0, reduced
-    ``_block_rows(N)`` slices at a time; at t < 0 ``lyapunov``, ``min_detJ``
-    and ``max_velgrad_norm`` are NaN."""
+    ``_block_rows(N)`` slices at a time; ``lyapunov`` is NaN, and so are
+    ``min_detJ`` and ``max_velgrad_norm`` before the tangent flow, at t < 0."""
     clocks = buffer.prehistory_clocks()
     batch = _block_rows(len(buffer.masses))
     out = []
     for lo in range(0, len(clocks), batch):
         ens = buffer.gather(clocks[lo:lo + batch])
         d_x, d_v = diameters(ens)
-        out += _records(ens, d_x, d_v, ens.det_jacobians(),
+        out += _records(ens, d_x, d_v, None,
                         [(dx, dv, math.nan) for dx, dv in zip(d_x.tolist(), d_v.tolist())])
+    if out:  # the last record's slot, at t = 0, is the first with a tangent flow
+        jac, vgrad = buffer.slot(0)[2:]
+        out[-1].min_detJ = float(_det(jac).min())
+        out[-1].max_velgrad_norm = float(_max_norms(vgrad[None])[0])
     return out
 
 

@@ -300,16 +300,16 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
 
     # X = d_X and V = d_V at t = 0: the last prehistory record, plus L
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
-    # (clock, det J) of the slots after t = 0 not yet reduced.  A batch takes
-    # all but the newest once cap + 1 wait or before a step reuses the oldest;
-    # the newest waits for the end, so a slot at buffer.clock is the last.
-    # The monitor steps through every slot: X, V and L ignore the cadence.
+    # (clock, slot, det J) of the slots after t = 0 not yet reduced.  A batch
+    # takes all but the newest once cap + 1 wait; the newest waits for the
+    # end, so a slot at buffer.clock is the last.  The monitor steps through
+    # every slot: X, V and L ignore the cadence.
     queue, cap = [], _block_rows(len(buffer.masses))
 
     def reduce_queue(n):
-        clocks, dets = zip(*queue[:n])
+        clocks, slots, dets = zip(*queue[:n])
         del queue[:n]
-        ens = buffer.gather(clocks)
+        ens = buffer._stack(clocks, slots)
         d_x, d_v = diameters(ens)
         values = [monitor.observe(t, dv) if c % every == 0 or c == buffer.clock
                   else monitor.advance(t, dv)
@@ -318,8 +318,8 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
 
     for dets, event in _advance(buffer, kernel, n_steps):
         if buffer.clock and dets is not None:  # a new slot after t = 0
-            queue.append((buffer.clock, dets))
-            if len(queue) > cap or buffer.clock - queue[0][0] >= buffer.m + 2:
+            queue.append((buffer.clock, buffer.slot(buffer.clock), dets))
+            if len(queue) > cap:
                 reduce_queue(len(queue) - 1)
     if queue:
         reduce_queue(len(queue))

@@ -149,8 +149,8 @@ class CuckerSmaleKernel(_Kernel):
         Closed forms, to about 1e-14 relative (1e-13 just below beta = 1/2):
         ``b - a``, ``asinh`` at beta = 1/2, ``r 2F1(1/2, beta; 3/2; -r^2)``
         below, and above the incomplete beta function (DLMF 8.17) on the side
-        of the median radius where the difference does not cancel.  Results
-        below the normal range may come out as 0.
+        of the median radius where the difference does not cancel, or ``b - a``
+        where beta b^2 < 2^-53.  Results below the normal range may come out as 0.
         """
         a, b = float(a), float(b)
         if a < 0 or b < 0:
@@ -164,6 +164,8 @@ class CuckerSmaleKernel(_Kernel):
             return math.asinh(b) - math.asinh(a)
         if beta < 0.5:
             return math.inf if b == math.inf else self._antiderivative(b) - self._antiderivative(a)
+        if beta * b * b < 2.0**-53:  # the profile is 1 to rounding on [a, b]
+            return b - a
         if b <= self._median:
             share = self._share(b, upper=False) - self._share(a, upper=False)
         elif a >= self._median:

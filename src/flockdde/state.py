@@ -1,16 +1,15 @@
 """Discretized Lagrangian state, delay history, and initial-datum construction.
 
 The flow is sampled at Lagrangian nodes: each node carries a position, a
-velocity, a fixed mass and, from t = 0 on, the tangent flow (position
-Jacobian and velocity gradient with respect to the labels), NaN before.  A
-``HistoryBuffer``, the one owner of the step grid, holds the flow as untimed
-rows over the trailing delay window and answers dense interpolation queries,
-which is what makes the delayed force evaluable between stored steps.  Every
-delayed read, stored or interpolated, is a ``(positions, velocities)`` pair,
-and ``_run_steps`` holds every rule that a run's times obey on that grid.
-The prehistory's velocity field answers one call, ``field(s, x) -> (u,
-grad_u, u_s)``, and ``discretize`` makes and checks one call per row and
-per RK4 stage.
+velocity, a fixed mass and, from t = 0 on, the tangent flow (position Jacobian
+and velocity gradient with respect to the labels).  A ``HistoryBuffer``, the
+one owner of the step grid, holds the flow as untimed rows over the trailing
+delay window and answers dense interpolation queries, which is what makes the
+delayed force evaluable between stored steps.  Every delayed read, stored or
+interpolated, is a ``(positions, velocities)`` pair, and ``_run_steps`` holds
+every rule that a run's times obey on that grid.  The prehistory's velocity
+field answers one call, ``field(s, x) -> (u, grad_u, u_s)``, and
+``discretize`` makes and checks one call per row and per RK4 stage.
 """
 
 from __future__ import annotations
@@ -54,18 +53,19 @@ class LagrangianEnsemble:
     """One time slice of the discretized flow, as a history hands it out.
 
     ``masses``, ``labels`` and ``cell_volumes`` are shared, read-only arrays
-    identical across all slices of a run.  The tangent flow, ``jacobians``
-    and ``vel_gradients``, is NaN at t < 0.  A slice is not checked: its
-    arrays are views of rows that ``HistoryBuffer`` checked when they entered.
-    A stack of K slices (``HistoryBuffer.gather``) has a (K,) ``time`` and a
-    leading axis of K on each per-node array.
+    identical across all slices of a run.  A slice is not checked: its
+    arrays are those ``HistoryBuffer`` checked when they entered.  A stack of
+    K slices (``HistoryBuffer.gather``) has a (K,) ``time`` and a leading
+    axis of K on each per-node array; the tangent flow starts at t = 0, so
+    a stack with a slice before has None for ``jacobians`` and
+    ``vel_gradients``.
     """
 
     time: float
     positions: np.ndarray      # (N, d)
     velocities: np.ndarray     # (N, d)
-    jacobians: np.ndarray      # (N, d, d)
-    vel_gradients: np.ndarray  # (N, d, d)
+    jacobians: np.ndarray | None      # (N, d, d)
+    vel_gradients: np.ndarray | None  # (N, d, d)
     masses: np.ndarray         # (N,)
     labels: np.ndarray         # (N, d)
     cell_volumes: np.ndarray   # (N,)
@@ -137,44 +137,41 @@ class HistoryBuffer:
 
     The one owner of the grid, which every stepping call reads.  With
     tau = m h, slot j holds the state at time j h, j read off an integer clock
-    (never a sum of steps), in ring arrays of m + 3 slots.  Its arguments are
-    the arrays shared by all slots and the prehistory as m + 1 untimed rows
-    ``(positions, velocities, jacobians, vel_gradients, accel)``, oldest
-    first, for slots -m..0, the tangent flow NaN before 0.  A query at t
-    reads j = floor(t / h): the slot itself when t / h = j, else the cubic
-    Hermite interpolant at theta = t / h - j, whose slopes are the velocities
-    for the positions and the stored dv/dt for the velocities.  That slope is
-    the row's ``accel``, the datum's material derivative, at t <= 0, else the
-    first RK4 stage of the step leaving the slot, kept apart at t = 0 where
-    the prehistory hands over to the dynamics.  The newest slot holds the
-    last stage of the step that made it until the next step replaces it, so
-    only a query from outside the stepper into the newest interval reads
-    that provisional slope.  Only the stepper writes.  Stored-slot queries,
-    ``slot`` and ``latest`` return views, valid until their slot is reused
-    m + 3 steps later: copy what must outlive that; ``gather`` copies.
+    (never a sum of steps), in a ring of m + 3 slots.  Its arguments are the
+    arrays shared by all slots, the prehistory as m + 1 untimed rows
+    ``(positions, velocities, accel)``, oldest first, for slots -m..0, and
+    the tangent flow ``(jacobians, vel_gradients)`` at t = 0, where it
+    starts.  A query at t reads j = floor(t / h): the slot itself when
+    t / h = j, else the cubic Hermite interpolant at theta = t / h - j, whose
+    slopes are the velocities for the positions and the stored dv/dt for the
+    velocities.  That slope is the row's ``accel``, the datum's material
+    derivative, at t <= 0, else the first RK4 stage of the step leaving the
+    slot, kept apart at t = 0 where the prehistory hands over to the
+    dynamics.  The newest slot holds the last stage of the step that made it
+    until the next step replaces it, so only a query from outside the stepper
+    into the newest interval reads that provisional slope.  The ring holds
+    the arrays it is handed: it never copies or writes one.
     """
 
-    def __init__(self, tau: float, h: float, masses, labels, cell_volumes, rows):
+    def __init__(self, tau: float, h: float, masses, labels, cell_volumes, rows, tangent):
         m = _delay_steps(tau, h)
         if len(rows) != m + 1:
             raise ValueError(f"history needs {m + 1} rows on [-tau, 0], got {len(rows)}")
         n, d = np.shape(rows[0][0])
-        shapes = [(n, d), (n, d), (n, d, d), (n, d, d), (n, d)]
-        shared = [np.shape(a) for a in (labels, masses, cell_volumes)]
-        if n < 1 or shared != [(n, d), (n,), (n,)] or any(
-                [np.shape(a) for a in r] != shapes for r in rows):
-            raise ValueError("history needs N >= 1 nodes, rows shaped (N, d), (N, d), (N, d, d), "
-                             "(N, d, d), (N, d) and shared arrays shaped (N, d), (N,), (N,)")
+        shared = [np.shape(a) for a in (labels, masses, cell_volumes, *tangent)]
+        if n < 1 or shared != [(n, d), (n,), (n,), (n, d, d), (n, d, d)] or any(
+                [np.shape(a) for a in r] != [(n, d)] * 3 for r in rows):
+            raise ValueError("history needs N >= 1 nodes, rows of three (N, d) arrays, shared "
+                             "arrays shaped (N, d), (N,), (N,) and a tangent flow of two (N, d, d)")
         if not abs(float(np.sum(masses)) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("masses must sum to 1 within 1e-12")
         self.tau, self.h, self.m = float(tau), float(h), m
         self.masses, self.labels, self.cell_volumes = masses, labels, cell_volumes
         self._fwd0 = None  # the first stage of the step leaving t = 0
-        self._pos, self._vel, self._jac, self._vgrad, self._acc = (
-            np.empty((m + 3, *np.shape(a))) for a in rows[0])
+        self._slots, self._slopes = [None] * (m + 3), [None] * (m + 3)
         self.clock = -m - 1  # the newest slot; the prehistory ends at 0
-        for row in rows:
-            self.append(*row)
+        for j, (pos, vel, accel) in enumerate(rows, -m):
+            self.append(pos, vel, *(() if j else tangent), accel)
 
     @property
     def current_time(self) -> float:
@@ -182,13 +179,11 @@ class HistoryBuffer:
 
     @property
     def latest(self) -> LagrangianEnsemble:
-        r = self.clock % len(self._pos)
-        return LagrangianEnsemble(self.current_time, self._pos[r], self._vel[r], self._jac[r],
-                                  self._vgrad[r], self.masses, self.labels,
-                                  self.cell_volumes)
+        return LagrangianEnsemble(self.current_time, *self.slot(self.clock), self.masses,
+                                  self.labels, self.cell_volumes)
 
     def _oldest(self) -> int:
-        return max(-self.m, self.clock - len(self._pos) + 1)
+        return max(-self.m, self.clock - len(self._slots) + 1)
 
     def prehistory_clocks(self) -> range:
         """Clocks of the stored slices at times <= 0, oldest first."""
@@ -196,24 +191,24 @@ class HistoryBuffer:
 
     def gather(self, clocks) -> LagrangianEnsemble:
         """The stored slots at ``clocks`` as one stacked ensemble, copied."""
-        j = np.asarray(clocks)
-        r = j % len(self._pos)
-        return LagrangianEnsemble(j * self.h, self._pos[r], self._vel[r], self._jac[r],
-                                  self._vgrad[r], self.masses, self.labels,
-                                  self.cell_volumes)
+        return self._stack(clocks, map(self.slot, clocks))
+
+    def _stack(self, clocks, slots) -> LagrangianEnsemble:
+        """The ``slot`` tuples at ``clocks`` as one stacked ensemble, copied."""
+        pos, vel, *tangent = (np.stack(a) for a in zip(*slots))
+        return LagrangianEnsemble(np.asarray(clocks) * self.h, pos, vel, *(tangent or (None, None)),
+                                  self.masses, self.labels, self.cell_volumes)
 
     def slot(self, j: int):
-        """(positions, velocities, jacobians, vel_gradients) stored at time j h."""
-        r = j % len(self._pos)
-        return self._pos[r], self._vel[r], self._jac[r], self._vgrad[r]
+        """(positions, velocities[, jacobians, vel_gradients from t = 0]) at j h."""
+        return self._slots[j % len(self._slots)]
 
     def interpolate(self, j: int, theta: float):
         """Hermite (positions, velocities) at time (j + theta) h."""
-        a, b = j % len(self._pos), (j + 1) % len(self._pos)
-        m0 = self._fwd0 if j == 0 else self._acc[a]
-        pos = _hermite(theta, self.h, self._pos[a], self._vel[a],
-                       self._pos[b], self._vel[b])
-        vel = _hermite(theta, self.h, self._vel[a], m0, self._vel[b], self._acc[b])
+        (p0, v0, *_), (p1, v1, *_) = self.slot(j), self.slot(j + 1)
+        m0 = self._fwd0 if j == 0 else self._slopes[j % len(self._slots)]
+        pos = _hermite(theta, self.h, p0, v0, p1, v1)
+        vel = _hermite(theta, self.h, v0, m0, v1, self._slopes[(j + 1) % len(self._slots)])
         return pos, vel
 
     # only bench/spans.py and its own tests call query (with OutOfWindowError,
@@ -232,13 +227,10 @@ class HistoryBuffer:
         return self.interpolate(j, theta)
 
     def copy(self) -> HistoryBuffer:
-        """A buffer that steps on its own copy of the ring and shares the
-        read-only ``masses``, ``labels`` and ``cell_volumes``: one prepared
-        prehistory, run by several kernels."""
+        """A buffer that steps on its own ring and shares every stored array:
+        one prepared prehistory, run by several kernels."""
         twin = copy.copy(self)
-        twin._pos, twin._vel, twin._jac, twin._vgrad, twin._acc = (
-            a.copy() for a in (self._pos, self._vel, self._jac, self._vgrad, self._acc))
-        twin._fwd0 = None if self._fwd0 is None else self._fwd0.copy()
+        twin._slots, twin._slopes = list(self._slots), list(self._slopes)
         return twin
 
     def set_slope(self, accel: np.ndarray) -> None:
@@ -246,14 +238,13 @@ class HistoryBuffer:
         if self.clock == 0:
             self._fwd0 = accel
         else:
-            self._acc[self.clock % len(self._pos)] = accel
+            self._slopes[self.clock % len(self._slots)] = accel
 
-    def append(self, positions, velocities, jacobians, vel_gradients, accel) -> None:
-        """Store the state one step on, with its provisional slope, and tick."""
+    def append(self, *arrays) -> None:
+        """Store the state one step on, its provisional slope last, and tick."""
         self.clock += 1
-        r = self.clock % len(self._pos)
-        self._pos[r], self._vel[r], self._acc[r] = positions, velocities, accel
-        self._jac[r], self._vgrad[r] = jacobians, vel_gradients
+        r = self.clock % len(self._slots)
+        self._slots[r], self._slopes[r] = arrays[:-1], arrays[-1]
 
 
 class VelocityField:
@@ -262,9 +253,9 @@ class VelocityField:
     ``field(s, x)``, at a time ``s`` and points ``x`` shaped (N, d), returns
     ``(u, grad_u, u_s)`` from one evaluation: the value (N, d), the spatial
     gradient (N, d, d) with entries du_a/dx_b, and the time partial (N, d).
-    ``discretize`` takes the velocity gradient at t = 0 from ``grad_u``,
-    and the velocity's Hermite slope, its material derivative
-    ``u_s + (grad_u) u``, from all three.
+    ``discretize`` takes the velocity gradient at t = 0 from ``grad_u``, and
+    the velocity's Hermite slope, its material derivative ``u_s + (grad_u)
+    u``, from all three.  The history keeps ``u`` itself: each call makes one.
     """
 
     def __call__(self, s: float, x: np.ndarray):
@@ -460,8 +451,8 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
     prehistory has one row per step ``h`` at times j h, j = -m..0, with
     tau = m h (tau = 0 gives the one row at t = 0).  Its positions come
     from backward RK4 integration of the characteristic flow under the
-    prescribed velocity field alone: the tangent flow starts from (I, grad u)
-    at t = 0 and is NaN before, where no claim reads it.
+    prescribed velocity field alone; the tangent flow (I, grad u) starts at
+    t = 0.  The history keeps each row's arrays: the t = 0 positions copy the labels.
     """
     m = _delay_steps(tau, h)
 
@@ -500,8 +491,7 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
         return (evaluate(s, pos)[0],)
 
     # walk back from the labels at t = 0, where the field is evaluated first
-    eye, undefined = np.broadcast_to(np.eye(d), (n, d, d)), np.full((n, d, d), math.nan)
-    pos, rows = nodes, []
+    pos, rows = nodes.copy(), []
     for j in range(0, -m - 1, -1):
         s = j * h
         if rows:  # one backward step, whose first stage is the later row's velocity
@@ -516,8 +506,8 @@ def discretize(datum: InitialDatum, tau: float, h: float) -> HistoryBuffer:
         for name, a in (("", vel), (" gradient", grad), (" time partial", vel_s)):
             if not np.isfinite(a).all():
                 raise InvalidDatumError(f"velocity field{name} is not finite at s={s}")
-        # (J, grad u J) at J = I: grad u, with einsum's +0 for a -0 entry
-        jac, vel_grad = (eye, grad + 0.0) if j == 0 else (undefined, undefined)
-        rows.append((pos, vel, jac, vel_grad, slope))
+        if j == 0:  # (J, grad u J) at J = I: grad u, with einsum's +0 for a -0 entry
+            tangent = (np.broadcast_to(np.eye(d), (n, d, d)).copy(), grad + 0.0)
+        rows.append((pos, vel, slope))
     rows.reverse()
-    return HistoryBuffer(tau, h, masses, nodes, volumes, rows)
+    return HistoryBuffer(tau, h, masses, nodes, volumes, rows, tangent)

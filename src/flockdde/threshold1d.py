@@ -135,8 +135,7 @@ def reconstruct_density(ensemble):
     mass per cell volume, so the reconstruction conserves mass exactly:
     sum(h * detJ * cell_volume) = sum(masses) = 1.  Raises BlowupSignal, naming
     the node, where det J meets the blow-up rule: a det J is non-finite or min
-    det J <= DETJ_TOLERANCE.  A prehistory slice at t < 0 is no input: its
-    tangent flow is NaN.
+    det J <= DETJ_TOLERANCE.  A prehistory slice at t < 0 has no tangent flow.
     """
     dets = ensemble.det_jacobians()
     node = _blowup_node(dets)

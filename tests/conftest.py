@@ -115,11 +115,12 @@ def prehistory_r_v(buf):
 
 def record_per_slice(ens, d_x, d_v, x, v, lyap, dets):
     """The diagnostics record of one slice, one reduction at a time: the
-    reference for the records that frames reduce in batches."""
+    reference for the records that frames reduce in batches.  A slice with
+    no tangent flow, at t < 0, passes ``dets`` None and has NaN there."""
     return DiagnosticsFrame(
         t=ens.time, d_X=d_x, d_V=d_v, max_speed=max_speed(ens), lyapunov=lyap,
-        X_of_t=x, V_of_t=v, min_detJ=float(dets.min()),
-        max_velgrad_norm=max_norm(ens.vel_gradients))
+        X_of_t=x, V_of_t=v, min_detJ=math.nan if dets is None else float(dets.min()),
+        max_velgrad_norm=math.nan if dets is None else max_norm(ens.vel_gradients))
 
 
 def float_bits(value):

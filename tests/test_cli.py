@@ -209,7 +209,7 @@ class TestRun:
             (tmp_path / "plain" / "frames.csv").read_bytes()
 
     def test_threshold_verdict_reads_the_initial_slopes(self):
-        # the run reuses the t = 0 slot after m + 3 steps; the verdict must
+        # the ring lets the t = 0 slot go after m + 3 steps; the verdict must
         # still come from the slopes at t = 0
         doc = dict(preset_dict("riccati-blowup"), t_end=0.2)
         cfg = run_config_from_dict(doc)
@@ -1001,9 +1001,16 @@ class TestSweep:
                 assert (cell / name).read_bytes() == (solo / name).read_bytes()
 
     @pytest.mark.parametrize("cells", [1, 2, 3])
-    def test_a_task_copies_the_ring_for_every_cell_but_the_last(self, tmp_path, quick_run_doc,
-                                                                  monkeypatch, cells):
-        sources, stepped = [], []
+    def test_a_task_copies_the_ring_for_every_cell(self, tmp_path, quick_run_doc,
+                                                     monkeypatch, cells):
+        prepared, slots, before, sources, stepped = [], [], [], [], []
+
+        def prepare(cfg, real=cli._prepare):
+            prepared.append(real(cfg))
+            buffer = prepared[-1][0]
+            slots.extend(buffer.slot(j) for j in buffer.prehistory_clocks())
+            before.extend(a.tobytes() for slot in slots for a in slot)
+            return prepared[-1]
 
         def copying(buffer, real=HistoryBuffer.copy):
             sources.append(buffer)
@@ -1013,6 +1020,7 @@ class TestSweep:
             stepped.append(buffer)
             return real(buffer, *args, **kwargs)
 
+        monkeypatch.setattr(cli, "_prepare", prepare)
         monkeypatch.setattr(HistoryBuffer, "copy", copying)
         monkeypatch.setattr(cli, "integrate", recording)
         doc = dict(quick_run_doc, t_end=0.05)
@@ -1020,10 +1028,14 @@ class TestSweep:
         rows = cli._run_task([(i, {"kernel.beta": beta}, _with(doc, "kernel.beta", beta),
                                str(tmp_path)) for i, beta in enumerate(betas)])
         assert [row["status"] for row in rows] == ["ok"] * cells
-        assert len(sources) == cells - 1
-        # every copy is of the prepared ring, which the last cell steps itself
-        assert all(source is stepped[-1] for source in sources)
-        assert len({id(b) for b in stepped}) == cells
+        (buffer, _), = prepared
+        # every cell steps its own copy of the prepared ring, which keeps its
+        # slots: the same arrays, with the same bytes
+        assert len(sources) == cells and all(source is buffer for source in sources)
+        assert len({id(b) for b in stepped}) == cells and buffer not in stepped
+        assert buffer.clock == 0
+        assert all(buffer.slot(j) is slot for j, slot in zip(buffer.prehistory_clocks(), slots))
+        assert [a.tobytes() for slot in slots for a in slot] == before
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cells_sharing_a_set_up_are_the_standalone_runs(self, tmp_path, quick_run_doc,

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import frame_bits, max_speed, prehistory_r_v, radius_methods, record_per_slice
-from flockdde import dynamics
+from flockdde import cli, dynamics
 from flockdde.cli import execute_run, write_frames_csv
 from flockdde.config import RunConfig, preset_dict, run_config_from_dict
 from flockdde.diagnostics import (
@@ -42,6 +42,7 @@ from flockdde.state import (
     _run_steps,
     discretize,
 )
+from flockdde.threshold1d import evolve_w
 
 
 # two nodes a delay's travel, 300, behind their delayed selves: under beta 40
@@ -176,12 +177,11 @@ class TestStep:
                 # material derivative along the unshifted flow, as it is
                 rows = []
                 for j in buf.prehistory_clocks():
-                    pos, vel, jac, vgrad = buf.slot(j)
+                    pos, vel = buf.slot(j)[:2]
                     _, grad, u_s = datum.velocity(j * buf.h, pos)
-                    rows.append((pos, vel + c, jac, vgrad,
-                                 u_s + np.einsum("nab,nb->na", grad, vel)))
+                    rows.append((pos, vel + c, u_s + np.einsum("nab,nb->na", grad, vel)))
                 buf = HistoryBuffer(buf.tau, buf.h, buf.masses, buf.labels,
-                                    buf.cell_volumes, rows)
+                                    buf.cell_volumes, rows, buf.slot(0)[2:])
             for _ in range(60):
                 step(buf, kernel)
             return buf.latest.velocities
@@ -500,11 +500,12 @@ def _integrate_per_frame(buffer, kernel, t_end, output_every):
     _, n_steps, every = _run_steps(buffer.tau, buffer.h, t_end, output_every)
     prehistory = []
     for j in buffer.prehistory_clocks():
-        s = LagrangianEnsemble(j * buffer.h, *buffer.slot(j), buffer.masses, buffer.labels,
-                               buffer.cell_volumes)
+        pos, vel, *tangent = buffer.slot(j)  # the tangent flow starts at t = 0
+        s = LagrangianEnsemble(j * buffer.h, pos, vel, *(tangent or (None, None)),
+                               buffer.masses, buffer.labels, buffer.cell_volumes)
         d_x, d_v = diameters(s)
         prehistory.append(record_per_slice(s, d_x, d_v, d_x, d_v, math.nan,
-                                            s.det_jacobians()))
+                                            s.det_jacobians() if tangent else None))
     monitor = FlockingMonitor(kernel, prehistory)
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
     newest = frames[0]  # the record of the newest slot
@@ -524,15 +525,16 @@ def _integrate_per_frame(buffer, kernel, t_end, output_every):
 
 
 BATCH_CASES = {
-    # a 3-slot ring: a batch every 3 frames
+    # a 3-slot ring, which turns over many times before a batch closes
     "zero-delay": make_config(tau=0.0, t_end=0.2),
-    # 16 frames of 1024 nodes fill a batch before the m + 2 = 22 steps
+    # 16 frames of 1024 nodes fill a batch before the ring of m + 3 = 23
+    # slots turns over
     "cap-before-ring": make_config(datum=InitialDatum(BoxDomain([0.0], [1.0], [1024]),
                                                       SineVelocity([0.0], [0.3], [2.0])),
                                    tau=0.1, t_end=0.15, output_every=0.005),
     # det J crosses the tolerance at t = 0.694, between frames
     "riccati-blowup": run_config_from_dict(preset_dict("riccati-blowup")),
-    # every frame alone: the ring turns over between two frames
+    # the ring turns over between two frames
     "every-above-tau": make_config(tau=0.01, output_every=0.035, t_end=0.7),
     "two-d": make_config(datum=InitialDatum(BoxDomain([0.0, 0.0], [1.0, 1.0], [5, 4]),
                                             SineVelocity([0.0, 0.1], [0.3, 0.2],
@@ -554,13 +556,13 @@ def test_batched_frames_equal_the_per_frame_loop(name, monkeypatch):
     if name in POISONED:
         for buf in buffers:
             buf.slot(buf.prehistory_clocks()[POISONED[name]])[1][0, 0] = math.inf
-    gathered, gather = [], HistoryBuffer.gather
+    gathered, stack = [], HistoryBuffer._stack
 
-    def counted_gather(self, clocks):
+    def counted_stack(self, clocks, slots):
         gathered.append(list(clocks))
-        return gather(self, clocks)
+        return stack(self, clocks, slots)
 
-    monkeypatch.setattr(HistoryBuffer, "gather", counted_gather)
+    monkeypatch.setattr(HistoryBuffer, "_stack", counted_stack)
     pre = prehistory_frames(buffers[0])
     res = integrate(buffers[0], cfg.kernel, t_end=cfg.t_end,
                     output_every=cfg.output_every, prehistory=pre)
@@ -666,13 +668,10 @@ def test_refined_event_is_the_earliest_crossing_not_the_worst_node():
     slopes = np.reshape([-1.5 / h, -0.5 / h], (2, 1, 1))
     before, after = np.array([1 + tol, tol + 0.3]), np.array([tol - 0.5, tol - 0.2])
 
-    def row(dets):
-        return (np.zeros((2, 1)), np.zeros((2, 1)), dets.reshape(2, 1, 1), slopes,
-                np.zeros((2, 1)))
-
-    buf = HistoryBuffer(h, h, np.full(2, 0.5), np.zeros((2, 1)), np.ones(2),
-                        [row(before), row(before)])
-    buf.append(*row(after))
+    zero = np.zeros((2, 1))
+    buf = HistoryBuffer(h, h, np.full(2, 0.5), zero, np.ones(2), [(zero, zero, zero)] * 2,
+                        (before.reshape(2, 1, 1), slopes))
+    buf.append(zero, zero, after.reshape(2, 1, 1), slopes, zero)
     event = dynamics._refined_event(buf, before, after)
     assert event.node == 1 and event.time == pytest.approx(0.6 * h, abs=1e-15)
 
@@ -1061,3 +1060,56 @@ def test_force_properties(time_limit):
                 assert err <= 1e-6 * np.linalg.norm(fg[:, :, b]) + 1e-9 * scale
 
     check()
+
+
+_GRID_2D = InitialDatum(BoxDomain([0.0, 0.0], [1.0, 1.0], [5, 4]),
+                        SineVelocity([0.0, 0.1], [0.3, 0.2], [2.0, 1.0], [0.3, 0.1]))
+GUARDED_RUNS = {
+    "one-d": make_config(t_end=0.3),
+    "one-d-tau0": make_config(tau=0.0, t_end=0.3),
+    "two-d": make_config(datum=_GRID_2D, tau=0.05, step=0.01, t_end=0.3, output_every=0.02),
+    "two-d-tau0": make_config(datum=_GRID_2D, tau=0.0, step=0.01, t_end=0.3,
+                              output_every=0.02),
+    # det J crosses the tolerance at t = 0.694: _refined_event reads two slots
+    "riccati-blowup": run_config_from_dict(dict(preset_dict("riccati-blowup"), t_end=0.8)),
+}
+
+
+def _guarded_outcome(name, out):
+    """The bytes of what one run returns: the frames, event and newest slot
+    of an ``integrate`` run, the rows of ``evolve_w``, or the rows and files
+    of a three-cell sweep task of one set-up, written under ``out``."""
+    if name in GUARDED_RUNS:
+        res = integrate_config(GUARDED_RUNS[name])
+        return (list(map(frame_bits, res.frames)), res.blowup, res.r_v,
+                [a.tobytes() for a in res.buffer.slot(res.buffer.clock)])
+    if name == "evolve-w":
+        evo = evolve_w(discretize(make_config().datum, 0.1, 0.005), CuckerSmaleKernel(1.0),
+                       t_end=0.3)
+        return evo.times.tobytes(), evo.w.tobytes(), evo.blowup
+    # m + 50 steps: each cell's ring turns over
+    doc = dict(preset_dict("unconditional-beta025"), t_end=0.3, snapshot_csv=True)
+    rows = cli._run_task([(i, {}, dict(doc, kernel={"family": "cucker-smale", "beta": beta}),
+                           str(out)) for i, beta in enumerate([0.25, 0.5, 2.0])])
+    return rows, sorted((p.relative_to(out).as_posix(), p.read_bytes())
+                        for p in out.rglob("*") if p.is_file())
+
+
+@pytest.mark.parametrize("name", [*GUARDED_RUNS, "evolve-w", "sweep-task"])
+def test_no_stored_slot_is_written(name, monkeypatch, tmp_path):
+    # every array the history stores is made read-only as it enters, so a
+    # write into a stored slot raises; the run must give the same bytes
+    plain = _guarded_outcome(name, tmp_path / "plain")
+    append = HistoryBuffer.append
+
+    def read_only_append(self, *arrays):
+        for a in arrays:
+            a.flags.writeable = False
+        append(self, *arrays)
+
+    monkeypatch.setattr(HistoryBuffer, "append", read_only_append)
+    assert _guarded_outcome(name, tmp_path / "guarded") == plain
+    if name == "riccati-blowup":
+        assert plain[1].node is not None
+    if name == "sweep-task":
+        assert [row["status"] for row in plain[0]] == ["ok"] * 3 and len(plain[1]) == 9

@@ -401,6 +401,19 @@ def test_integral_and_tail_match_mpmath(beta):
         assert k.integral(b, a) == -k.integral(a, b)
 
 
+@pytest.mark.parametrize("beta", [0.75, 1.0, 40.0])
+def test_integral_below_the_rounding_of_the_profile_is_the_width(beta):
+    # where beta b^2 < 2^-53 the profile is 1 to rounding; the incomplete beta
+    # function's difference there once lost digits from b = 1e-160 and was 0
+    # below about 1.6e-162
+    k = CuckerSmaleKernel(beta)
+    for b in (1e-100, 1e-160, 1e-170, 1e-300):
+        with mp.workdps(50):
+            exact = mp.mpf(b) * mp.hyp2f1(0.5, beta, 1.5, -mp.mpf(b) ** 2)
+        assert _rel_err(k.integral(0.0, b), exact) <= 1e-15, b
+        assert k.integral(b / 4, b) == b - b / 4
+
+
 def test_tail_integral_subnormal_result_is_zero():
     # the tail at beta = 40 from 1e4 is 1.27e-318, below the normal range:
     # it comes out as 0, which the certificate reads as an underflowed tail

@@ -18,6 +18,7 @@ import math
 import shutil
 import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +63,10 @@ JACOBIAN_DOC = _doc([1e-300], {"family": "linear", "matrix": [[-800.0]]}, m=130)
 # stopped after 100 iterations, as the crossing's did
 TINY_BUDGET_DOC = _doc(([1e-300], [2]), {"family": "linear", "matrix": [[-1e100]]},
                        h=1e-100, n_steps=10)
+# a Gaussian that underflows to 0 at every node: once "the datum's total
+# mass must be finite and positive, got 0.0", which names no field
+ZERO_MASS_DOC = _doc([1e10], {"family": "constant", "value": [0.0]},
+                     density={"family": "gaussian", "center": [5e9], "sigma": 1e-10})
 # Jacobi's formula sums column-replaced dets of +inf and -inf: once a
 # RuntimeWarning from dynamics._det_slope
 DET_SLOPE_DOC = _doc(([1.0, 1e170], [5, 5]), {
@@ -168,6 +173,7 @@ def test_runs_and_sweeps_end_as_documented(tmp_path, time_limit):
     @example(GAUSSIAN_DOC, 2.0)
     @example(JACOBIAN_DOC, 40.0)
     @example(TINY_BUDGET_DOC, 1.0)
+    @example(ZERO_MASS_DOC, 0.0)
     @example(DET_SLOPE_DOC, 40.0)
     @given(run_docs(), st.sampled_from([0.0, 1.0, 40.0]))
     def check(doc, beta):
@@ -188,6 +194,29 @@ def test_crossings_far_below_the_step_end_in_a_blowup(tmp_path, time_limit):
 def test_gaussian_exponent_of_inf_over_inf_names_sigma(tmp_path, time_limit):
     code, lines, _ = _run(GAUSSIAN_DOC, tmp_path, "g", time_limit)
     assert code == 1 and lines[0].startswith("config error: datum.density.sigma: "), lines
+
+
+def test_gaussian_of_no_mass_names_sigma(tmp_path, time_limit):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(ZERO_MASS_DOC))
+    code, lines = _cli(time_limit, "certify", "--config", str(path))
+    assert code == 1 and len(lines) == 1, lines
+    assert _run(ZERO_MASS_DOC, tmp_path, "z", time_limit)[1] == lines
+    assert lines[0].startswith("config error: datum.density.sigma: too small"), lines
+
+
+def test_tiny_budget_radius_is_the_budget(tmp_path, time_limit):
+    # L(0) = 5e-201 on a box of 1e-300, where the profile is 1 to rounding:
+    # the radius that absorbs it is lower + L(0), not the 1.57e-162 at which
+    # the kernel integral once stopped underflowing to 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(TINY_BUDGET_DOC))
+    out = io.StringIO()
+    with time_limit(20), contextlib.redirect_stdout(out):
+        assert main(["certify", "--config", str(path)]) == 0
+    cert = json.loads(out.getvalue())
+    assert cert["d_star"] == pytest.approx(5e-201, rel=1e-12, abs=0.0)
+    assert cert["lhs"] == pytest.approx(5e-201, rel=1e-12, abs=0.0)
 
 
 def test_backward_jacobian_overflow_certifies_and_blows_up(tmp_path, time_limit):

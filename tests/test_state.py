@@ -1,6 +1,7 @@
 """Discretization and history-buffer checks against closed-form flows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,19 +32,19 @@ from flockdde.kernel import CuckerSmaleKernel
 
 
 def make_row(pos, vel, acc=None):
-    """1-d synthetic history row with trivial tangent flow, for buffer tests."""
+    """1-d synthetic prehistory row (positions, velocities, accel), for buffer tests."""
     pos = np.asarray(pos, dtype=float).reshape(-1, 1)
     vel = np.asarray(vel, dtype=float).reshape(-1, 1)
-    n = pos.shape[0]
     acc = np.zeros_like(vel) if acc is None else np.asarray(acc, dtype=float).reshape(-1, 1)
-    return pos, vel, np.ones((n, 1, 1)), np.zeros((n, 1, 1)), acc
+    return pos, vel, acc
 
 
 def make_buffer(tau, h, rows):
-    """A buffer of 1-d rows, oldest first, with equal masses."""
+    """A buffer of 1-d rows, oldest first, with equal masses and the trivial
+    tangent flow (J = 1, grad u = 0) at t = 0."""
     n = rows[0][0].shape[0]
     return HistoryBuffer(tau, h, np.full(n, 1.0 / n), rows[0][0].copy(),
-                         np.full(n, 1.0 / n), rows)
+                         np.full(n, 1.0 / n), rows, (np.ones((n, 1, 1)), np.zeros((n, 1, 1))))
 
 
 class FlatTimePartial(VelocityField):
@@ -77,12 +78,14 @@ class TestDiscretize:
         assert ens.time == 0.0 and math.copysign(1.0, ens.time) == 1.0
         nodes = ens.labels
         np.testing.assert_array_equal(ens.positions, nodes)
+        # the history keeps the t = 0 positions as they are: a copy, not the labels
+        assert not np.shares_memory(ens.positions, nodes) and ens.positions.flags.writeable
         np.testing.assert_array_equal(ens.jacobians, np.broadcast_to(np.eye(2), (6, 2, 2)))
         u, grad, u_s = field(0.0, nodes)
         np.testing.assert_array_equal(ens.vel_gradients, grad)
         # the velocity's Hermite slope at t = 0 is the material derivative
         slope = u_s + np.einsum("nab,nb->na", grad, u)
-        np.testing.assert_array_equal(buf._acc[0], slope)
+        np.testing.assert_array_equal(buf._slopes[0], slope)
 
     def test_constant_field_straight_characteristics(self):
         c = np.array([0.3, -0.7])
@@ -107,7 +110,7 @@ class TestDiscretize:
     @pytest.mark.parametrize("field", [
         LinearVelocity([[-0.0, 1.0], [0.5, -0.0]]),  # -0 entries, which einsum sums to +0
         SineVelocity([0.1, -0.2], [0.3, 0.2], [2.0, 1.0], [0.4, 1.1], omega=0.5)])
-    def test_tangent_flow_starts_at_zero_and_is_nan_before(self, field):
+    def test_tangent_flow_starts_at_zero_and_is_not_stored_before(self, field):
         datum = InitialDatum(BoxDomain([0, 0], [1, 1], [3, 2]), field)
         buf = discretize(datum, 0.03, 0.01)
         jac, vgrad = buf.slot(0)[2:]
@@ -117,7 +120,7 @@ class TestDiscretize:
         assert [float_bits(v) for v in vgrad.ravel().tolist()] == \
             [float_bits(v) for v in want.ravel().tolist()]
         for j in (-3, -2, -1):
-            assert np.isnan(buf.slot(j)[2]).all() and np.isnan(buf.slot(j)[3]).all()
+            assert len(buf.slot(j)) == 2  # positions and velocities alone
         records = prehistory_frames(buf)
         assert [r.t for r in records] == pytest.approx([-0.03, -0.02, -0.01, 0.0])
         for r in records[:-1]:
@@ -364,10 +367,8 @@ class TestHistoryBuffer:
         rows = [make_row([t, 2 * t], [1.0, 2.0]) for t in (-1.0, -0.5, 0.0)]
         buf = make_buffer(1.0, 0.5, rows)
         pos, _ = buf.query(-0.5)
-        # a stored slot is read, not interpolated: a view of the ring's copy
-        np.testing.assert_array_equal(pos, rows[1][0])
-        assert pos is not rows[1][0]
-        assert np.shares_memory(pos, buf.slot(-1)[0])
+        # a stored slot is read, not interpolated: the array the ring was handed
+        assert pos is rows[1][0] and pos is buf.slot(-1)[0]
 
     def test_linear_motion_recovered_exactly(self):
         times = np.linspace(-1, 0, 5)
@@ -437,29 +438,38 @@ class TestHistoryBuffer:
             make_buffer(1.0, 0.5, [make_row([0.0], [0.0]) for _ in range(2)])
 
     def test_malformed_rows_rejected(self):
-        # a (1, d) row among (N, d) rows would broadcast into the ring
+        # a (1, d) row among (N, d) rows would broadcast in the stepper's sums
         good = [make_row([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]) for _ in range(3)]
         bad_row = [good[0], make_row([7.0], [0.0]), good[2]]
-        bad_accel = [good[0], good[1][:4] + (np.zeros((1, 1)),), good[2]]
+        bad_accel = [good[0], good[1][:2] + (np.zeros((1, 1)),), good[2]]
+        tangent = (np.ones((3, 1, 1)), np.zeros((3, 1, 1)))
         for rows in (bad_row, bad_accel, [bad_accel[1], *good[1:]]):
             with pytest.raises(ValueError, match="shape"):
                 make_buffer(1.0, 0.5, rows)
+        with pytest.raises(ValueError, match="shape"):
+            HistoryBuffer(1.0, 0.5, np.full(3, 1 / 3), good[0][0].copy(), np.ones(3), good,
+                          (tangent[0], np.zeros((1, 1, 1))))
         for masses in (np.ones(3), np.full(3, math.nan)):
             with pytest.raises(ValueError, match="masses must sum to 1"):
-                HistoryBuffer(1.0, 0.5, masses, good[0][0].copy(), np.ones(3), good)
+                HistoryBuffer(1.0, 0.5, masses, good[0][0].copy(), np.ones(3), good, tangent)
 
-    def test_copy_steps_its_own_ring_and_shares_the_read_only_arrays(self):
+    def test_copy_steps_its_own_ring_and_shares_the_stored_arrays(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]),
                              SineVelocity([0.0], [0.3], [2.0], [0.5]))
         buf = discretize(datum, tau=0.03, h=0.01)
-        before = [a.copy() for a in (buf._pos, buf._vel, buf._jac, buf._vgrad, buf._acc)]
+        slots, slopes = list(buf._slots), list(buf._slopes)
+        held = [*(a for j in buf.prehistory_clocks() for a in buf.slot(j)),
+                *(a for a in slopes if a is not None)]
+        before = [a.tobytes() for a in held]
         twin = buf.copy()
-        for _ in range(6):  # past the m + 3 = 6 slots, so every slot is rewritten
+        assert all(a is b for a, b in zip(twin._slots + twin._slopes, slots + slopes))
+        for _ in range(6):  # past the m + 3 = 6 slots, so every slot is replaced
             step(twin, CuckerSmaleKernel(1.0))
         assert (buf.clock, twin.clock) == (0, 6)
         assert buf._fwd0 is None and twin._fwd0 is not None
-        for old, now in zip(before, (buf._pos, buf._vel, buf._jac, buf._vgrad, buf._acc)):
-            assert old.tobytes() == now.tobytes()
+        assert all(a is b for a, b in zip(buf._slots + buf._slopes, slots + slopes))
+        assert not any(a is b for a, b in zip(twin._slots, slots))
+        assert [a.tobytes() for a in held] == before
         for name in ("masses", "labels", "cell_volumes"):
             assert getattr(twin, name) is getattr(buf, name)
             assert not getattr(twin, name).flags.writeable
@@ -473,6 +483,26 @@ class TestHistoryBuffer:
             assert ens.labels is buf.labels
             assert ens.masses is buf.masses
             assert ens.cell_volumes is buf.cell_volumes
+
+
+def test_set_up_holds_little_more_than_its_rows():
+    # the history keeps the arrays discretize makes: positions, velocities and
+    # slopes of m + 1 rows, and the tangent flow at t = 0 alone
+    import scipy.spatial  # noqa: F401  (the diameters' import, not the set-up's memory)
+    datum = InitialDatum(BoxDomain([0, 0], [1, 1], [16, 16]),
+                         SineVelocity([0.0, 0.1], [0.3, 0.2], [2.0, 1.0], [0.3, 0.1]))
+    m, h = 200, 0.005
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        buf = discretize(datum, m * h, h)
+        frames = prehistory_frames(buf)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(frames) == m + 1 and buf.clock == 0
+    rows = (m + 1) * 256 * 2 * 3 * 8  # bytes of (N, d) float64 arrays, three a row
+    assert held <= 1.25 * rows, held / rows
 
 
 def max_norm_of(entries):
