@@ -186,14 +186,14 @@ def _max_norms(stack: np.ndarray) -> np.ndarray:
         return np.ldexp(norms, e)
 
 
-def _records(ens, d_x, d_v, dets, values) -> list[DiagnosticsFrame]:
+def _records(ens, d_x, d_v, values, tangent=None) -> list[DiagnosticsFrame]:
     """Diagnostics records of the K slices of a stacked ensemble from their
-    diameters, det J (K, N) and ``values``, each slice's (X, V, L) in order;
-    a slice whose value is None has no record.  ``max_speed`` and
-    ``max_velgrad_norm`` take ``_max_norms``.  With ``dets`` None, on a stack
-    with no tangent flow, ``min_detJ`` and ``max_velgrad_norm`` are NaN."""
-    tangent = ([math.nan] * len(values),) * 2 if dets is None else (
-        dets.min(axis=1).tolist(), _max_norms(ens.vel_gradients).tolist())
+    diameters, ``values``, each slice's (X, V, L) in order (a slice whose
+    value is None has no record), and ``tangent``, their (det J, velocity
+    gradients) stacks, or None, which leaves ``min_detJ`` and
+    ``max_velgrad_norm`` NaN.  Norms take ``_max_norms``."""
+    tangent = ([math.nan] * len(values),) * 2 if tangent is None else (
+        tangent[0].min(axis=1).tolist(), _max_norms(tangent[1]).tolist())
     columns = zip(ens.time.tolist(), d_x.tolist(), d_v.tolist(),
                   _max_norms(ens.velocities).tolist(), *tangent, values)
     return [DiagnosticsFrame(t=t, d_X=dx, d_V=dv, max_speed=speed, lyapunov=xvl[2],
@@ -203,21 +203,23 @@ def _records(ens, d_x, d_v, dets, values) -> list[DiagnosticsFrame]:
 
 
 def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
-    """Diagnostics records for the prescribed slices at times <= 0, reduced
-    ``_block_rows(N)`` slices at a time; ``lyapunov`` is NaN, and so are
-    ``min_detJ`` and ``max_velgrad_norm`` before the tangent flow, at t < 0."""
+    """Records of the prescribed slices at times <= 0 of a buffer at t = 0
+    (else ValueError), ``_block_rows(N)`` at a time; ``lyapunov`` is NaN, and
+    so are ``min_detJ`` and ``max_velgrad_norm`` before the tangent flow."""
+    if buffer.clock != 0:
+        raise ValueError(f"prehistory needs a buffer at t = 0, not at t = {buffer.current_time}")
     clocks = buffer.prehistory_clocks()
     batch = _block_rows(len(buffer.masses))
     out = []
     for lo in range(0, len(clocks), batch):
         ens = buffer.gather(clocks[lo:lo + batch])
         d_x, d_v = diameters(ens)
-        out += _records(ens, d_x, d_v, None,
-                        [(dx, dv, math.nan) for dx, dv in zip(d_x.tolist(), d_v.tolist())])
-    if out:  # the last record's slot, at t = 0, is the first with a tangent flow
-        jac, vgrad = buffer.slot(0)[2:]
-        out[-1].min_detJ = float(_det(jac).min())
-        out[-1].max_velgrad_norm = float(_max_norms(vgrad[None])[0])
+        out += _records(ens, d_x, d_v, [(dx, dv, math.nan)
+                                        for dx, dv in zip(d_x.tolist(), d_v.tolist())])
+    # the last record's slot, at t = 0, is the first with a tangent flow
+    jac, vgrad = buffer.tangent
+    out[-1].min_detJ = float(_det(jac).min())
+    out[-1].max_velgrad_norm = float(_max_norms(vgrad[None])[0])
     return out
 
 

@@ -164,20 +164,20 @@ def alignment_rhs(current: LagrangianEnsemble, delayed, kernel):
 def step(buffer: HistoryBuffer, kernel) -> None:
     """Advance the buffer by one RK4 step of its spacing ``buffer.h``.
 
-    Stage offsets are {0, 1/2, 1/2, 1}; each stage reads the delayed state at
-    its own time minus tau = m h: the slot m steps back, one Hermite midpoint
-    for both middle stages, and the slot after it.  Appends the new state to
-    the ring.  Raises BlowupSignal, before appending, if it is not finite.
+    The RK4 state is the newest slot and ``buffer.tangent``; the stages read
+    the delayed slot m steps back (tau = m h), one Hermite midpoint and the
+    slot after it.  Appends the new slot and replaces the tangent flow, or
+    raises BlowupSignal, before either, if the new state is not finite.
     """
     m = buffer.m
     j = buffer.clock - m  # the delayed slot of stage 1
 
     def rhs(delayed, pos, vel, jac, vgrad):
-        d_pos, d_vel = (pos, vel) if delayed is None else delayed[:2]
+        d_pos, d_vel = (pos, vel) if delayed is None else delayed
         acc, fg, _ = _force(kernel, buffer.masses, pos, vel, jac, d_pos, d_vel)
         return vel, acc, vgrad, fg - vgrad
 
-    y0 = buffer.slot(buffer.clock)
+    y0 = (*buffer.slot(buffer.clock), *buffer.tangent)
     # transient non-finite values are caught by the isfinite check below and
     # turned into a blow-up signal, so FP warnings here are only noise
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -189,7 +189,9 @@ def step(buffer: HistoryBuffer, kernel) -> None:
         new, k4 = _rk4(rhs, y0, buffer.h, k1, mid, end)
     if not all(np.isfinite(arr).all() for arr in new):
         raise BlowupSignal(time=buffer.current_time)
-    buffer.append(*new, k4[1])
+    pos, vel, jac, vgrad = new
+    buffer.append(pos, vel, k4[1])
+    buffer.tangent = (jac, vgrad)
 
 
 def _blowup_node(dets) -> int | None:
@@ -227,11 +229,11 @@ def _first_crossing(h, y0, m0, y1, m1) -> float:
     return brentq(_hermite, lo, hi, args=shifted, xtol=1e-300, maxiter=_WIDE_MAXITER)
 
 
-def _refined_event(buffer: HistoryBuffer, before, dets) -> BlowupEvent:
+def _refined_event(buffer: HistoryBuffer, prior, before, dets) -> BlowupEvent:
     """The event in the step to the newest slot, whose finite ``dets`` meet
-    the rule, from the slot whose ``before`` do not: the earliest crossing of
-    the nodes at or below the tolerance, the lowest node winning a tie."""
-    m0, m1 = (_det_slope(*buffer.slot(i)[2:]) for i in (buffer.clock - 1, buffer.clock))
+    the rule, from the slot of tangent flow ``prior`` whose ``before`` do
+    not: the earliest crossing at or below the tolerance, lowest node first."""
+    m0, m1 = (_det_slope(*tangent) for tangent in (prior, buffer.tangent))
     theta, node = min((_first_crossing(buffer.h, before[i], m0[i], dets[i], m1[i]), i)
                       for i in np.flatnonzero(dets <= DETJ_TOLERANCE))
     return BlowupEvent((buffer.clock - 1 + theta) * buffer.h, int(node))
@@ -244,23 +246,23 @@ def _advance(buffer: HistoryBuffer, kernel, n_steps: int):
     Yields (det J, event) for the slot it starts at and for each new slot;
     the event is None until ``_blowup_node`` names a node, and the first one
     is the last yield.  After t = 0 and with finite dets, its time is the
-    crossing that ``_refined_event`` finds, else the slot's.  A step's
-    BlowupSignal yields (None, event): it made no slot; the event is the newest's.
+    crossing that ``_refined_event`` finds on both slots' tangent flows, else
+    the slot's.  A step's BlowupSignal yields (None, the newest slot's event).
     """
     for k in range(n_steps + 1):
         if k:
-            before = dets
+            prior, before = buffer.tangent, dets
             try:
                 step(buffer, kernel)
             except BlowupSignal as sig:
                 yield None, BlowupEvent(sig.time, sig.node)
                 return
-        dets = _det(buffer.slot(buffer.clock)[2])
+        dets = _det(buffer.tangent[0])
         node = _blowup_node(dets)
         if node is None:
             yield dets, None
             continue
-        yield dets, (_refined_event(buffer, before, dets) if k and np.isfinite(dets).all()
+        yield dets, (_refined_event(buffer, prior, before, dets) if k and np.isfinite(dets).all()
                      else BlowupEvent(buffer.current_time, node))
         return
 
@@ -300,25 +302,25 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
 
     # X = d_X and V = d_V at t = 0: the last prehistory record, plus L
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
-    # (clock, slot, det J) of the slots after t = 0 not yet reduced.  A batch
-    # takes all but the newest once cap + 1 wait; the newest waits for the
-    # end, so a slot at buffer.clock is the last.  The monitor steps through
-    # every slot: X, V and L ignore the cadence.
+    # (clock, slot, det J, vel_gradients) of the slots after t = 0 not yet
+    # reduced.  A batch takes all but the newest once cap + 1 wait; the
+    # newest waits for the end, so a slot at buffer.clock is the last.  The
+    # monitor steps through every slot: X, V and L ignore the cadence.
     queue, cap = [], _block_rows(len(buffer.masses))
 
     def reduce_queue(n):
-        clocks, slots, dets = zip(*queue[:n])
+        clocks, slots, dets, vgrads = zip(*queue[:n])
         del queue[:n]
-        ens = buffer._stack(clocks, slots)
+        ens = buffer.gather(clocks, slots)
         d_x, d_v = diameters(ens)
         values = [monitor.observe(t, dv) if c % every == 0 or c == buffer.clock
                   else monitor.advance(t, dv)
                   for c, t, dv in zip(clocks, ens.time.tolist(), d_v.tolist())]
-        frames.extend(_records(ens, d_x, d_v, np.array(dets), values))
+        frames.extend(_records(ens, d_x, d_v, values, (np.array(dets), np.stack(vgrads))))
 
     for dets, event in _advance(buffer, kernel, n_steps):
         if buffer.clock and dets is not None:  # a new slot after t = 0
-            queue.append((buffer.clock, buffer.slot(buffer.clock), dets))
+            queue.append((buffer.clock, buffer.slot(buffer.clock), dets, buffer.tangent[1]))
             if len(queue) > cap:
                 reduce_queue(len(queue) - 1)
     if queue:

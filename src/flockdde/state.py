@@ -3,13 +3,13 @@
 The flow is sampled at Lagrangian nodes: each node carries a position, a
 velocity, a fixed mass and, from t = 0 on, the tangent flow (position Jacobian
 and velocity gradient with respect to the labels).  A ``HistoryBuffer``, the
-one owner of the step grid, holds the flow as untimed rows over the trailing
-delay window and answers dense interpolation queries, which is what makes the
-delayed force evaluable between stored steps.  Every delayed read, stored or
-interpolated, is a ``(positions, velocities)`` pair, and ``_run_steps`` holds
-every rule that a run's times obey on that grid.  The prehistory's velocity
-field answers one call, ``field(s, x) -> (u, grad_u, u_s)``, and
-``discretize`` makes and checks one call per row and per RK4 stage.
+one owner of the step grid, holds the flow as untimed ``(positions,
+velocities)`` slots over the trailing delay window, the tangent flow once,
+for the newest slot, and answers dense interpolation queries, which make the
+delayed force evaluable between stored steps: every delayed read is such a
+pair.  ``_run_steps`` holds every rule that a run's times obey on that grid.
+The prehistory's velocity field answers one call, ``field(s, x) -> (u,
+grad_u, u_s)``, and ``discretize`` makes and checks one per row and stage.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ class LagrangianEnsemble:
     identical across all slices of a run.  A slice is not checked: its
     arrays are those ``HistoryBuffer`` checked when they entered.  A stack of
     K slices (``HistoryBuffer.gather``) has a (K,) ``time`` and a leading
-    axis of K on each per-node array; the tangent flow starts at t = 0, so
-    a stack with a slice before has None for ``jacobians`` and
-    ``vel_gradients``.
+    axis of K on each per-node array.  The buffer holds the tangent flow for
+    its newest slot alone, so ``latest`` carries it and a stack has None for
+    ``jacobians`` and ``vel_gradients``.
     """
 
     time: float
@@ -75,6 +75,8 @@ class LagrangianEnsemble:
         return self.positions.shape[-1]
 
     def det_jacobians(self) -> np.ndarray:
+        if self.jacobians is None:
+            raise ValueError("no tangent flow: it starts at t = 0 and is held for the newest slot")
         return _det(self.jacobians)
 
 
@@ -136,12 +138,13 @@ class HistoryBuffer:
     """Ring record of the flow on the step grid over [t - tau - 2h, t].
 
     The one owner of the grid, which every stepping call reads.  With
-    tau = m h, slot j holds the state at time j h, j read off an integer clock
-    (never a sum of steps), in a ring of m + 3 slots.  Its arguments are the
-    arrays shared by all slots, the prehistory as m + 1 untimed rows
-    ``(positions, velocities, accel)``, oldest first, for slots -m..0, and
-    the tangent flow ``(jacobians, vel_gradients)`` at t = 0, where it
-    starts.  A query at t reads j = floor(t / h): the slot itself when
+    tau = m h, slot j holds ``(positions, velocities)`` at time j h, j read
+    off an integer clock (never a sum of steps), in a ring of m + 3 slots.
+    Its arguments are the arrays shared by all slots, the prehistory as m + 1
+    untimed rows ``(positions, velocities, accel)``, oldest first, for slots
+    -m..0, and the tangent flow ``(jacobians, vel_gradients)`` at t = 0, where
+    it starts; ``tangent`` holds it for the newest slot alone, and each step
+    replaces it.  A query at t reads j = floor(t / h): the slot itself when
     t / h = j, else the cubic Hermite interpolant at theta = t / h - j, whose
     slopes are the velocities for the positions and the stored dv/dt for the
     velocities.  That slope is the row's ``accel``, the datum's material
@@ -170,8 +173,9 @@ class HistoryBuffer:
         self._fwd0 = None  # the first stage of the step leaving t = 0
         self._slots, self._slopes = [None] * (m + 3), [None] * (m + 3)
         self.clock = -m - 1  # the newest slot; the prehistory ends at 0
-        for j, (pos, vel, accel) in enumerate(rows, -m):
-            self.append(pos, vel, *(() if j else tangent), accel)
+        for pos, vel, accel in rows:
+            self.append(pos, vel, accel)
+        self.tangent = tangent  # (jacobians, vel_gradients) of the newest slot
 
     @property
     def current_time(self) -> float:
@@ -179,8 +183,8 @@ class HistoryBuffer:
 
     @property
     def latest(self) -> LagrangianEnsemble:
-        return LagrangianEnsemble(self.current_time, *self.slot(self.clock), self.masses,
-                                  self.labels, self.cell_volumes)
+        return LagrangianEnsemble(self.current_time, *self.slot(self.clock), *self.tangent,
+                                  self.masses, self.labels, self.cell_volumes)
 
     def _oldest(self) -> int:
         return max(-self.m, self.clock - len(self._slots) + 1)
@@ -189,23 +193,19 @@ class HistoryBuffer:
         """Clocks of the stored slices at times <= 0, oldest first."""
         return range(self._oldest(), min(self.clock, 0) + 1)
 
-    def gather(self, clocks) -> LagrangianEnsemble:
-        """The stored slots at ``clocks`` as one stacked ensemble, copied."""
-        return self._stack(clocks, map(self.slot, clocks))
-
-    def _stack(self, clocks, slots) -> LagrangianEnsemble:
-        """The ``slot`` tuples at ``clocks`` as one stacked ensemble, copied."""
-        pos, vel, *tangent = (np.stack(a) for a in zip(*slots))
-        return LagrangianEnsemble(np.asarray(clocks) * self.h, pos, vel, *(tangent or (None, None)),
+    def gather(self, clocks, slots=None) -> LagrangianEnsemble:
+        """The ``slots`` at ``clocks``, the stored ones by default, stacked and copied."""
+        pos, vel = (np.stack(a) for a in zip(*(slots or map(self.slot, clocks))))
+        return LagrangianEnsemble(np.asarray(clocks) * self.h, pos, vel, None, None,
                                   self.masses, self.labels, self.cell_volumes)
 
     def slot(self, j: int):
-        """(positions, velocities[, jacobians, vel_gradients from t = 0]) at j h."""
+        """(positions, velocities) at j h."""
         return self._slots[j % len(self._slots)]
 
     def interpolate(self, j: int, theta: float):
         """Hermite (positions, velocities) at time (j + theta) h."""
-        (p0, v0, *_), (p1, v1, *_) = self.slot(j), self.slot(j + 1)
+        (p0, v0), (p1, v1) = self.slot(j), self.slot(j + 1)
         m0 = self._fwd0 if j == 0 else self._slopes[j % len(self._slots)]
         pos = _hermite(theta, self.h, p0, v0, p1, v1)
         vel = _hermite(theta, self.h, v0, m0, v1, self._slopes[(j + 1) % len(self._slots)])
@@ -214,7 +214,7 @@ class HistoryBuffer:
     # only bench/spans.py and its own tests call query (with OutOfWindowError,
     # _WINDOW_TOL), until item 9a
     def query(self, t: float):
-        """(positions, velocities) at time t: ``slot(j)[:2]`` or ``interpolate``."""
+        """(positions, velocities) at time t: ``slot(j)`` or ``interpolate``."""
         lo, hi = self._oldest(), self.clock
         x = t / self.h
         if not lo - _WINDOW_TOL <= x <= hi + _WINDOW_TOL:
@@ -223,7 +223,7 @@ class HistoryBuffer:
         j = min(max(math.floor(x), lo), hi)
         theta = x - j
         if theta == 0.0 or j == hi:
-            return self.slot(j)[:2]
+            return self.slot(j)
         return self.interpolate(j, theta)
 
     def copy(self) -> HistoryBuffer:
@@ -240,11 +240,11 @@ class HistoryBuffer:
         else:
             self._slopes[self.clock % len(self._slots)] = accel
 
-    def append(self, *arrays) -> None:
-        """Store the state one step on, its provisional slope last, and tick."""
+    def append(self, positions, velocities, slope) -> None:
+        """Store the state one step on and its provisional slope, and tick."""
         self.clock += 1
         r = self.clock % len(self._slots)
-        self._slots[r], self._slopes[r] = arrays[:-1], arrays[-1]
+        self._slots[r], self._slopes[r] = (positions, velocities), slope
 
 
 class VelocityField:

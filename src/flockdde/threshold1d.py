@@ -121,7 +121,7 @@ def evolve_w(buffer, kernel, *, t_end: float) -> WEvolution:
     times, w_rows = [], []
     for _, blowup in _advance(buffer, kernel, n_steps):
         if blowup is None:
-            _, _, jac, vgrad = buffer.slot(buffer.clock)
+            jac, vgrad = buffer.tangent
             times.append(buffer.current_time)
             w_rows.append(vgrad[:, 0, 0] / jac[:, 0, 0])
     w = np.array(w_rows).reshape(len(times), buffer.masses.size)
@@ -135,7 +135,7 @@ def reconstruct_density(ensemble):
     mass per cell volume, so the reconstruction conserves mass exactly:
     sum(h * detJ * cell_volume) = sum(masses) = 1.  Raises BlowupSignal, naming
     the node, where det J meets the blow-up rule: a det J is non-finite or min
-    det J <= DETJ_TOLERANCE.  A prehistory slice at t < 0 has no tangent flow.
+    det J <= DETJ_TOLERANCE, and ValueError on a stack, with no tangent flow.
     """
     dets = ensemble.det_jacobians()
     node = _blowup_node(dets)

@@ -82,8 +82,8 @@ def newest_force(buf, kernel):
     """``_force`` on the buffer's newest slot against the slot m steps
     before it: the stepper's first stage, as ``(accelerations,
     force_gradients, normalizers)``."""
-    pos, vel, jac, _ = buf.slot(buf.clock)
-    return _force(kernel, buf.masses, pos, vel, jac, *buf.slot(buf.clock - buf.m)[:2])
+    (pos, vel), (jac, _) = buf.slot(buf.clock), buf.tangent
+    return _force(kernel, buf.masses, pos, vel, jac, *buf.slot(buf.clock - buf.m))
 
 
 def max_norm(entries):

@@ -1004,11 +1004,12 @@ class TestSweep:
     def test_a_task_copies_the_ring_for_every_cell(self, tmp_path, quick_run_doc,
                                                      monkeypatch, cells):
         prepared, slots, before, sources, stepped = [], [], [], [], []
+        started, w0_mins = [], []
 
         def prepare(cfg, real=cli._prepare):
             prepared.append(real(cfg))
             buffer = prepared[-1][0]
-            slots.extend(buffer.slot(j) for j in buffer.prehistory_clocks())
+            slots.extend([*(buffer.slot(j) for j in buffer.prehistory_clocks()), buffer.tangent])
             before.extend(a.tobytes() for slot in slots for a in slot)
             return prepared[-1]
 
@@ -1018,11 +1019,17 @@ class TestSweep:
 
         def recording(buffer, *args, real=cli.integrate, **kwargs):
             stepped.append(buffer)
+            started.append(buffer.tangent)
             return real(buffer, *args, **kwargs)
+
+        def classifying(w0_min, *args, real=cli.classify):
+            w0_mins.append(w0_min)
+            return real(w0_min, *args)
 
         monkeypatch.setattr(cli, "_prepare", prepare)
         monkeypatch.setattr(HistoryBuffer, "copy", copying)
         monkeypatch.setattr(cli, "integrate", recording)
+        monkeypatch.setattr(cli, "classify", classifying)
         doc = dict(quick_run_doc, t_end=0.05)
         betas = [0.25, 0.5, 2.0][:cells]
         rows = cli._run_task([(i, {"kernel.beta": beta}, _with(doc, "kernel.beta", beta),
@@ -1036,6 +1043,11 @@ class TestSweep:
         assert buffer.clock == 0
         assert all(buffer.slot(j) is slot for j, slot in zip(buffer.prehistory_clocks(), slots))
         assert [a.tobytes() for slot in slots for a in slot] == before
+        # the set-up's t = 0 tangent flow is held as it was, and every cell
+        # read it for its initial slopes w0
+        jac, vgrad = buffer.tangent
+        assert buffer.tangent is slots[-1] and all(t is buffer.tangent for t in started)
+        assert w0_mins == [float((vgrad[:, 0, 0] / jac[:, 0, 0]).min())] * cells
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_cells_sharing_a_set_up_are_the_standalone_runs(self, tmp_path, quick_run_doc,

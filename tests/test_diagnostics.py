@@ -29,7 +29,7 @@ from flockdde.diagnostics import (
 )
 from flockdde.cli import _json_text, execute_run
 from flockdde.config import run_config_from_dict
-from flockdde.dynamics import integrate
+from flockdde.dynamics import integrate, step
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
 from flockdde.state import (
     BoxDomain,
@@ -204,6 +204,19 @@ class TestLyapunov:
         assert len(lyap) >= 1000
         diffs = np.diff(lyap)
         assert np.all(diffs <= 1e-6)
+
+
+def test_prehistory_frames_need_a_buffer_at_t_zero():
+    # after a step the ring has dropped its oldest slices and the t = 0
+    # tangent flow: the records would miss part of [-tau, 0]
+    datum = InitialDatum(BoxDomain([0.0], [1.0], [8]), SineVelocity([0.0], [0.3], [2.0]))
+    buf = discretize(datum, 0.05, 0.01)
+    assert [f.t for f in prehistory_frames(buf)] == pytest.approx(
+        [-0.05, -0.04, -0.03, -0.02, -0.01, 0.0])
+    for _ in range(3):
+        step(buf, CuckerSmaleKernel(1.0))
+    with pytest.raises(ValueError, match="at t = 0, not at t = 0.03"):
+        prehistory_frames(buf)
 
 
 class TestCertificate:
@@ -493,7 +506,7 @@ def test_stacked_records_equal_per_slice_records(time_limit):
         # every other slice has a record, as a run's output slots do
         values = [(dx, dv, math.nan) if i % 2 == 0 else None
                   for i, (dx, dv) in enumerate(zip(d_x.tolist(), d_v.tolist()))]
-        got = _records(stack, d_x, d_v, dets, values)
+        got = _records(stack, d_x, d_v, values, (dets, stack.vel_gradients))
         assert len(got) == (len(stack.time) + 1) // 2
         records = iter(got)
         for i in range(len(stack.time)):

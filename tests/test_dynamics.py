@@ -177,11 +177,11 @@ class TestStep:
                 # material derivative along the unshifted flow, as it is
                 rows = []
                 for j in buf.prehistory_clocks():
-                    pos, vel = buf.slot(j)[:2]
+                    pos, vel = buf.slot(j)
                     _, grad, u_s = datum.velocity(j * buf.h, pos)
                     rows.append((pos, vel + c, u_s + np.einsum("nab,nb->na", grad, vel)))
                 buf = HistoryBuffer(buf.tau, buf.h, buf.masses, buf.labels,
-                                    buf.cell_volumes, rows, buf.slot(0)[2:])
+                                    buf.cell_volumes, rows, buf.tangent)
             for _ in range(60):
                 step(buf, kernel)
             return buf.latest.velocities
@@ -339,7 +339,7 @@ class TestSimulate:
         assert first.current_time == longer.current_time == 11 * cfg.step
         # every stored slot and every midpoint, which reads the slopes
         for j in range(11 - 20 - 2, 11 + 1):
-            reads = [(first.slot(j)[:2], longer.slot(j)[:2])]
+            reads = [(first.slot(j), longer.slot(j))]
             if j < 11:
                 reads.append((first.interpolate(j, 0.5), longer.interpolate(j, 0.5)))
             for a, b in reads:
@@ -499,13 +499,13 @@ def _integrate_per_frame(buffer, kernel, t_end, output_every):
     frame."""
     _, n_steps, every = _run_steps(buffer.tau, buffer.h, t_end, output_every)
     prehistory = []
-    for j in buffer.prehistory_clocks():
-        pos, vel, *tangent = buffer.slot(j)  # the tangent flow starts at t = 0
-        s = LagrangianEnsemble(j * buffer.h, pos, vel, *(tangent or (None, None)),
+    for j in buffer.prehistory_clocks():  # the tangent flow starts at t = 0
+        s = LagrangianEnsemble(j * buffer.h, *buffer.slot(j),
+                               *(buffer.tangent if j == 0 else (None, None)),
                                buffer.masses, buffer.labels, buffer.cell_volumes)
         d_x, d_v = diameters(s)
         prehistory.append(record_per_slice(s, d_x, d_v, d_x, d_v, math.nan,
-                                            s.det_jacobians() if tangent else None))
+                                            None if j else s.det_jacobians()))
     monitor = FlockingMonitor(kernel, prehistory)
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
     newest = frames[0]  # the record of the newest slot
@@ -556,13 +556,13 @@ def test_batched_frames_equal_the_per_frame_loop(name, monkeypatch):
     if name in POISONED:
         for buf in buffers:
             buf.slot(buf.prehistory_clocks()[POISONED[name]])[1][0, 0] = math.inf
-    gathered, stack = [], HistoryBuffer._stack
+    gathered, gather = [], HistoryBuffer.gather
 
-    def counted_stack(self, clocks, slots):
+    def counted_gather(self, clocks, slots=None):
         gathered.append(list(clocks))
-        return stack(self, clocks, slots)
+        return gather(self, clocks, slots)
 
-    monkeypatch.setattr(HistoryBuffer, "_stack", counted_stack)
+    monkeypatch.setattr(HistoryBuffer, "gather", counted_gather)
     pre = prehistory_frames(buffers[0])
     res = integrate(buffers[0], cfg.kernel, t_end=cfg.t_end,
                     output_every=cfg.output_every, prehistory=pre)
@@ -669,10 +669,12 @@ def test_refined_event_is_the_earliest_crossing_not_the_worst_node():
     before, after = np.array([1 + tol, tol + 0.3]), np.array([tol - 0.5, tol - 0.2])
 
     zero = np.zeros((2, 1))
+    prior = (before.reshape(2, 1, 1), slopes)
     buf = HistoryBuffer(h, h, np.full(2, 0.5), zero, np.ones(2), [(zero, zero, zero)] * 2,
-                        (before.reshape(2, 1, 1), slopes))
-    buf.append(zero, zero, after.reshape(2, 1, 1), slopes, zero)
-    event = dynamics._refined_event(buf, before, after)
+                        prior)
+    buf.append(zero, zero, zero)
+    buf.tangent = (after.reshape(2, 1, 1), slopes)
+    event = dynamics._refined_event(buf, prior, before, after)
     assert event.node == 1 and event.time == pytest.approx(0.6 * h, abs=1e-15)
 
 
@@ -702,7 +704,7 @@ def _step_grid_run(case):
     def recording_force(kernel, masses, pos, vel, jac, d_pos, d_vel):
         # a stage at (k + fraction) h reads the state m steps before it
         j, theta = divmod(buf.clock + stage_fractions[len(delayed) % 4] - m, 1)
-        want = buf.slot(int(j))[:2] if theta == 0 else buf.interpolate(int(j), theta)
+        want = buf.slot(int(j)) if theta == 0 else buf.interpolate(int(j), theta)
         delayed.append(np.array_equal(d_pos, want[0]) and np.array_equal(d_vel, want[1]))
         return _force(kernel, masses, pos, vel, jac, d_pos, d_vel)
 
@@ -900,7 +902,7 @@ def _sample_state(d, shape):
                      np.linspace(1.0, 2.0, d)),
         lambda x: np.exp(-((x - 0.5) ** 2).sum(axis=1) / (2 * 0.3**2)))
     buf = discretize(datum, tau=0.05, h=0.01)
-    cur, (old_pos, old_vel, *_) = buf.latest, buf.slot(buf.prehistory_clocks()[0])
+    cur, (old_pos, old_vel) = buf.latest, buf.slot(buf.prehistory_clocks()[0])
     return cur.masses, cur.positions, cur.velocities, old_pos, old_vel
 
 
@@ -1082,7 +1084,7 @@ def _guarded_outcome(name, out):
     if name in GUARDED_RUNS:
         res = integrate_config(GUARDED_RUNS[name])
         return (list(map(frame_bits, res.frames)), res.blowup, res.r_v,
-                [a.tobytes() for a in res.buffer.slot(res.buffer.clock)])
+                [a.tobytes() for a in (*res.buffer.slot(res.buffer.clock), *res.buffer.tangent)])
     if name == "evolve-w":
         evo = evolve_w(discretize(make_config().datum, 0.1, 0.005), CuckerSmaleKernel(1.0),
                        t_end=0.3)
@@ -1098,7 +1100,8 @@ def _guarded_outcome(name, out):
 @pytest.mark.parametrize("name", [*GUARDED_RUNS, "evolve-w", "sweep-task"])
 def test_no_stored_slot_is_written(name, monkeypatch, tmp_path):
     # every array the history stores is made read-only as it enters, so a
-    # write into a stored slot raises; the run must give the same bytes
+    # write into a stored slot raises; so is each tangent flow it holds, the
+    # t = 0 pair and each step's; the run must give the same bytes
     plain = _guarded_outcome(name, tmp_path / "plain")
     append = HistoryBuffer.append
 
@@ -1107,7 +1110,14 @@ def test_no_stored_slot_is_written(name, monkeypatch, tmp_path):
             a.flags.writeable = False
         append(self, *arrays)
 
+    def hold_read_only(self, tangent):
+        for a in tangent:
+            a.flags.writeable = False
+        self.__dict__["read_only_tangent"] = tangent
+
     monkeypatch.setattr(HistoryBuffer, "append", read_only_append)
+    monkeypatch.setattr(HistoryBuffer, "tangent", property(
+        lambda self: self.__dict__["read_only_tangent"], hold_read_only), raising=False)
     assert _guarded_outcome(name, tmp_path / "guarded") == plain
     if name == "riccati-blowup":
         assert plain[1].node is not None

@@ -27,7 +27,7 @@ from flockdde.state import (
 )
 from flockdde.cli import write_snapshot_csv
 from flockdde.diagnostics import _max_norms, prehistory_frames
-from flockdde.dynamics import step
+from flockdde.dynamics import integrate, step
 from flockdde.kernel import CuckerSmaleKernel
 
 
@@ -92,7 +92,7 @@ class TestDiscretize:
         datum = InitialDatum(BoxDomain([0, 0], [1, 1], [3, 3]), ConstantVelocity(c))
         buf = discretize(datum, tau=1.0, h=0.25)
         for j in (-4, -2, 0):
-            pos, vel = buf.slot(j)[:2]
+            pos, vel = buf.slot(j)
             expected = buf.latest.labels + j * 0.25 * c
             assert np.allclose(pos, expected, atol=1e-12)
             assert np.allclose(vel, np.broadcast_to(c, vel.shape))
@@ -113,13 +113,13 @@ class TestDiscretize:
     def test_tangent_flow_starts_at_zero_and_is_not_stored_before(self, field):
         datum = InitialDatum(BoxDomain([0, 0], [1, 1], [3, 2]), field)
         buf = discretize(datum, 0.03, 0.01)
-        jac, vgrad = buf.slot(0)[2:]
+        jac, vgrad = buf.tangent
         np.testing.assert_array_equal(jac, np.broadcast_to(np.eye(2), (6, 2, 2)))
         grad = field(0.0, buf.labels)[1]
         want = np.einsum("nab,nbc->nac", grad, np.broadcast_to(np.eye(2), (6, 2, 2)))
         assert [float_bits(v) for v in vgrad.ravel().tolist()] == \
             [float_bits(v) for v in want.ravel().tolist()]
-        for j in (-3, -2, -1):
+        for j in (-3, -2, -1, 0):
             assert len(buf.slot(j)) == 2  # positions and velocities alone
         records = prehistory_frames(buf)
         assert [r.t for r in records] == pytest.approx([-0.03, -0.02, -0.01, 0.0])
@@ -457,9 +457,9 @@ class TestHistoryBuffer:
         datum = InitialDatum(BoxDomain([0.0], [1.0], [4]),
                              SineVelocity([0.0], [0.3], [2.0], [0.5]))
         buf = discretize(datum, tau=0.03, h=0.01)
-        slots, slopes = list(buf._slots), list(buf._slopes)
+        slots, slopes, tangent = list(buf._slots), list(buf._slopes), buf.tangent
         held = [*(a for j in buf.prehistory_clocks() for a in buf.slot(j)),
-                *(a for a in slopes if a is not None)]
+                *(a for a in slopes if a is not None), *tangent]
         before = [a.tobytes() for a in held]
         twin = buf.copy()
         assert all(a is b for a, b in zip(twin._slots + twin._slopes, slots + slopes))
@@ -467,6 +467,8 @@ class TestHistoryBuffer:
             step(twin, CuckerSmaleKernel(1.0))
         assert (buf.clock, twin.clock) == (0, 6)
         assert buf._fwd0 is None and twin._fwd0 is not None
+        # the twin replaced its own tangent flow; the original holds the t = 0 pair
+        assert buf.tangent is tangent and twin.tangent[0] is not tangent[0]
         assert all(a is b for a, b in zip(buf._slots + buf._slopes, slots + slopes))
         assert not any(a is b for a, b in zip(twin._slots, slots))
         assert [a.tobytes() for a in held] == before
@@ -503,6 +505,25 @@ def test_set_up_holds_little_more_than_its_rows():
     assert len(frames) == m + 1 and buf.clock == 0
     rows = (m + 1) * 256 * 2 * 3 * 8  # bytes of (N, d) float64 arrays, three a row
     assert held <= 1.25 * rows, held / rows
+
+
+def test_a_run_past_tau_holds_little_more_than_its_ring():
+    # after t = 0 a slot holds positions and velocities alone, as one before
+    # it does: the tangent flow is held once, for the newest slot
+    import scipy.spatial  # noqa: F401  (the diameters' import, not the run's memory)
+    datum = InitialDatum(BoxDomain([0, 0], [1, 1], [16, 16]),
+                         SineVelocity([0.0, 0.1], [0.3, 0.2], [2.0, 1.0], [0.3, 0.1]))
+    m, h = 200, 0.005
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = integrate(discretize(datum, m * h, h), CuckerSmaleKernel(1.0), t_end=(m + 10) * h)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.blowup is None and res.buffer.clock == m + 10
+    ring = (m + 3) * 256 * 2 * 3 * 8  # bytes of positions, velocities and slopes
+    assert held <= 1.5 * ring, held / ring
 
 
 def max_norm_of(entries):
