@@ -158,11 +158,11 @@ def _run_into(cfg, out_dir, prepared=None):
 
 
 def _load_cfg(args) -> RunConfig:
-    if getattr(args, "preset", None):
+    if bool(args.preset) == bool(args.config):
+        raise ConfigError("need exactly one of --config PATH and --preset NAME")
+    if args.preset:
         return run_config_from_dict(preset_dict(args.preset))
-    if getattr(args, "config", None):
-        return load_run_config(args.config)
-    raise ConfigError("need either --config PATH or --preset NAME")
+    return load_run_config(args.config)
 
 
 def _check_out_dir(path):
@@ -262,6 +262,7 @@ def _run_task(payloads):
 
 def cmd_sweep(args) -> int:
     sweep = load_sweep_config(args.config)
+    _check_out_dir(args.out)
     workers = sweep.max_workers
     env_cap = os.environ.get(THREADS_ENV)
     if env_cap:

@@ -18,7 +18,6 @@ from functools import cache
 import numpy as np
 
 from .roots import brentq
-from .state import _det
 
 __all__ = [
     "DiagnosticsFrame",
@@ -160,14 +159,11 @@ def _diameters(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def diameters(ensemble):
-    """Spatial and velocity diameters: exact maxima of the pairwise distances
-    (see ``_diameters``), without visiting every pair.  A stacked ensemble
-    (``HistoryBuffer.gather``) gives two (K,) arrays, a slice two floats."""
-    pos, vel = ensemble.positions, ensemble.velocities
-    if pos.ndim == 2:
-        return float(_diameters(pos[None])[0]), float(_diameters(vel[None])[0])
-    return _diameters(pos), _diameters(vel)
+def diameters(positions, velocities):
+    """Spatial and velocity diameters of each slice of two (K, N, d) stacks
+    (``HistoryBuffer.gather``'s), as two (K,) arrays: exact maxima of the
+    pairwise distances (see ``_diameters``), without visiting every pair."""
+    return _diameters(positions), _diameters(velocities)
 
 
 def _max_norms(stack: np.ndarray) -> np.ndarray:
@@ -186,16 +182,16 @@ def _max_norms(stack: np.ndarray) -> np.ndarray:
         return np.ldexp(norms, e)
 
 
-def _records(ens, d_x, d_v, values, tangent=None) -> list[DiagnosticsFrame]:
-    """Diagnostics records of the K slices of a stacked ensemble from their
-    diameters, ``values``, each slice's (X, V, L) in order (a slice whose
-    value is None has no record), and ``tangent``, their (det J, velocity
-    gradients) stacks, or None, which leaves ``min_detJ`` and
+def _records(times, velocities, d_x, d_v, values, tangent=None) -> list[DiagnosticsFrame]:
+    """Diagnostics records of K slices from their (K,) ``times``, (K, N, d)
+    ``velocities``, diameters, ``values``, each slice's (X, V, L) in order (a
+    slice whose value is None has no record), and ``tangent``, their (det J,
+    velocity gradients) stacks, or None, which leaves ``min_detJ`` and
     ``max_velgrad_norm`` NaN.  Norms take ``_max_norms``."""
     tangent = ([math.nan] * len(values),) * 2 if tangent is None else (
         tangent[0].min(axis=1).tolist(), _max_norms(tangent[1]).tolist())
-    columns = zip(ens.time.tolist(), d_x.tolist(), d_v.tolist(),
-                  _max_norms(ens.velocities).tolist(), *tangent, values)
+    columns = zip(times.tolist(), d_x.tolist(), d_v.tolist(),
+                  _max_norms(velocities).tolist(), *tangent, values)
     return [DiagnosticsFrame(t=t, d_X=dx, d_V=dv, max_speed=speed, lyapunov=xvl[2],
                              X_of_t=xvl[0], V_of_t=xvl[1], min_detJ=lo,
                              max_velgrad_norm=g)
@@ -212,14 +208,13 @@ def prehistory_frames(buffer) -> list[DiagnosticsFrame]:
     batch = _block_rows(len(buffer.masses))
     out = []
     for lo in range(0, len(clocks), batch):
-        ens = buffer.gather(clocks[lo:lo + batch])
-        d_x, d_v = diameters(ens)
-        out += _records(ens, d_x, d_v, [(dx, dv, math.nan)
-                                        for dx, dv in zip(d_x.tolist(), d_v.tolist())])
-    # the last record's slot, at t = 0, is the first with a tangent flow
-    jac, vgrad = buffer.tangent
-    out[-1].min_detJ = float(_det(jac).min())
-    out[-1].max_velgrad_norm = float(_max_norms(vgrad[None])[0])
+        times, pos, vel = buffer.gather(clocks[lo:lo + batch])
+        d_x, d_v = diameters(pos, vel)
+        out += _records(times, vel, d_x, d_v, [(dx, dv, math.nan)
+                                               for dx, dv in zip(d_x.tolist(), d_v.tolist())])
+    start = buffer.latest  # the last record's slot, at t = 0, the first with a tangent flow
+    out[-1].min_detJ = float(start.det_jacobians().min())
+    out[-1].max_velgrad_norm = float(_max_norms(start.vel_gradients[None])[0])
     return out
 
 

@@ -311,12 +311,12 @@ def integrate(buffer: HistoryBuffer, kernel, *, t_end: float,
     def reduce_queue(n):
         clocks, slots, dets, vgrads = zip(*queue[:n])
         del queue[:n]
-        ens = buffer.gather(clocks, slots)
-        d_x, d_v = diameters(ens)
+        times, pos, vel = buffer.gather(clocks, slots)
+        d_x, d_v = diameters(pos, vel)
         values = [monitor.observe(t, dv) if c % every == 0 or c == buffer.clock
                   else monitor.advance(t, dv)
-                  for c, t, dv in zip(clocks, ens.time.tolist(), d_v.tolist())]
-        frames.extend(_records(ens, d_x, d_v, values, (np.array(dets), np.stack(vgrads))))
+                  for c, t, dv in zip(clocks, times.tolist(), d_v.tolist())]
+        frames.extend(_records(times, vel, d_x, d_v, values, (np.array(dets), np.stack(vgrads))))
 
     for dets, event in _advance(buffer, kernel, n_steps):
         if buffer.clock and dets is not None:  # a new slot after t = 0

@@ -4,10 +4,11 @@ The flow is sampled at Lagrangian nodes: each node carries a position, a
 velocity, a fixed mass and, from t = 0 on, the tangent flow (position Jacobian
 and velocity gradient with respect to the labels).  A ``HistoryBuffer``, the
 one owner of the step grid, holds the flow as untimed ``(positions,
-velocities)`` slots over the trailing delay window, the tangent flow once,
-for the newest slot, and answers dense interpolation queries, which make the
-delayed force evaluable between stored steps: every delayed read is such a
-pair.  ``_run_steps`` holds every rule that a run's times obey on that grid.
+velocities)`` slots over the trailing delay window and the tangent flow once,
+for the newest slot: ``latest``, a ``LagrangianEnsemble``, is the one slice
+type, and ``gather`` stacks slots as plain arrays.  Dense interpolation makes
+the delayed force evaluable between stored steps: every delayed read is such
+a pair.  ``_run_steps`` holds every rule that a run's times obey on that grid.
 The prehistory's velocity field answers one call, ``field(s, x) -> (u,
 grad_u, u_s)``, and ``discretize`` makes and checks one per row and stage.
 """
@@ -50,22 +51,19 @@ class OutOfWindowError(Exception):
 
 @dataclass
 class LagrangianEnsemble:
-    """One time slice of the discretized flow, as a history hands it out.
+    """The newest slice of the discretized flow, as ``HistoryBuffer.latest``
+    hands it out, with the tangent flow the buffer holds for it.
 
     ``masses``, ``labels`` and ``cell_volumes`` are shared, read-only arrays
     identical across all slices of a run.  A slice is not checked: its
-    arrays are those ``HistoryBuffer`` checked when they entered.  A stack of
-    K slices (``HistoryBuffer.gather``) has a (K,) ``time`` and a leading
-    axis of K on each per-node array.  The buffer holds the tangent flow for
-    its newest slot alone, so ``latest`` carries it and a stack has None for
-    ``jacobians`` and ``vel_gradients``.
+    arrays are those ``HistoryBuffer`` checked when they entered.
     """
 
     time: float
     positions: np.ndarray      # (N, d)
     velocities: np.ndarray     # (N, d)
-    jacobians: np.ndarray | None      # (N, d, d)
-    vel_gradients: np.ndarray | None  # (N, d, d)
+    jacobians: np.ndarray      # (N, d, d)
+    vel_gradients: np.ndarray  # (N, d, d)
     masses: np.ndarray         # (N,)
     labels: np.ndarray         # (N, d)
     cell_volumes: np.ndarray   # (N,)
@@ -75,8 +73,6 @@ class LagrangianEnsemble:
         return self.positions.shape[-1]
 
     def det_jacobians(self) -> np.ndarray:
-        if self.jacobians is None:
-            raise ValueError("no tangent flow: it starts at t = 0 and is held for the newest slot")
         return _det(self.jacobians)
 
 
@@ -193,11 +189,11 @@ class HistoryBuffer:
         """Clocks of the stored slices at times <= 0, oldest first."""
         return range(self._oldest(), min(self.clock, 0) + 1)
 
-    def gather(self, clocks, slots=None) -> LagrangianEnsemble:
-        """The ``slots`` at ``clocks``, the stored ones by default, stacked and copied."""
+    def gather(self, clocks, slots=None):
+        """``(times, positions, velocities)``, (K,), (K, N, d) and (K, N, d): the
+        ``slots`` at ``clocks``, the stored ones by default, stacked and copied."""
         pos, vel = (np.stack(a) for a in zip(*(slots or map(self.slot, clocks))))
-        return LagrangianEnsemble(np.asarray(clocks) * self.h, pos, vel, None, None,
-                                  self.masses, self.labels, self.cell_volumes)
+        return np.asarray(clocks) * self.h, pos, vel
 
     def slot(self, j: int):
         """(positions, velocities) at j h."""

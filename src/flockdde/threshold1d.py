@@ -129,13 +129,13 @@ def evolve_w(buffer, kernel, *, t_end: float) -> WEvolution:
 
 
 def reconstruct_density(ensemble):
-    """Eulerian density values carried by the nodes at their current positions.
+    """Eulerian density values carried by the nodes of a ``latest`` slice at their positions.
 
     Each node reports ``density / det(jacobian)`` with density the initial
     mass per cell volume, so the reconstruction conserves mass exactly:
     sum(h * detJ * cell_volume) = sum(masses) = 1.  Raises BlowupSignal, naming
     the node, where det J meets the blow-up rule: a det J is non-finite or min
-    det J <= DETJ_TOLERANCE, and ValueError on a stack, with no tangent flow.
+    det J <= DETJ_TOLERANCE.
     """
     dets = ensemble.det_jacobians()
     node = _blowup_node(dets)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from flockdde.diagnostics import DiagnosticsFrame, _max_norms
+from flockdde.diagnostics import DiagnosticsFrame, _max_norms, diameters
 from flockdde.dynamics import _force
 from flockdde.kernel import TabulatedKernel
 
@@ -110,17 +110,26 @@ def max_speed(ens):
 
 def prehistory_r_v(buf):
     """R_V of a buffer: the largest speed over its slices at t <= 0."""
-    return float(_max_norms(buf.gather(buf.prehistory_clocks()).velocities).max())
+    _, _, velocities = buf.gather(buf.prehistory_clocks())
+    return float(_max_norms(velocities).max())
 
 
-def record_per_slice(ens, d_x, d_v, x, v, lyap, dets):
-    """The diagnostics record of one slice, one reduction at a time: the
-    reference for the records that frames reduce in batches.  A slice with
-    no tangent flow, at t < 0, passes ``dets`` None and has NaN there."""
+def slice_diameters(positions, velocities):
+    """``diameters`` of one (N, d) slice, reduced as a stack of one: two floats."""
+    d_x, d_v = diameters(positions[None], velocities[None])
+    return float(d_x[0]), float(d_v[0])
+
+
+def record_per_slice(t, velocities, d_x, d_v, x, v, lyap, tangent=None):
+    """The diagnostics record of one slice at time t, one reduction at a
+    time: the reference for the records that frames reduce in batches.
+    ``tangent`` is the slice's (det J, velocity gradients); a slice with no
+    tangent flow, at t < 0, passes None and has NaN there."""
+    dets, vel_gradients = (None, None) if tangent is None else tangent
     return DiagnosticsFrame(
-        t=ens.time, d_X=d_x, d_V=d_v, max_speed=max_speed(ens), lyapunov=lyap,
+        t=t, d_X=d_x, d_V=d_v, max_speed=max_norm(velocities), lyapunov=lyap,
         X_of_t=x, V_of_t=v, min_detJ=math.nan if dets is None else float(dets.min()),
-        max_velgrad_norm=math.nan if dets is None else max_norm(ens.vel_gradients))
+        max_velgrad_norm=math.nan if dets is None else max_norm(vel_gradients))
 
 
 def float_bits(value):

@@ -437,6 +437,20 @@ class TestConfigErrors:
             "config error: FLOCKDDE_THREADS: expected an integer, got 'x'\n"
         assert not (tmp_path / "grid").exists()
 
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    @pytest.mark.parametrize("both", [True, False])
+    def test_one_config_source_is_needed(self, tmp_path, capsys, command, both):
+        # a preset once won over a --config that names no file
+        out = tmp_path / "out"
+        argv = [command, *(["--preset", "flat-kernel-decay", "--config",
+                            str(tmp_path / "missing.json")] if both else []),
+                *(["--out", str(out)] if command == "run" else [])]
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: need exactly one of --config PATH "
+                                "and --preset NAME\n")
+        assert captured.out == "" and not out.exists()
+
     def test_datum_error_has_no_traceback_from_the_entry_point(self, tmp_path,
                                                                quick_run_doc):
         # a datum that passes the config and fails in discretize
@@ -465,19 +479,26 @@ class TestConfigErrors:
         assert proc.stderr.startswith("error: ") and str(blocker) in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("out", ["file/x", ""])
-    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys, out):
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, monkeypatch, capsys,
+                                                 quick_run_doc, command, out):
         # no directory can be made under a regular file, nor at '', though
         # abspath('') is the current directory: the run once took all its
-        # steps before makedirs('') failed
+        # steps before makedirs('') failed, and a sweep met makedirs('') first
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "file").write_text("")
+        sweep_doc = {"schema_version": 1, "base": quick_run_doc,
+                     "axes": [{"path": "tau", "values": [0.2]}], "max_workers": 1}
+        (tmp_path / "file").write_text(json.dumps(sweep_doc))  # the sweep's config
         calls = []
         monkeypatch.setattr(cli, "execute_run", lambda *args: calls.append(args))
-        code = run_cli("run", "--preset", "riccati-blowup", "--out", out)
+        source = ["--preset", "riccati-blowup"] if command == "run" else ["--config", "file"]
+        code = run_cli(command, *source, "--out", out)
         err = capsys.readouterr().err
         assert code == 1 and calls == []
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+        if not out:
+            assert err == "error: --out must name a directory, not ''\n"
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     @pytest.mark.parametrize("out", ["out", "nest/a/b/c"])

@@ -2,7 +2,6 @@
 
 import json
 import math
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cucker_smale, float_bits, frame_bits, record_per_slice
+from conftest import cucker_smale, float_bits, frame_bits, record_per_slice, slice_diameters
 from flockdde import diagnostics
 from flockdde.diagnostics import (
     _BLOCK_PAIRS,
@@ -38,6 +37,7 @@ from flockdde.state import (
     LagrangianEnsemble,
     LinearVelocity,
     SineVelocity,
+    _det,
     discretize,
 )
 
@@ -56,18 +56,13 @@ def prehistory_stubs(pre_t, pre_d_x, pre_d_v, r_v):
 
 class TestDiameters:
     def test_single_node(self):
-        ens = SimpleNamespace(positions=np.zeros((1, 2)), velocities=np.zeros((1, 2)))
-        assert diameters(ens) == (0.0, 0.0)
+        assert slice_diameters(np.zeros((1, 2)), np.zeros((1, 2))) == (0.0, 0.0)
 
     def test_one_dimensional_pair(self):
-        ens = SimpleNamespace(positions=np.array([[0.0], [1.0]]),
-                              velocities=np.array([[0.0], [2.0]]))
-        assert diameters(ens) == (1.0, 2.0)
+        assert slice_diameters(np.array([[0.0], [1.0]]), np.array([[0.0], [2.0]])) == (1.0, 2.0)
 
     def test_three_four_five_triangle(self):
-        ens = SimpleNamespace(positions=np.array([[0.0, 0.0], [3.0, 4.0]]),
-                              velocities=np.zeros((2, 2)))
-        d_x, d_v = diameters(ens)
+        d_x, d_v = slice_diameters(np.array([[0.0, 0.0], [3.0, 4.0]]), np.zeros((2, 2)))
         assert d_x == pytest.approx(5.0, abs=1e-15)
         assert d_v == 0.0
 
@@ -410,7 +405,7 @@ class TestBlockedDiameters:
         rng = np.random.default_rng(10 * n + d)
         # wide dynamic range, so rounding differences would show
         arr = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, (n, d))
-        got = diameters(SimpleNamespace(positions=arr, velocities=arr[::-1]))
+        got = slice_diameters(arr, arr[::-1])  # a stack of one
         assert got[0] == _naive_diameter(arr)
         assert got[1] == _naive_diameter(arr[::-1])
 
@@ -423,7 +418,7 @@ class TestBlockedDiameters:
         for row in sorted({0, n // 2, n - 1}):
             arr = rng.normal(size=(n, 2))
             arr[row, 1] = bad
-            d_x, _ = diameters(SimpleNamespace(positions=arr, velocities=arr))
+            d_x, _ = slice_diameters(arr, arr)
             if math.isfinite(bad):
                 assert _within_ulps(d_x, _hypot_diameter(arr)), (row, d_x)
             else:
@@ -492,37 +487,36 @@ def slice_stacks(draw):
             a[rng.random(a.shape) < 0.05] = rng.choice([math.nan, math.inf, -math.inf])
         return a
 
-    return LagrangianEnsemble(
-        np.arange(k) * 0.25, arr((n, d), 300), arr((n, d), 300), arr((n, d, d), 150),
-        arr((n, d, d), 150), np.full(n, 1.0 / n), np.zeros((n, d)), np.ones(n))
+    return (np.arange(k) * 0.25, arr((n, d), 300), arr((n, d), 300), arr((n, d, d), 150),
+            arr((n, d, d), 150))
 
 
 def test_stacked_records_equal_per_slice_records(time_limit):
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(slice_stacks())
     def check(stack):
-        dets = stack.det_jacobians()
-        d_x, d_v = diameters(stack)
+        times, pos, vel, jac, vgrad = stack
+        n, d = pos.shape[1:]
+        dets = _det(jac)
+        d_x, d_v = diameters(pos, vel)
         # every other slice has a record, as a run's output slots do
         values = [(dx, dv, math.nan) if i % 2 == 0 else None
                   for i, (dx, dv) in enumerate(zip(d_x.tolist(), d_v.tolist()))]
-        got = _records(stack, d_x, d_v, values, (dets, stack.vel_gradients))
-        assert len(got) == (len(stack.time) + 1) // 2
+        got = _records(times, vel, d_x, d_v, values, (dets, vgrad))
+        assert len(got) == (len(times) + 1) // 2
         records = iter(got)
-        for i in range(len(stack.time)):
-            ens = LagrangianEnsemble(float(stack.time[i]), stack.positions[i],
-                                     stack.velocities[i], stack.jacobians[i],
-                                     stack.vel_gradients[i], stack.masses,
-                                     stack.labels, stack.cell_volumes)
-            want_x, want_v = diameters(ens)  # a stack of one
+        for i in range(len(times)):
+            ens = LagrangianEnsemble(float(times[i]), pos[i], vel[i], jac[i], vgrad[i],
+                                     np.full(n, 1.0 / n), np.zeros((n, d)), np.ones(n))
+            want_x, want_v = slice_diameters(ens.positions, ens.velocities)  # a stack of one
             assert float_bits(float(d_x[i])) == float_bits(want_x)
             assert float_bits(float(d_v[i])) == float_bits(want_v)
             assert dets[i].tobytes() == ens.det_jacobians().tobytes()
             if i % 2:
                 continue
             frame = next(records)
-            want = record_per_slice(ens, frame.d_X, frame.d_V, frame.d_X, frame.d_V,
-                                    math.nan, ens.det_jacobians())
+            want = record_per_slice(ens.time, ens.velocities, frame.d_X, frame.d_V, frame.d_X,
+                                    frame.d_V, math.nan, (ens.det_jacobians(), ens.vel_gradients))
             assert frame_bits(frame) == frame_bits(want)
 
     with time_limit(20):

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import frame_bits, max_speed, prehistory_r_v, radius_methods, record_per_slice
+from conftest import (
+    frame_bits,
+    max_speed,
+    prehistory_r_v,
+    radius_methods,
+    record_per_slice,
+    slice_diameters,
+)
 from flockdde import cli, dynamics
 from flockdde.cli import execute_run, write_frames_csv
 from flockdde.config import RunConfig, preset_dict, run_config_from_dict
@@ -36,7 +43,6 @@ from flockdde.state import (
     ConstantVelocity,
     HistoryBuffer,
     InitialDatum,
-    LagrangianEnsemble,
     LinearVelocity,
     SineVelocity,
     _run_steps,
@@ -292,15 +298,16 @@ class TestSimulate:
         pre = prehistory_frames(buffer)
         calls = []
 
-        def counted(ens):
-            calls.extend(ens.time.tolist())  # a stack of slices
-            return diameters(ens)
+        def counted(positions, velocities):
+            calls.extend(positions)  # a stack of slices
+            return diameters(positions, velocities)
 
         monkeypatch.setattr(dynamics, "diameters", counted)
         res = integrate(buffer, cfg.kernel, t_end=cfg.t_end,
                         output_every=cfg.output_every, prehistory=pre)
         # the monitor reads every step's d_V, so every slot after t = 0 is reduced
-        assert 0.0 not in calls and calls == [k * cfg.step for k in range(1, 11)]
+        assert [c.tobytes() for c in calls] == [res.buffer.slot(k)[0].tobytes()
+                                                for k in range(1, 11)]
         assert (res.frames[0].d_X, res.frames[0].d_V) == (pre[-1].d_X, pre[-1].d_V)
         # integrate's own prehistory, when none is passed, gives the same run
         assert res.frames == integrate_config(cfg).frames
@@ -499,22 +506,23 @@ def _integrate_per_frame(buffer, kernel, t_end, output_every):
     frame."""
     _, n_steps, every = _run_steps(buffer.tau, buffer.h, t_end, output_every)
     prehistory = []
-    for j in buffer.prehistory_clocks():  # the tangent flow starts at t = 0
-        s = LagrangianEnsemble(j * buffer.h, *buffer.slot(j),
-                               *(buffer.tangent if j == 0 else (None, None)),
-                               buffer.masses, buffer.labels, buffer.cell_volumes)
-        d_x, d_v = diameters(s)
-        prehistory.append(record_per_slice(s, d_x, d_v, d_x, d_v, math.nan,
-                                            None if j else s.det_jacobians()))
+    start = buffer.latest  # at t = 0, where the tangent flow starts
+    for j in buffer.prehistory_clocks():
+        pos, vel = buffer.slot(j)
+        d_x, d_v = slice_diameters(pos, vel)
+        tangent = None if j else (start.det_jacobians(), start.vel_gradients)
+        prehistory.append(record_per_slice(j * buffer.h, vel, d_x, d_v, d_x, d_v, math.nan,
+                                           tangent))
     monitor = FlockingMonitor(kernel, prehistory)
     frames = [replace(prehistory[-1], lyapunov=monitor.start()[2])]
     newest = frames[0]  # the record of the newest slot
     for dets, event in dynamics._advance(buffer, kernel, n_steps):
         if buffer.clock and dets is not None:  # a new slot after t = 0
             ens = buffer.latest
-            d_x, d_v = diameters(ens)
+            d_x, d_v = slice_diameters(ens.positions, ens.velocities)
             monitor.advance(ens.time, d_v)
-            newest = record_per_slice(ens, d_x, d_v, *monitor.start(), dets)
+            newest = record_per_slice(ens.time, ens.velocities, d_x, d_v, *monitor.start(),
+                                      (dets, ens.vel_gradients))
             if buffer.clock % every == 0:
                 frames.append(newest)
     if frames[-1] is not newest:

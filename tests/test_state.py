@@ -102,10 +102,10 @@ class TestDiscretize:
         datum = InitialDatum(BoxDomain([0.5], [1.5], [4]), LinearVelocity([[1.0]]))
         buf = discretize(datum, tau=1.0, h=0.025)
         labels = buf.latest.labels
-        pre = buf.gather(buf.prehistory_clocks())
-        assert len(pre.time) == 41
-        growth = np.exp(pre.time)[:, None]
-        assert np.allclose(pre.positions[..., 0], labels[:, 0] * growth, atol=2e-9)
+        times, positions, _ = buf.gather(buf.prehistory_clocks())
+        assert len(times) == 41
+        growth = np.exp(times)[:, None]
+        assert np.allclose(positions[..., 0], labels[:, 0] * growth, atol=2e-9)
 
     @pytest.mark.parametrize("field", [
         LinearVelocity([[-0.0, 1.0], [0.5, -0.0]]),  # -0 entries, which einsum sums to +0
@@ -194,8 +194,8 @@ class TestDiscretize:
         # slice j is at exactly j * h, not at a sum of steps or a linspace
         datum = InitialDatum(BoxDomain([0.0], [1.0], [2]), ConstantVelocity([0.1]))
         buf = discretize(datum, 0.3, 0.1)
-        assert buf.gather(buf.prehistory_clocks()).time.tolist() == [-3 * 0.1, -2 * 0.1,
-                                                                     -0.1, 0.0]
+        assert buf.gather(buf.prehistory_clocks())[0].tolist() == [-3 * 0.1, -2 * 0.1,
+                                                                   -0.1, 0.0]
 
     def test_explicit_node_set(self):
         ns = NodeSet(nodes=[[0.0], [1.0], [3.0]], weights=[1.0, 1.0, 2.0])
@@ -481,10 +481,15 @@ class TestHistoryBuffer:
         buf = discretize(datum, tau=0.5, h=0.1)
         clocks = buf.prehistory_clocks()
         assert len(clocks) == 6
-        for ens in (buf.latest, buf.gather(clocks), *(buf.gather([j]) for j in clocks)):
-            assert ens.labels is buf.labels
-            assert ens.masses is buf.masses
-            assert ens.cell_volumes is buf.cell_volumes
+        ens = buf.latest
+        assert ens.labels is buf.labels
+        assert ens.masses is buf.masses
+        assert ens.cell_volumes is buf.cell_volumes
+        # a stack of slots is three arrays of its own, with no shared per-node array
+        times, pos, vel = buf.gather(clocks)
+        assert times.shape == (6,) and pos.shape == vel.shape == (6, 3, 1)
+        assert not any(np.shares_memory(a, b) for a in (pos, vel)
+                       for j in clocks for b in buf.slot(j))
 
 
 def test_set_up_holds_little_more_than_its_rows():

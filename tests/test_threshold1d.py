@@ -19,7 +19,6 @@ from flockdde.state import (
     ConstantVelocity,
     InitialDatum,
     LinearVelocity,
-    SineVelocity,
     VelocityField,
     discretize,
 )
@@ -424,20 +423,6 @@ class TestReconstructDensity:
         with pytest.raises(BlowupSignal) as info:
             reconstruct_density(buf.latest)
         assert info.value.node == 2
-
-    def test_a_stack_has_no_tangent_flow(self):
-        # the buffer holds the tangent flow for its newest slot alone: a
-        # gathered stack, of the prehistory or of a slot after t = 0, has none
-        datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), SineVelocity([0.0], [0.3], [2.0]))
-        buf = discretize(datum, 0.03, 0.01)
-        stacks = [buf.gather([-1]), buf.gather(buf.prehistory_clocks())]
-        step(buf, CuckerSmaleKernel(1.0))
-        stacks.append(buf.gather([buf.clock]))
-        for ens in stacks:
-            with pytest.raises(ValueError, match="starts at t = 0"):
-                ens.det_jacobians()
-            with pytest.raises(ValueError, match="starts at t = 0"):
-                reconstruct_density(ens)
 
 
 class TestForceGradientBound:
