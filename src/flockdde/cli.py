@@ -17,31 +17,34 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .config import (
     ConfigError,
     RunConfig,
-    _integer,
     load_run_config,
     load_sweep_config,
     preset_dict,
     run_config_from_dict,
     PRESETS,
 )
-from .diagnostics import certify_flocking, fit_decay_rate, prehistory_frames
+from .diagnostics import DiagnosticsFrame, certify_flocking, fit_decay_rate, prehistory_frames
 from .dynamics import integrate
 from .kernel import CuckerSmaleKernel
 from .state import InvalidDatumError, discretize
 from .threshold1d import classify
 
 FRAMES_SCHEMA_COMMENT = "# flockdde frames schema v1"
-FRAME_COLUMNS = ["t", "d_X", "d_V", "max_speed", "lyapunov", "X", "V",
-                 "min_detJ", "max_velgrad_norm", "status"]
+FRAME_COLUMNS = [f.name for f in fields(DiagnosticsFrame)]
+# a frames.csv row: each float field in _fmt's round-trip digits, the status as it is
+_FRAME_ROW = ",".join("%s" if f.type == "str" else "%.17g" for f in fields(DiagnosticsFrame))
+_frame_values = operator.attrgetter(*FRAME_COLUMNS)
 THREADS_ENV = "FLOCKDDE_THREADS"
 
 
@@ -58,12 +61,7 @@ def _atomic_write(path, text):
 
 def write_frames_csv(frames, path) -> None:
     lines = [FRAMES_SCHEMA_COMMENT, ",".join(FRAME_COLUMNS)]
-    for f in frames:
-        lines.append(",".join([
-            _fmt(f.t), _fmt(f.d_X), _fmt(f.d_V), _fmt(f.max_speed),
-            _fmt(f.lyapunov), _fmt(f.X_of_t), _fmt(f.V_of_t),
-            _fmt(f.min_detJ), _fmt(f.max_velgrad_norm), f.status,
-        ]))
+    lines += [_FRAME_ROW % _frame_values(f) for f in frames]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -128,14 +126,11 @@ def execute_run(cfg: RunConfig, prepared=None):
         "schema_version": 1,
         "config": cfg.raw,
         "R_V": float(result.r_v),
-        "final": {
-            "t": float(final.t), "d_X": float(final.d_X), "d_V": float(final.d_V),
-            "max_speed": float(final.max_speed), "min_detJ": float(final.min_detJ),
-        },
+        "final": {k: getattr(final, k) for k in ("t", "d_X", "d_V", "max_speed", "min_detJ")},
         "fitted_rate": fit_decay_rate(result.frames, cfg.t_end / 4.0, cfg.t_end),
-        "certificate": certificate.to_dict(),
+        "certificate": asdict(certificate),
         "threshold": (None if w0 is None else
-                      classify(float(w0.min()), cfg.kernel, result.r_v).to_dict()),
+                      asdict(classify(float(w0.min()), cfg.kernel, result.r_v))),
         "blowup": None if result.blowup is None else result.blowup._asdict(),
     }
     return result, summary
@@ -192,13 +187,13 @@ def cmd_run(args) -> int:
 def cmd_certify(args) -> int:
     cfg = _load_cfg(args)
     cert = certify_flocking(_prepare(cfg)[1], cfg.kernel)
-    print(_json_text(cert.to_dict()), end="")
+    print(_json_text(asdict(cert)), end="")
     return 0 if cert.satisfied else 3
 
 
 def cmd_threshold(args) -> int:
     verdict = classify(args.w0_min, CuckerSmaleKernel(args.beta), args.rv)
-    print(_json_text(verdict.to_dict()), end="")
+    print(_json_text(asdict(verdict)), end="")
     return {"global-existence": 0, "finite-time-blowup": 2,
             "indeterminate": 5}[verdict.verdict]
 
@@ -265,8 +260,11 @@ def cmd_sweep(args) -> int:
     _check_out_dir(args.out)
     workers = sweep.max_workers
     env_cap = os.environ.get(THREADS_ENV)
-    if env_cap:
-        workers = min(workers, max(1, _integer(env_cap, THREADS_ENV)))
+    if env_cap:  # an environment string: int() reads it, where a config's "2" is an error
+        try:
+            workers = min(workers, max(1, int(env_cap)))
+        except ValueError:
+            raise ConfigError(f"{THREADS_ENV}: expected an integer, got {env_cap!r}") from None
     os.makedirs(args.out, exist_ok=True)
     payloads = [(i, coords, doc, args.out) for i, (coords, doc) in enumerate(sweep.cells)]
     workers = min(workers, len(payloads))

@@ -73,11 +73,26 @@ def _need(mapping, key, path):
     return mapping[key]
 
 
-def _real(value, path, minimum=None):
+def _numeric(value):
+    """Whether ``value`` holds no boolean and no string, also in nested lists."""
+    if isinstance(value, list):
+        return all(map(_numeric, value))
+    return not isinstance(value, (bool, str))
+
+
+def _number(convert, value, path, expected):
+    """``convert(value)``, else a ConfigError naming ``path``; so is a boolean
+    or a string, which ``float`` and NumPy would read as 1 or as "0.5"'s 0.5."""
     try:
-        out = float(value)
+        if not _numeric(value):
+            raise TypeError
+        return convert(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}: expected a real number, got {value!r}") from None
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}") from None
+
+
+def _real(value, path, minimum=None):
+    out = _number(float, value, path, "a real number")
     if not math.isfinite(out):
         raise ConfigError(f"{path}: must be finite")
     if minimum is not None and out < minimum:
@@ -89,18 +104,12 @@ def _integer(value, path):
     """``value`` as an int; a fractional number is an error, not truncated."""
     if isinstance(value, float) and not value.is_integer():
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}") from None
+    return _number(int, value, path, "an integer")
 
 
 def _array(value, path):
     """``value`` as a float array of finite numbers."""
-    try:
-        out = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{path}: expected numbers, got {value!r}") from None
+    out = _number(lambda v: np.asarray(v, dtype=float), value, path, "numbers")
     if not np.all(np.isfinite(out)):
         raise ConfigError(f"{path}: must be finite numbers, got {value!r}")
     return out

@@ -33,12 +33,12 @@ __all__ = [
 
 @dataclass
 class DiagnosticsFrame:
-    """Per-output-step record of the run observables: one field per column
-    of ``frames.csv``, in its order.
+    """Per-output-step record of the run observables; the fields are the
+    columns of ``frames.csv``, by name and in order.
 
-    ``X_of_t`` and ``V_of_t`` are the integral comparison quantities (equal to
-    d_X and d_V on the prehistory, where ``lyapunov`` is not defined and set
-    to NaN).  The tangent flow starts at t = 0, so ``min_detJ`` and
+    ``X`` and ``V`` are the integral comparison quantities X(t) and V(t)
+    (equal to d_X and d_V on the prehistory, where ``lyapunov`` is not defined
+    and set to NaN).  The tangent flow starts at t = 0, so ``min_detJ`` and
     ``max_velgrad_norm`` are NaN at t < 0 too.
     """
 
@@ -47,8 +47,8 @@ class DiagnosticsFrame:
     d_V: float
     max_speed: float
     lyapunov: float
-    X_of_t: float
-    V_of_t: float
+    X: float
+    V: float
     min_detJ: float
     max_velgrad_norm: float
     status: str = "ok"
@@ -193,7 +193,7 @@ def _records(times, velocities, d_x, d_v, values, tangent=None) -> list[Diagnost
     columns = zip(times.tolist(), d_x.tolist(), d_v.tolist(),
                   _max_norms(velocities).tolist(), *tangent, values)
     return [DiagnosticsFrame(t=t, d_X=dx, d_V=dv, max_speed=speed, lyapunov=xvl[2],
-                             X_of_t=xvl[0], V_of_t=xvl[1], min_detJ=lo,
+                             X=xvl[0], V=xvl[1], min_detJ=lo,
                              max_velgrad_norm=g)
             for t, dx, dv, speed, lo, g, xvl in columns if xvl is not None]
 
@@ -319,34 +319,24 @@ def gronwall_rate(a: float, tau: float) -> float:
 
 @dataclass
 class FlockingCertificate:
-    """Outcome of the sufficient-condition check on the prehistory.
+    """Outcome of the sufficient-condition check on the prehistory; the
+    fields are its keys in ``summary.json`` and in ``certify``'s output.
 
     ``lhs`` is the initial velocity budget L(0) = d_V(0) + integral of d_V
     over [-tau, 0], the integral by the monitor's rule; ``rhs`` is the kernel
-    tail integral from d_X(-tau) + R_V tau (may be infinite).  When
-    satisfied, ``d_star`` absorbs the budget into the tail, ``psi_star`` is
-    the kernel value there, and ``predicted_rate`` is the Gronwall exponent,
-    a certified lower bound on the measured decay.
+    tail integral from d_X(-tau) + R_V tau (may be infinite), R_V the largest
+    prehistory speed.  When satisfied, ``d_star`` absorbs the budget into the
+    tail, ``psi_star`` is the kernel value there, and ``predicted_rate`` is
+    the Gronwall exponent, a certified lower bound on the measured decay.
     """
 
-    r_v: float
+    R_V: float
     lhs: float
     rhs: float
     satisfied: bool
     d_star: float | None = None
     psi_star: float | None = None
     predicted_rate: float | None = None
-
-    def to_dict(self):
-        return {
-            "R_V": float(self.r_v),
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
-            "satisfied": bool(self.satisfied),
-            "d_star": self.d_star,
-            "psi_star": self.psi_star,
-            "predicted_rate": self.predicted_rate,
-        }
 
 
 def certify_flocking(frames, kernel) -> FlockingCertificate:
@@ -362,7 +352,7 @@ def certify_flocking(frames, kernel) -> FlockingCertificate:
     rhs = kernel.tail_integral(lower)
     satisfied = lhs < rhs
     if not satisfied:
-        return FlockingCertificate(r_v=r_v, lhs=lhs, rhs=rhs, satisfied=False)
+        return FlockingCertificate(R_V=r_v, lhs=lhs, rhs=rhs, satisfied=False)
     d_star = kernel.budget_radius(lower, lhs)
     psi_star = kernel.profile(d_star)
     if psi_star >= 1.0:
@@ -371,7 +361,7 @@ def certify_flocking(frames, kernel) -> FlockingCertificate:
         rate = 0.0  # profile underflowed at d_star: the root's a -> 0 limit
     else:
         rate = gronwall_rate(psi_star, monitor.tau)
-    return FlockingCertificate(r_v=r_v, lhs=lhs, rhs=rhs, satisfied=True,
+    return FlockingCertificate(R_V=r_v, lhs=lhs, rhs=rhs, satisfied=True,
                                d_star=d_star, psi_star=psi_star, predicted_rate=rate)
 
 

@@ -47,24 +47,15 @@ def _constants_note(kernel) -> str:
 
 @dataclass
 class ThresholdVerdict:
-    """Classification of a 1-d initial slope against the Riccati thresholds."""
+    """Classification of a 1-d initial slope against the Riccati thresholds;
+    the fields are its keys in ``summary.json`` and in ``threshold``'s output."""
 
     c_bar: float
     w1_minus: float | None
     w2_minus: float
     verdict: str                    # global-existence | finite-time-blowup | indeterminate
-    blowup_bound: float | None
+    bound: float | None             # blow-up time bound on finite-time-blowup
     note: str
-
-    def to_dict(self):
-        return {
-            "c_bar": self.c_bar,
-            "w1_minus": self.w1_minus,
-            "w2_minus": self.w2_minus,
-            "verdict": self.verdict,
-            "bound": self.blowup_bound,
-            "note": self.note,
-        }
 
 
 def classify(w0_min: float, kernel, r_v: float) -> ThresholdVerdict:

@@ -128,7 +128,7 @@ def record_per_slice(t, velocities, d_x, d_v, x, v, lyap, tangent=None):
     dets, vel_gradients = (None, None) if tangent is None else tangent
     return DiagnosticsFrame(
         t=t, d_X=d_x, d_V=d_v, max_speed=max_norm(velocities), lyapunov=lyap,
-        X_of_t=x, V_of_t=v, min_detJ=math.nan if dets is None else float(dets.min()),
+        X=x, V=v, min_detJ=math.nan if dets is None else float(dets.min()),
         max_velgrad_norm=math.nan if dets is None else max_norm(vel_gradients))
 
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import float_bits
 from flockdde import cli
 from flockdde.cli import _json_text, execute_run, main
 from flockdde.config import (
@@ -216,7 +217,8 @@ class TestRun:
         start = discretize(cfg.datum, cfg.tau, cfg.step).latest
         w0_min = float((start.vel_gradients[:, 0, 0] / start.jacobians[:, 0, 0]).min())
         _, summary = execute_run(cfg)
-        assert summary["threshold"] == classify(w0_min, cfg.kernel, summary["R_V"]).to_dict()
+        assert summary["threshold"] == dataclasses.asdict(
+            classify(w0_min, cfg.kernel, summary["R_V"]))
         assert summary["threshold"]["bound"] == pytest.approx(1.0, abs=1e-12)
 
     def test_byte_identical_reruns(self, tmp_path, quick_run_doc):
@@ -228,12 +230,30 @@ class TestRun:
         assert (tmp_path / "a" / "summary.json").read_bytes() == \
             (tmp_path / "b" / "summary.json").read_bytes()
 
-    def test_frame_records_hold_only_the_written_columns(self):
-        # a field of DiagnosticsFrame that frames.csv does not write would be
-        # carried by every record of every run for no reader
-        renamed = {"X_of_t": "X", "V_of_t": "V"}
-        names = [renamed.get(f.name, f.name) for f in dataclasses.fields(DiagnosticsFrame)]
-        assert names == cli.FRAME_COLUMNS
+    @pytest.mark.parametrize("doc,status", [
+        (preset_dict("riccati-blowup"), "blowup"),
+        ({"schema_version": 1, "kernel": {"family": "cucker-smale", "beta": 1.0},
+          "datum": {"domain": {"box": [[0.0, 1.0], [0.0, 1.0]], "counts": [4, 3]},
+                    "velocity": {"family": "sine-perturbation", "base": [0.1, 0.0],
+                                 "amplitude": [0.2, 0.1], "wavenumber": [3.0, 2.0]}},
+          "tau": 0.05, "step": 0.01, "t_end": 0.2, "output_every": 0.02}, "ok"),
+    ], ids=["riccati-blowup", "2d"])
+    def test_frames_csv_rows_read_back_as_their_records(self, tmp_path, doc, status):
+        # the header is the record's field names, and each row reads back as
+        # its record's fields bit for bit, NaN as NaN
+        result, _ = cli._run_into(run_config_from_dict(doc), str(tmp_path))
+        comment, *lines = (tmp_path / "frames.csv").read_text().splitlines()
+        header, *rows = csv.reader(lines)
+        assert comment == cli.FRAMES_SCHEMA_COMMENT
+        assert header == [f.name for f in dataclasses.fields(DiagnosticsFrame)]
+        assert result.frames[-1].status == status
+        for cells, frame in zip(rows, result.frames, strict=True):
+            for name, cell in zip(header, cells, strict=True):
+                value = getattr(frame, name)
+                if isinstance(value, str):
+                    assert cell == value
+                else:
+                    assert float_bits(float(cell)) == float_bits(value), name
 
     def test_snapshot_export(self, tmp_path, quick_run_doc):
         doc = dict(quick_run_doc, snapshot_csv=True)
@@ -346,6 +366,17 @@ BAD_FIELDS = [
     ("kernel.beta", 10**400, "kernel.beta: expected a real number"),
     ("kernel.beta", "x", "kernel.beta: expected a real number"),
     ("kernel.beta", -0.5, "kernel.beta: must be >= 0.0"),
+    # a boolean or a numeric string is no number, though float() and NumPy
+    # read true as 1 and "0.5" as 0.5
+    ("tau", True, "tau: expected a real number, got True"),
+    ("tau", "0.5", "tau: expected a real number, got '0.5'"),
+    ("step", "1e-3", "step: expected a real number, got '1e-3'"),
+    ("kernel.beta", True, "kernel.beta: expected a real number, got True"),
+    ("seed", True, "seed: expected an integer, got True"),
+    ("datum.domain.counts", [True], "datum.domain.counts: expected an integer, got True"),
+    ("datum.velocity.amplitude", [True], "datum.velocity.amplitude: expected numbers"),
+    ("datum.velocity", {"family": "linear", "matrix": [["0.5"]]},
+     "datum.velocity.matrix: expected numbers, got [['0.5']]"),
     ("kernel", {"family": "tabulated", "radii": [0.0, 1.0], "values": [1.0, math.nan]},
      "kernel.values: must be finite numbers"),
     ("kernel", {"family": "tabulated", "radii": [0.0, 1.0], "values": [1.0, 2.0]},
@@ -384,7 +415,7 @@ class TestConfigErrors:
         assert message in captured.err and captured.err.count("\n") == 1
         assert captured.out == "" and not out.exists()
 
-    @pytest.mark.parametrize("field,value", [("max_workers", "two"),
+    @pytest.mark.parametrize("field,value", [("max_workers", "two"), ("max_workers", True),
                                              ("max_cells", 2.5)])
     def test_non_integer_sweep_field(self, tmp_path, quick_run_doc, capsys,
                                      field, value):

@@ -1,5 +1,6 @@
 """Observables, Gronwall solver, Lyapunov functional and certificate checks."""
 
+import dataclasses
 import json
 import math
 
@@ -44,7 +45,7 @@ from flockdde.state import (
 
 def frame_stub(t, d_v, d_x=1.0, max_speed=1.0):
     return DiagnosticsFrame(t=t, d_X=d_x, d_V=d_v, max_speed=max_speed,
-                            lyapunov=math.nan, X_of_t=d_x, V_of_t=d_v,
+                            lyapunov=math.nan, X=d_x, V=d_v,
                             min_detJ=1.0, max_velgrad_norm=0.0)
 
 
@@ -186,7 +187,7 @@ class TestLyapunov:
         assert len(res.frames) == 51
         lower = res.frames[0].d_X
         for f in res.frames:
-            assert f.lyapunov == f.V_of_t + kernel.integral(lower, f.X_of_t)
+            assert f.lyapunov == f.V + kernel.integral(lower, f.X)
 
     def test_nonincreasing_along_heavy_tail_run(self):
         # gentle slope keeps the run subcritical so all 10^3 frames are emitted
@@ -229,7 +230,7 @@ class TestCertificate:
         assert cert.lhs == pytest.approx(0.0, abs=1e-12)
         # zero budget: d_star collapses onto the lower limit d_X(-tau) + R_V tau
         pre = prehistory_frames(buf)
-        assert cert.d_star == pytest.approx(pre[0].d_X + cert.r_v * 0.5, abs=1e-9)
+        assert cert.d_star == pytest.approx(pre[0].d_X + cert.R_V * 0.5, abs=1e-9)
         assert cert.predicted_rate == pytest.approx(
             gronwall_rate(cert.psi_star, 0.5), abs=1e-12)
 
@@ -242,7 +243,7 @@ class TestCertificate:
         # budget identity: integral of the profile from the lower limit to
         # d_star reproduces lhs
         from scipy.integrate import quad
-        lower = frames[0].d_X + cert.r_v * 1.0
+        lower = frames[0].d_X + cert.R_V * 1.0
         val, _ = quad(cucker_smale(0.25)[0], lower, cert.d_star,
                       epsabs=1e-13, epsrel=1e-12)
         assert val == pytest.approx(cert.lhs, abs=1e-9)
@@ -301,7 +302,7 @@ class TestCertificate:
 
     def test_json_mapping_inf_encoding(self):
         cert = certify_flocking(self.prehistory(), CuckerSmaleKernel(0.25))
-        d = cert.to_dict()
+        d = dataclasses.asdict(cert)
         # the dict keeps the float; the JSON writer's one rule makes it "inf"
         assert d["rhs"] == math.inf
         assert json.loads(_json_text(d))["rhs"] == "inf"
@@ -315,7 +316,7 @@ class TestCertificate:
         kernel = CuckerSmaleKernel(1.0)
         cert = certify_flocking(frames, kernel)
         assert cert.satisfied and math.isfinite(cert.rhs)
-        lower = frames[0].d_X + cert.r_v * 0.1
+        lower = frames[0].d_X + cert.R_V * 0.1
         val, _ = quad(cucker_smale(1.0)[0], lower, cert.d_star, epsabs=1e-13, epsrel=1e-12)
         assert val == pytest.approx(cert.lhs, abs=1e-9)
         assert 0 < cert.predicted_rate < 1
@@ -332,7 +333,7 @@ class TestCertificate:
         res = integrate(buf, kernel, t_end=10.0, output_every=0.02, prehistory=pre)
         assert res.blowup is None
         sup_dx = max(f.d_X for f in res.frames)
-        assert sup_dx <= cert.d_star - cert.r_v * tau + 1e-6
+        assert sup_dx <= cert.d_star - cert.R_V * tau + 1e-6
 
 
 class TestDiameterVsComparison:
@@ -341,7 +342,7 @@ class TestDiameterVsComparison:
         res = integrate(discretize(datum, 0.1, 2e-3), CuckerSmaleKernel(0.5),
                         t_end=3.0, output_every=0.01)
         for f in res.frames:
-            assert f.d_V <= f.V_of_t + 1e-6
+            assert f.d_V <= f.V + 1e-6
 
 
 class TestFitDecayRate:

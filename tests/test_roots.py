@@ -165,7 +165,7 @@ class TestCallSites:
         monkeypatch.setattr(roots, "_div", counted)
         # a prehistory at rest, d_X = 1e170 apart, on [-0.1, 0]
         frames = [DiagnosticsFrame(t=t, d_X=1e170, d_V=1e-171, max_speed=0.0,
-                                   lyapunov=math.nan, X_of_t=1e170, V_of_t=1e-171,
+                                   lyapunov=math.nan, X=1e170, V=1e-171,
                                    min_detJ=1.0, max_velgrad_norm=0.0) for t in (-0.1, 0.0)]
         ours = certify_flocking(frames, CuckerSmaleKernel(1.0))
         monkeypatch.undo()

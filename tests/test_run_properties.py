@@ -77,12 +77,12 @@ def _check_run(doc, time_limit):
         assert result.blowup is None
     assert cert["lhs"] == frames[0].lyapunov and cert["R_V"] == summary["R_V"]
     if cert["satisfied"]:
-        assert all(f.d_V <= f.V_of_t + 1e-6 for f in frames)
+        assert all(f.d_V <= f.V + 1e-6 for f in frames)
         # past t = tau, L changes by the rule's change of Y - W at t - tau,
         # <= dt (d_V - V) there; RK4 decays slower than e^{-h} by h^5 / 120
         # per step, which can leave d_V above V by a few 1e-10.  In the first
         # window the change also carries a term of the prehistory data.
-        excess = max(0.0, max(f.d_V - f.V_of_t for f in frames))
+        excess = max(0.0, max(f.d_V - f.V for f in frames))
         for a, b in zip(frames, frames[1:]):
             rise = b.lyapunov - a.lyapunov
             if a.t >= doc["tau"]:

@@ -46,7 +46,7 @@ class TestClassify:
     def test_flat_kernel_steep_slope_blowup_bound(self):
         v = classify(-2.0, CuckerSmaleKernel(0.0), r_v=1.0)
         assert v.verdict == "finite-time-blowup"
-        assert v.blowup_bound == pytest.approx(1.0, abs=1e-15)
+        assert v.bound == pytest.approx(1.0, abs=1e-15)
 
     def test_radical_arithmetic(self):
         # C_bar = 2 * (2 beta) * R_V = 0.125 for beta = 0.125, R_V = 0.25
@@ -61,7 +61,7 @@ class TestClassify:
         assert v.w1_minus is not None
         assert v.w2_minus < -1.0 < v.w1_minus
         assert v.verdict == "indeterminate"
-        assert v.blowup_bound is None
+        assert v.bound is None
 
     def test_supercritical_case_with_forcing(self):
         v = classify(-3.0, CuckerSmaleKernel(0.5), r_v=0.5)
@@ -69,14 +69,14 @@ class TestClassify:
         assert v.w1_minus is None
         assert v.w2_minus == pytest.approx((-1 - math.sqrt(5)) / 2, abs=1e-15)
         assert v.verdict == "finite-time-blowup"
-        assert v.blowup_bound == pytest.approx(1 / (v.w2_minus + 3.0), abs=1e-12)
+        assert v.bound == pytest.approx(1 / (v.w2_minus + 3.0), abs=1e-12)
 
     def test_tabulated_kernel_classifies_with_its_bound(self):
         # one linear piece from 1 to 1/2: |p'| / p <= 0.5 / 0.5 = 1, so
         # C_bar = 2 and w2_minus = (-1 - 3) / 2
         v = classify(-2.5, TabulatedKernel([0.0, 1.0], [1.0, 0.5]), r_v=1.0)
         assert v.c_bar == 2.0 and v.w1_minus is None and v.w2_minus == -2.0
-        assert v.verdict == "finite-time-blowup" and v.blowup_bound == 2.0
+        assert v.verdict == "finite-time-blowup" and v.bound == 2.0
         assert "2*beta" not in v.note and "C_bar" in v.note
 
     def test_note_records_alternative_constants(self):
@@ -224,9 +224,9 @@ def test_supercritical_slopes_blow_up_within_the_bound(time_limit):
             return
         reached.append(case["beta"])
         with time_limit(5):
-            evo = evolve_w(buf, kernel, t_end=math.ceil(verdict.blowup_bound / H) * H)
+            evo = evolve_w(buf, kernel, t_end=math.ceil(verdict.bound / H) * H)
         assert evo.blowup is not None
-        assert evo.blowup.time <= verdict.blowup_bound
+        assert evo.blowup.time <= verdict.bound
 
     check()
     assert 0.0 in reached and len(set(reached)) > 1
