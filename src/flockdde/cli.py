@@ -21,7 +21,7 @@ import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -46,6 +46,17 @@ FRAME_COLUMNS = [f.name for f in fields(DiagnosticsFrame)]
 _FRAME_ROW = ",".join("%s" if f.type == "str" else "%.17g" for f in fields(DiagnosticsFrame))
 _frame_values = operator.attrgetter(*FRAME_COLUMNS)
 THREADS_ENV = "FLOCKDDE_THREADS"
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """The columns of a ``sweep_summary.csv`` row after ``cell`` and the axes,
+    as written; a failed cell has its ``error: <msg>`` status and no other."""
+    status: str
+    satisfied: str = ""
+    fitted_rate: str = ""
+    blowup_time: str = ""
+    final_d_V: str = ""
 
 
 def _fmt(x: float) -> str:
@@ -228,24 +239,22 @@ def _run_cell(payload):
     """
     index, coords, doc, out_dir, shared = payload
     cell_dir = os.path.join(out_dir, f"cell_{index:04d}")
-    row = {"cell": index, **{f"axis:{k}": json.dumps(_json_safe(v), sort_keys=True)
-                             for k, v in coords.items()}}
     try:
         cfg = run_config_from_dict(doc)
         if not shared:
             shared.append(_prepare(cfg))
         buffer, pre = shared[0]
         result, summary = _run_into(cfg, cell_dir, (buffer.copy(), pre))
-        row["status"] = "ok" if result.blowup is None else "blowup"
-        row["satisfied"] = str(summary["certificate"]["satisfied"]).lower()
-        rate = summary["fitted_rate"]
-        row["fitted_rate"] = "" if rate is None else _fmt(rate)
-        row["blowup_time"] = ("" if summary["blowup"] is None
-                              else _fmt(summary["blowup"]["time"]))
-        row["final_d_V"] = _fmt(summary["final"]["d_V"])
+        rate, blowup = summary["fitted_rate"], summary["blowup"]
+        record = SweepRow(status="ok" if blowup is None else "blowup",
+                          satisfied=str(summary["certificate"]["satisfied"]).lower(),
+                          fitted_rate="" if rate is None else _fmt(rate),
+                          blowup_time="" if blowup is None else _fmt(blowup["time"]),
+                          final_d_V=_fmt(summary["final"]["d_V"]))
     except Exception as exc:  # per-cell failures are recorded, not fatal
-        row["status"] = f"error: {_message(exc)}"  # cmd_sweep leaves the missing columns empty
-    return row
+        record = SweepRow(f"error: {_message(exc)}")
+    return {"cell": index, **{f"axis:{k}": json.dumps(_json_safe(v), sort_keys=True)
+                              for k, v in coords.items()}, **asdict(record)}
 
 
 def _run_task(payloads):
@@ -276,13 +285,11 @@ def cmd_sweep(args) -> int:
         with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             done = list(pool.map(_run_task, tasks))
     rows = sorted((row for task_rows in done for row in task_rows), key=lambda r: r["cell"])
-    axis_cols = [f"axis:{p}" for p in sweep.axes]
-    cols = ["cell"] + axis_cols + ["status", "satisfied", "fitted_rate",
-                                   "blowup_time", "final_d_V"]
+    cols = ["cell", *(f"axis:{p}" for p in sweep.axes), *(f.name for f in fields(SweepRow))]
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(cols)
-    writer.writerows([str(row.get(c, "")) for c in cols] for row in rows)
+    writer.writerows([str(row[c]) for c in cols] for row in rows)
     _atomic_write(os.path.join(args.out, "sweep_summary.csv"), text.getvalue())
     bad = [r for r in rows if r["status"] not in ("ok", "blowup")]
     for r in bad:

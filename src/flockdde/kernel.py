@@ -116,8 +116,9 @@ class CuckerSmaleKernel(_Kernel):
         """Profile value at one radius ``r >= 0``, in plain floats.
 
         The power ``(1 + r * r)^-beta`` of ``eval_with_deriv_sq``, taken by
-        libm's ``pow``: numpy's array ``pow`` there may take a SIMD path,
-        whose last bit can differ.
+        libm's ``pow``: there beta = 1 takes the correctly rounded reciprocal
+        and every other beta numpy's array ``pow``, which may take a SIMD
+        path; either's last bit can differ from libm's.
         """
         if self.beta == 0.0:
             return 1.0
@@ -133,12 +134,14 @@ class CuckerSmaleKernel(_Kernel):
         """Profile ``psi`` and ``psi'(r) / r`` at squared radii ``q = r^2``.
 
         Both come from one power: ``psi = (1 + q)^-beta`` and
-        ``psi'/r = -2 beta psi / (1 + q)``, finite at ``q = 0``.  ``q`` is an
+        ``psi'/r = -2 beta psi / (1 + q)``, finite at ``q = 0``.  At beta = 1
+        that power is one correctly rounded reciprocal, at half the cost of
+        numpy's array ``pow``, which may take a SIMD path.  ``q`` is an
         array of nonnegative values (or NaN, which propagates); both results
         are new arrays that the caller may overwrite.
         """
         base = 1.0 + q
-        psi = base ** (-self.beta)
+        psi = np.reciprocal(base) if self.beta == 1.0 else base ** (-self.beta)
         dpsi_r = np.divide(psi, base, out=base)
         dpsi_r *= -2.0 * self.beta
         return psi, dpsi_r

@@ -1300,6 +1300,12 @@ class TestSweep:
         assert rows[0]["status"] == "ok" and rows[0]["final_d_V"] != ""
         assert rows[1]["status"] == \
             "error: density values have shape (4,), expected (3,)"
+        # the header is cell, the axes, then the row record's fields; a failed
+        # cell fills its status alone
+        fixed = [f.name for f in dataclasses.fields(cli.SweepRow)]
+        assert list(rows[0]) == ["cell", "axis:datum.domain.counts",
+                                 "axis:datum.domain.box", *fixed]
+        assert all(rows[1][name] == "" for name in fixed[1:])
 
     def test_threads_env_caps_workers(self, tmp_path, quick_run_doc, monkeypatch):
         doc = json.loads(json.dumps(quick_run_doc))

@@ -272,7 +272,8 @@ def test_derivative_is_negative_zero_where_the_power_underflows():
                    allow_infinity=False),
        beta=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.7, 40.0]))
 def test_profile_is_the_closed_form_bit_for_bit(r, beta):
-    # libm's pow; the array pow of eval_with_deriv_sq may differ in the last bit
+    # libm's pow; eval_with_deriv_sq's power (numpy's array pow, or at beta = 1
+    # the correctly rounded reciprocal) may differ in the last bit
     k = CuckerSmaleKernel(beta)
     value = k.profile(r)
     assert type(value) is float
@@ -280,6 +281,20 @@ def test_profile_is_the_closed_form_bit_for_bit(r, beta):
     with np.errstate(over="ignore"):
         psi = k.eval_with_deriv_sq(np.square([r]))[0][0]
     assert abs(psi - value) <= math.ulp(value)
+
+
+def test_beta_one_power_is_the_correctly_rounded_reciprocal():
+    # IEEE division, not pow, is the reference, so this holds on any host
+    rng = np.random.default_rng(0)
+    q = np.concatenate([[0.0, 5e-324, 1e-300, 1e308, math.inf, math.nan],
+                        rng.uniform(0.0, 2.0, 10**5),
+                        10.0 ** rng.uniform(-20.0, 300.0, 10**5)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi, dpsi_r = CuckerSmaleKernel(1.0).eval_with_deriv_sq(q)
+    want = 1.0 / (1.0 + q)
+    assert psi.tobytes() == want.tobytes()
+    assert dpsi_r.tobytes() == (-2.0 * (want / (1.0 + q))).tobytes()
 
 
 # only bench/spans.py names the two readers below, until item 9a
