@@ -41,12 +41,6 @@ from .state import (
     SliceTableVelocity,
     discretize,
 )
-from .threshold1d import (
-    ThresholdVerdict,
-    WEvolution,
-    classify,
-    evolve_w,
-    reconstruct_density,
-)
+from .threshold1d import ThresholdVerdict, classify
 
 __version__ = "0.1.0"

@@ -209,9 +209,10 @@ def cmd_threshold(args) -> int:
             "indeterminate": 5}[verdict.verdict]
 
 
-def _setup_key(doc) -> str:
+def _setup_key(cfg: RunConfig) -> str:
     """What ``_prepare`` reads of a run config: its datum, tau, step and seed
     (which draws a random phase), never its kernel."""
+    doc = cfg.raw
     return json.dumps([doc["datum"], doc["tau"], doc["step"], doc.get("seed", 0)],
                       sort_keys=True)
 
@@ -230,17 +231,17 @@ def _tasks(keys, workers):
 
 
 def _run_cell(payload):
-    """Sweep worker: run one cell into its own directory (process-safe).
+    """Sweep worker: run one cell's built config into its own directory
+    (process-safe).
 
     ``shared`` is its task's list of at most one ``_prepare`` pair: the first
     cell to succeed fills it and the others run on it; a failed set-up is not
     kept, so each cell that needs it meets the failure.  Each cell steps a
     ``HistoryBuffer.copy`` of the ring, which shares every stored array.
     """
-    index, coords, doc, out_dir, shared = payload
+    index, coords, cfg, out_dir, shared = payload
     cell_dir = os.path.join(out_dir, f"cell_{index:04d}")
     try:
-        cfg = run_config_from_dict(doc)
         if not shared:
             shared.append(_prepare(cfg))
         buffer, pre = shared[0]
@@ -275,10 +276,10 @@ def cmd_sweep(args) -> int:
         except ValueError:
             raise ConfigError(f"{THREADS_ENV}: expected an integer, got {env_cap!r}") from None
     os.makedirs(args.out, exist_ok=True)
-    payloads = [(i, coords, doc, args.out) for i, (coords, doc) in enumerate(sweep.cells)]
+    payloads = [(i, coords, cfg, args.out) for i, (coords, cfg) in enumerate(sweep.cells)]
     workers = min(workers, len(payloads))
     tasks = [[payloads[i] for i in task] for task in
-             _tasks([_setup_key(doc) for _, doc in sweep.cells], workers)]
+             _tasks([_setup_key(cfg) for _, cfg in sweep.cells], workers)]
     if workers <= 1:
         done = [_run_task(task) for task in tasks]
     else:

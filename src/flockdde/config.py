@@ -129,6 +129,28 @@ def _build_kernel(spec):
     raise ConfigError(f"kernel.family: unknown kernel family {family!r}")
 
 
+@dataclass(eq=False)
+class _Gaussian:
+    """The density exp(-|x - center|^2 / (2 sigma^2)) on node positions x, a
+    module-level callable, so that a config holding one pickles; its errors
+    name the config field ``path``."""
+
+    center: np.ndarray
+    sigma: float
+    path: str
+
+    def __call__(self, x):
+        sigma = self.sigma
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing square gives 0
+            exponent = -((x - self.center[None, :]) ** 2).sum(axis=1) / (2 * sigma * sigma)
+        if np.isnan(exponent).any():  # inf / inf: 2 sigma^2 and a square overflow
+            raise ConfigError(f"{self.path}.sigma: too large for the domain, got {sigma}")
+        values = np.exp(exponent)
+        if not values.any():  # no mass: e^exponent underflows to 0 at every node
+            raise ConfigError(f"{self.path}.sigma: too small for the domain, got {sigma}")
+        return values
+
+
 def _build_density(spec, path, dim):
     if spec is None:
         return None
@@ -142,18 +164,7 @@ def _build_density(spec, path, dim):
         sigma = _real(_need(spec, "sigma", path), f"{path}.sigma", minimum=0.0)
         if not 2 * sigma * sigma > 0:  # the exponent's divisor, 0 when sigma^2 underflows
             raise ConfigError(f"{path}.sigma: must be positive, with 2 sigma^2 above 0, got {sigma}")
-
-        def gaussian(x, center=center, sigma=sigma):
-            with np.errstate(over="ignore", invalid="ignore"):  # an overflowing square gives 0
-                exponent = -((x - center[None, :]) ** 2).sum(axis=1) / (2 * sigma * sigma)
-            if np.isnan(exponent).any():  # inf / inf: 2 sigma^2 and a square overflow
-                raise ConfigError(f"{path}.sigma: too large for the domain, got {sigma}")
-            values = np.exp(exponent)
-            if not values.any():  # no mass: e^exponent underflows to 0 at every node
-                raise ConfigError(f"{path}.sigma: too small for the domain, got {sigma}")
-            return values
-
-        return gaussian
+        return _Gaussian(center, sigma, path)
     if family == "table":
         return _array(_need(spec, "values", path), f"{path}.values")
     raise ConfigError(f"{path}.family: unknown density family {family!r}")
@@ -309,9 +320,9 @@ def load_run_config(path) -> RunConfig:
 @dataclass
 class SweepConfig:
     """A validated sweep: ``axes`` holds the dotted paths, each once,
-    ``cells`` the ``(coords, doc)`` pairs in row-major axis order, each
-    ``doc`` a run config built and checked once, on load, and ``coords`` its
-    value per path."""
+    ``cells`` the ``(coords, RunConfig)`` pairs in row-major axis order, each
+    config built once, on load, and ``coords`` its value per path.  The base
+    is not built on its own: an error in it is cell 0's."""
 
     axes: list
     cells: list
@@ -337,7 +348,6 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}")
     _known(doc, "sweep", "schema_version base axes max_workers max_cells")
     base = _need(doc, "base", "sweep")
-    run_config_from_dict(base)  # validate the base eagerly
     axes_spec = _need(doc, "axes", "sweep")
     if not isinstance(axes_spec, list) or not axes_spec:
         raise ConfigError("axes: must be a non-empty list")
@@ -367,10 +377,9 @@ def sweep_config_from_dict(doc: dict) -> SweepConfig:
         for path, value in coords.items():
             _set_by_path(cell, path, value)
         try:
-            run_config_from_dict(cell)
+            cells.append((coords, run_config_from_dict(cell)))
         except ConfigError as exc:
             raise ConfigError(f"cell {coords}: {exc}") from None
-        cells.append((coords, cell))
     return SweepConfig(axes=paths, cells=cells, max_workers=max_workers)
 
 

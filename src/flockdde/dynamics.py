@@ -61,10 +61,9 @@ class BlowupSignal(Exception):
     Carries the last finite time so the driver can retain all frames up to it.
     """
 
-    def __init__(self, time, node=None, reason="non-finite state"):
-        super().__init__(f"{reason} detected after t={time}")
+    def __init__(self, time):
+        super().__init__(f"non-finite state detected after t={time}")
         self.time = time
-        self.node = node
 
 
 class BlowupEvent(NamedTuple):
@@ -255,7 +254,7 @@ def _advance(buffer: HistoryBuffer, kernel, n_steps: int):
             try:
                 step(buffer, kernel)
             except BlowupSignal as sig:
-                yield None, BlowupEvent(sig.time, sig.node)
+                yield None, BlowupEvent(sig.time, None)
                 return
         dets = _det(buffer.tangent[0])
         node = _blowup_node(dets)

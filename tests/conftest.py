@@ -13,7 +13,7 @@ import pytest
 from hypothesis import strategies as st
 
 from flockdde.diagnostics import DiagnosticsFrame, _max_norms, diameters
-from flockdde.dynamics import _force
+from flockdde.dynamics import _advance, _force
 from flockdde.kernel import TabulatedKernel
 
 
@@ -85,6 +85,20 @@ def newest_force(buf, kernel):
     force_gradients, normalizers)``."""
     (pos, vel), (jac, _) = buf.slot(buf.clock), buf.tangent
     return _force(kernel, buf.masses, pos, vel, jac, *buf.slot(buf.clock - buf.m))
+
+
+def slopes(buffer, kernel, n_steps):
+    """Step a 1-d buffer up to ``n_steps`` times through the integrator's
+    loop, ``dynamics._advance``: ``(times, w, event)``, with w = vel_gradient
+    / jacobian of each node, a (K, N) array, at the K slots judged without
+    an event, and ``event`` the run's ``BlowupEvent`` or None."""
+    times, rows = [], []
+    for _, event in _advance(buffer, kernel, n_steps):
+        if event is None:
+            jac, vgrad = buffer.tangent
+            times.append(buffer.current_time)
+            rows.append(vgrad[:, 0, 0] / jac[:, 0, 0])
+    return np.array(times), np.reshape(rows, (len(times), buffer.masses.size)), event
 
 
 def max_norm(entries):

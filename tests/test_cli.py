@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import float_bits
-from flockdde import cli
+from flockdde import cli, config
 from flockdde.cli import _json_text, execute_run, main
 from flockdde.config import (
     PRESETS,
@@ -946,8 +946,9 @@ class TestSweep:
         assert sweep.axes == ["tau", "kernel.beta"]
         assert [coords for coords, _ in sweep.cells] == \
             [{"tau": t, "kernel.beta": b} for t in (0.1, 0.3) for b in (0.5, 2.0, 3.0)]
-        for coords, doc in sweep.cells:
-            assert (doc["tau"], doc["kernel"]["beta"]) == tuple(coords.values())
+        for coords, cfg in sweep.cells:
+            assert (cfg.tau, cfg.kernel.beta) == tuple(coords.values())
+            assert (cfg.raw["tau"], cfg.raw["kernel"]["beta"]) == tuple(coords.values())
         assert (quick_run_doc["tau"], quick_run_doc["kernel"]["beta"]) == (0.2, 0.25)
 
     def test_repeated_axis_path_is_a_config_error(self, tmp_path, quick_run_doc, capsys):
@@ -1084,7 +1085,8 @@ class TestSweep:
         monkeypatch.setattr(cli, "classify", classifying)
         doc = dict(quick_run_doc, t_end=0.05)
         betas = [0.25, 0.5, 2.0][:cells]
-        rows = cli._run_task([(i, {"kernel.beta": beta}, _with(doc, "kernel.beta", beta),
+        rows = cli._run_task([(i, {"kernel.beta": beta},
+                               run_config_from_dict(_with(doc, "kernel.beta", beta)),
                                str(tmp_path)) for i, beta in enumerate(betas)])
         assert [row["status"] for row in rows] == ["ok"] * cells
         (buffer, _), = prepared
@@ -1195,12 +1197,73 @@ class TestSweep:
             f"cell {i}: error: no set-up at tau 0.1\n" for i in (0, 1))
 
     def test_set_up_key_is_the_datum_tau_step_and_seed(self, quick_run_doc):
-        key = cli._setup_key(quick_run_doc)
-        assert cli._setup_key(_with(quick_run_doc, "kernel.beta", 3.0)) == key
-        assert cli._setup_key(_with(quick_run_doc, "t_end", 0.5)) == key
+        def key_with(path, value):
+            return cli._setup_key(run_config_from_dict(_with(quick_run_doc, path, value)))
+
+        key = cli._setup_key(run_config_from_dict(quick_run_doc))
+        assert key_with("kernel.beta", 3.0) == key
+        assert key_with("t_end", 0.5) == key
         for path, value in (("tau", 0.1), ("step", 0.001), ("seed", 4),
                             ("datum.velocity.amplitude", [0.3])):
-            assert cli._setup_key(_with(quick_run_doc, path, value)) != key
+            assert key_with(path, value) != key
+
+    def test_gaussian_cells_cross_the_pool_as_their_standalone_runs(self, tmp_path,
+                                                                     quick_run_doc):
+        # the cells' built configs are pickled to the workers, and a Gaussian
+        # density is a module-level callable, so it crosses the pool too
+        doc = _with(dict(quick_run_doc, t_end=0.05, snapshot_csv=True), "datum.density",
+                    {"family": "gaussian", "center": [0.4], "sigma": 0.3})
+        betas = [0.25, 1.5, 0.0]
+        grids = {}
+        for workers in (1, 2):
+            sweep_doc = {"schema_version": 1, "base": doc,
+                         "axes": [{"path": "kernel.beta", "values": betas}],
+                         "max_workers": workers}
+            grid = tmp_path / f"grid{workers}"
+            assert run_cli("sweep", "--config", write_json(tmp_path / "sweep.json", sweep_doc),
+                           "--out", str(grid)) == 0
+            grids[workers] = sorted((p.relative_to(grid).as_posix(), p.read_bytes())
+                                    for p in grid.rglob("*") if p.is_file())
+        assert grids[2] == grids[1] and len(grids[1]) == 10
+        for i, beta in enumerate(betas):
+            solo = tmp_path / f"solo{i}"
+            assert run_cli("run", "--config",
+                           write_json(tmp_path / f"run{i}.json", _with(doc, "kernel.beta", beta)),
+                           "--out", str(solo)) == 0
+            for name in ("frames.csv", "summary.json", "snapshot.csv"):
+                assert (tmp_path / "grid2" / f"cell_{i:04d}" / name).read_bytes() == \
+                    (solo / name).read_bytes()
+
+    def test_each_cell_is_built_once_and_the_base_never(self, quick_run_doc, monkeypatch):
+        built = []
+
+        def counting(doc, real=config.run_config_from_dict):
+            built.append(doc)
+            return real(doc)
+
+        monkeypatch.setattr(config, "run_config_from_dict", counting)
+        sweep = sweep_config_from_dict({
+            "schema_version": 1, "base": quick_run_doc,
+            "axes": [{"path": "tau", "values": [0.1, 0.3]},
+                     {"path": "kernel.beta", "values": [0.5, 2.0, 3.0]}]})
+        assert len(built) == len(sweep.cells) == 6
+        assert [cfg.raw for _, cfg in sweep.cells] == built
+
+    def test_bad_base_is_cell_zeros_config_error(self, tmp_path, quick_run_doc, capsys):
+        sweep_doc = {"schema_version": 1, "base": _with(quick_run_doc, "step", -1.0),
+                     "axes": [{"path": "kernel.beta", "values": [0.5, 2.0]}]}
+        assert run_cli("sweep", "--config", write_json(tmp_path / "sweep.json", sweep_doc),
+                       "--out", str(tmp_path / "grid")) == 1
+        assert capsys.readouterr().err == ("config error: cell {'kernel.beta': 0.5}: "
+                                           "step: must be positive, got -1.0\n")
+        assert not (tmp_path / "grid").exists()
+
+    def test_base_field_that_every_axis_overrides_may_be_bad(self, quick_run_doc):
+        # the base is never run: only the cells, each with its own tau
+        sweep = sweep_config_from_dict({
+            "schema_version": 1, "base": _with(quick_run_doc, "tau", -1.0),
+            "axes": [{"path": "tau", "values": [0.1, 0.2]}]})
+        assert [cfg.tau for _, cfg in sweep.cells] == [0.1, 0.2]
 
     def test_tasks_of_small_sweeps(self):
         assert cli._tasks(list("aaabbb"), 2) == [[0, 1, 2], [3, 4, 5]]  # sweep-2x3

@@ -2,7 +2,9 @@
 
 Each example takes a valid run or sweep document, deletes keys or list
 entries and replaces values (leaves or whole subtrees) with arbitrary JSON.
-These are parse-only.  The last test goes on to discretize and certify small
+These are parse-only.  Each unmutated run document also builds a config
+that pickles, as a sweep sends it to its worker processes, and its copy
+discretizes to the same state.  The last test goes on to discretize and certify small
 generated runs whose velocity arrays hold d entries, or in half of them any
 number from 1 to 3.
 """
@@ -11,7 +13,11 @@ import contextlib
 import copy
 import io
 import json
+import pickle
 import warnings
+
+import numpy as np
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +30,7 @@ from flockdde.config import (
     run_config_from_dict,
     sweep_config_from_dict,
 )
-from flockdde.state import _run_steps
+from flockdde.state import _run_steps, discretize
 
 # words the parser branches on, so replacements reach past the family checks
 WORDS = ["random", "linear", "cubic-hermite", "cucker-smale", "tabulated",
@@ -121,6 +127,24 @@ def test_unmutated_documents_parse():
     for doc in RUN_DOCS:
         run_config_from_dict(doc)
     sweep_config_from_dict(SWEEP_DOC)
+
+
+@pytest.mark.parametrize("doc", RUN_DOCS, ids=[*sorted(PRESETS), "rich", "table-density"])
+def test_built_config_pickles_to_the_same_state(doc):
+    # a sweep with max_workers >= 2 pickles each cell's built config to a
+    # worker: every kernel, velocity and density family must cross unchanged
+    cfg = run_config_from_dict(doc)
+    copied = pickle.loads(pickle.dumps(cfg))
+    assert copied.raw == cfg.raw
+    bufs = [discretize(c.datum, c.tau, c.step) for c in (cfg, copied)]
+    arrays = [[*b.gather(b.prehistory_clocks()), *b.tangent, b.masses, b.cell_volumes]
+              for b in bufs]
+    for a, b in zip(*arrays):
+        np.testing.assert_array_equal(a, b)
+    squares = np.linspace(0.0, 3.0, 7) ** 2
+    for a, b in zip(copied.kernel.eval_with_deriv_sq(squares),
+                    cfg.kernel.eval_with_deriv_sq(squares)):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_fuzzed_run_documents(time_limit):

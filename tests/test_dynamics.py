@@ -18,6 +18,7 @@ from conftest import (
     radius_methods,
     record_per_slice,
     slice_diameters,
+    slopes,
 )
 from flockdde import cli, dynamics
 from flockdde.cli import execute_run, write_frames_csv
@@ -48,7 +49,6 @@ from flockdde.state import (
     _run_steps,
     discretize,
 )
-from flockdde.threshold1d import evolve_w
 
 
 # two nodes a delay's travel, 300, behind their delayed selves: under beta 40
@@ -1087,20 +1087,21 @@ GUARDED_RUNS = {
 
 def _guarded_outcome(name, out):
     """The bytes of what one run returns: the frames, event and newest slot
-    of an ``integrate`` run, the rows of ``evolve_w``, or the rows and files
+    of an ``integrate`` run, the rows of ``slopes``, or the rows and files
     of a three-cell sweep task of one set-up, written under ``out``."""
     if name in GUARDED_RUNS:
         res = integrate_config(GUARDED_RUNS[name])
         return (list(map(frame_bits, res.frames)), res.blowup, res.r_v,
                 [a.tobytes() for a in (*res.buffer.slot(res.buffer.clock), *res.buffer.tangent)])
     if name == "evolve-w":
-        evo = evolve_w(discretize(make_config().datum, 0.1, 0.005), CuckerSmaleKernel(1.0),
-                       t_end=0.3)
-        return evo.times.tobytes(), evo.w.tobytes(), evo.blowup
+        times, w, event = slopes(discretize(make_config().datum, 0.1, 0.005),
+                                 CuckerSmaleKernel(1.0), 60)
+        return times.tobytes(), w.tobytes(), event
     # m + 50 steps: each cell's ring turns over
     doc = dict(preset_dict("unconditional-beta025"), t_end=0.3, snapshot_csv=True)
-    rows = cli._run_task([(i, {}, dict(doc, kernel={"family": "cucker-smale", "beta": beta}),
-                           str(out)) for i, beta in enumerate([0.25, 0.5, 2.0])])
+    cfgs = [run_config_from_dict(dict(doc, kernel={"family": "cucker-smale", "beta": beta}))
+            for beta in (0.25, 0.5, 2.0)]
+    rows = cli._run_task([(i, {}, cfg, str(out)) for i, cfg in enumerate(cfgs)])
     return rows, sorted((p.relative_to(out).as_posix(), p.read_bytes())
                         for p in out.rglob("*") if p.is_file())
 

@@ -151,7 +151,11 @@ def _check_sweep(doc, beta, runs, tmp_path, time_limit):
     shutil.rmtree(out, ignore_errors=True)
     code, lines = _cli(time_limit, "sweep", "--config", str(path), "--out", str(out))
     if not (out / "sweep_summary.csv").exists():  # the config fails for every cell
-        assert code == 1 and lines == runs[0][1], (code, lines, runs)
+        # the base is built only as cell 0, so the run's config error is cell 0's
+        coords = {"kernel.beta": doc["kernel"]["beta"]}
+        want = [line.replace("config error: ", f"config error: cell {coords}: ", 1)
+                for line in runs[0][1]]
+        assert code == 1 and lines == want, (code, lines, runs)
         return
     with open(out / "sweep_summary.csv") as f:
         rows = list(csv.DictReader(f))

@@ -1,4 +1,4 @@
-"""Critical-threshold classifier, slope evolution and the blow-up time."""
+"""Critical-threshold classifier, the slopes along characteristics and the blow-up time."""
 
 import csv
 import json
@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cucker_smale, newest_force, prehistory_r_v
+from conftest import cucker_smale, newest_force, prehistory_r_v, slopes
 from flockdde.cli import execute_run, main
 from flockdde.config import preset_dict, run_config_from_dict
-from flockdde.dynamics import BlowupSignal, _blowup_node, integrate, step
+from flockdde.dynamics import _blowup_node, integrate, step
 from flockdde.kernel import CuckerSmaleKernel, TabulatedKernel
 from flockdde.state import (
     BoxDomain,
@@ -22,11 +22,7 @@ from flockdde.state import (
     VelocityField,
     discretize,
 )
-from flockdde.threshold1d import (
-    classify,
-    evolve_w,
-    reconstruct_density,
-)
+from flockdde.threshold1d import classify
 
 
 def riccati_w(w0, t):
@@ -95,34 +91,27 @@ class TestEvolveW:
 
     def test_flat_kernel_matches_riccati_closed_form(self):
         buf = self.run_buffer(-0.5)
-        evo = evolve_w(buf, CuckerSmaleKernel(0.0), t_end=2.0)
-        assert evo.blowup is None
-        exact = np.array([riccati_w(-0.5, t) for t in evo.times])
-        err = np.abs(evo.w - exact[:, None]).max()
+        times, w, event = slopes(buf, CuckerSmaleKernel(0.0), 2000)
+        assert event is None
+        exact = np.array([riccati_w(-0.5, t) for t in times])
+        err = np.abs(w - exact[:, None]).max()
         assert err <= 1e-8
 
     def test_supercritical_slope_blows_up_at_log_ratio(self):
         # w' = -w - w^2 with w0 = -2 loses the Jacobian at t = ln 2, inside
         # the classifier bound 1/(w2_minus - w0) = 1
         buf = self.run_buffer(-2.0)
-        evo = evolve_w(buf, CuckerSmaleKernel(0.0), t_end=2.0)
-        assert evo.blowup is not None
-        t_star, node = evo.blowup
+        _, _, event = slopes(buf, CuckerSmaleKernel(0.0), 2000)
+        assert event is not None
+        t_star, node = event
         assert t_star == pytest.approx(math.log(2.0), abs=5e-3)
         assert t_star <= 1.0
 
     def test_zero_slope_rigid_translation(self):
         datum = InitialDatum(BoxDomain([0.0], [1.0], [8]), ConstantVelocity([0.4]))
         buf = discretize(datum, 0.1, 1e-3)
-        evo = evolve_w(buf, CuckerSmaleKernel(1.0), t_end=0.5)
-        assert np.abs(evo.w).max() <= 1e-14
-
-    def test_dimension_guard(self):
-        datum = InitialDatum(BoxDomain([0, 0], [1, 1], [3, 3]),
-                             ConstantVelocity([0.0, 0.0]))
-        buf = discretize(datum, 0.0, 1e-3)
-        with pytest.raises(ValueError):
-            evolve_w(buf, CuckerSmaleKernel(0.0), t_end=0.1)
+        _, w, _ = slopes(buf, CuckerSmaleKernel(1.0), 500)
+        assert np.abs(w).max() <= 1e-14
 
     def test_subcritical_floor_with_forcing(self):
         # 4 C_bar = 4 * (2 beta) * 2 R_V = 0.7 <= 1, slopes start above the
@@ -134,32 +123,25 @@ class TestEvolveW:
         r_v = prehistory_r_v(buf)
         verdict = classify(slope, CuckerSmaleKernel(beta), r_v)
         assert verdict.verdict == "global-existence"
-        evo = evolve_w(buf, CuckerSmaleKernel(beta), t_end=5.0)
-        assert evo.blowup is None
-        assert evo.w.min() >= verdict.w1_minus - 1e-4
-
-    def test_off_grid_t_end_rejected(self):
-        buf = self.run_buffer(-0.5)
-        for t_end in (0.0105, -1e-3):
-            with pytest.raises(ValueError, match="not a step"):
-                evolve_w(buf, CuckerSmaleKernel(0.0), t_end=t_end)
-        assert buf.clock == 0
+        _, w, event = slopes(buf, CuckerSmaleKernel(beta), 5000)
+        assert event is None
+        assert w.min() >= verdict.w1_minus - 1e-4
 
     def test_blowup_event_is_the_integrators(self):
-        # one rule, one loop: the slope evolution stops at the step, and on
-        # the node, at which integrate stops, and reports the same event
+        # one rule, one loop: the slopes stop at the step, and on the node,
+        # at which integrate stops, and the loop reports the same event
         doc = dict(preset_dict("riccati-blowup"), output_every=1e-3)
         doc["datum"]["domain"]["counts"] = [16]
         cfg = run_config_from_dict(doc)
         res, _ = execute_run(cfg)
-        evo = evolve_w(discretize(cfg.datum, cfg.tau, cfg.step), cfg.kernel,
-                       t_end=cfg.t_end)
+        times, _, event = slopes(discretize(cfg.datum, cfg.tau, cfg.step), cfg.kernel,
+                                 round(cfg.t_end / cfg.step))
         last = res.frames[-1]
         assert last.status == "blowup"
-        assert evo.blowup == res.blowup
+        assert event == res.blowup
         assert res.blowup.node == _blowup_node(res.buffer.latest.det_jacobians())
         assert res.frames[-2].t < res.blowup.time <= last.t
-        assert evo.times[-1] == res.frames[-2].t
+        assert times[-1] == res.frames[-2].t
 
     def test_quotient_matches_independently_integrated_slope(self):
         # integrate w' = g(t) - w - w^2 per node, with g the simulated
@@ -224,23 +206,25 @@ def test_supercritical_slopes_blow_up_within_the_bound(time_limit):
             return
         reached.append(case["beta"])
         with time_limit(5):
-            evo = evolve_w(buf, kernel, t_end=math.ceil(verdict.bound / H) * H)
-        assert evo.blowup is not None
-        assert evo.blowup.time <= verdict.bound
+            _, _, event = slopes(buf, kernel, math.ceil(verdict.bound / H))
+        assert event is not None
+        assert event.time <= verdict.bound
 
     check()
     assert 0.0 in reached and len(set(reached)) > 1
 
 
 def linear_buffers(slope, beta=0.0, m=1, n=4, h=H):
-    """Two identical 1-d linear-datum buffers, one for each of integrate and evolve_w."""
+    """Two identical 1-d linear-datum buffers, one for each of integrate and slopes."""
     datum = InitialDatum(BoxDomain([0.0], [1.0], [n]), LinearVelocity([[slope]]))
     return [discretize(datum, m * h, h) for _ in range(2)], CuckerSmaleKernel(beta)
 
 
-def both_events(bufs, kernel, t_end, h=H):
-    res = integrate(bufs[0], kernel, t_end=t_end, output_every=h)
-    return res, evolve_w(bufs[1], kernel, t_end=t_end)
+def both_events(bufs, kernel, n_steps, h=H):
+    """``integrate`` of the first buffer over n_steps steps of h, a frame
+    every step, and ``slopes`` of the second."""
+    res = integrate(bufs[0], kernel, t_end=n_steps * h, output_every=h)
+    return res, slopes(bufs[1], kernel, n_steps)
 
 
 class TestStartSlot:
@@ -250,9 +234,9 @@ class TestStartSlot:
         bufs, kernel = linear_buffers(-0.5)
         for buf in bufs:
             buf.latest.jacobians[:] = 0.0
-        res, evo = both_events(bufs, kernel, 16 * H)
-        assert res.blowup == evo.blowup == (0.0, 0)
-        assert evo.times.size == 0 and evo.w.shape == (0, 4)
+        res, (times, w, event) = both_events(bufs, kernel, 16)
+        assert res.blowup == event == (0.0, 0)
+        assert times.size == 0 and w.shape == (0, 4)
         assert bufs[0].clock == bufs[1].clock == 0
 
     @pytest.mark.parametrize("node", [0, 2])
@@ -260,8 +244,8 @@ class TestStartSlot:
         bufs, kernel = linear_buffers(-0.5, beta=1.0)
         for buf in bufs:
             buf.latest.jacobians[node] = math.nan
-        res, evo = both_events(bufs, kernel, 16 * H)
-        assert res.blowup == evo.blowup == (0.0, node)
+        res, (_, _, event) = both_events(bufs, kernel, 16)
+        assert res.blowup == event == (0.0, node)
         assert _blowup_node(bufs[0].latest.det_jacobians()) == node
         assert bufs[0].clock == bufs[1].clock == 0
 
@@ -290,20 +274,20 @@ def test_integrate_and_evolve_w_end_alike(time_limit):
             for buf in bufs:
                 buf.latest.jacobians[:] = 0.0
         with time_limit(5):
-            res, evo = both_events(bufs, kernel, 1.0, h)
-        assert res.blowup == evo.blowup
+            res, (w_times, _, event) = both_events(bufs, kernel, round(1.0 / h), h)
+        assert res.blowup == event
         statuses = [f.status for f in res.frames]
         times = [f.t for f in res.frames]
         if res.blowup is None:
             assert set(statuses) == {"ok"}
-            assert evo.times.tolist() == times
+            assert w_times.tolist() == times
         else:
             assert statuses == ["ok"] * (len(statuses) - 1) + ["blowup"]
             # a frame every step: the event lies in the step that ends the run
             assert res.blowup.time <= times[-1]
             assert len(times) == 1 or times[-2] < res.blowup.time
             assert _blowup_node(res.buffer.latest.det_jacobians()) == res.blowup.node
-            assert evo.times.tolist() == times[:-1]
+            assert w_times.tolist() == times[:-1]
         seen.add("none" if res.blowup is None
                  else "at t = 0" if res.blowup.time == 0 else "later")
 
@@ -365,37 +349,7 @@ class TestBlowupTime:
         assert res.frames[-2].t < res.blowup.time <= res.frames[-1].t
 
 
-class TestReconstructDensity:
-    def test_initial_time_recovers_normalized_density(self):
-        dens = lambda x: 1.0 + x[:, 0]
-        datum = InitialDatum(BoxDomain([0.0], [1.0], [16]),
-                             ConstantVelocity([0.2]), density=dens)
-        buf = discretize(datum, 0.0, 1e-3)
-        pos, h_vals = reconstruct_density(buf.latest)
-        expected = (1.0 + pos[:, 0]) / 1.5  # normalized: integral of 1+x is 3/2
-        assert np.allclose(h_vals, expected, rtol=1e-12)
-
-    def test_rigid_translation_density_constant(self):
-        datum = InitialDatum(BoxDomain([0.0], [1.0], [8]), ConstantVelocity([0.5]))
-        buf = discretize(datum, 0.1, 0.01)
-        kernel = CuckerSmaleKernel(1.0)
-        _, h0 = reconstruct_density(buf.latest)
-        for _ in range(100):
-            step(buf, kernel)
-        _, h1 = reconstruct_density(buf.latest)
-        assert np.allclose(h1, h0, atol=1e-12)
-
-    def test_mass_conservation_identity(self):
-        datum = InitialDatum(BoxDomain([0.0], [1.0], [12]), LinearVelocity([[-0.5]]))
-        buf = discretize(datum, 0.1, 0.01)
-        kernel = CuckerSmaleKernel(0.0)
-        for _ in range(50):
-            step(buf, kernel)
-        ens = buf.latest
-        _, h_vals = reconstruct_density(ens)
-        total = float((h_vals * ens.det_jacobians() * ens.cell_volumes).sum())
-        assert total == pytest.approx(1.0, abs=1e-12)
-
+class TestJacobian:
     def test_flat_kernel_jacobian_follows_riccati(self):
         # for u0 = -0.5 x and psi == 1: J(t) = 1 - 0.5 (1 - e^{-t})
         datum = InitialDatum(BoxDomain([0.0], [1.0], [8]), LinearVelocity([[-0.5]]))
@@ -406,23 +360,6 @@ class TestReconstructDensity:
         t = buf.current_time
         expected = 1.0 - 0.5 * (1.0 - math.exp(-t))
         assert np.allclose(buf.latest.jacobians[:, 0, 0], expected, atol=1e-10)
-        _, h_vals = reconstruct_density(buf.latest)
-        assert np.allclose(h_vals, 1.0 / expected, rtol=1e-9)
-
-    def test_collapsed_jacobian_signals_blowup(self):
-        datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), ConstantVelocity([0.0]))
-        buf = discretize(datum, 0.0, 1e-3)
-        buf.latest.jacobians[:] *= 1e-9
-        with pytest.raises(BlowupSignal):
-            reconstruct_density(buf.latest)
-
-    def test_nan_jacobian_signals_blowup_at_its_node(self):
-        datum = InitialDatum(BoxDomain([0.0], [1.0], [4]), ConstantVelocity([0.0]))
-        buf = discretize(datum, 0.0, 1e-3)
-        buf.latest.jacobians[2] = math.nan
-        with pytest.raises(BlowupSignal) as info:
-            reconstruct_density(buf.latest)
-        assert info.value.node == 2
 
 
 class TestForceGradientBound:
@@ -522,21 +459,21 @@ def test_slopes_stay_between_the_riccati_envelopes(time_limit):
         w0 = buf.latest.vel_gradients[:, 0, 0] / buf.latest.jacobians[:, 0, 0]
         verdict = classify(float(w0.min()), kernel, r_v)
         with time_limit(5):
-            evo = evolve_w(buf, kernel, t_end=t_end)
-        t = evo.times[:, None]
+            times, w, event = slopes(buf, kernel, round(t_end / h))
+        t = times[:, None]
         upper, upper_blowup = riccati_envelope(w0, verdict.c_bar, t)
         lower, _ = riccati_envelope(w0, -verdict.c_bar, t)
-        tol = h**4 * (1 + evo.w**2)
-        assert np.all(evo.w <= upper + tol)
-        assert np.all((evo.w >= lower - tol) | np.isneginf(lower))
+        tol = h**4 * (1 + w**2)
+        assert np.all(w <= upper + tol)
+        assert np.all((w >= lower - tol) | np.isneginf(lower))
         if verdict.verdict == "global-existence":
-            assert evo.blowup is None
-            assert evo.w.min() >= verdict.w1_minus - tol.max()
+            assert event is None
+            assert w.min() >= verdict.w1_minus - tol.max()
         if upper_blowup.min() <= t_end:
-            assert evo.blowup is not None
-        if evo.blowup is not None:
-            assert evo.blowup.time <= upper_blowup.min()
-        reached.update({(verdict.verdict, evo.blowup is not None), type(kernel)})
+            assert event is not None
+        if event is not None:
+            assert event.time <= upper_blowup.min()
+        reached.update({(verdict.verdict, event is not None), type(kernel)})
 
     check()
     assert {("global-existence", False), ("finite-time-blowup", True),
