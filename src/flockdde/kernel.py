@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from .roots import _WIDE_MAXITER, brentq
 
@@ -29,6 +28,18 @@ __all__ = [
 # double precision, so the Cucker-Smale integrals take their power-law forms.
 _FAR = 1e20
 _ASINH_MAX = math.asinh(np.finfo(float).max)
+
+_special = None
+
+
+def _scipy_special():
+    """``scipy.special``, imported on the first call, so a run at beta 0, 1/2
+    or 1 never loads it.  Kept at module level, never on a kernel, which is
+    pickled to sweep workers."""
+    global _special
+    if _special is None:
+        from scipy import special as _special
+    return _special
 
 
 class _Kernel:
@@ -79,7 +90,8 @@ class CuckerSmaleKernel(_Kernel):
         if beta < 0 or not math.isfinite(beta):
             raise ValueError(f"beta must be a finite nonnegative real, got {beta}")
         self.beta = beta
-        if beta > 0.5:  # the profile integrates to _total, half of it below _median
+        if beta > 0.5 and beta != 1.0:  # the profile integrates to _total, half of it below _median
+            special = _scipy_special()
             q = beta - 0.5
             self._total = 0.5 * float(special.beta(0.5, q))
             u = float(special.betaincinv(q, 0.5, 0.5))
@@ -115,14 +127,16 @@ class CuckerSmaleKernel(_Kernel):
     def profile(self, r: float) -> float:
         """Profile value at one radius ``r >= 0``, in plain floats.
 
-        The power ``(1 + r * r)^-beta`` of ``eval_with_deriv_sq``, taken by
-        libm's ``pow``: there beta = 1 takes the correctly rounded reciprocal
-        and every other beta numpy's array ``pow``, which may take a SIMD
-        path; either's last bit can differ from libm's.
+        The power ``(1 + r * r)^-beta`` of ``eval_with_deriv_sq``: at beta = 1
+        the same correctly rounded reciprocal, bit for bit, and at every other
+        beta libm's ``pow``, whose last bit can differ from numpy's array
+        ``pow``, which may take a SIMD path.
         """
         if self.beta == 0.0:
             return 1.0
         r = float(r)
+        if self.beta == 1.0:
+            return 1.0 / (1.0 + r * r)
         return (1.0 + r * r) ** -self.beta
 
     @property
@@ -151,9 +165,11 @@ class CuckerSmaleKernel(_Kernel):
 
         Closed forms, to about 1e-14 relative (1e-13 just below beta = 1/2):
         ``b - a``, ``asinh`` at beta = 1/2, ``r 2F1(1/2, beta; 3/2; -r^2)``
-        below, and above the incomplete beta function (DLMF 8.17) on the side
-        of the median radius where the difference does not cancel, or ``b - a``
-        where beta b^2 < 2^-53.  Results below the normal range may come out as 0.
+        below, at beta = 1 the one arctangent ``atan((b - a) / (1 + a b))``,
+        within 4 ulp also as ``b`` nears ``a``, and otherwise above 1/2
+        the incomplete beta function (DLMF 8.17) on the side of the median
+        radius where the difference does not cancel, or ``b - a`` where
+        beta b^2 < 2^-53.  Results below the normal range may come out as 0.
         """
         a, b = float(a), float(b)
         if a < 0 or b < 0:
@@ -167,6 +183,12 @@ class CuckerSmaleKernel(_Kernel):
             return math.asinh(b) - math.asinh(a)
         if beta < 0.5:
             return math.inf if b == math.inf else self._antiderivative(b) - self._antiderivative(a)
+        if beta == 1.0:  # atan b - atan a, with no difference of two arctangents
+            if b == math.inf:
+                return math.atan2(1.0, a)
+            if b <= 1e154:  # a b <= b^2 stays finite
+                return math.atan((b - a) / (1.0 + a * b))
+            return math.atan(((b - a) / b) / (1.0 / b + a))
         if beta * b * b < 2.0**-53:  # the profile is 1 to rounding on [a, b]
             return b - a
         if b <= self._median:
@@ -178,6 +200,7 @@ class CuckerSmaleKernel(_Kernel):
         return self._total * float(share)
 
     def _antiderivative(self, r):
+        special = _scipy_special()
         beta = self.beta
         if r <= 10.0:
             # Pfaff's transformation: just below beta = 1/2, hyp2f1 at z = -r^2
@@ -196,6 +219,7 @@ class CuckerSmaleKernel(_Kernel):
         if r >= _FAR:
             tail = r ** (-2.0 * q) / (2.0 * q * self._total)
             return tail if upper else 1.0 - tail
+        special = _scipy_special()
         if r <= 1.0:
             x = r * r / (1.0 + r * r)
             return special.betaincc(0.5, q, x) if upper else special.betainc(0.5, q, x)

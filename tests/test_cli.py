@@ -1421,30 +1421,46 @@ import json, sys
 from flockdde.cli import main
 codes = [main(argv) for argv in json.loads(sys.argv[1])]
 print(json.dumps([codes, [name for name in ("scipy.interpolate", "scipy.optimize",
-                                            "scipy.spatial") if name in sys.modules]]))
+                                            "scipy.spatial", "scipy.special")
+                           if name in sys.modules]]))
 """
 
 
 class TestImportFootprint:
-    """A run imports only the scipy modules its inputs need: ``scipy.spatial``
-    for d >= 2 and ``scipy.interpolate`` for a tabulated kernel; the package
+    """A run imports only the scipy modules its inputs need: ``scipy.special``
+    for a Cucker-Smale beta other than 0, 1/2 and 1, ``scipy.spatial`` for
+    d >= 2 and ``scipy.interpolate`` for a tabulated kernel; the package
     never imports ``scipy.optimize`` itself.  Asserted on ``sys.modules``,
     not on megabytes."""
 
     @staticmethod
     def codes_and_modules(*runs):
         """Exit codes of ``main`` on each argv of ``runs`` in one fresh
-        process, and the three modules loaded after them."""
+        process, and the four modules loaded after them."""
         proc = run_python("-c", _FOOTPRINT, json.dumps(runs))
         assert proc.returncode == 0, proc.stderr
         return json.loads(proc.stdout.splitlines()[-1])
 
-    def test_one_d_presets_load_none_of_the_three(self, tmp_path):
+    def test_import_loads_none_of_the_four(self):
+        assert self.codes_and_modules() == [[], []]
+
+    def test_one_d_presets_load_scipy_special_alone(self, tmp_path):
         # the blow-up crossing, the budget radius and the Gronwall rate all
-        # solve for a root
+        # solve for a root; the beta = 1/4 integral is a hypergeometric function
         assert self.codes_and_modules(
             ["run", "--preset", "riccati-blowup", "--out", str(tmp_path / "blowup")],
-            ["certify", "--preset", "unconditional-beta025"]) == [[2, 0], []]
+            ["certify", "--preset", "unconditional-beta025"]) == [[2, 0], ["scipy.special"]]
+
+    @pytest.mark.parametrize("beta, modules", [(0.0, []), (0.5, []), (1.0, []),
+                                               (0.75, ["scipy.special"])])
+    def test_one_d_run_loads_scipy_special_off_the_elementary_betas(
+            self, tmp_path, quick_run_doc, beta, modules):
+        # b - a, asinh and arctan are the monitor's and the certificate's
+        # integrals at 0, 1/2 and 1; beta 0.75 takes the incomplete beta function
+        doc = _with(_with(quick_run_doc, "kernel.beta", beta), "t_end", 0.1)
+        path = write_json(tmp_path / "c.json", doc)
+        assert self.codes_and_modules(["run", "--config", path, "--out", str(tmp_path / "o")]) \
+            == [[0], modules]
 
     def test_two_d_run_loads_scipy_spatial(self, tmp_path, quick_run_doc):
         doc = _with(_with(_with(quick_run_doc, "datum.domain.box", [[0.0, 1.0]] * 2),
@@ -1452,8 +1468,9 @@ class TestImportFootprint:
                     "datum.velocity", {"family": "linear", "matrix": [[0.5, 0.0], [0.0, 0.5]],
                                        "offset": [0.0, 0.0]})
         path = write_json(tmp_path / "c.json", _with(doc, "t_end", 0.1))
+        # scipy.spatial.distance imports scipy.special itself
         assert self.codes_and_modules(["run", "--config", path, "--out", str(tmp_path / "o")]) \
-            == [[0], ["scipy.spatial"]]
+            == [[0], ["scipy.spatial", "scipy.special"]]
 
     def test_tabulated_kernel_loads_scipy_interpolate(self, tmp_path, quick_run_doc):
         doc = _with(quick_run_doc, "kernel", {"family": "tabulated", "radii": [0.0, 1.0, 2.0],

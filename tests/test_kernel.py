@@ -272,15 +272,30 @@ def test_derivative_is_negative_zero_where_the_power_underflows():
                    allow_infinity=False),
        beta=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.7, 40.0]))
 def test_profile_is_the_closed_form_bit_for_bit(r, beta):
-    # libm's pow; eval_with_deriv_sq's power (numpy's array pow, or at beta = 1
-    # the correctly rounded reciprocal) may differ in the last bit
+    # libm's pow, or at beta = 1 the correctly rounded reciprocal;
+    # eval_with_deriv_sq's numpy array pow may differ in the last bit
     k = CuckerSmaleKernel(beta)
     value = k.profile(r)
     assert type(value) is float
-    assert float_bits(value) == float_bits(cucker_smale(beta)[0](r))
+    want = 1.0 / (1.0 + r * r) if beta == 1.0 else cucker_smale(beta)[0](r)
+    assert float_bits(value) == float_bits(want)
     with np.errstate(over="ignore"):
         psi = k.eval_with_deriv_sq(np.square([r]))[0][0]
     assert abs(psi - value) <= math.ulp(value)
+
+
+def test_beta_one_profile_is_the_forces_reciprocal():
+    # libm's pow(x, -1) differs from the reciprocal in the last bit on about 1
+    # in 1000 radii below 4, where the certificate's psi_star and the force's
+    # weights then disagreed; both now take one IEEE division
+    rng = np.random.default_rng(1)
+    r = np.concatenate([[0.0, 5e-324, 1e-310, 1e-160, 1e154, 1.3e154, 1.4e154, 1e200,
+                         1.7e308, math.inf],
+                        rng.uniform(0.0, 4.0, 10**5), 10.0 ** rng.uniform(-170.0, 308.0, 10**5)])
+    k = CuckerSmaleKernel(1.0)
+    with np.errstate(over="ignore"):
+        psi = k.eval_with_deriv_sq(r * r)[0]
+    assert np.array([k.profile(x) for x in r]).tobytes() == psi.tobytes()
 
 
 def test_beta_one_power_is_the_correctly_rounded_reciprocal():
@@ -427,6 +442,54 @@ def test_integral_below_the_rounding_of_the_profile_is_the_width(beta):
             exact = mp.mpf(b) * mp.hyp2f1(0.5, beta, 1.5, -mp.mpf(b) ** 2)
         assert _rel_err(k.integral(0.0, b), exact) <= 1e-15, b
         assert k.integral(b / 4, b) == b - b / 4
+
+
+def _mp_atan_integral(a, b):
+    """atan b - atan a at 40 digits, for b > 1 as acot a - acot b: acot keeps
+    its relative digits at large radii, where both arctangents near pi/2."""
+    with mp.workdps(40):
+        a, b = mp.mpf(a), mp.mpf(b)
+        return mp.atan(b) - mp.atan(a) if b <= 1 else mp.acot(a) - mp.acot(b)
+
+
+def _assert_within_4_ulp(got, exact, where):
+    assert abs(mp.mpf(got) - exact) <= 4 * math.ulp(float(exact)), where
+
+
+def test_beta_one_integral_of_short_intervals_matches_mpmath():
+    # the monitor's integral(x, x + D); a difference of two incomplete-beta
+    # shares lost up to 2.4e-9 relative on x in [0.1, 10], D in [1e-6, 1e-3]
+    k = CuckerSmaleKernel(1.0)
+    rng = np.random.default_rng(2)
+    for a in 10.0 ** rng.uniform(-5.0, 5.0, 400):
+        for ratio in 10.0 ** np.linspace(-12.0, 2.0, 15):
+            b = a + ratio * a
+            _assert_within_4_ulp(k.integral(a, b), _mp_atan_integral(a, b), (a, b))
+
+
+def test_beta_one_integral_where_a_b_overflows_matches_mpmath():
+    # above about 1.3e154 the product a b overflows, and (b - a) / (1 + a b) read 0
+    k = CuckerSmaleKernel(1.0)
+    rng = np.random.default_rng(3)
+    top = sys.float_info.max
+    lows = [1e154, 1.0000000000000002e154, 1.3e154, 1.4e154, 1e300, 1.7e308,
+            *(10.0 ** rng.uniform(154.0, 308.0, 300)).tolist()]
+    for a in lows:
+        for b in (a, math.nextafter(a, math.inf), a * 1.5, a * 1e3, top):
+            b = min(b, top)
+            _assert_within_4_ulp(k.integral(a, b), _mp_atan_integral(a, b), (a, b))
+
+
+def test_beta_one_integral_at_its_edges_matches_mpmath():
+    k = CuckerSmaleKernel(1.0)
+    radii = [0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e154, 1e200, 1.7e308]
+    for a in radii:
+        # b = inf is the tail; a = 0 the head; a = b an empty interval
+        _assert_within_4_ulp(k.integral(a, math.inf), _mp_atan_integral(a, mp.inf), a)
+        _assert_within_4_ulp(k.integral(0.0, a), _mp_atan_integral(0.0, a), a)
+        assert k.integral(a, a) == 0.0
+    assert k.integral(0.0, math.inf) == k.tail_integral(0.0) == math.pi / 2
+    assert k.integral(math.inf, math.inf) == 0.0
 
 
 def test_tail_integral_subnormal_result_is_zero():
