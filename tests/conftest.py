@@ -57,9 +57,11 @@ def cucker_smale(beta):
     """The profile ``(1 + r^2)^-beta`` and its derivative
     ``-2 beta r (1 + r^2)^(-beta - 1)``, written out, on floats or arrays:
     the reference for ``CuckerSmaleKernel``.  On plain floats the value is
-    libm's ``pow``, that of ``profile`` at every beta but 1; on arrays, numpy's
-    array ``pow``, that of ``eval_with_deriv_sq`` at every beta but 1.  At
-    beta = 1 both methods take the correctly rounded reciprocal."""
+    libm's ``pow``, that of ``profile`` at every beta but 1 and 2; on arrays,
+    numpy's array ``pow``, that of ``eval_with_deriv_sq`` at every beta but 1
+    and 2.  At beta = 1 both methods take the correctly rounded reciprocal
+    ``1 / (1 + r * r)``, and at beta = 2 the reciprocal of its IEEE square,
+    ``1 / ((1 + r * r) * (1 + r * r))``."""
     return (lambda r: (1.0 + r * r) ** -beta,
             lambda r: -2.0 * beta * r * (1.0 + r * r) ** (-beta - 1.0))
 

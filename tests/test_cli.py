@@ -1428,7 +1428,7 @@ print(json.dumps([codes, [name for name in ("scipy.interpolate", "scipy.optimize
 
 class TestImportFootprint:
     """A run imports only the scipy modules its inputs need: ``scipy.special``
-    for a Cucker-Smale beta other than 0, 1/2 and 1, ``scipy.spatial`` for
+    for a Cucker-Smale beta other than 0, 1/2, 1 and 2, ``scipy.spatial`` for
     d >= 2 and ``scipy.interpolate`` for a tabulated kernel; the package
     never imports ``scipy.optimize`` itself.  Asserted on ``sys.modules``,
     not on megabytes."""
@@ -1452,11 +1452,12 @@ class TestImportFootprint:
             ["certify", "--preset", "unconditional-beta025"]) == [[2, 0], ["scipy.special"]]
 
     @pytest.mark.parametrize("beta, modules", [(0.0, []), (0.5, []), (1.0, []),
-                                               (0.75, ["scipy.special"])])
+                                               (0.75, ["scipy.special"]), (2.0, [])])
     def test_one_d_run_loads_scipy_special_off_the_elementary_betas(
             self, tmp_path, quick_run_doc, beta, modules):
-        # b - a, asinh and arctan are the monitor's and the certificate's
-        # integrals at 0, 1/2 and 1; beta 0.75 takes the incomplete beta function
+        # b - a, asinh, an arctangent and (delta + c sin delta) / 2 on it are the
+        # monitor's and the certificate's integrals at 0, 1/2, 1 and 2; beta
+        # 0.75 takes the incomplete beta function
         doc = _with(_with(quick_run_doc, "kernel.beta", beta), "t_end", 0.1)
         path = write_json(tmp_path / "c.json", doc)
         assert self.codes_and_modules(["run", "--config", path, "--out", str(tmp_path / "o")]) \

@@ -267,49 +267,74 @@ def test_derivative_is_negative_zero_where_the_power_underflows():
     assert np.all(dpsi_r[1:] == 0.0) and np.all(np.signbit(dpsi_r[1:]))
 
 
+# the power at beta = 1 and 2 in IEEE operations, the reference of both methods
+_IEEE_POWERS = {1.0: lambda base: 1.0 / base, 2.0: lambda base: 1.0 / (base * base)}
+
+
 @settings(derandomize=True, database=None)
 @given(r=st.floats(min_value=0.0, max_value=1e308, allow_nan=False,
                    allow_infinity=False),
        beta=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.7, 40.0]))
 def test_profile_is_the_closed_form_bit_for_bit(r, beta):
-    # libm's pow, or at beta = 1 the correctly rounded reciprocal;
+    # libm's pow, or at beta = 1 the correctly rounded reciprocal and at
+    # beta = 2 one IEEE square and one division; at every other beta
     # eval_with_deriv_sq's numpy array pow may differ in the last bit
     k = CuckerSmaleKernel(beta)
     value = k.profile(r)
     assert type(value) is float
-    want = 1.0 / (1.0 + r * r) if beta == 1.0 else cucker_smale(beta)[0](r)
+    want = _IEEE_POWERS[beta](1.0 + r * r) if beta in _IEEE_POWERS else cucker_smale(beta)[0](r)
     assert float_bits(value) == float_bits(want)
     with np.errstate(over="ignore"):
         psi = k.eval_with_deriv_sq(np.square([r]))[0][0]
     assert abs(psi - value) <= math.ulp(value)
 
 
-def test_beta_one_profile_is_the_forces_reciprocal():
+@pytest.mark.parametrize("beta", sorted(_IEEE_POWERS))
+def test_profile_is_the_forces_power(beta):
     # libm's pow(x, -1) differs from the reciprocal in the last bit on about 1
     # in 1000 radii below 4, where the certificate's psi_star and the force's
-    # weights then disagreed; both now take one IEEE division
+    # weights then disagreed, and at beta = 2 the array pow's last bit follows
+    # numpy's SIMD path; both methods now take the same IEEE operations
     rng = np.random.default_rng(1)
-    r = np.concatenate([[0.0, 5e-324, 1e-310, 1e-160, 1e154, 1.3e154, 1.4e154, 1e200,
-                         1.7e308, math.inf],
+    r = np.concatenate([[0.0, 5e-324, 1e-310, 1e-160, 1e77, 1.2e77, 1e154, 1.3e154,
+                         1.4e154, 1e200, 1.7e308, math.inf],
                         rng.uniform(0.0, 4.0, 10**5), 10.0 ** rng.uniform(-170.0, 308.0, 10**5)])
-    k = CuckerSmaleKernel(1.0)
+    k = CuckerSmaleKernel(beta)
     with np.errstate(over="ignore"):
         psi = k.eval_with_deriv_sq(r * r)[0]
     assert np.array([k.profile(x) for x in r]).tobytes() == psi.tobytes()
 
 
-def test_beta_one_power_is_the_correctly_rounded_reciprocal():
-    # IEEE division, not pow, is the reference, so this holds on any host
+@pytest.mark.parametrize("beta", sorted(_IEEE_POWERS))
+def test_power_is_ieee_arithmetic(beta):
+    # IEEE division and product, not pow, are the reference, so this holds on
+    # any host; past 1 + q = 1.3e154 the beta = 2 square overflows silently:
+    # psi is 0 and psi'(r) / r is -0, as wherever the power underflows
     rng = np.random.default_rng(0)
     q = np.concatenate([[0.0, 5e-324, 1e-300, 1e308, math.inf, math.nan],
                         rng.uniform(0.0, 2.0, 10**5),
                         10.0 ** rng.uniform(-20.0, 300.0, 10**5)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        psi, dpsi_r = CuckerSmaleKernel(1.0).eval_with_deriv_sq(q)
-    want = 1.0 / (1.0 + q)
+        psi, dpsi_r = CuckerSmaleKernel(beta).eval_with_deriv_sq(q)
+    with np.errstate(over="ignore"):
+        want = _IEEE_POWERS[beta](1.0 + q)
     assert psi.tobytes() == want.tobytes()
-    assert dpsi_r.tobytes() == (-2.0 * (want / (1.0 + q))).tobytes()
+    assert dpsi_r.tobytes() == (-2.0 * beta * (want / (1.0 + q))).tobytes()
+    if beta == 2.0:
+        assert psi[3] == psi[4] == 0.0 and np.all(np.signbit(dpsi_r[3:5]))
+
+
+def test_beta_two_power_is_within_one_and_a_half_ulp():
+    # the reference is the exact power of the rounded base 1 + r * r; libm's
+    # pow is within about 0.65 ulp of it, the square and the division 1.5
+    k = CuckerSmaleKernel(2.0)
+    rng = np.random.default_rng(6)
+    for r in np.concatenate([rng.uniform(0.0, 4.0, 2000), 10.0 ** rng.uniform(-10.0, 77.0, 2000)]):
+        base = 1.0 + r * r
+        with mp.workdps(40):
+            exact = mp.mpf(base) ** -2
+        assert abs(mp.mpf(k.profile(r)) - exact) <= 1.5 * math.ulp(float(exact)), r
 
 
 # only bench/spans.py names the two readers below, until item 9a
@@ -431,7 +456,7 @@ def test_integral_and_tail_match_mpmath(beta):
         assert k.integral(b, a) == -k.integral(a, b)
 
 
-@pytest.mark.parametrize("beta", [0.75, 1.0, 40.0])
+@pytest.mark.parametrize("beta", [0.75, 1.0, 2.0, 40.0])
 def test_integral_below_the_rounding_of_the_profile_is_the_width(beta):
     # where beta b^2 < 2^-53 the profile is 1 to rounding; the incomplete beta
     # function's difference there once lost digits from b = 1e-160 and was 0
@@ -452,8 +477,8 @@ def _mp_atan_integral(a, b):
         return mp.atan(b) - mp.atan(a) if b <= 1 else mp.acot(a) - mp.acot(b)
 
 
-def _assert_within_4_ulp(got, exact, where):
-    assert abs(mp.mpf(got) - exact) <= 4 * math.ulp(float(exact)), where
+def _assert_within_ulp(got, exact, ulps, where):
+    assert abs(mp.mpf(got) - exact) <= ulps * math.ulp(float(exact)), where
 
 
 def test_beta_one_integral_of_short_intervals_matches_mpmath():
@@ -464,7 +489,7 @@ def test_beta_one_integral_of_short_intervals_matches_mpmath():
     for a in 10.0 ** rng.uniform(-5.0, 5.0, 400):
         for ratio in 10.0 ** np.linspace(-12.0, 2.0, 15):
             b = a + ratio * a
-            _assert_within_4_ulp(k.integral(a, b), _mp_atan_integral(a, b), (a, b))
+            _assert_within_ulp(k.integral(a, b), _mp_atan_integral(a, b), 4, (a, b))
 
 
 def test_beta_one_integral_where_a_b_overflows_matches_mpmath():
@@ -477,7 +502,7 @@ def test_beta_one_integral_where_a_b_overflows_matches_mpmath():
     for a in lows:
         for b in (a, math.nextafter(a, math.inf), a * 1.5, a * 1e3, top):
             b = min(b, top)
-            _assert_within_4_ulp(k.integral(a, b), _mp_atan_integral(a, b), (a, b))
+            _assert_within_ulp(k.integral(a, b), _mp_atan_integral(a, b), 4, (a, b))
 
 
 def test_beta_one_integral_at_its_edges_matches_mpmath():
@@ -485,11 +510,67 @@ def test_beta_one_integral_at_its_edges_matches_mpmath():
     radii = [0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e154, 1e200, 1.7e308]
     for a in radii:
         # b = inf is the tail; a = 0 the head; a = b an empty interval
-        _assert_within_4_ulp(k.integral(a, math.inf), _mp_atan_integral(a, mp.inf), a)
-        _assert_within_4_ulp(k.integral(0.0, a), _mp_atan_integral(0.0, a), a)
+        _assert_within_ulp(k.integral(a, math.inf), _mp_atan_integral(a, mp.inf), 4, a)
+        _assert_within_ulp(k.integral(0.0, a), _mp_atan_integral(0.0, a), 4, a)
         assert k.integral(a, a) == 0.0
     assert k.integral(0.0, math.inf) == k.tail_integral(0.0) == math.pi / 2
     assert k.integral(math.inf, math.inf) == 0.0
+
+
+def _mp_beta_two_integral(a, b):
+    """Integral of (1 + r^2)^-2 over [a, b], for b <= 1 as H(b) - H(a) with
+    the head H(r) = (r / (1 + r^2) + atan r) / 2, and beyond as G(a) - G(b)
+    with the tail G(r) = (2 phi - sin 2 phi) / 4 at phi = acot r, at enough
+    digits for the cancellation of that difference and of G at large radii."""
+    cancel = math.log10(b / (b - a)) if 0.0 < a < b < math.inf else 0.0
+    with mp.workdps(int(50 + 2 * math.log10(max(a, 1.0)) + cancel)):
+        a, b = mp.mpf(a), mp.mpf(b)
+        if b <= 1:
+            def head(r):
+                return (r / (1 + r * r) + mp.atan(r)) / 2
+            return +(head(b) - head(a))
+
+        def tail(r):
+            phi = mp.acot(r)
+            return (2 * phi - mp.sin(2 * phi)) / 4
+        return +(tail(a) - tail(b))
+
+
+def test_beta_two_integral_of_short_and_wide_intervals_matches_mpmath():
+    # the monitor's integral(x, x + D); a difference of two incomplete-beta
+    # shares lost up to 1.8e-9 relative on x in [0.1, 10], D in [1e-6, 1e-3]
+    k = CuckerSmaleKernel(2.0)
+    rng = np.random.default_rng(8)
+    for a in 10.0 ** rng.uniform(-5.0, 5.0, 300):
+        for ratio in 10.0 ** np.linspace(-12.0, 2.0, 15):
+            b = a + ratio * a
+            _assert_within_ulp(k.integral(a, b), _mp_beta_two_integral(a, b), 5, (a, b))
+
+
+def test_beta_two_integral_where_b_squared_overflows_matches_mpmath():
+    # past b = 1e150 the integral is the tail from a: the terms in 1 / b lie
+    # below its rounding wherever it is normal (a below about 7.9e101)
+    k = CuckerSmaleKernel(2.0)
+    rng = np.random.default_rng(9)
+    top = sys.float_info.max
+    for a in [0.0, 1e-8, 1.0, 1e50, 1e102, *(10.0 ** rng.uniform(-5.0, 103.0, 200)).tolist()]:
+        for b in (1e150, 1.0000000000000002e150, 1.4e154, 1e200, top):
+            _assert_within_ulp(k.integral(a, b), _mp_beta_two_integral(a, b), 5, (a, b))
+    for a in (1e154, 1e200, top):  # the integral underflows
+        assert k.integral(a, a) == k.integral(a, top) == k.integral(a, math.inf) == 0.0
+
+
+def test_beta_two_integral_at_its_edges_matches_mpmath():
+    k = CuckerSmaleKernel(2.0)
+    radii = [0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 3.0, 1e8, 1e100, 1e154, 1.7e308]
+    for a in radii:
+        _assert_within_ulp(k.integral(a, math.inf), _mp_beta_two_integral(a, math.inf), 5, a)
+        _assert_within_ulp(k.integral(0.0, a), _mp_beta_two_integral(0.0, a), 5, a)
+        assert k.integral(a, a) == 0.0
+    head = k.integral(0.0, math.inf)
+    assert head == k.tail_integral(0.0) == pytest.approx(math.pi / 4, rel=1e-16)
+    assert k.integral(math.inf, math.inf) == 0.0
+    assert k.integral(1e-300, 3e-300) == 3e-300 - 1e-300  # the profile is 1 to rounding
 
 
 def test_tail_integral_subnormal_result_is_zero():
